@@ -5,6 +5,12 @@ quotient is finite dimensional exactly when every generator has a pure
 power among the relations; the standard monomials (those divisible by no
 relation) then form a canonical basis, ordered graded-lexicographically
 with the generator order as declared.
+
+Products, integer powers and Taylor lifts share one kernel, ``_mul_lists``.
+It walks the algebra's product plan: the (i, j, k) triples with i <= j and
+e_i e_j = e_k, listed once when the algebra is built, in basis order.  Each
+output slot is summed from +0.0 in that fixed order, and an off-diagonal
+triple adds a_i b_j + a_j b_i in one step, so a*b and b*a agree bit for bit.
 """
 
 from __future__ import annotations
@@ -112,15 +118,20 @@ class WeilAlgebra:
         index = {m: i for i, m in enumerate(self.basis)}
 
         # table[i, j] = basis index of e_i * e_j, or -1 when the product
-        # falls into the ideal.
+        # falls into the ideal.  The product plan lists the non-zero
+        # products with i <= j, in the order _mul_lists accumulates them.
         table = np.full((self.dim, self.dim), -1, dtype=np.int16)
+        plan = []
         for i, mi in enumerate(self.basis):
             for j, mj in enumerate(self.basis):
                 prod_m = tuple(a + b for a, b in zip(mi, mj))
                 if not any(_divides(rel, prod_m) for rel in presentation.relations):
                     table[i, j] = index[prod_m]
+                    if i <= j:
+                        plan.append((i, j, index[prod_m]))
         table.setflags(write=False)
         self.mult_table = table
+        self.product_plan: tuple[tuple[int, int, int], ...] = tuple(plan)
         self._index = index
 
     # -- element constructors -------------------------------------------------
@@ -191,6 +202,24 @@ def jets(order: int, name: str = "t") -> WeilAlgebra:
     return build_algebra(AlgebraPresentation((name,), ((order + 1,),)))
 
 
+def _mul_lists(
+    plan: tuple[tuple[int, int, int], ...], dim: int, a: list[float], b: list[float]
+) -> list[float]:
+    """The one product kernel: coefficient lists of a*b over a product plan.
+
+    Each slot accumulates from +0.0 in plan order, and an off-diagonal
+    triple adds a_i b_j + a_j b_i in one step, so a*b and b*a agree bit
+    for bit.
+    """
+    out = [0.0] * dim
+    for i, j, k in plan:
+        if i == j:
+            out[k] += a[i] * b[i]
+        else:
+            out[k] += a[i] * b[j] + a[j] * b[i]
+    return out
+
+
 class WeilElement:
     """A coefficient vector over an algebra's standard-monomial basis."""
 
@@ -250,27 +279,9 @@ class WeilElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # Accumulation order depends only on the basis, and each off-diagonal
-        # slot receives a_i b_j + a_j b_i in one step, so a*b and b*a agree
-        # bit for bit.
-        a, b = self.coeffs, o.coeffs
-        table = self.algebra.mult_table
-        dim = self.algebra.dim
-        out = np.zeros(dim)
-        for i in range(dim):
-            ai, bi = a[i], b[i]
-            k = table[i, i]
-            if k >= 0:
-                v = ai * bi
-                if v != 0.0:
-                    out[k] += v
-            for j in range(i + 1, dim):
-                k = table[i, j]
-                if k >= 0:
-                    v = ai * b[j] + a[j] * bi
-                    if v != 0.0:
-                        out[k] += v
-        return WeilElement(self.algebra, out)
+        alg = self.algebra
+        a, b = self.coeffs.tolist(), o.coeffs.tolist()
+        return WeilElement(alg, np.array(_mul_lists(alg.product_plan, alg.dim, a, b)))
 
     __rmul__ = __mul__
 
@@ -287,10 +298,12 @@ class WeilElement:
             return NotImplemented
         if k < 0:
             return taylor_lift(RECIPROCAL, self) ** (-k)
-        out = self.algebra.unit()
+        alg = self.algebra
+        a = self.coeffs.tolist()
+        out = [1.0] + [0.0] * (alg.dim - 1)
         for _ in range(k):
-            out = out * self
-        return out
+            out = _mul_lists(alg.product_plan, alg.dim, out, a)
+        return WeilElement(alg, np.array(out))
 
     def __eq__(self, other):
         if not isinstance(other, WeilElement):
@@ -434,7 +447,7 @@ def _recip_derivs(r: float, order: int) -> list[float]:
 
 
 def _sqrt_derivs(r: float, order: int) -> list[float]:
-    if r < 0.0 or (r == 0.0 and order >= 1):
+    if not r >= 0.0 or (r == 0.0 and order >= 1):  # NaN included
         raise DomainError(f"sqrt derivatives undefined at {r}")
     return _pow_derivs(0.5, r, order) if r > 0.0 else [0.0]
 
@@ -469,17 +482,23 @@ def taylor_lift(prim: PrimitiveFn, a: WeilElement) -> WeilElement:
         derivs = prim.derivatives(r, h)
     except OverflowError as exc:
         raise DomainError(f"{prim.name} overflows at {r}") from exc
-    out = a.algebra.from_real(derivs[0])
-    n = a.nilpotent_part()
-    power = a.algebra.unit()
+    except (ValueError, ZeroDivisionError) as exc:
+        # sin(inf), or 1/r^(j+1) when r^(j+1) underflows to zero
+        raise DomainError(f"{prim.name} derivatives undefined at {r}") from exc
+    plan, dim = a.algebra.product_plan, a.algebra.dim
+    n = a.coeffs.tolist()
+    n[0] = 0.0
+    out = [float(derivs[0])] + [0.0] * (dim - 1)
+    power = [1.0] + [0.0] * (dim - 1)
     factorial = 1.0
     for j in range(1, h + 1):
-        power = power * n
-        if not power.coeffs.any():
+        power = _mul_lists(plan, dim, power, n)
+        if not any(power):
             break
         factorial *= j
-        out = out + power * (derivs[j] / factorial)
-    return out
+        scale = derivs[j] / factorial
+        out = [o + p * scale for o, p in zip(out, power)]
+    return WeilElement(a.algebra, np.array(out))
 
 
 def apply_linear(matrix: np.ndarray, a: WeilElement) -> WeilElement:

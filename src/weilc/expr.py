@@ -9,6 +9,7 @@ package works with.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,6 +20,7 @@ from .algebra import (
     PrimitiveFn,
     WeilAlgebra,
     WeilElement,
+    render_element,
     taylor_lift,
 )
 from .errors import (
@@ -360,7 +362,11 @@ def eval_weil(e: Expr, point, algebra: WeilAlgebra | None = None) -> WeilElement
     for c in coords:
         if c.algebra is not algebra:
             raise AlgebraMismatch("point coordinates live over different algebras")
-    return _eval_weil(e, coords, algebra)
+    value = _eval_weil(e, coords, algebra)
+    # ring arithmetic overflows silently; one check here covers every path
+    if not all(map(math.isfinite, value.coeffs.tolist())):
+        raise DomainError(f"non-finite result {render_element(value)}")
+    return value
 
 
 def _eval_weil(e: Expr, coords, algebra: WeilAlgebra) -> WeilElement:

@@ -10,6 +10,7 @@ the prolonged side presuppose the base Lie structure.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -99,6 +100,9 @@ class _Recorder:
         self.max_witnesses = max_witnesses
 
     def record(self, value: float, inputs: dict[str, str]):
+        # max() and > both skip NaN, so a non-finite residual counts as inf
+        if not math.isfinite(value):
+            value = math.inf
         self.max_residual = max(self.max_residual, value)
         if value > self.tol and len(self.witnesses) < self.max_witnesses:
             self.witnesses.append(Witness(dict(inputs), float(value)))

@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement, product
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from weilc import (
     AlgebraPresentation,
@@ -30,6 +30,7 @@ from weilc.errors import (
     NotMorphism,
 )
 from weilc.oracle import taylor_coeffs
+from weilc.sampling import CATALOG, catalog_algebra
 
 
 def two_gen_algebra():
@@ -171,6 +172,97 @@ class TestRingOps:
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+
+def reference_product(A, a, b):
+    """Dense-table product over coefficient lists, summed in basis order.
+
+    The diagonal slot gets a_i b_i and each later j gets a_i b_j + a_j b_i;
+    zero contributions are skipped, as the original dense loop did.
+    """
+    out = [0.0] * A.dim
+    for i in range(A.dim):
+        for j in range(i, A.dim):
+            k = A.mult_table[i, j]
+            if k < 0:
+                continue
+            v = a[i] * b[i] if i == j else a[i] * b[j] + a[j] * b[i]
+            if v != 0.0:
+                out[k] += v
+    return out
+
+
+def assert_bitwise(actual, expected):
+    """Equal bit for bit, signed zeros included; NaN only where expected has NaN."""
+    actual, expected = np.asarray(actual, float), np.asarray(expected, float)
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(actual), nan)
+    assert actual[~nan].tobytes() == expected[~nan].tobytes()
+
+
+KERNEL_ALGEBRAS = [catalog_algebra(name) for name, _ in CATALOG] + [jets(10)]
+EXTREMES = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 1e200, -1e200, 1e-200, float("inf"), float("-inf")]
+)
+COEFFS = st.one_of(st.floats(allow_nan=False), EXTREMES)
+
+
+def elements(data, A, coeffs, count):
+    return [
+        A.element(data.draw(st.lists(coeffs, min_size=A.dim, max_size=A.dim)))
+        for _ in range(count)
+    ]
+
+
+class TestProductKernel:
+    """The product plan against a dense-table reference built here."""
+
+    @given(st.sampled_from(KERNEL_ALGEBRAS), st.data())
+    def test_product_matches_dense_reference(self, A, data):
+        a, b = elements(data, A, COEFFS, 2)
+        reference = reference_product(A, a.coeffs.tolist(), b.coeffs.tolist())
+        assert_bitwise((a * b).coeffs, reference)
+
+    @given(st.sampled_from(KERNEL_ALGEBRAS), st.data())
+    def test_bitwise_commutative(self, A, data):
+        a, b = elements(data, A, COEFFS, 2)
+        assert_bitwise((a * b).coeffs, (b * a).coeffs)
+
+    @given(st.sampled_from(KERNEL_ALGEBRAS), st.integers(0, 6), st.data())
+    def test_power_is_repeated_product(self, A, k, data):
+        (a,) = elements(data, A, COEFFS, 1)
+        expected = A.unit().coeffs.tolist()
+        for _ in range(k):
+            expected = reference_product(A, expected, a.coeffs.tolist())
+        assert_bitwise((a**k).coeffs, expected)
+
+    @given(
+        st.sampled_from(KERNEL_ALGEBRAS),
+        st.sampled_from(sorted(PRIMITIVES)),
+        st.data(),
+    )
+    def test_taylor_lift_is_the_taylor_sum(self, A, name, data):
+        # g(a) = sum_j g^(j)(r) n^j / j!, with n^j by reference products
+        nil = data.draw(st.lists(COEFFS, min_size=A.dim - 1, max_size=A.dim - 1))
+        a = A.element([data.draw(st.floats(-3, 3))] + nil)
+        prim = PRIMITIVES[name]
+        try:
+            lifted = taylor_lift(prim, a)
+        except DomainError:
+            assume(False)
+        derivs = prim.derivatives(a.real, A.height)
+        n = a.nilpotent_part().coeffs.tolist()
+        expected = A.from_real(derivs[0]).coeffs
+        power = A.unit().coeffs.tolist()
+        factorial = 1.0
+        for j in range(1, A.height + 1):
+            power = reference_product(A, power, n)
+            if not any(power):
+                break
+            factorial *= j
+            with np.errstate(all="ignore"):
+                expected = expected + np.array(power) * (derivs[j] / factorial)
+        assert_bitwise(lifted.coeffs, expected)
 
 
 class TestAugmentation:
@@ -350,3 +442,13 @@ class TestFunctionalIdentities:
         A = dual_numbers()
         with pytest.raises(DomainError):
             taylor_lift(PRIMITIVES["exp"], A.from_real(1e4))
+
+    @pytest.mark.parametrize("name,r", [
+        ("recip", 1e-200),  # r^2 underflows to zero
+        ("sin", float("inf")),
+        ("sqrt", float("nan")),
+    ])
+    def test_undefined_derivatives_become_domain_error(self, name, r):
+        A = dual_numbers()
+        with pytest.raises(DomainError):
+            taylor_lift(PRIMITIVES[name], A.from_real(r) + A.generator("eps"))

@@ -1,6 +1,7 @@
 """Command-line behavior: rendering, exit codes, reports, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +132,15 @@ class TestEval:
             ["--config", config2, "eval", "inv", "dual", "--point", "[[0,1],[0,0]]"]
         )
         assert code == 3
+
+    def test_overflow_is_a_domain_error(self, capsys):
+        example = Path(__file__).resolve().parents[1] / "docs" / "example_config.yaml"
+        point = "[[1e200,1],[0,0]]"
+        code = main(["--config", str(example), "eval", "f", "dual", "--point", point])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("domain error: non-finite result")
 
     def test_unknown_expression(self, config2):
         assert main(

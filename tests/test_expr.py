@@ -199,6 +199,12 @@ class TestEvalWeil:
         with pytest.raises(DimensionMismatch):
             eval_weil(parse("x2", 2), xi)
 
+    def test_overflow_is_a_domain_error(self):
+        A = dual_numbers()
+        xi = APoint(A, (A.element([1e200, 1.0]),))
+        with pytest.raises(DomainError, match="non-finite"):
+            eval_weil(parse("x1^2", 1), xi)
+
 
 class TestEvalReal:
     def test_examples(self):

@@ -1,5 +1,6 @@
 """Base Poisson structure, prolonged bracket, 2-form, and the verifier."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -28,8 +29,8 @@ from weilc import (
 from weilc.errors import AlgebraMismatch, UntrustedStructure
 from weilc.expr import ConstA, ConstR, Var, eval_real, eval_weil
 from weilc.oracle import poly_coeffs_exact
-from weilc.poisson import PoissonStructure, omega_at
-from weilc.sampling import random_point, rng_for
+from weilc.poisson import PoissonStructure, _Recorder, omega_at
+from weilc.sampling import random_point, residual, rng_for
 
 
 def perturbed_so3():
@@ -353,6 +354,30 @@ class TestVerifyAPoisson:
             "pass",
             "witnesses",
         }
+
+
+class TestRecorder:
+    """A non-finite residual is a failure with a witness, never a pass."""
+
+    def test_nan_residual_fails(self):
+        rec = _Recorder(1e-9)
+        rec.record(math.nan, {"check": "nan"})
+        report = rec.report("x", 1, 1)
+        assert not report.passed
+        assert report.max_residual == math.inf
+        assert len(report.witnesses) == 1
+
+    def test_residual_of_inf_elements_fails(self):
+        A = dual_numbers()
+        big = A.element([math.inf, 1.0])
+        with np.errstate(invalid="ignore"):
+            value = residual(big, big)
+        rec = _Recorder(1e-9)
+        rec.record(value, {"check": "inf"})
+        report = rec.report("x", 1, 1)
+        assert not report.passed
+        assert report.max_residual == math.inf
+        assert len(report.witnesses) == 1
 
 
 class TestHamiltonianFieldSo3:
