@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .algebra import (
     PRIMITIVES,
@@ -214,56 +214,48 @@ def power(base: Expr, k: int) -> Expr:
     return Pow(base, k)
 
 
-def apply_fn(fn: PrimitiveFn, arg: Expr) -> Expr:
-    return Apply(fn, arg)
-
-
 # -- structure queries -----------------------------------------------------------
 
 
+def _levels(e: Expr) -> Iterator[list[Expr]]:
+    """The nodes of the tree level by level, root first; iterative, so that
+    a deep tree costs no stack."""
+    level = [e]
+    while level:
+        yield level
+        below: list[Expr] = []
+        for node in level:
+            # exact types (no node class is subclassed): cheaper than isinstance
+            kind = type(node)
+            if kind in (Add, Sub, Mul, Div):
+                below += (node.left, node.right)
+            elif kind is Neg or kind is Apply:
+                below.append(node.arg)
+            elif kind is Pow:
+                below.append(node.base)
+        level = below
+
+
 def contains_consta(e: Expr) -> bool:
-    if isinstance(e, ConstA):
-        return True
-    return any(contains_consta(c) for c in _children(e))
+    return any(isinstance(n, ConstA) for level in _levels(e) for n in level)
 
 
 def consta_algebra(e: Expr) -> WeilAlgebra | None:
     """The unique algebra of the ConstA leaves, or None; mixing raises."""
     found: WeilAlgebra | None = None
-    stack = [e]
-    while stack:
-        node = stack.pop()
+    for node in (n for level in _levels(e) for n in level):
         if isinstance(node, ConstA):
             if found is None:
                 found = node.value.algebra
             elif node.value.algebra is not found:
                 raise AlgebraMismatch("expression mixes constants of two algebras")
-        stack.extend(_children(node))
     return found
 
 
 def max_var_index(e: Expr) -> int:
     """Largest variable index used, or -1 for a closed expression."""
-    best = -1
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            best = max(best, node.index)
-        stack.extend(_children(node))
-    return best
-
-
-def _children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return (e.left, e.right)
-    if isinstance(e, Neg):
-        return (e.arg,)
-    if isinstance(e, Pow):
-        return (e.base,)
-    if isinstance(e, Apply):
-        return (e.arg,)
-    return ()
+    indices = (n.index for level in _levels(e) for n in level if isinstance(n, Var))
+    return max(indices, default=-1)
 
 
 # -- differentiation --------------------------------------------------------------
@@ -402,6 +394,14 @@ def _eval_weil(e: Expr, coords, algebra: WeilAlgebra) -> WeilElement:
 
 def eval_real(e: Expr, xs: Sequence[float]) -> float:
     """Plain real evaluation; the height-0 case of eval_weil."""
+    value = _eval_real(e, xs)
+    # float arithmetic overflows silently; one check here covers every path
+    if not math.isfinite(value):
+        raise DomainError(f"non-finite result {value}")
+    return value
+
+
+def _eval_real(e: Expr, xs: Sequence[float]) -> float:
     if isinstance(e, Var):
         if e.index >= len(xs):
             raise DimensionMismatch(
@@ -415,20 +415,20 @@ def eval_real(e: Expr, xs: Sequence[float]) -> float:
             raise AlgebraMismatch("algebra constant in real evaluation")
         return e.value.real
     if isinstance(e, Add):
-        return eval_real(e.left, xs) + eval_real(e.right, xs)
+        return _eval_real(e.left, xs) + _eval_real(e.right, xs)
     if isinstance(e, Sub):
-        return eval_real(e.left, xs) - eval_real(e.right, xs)
+        return _eval_real(e.left, xs) - _eval_real(e.right, xs)
     if isinstance(e, Mul):
-        return eval_real(e.left, xs) * eval_real(e.right, xs)
+        return _eval_real(e.left, xs) * _eval_real(e.right, xs)
     if isinstance(e, Div):
-        denom = eval_real(e.right, xs)
+        denom = _eval_real(e.right, xs)
         if denom == 0.0:
             raise DomainError("division by zero")
-        return eval_real(e.left, xs) / denom
+        return _eval_real(e.left, xs) / denom
     if isinstance(e, Neg):
-        return -eval_real(e.arg, xs)
+        return -_eval_real(e.arg, xs)
     if isinstance(e, Pow):
-        base = eval_real(e.base, xs)
+        base = _eval_real(e.base, xs)
         if base == 0.0 and e.exponent < 0:
             raise DomainError("zero raised to a negative power")
         try:
@@ -436,10 +436,13 @@ def eval_real(e: Expr, xs: Sequence[float]) -> float:
         except OverflowError as exc:
             raise DomainError(f"{base}^{e.exponent} overflows") from exc
     if isinstance(e, Apply):
+        r = _eval_real(e.arg, xs)
         try:
-            return e.fn.derivatives(eval_real(e.arg, xs), 0)[0]
+            return e.fn.derivatives(r, 0)[0]
         except OverflowError as exc:
-            raise DomainError(f"{e.fn.name} overflows") from exc
+            raise DomainError(f"{e.fn.name} overflows at {r}") from exc
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"{e.fn.name} undefined at {r}") from exc
     raise TypeError(f"cannot evaluate {type(e).__name__}")
 
 
@@ -454,6 +457,10 @@ _TOKEN = re.compile(
 )
 
 _VAR = re.compile(r"x([1-9]\d*)$")
+
+# deepest nesting (signs and parentheses), and deepest tree, that parse
+# accepts; the printer, the evaluators and diff recurse once per tree level
+MAX_DEPTH = 100
 
 
 class _Parser:
@@ -476,6 +483,7 @@ class _Parser:
             pos = m.end()
         self.tokens.append(("end", "", len(text)))
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -519,11 +527,20 @@ class _Parser:
             else:
                 return e
 
+    def nested(self, production) -> Expr:
+        # the parser recurses only here: into a sign's operand or parentheses
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH}", self.peek()[2])
+        e = production()
+        self.depth -= 1
+        return e
+
     def unary(self) -> Expr:
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.next()
-            inner = self.unary()
+            inner = self.nested(self.unary)
             # fold a sign applied directly to a literal, so that printed
             # negative constants reparse to themselves
             if isinstance(inner, ConstR):
@@ -571,12 +588,12 @@ class _Parser:
                 if val not in FUNCTIONS:
                     raise UnknownSymbol(f"unknown function {val!r}", pos)
                 self.next()
-                arg = self.expression()
+                arg = self.nested(self.expression)
                 self.expect_op(")")
                 return Apply(FUNCTIONS[val], arg)
             raise UnknownSymbol(f"unknown identifier {val!r}", pos)
         if kind == "op" and val == "(":
-            e = self.expression()
+            e = self.nested(self.expression)
             self.expect_op(")")
             return e
         if kind == "end":
@@ -585,8 +602,14 @@ class _Parser:
 
 
 def parse(text: str, n: int) -> Expr:
-    """Parse an expression over x1..xn.  Raises ParseError / UnknownSymbol."""
-    return _Parser(text, n).parse()
+    """Parse an expression over x1..xn.  Raises ParseError / UnknownSymbol,
+    and ParseError for a tree deeper than MAX_DEPTH (a long sum included)."""
+    parser = _Parser(text, n)
+    e = parser.parse()
+    # each node takes at least one token, so a short text needs no walk
+    if len(parser.tokens) > MAX_DEPTH and sum(1 for _ in _levels(e)) > MAX_DEPTH:
+        raise ParseError(f"expression tree is deeper than {MAX_DEPTH}", 0)
+    return e
 
 
 # -- printing ----------------------------------------------------------------------
@@ -674,21 +697,13 @@ class AFunction:
         return AFunction(diff(self.expr, i), self.dim, self.algebra)
 
     def _combine(self, other, op) -> "AFunction":
-        if isinstance(other, AFunction):
-            if other.algebra is not self.algebra:
-                raise AlgebraMismatch("functions over different algebras")
-            if other.dim != self.dim:
-                raise DimensionMismatch("functions over different charts")
-            return AFunction(op(self.expr, other.expr), self.dim, self.algebra)
-        if isinstance(other, WeilElement):
-            if other.algebra is not self.algebra:
-                raise AlgebraMismatch("constant over a different algebra")
-            return AFunction(op(self.expr, ConstA(other)), self.dim, self.algebra)
-        if isinstance(other, (int, float)):
-            return AFunction(op(self.expr, ConstR(float(other))), self.dim, self.algebra)
-        if isinstance(other, Expr):
-            return AFunction(op(self.expr, other), self.dim, self.algebra)
-        return NotImplemented
+        if isinstance(other, AFunction) and other.dim != self.dim:
+            raise DimensionMismatch("functions over different charts")
+        try:
+            expr = scalar_expr(other, self.algebra)
+        except TypeError:
+            return NotImplemented
+        return AFunction(op(self.expr, expr), self.dim, self.algebra)
 
     def __add__(self, other):
         return self._combine(other, add)
@@ -713,6 +728,25 @@ class AFunction:
 
     def __repr__(self):
         return f"AFunction({to_string(self.expr)} over {self.algebra.describe()})"
+
+
+def scalar_expr(value, algebra: WeilAlgebra) -> Expr:
+    """The expression of a scalar over ``algebra``: an AFunction, a Weil
+    element, a real number or an Expr.  Raises AlgebraMismatch when the
+    scalar lives over another algebra, TypeError for any other type."""
+    if isinstance(value, AFunction):
+        found, expr = value.algebra, value.expr
+    elif isinstance(value, WeilElement):
+        found, expr = value.algebra, ConstA(value)
+    elif isinstance(value, (int, float)):
+        return ConstR(float(value))
+    elif isinstance(value, Expr):
+        found, expr = consta_algebra(value), value
+    else:
+        raise TypeError(f"{type(value).__name__} is not a scalar")
+    if found is not None and found is not algebra:
+        raise AlgebraMismatch("scalar over a different algebra")
+    return expr
 
 
 def prolong_function(f: Expr, dim: int, algebra: WeilAlgebra) -> AFunction:

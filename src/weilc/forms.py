@@ -10,13 +10,12 @@ the coordinate functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .algebra import WeilAlgebra, WeilElement
 from .errors import AlgebraMismatch, DegreeError, DimensionMismatch
 from .expr import (
     AFunction,
-    ConstA,
     Expr,
     ZERO,
     add,
@@ -25,6 +24,7 @@ from .expr import (
     eval_weil,
     mul,
     neg,
+    scalar_expr,
 )
 from .prolongation import AVectorField
 
@@ -51,9 +51,6 @@ class CoordForm:
 
     def coefficient(self, idx: Index) -> Expr:
         return self.coeffs.get(tuple(idx), ZERO)
-
-    def terms(self) -> Iterator[tuple[Index, Expr]]:
-        return iter(sorted(self.coeffs.items()))
 
     def evaluate(self, point) -> dict[Index, WeilElement]:
         """All coefficients at a point, absent tuples evaluating to zero."""
@@ -90,43 +87,19 @@ class CoordForm:
 
     def scale(self, phi: AFunction | Expr | WeilElement | float) -> "CoordForm":
         """Module action phi * omega."""
-        if isinstance(phi, AFunction):
-            if phi.algebra is not self.algebra:
-                raise AlgebraMismatch("scalar over a different algebra")
-            phi = phi.expr
-        elif isinstance(phi, WeilElement):
-            if phi.algebra is not self.algebra:
-                raise AlgebraMismatch("scalar over a different algebra")
-            phi = ConstA(phi)
-        elif isinstance(phi, (int, float)):
-            from .expr import ConstR
-
-            phi = ConstR(float(phi))
+        expr = scalar_expr(phi, self.algebra)
         return CoordForm(
             self.degree,
             self.dim,
             self.algebra,
-            {idx: mul(phi, c) for idx, c in self.coeffs.items()},
+            {idx: mul(expr, c) for idx, c in self.coeffs.items()},
         )
-
-    def to_dict(self) -> dict:
-        """Machine-readable coefficient dump, in the report string format."""
-        from .expr import to_string
-
-        return {
-            "degree": self.degree,
-            "dim": self.dim,
-            "terms": {
-                "^".join(f"dx{i + 1}" for i in idx) or "1": to_string(c)
-                for idx, c in self.terms()
-            },
-        }
 
     def __repr__(self):
         if not self.coeffs:
             return f"CoordForm(0, degree={self.degree})"
         parts = []
-        for idx, c in self.terms():
+        for idx, c in sorted(self.coeffs.items()):
             basis = "^".join(f"dx{i + 1}" for i in idx)
             parts.append(f"({c!r}) {basis}".strip())
         return " + ".join(parts)

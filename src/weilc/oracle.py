@@ -57,7 +57,6 @@ from .poisson import (
 )
 from .prolongation import (
     AVectorField,
-    VectorField,
     apply_field,
     lie_bracket,
     prolong_field,
@@ -319,12 +318,8 @@ def _suite_field_prolong(seed: int, trials: int, tol: float, **_) -> CheckReport
     for _i in range(trials):
         algebra = sampling.random_algebra(rng, max_height=3)
         n = int(rng.integers(1, 4))
-        theta = VectorField(
-            tuple(sampling.random_polynomial(rng, n, max_degree=2) for _ in range(n))
-        )
-        eta = VectorField(
-            tuple(sampling.random_polynomial(rng, n, max_degree=2) for _ in range(n))
-        )
+        theta = sampling.random_field(rng, n)
+        eta = sampling.random_field(rng, n)
         f = sampling.random_expr(rng, n)
         g = sampling.random_expr(rng, n)
         point = sampling.random_point(rng, algebra, n)
@@ -382,12 +377,8 @@ def _suite_bracket_prolong(seed: int, trials: int, tol: float, **_) -> CheckRepo
     for _i in range(trials):
         algebra = sampling.random_algebra(rng, max_height=3)
         n = int(rng.integers(1, 4))
-        theta1 = VectorField(
-            tuple(sampling.random_polynomial(rng, n, max_degree=2) for _ in range(n))
-        )
-        theta2 = VectorField(
-            tuple(sampling.random_polynomial(rng, n, max_degree=2) for _ in range(n))
-        )
+        theta1 = sampling.random_field(rng, n)
+        theta2 = sampling.random_field(rng, n)
         f = sampling.random_expr(rng, n)
         point = sampling.random_point(rng, algebra, n)
         d1 = prolong_field(theta1, algebra)
@@ -415,9 +406,7 @@ def _suite_cartan(seed: int, trials: int, tol: float, **_) -> CheckReport:
     for _i in range(trials):
         algebra = sampling.random_algebra(rng, max_height=3)
         n = int(rng.integers(2, 4))
-        theta = VectorField(
-            tuple(sampling.random_polynomial(rng, n, max_degree=2) for _ in range(n))
-        )
+        theta = sampling.random_field(rng, n)
         point = sampling.random_point(rng, algebra, n)
         d_a = prolong_field(theta, algebra)
         eta_base = sampling.random_one_form(rng, n, base)

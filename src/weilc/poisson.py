@@ -5,6 +5,10 @@ is {f, g} = sum_(i<j) pi_ij (d_i f d_j g - d_j f d_i g).  Prolonged
 operations reuse the same entries with Weil evaluation semantics, and are
 gated on a randomized Jacobi check ("trusted") because the bracket laws on
 the prolonged side presuppose the base Lie structure.
+
+Every bracket and prolonged operation comes from two contractions with
+the bivector: ``_pair`` (both brackets and the 2-form) and ``_sharp`` (ad
+and ad~).  ``omega_at`` is a separate numeric route for the checks.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .algebra import WeilAlgebra, WeilElement, augmentation
 from .errors import (
@@ -24,6 +28,7 @@ from .errors import (
 from .expr import (
     AFunction,
     Expr,
+    ONE,
     Var,
     ZERO,
     add,
@@ -153,13 +158,6 @@ class PoissonStructure:
         self.entries = cleaned
         self.trusted = False
 
-    def component(self, i: int, j: int) -> Expr:
-        if i == j:
-            return ZERO
-        if i < j:
-            return self.entries.get((i, j), ZERO)
-        return neg(self.entries.get((j, i), ZERO))
-
     def describe(self) -> str:
         pairs = ", ".join(
             f"pi[{i + 1},{j + 1}]={to_string(e)}" for (i, j), e in sorted(self.entries.items())
@@ -171,8 +169,6 @@ class PoissonStructure:
 
 def canonical_structure(pairs: int) -> PoissonStructure:
     """The constant symplectic bivector on R^(2*pairs): {q_k, p_k} = 1."""
-    from .expr import ONE
-
     entries = {(2 * k, 2 * k + 1): ONE for k in range(pairs)}
     return PoissonStructure(2 * pairs, entries)
 
@@ -191,6 +187,34 @@ def _ensure_trusted(pi: PoissonStructure, force: bool):
         )
 
 
+# -- the two contractions with the bivector ------------------------------------------
+
+
+def _pair(pi: PoissonStructure, a: Sequence[Expr], b: Sequence[Expr]) -> Expr:
+    """sum_(i<j) pi_ij (a_i b_j - a_j b_i) over per-index expressions."""
+    out: Expr = ZERO
+    for (i, j), p in sorted(pi.entries.items()):
+        out = add(out, mul(p, sub(mul(a[i], b[j]), mul(a[j], b[i]))))
+    return out
+
+
+def _sharp(pi: PoissonStructure, a: Sequence[Expr]) -> tuple[Expr, ...]:
+    """The components sum_i pi_ij a_i of the field that pi makes of a."""
+    comps: list[Expr] = [ZERO] * pi.dim
+    for (i, j), p in sorted(pi.entries.items()):
+        comps[j] = add(comps[j], mul(p, a[i]))
+        comps[i] = sub(comps[i], mul(p, a[j]))
+    return tuple(comps)
+
+
+def _gradient(pi: PoissonStructure, f: Expr) -> list[Expr]:
+    return [diff(f, k) for k in range(pi.dim)]
+
+
+def _one_form(pi: PoissonStructure, x: CoordForm) -> list[Expr]:
+    return [x.coefficient((k,)) for k in range(pi.dim)]
+
+
 # -- base operations ----------------------------------------------------------------
 
 
@@ -199,11 +223,7 @@ def bracket(pi: PoissonStructure, f: Expr, g: Expr) -> Expr:
     for e in (f, g):
         if contains_consta(e):
             raise AlgebraMismatch("the base bracket takes ConstA-free functions")
-    out: Expr = ZERO
-    for (i, j), p in sorted(pi.entries.items()):
-        term = sub(mul(diff(f, i), diff(g, j)), mul(diff(f, j), diff(g, i)))
-        out = add(out, mul(p, term))
-    return out
+    return _pair(pi, _gradient(pi, f), _gradient(pi, g))
 
 
 def hamiltonian_field(pi: PoissonStructure, f: Expr) -> VectorField:
@@ -267,11 +287,7 @@ def ad_prolong(
     _ensure_trusted(pi, force)
     if fn.dim != pi.dim:
         raise DimensionMismatch("function chart does not match the bivector")
-    comps: list[Expr] = [ZERO] * pi.dim
-    for (i, j), p in sorted(pi.entries.items()):
-        comps[j] = add(comps[j], mul(p, diff(fn.expr, i)))
-        comps[i] = sub(comps[i], mul(p, diff(fn.expr, j)))
-    return AVectorField(tuple(comps), fn.algebra)
+    return AVectorField(_sharp(pi, _gradient(pi, fn.expr)), fn.algebra)
 
 
 def ad_tilde(
@@ -283,11 +299,7 @@ def ad_tilde(
         raise DegreeError("ad_tilde takes a degree-1 form")
     if x.dim != pi.dim:
         raise DimensionMismatch("form chart does not match the bivector")
-    comps: list[Expr] = [ZERO] * pi.dim
-    for (i, j), p in sorted(pi.entries.items()):
-        comps[j] = add(comps[j], mul(p, x.coefficient((i,))))
-        comps[i] = sub(comps[i], mul(p, x.coefficient((j,))))
-    return AVectorField(tuple(comps), x.algebra)
+    return AVectorField(_sharp(pi, _one_form(pi, x)), x.algebra)
 
 
 def prolong_bracket(
@@ -300,13 +312,7 @@ def prolong_bracket(
         raise AlgebraMismatch("bracket arguments over different algebras")
     if phi.dim != pi.dim or psi.dim != pi.dim:
         raise DimensionMismatch("function chart does not match the bivector")
-    out: Expr = ZERO
-    for (i, j), p in sorted(pi.entries.items()):
-        term = sub(
-            mul(diff(phi.expr, i), diff(psi.expr, j)),
-            mul(diff(phi.expr, j), diff(psi.expr, i)),
-        )
-        out = add(out, mul(p, term))
+    out = _pair(pi, _gradient(pi, phi.expr), _gradient(pi, psi.expr))
     return AFunction(out, pi.dim, phi.algebra)
 
 
@@ -324,13 +330,7 @@ def omega_prolonged(
         raise AlgebraMismatch("forms over different algebras")
     if x.dim != pi.dim or y.dim != pi.dim:
         raise DimensionMismatch("form chart does not match the bivector")
-    out: Expr = ZERO
-    for (i, j), p in sorted(pi.entries.items()):
-        term = sub(
-            mul(x.coefficient((i,)), y.coefficient((j,))),
-            mul(x.coefficient((j,)), y.coefficient((i,))),
-        )
-        out = add(out, mul(p, term))
+    out = _pair(pi, _one_form(pi, x), _one_form(pi, y))
     return AFunction(neg(out), pi.dim, x.algebra)
 
 

@@ -15,13 +15,13 @@ from .algebra import AlgebraMorphism, WeilAlgebra, WeilElement
 from .errors import AlgebraMismatch, DimensionMismatch
 from .expr import (
     AFunction,
-    ConstA,
     Expr,
     add,
     contains_consta,
     diff,
     eval_weil,
     mul,
+    scalar_expr,
     sub,
 )
 
@@ -41,13 +41,6 @@ class APoint:
     @classmethod
     def from_reals(cls, algebra: WeilAlgebra, xs: Sequence[float]) -> "APoint":
         return cls(algebra, tuple(algebra.from_real(x) for x in xs))
-
-    @classmethod
-    def from_coords(cls, coords: Sequence[WeilElement]) -> "APoint":
-        coords = tuple(coords)
-        if not coords:
-            raise DimensionMismatch("a point needs at least one coordinate")
-        return cls(coords[0].algebra, coords)
 
     @property
     def dim(self) -> int:
@@ -98,8 +91,9 @@ class VectorField:
             )
 
 
-def apply_field(theta: VectorField, f: Expr) -> Expr:
-    """theta(f) = sum_i theta_i * df/dx_i, symbolically."""
+def apply_field(theta: VectorField | AVectorField, f: Expr) -> Expr:
+    """theta(f) = sum_i theta_i * df/dx_i, symbolically; the one action
+    loop, for base and prolonged fields alike."""
     out = None
     for i, comp in enumerate(theta.components):
         term = mul(comp, diff(f, i))
@@ -136,11 +130,7 @@ class AVectorField:
         expr = fn.expr if isinstance(fn, AFunction) else fn
         if isinstance(fn, AFunction) and fn.algebra is not self.algebra:
             raise AlgebraMismatch("field and function live over different algebras")
-        out = None
-        for i, comp in enumerate(self.components):
-            term = mul(comp, diff(expr, i))
-            out = term if out is None else add(out, term)
-        return AFunction(out, self.dim, self.algebra)
+        return AFunction(apply_field(self, expr), self.dim, self.algebra)
 
     def apply_at(self, fn: AFunction | Expr, point) -> WeilElement:
         """Evaluate D(fn) at a point by combining evaluated pieces."""
@@ -163,14 +153,9 @@ class AVectorField:
             self.algebra,
         )
 
-    def scale(self, f: AFunction | Expr | WeilElement) -> "AVectorField":
-        if isinstance(f, WeilElement):
-            f = ConstA(f)
-        elif isinstance(f, AFunction):
-            if f.algebra is not self.algebra:
-                raise AlgebraMismatch("scalar over a different algebra")
-            f = f.expr
-        return AVectorField(tuple(mul(f, c) for c in self.components), self.algebra)
+    def scale(self, f: AFunction | Expr | WeilElement | float) -> "AVectorField":
+        expr = scalar_expr(f, self.algebra)
+        return AVectorField(tuple(mul(expr, c) for c in self.components), self.algebra)
 
 
 def prolong_field(theta: VectorField, algebra: WeilAlgebra) -> AVectorField:

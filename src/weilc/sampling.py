@@ -19,7 +19,7 @@ from .algebra import (
 )
 from .expr import Apply, ConstA, ConstR, Expr, Var, add, mul, power, sub
 from .forms import CoordForm
-from .prolongation import APoint
+from .prolongation import APoint, VectorField
 
 CATALOG: tuple[tuple[str, AlgebraPresentation], ...] = (
     ("dual", AlgebraPresentation(("eps",), ((2,),))),
@@ -93,6 +93,11 @@ def random_polynomial(
     for _ in range(int(rng.integers(1, terms + 1))):
         out = add(out, random_monomial(rng, n, max_degree))
     return out
+
+
+def random_field(rng: np.random.Generator, n: int) -> VectorField:
+    """A base field with quadratic polynomial components."""
+    return VectorField(tuple(random_polynomial(rng, n, max_degree=2) for _ in range(n)))
 
 
 _SAFE_FUNCTIONS = ("exp", "sin", "cos")

@@ -289,6 +289,20 @@ class TestConfigHandling:
         )
         assert main(["--config", str(path), "algebra-show", "dual"]) == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 2000 + "x1" + ")" * 2000, " + ".join(["x1"] * 3000)],
+        ids=["nested", "long_sum"],
+    )
+    def test_too_deep_expression_in_config(self, tmp_path, capsys, text):
+        path = tmp_path / "deep.yaml"
+        yaml_text = f"chart_dim: 1\nexpressions:\n  f: '{text}'\n"
+        path.write_text(yaml_text, encoding="utf-8")
+        assert main(["--config", str(path), "algebra-show", "dual"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: expression 'f'")
+        assert "Traceback" not in err
+
     def test_env_fallback(self, config2, capsys, monkeypatch):
         monkeypatch.setenv("WEILC_CONFIG", config2)
         assert main(["algebra-show", "dual"]) == 0

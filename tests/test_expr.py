@@ -23,6 +23,7 @@ from weilc.expr import (
     ConstR,
     Div,
     FUNCTIONS,
+    MAX_DEPTH,
     Mul,
     Neg,
     Pow,
@@ -72,6 +73,18 @@ class TestParse:
         assert parse("x1 + x2*x1", 2) == Add(Var(0), Mul(Var(1), Var(0)))
         assert parse("x1/x2/x1", 2) == Div(Div(Var(0), Var(1)), Var(0))
         assert parse("x1^-2", 1) == Pow(Var(0), -2)
+
+    def test_depth_bound(self):
+        nested = "(" * 2000 + "x1" + ")" * 2000
+        long_sum = " + ".join(["x1"] * 3000)
+        for text in (nested, long_sum, "-" * 2000 + "x1"):
+            with pytest.raises(ParseError, match=str(MAX_DEPTH)):
+                parse(text, 1)
+        # the bound itself is accepted
+        assert parse("(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH, 1) == Var(0)
+        assert isinstance(parse("-" * (MAX_DEPTH - 1) + "x1", 1), Neg)
+        deep = parse(" + ".join(["x1"] * MAX_DEPTH), 1)
+        assert to_string(deep) == " + ".join(["x1"] * MAX_DEPTH)
 
     def test_scientific_literals(self):
         assert parse("1.5e-3", 1) == ConstR(0.0015)
@@ -213,6 +226,14 @@ class TestEvalReal:
             eval_real(parse("1/x1", 1), [0.0])
         with pytest.raises(DomainError):
             eval_real(parse("log(x1)", 1), [-1.0])
+
+    def test_non_finite_results_are_domain_errors(self):
+        with pytest.raises(DomainError, match="non-finite"):
+            eval_real(parse("x1*x1", 1), [1e200])
+        with pytest.raises(DomainError, match="non-finite"):
+            eval_real(parse("x1*x1 - x1*x1", 1), [1e200])
+        with pytest.raises(DomainError, match="sin"):
+            eval_real(parse("sin(x1)", 1), [math.inf])
 
     def test_projection_through_augmentation(self):
         A = dual_numbers()

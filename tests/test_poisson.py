@@ -27,10 +27,28 @@ from weilc import (
     verify_a_poisson,
 )
 from weilc.errors import AlgebraMismatch, UntrustedStructure
-from weilc.expr import ConstA, ConstR, Var, eval_real, eval_weil
+from weilc.expr import (
+    ConstA,
+    ConstR,
+    Var,
+    add,
+    diff,
+    eval_real,
+    eval_weil,
+    mul,
+    neg,
+    sub,
+)
 from weilc.oracle import poly_coeffs_exact
 from weilc.poisson import PoissonStructure, _Recorder, omega_at
-from weilc.sampling import random_point, residual, rng_for
+from weilc.sampling import (
+    random_expr,
+    random_expr_with_consta,
+    random_one_form,
+    random_point,
+    residual,
+    rng_for,
+)
 
 
 def perturbed_so3():
@@ -390,3 +408,69 @@ class TestHamiltonianFieldSo3:
         assert values[0] == 0.0
         assert abs(values[1] - 1.1) <= 1e-15
         assert abs(values[2] + (-0.7)) <= 1e-15
+
+
+# the per-operation loops that _pair and _sharp replaced, kept as references
+def _loop_bracket(pi, f, g):
+    out = ConstR(0.0)
+    for (i, j), p in sorted(pi.entries.items()):
+        term = sub(mul(diff(f, i), diff(g, j)), mul(diff(f, j), diff(g, i)))
+        out = add(out, mul(p, term))
+    return out
+
+
+def _loop_omega(pi, x, y):
+    out = ConstR(0.0)
+    for (i, j), p in sorted(pi.entries.items()):
+        term = sub(
+            mul(x.coefficient((i,)), y.coefficient((j,))),
+            mul(x.coefficient((j,)), y.coefficient((i,))),
+        )
+        out = add(out, mul(p, term))
+    return neg(out)
+
+
+def _loop_sharp(pi, coefficient):
+    comps = [ConstR(0.0)] * pi.dim
+    for (i, j), p in sorted(pi.entries.items()):
+        comps[j] = add(comps[j], mul(p, coefficient(i)))
+        comps[i] = sub(comps[i], mul(p, coefficient(j)))
+    return tuple(comps)
+
+
+STRUCTURES = {
+    "canonical2": lambda: PoissonStructure(2, {(0, 1): parse("1", 2)}),
+    "quadratic2": lambda: PoissonStructure(2, {(0, 1): parse("1 + x1^2*x2", 2)}),
+    "so3": so3_structure,
+    "shifted3": lambda: PoissonStructure(
+        3, {(0, 1): parse("1", 3), (1, 2): parse("x2", 3)}
+    ),
+}
+
+
+class TestContractionTrees:
+    """Every operation builds the same tree as its former hand-written loop."""
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    def test_trees_match_the_loops(self, name):
+        pi = trusted(STRUCTURES[name]())
+        n = pi.dim
+        rng = rng_for(31)
+        for algebra in (dual_numbers(), jets(2)):
+            for _ in range(4):
+                f, g = random_expr(rng, n), random_expr(rng, n)
+                assert bracket(pi, f, g) == _loop_bracket(pi, f, g)
+                phi = AFunction(random_expr_with_consta(rng, n, algebra), n, algebra)
+                psi = AFunction(random_expr_with_consta(rng, n, algebra), n, algebra)
+                assert prolong_bracket(pi, phi, psi).expr == _loop_bracket(
+                    pi, phi.expr, psi.expr
+                )
+                x = random_one_form(rng, n, algebra, with_consta=True)
+                y = random_one_form(rng, n, algebra, with_consta=True)
+                assert omega_prolonged(pi, x, y).expr == _loop_omega(pi, x, y)
+                assert ad_prolong(pi, phi).components == _loop_sharp(
+                    pi, lambda k: diff(phi.expr, k)
+                )
+                assert ad_tilde(pi, x).components == _loop_sharp(
+                    pi, lambda k: x.coefficient((k,))
+                )

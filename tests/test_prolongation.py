@@ -101,6 +101,21 @@ class TestProlongField:
             )
             assert lhs.allclose(rhs, 1e-9)
 
+    def test_scale_rejects_another_algebra(self):
+        A, _ = dual_point([2, 1])
+        d = prolong_field(VectorField((parse("x1", 1),)), A)
+        with pytest.raises(AlgebraMismatch):
+            d.scale(jets(2).unit())
+        with pytest.raises(AlgebraMismatch):
+            d.scale(ConstA(jets(2).unit()))
+
+    def test_scale_takes_a_float(self):
+        A, xi = dual_point([2, 1])
+        d = prolong_field(VectorField((parse("x1^2", 1),)), A)
+        f = parse("sin(x1)", 1)
+        assert d.scale(2.0).apply_at(f, xi) == d.scale(ConstR(2.0)).apply_at(f, xi)
+        assert d.scale(2.0).components == d.scale(ConstR(2.0)).components
+
     def test_endomorphism_law(self):
         rng = rng_for(8)
         A = jets(2)
