@@ -5,6 +5,13 @@ contains no algebra-valued constants; evaluating it on a tuple of Weil
 elements computes the prolonged function.  Allowing ConstA leaves extends
 the same trees to the algebra-valued function class the rest of the
 package works with.
+
+Trees share subtrees: ``diff`` reuses the operands of a product or a
+quotient, so its results are DAGs.  Each walk (``diff``, ``substitute``,
+``eval_real``, ``eval_weil``, ``to_string``) visits a shared subexpression
+once per call: a memo keyed by node identity, and dropped when the call
+returns, holds each node's first result.  The visiting order is that of
+the tree walk, so results and the first error raised are the same.
 """
 
 from __future__ import annotations
@@ -273,59 +280,87 @@ _CHAIN = {
 
 def diff(e: Expr, i: int) -> Expr:
     """Partial derivative with respect to x_(i+1); ConstA leaves are constants."""
-    if isinstance(e, Var):
+    return _diff(e, i, {})
+
+
+def _diff(e: Expr, i: int, memo: dict) -> Expr:
+    kind = type(e)
+    if kind is Var:
         return ONE if e.index == i else ZERO
-    if isinstance(e, (ConstR, ConstA)):
+    if kind is ConstR or kind is ConstA:
         return ZERO
-    if isinstance(e, Add):
-        return add(diff(e.left, i), diff(e.right, i))
-    if isinstance(e, Sub):
-        return sub(diff(e.left, i), diff(e.right, i))
-    if isinstance(e, Neg):
-        return neg(diff(e.arg, i))
-    if isinstance(e, Mul):
-        return add(mul(diff(e.left, i), e.right), mul(e.left, diff(e.right, i)))
-    if isinstance(e, Div):
-        return div(
-            sub(mul(diff(e.left, i), e.right), mul(e.left, diff(e.right, i))),
+    key = id(e)
+    d = memo.get(key)
+    if d is not None:
+        return d
+    if kind is Add:
+        d = add(_diff(e.left, i, memo), _diff(e.right, i, memo))
+    elif kind is Sub:
+        d = sub(_diff(e.left, i, memo), _diff(e.right, i, memo))
+    elif kind is Neg:
+        d = neg(_diff(e.arg, i, memo))
+    elif kind is Mul:
+        d = add(mul(_diff(e.left, i, memo), e.right), mul(e.left, _diff(e.right, i, memo)))
+    elif kind is Div:
+        d = div(
+            sub(mul(_diff(e.left, i, memo), e.right), mul(e.left, _diff(e.right, i, memo))),
             power(e.right, 2),
         )
-    if isinstance(e, Pow):
-        return mul(
+    elif kind is Pow:
+        d = mul(
             mul(ConstR(float(e.exponent)), power(e.base, e.exponent - 1)),
-            diff(e.base, i),
+            _diff(e.base, i, memo),
         )
-    if isinstance(e, Apply):
-        return mul(_CHAIN[e.fn.name](e.arg), diff(e.arg, i))
-    raise TypeError(f"cannot differentiate {type(e).__name__}")
+    elif kind is Apply:
+        d = mul(_CHAIN[e.fn.name](e.arg), _diff(e.arg, i, memo))
+    else:
+        raise TypeError(f"cannot differentiate {kind.__name__}")
+    memo[key] = d
+    return d
 
 
 def substitute(e: Expr, replacements: Sequence[Expr]) -> Expr:
     """Replace x_(i+1) by replacements[i] everywhere, rebuilding folded."""
-    if isinstance(e, Var):
+    return _substitute(e, replacements, {})
+
+
+def _substitute(e: Expr, replacements: Sequence[Expr], memo: dict) -> Expr:
+    kind = type(e)
+    if kind is Var:
         if e.index >= len(replacements):
             raise DimensionMismatch(
                 f"substitution provides {len(replacements)} components, "
                 f"expression uses x{e.index + 1}"
             )
         return replacements[e.index]
-    if isinstance(e, (ConstR, ConstA)):
+    if kind is ConstR or kind is ConstA:
         return e
-    if isinstance(e, Add):
-        return add(substitute(e.left, replacements), substitute(e.right, replacements))
-    if isinstance(e, Sub):
-        return sub(substitute(e.left, replacements), substitute(e.right, replacements))
-    if isinstance(e, Mul):
-        return mul(substitute(e.left, replacements), substitute(e.right, replacements))
-    if isinstance(e, Div):
-        return div(substitute(e.left, replacements), substitute(e.right, replacements))
-    if isinstance(e, Neg):
-        return neg(substitute(e.arg, replacements))
-    if isinstance(e, Pow):
-        return power(substitute(e.base, replacements), e.exponent)
-    if isinstance(e, Apply):
-        return Apply(e.fn, substitute(e.arg, replacements))
-    raise TypeError(f"cannot substitute into {type(e).__name__}")
+    key = id(e)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    if kind is Add:
+        out = add(_substitute(e.left, replacements, memo),
+                  _substitute(e.right, replacements, memo))
+    elif kind is Sub:
+        out = sub(_substitute(e.left, replacements, memo),
+                  _substitute(e.right, replacements, memo))
+    elif kind is Mul:
+        out = mul(_substitute(e.left, replacements, memo),
+                  _substitute(e.right, replacements, memo))
+    elif kind is Div:
+        out = div(_substitute(e.left, replacements, memo),
+                  _substitute(e.right, replacements, memo))
+    elif kind is Neg:
+        out = neg(_substitute(e.arg, replacements, memo))
+    elif kind is Pow:
+        out = power(_substitute(e.base, replacements, memo), e.exponent)
+    elif kind is Apply:
+        out = Apply(e.fn, _substitute(e.arg, replacements, memo))
+    else:
+        raise TypeError(f"cannot substitute into {kind.__name__}")
+    memo[key] = out
+    return out
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -354,96 +389,115 @@ def eval_weil(e: Expr, point, algebra: WeilAlgebra | None = None) -> WeilElement
     for c in coords:
         if c.algebra is not algebra:
             raise AlgebraMismatch("point coordinates live over different algebras")
-    value = _eval_weil(e, coords, algebra)
+    value = _eval_weil(e, coords, algebra, {})
     # ring arithmetic overflows silently; one check here covers every path
     if not all(map(math.isfinite, value.coeffs.tolist())):
         raise DomainError(f"non-finite result {render_element(value)}")
     return value
 
 
-def _eval_weil(e: Expr, coords, algebra: WeilAlgebra) -> WeilElement:
-    if isinstance(e, Var):
+def _eval_weil(e: Expr, coords, algebra: WeilAlgebra, memo: dict) -> WeilElement:
+    kind = type(e)
+    if kind is Var:
         if e.index >= len(coords):
             raise DimensionMismatch(
                 f"x{e.index + 1} evaluated at a {len(coords)}-coordinate point"
             )
         return coords[e.index]
-    if isinstance(e, ConstR):
-        return algebra.from_real(e.value)
-    if isinstance(e, ConstA):
+    if kind is ConstA:
         if e.value.algebra is not algebra:
             raise AlgebraMismatch("algebra constant does not match the point")
         return e.value
-    if isinstance(e, Add):
-        return _eval_weil(e.left, coords, algebra) + _eval_weil(e.right, coords, algebra)
-    if isinstance(e, Sub):
-        return _eval_weil(e.left, coords, algebra) - _eval_weil(e.right, coords, algebra)
-    if isinstance(e, Mul):
-        return _eval_weil(e.left, coords, algebra) * _eval_weil(e.right, coords, algebra)
-    if isinstance(e, Div):
-        denom = _eval_weil(e.right, coords, algebra)
-        return _eval_weil(e.left, coords, algebra) * taylor_lift(RECIPROCAL, denom)
-    if isinstance(e, Neg):
-        return -_eval_weil(e.arg, coords, algebra)
-    if isinstance(e, Pow):
-        return _eval_weil(e.base, coords, algebra) ** e.exponent
-    if isinstance(e, Apply):
-        return taylor_lift(e.fn, _eval_weil(e.arg, coords, algebra))
-    raise TypeError(f"cannot evaluate {type(e).__name__}")
+    key = id(e)
+    value = memo.get(key)
+    if value is not None:
+        return value
+    if kind is ConstR:
+        value = algebra.from_real(e.value)
+    elif kind is Add:
+        value = _eval_weil(e.left, coords, algebra, memo) + _eval_weil(
+            e.right, coords, algebra, memo)
+    elif kind is Sub:
+        value = _eval_weil(e.left, coords, algebra, memo) - _eval_weil(
+            e.right, coords, algebra, memo)
+    elif kind is Mul:
+        value = _eval_weil(e.left, coords, algebra, memo) * _eval_weil(
+            e.right, coords, algebra, memo)
+    elif kind is Div:
+        denom = _eval_weil(e.right, coords, algebra, memo)
+        value = _eval_weil(e.left, coords, algebra, memo) * taylor_lift(RECIPROCAL, denom)
+    elif kind is Neg:
+        value = -_eval_weil(e.arg, coords, algebra, memo)
+    elif kind is Pow:
+        value = _eval_weil(e.base, coords, algebra, memo) ** e.exponent
+    elif kind is Apply:
+        value = taylor_lift(e.fn, _eval_weil(e.arg, coords, algebra, memo))
+    else:
+        raise TypeError(f"cannot evaluate {kind.__name__}")
+    memo[key] = value
+    return value
 
 
 def eval_real(e: Expr, xs: Sequence[float]) -> float:
     """Plain real evaluation; the height-0 case of eval_weil."""
-    value = _eval_real(e, xs)
+    value = _eval_real(e, xs, {})
     # float arithmetic overflows silently; one check here covers every path
     if not math.isfinite(value):
         raise DomainError(f"non-finite result {value}")
     return value
 
 
-def _eval_real(e: Expr, xs: Sequence[float]) -> float:
-    if isinstance(e, Var):
+def _eval_real(e: Expr, xs: Sequence[float], memo: dict) -> float:
+    kind = type(e)
+    if kind is Var:
         if e.index >= len(xs):
             raise DimensionMismatch(
                 f"x{e.index + 1} evaluated at a {len(xs)}-coordinate point"
             )
         return float(xs[e.index])
-    if isinstance(e, ConstR):
+    if kind is ConstR:
         return e.value
-    if isinstance(e, ConstA):
-        if e.value.algebra.dim != 1:
-            raise AlgebraMismatch("algebra constant in real evaluation")
-        return e.value.real
-    if isinstance(e, Add):
-        return _eval_real(e.left, xs) + _eval_real(e.right, xs)
-    if isinstance(e, Sub):
-        return _eval_real(e.left, xs) - _eval_real(e.right, xs)
-    if isinstance(e, Mul):
-        return _eval_real(e.left, xs) * _eval_real(e.right, xs)
-    if isinstance(e, Div):
-        denom = _eval_real(e.right, xs)
+    key = id(e)
+    value = memo.get(key)
+    if value is not None:
+        return value
+    if kind is Add:
+        value = _eval_real(e.left, xs, memo) + _eval_real(e.right, xs, memo)
+    elif kind is Sub:
+        value = _eval_real(e.left, xs, memo) - _eval_real(e.right, xs, memo)
+    elif kind is Mul:
+        value = _eval_real(e.left, xs, memo) * _eval_real(e.right, xs, memo)
+    elif kind is Div:
+        denom = _eval_real(e.right, xs, memo)
         if denom == 0.0:
             raise DomainError("division by zero")
-        return _eval_real(e.left, xs) / denom
-    if isinstance(e, Neg):
-        return -_eval_real(e.arg, xs)
-    if isinstance(e, Pow):
-        base = _eval_real(e.base, xs)
+        value = _eval_real(e.left, xs, memo) / denom
+    elif kind is Neg:
+        value = -_eval_real(e.arg, xs, memo)
+    elif kind is Pow:
+        base = _eval_real(e.base, xs, memo)
         if base == 0.0 and e.exponent < 0:
             raise DomainError("zero raised to a negative power")
         try:
-            return base**e.exponent
+            value = base**e.exponent
         except OverflowError as exc:
             raise DomainError(f"{base}^{e.exponent} overflows") from exc
-    if isinstance(e, Apply):
-        r = _eval_real(e.arg, xs)
+    elif kind is Apply:
+        r = _eval_real(e.arg, xs, memo)
         try:
-            return e.fn.derivatives(r, 0)[0]
+            value = e.fn.derivatives(r, 0)[0]
         except OverflowError as exc:
             raise DomainError(f"{e.fn.name} overflows at {r}") from exc
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"{e.fn.name} undefined at {r}") from exc
-    raise TypeError(f"cannot evaluate {type(e).__name__}")
+    elif kind is ConstA:
+        if e.value.algebra.dim != 1:
+            raise AlgebraMismatch("algebra constant in real evaluation")
+        value = e.value.real
+    else:
+        raise TypeError(f"cannot evaluate {kind.__name__}")
+    memo[key] = value
+    return value
 
 
 # -- parsing -----------------------------------------------------------------------
@@ -469,18 +523,16 @@ class _Parser:
         self.n = n
         self.tokens: list[tuple[str, str, int]] = []
         pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-            for kind in ("num", "ident", "op"):
-                val = m.group(kind)
-                if val is not None:
-                    self.tokens.append((kind, val, m.start(kind)))
+        for m in _TOKEN.finditer(text):
+            # finditer skips what no token matches: a gap ends the token run
+            if m.start() != pos:
+                break
+            kind = m.lastgroup
+            self.tokens.append((kind, m.group(kind), m.start(kind)))
             pos = m.end()
+        stripped = text[pos:].lstrip()
+        if stripped:
+            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
         self.tokens.append(("end", "", len(text)))
         self.i = 0
         self.depth = 0
@@ -631,8 +683,8 @@ def _precedence(e: Expr) -> int:
     return _PREC_ATOM
 
 
-def _wrap(e: Expr, minimum: int) -> str:
-    s = to_string(e)
+def _wrap(e: Expr, minimum: int, memo: dict) -> str:
+    s = _to_string(e, memo)
     return f"({s})" if _precedence(e) < minimum else s
 
 
@@ -640,28 +692,40 @@ def to_string(e: Expr) -> str:
     """Render in the published grammar; parse(to_string(e)) == e for every
     tree the parser or diff can produce (signs live on literals, never as a
     Neg of a literal)."""
-    if isinstance(e, Var):
+    return _to_string(e, {})
+
+
+def _to_string(e: Expr, memo: dict) -> str:
+    kind = type(e)
+    if kind is Var:
         return f"x{e.index + 1}"
-    if isinstance(e, ConstR):
+    if kind is ConstR:
         v = e.value
         return str(int(v)) if v.is_integer() and abs(v) < 1e16 else repr(v)
-    if isinstance(e, ConstA):
-        return f"[{e.value!r}]"
-    if isinstance(e, Add):
-        return f"{_wrap(e.left, _PREC_ADD)} + {_wrap(e.right, _PREC_ADD + 1)}"
-    if isinstance(e, Sub):
-        return f"{_wrap(e.left, _PREC_ADD)} - {_wrap(e.right, _PREC_ADD + 1)}"
-    if isinstance(e, Mul):
-        return f"{_wrap(e.left, _PREC_MUL)}*{_wrap(e.right, _PREC_MUL + 1)}"
-    if isinstance(e, Div):
-        return f"{_wrap(e.left, _PREC_MUL)}/{_wrap(e.right, _PREC_MUL + 1)}"
-    if isinstance(e, Neg):
-        return f"-{_wrap(e.arg, _PREC_NEG)}"
-    if isinstance(e, Pow):
-        return f"{_wrap(e.base, _PREC_ATOM)}^{e.exponent}"
-    if isinstance(e, Apply):
-        return f"{e.fn.name}({to_string(e.arg)})"
-    raise TypeError(f"cannot print {type(e).__name__}")
+    key = id(e)
+    s = memo.get(key)
+    if s is not None:
+        return s
+    if kind is Add:
+        s = f"{_wrap(e.left, _PREC_ADD, memo)} + {_wrap(e.right, _PREC_ADD + 1, memo)}"
+    elif kind is Sub:
+        s = f"{_wrap(e.left, _PREC_ADD, memo)} - {_wrap(e.right, _PREC_ADD + 1, memo)}"
+    elif kind is Mul:
+        s = f"{_wrap(e.left, _PREC_MUL, memo)}*{_wrap(e.right, _PREC_MUL + 1, memo)}"
+    elif kind is Div:
+        s = f"{_wrap(e.left, _PREC_MUL, memo)}/{_wrap(e.right, _PREC_MUL + 1, memo)}"
+    elif kind is Neg:
+        s = f"-{_wrap(e.arg, _PREC_NEG, memo)}"
+    elif kind is Pow:
+        s = f"{_wrap(e.base, _PREC_ATOM, memo)}^{e.exponent}"
+    elif kind is Apply:
+        s = f"{e.fn.name}({_to_string(e.arg, memo)})"
+    elif kind is ConstA:
+        s = f"[{e.value!r}]"
+    else:
+        raise TypeError(f"cannot print {kind.__name__}")
+    memo[key] = s
+    return s
 
 
 # -- algebra-valued functions -------------------------------------------------------

@@ -15,7 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-import mpmath as mp
 import numpy as np
 
 from .algebra import WeilElement, apply_linear, trivial_algebra
@@ -121,6 +120,8 @@ def central_diff_weights(deriv: int, half_width: int) -> tuple[Fraction, ...]:
 
 
 def _probe(f: Callable, x):
+    import mpmath as mp  # loaded already by taylor_coeffs, the only caller
+
     try:
         value = f(x)
     except (ValueError, ZeroDivisionError, OverflowError, DomainError) as exc:
@@ -145,6 +146,10 @@ def taylor_coeffs(
     the float cancellation floor; a double-only handle bottoms out near
     eps/step^h.
     """
+    # imported here, not at module level: only this oracle uses mpmath, and
+    # it would add about a sixth to the start-up of every weilc command
+    import mpmath as mp
+
     cfg = config or TaylorOracleConfig(order=h)
     if cfg.order != h:
         cfg = TaylorOracleConfig(order=h, step=cfg.step, accuracy=cfg.accuracy, dps=cfg.dps)

@@ -15,6 +15,7 @@ from .algebra import AlgebraMorphism, WeilAlgebra, WeilElement
 from .errors import AlgebraMismatch, DimensionMismatch
 from .expr import (
     AFunction,
+    ConstR,
     Expr,
     add,
     contains_consta,
@@ -81,7 +82,11 @@ class VectorField:
             tuple(add(a, b) for a, b in zip(self.components, other.components))
         )
 
-    def scale(self, f: Expr) -> "VectorField":
+    def scale(self, f: Expr | float) -> "VectorField":
+        if isinstance(f, (int, float)):
+            f = ConstR(float(f))
+        elif not isinstance(f, Expr):
+            raise TypeError(f"{type(f).__name__} is not a base scalar")
         return VectorField(tuple(mul(f, c) for c in self.components))
 
     def _check(self, other: "VectorField"):

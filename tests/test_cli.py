@@ -1,6 +1,9 @@
 """Command-line behavior: rendering, exit codes, reports, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -323,3 +326,15 @@ class TestArgumentEdges:
         )
         assert code == 2
         assert "JSON" in capsys.readouterr().err
+
+
+def test_start_up_leaves_mpmath_unloaded():
+    # only the finite-difference oracle needs mpmath; a fresh interpreter
+    # shows whether importing the package and its CLI loads it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = "import sys, weilc, weilc.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"

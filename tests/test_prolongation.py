@@ -20,7 +20,17 @@ from weilc import (
 )
 from weilc.algebra import apply_linear
 from weilc.errors import AlgebraMismatch, DimensionMismatch
-from weilc.expr import ConstA, ConstR, Mul, Var, ZERO, eval_weil, substitute
+from weilc.expr import (
+    ConstA,
+    ConstR,
+    Mul,
+    Var,
+    ZERO,
+    eval_real,
+    eval_weil,
+    substitute,
+    to_string,
+)
 from weilc.oracle import poly_coeffs_exact
 from weilc.sampling import random_point, rng_for
 
@@ -115,6 +125,16 @@ class TestProlongField:
         f = parse("sin(x1)", 1)
         assert d.scale(2.0).apply_at(f, xi) == d.scale(ConstR(2.0)).apply_at(f, xi)
         assert d.scale(2.0).components == d.scale(ConstR(2.0)).components
+
+    def test_base_scale_takes_a_number(self):
+        theta = VectorField((parse("x1", 1),))
+        for scalar in (2.0, 2):
+            (comp,) = theta.scale(scalar).components
+            assert to_string(comp) == "2*x1"
+            assert eval_real(comp, [1.5]) == 3.0
+        for bad in ("2", dual_numbers().unit()):
+            with pytest.raises(TypeError):
+                theta.scale(bad)
 
     def test_endomorphism_law(self):
         rng = rng_for(8)
