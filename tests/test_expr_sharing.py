@@ -279,10 +279,6 @@ def _same(new, ref, key):
         assert key(new[1]) == key(ref[1])
 
 
-def _float_bits(x):
-    return x.hex()
-
-
 def _element_bits(a):
     return id(a.algebra), a.coeffs.tobytes()
 
@@ -388,7 +384,7 @@ def test_walks_match_tree_recursions(seed, n, wrap, consta, order, xs, short):
         assert to_string(new) == _ref_to_string(ref)
         _same(_outcome(substitute, new, replacements),
               _outcome(_ref_substitute, ref, replacements), _tree)
-        _same(_outcome(eval_real, new, xs), _outcome(_ref_eval_real, ref, xs), _float_bits)
+        _same(_outcome(eval_real, new, xs), _outcome(_ref_eval_real, ref, xs), float.hex)
         _same(_outcome(eval_weil, new, coords), _outcome(_ref_eval_weil, ref, coords),
               _element_bits)
 
@@ -403,7 +399,7 @@ def test_shared_operands_match_tree_recursions(seed, xs):
     for new, ref in ((e, e), (diff(e, 0), _ref_diff(e, 0))):
         assert new == ref
         assert to_string(new) == _ref_to_string(ref)
-        _same(_outcome(eval_real, new, xs), _outcome(_ref_eval_real, ref, xs), _float_bits)
+        _same(_outcome(eval_real, new, xs), _outcome(_ref_eval_real, ref, xs), float.hex)
 
 
 # -- tokenizer -------------------------------------------------------------------------
