@@ -6,11 +6,16 @@ power among the relations; the standard monomials (those divisible by no
 relation) then form a canonical basis, ordered graded-lexicographically
 with the generator order as declared.
 
-Products, integer powers and Taylor lifts share one kernel, ``_mul_lists``.
-It walks the algebra's product plan: the (i, j, k) triples with i <= j and
-e_i e_j = e_k, listed once when the algebra is built, in basis order.  Each
-output slot is summed from +0.0 in that fixed order, and an off-diagonal
-triple adds a_i b_j + a_j b_i in one step, so a*b and b*a agree bit for bit.
+Products and integer powers run one kernel per algebra, compiled from its
+product plan: the (i, j, k) triples with i <= j and e_i e_j = e_k, listed
+once when the algebra is built, in basis order.  ``_compile`` turns a plan
+into straight-line code in which each output slot is summed from +0.0 in
+that fixed order, and an off-diagonal triple adds a_i b_j + a_j b_i in one
+step, so a*b and b*a agree bit for bit.  Taylor lifts keep the powers of the
+nilpotent part inside the maximal ideal, through a second kernel compiled
+from the triples with i > 0; the terms it leaves out are exact zeros, so
+the lift equals the full-plan Taylor sum bit for bit whenever it is finite,
+and a lift with a non-finite coefficient raises DomainError.
 """
 
 from __future__ import annotations
@@ -119,7 +124,7 @@ class WeilAlgebra:
 
         # table[i, j] = basis index of e_i * e_j, or -1 when the product
         # falls into the ideal.  The product plan lists the non-zero
-        # products with i <= j, in the order _mul_lists accumulates them.
+        # products with i <= j, in the order the kernels accumulate them.
         table = np.full((self.dim, self.dim), -1, dtype=np.int16)
         plan = []
         for i, mi in enumerate(self.basis):
@@ -133,6 +138,11 @@ class WeilAlgebra:
         self.mult_table = table
         self.product_plan: tuple[tuple[int, int, int], ...] = tuple(plan)
         self._index = index
+        self._mul = _compile(self.product_plan, self.dim)
+        # products of two elements of the maximal ideal, for Taylor lifts
+        self._ideal_mul = _compile(
+            tuple(t for t in self.product_plan if t[0] > 0), self.dim
+        )
 
     # -- element constructors -------------------------------------------------
 
@@ -202,22 +212,36 @@ def jets(order: int, name: str = "t") -> WeilAlgebra:
     return build_algebra(AlgebraPresentation((name,), ((order + 1,),)))
 
 
-def _mul_lists(
-    plan: tuple[tuple[int, int, int], ...], dim: int, a: list[float], b: list[float]
-) -> list[float]:
-    """The one product kernel: coefficient lists of a*b over a product plan.
+# Terms per statement in a compiled kernel: CPython's compiler recurses once
+# per `+`, and a chain of a few thousand overflows its stack.
+_CHUNK = 256
 
-    Each slot accumulates from +0.0 in plan order, and an off-diagonal
-    triple adds a_i b_j + a_j b_i in one step, so a*b and b*a agree bit
-    for bit.
+
+@lru_cache(maxsize=None)
+def _compile(
+    plan: tuple[tuple[int, int, int], ...], dim: int
+) -> Callable[[list[float], list[float]], list[float]]:
+    """Straight-line code for the coefficient list of a*b over a plan.
+
+    Slot k is ``0.0 + t1 + t2 + ...`` with its terms in plan order: a_i b_i
+    for a diagonal triple, (a_i b_j + a_j b_i) for an off-diagonal one.  The
+    cache keeps one kernel per plan across rebuilds of the same algebra.
     """
-    out = [0.0] * dim
+    terms: list[list[str]] = [[] for _ in range(dim)]
     for i, j, k in plan:
-        if i == j:
-            out[k] += a[i] * b[i]
-        else:
-            out[k] += a[i] * b[j] + a[j] * b[i]
-    return out
+        terms[k].append(
+            f"a[{i}]*b[{i}]" if i == j else f"(a[{i}]*b[{j}] + a[{j}]*b[{i}])"
+        )
+    lines = ["def kernel(a, b):"]
+    for k, slot in enumerate(terms):
+        lines.append(f"    s{k} = " + " + ".join(["0.0", *slot[:_CHUNK]]))
+        for start in range(_CHUNK, len(slot), _CHUNK):
+            chunk = slot[start : start + _CHUNK]
+            lines.append(f"    s{k} = " + " + ".join([f"s{k}", *chunk]))
+    lines.append("    return [" + ", ".join(f"s{k}" for k in range(dim)) + "]")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["kernel"]
 
 
 class WeilElement:
@@ -279,9 +303,8 @@ class WeilElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        alg = self.algebra
-        a, b = self.coeffs.tolist(), o.coeffs.tolist()
-        return WeilElement(alg, np.array(_mul_lists(alg.product_plan, alg.dim, a, b)))
+        product = self.algebra._mul(self.coeffs.tolist(), o.coeffs.tolist())
+        return WeilElement(self.algebra, np.array(product))
 
     __rmul__ = __mul__
 
@@ -302,7 +325,7 @@ class WeilElement:
         a = self.coeffs.tolist()
         out = [1.0] + [0.0] * (alg.dim - 1)
         for _ in range(k):
-            out = _mul_lists(alg.product_plan, alg.dim, out, a)
+            out = alg._mul(out, a)
         return WeilElement(alg, np.array(out))
 
     def __eq__(self, other):
@@ -474,7 +497,8 @@ def taylor_lift(prim: PrimitiveFn, a: WeilElement) -> WeilElement:
     """Evaluate g(a) = sum_j g^(j)(r) n^j / j! with r the real part, n nilpotent.
 
     The sum is finite because n^(height+1) = 0; the real part of the result
-    is g(r) by construction.
+    is g(r) by construction.  The powers n^j stay in the maximal ideal, and
+    a result with a non-finite coefficient raises DomainError.
     """
     r = a.real
     h = a.algebra.height
@@ -485,19 +509,21 @@ def taylor_lift(prim: PrimitiveFn, a: WeilElement) -> WeilElement:
     except (ValueError, ZeroDivisionError) as exc:
         # sin(inf), or 1/r^(j+1) when r^(j+1) underflows to zero
         raise DomainError(f"{prim.name} derivatives undefined at {r}") from exc
-    plan, dim = a.algebra.product_plan, a.algebra.dim
     n = a.coeffs.tolist()
     n[0] = 0.0
-    out = [float(derivs[0])] + [0.0] * (dim - 1)
-    power = [1.0] + [0.0] * (dim - 1)
+    out = [float(derivs[0])] + [0.0] * (a.algebra.dim - 1)
+    power = n
     factorial = 1.0
     for j in range(1, h + 1):
-        power = _mul_lists(plan, dim, power, n)
+        if j > 1:
+            power = a.algebra._ideal_mul(power, n)
         if not any(power):
             break
         factorial *= j
         scale = derivs[j] / factorial
         out = [o + p * scale for o, p in zip(out, power)]
+    if not all(map(math.isfinite, out)):
+        raise DomainError(f"{prim.name} lift at {r} is not finite")
     return WeilElement(a.algebra, np.array(out))
 
 

@@ -225,22 +225,24 @@ def power(base: Expr, k: int) -> Expr:
 
 
 def _levels(e: Expr) -> Iterator[list[Expr]]:
-    """The nodes of the tree level by level, root first; iterative, so that
-    a deep tree costs no stack."""
+    """The distinct nodes of the DAG level by level, root first: a node
+    appears once on each level at which the tree has it, so the level count
+    is the tree's depth.  Iterative, so that a deep tree costs no stack."""
     level = [e]
     while level:
         yield level
-        below: list[Expr] = []
+        below: dict[int, Expr] = {}
         for node in level:
             # exact types (no node class is subclassed): cheaper than isinstance
             kind = type(node)
             if kind in (Add, Sub, Mul, Div):
-                below += (node.left, node.right)
+                below[id(node.left)] = node.left
+                below[id(node.right)] = node.right
             elif kind is Neg or kind is Apply:
-                below.append(node.arg)
+                below[id(node.arg)] = node.arg
             elif kind is Pow:
-                below.append(node.base)
-        level = below
+                below[id(node.base)] = node.base
+        level = list(below.values())
 
 
 def contains_consta(e: Expr) -> bool:

@@ -211,6 +211,12 @@ def _gradient(pi: PoissonStructure, f: Expr) -> list[Expr]:
     return [diff(f, k) for k in range(pi.dim)]
 
 
+def _base_gradient(pi: PoissonStructure, f: Expr) -> list[Expr]:
+    if contains_consta(f):
+        raise AlgebraMismatch("the base bracket takes ConstA-free functions")
+    return _gradient(pi, f)
+
+
 def _one_form(pi: PoissonStructure, x: CoordForm) -> list[Expr]:
     return [x.coefficient((k,)) for k in range(pi.dim)]
 
@@ -220,15 +226,12 @@ def _one_form(pi: PoissonStructure, x: CoordForm) -> list[Expr]:
 
 def bracket(pi: PoissonStructure, f: Expr, g: Expr) -> Expr:
     """The base bracket; antisymmetric and a derivation in each slot."""
-    for e in (f, g):
-        if contains_consta(e):
-            raise AlgebraMismatch("the base bracket takes ConstA-free functions")
-    return _pair(pi, _gradient(pi, f), _gradient(pi, g))
+    return _pair(pi, _base_gradient(pi, f), _base_gradient(pi, g))
 
 
 def hamiltonian_field(pi: PoissonStructure, f: Expr) -> VectorField:
     """ad(f): the field with components {f, x_i}."""
-    return VectorField(tuple(bracket(pi, f, Var(i)) for i in range(pi.dim)))
+    return VectorField(_sharp(pi, _base_gradient(pi, f)))
 
 
 def jacobi_check(

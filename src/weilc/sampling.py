@@ -8,6 +8,8 @@ chart coordinates uniform in [-1, 1], nilpotent coefficients uniform in
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .algebra import (
@@ -154,17 +156,17 @@ def random_one_form(
 
 
 def residual(lhs: WeilElement, rhs: WeilElement) -> float:
-    """Sup-norm difference, normalized to the larger operand scale."""
-    scale = 1.0 + max(
-        float(np.max(np.abs(lhs.coeffs))), float(np.max(np.abs(rhs.coeffs)))
-    )
-    return float(np.max(np.abs(lhs.coeffs - rhs.coeffs))) / scale
+    """Sup-norm difference, normalized to the larger operand scale; inf when
+    either operand has a non-finite coefficient."""
+    sizes = [float(np.max(np.abs(x.coeffs))) for x in (lhs, rhs)]
+    if not all(map(math.isfinite, sizes)):
+        return math.inf
+    return float(np.max(np.abs(lhs.coeffs - rhs.coeffs))) / (1.0 + max(sizes))
 
 
 def residual_zero(value: WeilElement) -> float:
-    return float(np.max(np.abs(value.coeffs))) / (
-        1.0 + float(np.max(np.abs(value.coeffs)))
-    )
+    size = float(np.max(np.abs(value.coeffs)))
+    return size / (1.0 + size) if math.isfinite(size) else math.inf
 
 
 def residual_forms(a: CoordForm, b: CoordForm, point) -> float:

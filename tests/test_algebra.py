@@ -1,5 +1,7 @@
 """Algebra construction, ring arithmetic, lifts, and morphisms."""
 
+import math
+import random
 from itertools import combinations_with_replacement, product
 
 import mpmath
@@ -21,7 +23,7 @@ from weilc import (
     trivial_algebra,
     validate_morphism,
 )
-from weilc.algebra import apply_linear, monomial_name
+from weilc.algebra import _compile, apply_linear, monomial_name
 from weilc.errors import (
     AlgebraMismatch,
     DomainError,
@@ -263,6 +265,82 @@ class TestProductKernel:
             with np.errstate(all="ignore"):
                 expected = expected + np.array(power) * (derivs[j] / factorial)
         assert_bitwise(lifted.coeffs, expected)
+
+
+def full_plan_taylor_sum(prim, a):
+    """g(a) with every power n^j = n^(j-1) * n taken from the unit through the
+    full product plan, summed as taylor_lift sums it."""
+    A = a.algebra
+    derivs = prim.derivatives(a.real, A.height)
+    n = a.nilpotent_part()
+    out = A.from_real(derivs[0]).coeffs.tolist()
+    power = A.unit()
+    factorial = 1.0
+    for j in range(1, A.height + 1):
+        power = power * n
+        if not any(power.coeffs):
+            break
+        factorial *= j
+        scale = derivs[j] / factorial
+        out = [o + p * scale for o, p in zip(out, power.coeffs.tolist())]
+    return out
+
+
+FINITE_COEFFS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e200, -1e200, 1e-200]),
+)
+
+
+class TestCompiledKernels:
+    """The generated kernels against loops written here, and lifts whose
+    powers stay in the maximal ideal against the full-plan Taylor sum."""
+
+    def test_long_slot_compiles_and_matches_the_plan_loop(self):
+        # 5000 terms in one slot, far past the `+` chain CPython compiles
+        rng = random.Random(3)
+        dim = 60
+        pairs = [sorted((rng.randrange(dim), rng.randrange(dim))) for _ in range(5000)]
+        plan = tuple((i, j, 7) for i, j in pairs) + ((0, 0, 0), (2, 5, 1), (1, 1, 1))
+        a = [rng.uniform(-1e3, 1e3) for _ in range(dim)]
+        b = [rng.uniform(-1e3, 1e3) for _ in range(dim)]
+        expected = [0.0] * dim
+        for i, j, k in plan:
+            expected[k] += a[i] * b[i] if i == j else a[i] * b[j] + a[j] * b[i]
+        assert_bitwise(_compile(plan, dim)(a, b), expected)
+
+    def test_rebuilt_algebra_reuses_its_kernels(self):
+        assert jets(4)._mul is jets(4)._mul
+        assert jets(4)._ideal_mul is jets(4)._ideal_mul
+
+    @pytest.mark.parametrize("bad", [1e200, float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["exp", "sin", "recip"])
+    def test_non_finite_lift_is_a_domain_error(self, name, bad):
+        A = jets(10)
+        with pytest.raises(DomainError):
+            taylor_lift(PRIMITIVES[name], A.element([0.5, bad] + [0.0] * (A.dim - 2)))
+
+    @given(
+        st.sampled_from([catalog_algebra("mixed"), jets(10)]),
+        st.sampled_from(sorted(PRIMITIVES)),
+        st.data(),
+    )
+    def test_lift_is_the_full_plan_taylor_sum(self, A, name, data):
+        nil = data.draw(
+            st.lists(FINITE_COEFFS, min_size=A.dim - 1, max_size=A.dim - 1)
+        )
+        a = A.element([data.draw(st.floats(-3, 3))] + nil)
+        prim = PRIMITIVES[name]
+        try:
+            lifted = taylor_lift(prim, a)
+        except DomainError:
+            try:
+                expected = full_plan_taylor_sum(prim, a)
+            except (DomainError, ArithmeticError, ValueError):
+                return  # the derivatives themselves are undefined at a.real
+            assert not all(map(math.isfinite, expected))
+            return
+        assert_bitwise(lifted.coeffs, full_plan_taylor_sum(prim, a))
 
 
 class TestAugmentation:

@@ -17,8 +17,10 @@ from weilc.algebra import RECIPROCAL, render_element, taylor_lift
 from weilc.errors import AlgebraMismatch, DimensionMismatch, DomainError, ParseError
 from weilc.expr import (
     _CHAIN,
+    _levels,
     _TOKEN,
     FUNCTIONS,
+    AFunction,
     Add,
     Apply,
     ConstA,
@@ -36,10 +38,12 @@ from weilc.expr import (
     _precedence,
     add,
     consta_algebra,
+    contains_consta,
     diff,
     div,
     eval_real,
     eval_weil,
+    max_var_index,
     mul,
     neg,
     power,
@@ -291,10 +295,11 @@ def _tree(e):
 # -- exponential DAG ----------------------------------------------------------------
 
 
-def _doubling_dag(levels):
-    """x1^(2^levels) as `levels` nested Mul nodes, each holding one child twice:
-    levels + 1 distinct nodes, 2^(levels + 1) - 1 tree nodes."""
-    e = Var(0)
+def _doubling_dag(levels, leaf=Var(0)):
+    """leaf^(2^levels) as `levels` nested Mul nodes, each holding one child
+    twice: `levels` distinct Mul nodes, and 2^levels copies of the leaf in
+    the tree."""
+    e = leaf
     for _ in range(levels):
         e = Mul(e, e)
     return e
@@ -311,6 +316,23 @@ class TestSharedDag:
         eps = A.generator("eps")
         value = eval_weil(e, (A.unit() + eps,))
         assert value == A.element([1.0, 2.0**40])
+
+    def test_structure_queries_visit_each_node_once_per_level(self):
+        A = dual_numbers()
+        e = _doubling_dag(40, Add(Var(1), ConstA(A.generator("eps"))))
+        assert sum(1 for _ in _levels(e)) == 42  # the tree's depth, as parse counts
+        assert max_var_index(e) == 1
+        assert contains_consta(e)
+        assert consta_algebra(e) is A
+        assert AFunction(e, 2, A).expr is e
+        with pytest.raises(DimensionMismatch):
+            AFunction(e, 1, A)
+        with pytest.raises(AlgebraMismatch):
+            AFunction(e, 2, dual_numbers())
+        plain = _doubling_dag(40)
+        assert max_var_index(plain) == 0
+        assert not contains_consta(plain)
+        assert consta_algebra(plain) is None
 
     def test_printing_a_dag_prints_each_node_once(self):
         e = _doubling_dag(3)

@@ -1,7 +1,9 @@
 """Base Poisson structure, prolonged bracket, 2-form, and the verifier."""
 
 import math
+import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,8 +47,11 @@ from weilc.sampling import (
     random_expr,
     random_expr_with_consta,
     random_one_form,
+    random_polynomial,
     random_point,
     residual,
+    residual_forms,
+    residual_zero,
     rng_for,
 )
 
@@ -397,6 +402,29 @@ class TestRecorder:
         assert report.max_residual == math.inf
         assert len(report.witnesses) == 1
 
+    def test_residuals_of_non_finite_elements_are_inf(self):
+        A = dual_numbers()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (math.inf, -math.inf, math.nan):
+                x = A.element([1.0, bad])
+                assert residual(x, x) == math.inf
+                assert residual(A.unit(), x) == math.inf
+                assert residual(x, A.unit()) == math.inf
+                assert residual_zero(x) == math.inf
+
+    def test_residual_forms_keeps_an_inf_residual(self):
+        # max() over residuals drops a NaN; the inf of two equal inf
+        # elements must survive next to a zero residual
+        A = dual_numbers()
+        big = A.element([math.inf, 1.0])
+        form = SimpleNamespace(
+            algebra=A, evaluate=lambda point: {(0,): A.unit(), (1,): big}
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert residual_forms(form, form, None) == math.inf
+
 
 class TestHamiltonianFieldSo3:
     def test_rotation_generator(self):
@@ -474,3 +502,39 @@ class TestContractionTrees:
                 assert ad_tilde(pi, x).components == _loop_sharp(
                     pi, lambda k: x.coefficient((k,))
                 )
+
+
+class TestHamiltonianFieldOnSharp:
+    """ad(f) takes one gradient of f through _sharp; its components have
+    the values of the per-coordinate brackets {f, x_i} it used to build."""
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    def test_components_equal_the_coordinate_brackets(self, name):
+        pi = STRUCTURES[name]()
+        rng = rng_for(47)
+        for _ in range(8):
+            f = random_polynomial(rng, pi.dim)
+            field = hamiltonian_field(pi, f)
+            for _ in range(4):
+                xs = rng.uniform(-2.0, 2.0, pi.dim)
+                assert [eval_real(c, xs) for c in field.components] == [
+                    eval_real(bracket(pi, f, Var(i)), xs) for i in range(pi.dim)
+                ]
+
+    def test_one_partial_per_coordinate(self, monkeypatch):
+        import weilc.poisson
+
+        calls = []
+
+        def counting_diff(e, i):
+            calls.append(i)
+            return diff(e, i)
+
+        monkeypatch.setattr(weilc.poisson, "diff", counting_diff)
+        hamiltonian_field(so3_structure(), parse("x1^3 + x1*x2*x3 - x3^2", 3))
+        assert sorted(calls) == [0, 1, 2]
+
+    def test_rejects_algebra_constants(self, dual):
+        f = add(Var(0), ConstA(dual.generator("eps")))
+        with pytest.raises(AlgebraMismatch):
+            hamiltonian_field(so3_structure(), f)
