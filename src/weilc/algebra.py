@@ -38,6 +38,17 @@ from .errors import (
 
 Monomial = tuple[int, ...]
 
+MORPHISM_TOL = 1e-12  # entrywise, in every check of validate_morphism
+
+
+def _pure_powers(relations: Sequence[Monomial], i: int) -> list[int]:
+    """Exponents of the relations that are pure powers of generator i."""
+    return [
+        rel[i]
+        for rel in relations
+        if rel[i] > 0 and all(e == 0 for j, e in enumerate(rel) if j != i)
+    ]
+
 
 @dataclass(frozen=True)
 class AlgebraPresentation:
@@ -58,10 +69,7 @@ class AlgebraPresentation:
             if sum(rel) == 0:
                 raise EmptyRelation("a degree-0 relation would kill the unit")
         for i, name in enumerate(self.generators):
-            if not any(
-                rel[i] > 0 and all(e == 0 for j, e in enumerate(rel) if j != i)
-                for rel in self.relations
-            ):
+            if not _pure_powers(self.relations, i):
                 raise NotFiniteDimensional(
                     f"generator {name!r} has no pure-power relation"
                 )
@@ -100,14 +108,7 @@ class WeilAlgebra:
         k = len(presentation.generators)
 
         # Pure-power relations bound the exponent box to search.
-        bounds = []
-        for i in range(k):
-            pure = [
-                rel[i]
-                for rel in presentation.relations
-                if rel[i] > 0 and all(e == 0 for j, e in enumerate(rel) if j != i)
-            ]
-            bounds.append(min(pure))
+        bounds = [min(_pure_powers(presentation.relations, i)) for i in range(k)]
         candidates = [
             m
             for m in product(*(range(b) for b in bounds))
@@ -558,10 +559,7 @@ class AlgebraMorphism:
 
 
 def validate_morphism(
-    source: WeilAlgebra,
-    target: WeilAlgebra,
-    matrix,
-    tol: float = 1e-12,
+    source: WeilAlgebra, target: WeilAlgebra, matrix
 ) -> AlgebraMorphism:
     """Check unit, multiplicativity on all basis pairs, and augmentation."""
     matrix = np.asarray(matrix, dtype=float)
@@ -570,12 +568,12 @@ def validate_morphism(
             f"matrix shape {matrix.shape}, expected {(target.dim, source.dim)}"
         )
     unit_image = matrix[:, 0]
-    if np.max(np.abs(unit_image - target.unit().coeffs)) > tol:
+    if np.max(np.abs(unit_image - target.unit().coeffs)) > MORPHISM_TOL:
         raise NotMorphism("unit is not mapped to the unit")
     aug_row = matrix[0]
     expected = np.zeros(source.dim)
     expected[0] = 1.0
-    if np.max(np.abs(aug_row - expected)) > tol:
+    if np.max(np.abs(aug_row - expected)) > MORPHISM_TOL:
         raise NotMorphism("map does not commute with the augmentations")
     images = [WeilElement(target, matrix[:, i].copy()) for i in range(source.dim)]
     for i in range(source.dim):
@@ -583,7 +581,7 @@ def validate_morphism(
             k = source.mult_table[i, j]
             lhs = images[i] * images[j]
             rhs = images[k].coeffs if k >= 0 else np.zeros(target.dim)
-            if np.max(np.abs(lhs.coeffs - rhs)) > tol:
+            if np.max(np.abs(lhs.coeffs - rhs)) > MORPHISM_TOL:
                 raise NotMorphism(
                     f"not multiplicative on basis pair "
                     f"({source.basis_names()[i]}, {source.basis_names()[j]})"

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 config error, 2 resolution or usage error,
-3 domain error, 4 check failure.
+3 domain error, 4 check failure.  ``main`` maps every ``WeilcError`` to
+one of 1-3: ``ConfigError`` to 1, ``DomainError`` to 3, any other to 2.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 
 from .algebra import render_element
 from .config import ProjectConfig, load_config
-from .errors import ConfigError, DomainError, UnknownSuite, WeilcError
+from .errors import ConfigError, DomainError, WeilcError
 from .expr import eval_weil, to_string
 from .oracle import run_suite
 from .poisson import bracket
@@ -25,12 +26,6 @@ EXIT_CONFIG = 1
 EXIT_RESOLVE = 2
 EXIT_DOMAIN = 3
 EXIT_CHECK_FAILED = 4
-
-
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 def _add_shared_flags(p: argparse.ArgumentParser, with_suite_knobs: bool = False):
@@ -107,35 +102,39 @@ def _load(args) -> ProjectConfig:
 def _resolve(table: dict, name: str, what: str):
     if name not in table:
         known = ", ".join(sorted(table)) or "none defined"
-        raise _CliError(EXIT_RESOLVE, f"unknown {what} {name!r} ({known})")
+        raise WeilcError(f"unknown {what} {name!r} ({known})")
     return table[name]
 
 
 def _parse_point(text: str, algebra, n: int) -> APoint:
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
-        raise _CliError(EXIT_RESOLVE, f"--point is not valid JSON: {exc}") from exc
+        raise WeilcError(f"--point is not valid JSON: {exc}") from exc
     if not isinstance(raw, list) or len(raw) != n:
-        raise _CliError(
-            EXIT_RESOLVE, f"--point needs {n} coordinate vectors, got {raw!r}"
-        )
+        raise WeilcError(f"--point needs {n} coordinate vectors, got {raw!r}")
     coords = []
-    for vec in raw:
+    for i, vec in enumerate(raw, 1):
         if not isinstance(vec, list) or len(vec) != algebra.dim:
-            raise _CliError(
-                EXIT_RESOLVE,
+            raise WeilcError(
                 f"each coordinate needs {algebra.dim} coefficients "
-                f"(basis {algebra.basis_names()}), got {vec!r}",
+                f"(basis {algebra.basis_names()}), got {vec!r}"
             )
-        coords.append(algebra.element([float(v) for v in vec]))
+        # with parse_int=float every JSON number loads as a float, and a
+        # bool, string or null does not
+        if not all(type(v) is float for v in vec):
+            raise WeilcError(f"--point coordinate x{i} has a non-number in {vec!r}")
+        coords.append(algebra.element(vec))
     return APoint(algebra, tuple(coords))
 
 
 def _write_json(path: str | None, text: str):
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise WeilcError(f"cannot write --json {path}: {exc.strerror}") from exc
 
 
 def _cmd_algebra_show(cfg: ProjectConfig, args) -> int:
@@ -203,7 +202,7 @@ def _cmd_bracket(cfg: ProjectConfig, args) -> int:
     print(to_string(result))
     if args.algebra:
         if not args.point:
-            raise _CliError(EXIT_RESOLVE, "--point is required with --algebra")
+            raise WeilcError("--point is required with --algebra")
         algebra = _resolve(cfg.algebras, args.algebra, "algebra")
         point = _parse_point(args.point, algebra, cfg.chart_dim)
         print(render_element(eval_weil(result, point)))
@@ -227,10 +226,7 @@ def _cmd_check(cfg: ProjectConfig, args) -> int:
     tol = args.tol if args.tol is not None else cfg.suites.tol
     pi = _resolve(cfg.bivectors, args.pi, "bivector") if args.pi else None
     algebra = _resolve(cfg.algebras, args.algebra, "algebra") if args.algebra else None
-    try:
-        report = run_suite(args.suite, seed, trials, tol, pi=pi, algebra=algebra)
-    except UnknownSuite as exc:
-        raise _CliError(EXIT_RESOLVE, str(exc)) from exc
+    report = run_suite(args.suite, seed, trials, tol, pi=pi, algebra=algebra)
     print(report.summary())
     for w in report.witnesses:
         print(f"  witness residual={w.residual:.3e}")
@@ -254,15 +250,10 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load(args)
+        return _COMMANDS[args.command](_load(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        return _COMMANDS[args.command](cfg, args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -137,9 +137,9 @@ def load_config(path: str) -> ProjectConfig:
     suites = _expect_mapping(data.get("suites"), "suites")
     try:
         cfg.suites = SuiteSettings(
-            seed=int(suites.get("seed", 42)),
-            trials=int(suites.get("trials", 100)),
-            tol=float(suites.get("tol", 1e-9)),
+            seed=int(suites.get("seed", cfg.suites.seed)),
+            trials=int(suites.get("trials", cfg.suites.trials)),
+            tol=float(suites.get("tol", cfg.suites.tol)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"suites settings: {exc}") from exc

@@ -277,40 +277,40 @@ def _suite_hom_laws(seed: int, trials: int, tol: float, **_) -> CheckReport:
     rng = sampling.rng_for(seed)
     rec = _Recorder(tol)
     for _i in range(trials):
-        algebra = sampling.random_algebra(rng, max_height=3)
+        algebra = sampling.random_algebra(rng)
         n = int(rng.integers(1, 4))
         f = sampling.random_expr(rng, n)
         g = sampling.random_expr(rng, n)
         lam = float(rng.uniform(-2.0, 2.0))
         point = sampling.random_point(rng, algebra, n)
-        inputs = {
+        rec.inputs = {
             "f": to_string(f),
             "g": to_string(g),
             "algebra": algebra.describe(),
         }
         fv = eval_weil(f, point)
         gv = eval_weil(g, point)
-        rec.record(
+        rec.check(
+            "sum",
             sampling.residual(eval_weil(add(f, g), point), fv + gv),
-            {"check": "sum", **inputs},
         )
-        rec.record(
+        rec.check(
+            "product",
             sampling.residual(eval_weil(mul(f, g), point), fv * gv),
-            {"check": "product", **inputs},
         )
-        rec.record(
+        rec.check(
+            "scalar",
             sampling.residual(eval_weil(mul(ConstR(lam), f), point), fv * lam),
-            {"check": "scalar", **inputs},
         )
         # composition: evaluating g after a polynomial map equals evaluating
         # the substituted expression
         comps = [sampling.random_polynomial(rng, n, max_degree=2) for _ in range(n)]
         image = prolong_map(comps, point)
-        rec.record(
+        rec.check(
+            "composition",
             sampling.residual(
                 eval_weil(g, image), eval_weil(substitute(g, comps), point)
             ),
-            {"check": "composition", **inputs},
         )
     return rec.report("hom_laws", seed, trials)
 
@@ -321,7 +321,7 @@ def _suite_field_prolong(seed: int, trials: int, tol: float, **_) -> CheckReport
     rng = sampling.rng_for(seed)
     rec = _Recorder(tol)
     for _i in range(trials):
-        algebra = sampling.random_algebra(rng, max_height=3)
+        algebra = sampling.random_algebra(rng)
         n = int(rng.integers(1, 4))
         theta = sampling.random_field(rng, n)
         eta = sampling.random_field(rng, n)
@@ -329,49 +329,49 @@ def _suite_field_prolong(seed: int, trials: int, tol: float, **_) -> CheckReport
         g = sampling.random_expr(rng, n)
         point = sampling.random_point(rng, algebra, n)
         big_d = prolong_field(theta, algebra)
-        inputs = {
+        rec.inputs = {
             "theta": ", ".join(to_string(c) for c in theta.components),
             "f": to_string(f),
             "algebra": algebra.describe(),
         }
         # defining equation: applying the prolonged field matches prolonging
         # the base action
-        rec.record(
+        rec.check(
+            "defining",
             sampling.residual(
                 big_d.apply_at(f, point),
                 eval_weil(apply_field(theta, f), point),
             ),
-            {"check": "defining", **inputs},
         )
         # derivation law on products
         lhs = big_d.apply_at(mul(f, g), point)
         rhs = big_d.apply_at(f, point) * eval_weil(g, point) + eval_weil(
             f, point
         ) * big_d.apply_at(g, point)
-        rec.record(sampling.residual(lhs, rhs), {"check": "derivation", **inputs})
+        rec.check("derivation", sampling.residual(lhs, rhs))
         # additivity of prolongation
-        rec.record(
+        rec.check(
+            "additive",
             sampling.residual(
                 prolong_field(theta + eta, algebra).apply_at(f, point),
                 big_d.apply_at(f, point) + prolong_field(eta, algebra).apply_at(f, point),
             ),
-            {"check": "additive", **inputs},
         )
         # module law: scaling the base field scales the action
         scale = sampling.random_polynomial(rng, n, max_degree=2)
-        rec.record(
+        rec.check(
+            "module",
             sampling.residual(
                 prolong_field(theta.scale(scale), algebra).apply_at(f, point),
                 eval_weil(scale, point) * big_d.apply_at(f, point),
             ),
-            {"check": "module", **inputs},
         )
         # linear-endomorphism law: an arbitrary linear reading of the
         # coefficients cannot tell the operator route from the symbolic one
         matrix = rng.uniform(-1.0, 1.0, (algebra.dim, algebra.dim))
         lhs = apply_linear(matrix, big_d.apply_at(f, point))
         rhs = apply_linear(matrix, eval_weil(apply_field(theta, f), point))
-        rec.record(sampling.residual(lhs, rhs), {"check": "endomorphism", **inputs})
+        rec.check("endomorphism", sampling.residual(lhs, rhs))
     return rec.report("field_prolong", seed, trials)
 
 
@@ -380,7 +380,7 @@ def _suite_bracket_prolong(seed: int, trials: int, tol: float, **_) -> CheckRepo
     rng = sampling.rng_for(seed)
     rec = _Recorder(tol)
     for _i in range(trials):
-        algebra = sampling.random_algebra(rng, max_height=3)
+        algebra = sampling.random_algebra(rng)
         n = int(rng.integers(1, 4))
         theta1 = sampling.random_field(rng, n)
         theta2 = sampling.random_field(rng, n)
@@ -409,7 +409,7 @@ def _suite_cartan(seed: int, trials: int, tol: float, **_) -> CheckReport:
     rec = _Recorder(tol)
     base = trivial_algebra()
     for _i in range(trials):
-        algebra = sampling.random_algebra(rng, max_height=3)
+        algebra = sampling.random_algebra(rng)
         n = int(rng.integers(2, 4))
         theta = sampling.random_field(rng, n)
         point = sampling.random_point(rng, algebra, n)
@@ -418,13 +418,10 @@ def _suite_cartan(seed: int, trials: int, tol: float, **_) -> CheckReport:
         eta = prolong_form(eta_base, algebra)
         f = sampling.random_polynomial(rng, n)
         f_a = AFunction(f, n, algebra)
-        inputs = {
+        rec.inputs = {
             "theta": ", ".join(to_string(c) for c in theta.components),
             "algebra": algebra.describe(),
         }
-
-        def check(name, value):
-            rec.record(value, {"check": name, **inputs})
 
         zero = algebra.zero()
 
@@ -432,7 +429,7 @@ def _suite_cartan(seed: int, trials: int, tol: float, **_) -> CheckReport:
         # against the symbolic base route)
         base_interior = contract(prolong_field(theta, base), eta_base).expr
         lhs_map = interior_eval(d_a, eta, point)
-        check(
+        rec.check(
             "interior_prolongation",
             sampling.residual(
                 lhs_map.get((), zero), eval_weil(base_interior, point, algebra)
@@ -444,14 +441,14 @@ def _suite_cartan(seed: int, trials: int, tol: float, **_) -> CheckReport:
         pair = wedge(x1f, y1f)
         lhs2 = interior(d_a, pair)
         rhs2 = y1f.scale(contract(d_a, x1f)) - x1f.scale(contract(d_a, y1f))
-        check("contraction_degree2", sampling.residual_forms(lhs2, rhs2, point))
+        rec.check("contraction_degree2", sampling.residual_forms(lhs2, rhs2, point))
         # Lie derivative commutes with prolongation (Cartan formula against
         # the classical coordinate formula)
         lhs3 = lie_derivative(d_a, eta)
         rhs3 = prolong_form(
             classical_lie_one_form(theta.components, eta_base), algebra
         )
-        check("lie_prolongation", sampling.residual_forms(lhs3, rhs3, point))
+        rec.check("lie_prolongation", sampling.residual_forms(lhs3, rhs3, point))
         # scaling the field before prolonging
         lhs4 = lie_derivative(d_a.scale(f_a), eta)
         rhs4 = prolong_form(
@@ -460,15 +457,15 @@ def _suite_cartan(seed: int, trials: int, tol: float, **_) -> CheckReport:
             ),
             algebra,
         )
-        check("lie_scaled_field", sampling.residual_forms(lhs4, rhs4, point))
+        rec.check("lie_scaled_field", sampling.residual_forms(lhs4, rhs4, point))
         # scaling the form before prolonging
         lhs5 = lie_derivative(d_a, eta.scale(f_a))
         rhs5 = prolong_form(
             classical_lie_one_form(theta.components, eta_base.scale(f)), algebra
         )
-        check("lie_scaled_form", sampling.residual_forms(lhs5, rhs5, point))
+        rec.check("lie_scaled_form", sampling.residual_forms(lhs5, rhs5, point))
         # Lie derivative of a differential is the differential of the action
-        check(
+        rec.check(
             "lie_of_differential",
             sampling.residual_forms(
                 lie_derivative(d_a, delta(f_a)), delta(d_a.apply(f_a)), point
@@ -490,11 +487,13 @@ def _suite_cartan(seed: int, trials: int, tol: float, **_) -> CheckReport:
         rhs7 = lie_derivative(gen_d, x_form).scale(phi) + delta(phi).scale(
             contract(gen_d, x_form)
         )
-        check("lie_function_times_derivation", sampling.residual_forms(lhs7, rhs7, point))
+        rec.check(
+            "lie_function_times_derivation", sampling.residual_forms(lhs7, rhs7, point)
+        )
         lhs8 = lie_derivative(gen_d, x_form.scale(phi))
         rhs8 = x_form.scale(gen_d.apply(phi)) + lie_derivative(gen_d, x_form).scale(phi)
-        check("lie_leibniz", sampling.residual_forms(lhs8, rhs8, point))
-        check(
+        rec.check("lie_leibniz", sampling.residual_forms(lhs8, rhs8, point))
+        rec.check(
             "lie_of_differential_general",
             sampling.residual_forms(
                 lie_derivative(gen_d, delta(phi)), delta(gen_d.apply(phi)), point
@@ -503,7 +502,7 @@ def _suite_cartan(seed: int, trials: int, tol: float, **_) -> CheckReport:
         # square of the differential vanishes
         w0 = CoordForm(0, n, algebra, {(): sampling.random_expr(rng, n, depth=3)})
         dd0 = dform(dform(w0))
-        check(
+        rec.check(
             "dd_zero",
             max(
                 [sampling.residual_zero(v) for v in dd0.evaluate(point).values()],
@@ -511,7 +510,7 @@ def _suite_cartan(seed: int, trials: int, tol: float, **_) -> CheckReport:
             ),
         )
         # Lie derivative commutes with the differential
-        check(
+        rec.check(
             "lie_commutes_with_d",
             sampling.residual_forms(
                 lie_derivative(gen_d, dform(x_form)),
@@ -525,7 +524,7 @@ def _suite_cartan(seed: int, trials: int, tol: float, **_) -> CheckReport:
         rhs_w = y1f.scale(contract(gen_d, x_form)) - x_form.scale(
             contract(gen_d, y1f)
         )
-        check("interior_derivation", sampling.residual_forms(lhs_w, rhs_w, point))
+        rec.check("interior_derivation", sampling.residual_forms(lhs_w, rhs_w, point))
     return rec.report("cartan", seed, trials)
 
 

@@ -95,22 +95,34 @@ class CheckReport:
         )
 
 
+MAX_WITNESSES = 10
+
+
 class _Recorder:
     """Accumulates residuals and failure witnesses for one run."""
 
-    def __init__(self, tol: float, max_witnesses: int = 10):
+    def __init__(self, tol: float):
         self.tol = tol
         self.max_residual = 0.0
         self.witnesses: list[Witness] = []
-        self.max_witnesses = max_witnesses
+        # the current trial's inputs, which ``check`` witnesses carry
+        self.inputs: dict[str, str] = {}
+
+    def _passes(self, value: float) -> bool:
+        # a non-finite residual fails whatever the tolerance
+        return value <= self.tol and value < math.inf
 
     def record(self, value: float, inputs: dict[str, str]):
-        # max() and > both skip NaN, so a non-finite residual counts as inf
+        # max() skips NaN, so a non-finite residual counts as inf
         if not math.isfinite(value):
             value = math.inf
         self.max_residual = max(self.max_residual, value)
-        if value > self.tol and len(self.witnesses) < self.max_witnesses:
+        if not self._passes(value) and len(self.witnesses) < MAX_WITNESSES:
             self.witnesses.append(Witness(dict(inputs), float(value)))
+
+    def check(self, name: str, value: float):
+        """Record the residual of the current trial's sub-check ``name``."""
+        self.record(value, {"check": name, **self.inputs})
 
     def report(self, suite: str, seed: int, trials: int) -> CheckReport:
         return CheckReport(
@@ -119,7 +131,7 @@ class _Recorder:
             trials=trials,
             tol=self.tol,
             max_residual=float(self.max_residual),
-            passed=self.max_residual <= self.tol,
+            passed=self._passes(self.max_residual),
             witnesses=tuple(self.witnesses),
         )
 
@@ -387,7 +399,7 @@ def verify_a_poisson(
         scalar = sampling.random_element(rng, algebra)
         x_form = sampling.random_one_form(rng, n, algebra, with_consta=True)
         y_form = sampling.random_one_form(rng, n, algebra, with_consta=True)
-        inputs = {
+        rec.inputs = {
             "phi": to_string(phi.expr),
             "psi": to_string(psi.expr),
             "pi": pi.describe(),
@@ -398,42 +410,39 @@ def verify_a_poisson(
         def br(a: AFunction, b: AFunction) -> AFunction:
             return prolong_bracket(pi, a, b, force=True)
 
-        def check(name: str, value: float):
-            rec.record(value, {"check": name, **inputs})
-
         # antisymmetry
-        check(
+        rec.check(
             "antisymmetry",
             sampling.residual_zero((br(phi, psi) + br(psi, phi))(point)),
         )
         # bilinearity over the algebra
         lhs = br(scalar * phi + psi, chi)(point)
         rhs = scalar * br(phi, chi)(point) + br(psi, chi)(point)
-        check("bilinearity", sampling.residual(lhs, rhs))
+        rec.check("bilinearity", sampling.residual(lhs, rhs))
         # Leibniz in the second slot
         psi_v = eval_weil(psi.expr, point, algebra)
         chi_v = eval_weil(chi.expr, point, algebra)
         lhs = br(phi, psi * chi)(point)
         rhs = br(phi, psi)(point) * chi_v + psi_v * br(phi, chi)(point)
-        check("leibniz", sampling.residual(lhs, rhs))
+        rec.check("leibniz", sampling.residual(lhs, rhs))
         # Jacobi
         jac = (
             br(phi, br(psi, chi))(point)
             + br(psi, br(chi, phi))(point)
             + br(chi, br(phi, psi))(point)
         )
-        check("jacobi", sampling.residual_zero(jac))
+        rec.check("jacobi", sampling.residual_zero(jac))
         # pairing against the 2-form: ad_tilde(X) phi = -omega(X, delta phi)
         lhs = ad_tilde(pi, x_form, force=True).apply_at(phi, point)
         rhs = -omega_at(pi, x_form, delta(phi), point, force=True)
-        check("pairing_function", sampling.residual(lhs, rhs))
+        rec.check("pairing_function", sampling.residual(lhs, rhs))
         # double extension: contracting Y against ad_tilde(X) = -omega(X, Y)
         lhs = contract(ad_tilde(pi, x_form, force=True), y_form)(point)
         rhs = -omega_at(pi, x_form, y_form, point, force=True)
-        check("pairing_form", sampling.residual(lhs, rhs))
+        rec.check("pairing_form", sampling.residual(lhs, rhs))
         # the differential intertwines bracket and Lie derivative
         lie = lie_derivative(ad_prolong(pi, phi, force=True), delta(psi))
-        check(
+        rec.check(
             "differential_of_bracket",
             sampling.residual_forms(lie, delta(br(phi, psi)), point),
         )
@@ -441,7 +450,7 @@ def verify_a_poisson(
         fx = sampling.random_one_form(rng, n, algebra, with_consta=False)
         fy = sampling.random_one_form(rng, n, algebra, with_consta=False)
         base_value = omega_prolonged(pi, fx, fy, force=True)
-        check(
+        rec.check(
             "two_form_prolongation",
             sampling.residual(
                 omega_at(pi, fx, fy, point, force=True),
@@ -453,6 +462,7 @@ def verify_a_poisson(
         g0 = sampling.random_polynomial(rng, n)
         down = eval_real(bracket(pi, f0, g0), point.base_point())
         up = augmentation(br(fn(f0), fn(g0))(point))
-        check("augmentation", abs(up - down) / (1.0 + max(abs(up), abs(down))))
+        gap = abs(up - down) / (1.0 + max(abs(up), abs(down)))
+        rec.check("augmentation", gap)
 
     return rec.report("poisson_full", seed, trials)

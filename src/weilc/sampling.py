@@ -3,7 +3,7 @@
 All randomness flows through numpy's PCG64 so that every report is a pure
 function of (suite, seed, trials).  Sampling ranges follow one convention:
 chart coordinates uniform in [-1, 1], nilpotent coefficients uniform in
-[-0.5, 0.5], and arguments of log or sqrt shifted into [0.5, 1.5].
+[-0.5, 0.5].
 """
 
 from __future__ import annotations
@@ -54,8 +54,12 @@ def rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def random_algebra(rng: np.random.Generator, max_height: int = 3) -> WeilAlgebra:
-    names = [name for name, _ in CATALOG if catalog_algebra(name).height <= max_height]
+MAX_HEIGHT = 3  # of the algebras the suites draw
+MAX_EXTRA_TERMS = 3  # a random polynomial adds 1 to this many monomials to its first
+
+
+def random_algebra(rng: np.random.Generator) -> WeilAlgebra:
+    names = [name for name, _ in CATALOG if catalog_algebra(name).height <= MAX_HEIGHT]
     return catalog_algebra(names[rng.integers(len(names))])
 
 
@@ -65,19 +69,8 @@ def random_element(rng: np.random.Generator, algebra: WeilAlgebra) -> WeilElemen
     return algebra.element(coeffs)
 
 
-def random_point(
-    rng: np.random.Generator,
-    algebra: WeilAlgebra,
-    n: int,
-    low: float = -1.0,
-    high: float = 1.0,
-) -> APoint:
-    coords = []
-    for _ in range(n):
-        coeffs = rng.uniform(-0.5, 0.5, algebra.dim)
-        coeffs[0] = rng.uniform(low, high)
-        coords.append(algebra.element(coeffs))
-    return APoint(algebra, tuple(coords))
+def random_point(rng: np.random.Generator, algebra: WeilAlgebra, n: int) -> APoint:
+    return APoint(algebra, tuple(random_element(rng, algebra) for _ in range(n)))
 
 
 def random_monomial(rng: np.random.Generator, n: int, max_degree: int = 3) -> Expr:
@@ -88,11 +81,9 @@ def random_monomial(rng: np.random.Generator, n: int, max_degree: int = 3) -> Ex
     return out
 
 
-def random_polynomial(
-    rng: np.random.Generator, n: int, max_degree: int = 3, terms: int = 3
-) -> Expr:
+def random_polynomial(rng: np.random.Generator, n: int, max_degree: int = 3) -> Expr:
     out = random_monomial(rng, n, max_degree)
-    for _ in range(int(rng.integers(1, terms + 1))):
+    for _ in range(int(rng.integers(1, MAX_EXTRA_TERMS + 1))):
         out = add(out, random_monomial(rng, n, max_degree))
     return out
 
@@ -106,7 +97,8 @@ _SAFE_FUNCTIONS = ("exp", "sin", "cos")
 
 
 def random_expr(rng: np.random.Generator, n: int, depth: int = 4) -> Expr:
-    """A depth-bounded polynomial/elementary expression, safe on [-1,1]^n."""
+    """A depth-bounded polynomial/elementary expression over exp, sin and cos;
+    exp of nested powers can overflow on [-1,1]^n (DomainError)."""
     if depth <= 0:
         if rng.random() < 0.6:
             return Var(int(rng.integers(n)))

@@ -5,6 +5,7 @@ line per criterion.
 """
 
 import json
+import math
 
 import mpmath
 import numpy as np
@@ -51,6 +52,11 @@ SEED = 42
 TOL = 1e-9
 
 
+def _worst(worst: float, value: float) -> float:
+    """max() that counts a non-finite value as inf; max() alone skips NaN."""
+    return max(worst, value if math.isfinite(value) else math.inf)
+
+
 def _report(num: int, name: str, passed: bool, detail: str = ""):
     status = "PASS" if passed else "FAIL"
     print(f"[{status}] acceptance {num}: {name} {detail}".rstrip())
@@ -82,7 +88,7 @@ def test_criterion_2_taylor_lift_oracle_agreement():
             gap = float(
                 np.max(np.abs(value.coeffs - oracle) / (1.0 + np.abs(oracle)))
             )
-            worst = max(worst, gap)
+            worst = _worst(worst, gap)
     _report(2, "Taylor lift against finite differences", worst <= 1e-6, f"worst={worst:.3e}")
 
 
@@ -90,7 +96,7 @@ def test_criterion_3_derivation_law():
     rng = rng_for(SEED)
     worst = 0.0
     for _ in range(100):
-        algebra = random_algebra(rng, max_height=3)
+        algebra = random_algebra(rng)
         n = int(rng.integers(1, 4))
         theta = VectorField(
             tuple(random_polynomial(rng, n, max_degree=2) for _ in range(n))
@@ -102,7 +108,7 @@ def test_criterion_3_derivation_law():
         rhs = d.apply_at(f, point) * eval_weil(g, point) + eval_weil(
             f, point
         ) * d.apply_at(g, point)
-        worst = max(worst, residual(lhs, rhs))
+        worst = _worst(worst, residual(lhs, rhs))
     _report(3, "prolonged fields are derivations", worst <= TOL, f"worst={worst:.3e}")
 
 
@@ -155,11 +161,11 @@ def test_criterion_6_bracket_prolongation_equality():
                 g_a = AFunction(g, n, algebra)
                 lifted = prolong_bracket(pi, f_a, g_a)(point)
                 base = eval_weil(bracket(pi, f, g), point)
-                worst = max(worst, residual(lifted, base))
+                worst = _worst(worst, residual(lifted, base))
                 # second route: the Hamiltonian derivation of f applied to g,
                 # ring-combining separately evaluated pieces
                 operator = ad_prolong(pi, f_a).apply_at(g_a, point)
-                worst = max(worst, residual(operator, base))
+                worst = _worst(worst, residual(operator, base))
     _report(
         6,
         "prolonged bracket covers the base bracket",
@@ -193,7 +199,7 @@ def test_criterion_7_two_form_identities():
         # prolongation equality on base one-forms, numeric against symbolic
         bx = random_one_form(rng, n, algebra)
         by = random_one_form(rng, n, algebra)
-        worst = max(
+        worst = _worst(
             worst,
             residual(
                 omega_at(pi, bx, by, point),
@@ -203,20 +209,20 @@ def test_criterion_7_two_form_identities():
         # pairing identities
         phi = AFunction(random_expr_with_consta(rng, n, algebra), n, algebra)
         psi = AFunction(random_expr_with_consta(rng, n, algebra), n, algebra)
-        worst = max(
+        worst = _worst(
             worst,
             residual(
                 ad_tilde(pi, x).apply_at(phi, point),
                 -omega_at(pi, x, delta(phi), point),
             ),
         )
-        worst = max(
+        worst = _worst(
             worst,
             residual(
                 contract(ad_tilde(pi, x), y)(point), -omega_at(pi, x, y, point)
             ),
         )
-        worst = max(
+        worst = _worst(
             worst,
             residual_forms(
                 lie_derivative(ad_prolong(pi, phi), delta(psi)),

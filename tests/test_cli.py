@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from weilc import cli, errors
 from weilc.cli import main
 
 CONFIG_2D = """\
@@ -326,6 +327,88 @@ class TestArgumentEdges:
         )
         assert code == 2
         assert "JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "point", ['[["a",1],[0,0]]', "[[null,1],[0,0]]", "[[3,1],[true,0]]"]
+    )
+    def test_non_number_coefficient(self, config2, capsys, point):
+        code = main(["--config", config2, "eval", "f", "dual", "--point", point])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --point coordinate x")
+        assert "Traceback" not in err
+
+    def test_non_number_names_its_coordinate(self, config2, capsys):
+        point = '[[3,1],[0,"b"]]'
+        assert main(["--config", config2, "eval", "f", "dual", "--point", point]) == 2
+        assert "coordinate x2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["algebra-show", "dual"], ["check", "hom_laws", "--trials", "1"]],
+        ids=["algebra-show", "check"],
+    )
+    def test_unwritable_json_path(self, config2, capsys, tmp_path, argv):
+        path = str(tmp_path / "missing" / "r.json")
+        assert main(["--config", config2, "--json", path, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write --json {path}")
+        assert "Traceback" not in err
+
+
+def _weilc_error_classes():
+    """Every WeilcError subclass the errors module defines."""
+    found, stack = [], [errors.WeilcError]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            if sub.__module__ == errors.__name__:
+                found.append(sub)
+                stack.append(sub)
+    return found
+
+
+# the documented exit code of each error class (see weilc.cli)
+EXIT_CODES = {
+    errors.ConfigError: (1, "config error: "),
+    errors.DomainError: (3, "domain error: "),
+    **{
+        cls: (2, "error: ")
+        for cls in (
+            errors.EmptyRelation,
+            errors.NotFiniteDimensional,
+            errors.AlgebraMismatch,
+            errors.DimensionMismatch,
+            errors.NotMorphism,
+            errors.DegreeError,
+            errors.ParseError,
+            errors.UnknownSymbol,
+            errors.UnknownSuite,
+            errors.UntrustedStructure,
+        )
+    },
+}
+
+
+def test_exit_code_table_covers_every_error_class():
+    assert len(EXIT_CODES) == 12
+    assert set(_weilc_error_classes()) == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize(
+    "cls", list(EXIT_CODES), ids=[cls.__name__ for cls in EXIT_CODES]
+)
+def test_each_error_class_exits_with_its_code(config2, capsys, monkeypatch, cls):
+    exc = cls("stub", 0) if issubclass(cls, errors.ParseError) else cls("stub")
+
+    def command(cfg, args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "algebra-show", command)
+    code, prefix = EXIT_CODES[cls]
+    assert main(["--config", config2, "algebra-show", "dual"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{prefix}{exc}\n"
 
 
 def test_start_up_leaves_mpmath_unloaded():

@@ -390,6 +390,23 @@ class TestRecorder:
         assert report.max_residual == math.inf
         assert len(report.witnesses) == 1
 
+    @pytest.mark.parametrize("tol", [1e-9, math.inf, math.nan])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_residual_fails_at_any_tol(self, tol, value):
+        rec = _Recorder(tol)
+        rec.record(0.0, {"check": "zero"})
+        rec.record(value, {"check": "bad"})
+        report = rec.report("x", 1, 2)
+        assert not report.passed
+        assert report.max_residual == math.inf
+        assert [w.inputs["check"] for w in report.witnesses][-1] == "bad"
+
+    def test_finite_residual_passes_an_inf_tol(self):
+        rec = _Recorder(math.inf)
+        rec.record(1e300, {"check": "big"})
+        report = rec.report("x", 1, 1)
+        assert report.passed and not report.witnesses
+
     def test_residual_of_inf_elements_fails(self):
         A = dual_numbers()
         big = A.element([math.inf, 1.0])
