@@ -567,6 +567,8 @@ def validate_morphism(
         raise NotMorphism(
             f"matrix shape {matrix.shape}, expected {(target.dim, source.dim)}"
         )
+    if not np.isfinite(matrix).all():
+        raise NotMorphism("matrix has a non-finite entry")
     unit_image = matrix[:, 0]
     if np.max(np.abs(unit_image - target.unit().coeffs)) > MORPHISM_TOL:
         raise NotMorphism("unit is not mapped to the unit")

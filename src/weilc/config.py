@@ -143,4 +143,6 @@ def load_config(path: str) -> ProjectConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"suites settings: {exc}") from exc
+    if cfg.suites.seed < 0:
+        raise ConfigError(f"suites settings: seed {cfg.suites.seed} is negative")
     return cfg

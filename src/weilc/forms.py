@@ -106,31 +106,21 @@ class CoordForm:
 
 
 class _Accumulator:
-    """Coefficient accumulation that drops cancelled and zero terms."""
+    """Coefficient accumulation: signed terms summed per index in the order
+    they come, zero terms and zero totals dropped."""
 
     def __init__(self):
-        self.terms: dict[Index, list[tuple[int, Expr]]] = {}
+        self.totals: dict[Index, Expr] = {}
 
     def put(self, idx: Index, expr: Expr, sign: int = 1):
         if expr == ZERO:
             return
-        bucket = self.terms.setdefault(idx, [])
-        for k, (s, e) in enumerate(bucket):
-            if s == -sign and e == expr:
-                del bucket[k]
-                return
-        bucket.append((sign, expr))
+        signed = expr if sign > 0 else neg(expr)
+        total = self.totals.get(idx)
+        self.totals[idx] = signed if total is None else add(total, signed)
 
     def build(self) -> dict[Index, Expr]:
-        out = {}
-        for idx, bucket in self.terms.items():
-            total = None
-            for s, e in bucket:
-                signed = e if s > 0 else neg(e)
-                total = signed if total is None else add(total, signed)
-            if total is not None and total != ZERO:
-                out[idx] = total
-        return out
+        return {idx: total for idx, total in self.totals.items() if total != ZERO}
 
 
 def _check_pair(a: CoordForm, b: CoordForm):

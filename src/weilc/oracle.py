@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,13 +47,7 @@ from .forms import (
     prolong_form,
     wedge,
 )
-from .poisson import (
-    CheckReport,
-    _Recorder,
-    canonical_structure,
-    vacuous_report,
-    verify_a_poisson,
-)
+from .poisson import CheckReport, _a_poisson_trial, _run_trials, canonical_structure
 from .prolongation import (
     AVectorField,
     apply_field,
@@ -271,277 +265,223 @@ def interior_eval(
 # -- suites ---------------------------------------------------------------------------
 
 
-def _suite_hom_laws(seed: int, trials: int, tol: float, **_) -> CheckReport:
+def _suite_hom_laws(rng, rec, **_):
     """Evaluation is a ring homomorphism, and composition evaluates through
     images of points."""
-    rng = sampling.rng_for(seed)
-    rec = _Recorder(tol)
-    for _i in range(trials):
-        algebra = sampling.random_algebra(rng)
-        n = int(rng.integers(1, 4))
-        f = sampling.random_expr(rng, n)
-        g = sampling.random_expr(rng, n)
-        lam = float(rng.uniform(-2.0, 2.0))
-        point = sampling.random_point(rng, algebra, n)
-        rec.inputs = {
-            "f": to_string(f),
-            "g": to_string(g),
-            "algebra": algebra.describe(),
-        }
-        fv = eval_weil(f, point)
-        gv = eval_weil(g, point)
-        rec.check(
-            "sum",
-            sampling.residual(eval_weil(add(f, g), point), fv + gv),
-        )
-        rec.check(
-            "product",
-            sampling.residual(eval_weil(mul(f, g), point), fv * gv),
-        )
-        rec.check(
-            "scalar",
-            sampling.residual(eval_weil(mul(ConstR(lam), f), point), fv * lam),
-        )
-        # composition: evaluating g after a polynomial map equals evaluating
-        # the substituted expression
-        comps = [sampling.random_polynomial(rng, n, max_degree=2) for _ in range(n)]
-        image = prolong_map(comps, point)
-        rec.check(
-            "composition",
-            sampling.residual(
-                eval_weil(g, image), eval_weil(substitute(g, comps), point)
-            ),
-        )
-    return rec.report("hom_laws", seed, trials)
+    algebra = sampling.random_algebra(rng)
+    n = int(rng.integers(1, 4))
+    f = sampling.random_expr(rng, n)
+    g = sampling.random_expr(rng, n)
+    lam = float(rng.uniform(-2.0, 2.0))
+    point = sampling.random_point(rng, algebra, n)
+    rec.inputs = {"f": to_string(f), "g": to_string(g), "algebra": algebra.describe()}
+    fv = eval_weil(f, point)
+    gv = eval_weil(g, point)
+    rec.check("sum", sampling.residual(eval_weil(add(f, g), point), fv + gv))
+    rec.check("product", sampling.residual(eval_weil(mul(f, g), point), fv * gv))
+    rec.check("scalar", sampling.residual(eval_weil(mul(ConstR(lam), f), point), fv * lam))
+    # composition: evaluating g after a polynomial map equals evaluating
+    # the substituted expression
+    comps = [sampling.random_polynomial(rng, n, max_degree=2) for _ in range(n)]
+    image = prolong_map(comps, point)
+    rec.check(
+        "composition",
+        sampling.residual(eval_weil(g, image), eval_weil(substitute(g, comps), point)),
+    )
 
 
-def _suite_field_prolong(seed: int, trials: int, tol: float, **_) -> CheckReport:
+def _suite_field_prolong(rng, rec, **_):
     """Prolonged fields: the defining equation, derivation law, additivity,
     the module law, and the linear-endomorphism law."""
-    rng = sampling.rng_for(seed)
-    rec = _Recorder(tol)
-    for _i in range(trials):
-        algebra = sampling.random_algebra(rng)
-        n = int(rng.integers(1, 4))
-        theta = sampling.random_field(rng, n)
-        eta = sampling.random_field(rng, n)
-        f = sampling.random_expr(rng, n)
-        g = sampling.random_expr(rng, n)
-        point = sampling.random_point(rng, algebra, n)
-        big_d = prolong_field(theta, algebra)
-        rec.inputs = {
-            "theta": ", ".join(to_string(c) for c in theta.components),
+    algebra = sampling.random_algebra(rng)
+    n = int(rng.integers(1, 4))
+    theta = sampling.random_field(rng, n)
+    eta = sampling.random_field(rng, n)
+    f = sampling.random_expr(rng, n)
+    g = sampling.random_expr(rng, n)
+    point = sampling.random_point(rng, algebra, n)
+    big_d = prolong_field(theta, algebra)
+    rec.inputs = {
+        "theta": ", ".join(to_string(c) for c in theta.components),
+        "f": to_string(f),
+        "algebra": algebra.describe(),
+    }
+    # defining equation: applying the prolonged field matches prolonging
+    # the base action
+    rec.check(
+        "defining",
+        sampling.residual(
+            big_d.apply_at(f, point),
+            eval_weil(apply_field(theta, f), point),
+        ),
+    )
+    # derivation law on products
+    lhs = big_d.apply_at(mul(f, g), point)
+    rhs = (
+        big_d.apply_at(f, point) * eval_weil(g, point)
+        + eval_weil(f, point) * big_d.apply_at(g, point)
+    )
+    rec.check("derivation", sampling.residual(lhs, rhs))
+    # additivity of prolongation
+    rec.check(
+        "additive",
+        sampling.residual(
+            prolong_field(theta + eta, algebra).apply_at(f, point),
+            big_d.apply_at(f, point) + prolong_field(eta, algebra).apply_at(f, point),
+        ),
+    )
+    # module law: scaling the base field scales the action
+    scale = sampling.random_polynomial(rng, n, max_degree=2)
+    rec.check(
+        "module",
+        sampling.residual(
+            prolong_field(theta.scale(scale), algebra).apply_at(f, point),
+            eval_weil(scale, point) * big_d.apply_at(f, point),
+        ),
+    )
+    # linear-endomorphism law: an arbitrary linear reading of the
+    # coefficients cannot tell the operator route from the symbolic one
+    matrix = rng.uniform(-1.0, 1.0, (algebra.dim, algebra.dim))
+    lhs = apply_linear(matrix, big_d.apply_at(f, point))
+    rhs = apply_linear(matrix, eval_weil(apply_field(theta, f), point))
+    rec.check("endomorphism", sampling.residual(lhs, rhs))
+
+
+def _suite_bracket_prolong(rng, rec, **_):
+    """Prolongation commutes with the field bracket."""
+    algebra = sampling.random_algebra(rng)
+    n = int(rng.integers(1, 4))
+    theta1 = sampling.random_field(rng, n)
+    theta2 = sampling.random_field(rng, n)
+    f = sampling.random_expr(rng, n)
+    point = sampling.random_point(rng, algebra, n)
+    d1 = prolong_field(theta1, algebra)
+    d2 = prolong_field(theta2, algebra)
+    lhs = prolong_field(lie_bracket(theta1, theta2), algebra).apply_at(f, point)
+    rhs = d1.apply_at(d2.apply(f), point) - d2.apply_at(d1.apply(f), point)
+    rec.record(
+        sampling.residual(lhs, rhs),
+        {
+            "theta1": ", ".join(to_string(c) for c in theta1.components),
+            "theta2": ", ".join(to_string(c) for c in theta2.components),
             "f": to_string(f),
             "algebra": algebra.describe(),
-        }
-        # defining equation: applying the prolonged field matches prolonging
-        # the base action
-        rec.check(
-            "defining",
-            sampling.residual(
-                big_d.apply_at(f, point),
-                eval_weil(apply_field(theta, f), point),
-            ),
-        )
-        # derivation law on products
-        lhs = big_d.apply_at(mul(f, g), point)
-        rhs = big_d.apply_at(f, point) * eval_weil(g, point) + eval_weil(
-            f, point
-        ) * big_d.apply_at(g, point)
-        rec.check("derivation", sampling.residual(lhs, rhs))
-        # additivity of prolongation
-        rec.check(
-            "additive",
-            sampling.residual(
-                prolong_field(theta + eta, algebra).apply_at(f, point),
-                big_d.apply_at(f, point) + prolong_field(eta, algebra).apply_at(f, point),
-            ),
-        )
-        # module law: scaling the base field scales the action
-        scale = sampling.random_polynomial(rng, n, max_degree=2)
-        rec.check(
-            "module",
-            sampling.residual(
-                prolong_field(theta.scale(scale), algebra).apply_at(f, point),
-                eval_weil(scale, point) * big_d.apply_at(f, point),
-            ),
-        )
-        # linear-endomorphism law: an arbitrary linear reading of the
-        # coefficients cannot tell the operator route from the symbolic one
-        matrix = rng.uniform(-1.0, 1.0, (algebra.dim, algebra.dim))
-        lhs = apply_linear(matrix, big_d.apply_at(f, point))
-        rhs = apply_linear(matrix, eval_weil(apply_field(theta, f), point))
-        rec.check("endomorphism", sampling.residual(lhs, rhs))
-    return rec.report("field_prolong", seed, trials)
+        },
+    )
 
 
-def _suite_bracket_prolong(seed: int, trials: int, tol: float, **_) -> CheckReport:
-    """Prolongation commutes with the field bracket."""
-    rng = sampling.rng_for(seed)
-    rec = _Recorder(tol)
-    for _i in range(trials):
-        algebra = sampling.random_algebra(rng)
-        n = int(rng.integers(1, 4))
-        theta1 = sampling.random_field(rng, n)
-        theta2 = sampling.random_field(rng, n)
-        f = sampling.random_expr(rng, n)
-        point = sampling.random_point(rng, algebra, n)
-        d1 = prolong_field(theta1, algebra)
-        d2 = prolong_field(theta2, algebra)
-        lhs = prolong_field(lie_bracket(theta1, theta2), algebra).apply_at(f, point)
-        rhs = d1.apply_at(d2.apply(f), point) - d2.apply_at(d1.apply(f), point)
-        rec.record(
-            sampling.residual(lhs, rhs),
-            {
-                "theta1": ", ".join(to_string(c) for c in theta1.components),
-                "theta2": ", ".join(to_string(c) for c in theta2.components),
-                "f": to_string(f),
-                "algebra": algebra.describe(),
-            },
-        )
-    return rec.report("bracket_prolong", seed, trials)
-
-
-def _suite_cartan(seed: int, trials: int, tol: float, **_) -> CheckReport:
+def _suite_cartan(rng, rec, **_):
     """Interior product, Lie derivative, and exterior derivative identities,
     each checked once per trial."""
-    rng = sampling.rng_for(seed)
-    rec = _Recorder(tol)
     base = trivial_algebra()
-    for _i in range(trials):
-        algebra = sampling.random_algebra(rng)
-        n = int(rng.integers(2, 4))
-        theta = sampling.random_field(rng, n)
-        point = sampling.random_point(rng, algebra, n)
-        d_a = prolong_field(theta, algebra)
-        eta_base = sampling.random_one_form(rng, n, base)
-        eta = prolong_form(eta_base, algebra)
-        f = sampling.random_polynomial(rng, n)
-        f_a = AFunction(f, n, algebra)
-        rec.inputs = {
-            "theta": ", ".join(to_string(c) for c in theta.components),
-            "algebra": algebra.describe(),
-        }
-
-        zero = algebra.zero()
-
-        # interior product commutes with prolongation (numeric contraction
-        # against the symbolic base route)
-        base_interior = contract(prolong_field(theta, base), eta_base).expr
-        lhs_map = interior_eval(d_a, eta, point)
-        rec.check(
-            "interior_prolongation",
-            sampling.residual(
-                lhs_map.get((), zero), eval_weil(base_interior, point, algebra)
-            ),
-        )
-        # degree-2 contraction formula on a decomposable wedge
-        x1f = sampling.random_one_form(rng, n, algebra, with_consta=True)
-        y1f = sampling.random_one_form(rng, n, algebra, with_consta=True)
-        pair = wedge(x1f, y1f)
-        lhs2 = interior(d_a, pair)
-        rhs2 = y1f.scale(contract(d_a, x1f)) - x1f.scale(contract(d_a, y1f))
-        rec.check("contraction_degree2", sampling.residual_forms(lhs2, rhs2, point))
-        # Lie derivative commutes with prolongation (Cartan formula against
-        # the classical coordinate formula)
-        lhs3 = lie_derivative(d_a, eta)
-        rhs3 = prolong_form(
-            classical_lie_one_form(theta.components, eta_base), algebra
-        )
-        rec.check("lie_prolongation", sampling.residual_forms(lhs3, rhs3, point))
-        # scaling the field before prolonging
-        lhs4 = lie_derivative(d_a.scale(f_a), eta)
-        rhs4 = prolong_form(
-            classical_lie_one_form(
-                theta.scale(f).components, eta_base
-            ),
-            algebra,
-        )
-        rec.check("lie_scaled_field", sampling.residual_forms(lhs4, rhs4, point))
-        # scaling the form before prolonging
-        lhs5 = lie_derivative(d_a, eta.scale(f_a))
-        rhs5 = prolong_form(
-            classical_lie_one_form(theta.components, eta_base.scale(f)), algebra
-        )
-        rec.check("lie_scaled_form", sampling.residual_forms(lhs5, rhs5, point))
-        # Lie derivative of a differential is the differential of the action
-        rec.check(
-            "lie_of_differential",
-            sampling.residual_forms(
-                lie_derivative(d_a, delta(f_a)), delta(d_a.apply(f_a)), point
-            ),
-        )
-        # general-derivation laws, with algebra constants in play
-        phi = AFunction(
-            sampling.random_expr_with_consta(rng, n, algebra), n, algebra
-        )
-        gen_d = AVectorField(
-            tuple(
-                sampling.random_expr_with_consta(rng, n, algebra, depth=2)
-                for _ in range(n)
-            ),
-            algebra,
-        )
-        x_form = sampling.random_one_form(rng, n, algebra, with_consta=True)
-        lhs7 = lie_derivative(gen_d.scale(phi), x_form)
-        rhs7 = lie_derivative(gen_d, x_form).scale(phi) + delta(phi).scale(
-            contract(gen_d, x_form)
-        )
-        rec.check(
-            "lie_function_times_derivation", sampling.residual_forms(lhs7, rhs7, point)
-        )
-        lhs8 = lie_derivative(gen_d, x_form.scale(phi))
-        rhs8 = x_form.scale(gen_d.apply(phi)) + lie_derivative(gen_d, x_form).scale(phi)
-        rec.check("lie_leibniz", sampling.residual_forms(lhs8, rhs8, point))
-        rec.check(
-            "lie_of_differential_general",
-            sampling.residual_forms(
-                lie_derivative(gen_d, delta(phi)), delta(gen_d.apply(phi)), point
-            ),
-        )
-        # square of the differential vanishes
-        w0 = CoordForm(0, n, algebra, {(): sampling.random_expr(rng, n, depth=3)})
-        dd0 = dform(dform(w0))
-        rec.check(
-            "dd_zero",
-            max(
-                [sampling.residual_zero(v) for v in dd0.evaluate(point).values()],
-                default=0.0,
-            ),
-        )
-        # Lie derivative commutes with the differential
-        rec.check(
-            "lie_commutes_with_d",
-            sampling.residual_forms(
-                lie_derivative(gen_d, dform(x_form)),
-                dform(lie_derivative(gen_d, x_form)),
-                point,
-            ),
-        )
-        # interior product is a degree -1 derivation against wedge; on two
-        # 1-forms the degree-0 contractions act as scalars on the other leg
-        lhs_w = interior(gen_d, wedge(x_form, y1f))
-        rhs_w = y1f.scale(contract(gen_d, x_form)) - x_form.scale(
-            contract(gen_d, y1f)
-        )
-        rec.check("interior_derivation", sampling.residual_forms(lhs_w, rhs_w, point))
-    return rec.report("cartan", seed, trials)
+    algebra = sampling.random_algebra(rng)
+    n = int(rng.integers(2, 4))
+    theta = sampling.random_field(rng, n)
+    point = sampling.random_point(rng, algebra, n)
+    d_a = prolong_field(theta, algebra)
+    eta_base = sampling.random_one_form(rng, n, base)
+    eta = prolong_form(eta_base, algebra)
+    f = sampling.random_polynomial(rng, n)
+    f_a = AFunction(f, n, algebra)
+    rec.inputs = {
+        "theta": ", ".join(to_string(c) for c in theta.components),
+        "algebra": algebra.describe(),
+    }
+    zero = algebra.zero()
+    # interior product commutes with prolongation (numeric contraction
+    # against the symbolic base route)
+    base_interior = contract(prolong_field(theta, base), eta_base).expr
+    lhs_map = interior_eval(d_a, eta, point)
+    rec.check(
+        "interior_prolongation",
+        sampling.residual(lhs_map.get((), zero), eval_weil(base_interior, point, algebra)),
+    )
+    # degree-2 contraction formula on a decomposable wedge
+    x1f = sampling.random_one_form(rng, n, algebra, with_consta=True)
+    y1f = sampling.random_one_form(rng, n, algebra, with_consta=True)
+    pair = wedge(x1f, y1f)
+    lhs2 = interior(d_a, pair)
+    rhs2 = y1f.scale(contract(d_a, x1f)) - x1f.scale(contract(d_a, y1f))
+    rec.check("contraction_degree2", sampling.residual_forms(lhs2, rhs2, point))
+    # Lie derivative commutes with prolongation (Cartan formula against
+    # the classical coordinate formula)
+    lhs3 = lie_derivative(d_a, eta)
+    rhs3 = prolong_form(classical_lie_one_form(theta.components, eta_base), algebra)
+    rec.check("lie_prolongation", sampling.residual_forms(lhs3, rhs3, point))
+    # scaling the field before prolonging
+    lhs4 = lie_derivative(d_a.scale(f_a), eta)
+    rhs4 = prolong_form(classical_lie_one_form(theta.scale(f).components, eta_base), algebra)
+    rec.check("lie_scaled_field", sampling.residual_forms(lhs4, rhs4, point))
+    # scaling the form before prolonging
+    lhs5 = lie_derivative(d_a, eta.scale(f_a))
+    rhs5 = prolong_form(
+        classical_lie_one_form(theta.components, eta_base.scale(f)), algebra
+    )
+    rec.check("lie_scaled_form", sampling.residual_forms(lhs5, rhs5, point))
+    # Lie derivative of a differential is the differential of the action
+    rec.check(
+        "lie_of_differential",
+        sampling.residual_forms(
+            lie_derivative(d_a, delta(f_a)), delta(d_a.apply(f_a)), point
+        ),
+    )
+    # general-derivation laws, with algebra constants in play
+    phi = AFunction(sampling.random_expr_with_consta(rng, n, algebra), n, algebra)
+    gen_d = AVectorField(
+        tuple(
+            sampling.random_expr_with_consta(rng, n, algebra, depth=2)
+            for _ in range(n)
+        ),
+        algebra,
+    )
+    x_form = sampling.random_one_form(rng, n, algebra, with_consta=True)
+    lhs7 = lie_derivative(gen_d.scale(phi), x_form)
+    rhs7 = lie_derivative(gen_d, x_form).scale(phi) + delta(phi).scale(
+        contract(gen_d, x_form)
+    )
+    rec.check("lie_function_times_derivation", sampling.residual_forms(lhs7, rhs7, point))
+    lhs8 = lie_derivative(gen_d, x_form.scale(phi))
+    rhs8 = x_form.scale(gen_d.apply(phi)) + lie_derivative(gen_d, x_form).scale(phi)
+    rec.check("lie_leibniz", sampling.residual_forms(lhs8, rhs8, point))
+    rec.check(
+        "lie_of_differential_general",
+        sampling.residual_forms(
+            lie_derivative(gen_d, delta(phi)), delta(gen_d.apply(phi)), point
+        ),
+    )
+    # square of the differential vanishes
+    w0 = CoordForm(0, n, algebra, {(): sampling.random_expr(rng, n, depth=3)})
+    dd0 = dform(dform(w0))
+    rec.check(
+        "dd_zero",
+        max(
+            [sampling.residual_zero(v) for v in dd0.evaluate(point).values()],
+            default=0.0,
+        ),
+    )
+    # Lie derivative commutes with the differential
+    rec.check(
+        "lie_commutes_with_d",
+        sampling.residual_forms(
+            lie_derivative(gen_d, dform(x_form)),
+            dform(lie_derivative(gen_d, x_form)),
+            point,
+        ),
+    )
+    # interior product is a degree -1 derivation against wedge; on two
+    # 1-forms the degree-0 contractions act as scalars on the other leg
+    lhs_w = interior(gen_d, wedge(x_form, y1f))
+    rhs_w = y1f.scale(contract(gen_d, x_form)) - x_form.scale(contract(gen_d, y1f))
+    rec.check("interior_derivation", sampling.residual_forms(lhs_w, rhs_w, point))
 
 
-def _suite_poisson_full(
-    seed: int, trials: int, tol: float, pi=None, algebra=None
-) -> CheckReport:
-    pi = pi if pi is not None else canonical_structure(1)
-    algebra = algebra if algebra is not None else sampling.catalog_algebra("dual")
-    return verify_a_poisson(pi, algebra, trials, tol, seed=seed)
-
-
+# each suite is the body of one trial, called as suite(rng, rec, pi=..., algebra=...)
 SUITES = {
     "hom_laws": _suite_hom_laws,
     "field_prolong": _suite_field_prolong,
     "bracket_prolong": _suite_bracket_prolong,
     "cartan": _suite_cartan,
-    "poisson_full": _suite_poisson_full,
+    "poisson_full": _a_poisson_trial,
 }
 
 
@@ -553,11 +493,16 @@ def run_suite(
     pi=None,
     algebra=None,
 ) -> CheckReport:
-    """Run a registered suite; deterministic given (suite, seed, trials)."""
+    """Run a registered suite; deterministic given (suite, seed, trials).
+
+    ``pi`` and ``algebra``, which only ``poisson_full`` reads, default to
+    the canonical bivector on R^2 over the dual numbers.
+    """
     if suite_id not in SUITES:
         raise UnknownSuite(
             f"{suite_id!r} is not one of {sorted(SUITES)}"
         )
-    if trials <= 0:
-        return vacuous_report(suite_id, seed, tol)
-    return SUITES[suite_id](seed, trials, tol, pi=pi, algebra=algebra)
+    pi = pi if pi is not None else canonical_structure(1)
+    algebra = algebra if algebra is not None else sampling.catalog_algebra("dual")
+    trial = partial(SUITES[suite_id], pi=pi, algebra=algebra)
+    return _run_trials(suite_id, seed, trials, tol, trial)

@@ -3,8 +3,8 @@
 The structure is a skew bivector with expression entries; the base bracket
 is {f, g} = sum_(i<j) pi_ij (d_i f d_j g - d_j f d_i g).  Prolonged
 operations reuse the same entries with Weil evaluation semantics, and are
-gated on a randomized Jacobi check ("trusted") because the bracket laws on
-the prolonged side presuppose the base Lie structure.
+gated on the Jacobi check of the coordinate triples ("trusted") because the
+bracket laws on the prolonged side presuppose the base Lie structure.
 
 Every bracket and prolonged operation comes from two contractions with
 the bivector: ``_pair`` (both brackets and the 2-form) and ``_sharp`` (ad
@@ -16,13 +16,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import partial
+from itertools import combinations
+from typing import Callable, Mapping, Sequence
 
 from .algebra import WeilAlgebra, WeilElement, augmentation
 from .errors import (
     AlgebraMismatch,
     DegreeError,
     DimensionMismatch,
+    DomainError,
     UntrustedStructure,
 )
 from .expr import (
@@ -58,7 +61,8 @@ class Witness:
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of a randomized verification run; pass means the worst
-    residual stayed within tolerance."""
+    residual stayed within tolerance.  ``redrawn`` counts the trials drawn
+    again after a domain error; it is shown in the summary, not the JSON."""
 
     suite: str
     seed: int
@@ -68,6 +72,7 @@ class CheckReport:
     passed: bool
     witnesses: tuple[Witness, ...] = ()
     warning: str | None = None
+    redrawn: int = 0
 
     def to_dict(self) -> dict:
         out = {
@@ -89,9 +94,10 @@ class CheckReport:
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
+        redrawn = f" redrawn={self.redrawn}" if self.redrawn else ""
         return (
             f"[{status}] {self.suite}: trials={self.trials} seed={self.seed} "
-            f"max_residual={self.max_residual:.3e} tol={self.tol:.1e}"
+            f"max_residual={self.max_residual:.3e} tol={self.tol:.1e}{redrawn}"
         )
 
 
@@ -107,6 +113,7 @@ class _Recorder:
         self.witnesses: list[Witness] = []
         # the current trial's inputs, which ``check`` witnesses carry
         self.inputs: dict[str, str] = {}
+        self.redrawn = 0
 
     def _passes(self, value: float) -> bool:
         # a non-finite residual fails whatever the tolerance
@@ -133,20 +140,36 @@ class _Recorder:
             max_residual=float(self.max_residual),
             passed=self._passes(self.max_residual),
             witnesses=tuple(self.witnesses),
+            redrawn=self.redrawn,
         )
 
 
-def vacuous_report(suite: str, seed: int, tol: float) -> CheckReport:
-    return CheckReport(
-        suite=suite,
-        seed=seed,
-        trials=0,
-        tol=tol,
-        max_residual=0.0,
-        passed=True,
-        witnesses=(),
-        warning="no trials were run; the pass is vacuous",
-    )
+def _run_trials(
+    suite: str, seed: int, trials: int, tol: float, trial: Callable[..., None]
+) -> CheckReport:
+    """Run ``trial(rng, rec)`` ``trials`` times on one generator seeded by
+    ``seed``; fewer than one trial gives a vacuous pass with a warning.
+
+    A trial that raises ``DomainError`` (a random expression left its
+    domain) is drawn again from the same generator; what it recorded
+    before the error stays.  After more than ``trials`` redraws the error
+    propagates.
+    """
+    rng = sampling.rng_for(seed)
+    if trials < 1:
+        return CheckReport(suite, seed, 0, tol, 0.0, True,
+                           warning="no trials were run; the pass is vacuous")
+    rec = _Recorder(tol)
+    for _ in range(trials):
+        while True:
+            try:
+                trial(rng, rec)
+                break
+            except DomainError:
+                rec.redrawn += 1
+                if rec.redrawn > trials:
+                    raise
+    return rec.report(suite, seed, trials)
 
 
 # -- the structure -----------------------------------------------------------------
@@ -249,46 +272,32 @@ def hamiltonian_field(pi: PoissonStructure, f: Expr) -> VectorField:
 def jacobi_check(
     pi: PoissonStructure, trials: int, tol: float, seed: int = 0
 ) -> CheckReport:
-    """Randomized Jacobi identity check; marks the structure trusted on pass.
+    """Jacobi identity check on the coordinate triples; marks the structure
+    trusted on pass (never after zero trials).
 
-    Trials alternate between coordinate triples and random cubic
-    polynomials, evaluated at uniform points of [-1,1]^n.
+    The Jacobiator is a trivector, the Schouten bracket [pi, pi], so it
+    vanishes exactly when it does on every triple x_i, x_j, x_k with
+    i < j < k.  Those C(n, 3) Jacobiators are built once, and each trial
+    evaluates all of them at one uniform point of [-1,1]^n.
     """
-    if trials < 1:
-        return vacuous_report("jacobi", seed, tol)
-    rng = sampling.rng_for(seed)
-    rec = _Recorder(tol)
-    n = pi.dim
-    coordinate_triples = [
-        (Var(i), Var(j), Var(k))
-        for i in range(n)
-        for j in range(i + 1, n)
-        for k in range(j + 1, n)
-    ]
-    for t in range(trials):
-        if coordinate_triples and t % 2 == 0:
-            f, g, h = coordinate_triples[t // 2 % len(coordinate_triples)]
-        else:
-            f = sampling.random_polynomial(rng, n)
-            g = sampling.random_polynomial(rng, n)
-            h = sampling.random_polynomial(rng, n)
-        point = rng.uniform(-1.0, 1.0, n)
+    jacobiators = []
+    for triple in combinations(range(pi.dim), 3):
+        f, g, h = (Var(i) for i in triple)
         jacobiator = add(
             add(bracket(pi, f, bracket(pi, g, h)), bracket(pi, g, bracket(pi, h, f))),
             bracket(pi, h, bracket(pi, f, g)),
         )
-        value = abs(eval_real(jacobiator, point))
-        rec.record(
-            value,
-            {
-                "f": to_string(f),
-                "g": to_string(g),
-                "h": to_string(h),
-                "point": str([round(x, 6) for x in point]),
-            },
-        )
-    report = rec.report("jacobi", seed, trials)
-    pi.trusted = report.passed
+        names = {"f": to_string(f), "g": to_string(g), "h": to_string(h)}
+        jacobiators.append((jacobiator, names))
+
+    def trial(rng, rec: _Recorder):
+        point = rng.uniform(-1.0, 1.0, pi.dim)
+        shown = str([round(x, 6) for x in point])
+        for jacobiator, names in jacobiators:
+            rec.record(abs(eval_real(jacobiator, point)), {**names, "point": shown})
+
+    report = _run_trials("jacobi", seed, trials, tol, trial)
+    pi.trusted = report.passed and report.trials > 0
     return report
 
 
@@ -382,87 +391,84 @@ def verify_a_poisson(
     Runs every sub-check once per trial; witnesses carry the sub-check
     name.  Does not require trust (this is the verifier).
     """
-    if trials < 1:
-        return vacuous_report("poisson_full", seed, tol)
-    rng = sampling.rng_for(seed)
-    rec = _Recorder(tol)
+    return _run_trials(
+        "poisson_full", seed, trials, tol, partial(_a_poisson_trial, pi=pi, algebra=algebra)
+    )
+
+
+def _a_poisson_trial(rng, rec: _Recorder, pi: PoissonStructure, algebra: WeilAlgebra):
+    """One trial of ``verify_a_poisson``, the ``poisson_full`` suite."""
     n = pi.dim
 
     def fn(expr: Expr) -> AFunction:
         return AFunction(expr, n, algebra)
 
-    for _ in range(trials):
-        point = sampling.random_point(rng, algebra, n)
-        phi = fn(sampling.random_expr_with_consta(rng, n, algebra))
-        psi = fn(sampling.random_expr_with_consta(rng, n, algebra))
-        chi = fn(sampling.random_polynomial(rng, n))
-        scalar = sampling.random_element(rng, algebra)
-        x_form = sampling.random_one_form(rng, n, algebra, with_consta=True)
-        y_form = sampling.random_one_form(rng, n, algebra, with_consta=True)
-        rec.inputs = {
-            "phi": to_string(phi.expr),
-            "psi": to_string(psi.expr),
-            "pi": pi.describe(),
-            "algebra": algebra.describe(),
-            "point": str([round(c.real, 6) for c in point]),
-        }
+    def br(a: AFunction, b: AFunction) -> AFunction:
+        return prolong_bracket(pi, a, b, force=True)
 
-        def br(a: AFunction, b: AFunction) -> AFunction:
-            return prolong_bracket(pi, a, b, force=True)
-
-        # antisymmetry
-        rec.check(
-            "antisymmetry",
-            sampling.residual_zero((br(phi, psi) + br(psi, phi))(point)),
-        )
-        # bilinearity over the algebra
-        lhs = br(scalar * phi + psi, chi)(point)
-        rhs = scalar * br(phi, chi)(point) + br(psi, chi)(point)
-        rec.check("bilinearity", sampling.residual(lhs, rhs))
-        # Leibniz in the second slot
-        psi_v = eval_weil(psi.expr, point, algebra)
-        chi_v = eval_weil(chi.expr, point, algebra)
-        lhs = br(phi, psi * chi)(point)
-        rhs = br(phi, psi)(point) * chi_v + psi_v * br(phi, chi)(point)
-        rec.check("leibniz", sampling.residual(lhs, rhs))
-        # Jacobi
-        jac = (
-            br(phi, br(psi, chi))(point)
-            + br(psi, br(chi, phi))(point)
-            + br(chi, br(phi, psi))(point)
-        )
-        rec.check("jacobi", sampling.residual_zero(jac))
-        # pairing against the 2-form: ad_tilde(X) phi = -omega(X, delta phi)
-        lhs = ad_tilde(pi, x_form, force=True).apply_at(phi, point)
-        rhs = -omega_at(pi, x_form, delta(phi), point, force=True)
-        rec.check("pairing_function", sampling.residual(lhs, rhs))
-        # double extension: contracting Y against ad_tilde(X) = -omega(X, Y)
-        lhs = contract(ad_tilde(pi, x_form, force=True), y_form)(point)
-        rhs = -omega_at(pi, x_form, y_form, point, force=True)
-        rec.check("pairing_form", sampling.residual(lhs, rhs))
-        # the differential intertwines bracket and Lie derivative
-        lie = lie_derivative(ad_prolong(pi, phi, force=True), delta(psi))
-        rec.check(
-            "differential_of_bracket",
-            sampling.residual_forms(lie, delta(br(phi, psi)), point),
-        )
-        # prolongation equality of the 2-form on base one-forms
-        fx = sampling.random_one_form(rng, n, algebra, with_consta=False)
-        fy = sampling.random_one_form(rng, n, algebra, with_consta=False)
-        base_value = omega_prolonged(pi, fx, fy, force=True)
-        rec.check(
-            "two_form_prolongation",
-            sampling.residual(
-                omega_at(pi, fx, fy, point, force=True),
-                eval_weil(base_value.expr, point, algebra),
-            ),
-        )
-        # augmentation compatibility: the bracket covers the base bracket
-        f0 = sampling.random_polynomial(rng, n)
-        g0 = sampling.random_polynomial(rng, n)
-        down = eval_real(bracket(pi, f0, g0), point.base_point())
-        up = augmentation(br(fn(f0), fn(g0))(point))
-        gap = abs(up - down) / (1.0 + max(abs(up), abs(down)))
-        rec.check("augmentation", gap)
-
-    return rec.report("poisson_full", seed, trials)
+    point = sampling.random_point(rng, algebra, n)
+    phi = fn(sampling.random_expr_with_consta(rng, n, algebra))
+    psi = fn(sampling.random_expr_with_consta(rng, n, algebra))
+    chi = fn(sampling.random_polynomial(rng, n))
+    scalar = sampling.random_element(rng, algebra)
+    x_form = sampling.random_one_form(rng, n, algebra, with_consta=True)
+    y_form = sampling.random_one_form(rng, n, algebra, with_consta=True)
+    rec.inputs = {
+        "phi": to_string(phi.expr),
+        "psi": to_string(psi.expr),
+        "pi": pi.describe(),
+        "algebra": algebra.describe(),
+        "point": str([round(c.real, 6) for c in point]),
+    }
+    # antisymmetry
+    rec.check(
+        "antisymmetry",
+        sampling.residual_zero((br(phi, psi) + br(psi, phi))(point)),
+    )
+    # bilinearity over the algebra
+    lhs = br(scalar * phi + psi, chi)(point)
+    rhs = scalar * br(phi, chi)(point) + br(psi, chi)(point)
+    rec.check("bilinearity", sampling.residual(lhs, rhs))
+    # Leibniz in the second slot
+    psi_v = eval_weil(psi.expr, point, algebra)
+    chi_v = eval_weil(chi.expr, point, algebra)
+    lhs = br(phi, psi * chi)(point)
+    rhs = br(phi, psi)(point) * chi_v + psi_v * br(phi, chi)(point)
+    rec.check("leibniz", sampling.residual(lhs, rhs))
+    # Jacobi, scaled by its terms like the other sub-checks: the first two
+    # against minus the third
+    first = br(phi, br(psi, chi))(point) + br(psi, br(chi, phi))(point)
+    third = br(chi, br(phi, psi))(point)
+    rec.check("jacobi", sampling.residual(first, -third))
+    # pairing against the 2-form: ad_tilde(X) phi = -omega(X, delta phi)
+    lhs = ad_tilde(pi, x_form, force=True).apply_at(phi, point)
+    rhs = -omega_at(pi, x_form, delta(phi), point, force=True)
+    rec.check("pairing_function", sampling.residual(lhs, rhs))
+    # double extension: contracting Y against ad_tilde(X) = -omega(X, Y)
+    lhs = contract(ad_tilde(pi, x_form, force=True), y_form)(point)
+    rhs = -omega_at(pi, x_form, y_form, point, force=True)
+    rec.check("pairing_form", sampling.residual(lhs, rhs))
+    # the differential intertwines bracket and Lie derivative
+    lie = lie_derivative(ad_prolong(pi, phi, force=True), delta(psi))
+    rec.check(
+        "differential_of_bracket",
+        sampling.residual_forms(lie, delta(br(phi, psi)), point),
+    )
+    # prolongation equality of the 2-form on base one-forms
+    fx = sampling.random_one_form(rng, n, algebra, with_consta=False)
+    fy = sampling.random_one_form(rng, n, algebra, with_consta=False)
+    base_value = omega_prolonged(pi, fx, fy, force=True)
+    rec.check(
+        "two_form_prolongation",
+        sampling.residual(
+            omega_at(pi, fx, fy, point, force=True),
+            eval_weil(base_value.expr, point, algebra),
+        ),
+    )
+    # augmentation compatibility: the bracket covers the base bracket
+    f0 = sampling.random_polynomial(rng, n)
+    g0 = sampling.random_polynomial(rng, n)
+    down = eval_real(bracket(pi, f0, g0), point.base_point())
+    up = augmentation(br(fn(f0), fn(g0))(point))
+    gap = abs(up - down) / (1.0 + max(abs(up), abs(down)))
+    rec.check("augmentation", gap)

@@ -19,6 +19,7 @@ from .algebra import (
     WeilElement,
     build_algebra,
 )
+from .errors import WeilcError
 from .expr import Apply, ConstA, ConstR, Expr, Var, add, mul, power, sub
 from .forms import CoordForm
 from .prolongation import APoint, VectorField
@@ -51,6 +52,8 @@ def catalog_algebra(name: str) -> WeilAlgebra:
 
 
 def rng_for(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise WeilcError(f"seed {seed} is negative; seeds are integers >= 0")
     return np.random.Generator(np.random.PCG64(seed))
 
 

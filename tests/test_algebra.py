@@ -453,6 +453,12 @@ class TestMorphisms:
         with pytest.raises(NotMorphism):
             validate_morphism(source, target, matrix)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        A = dual_numbers()
+        with pytest.raises(NotMorphism, match="non-finite"):
+            validate_morphism(A, A, [[1.0, 0.0], [bad, bad]])
+
     def test_apply_linear_shape_check(self):
         A = dual_numbers()
         with pytest.raises(AlgebraMismatch):

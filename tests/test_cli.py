@@ -352,6 +352,48 @@ class TestArgumentEdges:
         assert "Traceback" not in err
 
 
+CHART2 = str(Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "chart2.yaml")
+
+
+class TestSeedsAndRedraws:
+    def test_negative_seed_flag(self, config2, capsys):
+        code = main(["--config", config2, "check", "hom_laws", "--seed", "-1", "--trials", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed -1 is negative; seeds are integers >= 0\n"
+        assert captured.out == ""
+
+    def test_negative_seed_in_config(self, tmp_path, capsys):
+        path = tmp_path / "project.yaml"
+        path.write_text(CONFIG_2D.replace("seed: 42", "seed: -1"), encoding="utf-8")
+        assert main(["--config", str(path), "check", "hom_laws", "--trials", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: suites settings: seed -1 is negative\n"
+        assert captured.out == ""
+
+    def test_domain_error_trial_is_redrawn(self, tmp_path, capsys):
+        # this seed draws an exp that overflows at the image point of the
+        # composition sub-check; the trial is drawn again
+        out = tmp_path / "r.json"
+        argv = ["--config", CHART2, "check", "hom_laws", "--seed", "895108364",
+                "--trials", "3", "--json", str(out)]
+        assert main(argv) == 0
+        summary = capsys.readouterr().out.splitlines()[0]
+        assert summary.startswith("[PASS] hom_laws: trials=3 ")
+        assert summary.endswith(" redrawn=1")
+        report = json.loads(out.read_text())
+        assert set(report) == {"suite", "seed", "trials", "max_residual", "pass", "witnesses"}
+        assert report["pass"] and report["trials"] == 3
+
+    def test_jacobi_residual_is_scaled_by_its_terms(self, capsys):
+        # psi holds exp(exp(exp(x2))), about 8e5 at the point; unscaled, the
+        # Jacobiator's float cancellation read 5.96e-08 and failed
+        argv = ["--config", CHART2, "check", "poisson_full", "--pi", "canonical2",
+                "--algebra", "dual", "--seed", "1027864161", "--trials", "3"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("[PASS] poisson_full: trials=3 ")
+
+
 def _weilc_error_classes():
     """Every WeilcError subclass the errors module defines."""
     found, stack = [], [errors.WeilcError]

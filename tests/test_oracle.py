@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from weilc import TaylorOracleConfig, run_suite, taylor_coeffs
-from weilc.errors import DomainError, UnknownSuite
+from weilc.errors import DomainError, UnknownSuite, WeilcError
 from weilc.expr import parse
 from weilc.oracle import central_diff_weights, poly_coeffs_exact
 from weilc.poisson import CheckReport
@@ -118,6 +118,10 @@ class TestRunSuite:
         assert report.max_residual == 0.0
         assert report.warning is not None
         assert "warning" in report.to_dict()
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(WeilcError, match="seed -1 is negative"):
+            run_suite("hom_laws", seed=-1, trials=1, tol=1e-9)
 
     def test_determinism_bit_for_bit(self):
         first = run_suite("hom_laws", seed=42, trials=30, tol=1e-9)

@@ -28,7 +28,7 @@ from weilc import (
     so3_structure,
     verify_a_poisson,
 )
-from weilc.errors import AlgebraMismatch, UntrustedStructure
+from weilc.errors import AlgebraMismatch, DomainError, UntrustedStructure
 from weilc.expr import (
     ConstA,
     ConstR,
@@ -42,8 +42,9 @@ from weilc.expr import (
     sub,
 )
 from weilc.oracle import poly_coeffs_exact
-from weilc.poisson import PoissonStructure, _Recorder, omega_at
+from weilc.poisson import PoissonStructure, _Recorder, _run_trials, omega_at
 from weilc.sampling import (
+    catalog_algebra,
     random_expr,
     random_expr_with_consta,
     random_one_form,
@@ -166,6 +167,18 @@ class TestJacobiCheck:
         )
         coeffs = poly_coeffs_exact(jac, 3)
         assert coeffs == {(1, 1, 0): Fraction(0.2)}
+
+    def test_witnesses_are_coordinate_triples(self):
+        report = jacobi_check(perturbed_so3(), trials=5, tol=1e-9, seed=2)
+        assert len(report.witnesses) == 5
+        assert {(w.inputs["f"], w.inputs["g"], w.inputs["h"]) for w in report.witnesses} == {
+            ("x1", "x2", "x3")
+        }
+
+    def test_two_dimensional_chart_has_no_triples(self):
+        pi = PoissonStructure(2, {(0, 1): parse("1 + x1^2*x2", 2)})
+        report = jacobi_check(pi, trials=5, tol=1e-9, seed=2)
+        assert report.passed and report.max_residual == 0.0 and pi.trusted
 
     def test_zero_trials_is_vacuous_with_warning(self):
         pi = canonical_structure(1)
@@ -379,6 +392,48 @@ class TestVerifyAPoisson:
         }
 
 
+class TestRunTrials:
+    """The one trial driver: seeding, the loop, redraws and the zero-trial case."""
+
+    def test_domain_error_is_drawn_again_from_the_same_generator(self):
+        draws = []
+
+        def trial(rng, rec):
+            draws.append(rng.random())
+            if len(draws) == 2:
+                raise DomainError("left the domain")
+            rec.record(0.0, {})
+
+        report = _run_trials("x", 1, 3, 1e-9, trial)
+        assert report.passed and report.trials == 3 and report.redrawn == 1
+        assert draws == list(rng_for(1).random(4))
+        assert report.summary().endswith(" redrawn=1")
+        assert "redrawn" not in report.to_dict()
+
+    def test_a_trial_that_always_raises_ends_in_domain_error(self):
+        calls = []
+
+        def trial(rng, rec):
+            calls.append(1)
+            raise DomainError("always")
+
+        with pytest.raises(DomainError):
+            _run_trials("x", 1, 3, 1e-9, trial)
+        assert len(calls) == 4  # the first draw and three redraws
+
+    def test_no_redraw_leaves_the_summary_as_it_was(self):
+        report = _run_trials("x", 1, 2, 1e-9, lambda rng, rec: rec.record(0.0, {}))
+        assert report.redrawn == 0
+        assert report.summary() == (
+            "[PASS] x: trials=2 seed=1 max_residual=0.000e+00 tol=1.0e-09"
+        )
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_fewer_than_one_trial_is_vacuous(self, trials):
+        report = _run_trials("x", 1, trials, 1e-9, None)
+        assert report.passed and report.trials == 0 and report.warning
+
+
 class TestRecorder:
     """A non-finite residual is a failure with a witness, never a pass."""
 
@@ -555,3 +610,19 @@ class TestHamiltonianFieldOnSharp:
         f = add(Var(0), ConstA(dual.generator("eps")))
         with pytest.raises(AlgebraMismatch):
             hamiltonian_field(so3_structure(), f)
+
+
+class TestPaperCondition:
+    """M^A is A-Poisson exactly when M is Poisson: the A-side verifier passes
+    on exactly the bivectors the base Jacobi check passes, and fails only
+    through Jacobi witnesses."""
+
+    @pytest.mark.parametrize("algebra", ["dual", "jet2", "plane", "corner3"])
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    def test_a_poisson_exactly_when_poisson(self, name, algebra):
+        pi = STRUCTURES[name]()
+        base = jacobi_check(pi, trials=3, tol=1e-9, seed=42)
+        full = verify_a_poisson(pi, catalog_algebra(algebra), trials=3, tol=1e-9, seed=42)
+        assert base.passed == (name != "shifted3")
+        assert full.passed == base.passed
+        assert all(w.inputs["check"] == "jacobi" for w in full.witnesses)
