@@ -15,14 +15,19 @@ from weilc.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
 EXAMPLE = ROOT / "docs" / "example_config.yaml"
-CHART3 = ROOT / "perfbench" / "configs" / "chart3.yaml"
+CHARTS = ROOT / "perfbench" / "configs"
 
 SUITES = ("hom_laws", "field_prolong", "bracket_prolong", "cartan", "poisson_full")
+# The paper's condition on every benchmark bivector and algebra; shifted3
+# is not Poisson, so its reports fail with witnesses.
+BIVECTORS = (("canonical2", "chart2", 0), ("quadratic2", "chart2", 0),
+             ("so3", "chart3", 0), ("shifted3", "chart3", 4))
+ALGEBRAS = ("dual", "jet2", "plane", "corner3")
 CASES = [(suite, EXAMPLE, [suite], 0) for suite in SUITES] + [
-    # shifted3 is not Poisson, so its report fails with witnesses
-    (f"poisson_full_{pi}_corner3", CHART3,
-     ["poisson_full", "--pi", pi, "--algebra", "corner3"], code)
-    for pi, code in (("so3", 0), ("shifted3", 4))
+    (f"poisson_full_{pi}_{alg}", CHARTS / f"{chart}.yaml",
+     ["poisson_full", "--pi", pi, "--algebra", alg], code)
+    for pi, chart, code in BIVECTORS
+    for alg in ALGEBRAS
 ]
 
 
