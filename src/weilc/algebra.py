@@ -6,16 +6,19 @@ power among the relations; the standard monomials (those divisible by no
 relation) then form a canonical basis, ordered graded-lexicographically
 with the generator order as declared.
 
-Products and integer powers run one kernel per algebra, compiled from its
-product plan: the (i, j, k) triples with i <= j and e_i e_j = e_k, listed
-once when the algebra is built, in basis order.  ``_compile`` turns a plan
-into straight-line code in which each output slot is summed from +0.0 in
-that fixed order, and an off-diagonal triple adds a_i b_j + a_j b_i in one
-step, so a*b and b*a agree bit for bit.  Taylor lifts keep the powers of the
-nilpotent part inside the maximal ideal, through a second kernel compiled
-from the triples with i > 0; the terms it leaves out are exact zeros, so
-the lift equals the full-plan Taylor sum bit for bit whenever it is finite,
-and a lift with a non-finite coefficient raises DomainError.
+An element holds its coefficients as a list of Python floats, the format
+the kernels read and write.  Products and integer powers run one kernel per
+algebra, compiled from its product plan: the (i, j, k) triples with i <= j
+and e_i e_j = e_k, listed once when the algebra is built, in basis order.
+The plan is the algebra's only record of its products.  ``_compile`` turns
+a plan into straight-line code in which each output slot is summed from
++0.0 in that fixed order, and an off-diagonal triple adds a_i b_j + a_j b_i
+in one step, so a*b and b*a agree bit for bit.  Taylor lifts keep the
+powers of the nilpotent part inside the maximal ideal, through a second
+kernel compiled from the triples with i > 0; the terms it leaves out are
+exact zeros, so the lift equals the full-plan Taylor sum bit for bit
+whenever it is finite, and a lift with a non-finite coefficient raises
+DomainError.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from numbers import Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,7 +100,7 @@ def _divides(d: Monomial, m: Monomial) -> bool:
 
 
 class WeilAlgebra:
-    """A built algebra: basis, multiplication table, height, augmentation.
+    """A built algebra: basis, product plan, height, augmentation.
 
     Instances are immutable after construction and act as identity handles:
     elements of two separately built algebras never mix, even if the
@@ -123,20 +127,15 @@ class WeilAlgebra:
         )
         index = {m: i for i, m in enumerate(self.basis)}
 
-        # table[i, j] = basis index of e_i * e_j, or -1 when the product
-        # falls into the ideal.  The product plan lists the non-zero
-        # products with i <= j, in the order the kernels accumulate them.
-        table = np.full((self.dim, self.dim), -1, dtype=np.int16)
+        # The product plan lists the non-zero products e_i e_j = e_k with
+        # i <= j, in the order the kernels accumulate them.  A monomial
+        # outside the ideal is a standard one, so the basis index decides.
         plan = []
         for i, mi in enumerate(self.basis):
-            for j, mj in enumerate(self.basis):
-                prod_m = tuple(a + b for a, b in zip(mi, mj))
-                if not any(_divides(rel, prod_m) for rel in presentation.relations):
-                    table[i, j] = index[prod_m]
-                    if i <= j:
-                        plan.append((i, j, index[prod_m]))
-        table.setflags(write=False)
-        self.mult_table = table
+            for j in range(i, self.dim):
+                k = index.get(tuple(a + b for a, b in zip(mi, self.basis[j])))
+                if k is not None:
+                    plan.append((i, j, k))
         self.product_plan: tuple[tuple[int, int, int], ...] = tuple(plan)
         self._index = index
         self._mul = _compile(self.product_plan, self.dim)
@@ -148,25 +147,25 @@ class WeilAlgebra:
     # -- element constructors -------------------------------------------------
 
     def element(self, coeffs: Sequence[float]) -> "WeilElement":
-        arr = np.asarray(coeffs, dtype=float)
-        if arr.shape != (self.dim,):
+        """An element from one real number per basis monomial."""
+        try:
+            values = list(coeffs)
+        except TypeError:  # a scalar
+            values = []
+        if len(values) != self.dim or not all(isinstance(c, Real) for c in values):
             raise AlgebraMismatch(
-                f"coefficient vector of length {arr.size}, expected {self.dim}"
+                f"expected {self.dim} real coefficients, got {coeffs!r}"
             )
-        return WeilElement(self, arr.copy())
+        return WeilElement(self, [float(c) for c in values])
 
     def zero(self) -> "WeilElement":
-        return WeilElement(self, np.zeros(self.dim))
+        return WeilElement(self, [0.0] * self.dim)
 
     def unit(self) -> "WeilElement":
-        coeffs = np.zeros(self.dim)
-        coeffs[0] = 1.0
-        return WeilElement(self, coeffs)
+        return self.from_real(1.0)
 
     def from_real(self, x: float) -> "WeilElement":
-        coeffs = np.zeros(self.dim)
-        coeffs[0] = float(x)
-        return WeilElement(self, coeffs)
+        return WeilElement(self, [float(x)] + [0.0] * (self.dim - 1))
 
     def generator(self, name: str) -> "WeilElement":
         k = len(self.presentation.generators)
@@ -175,13 +174,8 @@ class WeilAlgebra:
         except ValueError:
             raise AlgebraMismatch(f"no generator named {name!r}") from None
         mono = tuple(1 if i == g else 0 for i in range(k))
-        idx = self._index.get(mono)
-        if idx is None:
-            # the generator itself lies in the ideal
-            return self.zero()
-        coeffs = np.zeros(self.dim)
-        coeffs[idx] = 1.0
-        return WeilElement(self, coeffs)
+        idx = self._index.get(mono)  # None when the generator lies in the ideal
+        return WeilElement(self, [float(i == idx) for i in range(self.dim)])
 
     # -- misc -----------------------------------------------------------------
 
@@ -246,22 +240,20 @@ def _compile(
 
 
 class WeilElement:
-    """A coefficient vector over an algebra's standard-monomial basis."""
+    """A coefficient list over an algebra's standard-monomial basis."""
 
     __slots__ = ("algebra", "coeffs")
 
-    def __init__(self, algebra: WeilAlgebra, coeffs: np.ndarray):
+    def __init__(self, algebra: WeilAlgebra, coeffs: list[float]):
         self.algebra = algebra
         self.coeffs = coeffs
 
     @property
     def real(self) -> float:
-        return float(self.coeffs[0])
+        return self.coeffs[0]
 
     def nilpotent_part(self) -> "WeilElement":
-        coeffs = self.coeffs.copy()
-        coeffs[0] = 0.0
-        return WeilElement(self.algebra, coeffs)
+        return WeilElement(self.algebra, [0.0, *self.coeffs[1:]])
 
     def _coerce(self, other) -> "WeilElement | None":
         if isinstance(other, WeilElement):
@@ -279,7 +271,7 @@ class WeilElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return WeilElement(self.algebra, self.coeffs + o.coeffs)
+        return WeilElement(self.algebra, [x + y for x, y in zip(self.coeffs, o.coeffs)])
 
     __radd__ = __add__
 
@@ -287,31 +279,34 @@ class WeilElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return WeilElement(self.algebra, self.coeffs - o.coeffs)
+        return WeilElement(self.algebra, [x - y for x, y in zip(self.coeffs, o.coeffs)])
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return WeilElement(self.algebra, o.coeffs - self.coeffs)
+        return WeilElement(self.algebra, [y - x for x, y in zip(self.coeffs, o.coeffs)])
 
     def __neg__(self):
-        return WeilElement(self.algebra, -self.coeffs)
+        return WeilElement(self.algebra, [-x for x in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return WeilElement(self.algebra, self.coeffs * float(other))
+            s = float(other)  # a numpy float would spread into the list
+            return WeilElement(self.algebra, [x * s for x in self.coeffs])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        product = self.algebra._mul(self.coeffs.tolist(), o.coeffs.tolist())
-        return WeilElement(self.algebra, np.array(product))
+        return WeilElement(self.algebra, self.algebra._mul(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
-            return WeilElement(self.algebra, self.coeffs / float(other))
+            s = float(other)
+            if s == 0.0:
+                raise DomainError("division by zero")
+            return WeilElement(self.algebra, [x / s for x in self.coeffs])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -323,24 +318,24 @@ class WeilElement:
         if k < 0:
             return taylor_lift(RECIPROCAL, self) ** (-k)
         alg = self.algebra
-        a = self.coeffs.tolist()
-        out = [1.0] + [0.0] * (alg.dim - 1)
+        out = alg.unit().coeffs
         for _ in range(k):
-            out = alg._mul(out, a)
-        return WeilElement(alg, np.array(out))
+            out = alg._mul(out, self.coeffs)
+        return WeilElement(alg, out)
 
     def __eq__(self, other):
         if not isinstance(other, WeilElement):
             return NotImplemented
-        return self.algebra is other.algebra and np.array_equal(
-            self.coeffs, other.coeffs
+        # float ==, not list ==: NaN never equals itself, and -0.0 == 0.0
+        return self.algebra is other.algebra and all(
+            x == y for x, y in zip(self.coeffs, other.coeffs)
         )
 
     __hash__ = None
 
     def allclose(self, other: "WeilElement", tol: float = 1e-9) -> bool:
         o = self._coerce(other)
-        return bool(np.all(np.abs(self.coeffs - o.coeffs) <= tol))
+        return all(abs(x - y) <= tol for x, y in zip(self.coeffs, o.coeffs))
 
     def __repr__(self):
         return render_element(self)
@@ -510,8 +505,7 @@ def taylor_lift(prim: PrimitiveFn, a: WeilElement) -> WeilElement:
     except (ValueError, ZeroDivisionError) as exc:
         # sin(inf), or 1/r^(j+1) when r^(j+1) underflows to zero
         raise DomainError(f"{prim.name} derivatives undefined at {r}") from exc
-    n = a.coeffs.tolist()
-    n[0] = 0.0
+    n = a.nilpotent_part().coeffs
     out = [float(derivs[0])] + [0.0] * (a.algebra.dim - 1)
     power = n
     factorial = 1.0
@@ -525,7 +519,7 @@ def taylor_lift(prim: PrimitiveFn, a: WeilElement) -> WeilElement:
         out = [o + p * scale for o, p in zip(out, power)]
     if not all(map(math.isfinite, out)):
         raise DomainError(f"{prim.name} lift at {r} is not finite")
-    return WeilElement(a.algebra, np.array(out))
+    return WeilElement(a.algebra, out)
 
 
 def apply_linear(matrix: np.ndarray, a: WeilElement) -> WeilElement:
@@ -535,7 +529,7 @@ def apply_linear(matrix: np.ndarray, a: WeilElement) -> WeilElement:
         raise AlgebraMismatch(
             f"endomorphism matrix {matrix.shape} does not fit dim {a.algebra.dim}"
         )
-    return WeilElement(a.algebra, matrix @ a.coeffs)
+    return WeilElement(a.algebra, (matrix @ a.coeffs).tolist())
 
 
 # -- algebra morphisms ----------------------------------------------------------
@@ -552,7 +546,7 @@ class AlgebraMorphism:
     def apply(self, a: WeilElement) -> WeilElement:
         if a.algebra is not self.source:
             raise AlgebraMismatch("element does not live over the morphism source")
-        return WeilElement(self.target, self.matrix @ a.coeffs)
+        return WeilElement(self.target, (self.matrix @ a.coeffs).tolist())
 
     def __call__(self, a: WeilElement) -> WeilElement:
         return self.apply(a)
@@ -569,21 +563,20 @@ def validate_morphism(
         )
     if not np.isfinite(matrix).all():
         raise NotMorphism("matrix has a non-finite entry")
-    unit_image = matrix[:, 0]
-    if np.max(np.abs(unit_image - target.unit().coeffs)) > MORPHISM_TOL:
+    if np.max(np.abs(matrix[:, 0] - target.unit().coeffs)) > MORPHISM_TOL:
         raise NotMorphism("unit is not mapped to the unit")
-    aug_row = matrix[0]
-    expected = np.zeros(source.dim)
-    expected[0] = 1.0
-    if np.max(np.abs(aug_row - expected)) > MORPHISM_TOL:
+    if np.max(np.abs(matrix[0] - source.unit().coeffs)) > MORPHISM_TOL:
         raise NotMorphism("map does not commute with the augmentations")
-    images = [WeilElement(target, matrix[:, i].copy()) for i in range(source.dim)]
+    images = [WeilElement(target, matrix[:, i].tolist()) for i in range(source.dim)]
+    products = {(i, j): k for i, j, k in source.product_plan}
+    # the kernel is symmetric, so the pairs with i <= j cover every pair
     for i in range(source.dim):
-        for j in range(source.dim):
-            k = source.mult_table[i, j]
+        for j in range(i, source.dim):
+            k = products.get((i, j))
             lhs = images[i] * images[j]
-            rhs = images[k].coeffs if k >= 0 else np.zeros(target.dim)
-            if np.max(np.abs(lhs.coeffs - rhs)) > MORPHISM_TOL:
+            rhs = images[k].coeffs if k is not None else target.zero().coeffs
+            # not <=: a product that overflows to NaN is no match either
+            if not np.max(np.abs(np.subtract(lhs.coeffs, rhs))) <= MORPHISM_TOL:
                 raise NotMorphism(
                     f"not multiplicative on basis pair "
                     f"({source.basis_names()[i]}, {source.basis_names()[j]})"
@@ -595,7 +588,4 @@ def validate_morphism(
 
 def augmentation_morphism(source: WeilAlgebra) -> AlgebraMorphism:
     """The projection onto R, as a morphism into the trivial algebra."""
-    target = trivial_algebra()
-    matrix = np.zeros((1, source.dim))
-    matrix[0, 0] = 1.0
-    return validate_morphism(source, target, matrix)
+    return validate_morphism(source, trivial_algebra(), [source.unit().coeffs])

@@ -146,11 +146,11 @@ def _cmd_algebra_show(cfg: ProjectConfig, args) -> int:
     print("products:")
     header = " " * width + "".join(s.ljust(width) for s in names)
     print(f"  {header}")
+    products = {}
+    for i, j, k in algebra.product_plan:
+        products[i, j] = products[j, i] = names[k]
     for i, row_name in enumerate(names):
-        cells = []
-        for j in range(algebra.dim):
-            k = algebra.mult_table[i, j]
-            cells.append((names[k] if k >= 0 else "0").ljust(width))
+        cells = [products.get((i, j), "0").ljust(width) for j in range(algebra.dim)]
         print(f"  {row_name.ljust(width)}{''.join(cells)}")
     if args.json:
         _write_json(
@@ -183,7 +183,7 @@ def _cmd_eval(cfg: ProjectConfig, args) -> int:
                 {
                     "expression": args.expression,
                     "algebra": args.algebra,
-                    "coefficients": [float(c) for c in value.coeffs],
+                    "coefficients": value.coeffs,
                     "rendering": render_element(value, sig=17),
                 },
                 sort_keys=True,

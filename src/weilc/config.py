@@ -135,14 +135,18 @@ def load_config(path: str) -> ProjectConfig:
             raise ConfigError(f"bivector {name!r}: {exc}") from exc
 
     suites = _expect_mapping(data.get("suites"), "suites")
-    try:
-        cfg.suites = SuiteSettings(
-            seed=int(suites.get("seed", cfg.suites.seed)),
-            trials=int(suites.get("trials", cfg.suites.trials)),
-            tol=float(suites.get("tol", cfg.suites.tol)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"suites settings: {exc}") from exc
-    if cfg.suites.seed < 0:
-        raise ConfigError(f"suites settings: seed {cfg.suites.seed} is negative")
+    seed, trials, tol = (
+        suites.get(key, getattr(cfg.suites, key)) for key in ("seed", "trials", "tol")
+    )
+    # YAML reads 1e-9 (no dot) as a string and yes as a bool; neither is a number
+    for key, value, kinds in (("seed", seed, int), ("trials", trials, int),
+                              ("tol", tol, (int, float))):
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            kind = "an integer" if kinds is int else "a number"
+            raise ConfigError(f"suites settings: {key} must be {kind}, got {value!r}")
+    if seed < 0:
+        raise ConfigError(f"suites settings: seed {seed} is negative")
+    if not tol >= 0:
+        raise ConfigError(f"suites settings: tol {tol} is negative or NaN")
+    cfg.suites = SuiteSettings(seed, trials, float(tol))
     return cfg

@@ -393,7 +393,7 @@ def eval_weil(e: Expr, point, algebra: WeilAlgebra | None = None) -> WeilElement
             raise AlgebraMismatch("point coordinates live over different algebras")
     value = _eval_weil(e, coords, algebra, {})
     # ring arithmetic overflows silently; one check here covers every path
-    if not all(map(math.isfinite, value.coeffs.tolist())):
+    if not all(map(math.isfinite, value.coeffs)):
         raise DomainError(f"non-finite result {render_element(value)}")
     return value
 

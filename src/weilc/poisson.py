@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     UntrustedStructure,
+    WeilcError,
 )
 from .expr import (
     AFunction,
@@ -153,8 +154,10 @@ def _run_trials(
     A trial that raises ``DomainError`` (a random expression left its
     domain) is drawn again from the same generator; what it recorded
     before the error stays.  After more than ``trials`` redraws the error
-    propagates.
+    propagates.  A negative or NaN ``tol`` is a usage error.
     """
+    if not tol >= 0:
+        raise WeilcError(f"tolerance {tol} is negative or NaN; use 0 or more")
     rng = sampling.rng_for(seed)
     if trials < 1:
         return CheckReport(suite, seed, 0, tol, 0.0, True,

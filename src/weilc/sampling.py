@@ -152,16 +152,17 @@ def random_one_form(
 
 def residual(lhs: WeilElement, rhs: WeilElement) -> float:
     """Sup-norm difference, normalized to the larger operand scale; inf when
-    either operand has a non-finite coefficient."""
-    sizes = [float(np.max(np.abs(x.coeffs))) for x in (lhs, rhs)]
-    if not all(map(math.isfinite, sizes)):
+    either operand has a non-finite coefficient (tested on its own, since
+    Python's max skips NaN)."""
+    both = lhs.coeffs + rhs.coeffs
+    if not all(map(math.isfinite, both)):
         return math.inf
-    return float(np.max(np.abs(lhs.coeffs - rhs.coeffs))) / (1.0 + max(sizes))
+    size = max(map(abs, both))
+    return max(abs(x - y) for x, y in zip(lhs.coeffs, rhs.coeffs)) / (1.0 + size)
 
 
 def residual_zero(value: WeilElement) -> float:
-    size = float(np.max(np.abs(value.coeffs)))
-    return size / (1.0 + size) if math.isfinite(size) else math.inf
+    return residual(value, value.algebra.zero())
 
 
 def residual_forms(a: CoordForm, b: CoordForm, point) -> float:

@@ -31,8 +31,10 @@ from weilc.errors import (
     NotFiniteDimensional,
     NotMorphism,
 )
+from weilc.expr import eval_weil, parse
 from weilc.oracle import taylor_coeffs
-from weilc.sampling import CATALOG, catalog_algebra
+from weilc.prolongation import APoint
+from weilc.sampling import CATALOG, catalog_algebra, random_element, rng_for
 
 
 def two_gen_algebra():
@@ -95,13 +97,36 @@ class TestBuild:
             assert A.basis[0] == tuple([0] * len(A.presentation.generators))
 
 
+def basis_products(A):
+    """Dense table of e_i e_j as a basis index, or -1 when the product lies in
+    the ideal; built from the basis monomials and the relations alone."""
+    index = {m: k for k, m in enumerate(A.basis)}
+    table = [[-1] * A.dim for _ in range(A.dim)]
+    for i, mi in enumerate(A.basis):
+        for j, mj in enumerate(A.basis):
+            m = tuple(a + b for a, b in zip(mi, mj))
+            if not any(all(r <= e for r, e in zip(rel, m))
+                       for rel in A.presentation.relations):
+                table[i][j] = index[m]
+    return table
+
+
 class TestMultiplicationTable:
     @pytest.mark.parametrize("factory", SAMPLE_ALGEBRAS)
     def test_unit_row_and_column(self, factory):
         A = factory()
+        table = basis_products(A)
         for i in range(A.dim):
-            assert A.mult_table[0, i] == i
-            assert A.mult_table[i, 0] == i
+            assert table[0][i] == i
+            assert table[i][0] == i
+
+    @pytest.mark.parametrize("factory", SAMPLE_ALGEBRAS)
+    def test_product_plan_is_the_dense_table(self, factory):
+        A = factory()
+        table = basis_products(A)
+        expected = [(i, j, table[i][j]) for i in range(A.dim)
+                    for j in range(i, A.dim) if table[i][j] >= 0]
+        assert list(A.product_plan) == expected
 
     @pytest.mark.parametrize("factory", SAMPLE_ALGEBRAS)
     def test_exhaustive_commutativity_and_associativity(self, factory):
@@ -127,13 +152,13 @@ class TestMultiplicationTable:
             out = combo[0]
             for e in combo[1:]:
                 out = out * e
-            assert not out.coeffs.any()
+            assert not any(out.coeffs)
         found = False
         for combo in combinations_with_replacement(nil, h):
             out = combo[0]
             for e in combo[1:]:
                 out = out * e
-            if out.coeffs.any():
+            if any(out.coeffs):
                 found = True
                 break
         assert found
@@ -176,16 +201,66 @@ class TestRingOps:
         assert a * (b + c) == a * b + a * c
 
 
+class TestElementFormat:
+    """Coefficients are a list of Python floats, whatever built the element."""
+
+    def test_every_path_yields_a_list_of_floats(self):
+        A = jets(2)
+        a = A.element(np.array([0.5, 2, -1]))
+        b = A.element([1, True, 0.25])
+        pure = [
+            A.element((1, 2, 3)), A.zero(), A.unit(), A.from_real(2), A.generator("t"),
+            a.nilpotent_part(), a + b, a + 1, 1 + a, a - b, a - 1, 1 - a, -a,
+            a * b, a * 2, 2 * a, a * 0.5, a * np.float64(0.5), a / b, a / 2,
+            a / np.float64(2), a + np.float64(1), a**3, a**-2,
+            taylor_lift(PRIMITIVES["exp"], a),
+            apply_linear(np.eye(3), a),
+            validate_morphism(A, dual_numbers(), [[1, 0, 0], [0, 1, 0]]).apply(a),
+            augmentation_morphism(A).apply(a),
+            eval_weil(parse("sin(x1)*x2 + 3", 2), APoint(A, (a, b))),
+            random_element(rng_for(1), A),
+        ]
+        for value in pure:
+            assert type(value.coeffs) is list
+            assert all(type(c) is float for c in value.coeffs), value.coeffs
+
+    @pytest.mark.parametrize(
+        "bad", ["12", [[1, 2]], [[1], [2]], np.array([[1.0], [2.0]]), [1, 2, 3], [1],
+                3.0, np.array(3.0), ["1", "2"], [None, 1]],
+        ids=["string", "row", "column", "column-array", "too-long", "too-short",
+             "scalar", "0-d-array", "strings", "none"],
+    )
+    def test_element_rejects_what_is_not_one_real_per_basis_monomial(self, bad):
+        with pytest.raises(AlgebraMismatch):
+            dual_numbers().element(bad)
+
+    def test_equality_is_float_equality(self):
+        A = dual_numbers()
+        nan = A.element([math.nan, 0.0])
+        assert nan != nan  # the same NaN object is still not equal
+        assert A.element([-0.0, 1.0]) == A.element([0.0, 1.0])
+        assert A.element([1.0, 2.0]) != A.element([1.0, 2.5])
+        assert not nan.allclose(nan)
+
+    def test_division_by_zero_scalar_is_a_domain_error(self):
+        A = dual_numbers()
+        with pytest.raises(DomainError, match="division by zero"):
+            A.unit() / 0
+        with pytest.raises(DomainError):
+            A.unit() / A.zero()
+
+
 def reference_product(A, a, b):
     """Dense-table product over coefficient lists, summed in basis order.
 
     The diagonal slot gets a_i b_i and each later j gets a_i b_j + a_j b_i;
     zero contributions are skipped, as the original dense loop did.
     """
+    table = basis_products(A)
     out = [0.0] * A.dim
     for i in range(A.dim):
         for j in range(i, A.dim):
-            k = A.mult_table[i, j]
+            k = table[i][j]
             if k < 0:
                 continue
             v = a[i] * b[i] if i == j else a[i] * b[j] + a[j] * b[i]
@@ -222,7 +297,7 @@ class TestProductKernel:
     @given(st.sampled_from(KERNEL_ALGEBRAS), st.data())
     def test_product_matches_dense_reference(self, A, data):
         a, b = elements(data, A, COEFFS, 2)
-        reference = reference_product(A, a.coeffs.tolist(), b.coeffs.tolist())
+        reference = reference_product(A, a.coeffs, b.coeffs)
         assert_bitwise((a * b).coeffs, reference)
 
     @given(st.sampled_from(KERNEL_ALGEBRAS), st.data())
@@ -233,9 +308,9 @@ class TestProductKernel:
     @given(st.sampled_from(KERNEL_ALGEBRAS), st.integers(0, 6), st.data())
     def test_power_is_repeated_product(self, A, k, data):
         (a,) = elements(data, A, COEFFS, 1)
-        expected = A.unit().coeffs.tolist()
+        expected = A.unit().coeffs
         for _ in range(k):
-            expected = reference_product(A, expected, a.coeffs.tolist())
+            expected = reference_product(A, expected, a.coeffs)
         assert_bitwise((a**k).coeffs, expected)
 
     @given(
@@ -253,17 +328,17 @@ class TestProductKernel:
         except DomainError:
             assume(False)
         derivs = prim.derivatives(a.real, A.height)
-        n = a.nilpotent_part().coeffs.tolist()
+        n = a.nilpotent_part().coeffs
         expected = A.from_real(derivs[0]).coeffs
-        power = A.unit().coeffs.tolist()
+        power = A.unit().coeffs
         factorial = 1.0
         for j in range(1, A.height + 1):
             power = reference_product(A, power, n)
             if not any(power):
                 break
             factorial *= j
-            with np.errstate(all="ignore"):
-                expected = expected + np.array(power) * (derivs[j] / factorial)
+            scale = derivs[j] / factorial
+            expected = [e + p * scale for e, p in zip(expected, power)]
         assert_bitwise(lifted.coeffs, expected)
 
 
@@ -273,7 +348,7 @@ def full_plan_taylor_sum(prim, a):
     A = a.algebra
     derivs = prim.derivatives(a.real, A.height)
     n = a.nilpotent_part()
-    out = A.from_real(derivs[0]).coeffs.tolist()
+    out = A.from_real(derivs[0]).coeffs
     power = A.unit()
     factorial = 1.0
     for j in range(1, A.height + 1):
@@ -282,7 +357,7 @@ def full_plan_taylor_sum(prim, a):
             break
         factorial *= j
         scale = derivs[j] / factorial
-        out = [o + p * scale for o, p in zip(out, power.coeffs.tolist())]
+        out = [o + p * scale for o, p in zip(out, power.coeffs)]
     return out
 
 
@@ -450,7 +525,7 @@ class TestMorphisms:
         source = jets(2, "x")
         target = dual_numbers()
         matrix = np.array([[1.0, 0, 0], [0, 1.0, 1.0]])
-        with pytest.raises(NotMorphism):
+        with pytest.raises(NotMorphism, match=r"basis pair \(x, x\)"):
             validate_morphism(source, target, matrix)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -458,6 +533,18 @@ class TestMorphisms:
         A = dual_numbers()
         with pytest.raises(NotMorphism, match="non-finite"):
             validate_morphism(A, A, [[1.0, 0.0], [bad, bad]])
+
+    def test_product_overflowing_to_nan_rejected(self):
+        # eps -> 1e200 (a + b - a^2 + ab): the a^2 b slot of its square is
+        # inf - inf, and the a^2 slot is inf
+        target = build_algebra(AlgebraPresentation(("a", "b"), ((3, 0), (0, 3))))
+        names = target.basis_names()
+        image = [0.0] * target.dim
+        for name, sign in (("a", 1), ("b", 1), ("a^2", -1), ("a*b", 1)):
+            image[names.index(name)] = sign * 1e200
+        matrix = [[1.0 if k == 0 else 0.0, c] for k, c in enumerate(image)]
+        with pytest.raises(NotMorphism, match=r"basis pair \(eps, eps\)"):
+            validate_morphism(dual_numbers(), target, matrix)
 
     def test_apply_linear_shape_check(self):
         A = dual_numbers()

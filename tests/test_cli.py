@@ -394,6 +394,61 @@ class TestSeedsAndRedraws:
         assert capsys.readouterr().out.startswith("[PASS] poisson_full: trials=3 ")
 
 
+class TestSuiteSettings:
+    @pytest.mark.parametrize("tol", ["-1", "nan", "-inf"])
+    def test_bad_tol_flag(self, config2, capsys, tol):
+        # --tol=-inf: argparse reads a bare "-inf" as an option name
+        code = main(["--config", config2, "check", "hom_laws", "--trials", "2", f"--tol={tol}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: tolerance {float(tol)} is negative or NaN; use 0 or more\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("tol, shown", [("0", "0.0e+00"), ("inf", "inf")])
+    def test_zero_and_inf_tol_flags_stay_valid(self, config2, capsys, tol, shown):
+        code = main(["--config", config2, "check", "hom_laws", "--trials", "2", "--tol", tol])
+        assert code == 0
+        assert f" tol={shown}" in capsys.readouterr().out
+
+    def test_bad_tol_in_library_call(self):
+        from weilc.oracle import run_suite
+
+        with pytest.raises(errors.WeilcError, match="negative or NaN"):
+            run_suite("hom_laws", 42, 2, -1e-9)
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ("{seed: 1.5, trials: 2}", "seed must be an integer, got 1.5"),
+            ("{seed: 1, trials: 2.9}", "trials must be an integer, got 2.9"),
+            ("{trials: true}", "trials must be an integer, got True"),
+            ("{seed: '7'}", "seed must be an integer, got '7'"),
+            ("{tol: yes}", "tol must be a number, got True"),
+            ("{tol: 1e-9}", "tol must be a number, got '1e-9'"),
+            ("{tol: -1}", "tol -1 is negative or NaN"),
+            ("{tol: .nan}", "tol nan is negative or NaN"),
+        ],
+    )
+    def test_bad_settings_in_config(self, tmp_path, capsys, settings, message):
+        path = tmp_path / "project.yaml"
+        path.write_text(f"chart_dim: 2\nsuites: {settings}\n", encoding="utf-8")
+        assert main(["--config", str(path), "check", "hom_laws"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: suites settings: {message}\n"
+        assert captured.out == ""
+
+    def test_integer_and_inf_settings_in_config(self, tmp_path, capsys):
+        path = tmp_path / "project.yaml"
+        path.write_text("chart_dim: 2\nsuites: {seed: 3, trials: 2, tol: .inf}\n",
+                        encoding="utf-8")
+        assert main(["--config", str(path), "check", "hom_laws"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "[PASS] hom_laws: trials=2 seed=3 max_residual="
+        )
+
+
 def _weilc_error_classes():
     """Every WeilcError subclass the errors module defines."""
     found, stack = [], [errors.WeilcError]

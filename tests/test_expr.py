@@ -191,7 +191,7 @@ class TestEvalWeil:
         value = eval_weil(parse("sin(x1)", 1), xi)
         oracle = taylor_coeffs(mpmath.sin, 0.7, 2)
         assert np.all(np.abs(value.coeffs - oracle) <= 1e-9 * (1 + np.abs(oracle)))
-        closed = [math.sin(0.7), math.cos(0.7), -math.sin(0.7) / 2]
+        closed = np.array([math.sin(0.7), math.cos(0.7), -math.sin(0.7) / 2])
         assert np.all(np.abs(value.coeffs - closed) <= 1e-9)
 
     def test_consta_mismatch(self):

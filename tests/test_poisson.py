@@ -5,7 +5,6 @@ import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from weilc import (
@@ -325,7 +324,7 @@ class TestOmega:
         eps = dual.generator("eps")
         x = CoordForm(1, 2, dual, {(0,): Var(1), (1,): ConstA(eps)})
         xi = APoint(dual, (dual.element([1, 1]), dual.element([3, 1])))
-        assert np.all(omega_prolonged(canonical, x, x)(xi).coeffs == 0.0)
+        assert all(c == 0.0 for c in omega_prolonged(canonical, x, x)(xi).coeffs)
 
     def test_prolongation_equality_example(self, canonical, dual):
         x = CoordForm(1, 2, dual, {(0,): Var(1)})  # x2 * dx1
@@ -465,8 +464,7 @@ class TestRecorder:
     def test_residual_of_inf_elements_fails(self):
         A = dual_numbers()
         big = A.element([math.inf, 1.0])
-        with np.errstate(invalid="ignore"):
-            value = residual(big, big)
+        value = residual(big, big)
         rec = _Recorder(1e-9)
         rec.record(value, {"check": "inf"})
         report = rec.report("x", 1, 1)
