@@ -65,7 +65,7 @@ from .forms import (
     wedge,
     zero_form,
 )
-from .oracle import TaylorOracleConfig, run_suite, taylor_coeffs
+from .oracle import run_suite, taylor_coeffs
 from .poisson import (
     CheckReport,
     PoissonStructure,

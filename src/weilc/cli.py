@@ -1,5 +1,10 @@
 """Command-line front end.
 
+Each flag is declared on the one parser whose command reads it: the top
+level takes only ``--config`` (and ``--version``); ``--json`` belongs to
+``algebra-show``, ``eval`` and ``check``; ``--seed``, ``--trials`` and
+``--tol`` to ``check``.  A flag anywhere else is an argparse usage error.
+
 Exit codes: 0 success, 1 config error, 2 resolution or usage error,
 3 domain error, 4 check failure.  ``main`` maps every ``WeilcError`` to
 one of 1-3: ``ConfigError`` to 1, ``DomainError`` to 3, any other to 2.
@@ -28,17 +33,6 @@ EXIT_DOMAIN = 3
 EXIT_CHECK_FAILED = 4
 
 
-def _add_shared_flags(p: argparse.ArgumentParser, with_suite_knobs: bool = False):
-    # also accepted after the subcommand; SUPPRESS keeps a top-level value
-    # from being overwritten when the flag is absent there
-    p.add_argument("--json", metavar="PATH", default=argparse.SUPPRESS,
-                   help="write a machine-readable report")
-    if with_suite_knobs:
-        p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-        p.add_argument("--trials", type=int, default=argparse.SUPPRESS)
-        p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weilc",
@@ -49,15 +43,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--config",
         help="project config path (falls back to the WEILC_CONFIG variable)",
     )
-    parser.add_argument("--seed", type=int, help="override the configured suite seed")
-    parser.add_argument("--trials", type=int, help="override the configured trials")
-    parser.add_argument("--tol", type=float, help="override the configured tolerance")
-    parser.add_argument("--json", metavar="PATH", help="write a machine-readable report")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("algebra-show", help="print basis, height, and products")
     p.add_argument("name")
-    _add_shared_flags(p)
+    p.add_argument("--json", metavar="PATH", help="write the basis as JSON")
 
     p = sub.add_parser("eval", help="evaluate a named expression at an algebra point")
     p.add_argument("expression")
@@ -67,28 +57,29 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="JSON list of per-coordinate coefficient vectors in basis order",
     )
-    _add_shared_flags(p)
+    p.add_argument("--json", metavar="PATH", help="write the value as JSON")
 
     p = sub.add_parser("bracket", help="Poisson bracket of two named expressions")
     p.add_argument("bivector")
     p.add_argument("f")
     p.add_argument("g")
     p.add_argument("--algebra", help="evaluate the prolonged bracket over this algebra")
-    p.add_argument("--point", help="JSON point (required with --algebra)")
-    _add_shared_flags(p)
+    p.add_argument("--point", help="JSON point (goes with --algebra)")
 
     p = sub.add_parser("prolong", help="apply a prolonged field to a prolonged function")
     p.add_argument("field")
     p.add_argument("expression")
     p.add_argument("--algebra", required=True)
     p.add_argument("--point", required=True)
-    _add_shared_flags(p)
 
     p = sub.add_parser("check", help="run a registered check suite")
     p.add_argument("suite")
-    p.add_argument("--pi", help="bivector name, for suites that take one")
-    p.add_argument("--algebra", help="algebra name, for suites that take one")
-    _add_shared_flags(p, with_suite_knobs=True)
+    p.add_argument("--pi", help="bivector name (poisson_full only)")
+    p.add_argument("--algebra", help="algebra name (poisson_full only)")
+    p.add_argument("--seed", type=int, help="override the configured suite seed")
+    p.add_argument("--trials", type=int, help="override the configured trials")
+    p.add_argument("--tol", type=float, help="override the configured tolerance")
+    p.add_argument("--json", metavar="PATH", help="write a machine-readable report")
     return parser
 
 
@@ -152,21 +143,20 @@ def _cmd_algebra_show(cfg: ProjectConfig, args) -> int:
     for i, row_name in enumerate(names):
         cells = [products.get((i, j), "0").ljust(width) for j in range(algebra.dim)]
         print(f"  {row_name.ljust(width)}{''.join(cells)}")
-    if args.json:
-        _write_json(
-            args.json,
-            json.dumps(
-                {
-                    "name": args.name,
-                    "dim": algebra.dim,
-                    "height": algebra.height,
-                    "basis": names,
-                },
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n",
+    _write_json(
+        args.json,
+        json.dumps(
+            {
+                "name": args.name,
+                "dim": algebra.dim,
+                "height": algebra.height,
+                "basis": names,
+            },
+            sort_keys=True,
+            indent=2,
         )
+        + "\n",
+    )
     return EXIT_OK
 
 
@@ -176,33 +166,32 @@ def _cmd_eval(cfg: ProjectConfig, args) -> int:
     point = _parse_point(args.point, algebra, cfg.chart_dim)
     value = eval_weil(expr, point)
     print(render_element(value))
-    if args.json:
-        _write_json(
-            args.json,
-            json.dumps(
-                {
-                    "expression": args.expression,
-                    "algebra": args.algebra,
-                    "coefficients": value.coeffs,
-                    "rendering": render_element(value, sig=17),
-                },
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n",
+    _write_json(
+        args.json,
+        json.dumps(
+            {
+                "expression": args.expression,
+                "algebra": args.algebra,
+                "coefficients": value.coeffs,
+                "rendering": render_element(value, sig=17),
+            },
+            sort_keys=True,
+            indent=2,
         )
+        + "\n",
+    )
     return EXIT_OK
 
 
 def _cmd_bracket(cfg: ProjectConfig, args) -> int:
+    if (args.algebra is None) != (args.point is None):
+        raise WeilcError("--algebra and --point go together: give both or neither")
     pi = _resolve(cfg.bivectors, args.bivector, "bivector")
     f = _resolve(cfg.expressions, args.f, "expression")
     g = _resolve(cfg.expressions, args.g, "expression")
     result = bracket(pi, f, g)
     print(to_string(result))
-    if args.algebra:
-        if not args.point:
-            raise WeilcError("--point is required with --algebra")
+    if args.algebra is not None:
         algebra = _resolve(cfg.algebras, args.algebra, "algebra")
         point = _parse_point(args.point, algebra, cfg.chart_dim)
         print(render_element(eval_weil(result, point)))

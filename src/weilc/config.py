@@ -2,7 +2,10 @@
 
 The file is YAML; expressions are stored as grammar strings and parsed at
 load, so a config is diffable and language-agnostic.  Monomial relations
-use the same syntax as the element rendering: ``eps^2``, ``x*y``.
+use the same syntax as the element rendering: ``eps^2``, ``x*y``.  An
+unknown key at the root, in an algebra entry or under ``suites`` is a
+``ConfigError``: a misspelt setting would otherwise fall back to its default
+unseen.
 """
 
 from __future__ import annotations
@@ -61,6 +64,14 @@ def _expect_mapping(data, what: str) -> dict:
     return data
 
 
+def _check_keys(data: dict, what: str, known: tuple[str, ...]):
+    for key in data:
+        if key not in known:
+            raise ConfigError(
+                f"{what}: unknown key {key!r} (known keys: {', '.join(known)})"
+            )
+
+
 def load_config(path: str) -> ProjectConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -71,6 +82,8 @@ def load_config(path: str) -> ProjectConfig:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
+    _check_keys(data, "config root", ("chart_dim", "algebras", "expressions",
+                                      "vector_fields", "bivectors", "suites"))
 
     n = data.get("chart_dim")
     if not isinstance(n, int) or n < 1:
@@ -79,6 +92,7 @@ def load_config(path: str) -> ProjectConfig:
 
     for name, entry in _expect_mapping(data.get("algebras"), "algebras").items():
         entry = _expect_mapping(entry, f"algebra {name!r}")
+        _check_keys(entry, f"algebra {name!r}", ("generators", "relations"))
         generators = tuple(str(g) for g in entry.get("generators", []))
         try:
             relations = tuple(
@@ -135,6 +149,7 @@ def load_config(path: str) -> ProjectConfig:
             raise ConfigError(f"bivector {name!r}: {exc}") from exc
 
     suites = _expect_mapping(data.get("suites"), "suites")
+    _check_keys(suites, "suites settings", ("seed", "trials", "tol"))
     seed, trials, tol = (
         suites.get(key, getattr(cfg.suites, key)) for key in ("seed", "trials", "tol")
     )

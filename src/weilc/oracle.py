@@ -2,15 +2,14 @@
 
 Nothing here reuses the algebra arithmetic it is checking: Taylor
 coefficients come from central finite differences (exact rational stencil
-weights, nodes evaluated through mpmath so the caller can supply
-high-precision function handles), and polynomial identities can be settled
-in exact rational arithmetic.
+weights, a fixed step and working precision, nodes evaluated through mpmath
+so the caller can supply high-precision function handles), and polynomial
+identities can be settled in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Sequence
@@ -18,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import WeilElement, apply_linear, trivial_algebra
-from .errors import DomainError, UnknownSuite
+from .errors import DomainError, UnknownSuite, WeilcError
 from .expr import (
     AFunction,
     Add,
@@ -61,27 +60,9 @@ from . import sampling
 # -- finite-difference Taylor coefficients ------------------------------------------
 
 
-@dataclass(frozen=True)
-class TaylorOracleConfig:
-    """Stencil parameters; accuracy defaults to order + 2 (rounded even).
-
-    The step is scaled by max(1, |r|).  Orders above 6 are refused: the
-    weights grow too fast for the result to mean anything in double
-    precision.
-    """
-
-    order: int
-    step: float = 1e-3
-    accuracy: int | None = None
-    dps: int = 50
-
-    def __post_init__(self):
-        if not 0 <= self.order <= 6:
-            raise DomainError(f"oracle order {self.order} outside 0..6")
-
-    def effective_accuracy(self) -> int:
-        acc = self.accuracy if self.accuracy is not None else self.order + 2
-        return acc + (acc % 2)
+# the stencil step, scaled by max(1, |r|), and the working precision in digits
+STEP = 1e-3
+DPS = 50
 
 
 def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -129,28 +110,27 @@ def _probe(f: Callable, x):
     return value
 
 
-def taylor_coeffs(
-    f: Callable, r: float, h: int, config: TaylorOracleConfig | None = None
-) -> np.ndarray:
+def taylor_coeffs(f: Callable, r: float, h: int) -> np.ndarray:
     """Taylor coefficients f, f'/1!, ..., f^(h)/h! at r by central differences.
 
-    The truncation error is O(step^accuracy) per coefficient, never worse
-    than O(step^2).  Node arithmetic runs through mpmath, so passing an
-    mpmath-aware handle (or any pure-Python arithmetic function) removes
-    the float cancellation floor; a double-only handle bottoms out near
-    eps/step^h.
+    The truncation error is O(STEP^accuracy) per coefficient, with the
+    accuracy h + 2 rounded up to even.  Orders above 6 are refused:
+    the weights grow too fast for the result to mean anything in double
+    precision.  Node arithmetic runs through mpmath at DPS digits, so
+    passing an mpmath-aware handle (or any pure-Python arithmetic function)
+    removes the float cancellation floor; a double-only handle bottoms out
+    near eps/STEP^h.
     """
+    if not 0 <= h <= 6:
+        raise DomainError(f"oracle order {h} outside 0..6")
     # imported here, not at module level: only this oracle uses mpmath, and
     # it would add about a sixth to the start-up of every weilc command
     import mpmath as mp
 
-    cfg = config or TaylorOracleConfig(order=h)
-    if cfg.order != h:
-        cfg = TaylorOracleConfig(order=h, step=cfg.step, accuracy=cfg.accuracy, dps=cfg.dps)
-    acc = cfg.effective_accuracy()
+    acc = h + 2 + h % 2
     out = [0.0] * (h + 1)
-    with mp.workdps(cfg.dps):
-        scale = mp.mpf(cfg.step) * max(1.0, abs(r))
+    with mp.workdps(DPS):
+        scale = mp.mpf(STEP) * max(1.0, abs(r))
         center = mp.mpf(r)
         widths = [0 if j == 0 else (acc + j) // 2 for j in range(h + 1)]
         m_max = max(widths)
@@ -265,7 +245,7 @@ def interior_eval(
 # -- suites ---------------------------------------------------------------------------
 
 
-def _suite_hom_laws(rng, rec, **_):
+def _suite_hom_laws(rng, rec):
     """Evaluation is a ring homomorphism, and composition evaluates through
     images of points."""
     algebra = sampling.random_algebra(rng)
@@ -290,7 +270,7 @@ def _suite_hom_laws(rng, rec, **_):
     )
 
 
-def _suite_field_prolong(rng, rec, **_):
+def _suite_field_prolong(rng, rec):
     """Prolonged fields: the defining equation, derivation law, additivity,
     the module law, and the linear-endomorphism law."""
     algebra = sampling.random_algebra(rng)
@@ -347,7 +327,7 @@ def _suite_field_prolong(rng, rec, **_):
     rec.check("endomorphism", sampling.residual(lhs, rhs))
 
 
-def _suite_bracket_prolong(rng, rec, **_):
+def _suite_bracket_prolong(rng, rec):
     """Prolongation commutes with the field bracket."""
     algebra = sampling.random_algebra(rng)
     n = int(rng.integers(1, 4))
@@ -370,7 +350,7 @@ def _suite_bracket_prolong(rng, rec, **_):
     )
 
 
-def _suite_cartan(rng, rec, **_):
+def _suite_cartan(rng, rec):
     """Interior product, Lie derivative, and exterior derivative identities,
     each checked once per trial."""
     base = trivial_algebra()
@@ -475,7 +455,8 @@ def _suite_cartan(rng, rec, **_):
     rec.check("interior_derivation", sampling.residual_forms(lhs_w, rhs_w, point))
 
 
-# each suite is the body of one trial, called as suite(rng, rec, pi=..., algebra=...)
+# each suite is the body of one trial, called as suite(rng, rec); poisson_full
+# also takes pi= and algebra=
 SUITES = {
     "hom_laws": _suite_hom_laws,
     "field_prolong": _suite_field_prolong,
@@ -495,14 +476,21 @@ def run_suite(
 ) -> CheckReport:
     """Run a registered suite; deterministic given (suite, seed, trials).
 
-    ``pi`` and ``algebra``, which only ``poisson_full`` reads, default to
-    the canonical bivector on R^2 over the dual numbers.
+    Only ``poisson_full`` takes ``pi`` and ``algebra``; they default to
+    the canonical bivector on R^2 over the dual numbers.  Giving either to
+    another suite is a usage error.
     """
     if suite_id not in SUITES:
         raise UnknownSuite(
             f"{suite_id!r} is not one of {sorted(SUITES)}"
         )
-    pi = pi if pi is not None else canonical_structure(1)
-    algebra = algebra if algebra is not None else sampling.catalog_algebra("dual")
-    trial = partial(SUITES[suite_id], pi=pi, algebra=algebra)
+    trial = SUITES[suite_id]
+    if suite_id == "poisson_full":
+        pi = pi if pi is not None else canonical_structure(1)
+        algebra = algebra if algebra is not None else sampling.catalog_algebra("dual")
+        trial = partial(trial, pi=pi, algebra=algebra)
+    elif pi is not None or algebra is not None:
+        raise WeilcError(
+            f"suite {suite_id!r} takes no pi or algebra; only poisson_full does"
+        )
     return _run_trials(suite_id, seed, trials, tol, trial)

@@ -8,7 +8,9 @@ bracket laws on the prolonged side presuppose the base Lie structure.
 
 Every bracket and prolonged operation comes from two contractions with
 the bivector: ``_pair`` (both brackets and the 2-form) and ``_sharp`` (ad
-and ad~).  ``omega_at`` is a separate numeric route for the checks.
+and ad~).  ``omega_at`` is a separate numeric route for the checks.  All
+of them, ``omega_at`` included, take their operands through one rule,
+``_operands``.
 """
 
 from __future__ import annotations
@@ -218,11 +220,27 @@ def so3_structure() -> PoissonStructure:
     )
 
 
-def _ensure_trusted(pi: PoissonStructure, force: bool):
+def _operands(
+    pi: PoissonStructure, force: bool, *operands: AFunction | CoordForm
+) -> WeilAlgebra:
+    """The operand rule of every prolonged operation: pi is trusted (or
+    ``force``), forms have degree 1, each operand lives on pi's chart, and
+    all share one algebra, which is returned."""
     if not (pi.trusted or force):
         raise UntrustedStructure(
             "run jacobi_check first (or pass force=True) before prolonging"
         )
+    for op in operands:
+        if isinstance(op, CoordForm) and op.degree != 1:
+            raise DegreeError(f"a degree-{op.degree} form where a 1-form belongs")
+        if op.dim != pi.dim:
+            raise DimensionMismatch(
+                f"operand on a {op.dim}-dimensional chart, bivector on {pi.dim}"
+            )
+    algebra = operands[0].algebra
+    if any(op.algebra is not algebra for op in operands):
+        raise AlgebraMismatch("operands over different algebras")
+    return algebra
 
 
 # -- the two contractions with the bivector ------------------------------------------
@@ -311,22 +329,16 @@ def ad_prolong(
     pi: PoissonStructure, fn: AFunction, force: bool = False
 ) -> AVectorField:
     """The Hamiltonian derivation of fn: applying it to psi gives {fn, psi}."""
-    _ensure_trusted(pi, force)
-    if fn.dim != pi.dim:
-        raise DimensionMismatch("function chart does not match the bivector")
-    return AVectorField(_sharp(pi, _gradient(pi, fn.expr)), fn.algebra)
+    algebra = _operands(pi, force, fn)
+    return AVectorField(_sharp(pi, _gradient(pi, fn.expr)), algebra)
 
 
 def ad_tilde(
     pi: PoissonStructure, x: CoordForm, force: bool = False
 ) -> AVectorField:
     """Extend ad linearly over functions from differentials to all 1-forms."""
-    _ensure_trusted(pi, force)
-    if x.degree != 1:
-        raise DegreeError("ad_tilde takes a degree-1 form")
-    if x.dim != pi.dim:
-        raise DimensionMismatch("form chart does not match the bivector")
-    return AVectorField(_sharp(pi, _one_form(pi, x)), x.algebra)
+    algebra = _operands(pi, force, x)
+    return AVectorField(_sharp(pi, _one_form(pi, x)), algebra)
 
 
 def prolong_bracket(
@@ -334,13 +346,9 @@ def prolong_bracket(
 ) -> AFunction:
     """The bracket on the Weil chart; on prolonged functions it reduces to
     the prolonged base bracket."""
-    _ensure_trusted(pi, force)
-    if phi.algebra is not psi.algebra:
-        raise AlgebraMismatch("bracket arguments over different algebras")
-    if phi.dim != pi.dim or psi.dim != pi.dim:
-        raise DimensionMismatch("function chart does not match the bivector")
+    algebra = _operands(pi, force, phi, psi)
     out = _pair(pi, _gradient(pi, phi.expr), _gradient(pi, psi.expr))
-    return AFunction(out, pi.dim, phi.algebra)
+    return AFunction(out, pi.dim, algebra)
 
 
 def omega_prolonged(
@@ -350,23 +358,16 @@ def omega_prolonged(
 
     The sign convention makes -omega(delta phi, delta psi) the bracket.
     """
-    _ensure_trusted(pi, force)
-    if x.degree != 1 or y.degree != 1:
-        raise DegreeError("the 2-form pairs two degree-1 forms")
-    if x.algebra is not y.algebra:
-        raise AlgebraMismatch("forms over different algebras")
-    if x.dim != pi.dim or y.dim != pi.dim:
-        raise DimensionMismatch("form chart does not match the bivector")
+    algebra = _operands(pi, force, x, y)
     out = _pair(pi, _one_form(pi, x), _one_form(pi, y))
-    return AFunction(neg(out), pi.dim, x.algebra)
+    return AFunction(neg(out), pi.dim, algebra)
 
 
 def omega_at(
     pi: PoissonStructure, x: CoordForm, y: CoordForm, point, force: bool = False
 ) -> WeilElement:
     """Evaluate the 2-form pairing by ring-combining evaluated pieces."""
-    _ensure_trusted(pi, force)
-    algebra = x.algebra
+    algebra = _operands(pi, force, x, y)
     out = algebra.zero()
     for (i, j), p in sorted(pi.entries.items()):
         pv = eval_weil(p, point, algebra)

@@ -146,6 +146,8 @@ class AVectorField:
                 diff(expr, i), point, self.algebra
             )
             out = term if out is None else out + term
+        if out is None:
+            raise DimensionMismatch("vector field has no components")
         return out
 
     def __add__(self, other: "AVectorField") -> "AVectorField":

@@ -280,7 +280,7 @@ def test_criterion_9_deterministic_reports(tmp_path):
         for run in range(2):
             out = tmp_path / f"{suite}-{run}.json"
             code = main(
-                ["--config", str(config), "--json", str(out), "check", suite, *extra]
+                ["--config", str(config), "check", suite, *extra, "--json", str(out)]
             )
             assert code == 0
             blobs.append(out.read_bytes())

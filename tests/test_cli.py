@@ -106,13 +106,13 @@ class TestEval:
             [
                 "--config",
                 config2,
-                "--json",
-                str(out_path),
                 "eval",
                 "sinx",
                 "jets2",
                 "--point",
                 "[[0,1,0],[0,0,0]]",
+                "--json",
+                str(out_path),
             ]
         )
         assert code == 0
@@ -240,12 +240,12 @@ class TestCheck:
                 [
                     "--config",
                     config2,
-                    "--json",
-                    str(path),
                     "check",
                     "hom_laws",
                     "--seed",
                     "7",
+                    "--json",
+                    str(path),
                 ]
             )
             assert code == 0
@@ -258,12 +258,12 @@ class TestCheck:
                 [
                     "--config",
                     config2,
-                    "--json",
-                    str(path),
                     "check",
                     "hom_laws",
                     "--seed",
                     seed,
+                    "--json",
+                    str(path),
                 ]
             )
         a = json.loads(paths[0].read_text())
@@ -307,6 +307,35 @@ class TestConfigHandling:
         assert err.startswith("config error: expression 'f'")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "chart_dim: 2\nsuite: {seed: 7}\n",
+                "config root: unknown key 'suite' (known keys: chart_dim, algebras, "
+                "expressions, vector_fields, bivectors, suites)",
+            ),
+            (
+                "chart_dim: 2\nalgebras:\n  dual: {generator: [eps], relation: [eps^2]}\n",
+                "algebra 'dual': unknown key 'generator' (known keys: generators, relations)",
+            ),
+            (
+                "chart_dim: 2\nsuites: {seeds: 7, trial: 3}\n",
+                "suites settings: unknown key 'seeds' (known keys: seed, trials, tol)",
+            ),
+        ],
+        ids=["root", "algebra", "suites"],
+    )
+    def test_unknown_key(self, tmp_path, capsys, text, message):
+        # a misspelt key used to fall back to its default: the algebra above
+        # built as R, the suites ran seed 42 with 100 trials
+        path = tmp_path / "project.yaml"
+        path.write_text(text, encoding="utf-8")
+        assert main(["--config", str(path), "check", "hom_laws", "--trials", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n"
+        assert captured.out == ""
+
     def test_env_fallback(self, config2, capsys, monkeypatch):
         monkeypatch.setenv("WEILC_CONFIG", config2)
         assert main(["algebra-show", "dual"]) == 0
@@ -320,6 +349,52 @@ class TestArgumentEdges:
         )
         assert code == 2
         assert "--point" in capsys.readouterr().err
+
+    def test_bracket_point_without_algebra(self, config2, capsys):
+        code = main(
+            ["--config", config2, "bracket", "canonical2", "q", "p", "--point", "[[3,1],[0,0]]"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --algebra and --point go together: give both or neither\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "f", "dual", "--point", "[[3,1],[0,0]]", "--seed", "5"],
+            ["algebra-show", "dual", "--tol", "5"],
+            ["bracket", "canonical2", "q", "p", "--json", "{json}"],
+            ["prolong", "shear", "f", "--algebra", "dual", "--point", "[[1,0],[2,1]]",
+             "--json", "{json}"],
+            ["--json", "{json}", "check", "hom_laws", "--trials", "1"],
+            ["--seed", "5", "check", "hom_laws", "--trials", "1"],
+        ],
+        ids=["eval-seed", "algebra-show-tol", "bracket-json", "prolong-json",
+             "top-level-json", "top-level-seed"],
+    )
+    def test_flag_the_command_does_not_take(self, config2, capsys, tmp_path, argv):
+        path = tmp_path / "r.json"
+        argv = [str(path) if a == "{json}" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", config2, *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: weilc" in captured.err
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "extra", [["--pi", "canonical2"], ["--algebra", "dual"]], ids=["pi", "algebra"]
+    )
+    def test_pi_or_algebra_on_another_suite(self, config2, capsys, extra):
+        code = main(["--config", config2, "check", "hom_laws", "--trials", "1", *extra])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: suite 'hom_laws' takes no pi or algebra; only poisson_full does\n"
+        )
+        assert captured.out == ""
 
     def test_malformed_point_json(self, config2, capsys):
         code = main(
@@ -346,7 +421,7 @@ class TestArgumentEdges:
     )
     def test_unwritable_json_path(self, config2, capsys, tmp_path, argv):
         path = str(tmp_path / "missing" / "r.json")
-        assert main(["--config", config2, "--json", path, *argv]) == 2
+        assert main(["--config", config2, *argv, "--json", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write --json {path}")
         assert "Traceback" not in err

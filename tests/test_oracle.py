@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from weilc import TaylorOracleConfig, run_suite, taylor_coeffs
+from weilc import canonical_structure, dual_numbers, run_suite, taylor_coeffs
 from weilc.errors import DomainError, UnknownSuite, WeilcError
 from weilc.expr import parse
 from weilc.oracle import central_diff_weights, poly_coeffs_exact
@@ -72,14 +72,9 @@ class TestTaylorCoeffs:
             taylor_coeffs(lambda x: 1 / x, 0.0, 1)
 
     def test_order_limit(self):
-        with pytest.raises(DomainError):
-            TaylorOracleConfig(order=7)
-
-    def test_explicit_config(self):
-        cfg = TaylorOracleConfig(order=2, step=1e-4, accuracy=6)
-        coeffs = taylor_coeffs(mpmath.sin, 0.5, 2, cfg)
-        expected = [np.sin(0.5), np.cos(0.5), -np.sin(0.5) / 2]
-        assert np.all(np.abs(coeffs - expected) <= 1e-9)
+        for h in (7, -1):
+            with pytest.raises(DomainError, match=f"oracle order {h} outside 0..6"):
+                taylor_coeffs(mpmath.exp, 0.0, h)
 
 
 class TestPolyOracle:
@@ -111,6 +106,13 @@ class TestRunSuite:
     def test_unknown_suite(self):
         with pytest.raises(UnknownSuite):
             run_suite("nosuch", seed=0, trials=1, tol=1e-9)
+
+    @pytest.mark.parametrize("suite", ["hom_laws", "field_prolong", "bracket_prolong", "cartan"])
+    def test_pi_and_algebra_only_for_poisson_full(self, suite):
+        with pytest.raises(WeilcError, match=f"suite '{suite}' takes no pi or algebra"):
+            run_suite(suite, seed=0, trials=1, tol=1e-9, pi=canonical_structure(1))
+        with pytest.raises(WeilcError, match=f"suite '{suite}' takes no pi or algebra"):
+            run_suite(suite, seed=0, trials=1, tol=1e-9, algebra=dual_numbers())
 
     def test_zero_trials_vacuous(self):
         report = run_suite("hom_laws", seed=0, trials=0, tol=1e-9)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import weilc
+from weilc import cli
 from weilc.expr import Expr
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -52,3 +53,21 @@ def test_workloads_imports_resolve():
     assert callable(workloads.cli.main)
     # the Jacobi ops add brackets with `+`
     assert "__add__" in vars(Expr)
+
+
+@pytest.mark.parametrize(
+    "extra", [[], ["--pi", "so3", "--algebra", "corner3"]], ids=["suite", "bivector"]
+)
+def test_verify_argv_parses(extra):
+    # the verify workload drives cli.main in-process with these argv shapes
+    # (workloads._verify_ops); a flag that stopped parsing would raise
+    # SystemExit inside the measured run
+    workloads = _load("workloads")
+    for suite in workloads.SUITES:
+        argv = ["--config", workloads.CONFIGS["chart3"], "check", suite,
+                "--seed", "12345", "--trials", "3", "--json", "r0-op1.json", *extra]
+        args = cli._build_parser().parse_args(argv)
+        assert (args.command, args.suite, args.seed, args.trials, args.json) == (
+            "check", suite, 12345, 3, "r0-op1.json")
+        assert args.config == workloads.CONFIGS["chart3"]
+        assert (args.pi, args.algebra) == ((extra[1], extra[3]) if extra else (None, None))

@@ -27,7 +27,13 @@ from weilc import (
     so3_structure,
     verify_a_poisson,
 )
-from weilc.errors import AlgebraMismatch, DomainError, UntrustedStructure
+from weilc.errors import (
+    AlgebraMismatch,
+    DegreeError,
+    DimensionMismatch,
+    DomainError,
+    UntrustedStructure,
+)
 from weilc.expr import (
     ConstA,
     ConstR,
@@ -355,6 +361,45 @@ class TestOmega:
             assert field_a.apply_at(probe, xi).allclose(
                 field_b.apply_at(probe, xi), 1e-12
             )
+
+
+class TestOperandRule:
+    """omega_at takes its operands through the same rule as omega_prolonged."""
+
+    @pytest.mark.parametrize("evaluate", [False, True], ids=["omega_prolonged", "omega_at"])
+    def test_two_form_rejected(self, canonical, dual, evaluate):
+        x = CoordForm(1, 2, dual, {(0,): ConstR(1.0)})
+        w = CoordForm(2, 2, dual, {(0, 1): ConstR(1.0)})
+        with pytest.raises(DegreeError, match="degree-2 form"):
+            self._pair(canonical, x, w, dual, evaluate)
+
+    @pytest.mark.parametrize("evaluate", [False, True], ids=["omega_prolonged", "omega_at"])
+    def test_form_off_the_chart_rejected(self, dual, evaluate):
+        # a form on R^2 against a bivector on R^3
+        pi = trusted(so3_structure())
+        x = CoordForm(1, 2, dual, {(0,): ConstR(1.0)})
+        y = CoordForm(1, 3, dual, {(1,): ConstR(1.0)})
+        with pytest.raises(DimensionMismatch, match="2-dimensional chart, bivector on 3"):
+            self._pair(pi, x, y, dual, evaluate)
+
+    @pytest.mark.parametrize("evaluate", [False, True], ids=["omega_prolonged", "omega_at"])
+    def test_forms_over_different_algebras_rejected(self, canonical, dual, evaluate):
+        x = CoordForm(1, 2, dual, {(0,): ConstR(1.0)})
+        y = CoordForm(1, 2, jets(2), {(1,): ConstR(1.0)})
+        with pytest.raises(AlgebraMismatch, match="different algebras"):
+            self._pair(canonical, x, y, dual, evaluate)
+
+    @staticmethod
+    def _pair(pi, x, y, algebra, evaluate):
+        if evaluate:
+            point = APoint.from_reals(algebra, [0.5] * pi.dim)
+            return omega_at(pi, x, y, point)
+        return omega_prolonged(pi, x, y)
+
+    def test_omega_at_untrusted(self, dual):
+        x = CoordForm(1, 2, dual, {(0,): ConstR(1.0)})
+        with pytest.raises(UntrustedStructure):
+            omega_at(canonical_structure(1), x, x, APoint.from_reals(dual, [0.5, 0.5]))
 
 
 class TestVerifyAPoisson:

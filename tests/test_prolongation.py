@@ -266,6 +266,12 @@ class TestProlongMap:
 
 
 class TestErrorPropagation:
+    def test_apply_at_on_empty_field(self):
+        A, xi = dual_point()
+        empty = prolong_field(VectorField(()), A)
+        with pytest.raises(DimensionMismatch, match="vector field has no components"):
+            empty.apply_at(ConstR(1.0), xi)
+
     def test_prolong_map_domain_error(self):
         A = dual_numbers()
         xi = APoint(A, (A.generator("eps"),))
