@@ -86,18 +86,22 @@ def load_config(path: str) -> ProjectConfig:
                                       "vector_fields", "bivectors", "suites"))
 
     n = data.get("chart_dim")
-    if not isinstance(n, int) or n < 1:
-        raise ConfigError("chart_dim must be a positive integer")
+    # YAML reads yes and true as bools, and a bool is an int to Python
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ConfigError(f"chart_dim must be a positive integer, got {n!r}")
     cfg = ProjectConfig(chart_dim=n)
 
     for name, entry in _expect_mapping(data.get("algebras"), "algebras").items():
         entry = _expect_mapping(entry, f"algebra {name!r}")
         _check_keys(entry, f"algebra {name!r}", ("generators", "relations"))
-        generators = tuple(str(g) for g in entry.get("generators", []))
+        # a string would be taken letter by letter
+        lists = {key: entry.get(key, []) for key in ("generators", "relations")}
+        for key, value in lists.items():
+            if not isinstance(value, list):
+                raise ConfigError(f"algebra {name!r}: {key} must be a list, got {value!r}")
+        generators = tuple(str(g) for g in lists["generators"])
         try:
-            relations = tuple(
-                parse_relation(r, generators) for r in entry.get("relations", [])
-            )
+            relations = tuple(parse_relation(r, generators) for r in lists["relations"])
             cfg.algebras[name] = build_algebra(
                 AlgebraPresentation(generators, relations)
             )

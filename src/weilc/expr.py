@@ -12,6 +12,11 @@ quotient, so its results are DAGs.  Each walk (``diff``, ``substitute``,
 once per call: a memo keyed by node identity, and dropped when the call
 returns, holds each node's first result.  The visiting order is that of
 the tree walk, so results and the first error raised are the same.
+
+Each operand rule of the package is stated here once: ``scan``, the one
+walk for an expression's algebra and largest variable; ``same_chart``;
+``require_base``; and ``scalar_expr``, what a function, field or form
+takes as a scalar.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
     PRIMITIVES,
@@ -245,26 +250,46 @@ def _levels(e: Expr) -> Iterator[list[Expr]]:
         level = list(below.values())
 
 
-def contains_consta(e: Expr) -> bool:
-    return any(isinstance(n, ConstA) for level in _levels(e) for n in level)
-
-
-def consta_algebra(e: Expr) -> WeilAlgebra | None:
-    """The unique algebra of the ConstA leaves, or None; mixing raises."""
+def scan(e: Expr) -> tuple[WeilAlgebra | None, int]:
+    """The algebra of the ConstA leaves (None when there are none) and the
+    largest variable index used (-1 for a closed expression), in one walk.
+    Constants over two algebras raise AlgebraMismatch."""
     found: WeilAlgebra | None = None
-    for node in (n for level in _levels(e) for n in level):
-        if isinstance(node, ConstA):
-            if found is None:
+    top = -1
+    for level in _levels(e):
+        for node in level:
+            kind = type(node)
+            if kind is Var:
+                if node.index > top:
+                    top = node.index
+            elif kind is ConstA and node.value.algebra is not found:
+                if found is not None:
+                    raise AlgebraMismatch("expression mixes constants of two algebras")
                 found = node.value.algebra
-            elif node.value.algebra is not found:
-                raise AlgebraMismatch("expression mixes constants of two algebras")
-    return found
+    return found, top
 
 
-def max_var_index(e: Expr) -> int:
-    """Largest variable index used, or -1 for a closed expression."""
-    indices = (n.index for level in _levels(e) for n in level if isinstance(n, Var))
-    return max(indices, default=-1)
+def require_base(exprs: Iterable[Expr], what: str):
+    """The base rule: ``what`` (a function, field, form, bivector or map on
+    the base chart) holds no algebra constants."""
+    for e in exprs:
+        if scan(e)[0] is not None:
+            raise AlgebraMismatch(f"{what} must be ConstA-free")
+
+
+def same_chart(*objs) -> WeilAlgebra | None:
+    """The pair rule of every operation on functions, fields and forms: the
+    operands share one algebra (None for base fields) and one chart
+    dimension.  Returns the shared algebra."""
+    first = objs[0]
+    for other in objs[1:]:
+        if other.algebra is not first.algebra:
+            raise AlgebraMismatch("operands over different algebras")
+        if other.dim != first.dim:
+            raise DimensionMismatch(
+                f"operands on charts of dimension {first.dim} and {other.dim}"
+            )
+    return first.algebra
 
 
 # -- differentiation --------------------------------------------------------------
@@ -385,7 +410,7 @@ def eval_weil(e: Expr, point, algebra: WeilAlgebra | None = None) -> WeilElement
         if coords:
             algebra = coords[0].algebra
         else:
-            algebra = consta_algebra(e)
+            algebra = scan(e)[0]
         if algebra is None:
             raise AlgebraMismatch("no algebra can be inferred for evaluation")
     for c in coords:
@@ -742,14 +767,8 @@ class AFunction:
     algebra: WeilAlgebra
 
     def __post_init__(self):
-        found = consta_algebra(self.expr)
-        if found is not None and found is not self.algebra:
-            raise AlgebraMismatch("expression constants disagree with the algebra")
-        if max_var_index(self.expr) >= self.dim:
-            raise DimensionMismatch(
-                f"expression uses x{max_var_index(self.expr) + 1} "
-                f"on a chart of dimension {self.dim}"
-            )
+        # the expression obeys the rule that its operands obey
+        scalar_expr(self.expr, self)
 
     def __call__(self, point) -> WeilElement:
         coords = _point_coords(point)
@@ -763,10 +782,8 @@ class AFunction:
         return AFunction(diff(self.expr, i), self.dim, self.algebra)
 
     def _combine(self, other, op) -> "AFunction":
-        if isinstance(other, AFunction) and other.dim != self.dim:
-            raise DimensionMismatch("functions over different charts")
         try:
-            expr = scalar_expr(other, self.algebra)
+            expr = scalar_expr(other, self)
         except TypeError:
             return NotImplemented
         return AFunction(op(self.expr, expr), self.dim, self.algebra)
@@ -796,27 +813,33 @@ class AFunction:
         return f"AFunction({to_string(self.expr)} over {self.algebra.describe()})"
 
 
-def scalar_expr(value, algebra: WeilAlgebra) -> Expr:
-    """The expression of a scalar over ``algebra``: an AFunction, a Weil
-    element, a real number or an Expr.  Raises AlgebraMismatch when the
-    scalar lives over another algebra, TypeError for any other type."""
+def scalar_expr(value, owner) -> Expr:
+    """The scalar rule: the expression of ``value`` as a function on the
+    chart of ``owner`` (a function, field or form), for arithmetic,
+    ``scale`` and a field's ``apply``.  An AFunction goes
+    through ``same_chart``; a Weil element or an Expr must be over
+    ``owner.algebra`` and use no variable beyond ``owner.dim``; a real
+    number becomes a constant.  Any other type raises TypeError."""
     if isinstance(value, AFunction):
-        found, expr = value.algebra, value.expr
-    elif isinstance(value, WeilElement):
-        found, expr = value.algebra, ConstA(value)
+        same_chart(owner, value)
+        return value.expr
+    if isinstance(value, WeilElement):
+        value = ConstA(value)
     elif isinstance(value, (int, float)):
         return ConstR(float(value))
-    elif isinstance(value, Expr):
-        found, expr = consta_algebra(value), value
-    else:
+    elif not isinstance(value, Expr):
         raise TypeError(f"{type(value).__name__} is not a scalar")
-    if found is not None and found is not algebra:
-        raise AlgebraMismatch("scalar over a different algebra")
-    return expr
+    found, top = scan(value)
+    if found is not None and found is not owner.algebra:
+        raise AlgebraMismatch("expression constants disagree with the algebra")
+    if top >= owner.dim:
+        raise DimensionMismatch(
+            f"expression uses x{top + 1} on a chart of dimension {owner.dim}"
+        )
+    return value
 
 
 def prolong_function(f: Expr, dim: int, algebra: WeilAlgebra) -> AFunction:
     """Reinterpret a base-chart function for Weil evaluation (f to f^A)."""
-    if contains_consta(f):
-        raise AlgebraMismatch("only ConstA-free functions can be prolonged")
+    require_base((f,), "a prolonged function")
     return AFunction(f, dim, algebra)

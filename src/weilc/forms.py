@@ -13,17 +13,18 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .algebra import WeilAlgebra, WeilElement
-from .errors import AlgebraMismatch, DegreeError, DimensionMismatch
+from .errors import DegreeError, DimensionMismatch
 from .expr import (
     AFunction,
     Expr,
     ZERO,
     add,
-    contains_consta,
     diff,
     eval_weil,
     mul,
     neg,
+    require_base,
+    same_chart,
     scalar_expr,
 )
 from .prolongation import AVectorField
@@ -64,7 +65,7 @@ class CoordForm:
         return AFunction(self.coefficient(()), self.dim, self.algebra)
 
     def __add__(self, other: "CoordForm") -> "CoordForm":
-        _check_pair(self, other)
+        same_chart(self, other)
         if other.degree != self.degree:
             raise DegreeError("cannot add forms of different degree")
         acc = _Accumulator()
@@ -87,7 +88,7 @@ class CoordForm:
 
     def scale(self, phi: AFunction | Expr | WeilElement | float) -> "CoordForm":
         """Module action phi * omega."""
-        expr = scalar_expr(phi, self.algebra)
+        expr = scalar_expr(phi, self)
         return CoordForm(
             self.degree,
             self.dim,
@@ -121,13 +122,6 @@ class _Accumulator:
 
     def build(self) -> dict[Index, Expr]:
         return {idx: total for idx, total in self.totals.items() if total != ZERO}
-
-
-def _check_pair(a: CoordForm, b: CoordForm):
-    if a.algebra is not b.algebra:
-        raise AlgebraMismatch("forms over different algebras")
-    if a.dim != b.dim:
-        raise DimensionMismatch("forms over different charts")
 
 
 def zero_form(degree: int, dim: int, algebra: WeilAlgebra) -> CoordForm:
@@ -169,7 +163,7 @@ def _merge_indices(left: Index, right: Index) -> tuple[int, Index] | None:
 
 def wedge(a: CoordForm, b: CoordForm) -> CoordForm:
     """Exterior product; graded commutative and associative."""
-    _check_pair(a, b)
+    same_chart(a, b)
     acc = _Accumulator()
     for ia, ca in a.coeffs.items():
         for ib, cb in b.coeffs.items():
@@ -197,19 +191,12 @@ def dform(w: CoordForm) -> CoordForm:
     return CoordForm(w.degree + 1, w.dim, w.algebra, acc.build())
 
 
-def _field_components(field_: AVectorField, w: CoordForm) -> tuple[Expr, ...]:
-    if field_.algebra is not w.algebra:
-        raise AlgebraMismatch("field and form live over different algebras")
-    if field_.dim != w.dim:
-        raise DimensionMismatch("field and form live over different charts")
-    return field_.components
-
-
 def interior(field_: AVectorField, w: CoordForm) -> CoordForm:
     """First-slot contraction; a derivation of degree -1 against wedge."""
     if w.degree == 0:
         raise DegreeError("interior product needs degree >= 1")
-    comps = _field_components(field_, w)
+    same_chart(field_, w)
+    comps = field_.components
     acc = _Accumulator()
     for idx, c in w.coeffs.items():
         for k, i in enumerate(idx):
@@ -236,7 +223,5 @@ def lie_derivative(field_: AVectorField, w: CoordForm) -> CoordForm:
 
 def prolong_form(w: CoordForm, algebra: WeilAlgebra) -> CoordForm:
     """Reinterpret a ConstA-free form over another algebra."""
-    for c in w.coeffs.values():
-        if contains_consta(c):
-            raise AlgebraMismatch("only ConstA-free forms can be prolonged")
+    require_base(w.coeffs.values(), "a prolonged form")
     return CoordForm(w.degree, w.dim, algebra, dict(w.coeffs))

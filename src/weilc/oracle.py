@@ -339,15 +339,13 @@ def _suite_bracket_prolong(rng, rec):
     d2 = prolong_field(theta2, algebra)
     lhs = prolong_field(lie_bracket(theta1, theta2), algebra).apply_at(f, point)
     rhs = d1.apply_at(d2.apply(f), point) - d2.apply_at(d1.apply(f), point)
-    rec.record(
-        sampling.residual(lhs, rhs),
-        {
-            "theta1": ", ".join(to_string(c) for c in theta1.components),
-            "theta2": ", ".join(to_string(c) for c in theta2.components),
-            "f": to_string(f),
-            "algebra": algebra.describe(),
-        },
-    )
+    rec.inputs = {
+        "theta1": ", ".join(to_string(c) for c in theta1.components),
+        "theta2": ", ".join(to_string(c) for c in theta2.components),
+        "f": to_string(f),
+        "algebra": algebra.describe(),
+    }
+    rec.check("bracket", sampling.residual(lhs, rhs))
 
 
 def _suite_cartan(rng, rec):

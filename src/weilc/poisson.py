@@ -10,7 +10,8 @@ Every bracket and prolonged operation comes from two contractions with
 the bivector: ``_pair`` (both brackets and the 2-form) and ``_sharp`` (ad
 and ad~).  ``omega_at`` is a separate numeric route for the checks.  All
 of them, ``omega_at`` included, take their operands through one rule,
-``_operands``.
+``_operands``.  It owns what only the bivector decides (trust, degree 1,
+pi's chart) and leaves one shared algebra and chart to ``same_chart``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Callable, Mapping, Sequence
 
 from .algebra import WeilAlgebra, WeilElement, augmentation
 from .errors import (
-    AlgebraMismatch,
     DegreeError,
     DimensionMismatch,
     DomainError,
@@ -38,12 +38,13 @@ from .expr import (
     Var,
     ZERO,
     add,
-    contains_consta,
     diff,
     eval_real,
     eval_weil,
     mul,
     neg,
+    require_base,
+    same_chart,
     sub,
     to_string,
 )
@@ -122,17 +123,15 @@ class _Recorder:
         # a non-finite residual fails whatever the tolerance
         return value <= self.tol and value < math.inf
 
-    def record(self, value: float, inputs: dict[str, str]):
+    def check(self, name: str, value: float):
+        """Record the residual of the current trial's sub-check ``name``; a
+        failing one becomes a witness that carries the trial's inputs."""
         # max() skips NaN, so a non-finite residual counts as inf
         if not math.isfinite(value):
             value = math.inf
         self.max_residual = max(self.max_residual, value)
         if not self._passes(value) and len(self.witnesses) < MAX_WITNESSES:
-            self.witnesses.append(Witness(dict(inputs), float(value)))
-
-    def check(self, name: str, value: float):
-        """Record the residual of the current trial's sub-check ``name``."""
-        self.record(value, {"check": name, **self.inputs})
+            self.witnesses.append(Witness({"check": name, **self.inputs}, float(value)))
 
     def report(self, suite: str, seed: int, trials: int) -> CheckReport:
         return CheckReport(
@@ -185,14 +184,13 @@ class PoissonStructure:
 
     def __init__(self, dim: int, entries: Mapping[tuple[int, int], Expr]):
         self.dim = dim
+        require_base(entries.values(), "a bivector entry")
         cleaned: dict[tuple[int, int], Expr] = {}
         for (i, j), e in entries.items():
             if not (0 <= i < j < dim):
                 raise DimensionMismatch(
                     f"bivector entry ({i}, {j}) is not an upper-triangle pair"
                 )
-            if contains_consta(e):
-                raise AlgebraMismatch("bivector entries must be ConstA-free")
             if e != ZERO:
                 cleaned[(i, j)] = e
         self.entries = cleaned
@@ -225,7 +223,8 @@ def _operands(
 ) -> WeilAlgebra:
     """The operand rule of every prolonged operation: pi is trusted (or
     ``force``), forms have degree 1, each operand lives on pi's chart, and
-    all share one algebra, which is returned."""
+    the operands share one chart and algebra (``same_chart``), which is
+    returned."""
     if not (pi.trusted or force):
         raise UntrustedStructure(
             "run jacobi_check first (or pass force=True) before prolonging"
@@ -237,10 +236,7 @@ def _operands(
             raise DimensionMismatch(
                 f"operand on a {op.dim}-dimensional chart, bivector on {pi.dim}"
             )
-    algebra = operands[0].algebra
-    if any(op.algebra is not algebra for op in operands):
-        raise AlgebraMismatch("operands over different algebras")
-    return algebra
+    return same_chart(*operands)
 
 
 # -- the two contractions with the bivector ------------------------------------------
@@ -268,8 +264,7 @@ def _gradient(pi: PoissonStructure, f: Expr) -> list[Expr]:
 
 
 def _base_gradient(pi: PoissonStructure, f: Expr) -> list[Expr]:
-    if contains_consta(f):
-        raise AlgebraMismatch("the base bracket takes ConstA-free functions")
+    require_base((f,), "a function in the base bracket")
     return _gradient(pi, f)
 
 
@@ -315,7 +310,8 @@ def jacobi_check(
         point = rng.uniform(-1.0, 1.0, pi.dim)
         shown = str([round(x, 6) for x in point])
         for jacobiator, names in jacobiators:
-            rec.record(abs(eval_real(jacobiator, point)), {**names, "point": shown})
+            rec.inputs = {**names, "point": shown}
+            rec.check("jacobi", abs(eval_real(jacobiator, point)))
 
     report = _run_trials("jacobi", seed, trials, tol, trial)
     pi.trusted = report.passed and report.trials > 0

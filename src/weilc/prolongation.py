@@ -9,19 +9,19 @@ the unique algebra-linear derivation extending the base action.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .algebra import AlgebraMorphism, WeilAlgebra, WeilElement
 from .errors import AlgebraMismatch, DimensionMismatch
 from .expr import (
     AFunction,
-    ConstR,
     Expr,
     add,
-    contains_consta,
     diff,
     eval_weil,
     mul,
+    require_base,
+    same_chart,
     scalar_expr,
     sub,
 )
@@ -66,34 +66,25 @@ class VectorField:
     """A base-chart field theta = (theta_1, ..., theta_n), ConstA-free."""
 
     components: tuple[Expr, ...]
+    # base fields carry no algebra, so ``same_chart`` treats them alike
+    algebra: ClassVar[None] = None
 
     def __post_init__(self):
-        for c in self.components:
-            if contains_consta(c):
-                raise AlgebraMismatch("base vector fields must be ConstA-free")
+        require_base(self.components, "a base vector field")
 
     @property
     def dim(self) -> int:
         return len(self.components)
 
     def __add__(self, other: "VectorField") -> "VectorField":
-        self._check(other)
+        same_chart(self, other)
         return VectorField(
             tuple(add(a, b) for a, b in zip(self.components, other.components))
         )
 
     def scale(self, f: Expr | float) -> "VectorField":
-        if isinstance(f, (int, float)):
-            f = ConstR(float(f))
-        elif not isinstance(f, Expr):
-            raise TypeError(f"{type(f).__name__} is not a base scalar")
-        return VectorField(tuple(mul(f, c) for c in self.components))
-
-    def _check(self, other: "VectorField"):
-        if other.dim != self.dim:
-            raise DimensionMismatch(
-                f"fields of dimension {self.dim} and {other.dim} do not combine"
-            )
+        expr = scalar_expr(f, self)
+        return VectorField(tuple(mul(expr, c) for c in self.components))
 
 
 def apply_field(theta: VectorField | AVectorField, f: Expr) -> Expr:
@@ -110,7 +101,7 @@ def apply_field(theta: VectorField | AVectorField, f: Expr) -> Expr:
 
 def lie_bracket(t1: VectorField, t2: VectorField) -> VectorField:
     """[t1, t2], componentwise t1(t2_i) - t2(t1_i)."""
-    t1._check(t2)
+    same_chart(t1, t2)
     return VectorField(
         tuple(
             sub(apply_field(t1, c2), apply_field(t2, c1))
@@ -132,14 +123,13 @@ class AVectorField:
 
     def apply(self, fn: AFunction | Expr) -> AFunction:
         """D(fn) as a function; ConstA leaves are annihilated by the partials."""
-        expr = fn.expr if isinstance(fn, AFunction) else fn
-        if isinstance(fn, AFunction) and fn.algebra is not self.algebra:
-            raise AlgebraMismatch("field and function live over different algebras")
+        expr = scalar_expr(fn, self)
         return AFunction(apply_field(self, expr), self.dim, self.algebra)
 
     def apply_at(self, fn: AFunction | Expr, point) -> WeilElement:
         """Evaluate D(fn) at a point by combining evaluated pieces."""
-        expr = fn.expr if isinstance(fn, AFunction) else fn
+        # evaluation itself refuses an Expr off the point or over another algebra
+        expr = scalar_expr(fn, self) if isinstance(fn, AFunction) else fn
         out = None
         for i, comp in enumerate(self.components):
             term = eval_weil(comp, point, self.algebra) * eval_weil(
@@ -151,17 +141,14 @@ class AVectorField:
         return out
 
     def __add__(self, other: "AVectorField") -> "AVectorField":
-        if other.algebra is not self.algebra:
-            raise AlgebraMismatch("fields over different algebras")
-        if other.dim != self.dim:
-            raise DimensionMismatch("fields of different dimension")
+        same_chart(self, other)
         return AVectorField(
             tuple(add(a, b) for a, b in zip(self.components, other.components)),
             self.algebra,
         )
 
     def scale(self, f: AFunction | Expr | WeilElement | float) -> "AVectorField":
-        expr = scalar_expr(f, self.algebra)
+        expr = scalar_expr(f, self)
         return AVectorField(tuple(mul(expr, c) for c in self.components), self.algebra)
 
 
@@ -183,9 +170,7 @@ def prolong_map(h: Sequence[Expr], point: APoint) -> APoint:
     h_i at the point, so composing with any g matches evaluating g on the
     image."""
     comps = tuple(h)
-    for c in comps:
-        if contains_consta(c):
-            raise AlgebraMismatch("map components must be ConstA-free")
+    require_base(comps, "a map's components")
     return APoint(
         point.algebra,
         tuple(eval_weil(c, point, point.algebra) for c in comps),

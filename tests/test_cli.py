@@ -336,6 +336,34 @@ class TestConfigHandling:
         assert captured.err == f"config error: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "chart_dim, algebra, message",
+        [
+            ("true", "{generators: [eps], relations: [eps^2]}",
+             "chart_dim must be a positive integer, got True"),
+            ("1.0", "{generators: [eps], relations: [eps^2]}",
+             "chart_dim must be a positive integer, got 1.0"),
+            ("1", "{generators: eps, relations: [eps^2]}",
+             "algebra 'dual': generators must be a list, got 'eps'"),
+            ("1", "{generators: [eps], relations: eps^2}",
+             "algebra 'dual': relations must be a list, got 'eps^2'"),
+            ("1", "{generators: , relations: [eps^2]}",
+             "algebra 'dual': generators must be a list, got None"),
+        ],
+        ids=["bool_chart_dim", "float_chart_dim", "string_generators",
+             "string_relations", "null_generators"],
+    )
+    def test_wrong_type_in_config(self, tmp_path, capsys, chart_dim, algebra, message):
+        # true used to pass as a 1-dimensional chart, and a string was split
+        # into one generator or relation per letter
+        path = tmp_path / "project.yaml"
+        path.write_text(f"chart_dim: {chart_dim}\nalgebras:\n  dual: {algebra}\n"
+                        "expressions: {f: x1^2}\n", encoding="utf-8")
+        assert main(["--config", str(path), "eval", "f", "dual", "--point", "[[3,1]]"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n"
+        assert captured.out == ""
+
     def test_env_fallback(self, config2, capsys, monkeypatch):
         monkeypatch.setenv("WEILC_CONFIG", config2)
         assert main(["algebra-show", "dual"]) == 0

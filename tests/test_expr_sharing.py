@@ -38,16 +38,14 @@ from weilc.expr import (
     _point_coords,
     _precedence,
     add,
-    consta_algebra,
-    contains_consta,
     diff,
     div,
     eval_real,
     eval_weil,
-    max_var_index,
     mul,
     neg,
     power,
+    scan,
     sub,
     substitute,
     to_string,
@@ -118,7 +116,7 @@ def _ref_eval_weil(e, point, algebra=None):
         if coords:
             algebra = coords[0].algebra
         else:
-            algebra = consta_algebra(e)
+            algebra = scan(e)[0]
         if algebra is None:
             raise AlgebraMismatch("no algebra can be inferred for evaluation")
     for c in coords:
@@ -322,18 +320,14 @@ class TestSharedDag:
         A = dual_numbers()
         e = _doubling_dag(40, Add(Var(1), ConstA(A.generator("eps"))))
         assert sum(1 for _ in _levels(e)) == 42  # the tree's depth, as parse counts
-        assert max_var_index(e) == 1
-        assert contains_consta(e)
-        assert consta_algebra(e) is A
+        assert scan(e) == (A, 1)
         assert AFunction(e, 2, A).expr is e
         with pytest.raises(DimensionMismatch):
             AFunction(e, 1, A)
         with pytest.raises(AlgebraMismatch):
             AFunction(e, 2, dual_numbers())
         plain = _doubling_dag(40)
-        assert max_var_index(plain) == 0
-        assert not contains_consta(plain)
-        assert consta_algebra(plain) is None
+        assert scan(plain) == (None, 0)
 
     def test_printing_a_dag_prints_each_node_once(self):
         e = _doubling_dag(3)

@@ -1,8 +1,11 @@
-"""The benchmark in perfbench/ still finds every weilc name it uses.
+"""The benchmark in perfbench/ still finds every weilc name it uses, and
+its own output check accepts every workload's smoke ops.
 
 The tracer wraps functions and methods by name, and the workloads import
 names from weilc and call some operators on its types; a rename or a
-deleted function would otherwise surface only when the benchmark runs.
+deleted function, or an op whose output the benchmark's reference checker
+rejects (its result then reads ``correct: false``), would otherwise
+surface only when the benchmark runs.
 """
 
 import importlib.util
@@ -27,6 +30,7 @@ def _load(name: str):
 
 
 tracer = _load("tracer")
+run = _load("run")
 
 
 @pytest.mark.parametrize(
@@ -71,3 +75,15 @@ def test_verify_argv_parses(extra):
             "check", suite, 12345, 3, "r0-op1.json")
         assert args.config == workloads.CONFIGS["chart3"]
         assert (args.pi, args.algebra) == ((extra[1], extra[3]) if extra else (None, None))
+
+
+@pytest.mark.parametrize("workload", run.WORKLOADS)
+def test_smoke_ops_pass_the_benchmark_check(workload, tmp_path, monkeypatch):
+    # the worker imports weilc from src/ and the checker reads the
+    # workload configs by relative path, both from the checkout root
+    monkeypatch.chdir(PERFBENCH.parent)
+    records = str(tmp_path / "records.jsonl")
+    out = run.worker(workload, 7, 1, str(tmp_path), records=records, smoke=True)
+    with open(records, encoding="utf-8") as fh:
+        assert len(fh.readlines()) == len(out["latencies_ns"]) > 0
+    assert run.check_outputs(_load("workloads"), workload, records) == set()

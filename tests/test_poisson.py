@@ -446,7 +446,7 @@ class TestRunTrials:
             draws.append(rng.random())
             if len(draws) == 2:
                 raise DomainError("left the domain")
-            rec.record(0.0, {})
+            rec.check("x", 0.0)
 
         report = _run_trials("x", 1, 3, 1e-9, trial)
         assert report.passed and report.trials == 3 and report.redrawn == 1
@@ -466,7 +466,7 @@ class TestRunTrials:
         assert len(calls) == 4  # the first draw and three redraws
 
     def test_no_redraw_leaves_the_summary_as_it_was(self):
-        report = _run_trials("x", 1, 2, 1e-9, lambda rng, rec: rec.record(0.0, {}))
+        report = _run_trials("x", 1, 2, 1e-9, lambda rng, rec: rec.check("x", 0.0))
         assert report.redrawn == 0
         assert report.summary() == (
             "[PASS] x: trials=2 seed=1 max_residual=0.000e+00 tol=1.0e-09"
@@ -483,7 +483,7 @@ class TestRecorder:
 
     def test_nan_residual_fails(self):
         rec = _Recorder(1e-9)
-        rec.record(math.nan, {"check": "nan"})
+        rec.check("nan", math.nan)
         report = rec.report("x", 1, 1)
         assert not report.passed
         assert report.max_residual == math.inf
@@ -493,8 +493,8 @@ class TestRecorder:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_residual_fails_at_any_tol(self, tol, value):
         rec = _Recorder(tol)
-        rec.record(0.0, {"check": "zero"})
-        rec.record(value, {"check": "bad"})
+        rec.check("zero", 0.0)
+        rec.check("bad", value)
         report = rec.report("x", 1, 2)
         assert not report.passed
         assert report.max_residual == math.inf
@@ -502,7 +502,7 @@ class TestRecorder:
 
     def test_finite_residual_passes_an_inf_tol(self):
         rec = _Recorder(math.inf)
-        rec.record(1e300, {"check": "big"})
+        rec.check("big", 1e300)
         report = rec.report("x", 1, 1)
         assert report.passed and not report.witnesses
 
@@ -511,7 +511,7 @@ class TestRecorder:
         big = A.element([math.inf, 1.0])
         value = residual(big, big)
         rec = _Recorder(1e-9)
-        rec.record(value, {"check": "inf"})
+        rec.check("inf", value)
         report = rec.report("x", 1, 1)
         assert not report.passed
         assert report.max_residual == math.inf
