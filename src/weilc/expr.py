@@ -13,18 +13,18 @@ once per call: a memo keyed by node identity, and dropped when the call
 returns, holds each node's first result.  The visiting order is that of
 the tree walk, so results and the first error raised are the same.
 
-Each operand rule of the package is stated here once: ``scan``, the one
-walk for an expression's algebra and largest variable; ``same_chart``;
-``require_base``; and ``scalar_expr``, what a function, field or form
-takes as a scalar.
+Each operand rule of the package is stated here once, and reads the facts
+each node holds (see ``Expr``) instead of walking a tree: ``on_chart``, the
+coefficients of a function, field, form or bivector; ``chart_point``, its
+points; ``same_chart``; ``require_base``; and ``scalar_expr``, its scalars.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, fields
+from typing import Iterable, Sequence
 
 from .algebra import (
     PRIMITIVES,
@@ -41,13 +41,22 @@ from .errors import (
     DomainError,
     ParseError,
     UnknownSymbol,
+    WeilcError,
 )
 
 
 class Expr:
-    """Base node.  Arithmetic operators build folded trees."""
+    """Base node.  Arithmetic operators build folded trees.
 
-    __slots__ = ()
+    Each node keeps ``facts``, the ``(depth, top, algebra)`` of its tree, set
+    once when it is built: the number of levels, the largest variable index
+    (-1 for none) and the algebra of the ConstA leaves (None for none).
+    Constants over two algebras raise AlgebraMismatch."""
+
+    __slots__ = ("facts",)
+    depth = property(lambda self: self.facts[0])
+    top = property(lambda self: self.facts[1])
+    algebra = property(lambda self: self.facts[2])
 
     def _coerce(self, other) -> "Expr | None":
         if isinstance(other, Expr):
@@ -99,62 +108,130 @@ class Expr:
     def __repr__(self):
         return to_string(self)
 
+    def __reduce__(self):
+        # rebuilt through the constructor: frozen slots refuse a restored state
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
-@dataclass(frozen=True, repr=False)
+
+@dataclass(frozen=True, init=False, repr=False)
 class Var(Expr):
+    __slots__ = ("index",)
     index: int
+
+    def __init__(self, index: int):
+        _set_index(self, index)
+        _set_facts(self, (1, index, None))
 
 
 @dataclass(frozen=True, repr=False)
 class ConstR(Expr):
+    __slots__ = ("value",)
+    facts = (1, -1, None)
     value: float
 
 
 @dataclass(frozen=True, repr=False)
 class ConstA(Expr):
+    __slots__ = ("value",)
     value: WeilElement
 
+    def __post_init__(self):
+        _set_facts(self, (1, -1, self.value.algebra))
 
-@dataclass(frozen=True, repr=False)
-class Add(Expr):
+
+@dataclass(frozen=True, init=False, repr=False)
+class _Binary(Expr):
+    __slots__ = ("left", "right")
     left: Expr
     right: Expr
 
-
-@dataclass(frozen=True, repr=False)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True, repr=False)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True, repr=False)
-class Div(Expr):
-    left: Expr
-    right: Expr
+    def __init__(self, left: Expr, right: Expr):
+        # the facts inline, with no call: every arithmetic step builds one
+        depth, top, algebra = left.facts
+        right_depth, right_top, right_algebra = right.facts
+        if right_depth > depth:
+            depth = right_depth
+        if depth >= MAX_NODE_DEPTH:
+            raise WeilcError(_TOO_DEEP)
+        if right_algebra is not algebra and right_algebra is not None:
+            if algebra is not None:
+                raise AlgebraMismatch("expression mixes constants of two algebras")
+            algebra = right_algebra
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_facts(self, (depth + 1, top if top > right_top else right_top, algebra))
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
+class Add(_Binary):
+    __slots__ = ()
+
+
+@dataclass(frozen=True, init=False, repr=False)
+class Sub(_Binary):
+    __slots__ = ()
+
+
+@dataclass(frozen=True, init=False, repr=False)
+class Mul(_Binary):
+    __slots__ = ()
+
+
+@dataclass(frozen=True, init=False, repr=False)
+class Div(_Binary):
+    __slots__ = ()
+
+
+# the one-operand nodes also set their facts inline
+@dataclass(frozen=True, init=False, repr=False)
 class Neg(Expr):
+    __slots__ = ("arg",)
     arg: Expr
 
+    def __init__(self, arg: Expr):
+        depth, top, algebra = arg.facts
+        if depth >= MAX_NODE_DEPTH:
+            raise WeilcError(_TOO_DEEP)
+        _set_arg(self, arg)
+        _set_facts(self, (depth + 1, top, algebra))
 
-@dataclass(frozen=True, repr=False)
+
+@dataclass(frozen=True, init=False, repr=False)
 class Pow(Expr):
+    __slots__ = ("base", "exponent")
     base: Expr
     exponent: int
 
+    def __init__(self, base: Expr, exponent: int):
+        depth, top, algebra = base.facts
+        if depth >= MAX_NODE_DEPTH:
+            raise WeilcError(_TOO_DEEP)
+        _set_base(self, base)
+        _set_exponent(self, exponent)
+        _set_facts(self, (depth + 1, top, algebra))
 
-@dataclass(frozen=True, repr=False)
+
+@dataclass(frozen=True, init=False, repr=False)
 class Apply(Expr):
+    __slots__ = ("fn", "arg")
     fn: PrimitiveFn
     arg: Expr
 
+    def __init__(self, fn: PrimitiveFn, arg: Expr):
+        depth, top, algebra = arg.facts
+        if depth >= MAX_NODE_DEPTH:
+            raise WeilcError(_TOO_DEEP)
+        _set_fn(self, fn)
+        _set_apply_arg(self, arg)
+        _set_facts(self, (depth + 1, top, algebra))
+
+
+# frozen nodes refuse assignment, so constructors write through the slots
+_set_facts, _set_index, _set_left, _set_right = (
+    Expr.facts.__set__, Var.index.__set__, _Binary.left.__set__, _Binary.right.__set__)
+_set_arg, _set_base, _set_exponent, _set_fn, _set_apply_arg = (
+    Neg.arg.__set__, Pow.base.__set__, Pow.exponent.__set__, Apply.fn.__set__,
+    Apply.arg.__set__)
 
 ZERO = ConstR(0.0)
 ONE = ConstR(1.0)
@@ -226,55 +303,39 @@ def power(base: Expr, k: int) -> Expr:
     return Pow(base, k)
 
 
-# -- structure queries -----------------------------------------------------------
-
-
-def _levels(e: Expr) -> Iterator[list[Expr]]:
-    """The distinct nodes of the DAG level by level, root first: a node
-    appears once on each level at which the tree has it, so the level count
-    is the tree's depth.  Iterative, so that a deep tree costs no stack."""
-    level = [e]
-    while level:
-        yield level
-        below: dict[int, Expr] = {}
-        for node in level:
-            # exact types (no node class is subclassed): cheaper than isinstance
-            kind = type(node)
-            if kind in (Add, Sub, Mul, Div):
-                below[id(node.left)] = node.left
-                below[id(node.right)] = node.right
-            elif kind is Neg or kind is Apply:
-                below[id(node.arg)] = node.arg
-            elif kind is Pow:
-                below[id(node.base)] = node.base
-        level = list(below.values())
-
-
-def scan(e: Expr) -> tuple[WeilAlgebra | None, int]:
-    """The algebra of the ConstA leaves (None when there are none) and the
-    largest variable index used (-1 for a closed expression), in one walk.
-    Constants over two algebras raise AlgebraMismatch."""
-    found: WeilAlgebra | None = None
-    top = -1
-    for level in _levels(e):
-        for node in level:
-            kind = type(node)
-            if kind is Var:
-                if node.index > top:
-                    top = node.index
-            elif kind is ConstA and node.value.algebra is not found:
-                if found is not None:
-                    raise AlgebraMismatch("expression mixes constants of two algebras")
-                found = node.value.algebra
-    return found, top
+# -- operand rules -----------------------------------------------------------
 
 
 def require_base(exprs: Iterable[Expr], what: str):
-    """The base rule: ``what`` (a function, field, form, bivector or map on
-    the base chart) holds no algebra constants."""
+    """The base rule: ``what`` (a function, form or map to be prolonged, or
+    a function in the base bracket) holds no algebra constants."""
     for e in exprs:
-        if scan(e)[0] is not None:
+        if e.algebra is not None:
             raise AlgebraMismatch(f"{what} must be ConstA-free")
+
+
+def on_chart(exprs: Iterable[Expr], owner):
+    """The coefficient rule: each of ``exprs`` has its constants over
+    ``owner.algebra`` (none on a base object) and no variable beyond
+    ``owner.dim``, on the chart of a function, field, form or bivector."""
+    for e in exprs:
+        if e.algebra is not None and e.algebra is not owner.algebra:
+            raise AlgebraMismatch("expression constants disagree with the algebra")
+        if e.top >= owner.dim:
+            raise DimensionMismatch(
+                f"expression uses x{e.top + 1} on a chart of dimension {owner.dim}"
+            )
+
+
+def chart_point(point, owner) -> tuple[WeilElement, ...]:
+    """The point rule: the coordinates of ``point``, which has one for each
+    chart coordinate of ``owner`` (a function, field, form or bivector)."""
+    coords = _point_coords(point)
+    if len(coords) != owner.dim:
+        raise DimensionMismatch(
+            f"point has {len(coords)} coordinates, chart has {owner.dim}"
+        )
+    return coords
 
 
 def same_chart(*objs) -> WeilAlgebra | None:
@@ -407,15 +468,14 @@ def eval_weil(e: Expr, point, algebra: WeilAlgebra | None = None) -> WeilElement
     """
     coords = _point_coords(point)
     if algebra is None:
-        if coords:
-            algebra = coords[0].algebra
-        else:
-            algebra = scan(e)[0]
+        algebra = coords[0].algebra if coords else e.algebra
         if algebra is None:
             raise AlgebraMismatch("no algebra can be inferred for evaluation")
     for c in coords:
         if c.algebra is not algebra:
             raise AlgebraMismatch("point coordinates live over different algebras")
+    if e.algebra is not None and e.algebra is not algebra:
+        raise AlgebraMismatch("algebra constant does not match the point")
     value = _eval_weil(e, coords, algebra, {})
     # ring arithmetic overflows silently; one check here covers every path
     if not all(map(math.isfinite, value.coeffs)):
@@ -432,8 +492,6 @@ def _eval_weil(e: Expr, coords, algebra: WeilAlgebra, memo: dict) -> WeilElement
             )
         return coords[e.index]
     if kind is ConstA:
-        if e.value.algebra is not algebra:
-            raise AlgebraMismatch("algebra constant does not match the point")
         return e.value
     key = id(e)
     value = memo.get(key)
@@ -543,6 +601,11 @@ _VAR = re.compile(r"x([1-9]\d*)$")
 # accepts; the printer, the evaluators and diff recurse once per tree level
 MAX_DEPTH = 100
 
+# deepest tree any constructor builds (else WeilcError): == and deepcopy
+# recurse thrice per level, within Python's 1000 frames to about 330 levels.
+MAX_NODE_DEPTH = 300
+_TOO_DEEP = f"expression tree deeper than {MAX_NODE_DEPTH} levels"
+
 
 class _Parser:
     def __init__(self, text: str, n: int):
@@ -582,27 +645,34 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {val!r}", pos)
+        return self.shallow(e, 0)
+
+    def shallow(self, e: Expr, pos: int) -> Expr:
+        # checked at the end and at each operator of a chain, so no chain
+        # reaches MAX_NODE_DEPTH; the nesting bound covers signs and calls
+        if e.depth > MAX_DEPTH:
+            raise ParseError(f"expression tree is deeper than {MAX_DEPTH}", pos)
         return e
 
     def expression(self) -> Expr:
         e = self.term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
                 rhs = self.term()
-                e = Add(e, rhs) if val == "+" else Sub(e, rhs)
+                e = self.shallow(Add(e, rhs) if val == "+" else Sub(e, rhs), pos)
             else:
                 return e
 
     def term(self) -> Expr:
         e = self.unary()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "*/":
                 self.next()
                 rhs = self.unary()
-                e = Mul(e, rhs) if val == "*" else Div(e, rhs)
+                e = self.shallow(Mul(e, rhs) if val == "*" else Div(e, rhs), pos)
             else:
                 return e
 
@@ -630,10 +700,10 @@ class _Parser:
     def power(self) -> Expr:
         e = self.atom()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val == "^":
                 self.next()
-                e = Pow(e, self.exponent())
+                e = self.shallow(Pow(e, self.exponent()), pos)
             else:
                 return e
 
@@ -683,12 +753,7 @@ class _Parser:
 def parse(text: str, n: int) -> Expr:
     """Parse an expression over x1..xn.  Raises ParseError / UnknownSymbol,
     and ParseError for a tree deeper than MAX_DEPTH (a long sum included)."""
-    parser = _Parser(text, n)
-    e = parser.parse()
-    # each node takes at least one token, so a short text needs no walk
-    if len(parser.tokens) > MAX_DEPTH and sum(1 for _ in _levels(e)) > MAX_DEPTH:
-        raise ParseError(f"expression tree is deeper than {MAX_DEPTH}", 0)
-    return e
+    return _Parser(text, n).parse()
 
 
 # -- printing ----------------------------------------------------------------------
@@ -771,12 +836,7 @@ class AFunction:
         scalar_expr(self.expr, self)
 
     def __call__(self, point) -> WeilElement:
-        coords = _point_coords(point)
-        if len(coords) != self.dim:
-            raise DimensionMismatch(
-                f"point has {len(coords)} coordinates, chart has {self.dim}"
-            )
-        return eval_weil(self.expr, coords, self.algebra)
+        return eval_weil(self.expr, chart_point(point, self), self.algebra)
 
     def partial(self, i: int) -> "AFunction":
         return AFunction(diff(self.expr, i), self.dim, self.algebra)
@@ -816,10 +876,9 @@ class AFunction:
 def scalar_expr(value, owner) -> Expr:
     """The scalar rule: the expression of ``value`` as a function on the
     chart of ``owner`` (a function, field or form), for arithmetic,
-    ``scale`` and a field's ``apply``.  An AFunction goes
-    through ``same_chart``; a Weil element or an Expr must be over
-    ``owner.algebra`` and use no variable beyond ``owner.dim``; a real
-    number becomes a constant.  Any other type raises TypeError."""
+    ``scale`` and a field's ``apply`` and ``apply_at``.  An AFunction goes
+    through ``same_chart``; a Weil element or an Expr through ``on_chart``;
+    a real number becomes a constant.  Any other type raises TypeError."""
     if isinstance(value, AFunction):
         same_chart(owner, value)
         return value.expr
@@ -829,13 +888,7 @@ def scalar_expr(value, owner) -> Expr:
         return ConstR(float(value))
     elif not isinstance(value, Expr):
         raise TypeError(f"{type(value).__name__} is not a scalar")
-    found, top = scan(value)
-    if found is not None and found is not owner.algebra:
-        raise AlgebraMismatch("expression constants disagree with the algebra")
-    if top >= owner.dim:
-        raise DimensionMismatch(
-            f"expression uses x{top + 1} on a chart of dimension {owner.dim}"
-        )
+    on_chart((value,), owner)
     return value
 
 

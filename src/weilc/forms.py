@@ -4,7 +4,8 @@ A degree-p form is stored as a map from strictly increasing index tuples
 (i1 < ... < ip, 0-based) to coefficient expressions; the degree-0 case has
 the single key ().  The coordinate normal form is faithful here because
 the differential is fixed by the Leibniz rule together with its values on
-the coordinate functions.
+the coordinate functions.  The constructor takes the coefficients through
+``on_chart``.
 """
 
 from __future__ import annotations
@@ -19,10 +20,12 @@ from .expr import (
     Expr,
     ZERO,
     add,
+    chart_point,
     diff,
     eval_weil,
     mul,
     neg,
+    on_chart,
     require_base,
     same_chart,
     scalar_expr,
@@ -42,6 +45,7 @@ class CoordForm:
     coeffs: Mapping[Index, Expr] = field(default_factory=dict)
 
     def __post_init__(self):
+        on_chart(self.coeffs.values(), self)
         for idx in self.coeffs:
             if len(idx) != self.degree:
                 raise DegreeError(f"index tuple {idx} in a degree-{self.degree} form")
@@ -55,8 +59,9 @@ class CoordForm:
 
     def evaluate(self, point) -> dict[Index, WeilElement]:
         """All coefficients at a point, absent tuples evaluating to zero."""
+        coords = chart_point(point, self)
         return {
-            idx: eval_weil(c, point, self.algebra) for idx, c in self.coeffs.items()
+            idx: eval_weil(c, coords, self.algebra) for idx, c in self.coeffs.items()
         }
 
     def as_afunction(self) -> AFunction:

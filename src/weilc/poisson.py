@@ -38,11 +38,13 @@ from .expr import (
     Var,
     ZERO,
     add,
+    chart_point,
     diff,
     eval_real,
     eval_weil,
     mul,
     neg,
+    on_chart,
     require_base,
     same_chart,
     sub,
@@ -182,9 +184,11 @@ def _run_trials(
 class PoissonStructure:
     """Skew bivector, upper triangle stored, entries ConstA-free."""
 
+    algebra = None  # on the base chart, so ``on_chart`` refuses constants
+
     def __init__(self, dim: int, entries: Mapping[tuple[int, int], Expr]):
         self.dim = dim
-        require_base(entries.values(), "a bivector entry")
+        on_chart(entries.values(), self)
         cleaned: dict[tuple[int, int], Expr] = {}
         for (i, j), e in entries.items():
             if not (0 <= i < j < dim):
@@ -364,13 +368,14 @@ def omega_at(
 ) -> WeilElement:
     """Evaluate the 2-form pairing by ring-combining evaluated pieces."""
     algebra = _operands(pi, force, x, y)
+    coords = chart_point(point, pi)
     out = algebra.zero()
     for (i, j), p in sorted(pi.entries.items()):
-        pv = eval_weil(p, point, algebra)
-        xi = eval_weil(x.coefficient((i,)), point, algebra)
-        xj = eval_weil(x.coefficient((j,)), point, algebra)
-        yi = eval_weil(y.coefficient((i,)), point, algebra)
-        yj = eval_weil(y.coefficient((j,)), point, algebra)
+        pv = eval_weil(p, coords, algebra)
+        xi = eval_weil(x.coefficient((i,)), coords, algebra)
+        xj = eval_weil(x.coefficient((j,)), coords, algebra)
+        yi = eval_weil(y.coefficient((i,)), coords, algebra)
+        yj = eval_weil(y.coefficient((j,)), coords, algebra)
         out = out + pv * (xi * yj - xj * yi)
     return -out
 

@@ -3,7 +3,8 @@
 A point assigns each chart coordinate a Weil element; a base vector field
 acts on functions through symbolic partials.  Prolonging a field keeps its
 component expressions and reinterprets them for Weil evaluation, which is
-the unique algebra-linear derivation extending the base action.
+the unique algebra-linear derivation extending the base action.  A field's
+constructor takes its components through ``on_chart``.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ from .expr import (
     AFunction,
     Expr,
     add,
+    chart_point,
     diff,
     eval_weil,
     mul,
+    on_chart,
     require_base,
     same_chart,
     scalar_expr,
@@ -70,7 +73,7 @@ class VectorField:
     algebra: ClassVar[None] = None
 
     def __post_init__(self):
-        require_base(self.components, "a base vector field")
+        on_chart(self.components, self)
 
     @property
     def dim(self) -> int:
@@ -117,6 +120,9 @@ class AVectorField:
     components: tuple[Expr, ...]
     algebra: WeilAlgebra
 
+    def __post_init__(self):
+        on_chart(self.components, self)
+
     @property
     def dim(self) -> int:
         return len(self.components)
@@ -128,16 +134,16 @@ class AVectorField:
 
     def apply_at(self, fn: AFunction | Expr, point) -> WeilElement:
         """Evaluate D(fn) at a point by combining evaluated pieces."""
-        # evaluation itself refuses an Expr off the point or over another algebra
-        expr = scalar_expr(fn, self) if isinstance(fn, AFunction) else fn
+        if not self.components:
+            raise DimensionMismatch("vector field has no components")
+        expr = scalar_expr(fn, self)
+        coords = chart_point(point, self)
         out = None
         for i, comp in enumerate(self.components):
-            term = eval_weil(comp, point, self.algebra) * eval_weil(
-                diff(expr, i), point, self.algebra
+            term = eval_weil(comp, coords, self.algebra) * eval_weil(
+                diff(expr, i), coords, self.algebra
             )
             out = term if out is None else out + term
-        if out is None:
-            raise DimensionMismatch("vector field has no components")
         return out
 
     def __add__(self, other: "AVectorField") -> "AVectorField":

@@ -1,6 +1,9 @@
 """Parser, printer, symbolic differentiation, and the two evaluators."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -14,6 +17,7 @@ from weilc.errors import (
     DomainError,
     ParseError,
     UnknownSymbol,
+    WeilcError,
 )
 from weilc.expr import (
     AFunction,
@@ -24,12 +28,14 @@ from weilc.expr import (
     Div,
     FUNCTIONS,
     MAX_DEPTH,
+    MAX_NODE_DEPTH,
     Mul,
     Neg,
     Pow,
     Sub,
     Var,
     ZERO,
+    add,
     diff,
     eval_real,
     eval_weil,
@@ -292,3 +298,152 @@ class TestAFunction:
         xi = APoint(A, (A.element([2, 1]),))
         assert (eps * fn)(xi) == eps * fn(xi)
         assert (fn + 1.0)(xi) == fn(xi) + A.unit()
+
+
+_X1, _X2 = Var(0), Var(1)
+_EPS = dual_numbers().generator("eps")
+_SIN, _COS = FUNCTIONS["sin"], FUNCTIONS["cos"]
+_BINARY = (Add, Sub, Mul, Div)
+
+
+def _sample_nodes():
+    """One node of each class, over two variables and a constant."""
+    return [
+        _X1,
+        ConstR(2.0),
+        ConstA(_EPS),
+        *(kind(_X1, _X2) for kind in _BINARY),
+        Neg(_X1),
+        Pow(_X1, 2),
+        Apply(_SIN, _X1),
+    ]
+
+
+class TestNodeContract:
+    """Nodes compare and hash by class and fields (the facts they hold are
+    derived, never compared), refuse assignment, and survive copy, deepcopy
+    and pickle."""
+
+    @pytest.mark.parametrize(
+        "node, other",
+        [
+            (Var(0), Var(1)),
+            (ConstR(2.0), ConstR(3.0)),
+            (ConstA(_EPS), ConstA(_EPS.algebra.unit())),
+            *((kind(_X1, _X2), kind(_X2, _X2)) for kind in _BINARY),
+            *((kind(_X1, _X2), kind(_X1, _X1)) for kind in _BINARY),
+            *((kind(_X1, _X2), kind(_X2, _X1)) for kind in _BINARY),
+            (Neg(_X1), Neg(_X2)),
+            (Pow(_X1, 2), Pow(_X2, 2)),
+            (Pow(_X1, 2), Pow(_X1, 3)),
+            (Apply(_SIN, _X1), Apply(_COS, _X1)),
+            (Apply(_SIN, _X1), Apply(_SIN, _X2)),
+        ],
+    )
+    def test_nodes_differing_in_one_field_compare_unequal(self, node, other):
+        assert node != other
+        assert node == type(node)(*(getattr(node, f.name) for f in dataclasses.fields(node)))
+
+    def test_binary_classes_compare_unequal(self):
+        for kind in _BINARY:
+            for other in _BINARY:
+                assert (kind(_X1, _X2) == other(_X1, _X2)) == (kind is other)
+
+    def test_equal_trees_hash_equal(self):
+        text = "x1*sin(x2)^2 - x2/(1 + x1) + -x1"
+        assert parse(text, 2) is not parse(text, 2)
+        assert hash(parse(text, 2)) == hash(parse(text, 2))
+        d = diff(parse(text, 2), 0)
+        assert hash(d) == hash(parse(to_string(d), 2))
+
+    @pytest.mark.parametrize("node", _sample_nodes(), ids=lambda n: type(n).__name__)
+    def test_assignment_raises(self, node):
+        for name in [f.name for f in dataclasses.fields(node)] + ["facts", "depth", "top"]:
+            with pytest.raises(AttributeError):  # FrozenInstanceError among them
+                setattr(node, name, None)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+
+    @pytest.mark.parametrize("node", _sample_nodes(), ids=lambda n: type(n).__name__)
+    def test_copies_are_equal_with_the_same_facts(self, node):
+        copies = [copy.copy(node)]
+        if not isinstance(node, ConstA):
+            # an algebra is an identity handle: deepcopy would build a new
+            # one, and its compiled kernel does not pickle
+            copies += [copy.deepcopy(node), pickle.loads(pickle.dumps(node))]
+        for twin in copies:
+            assert twin == node
+            assert type(twin) is type(node)
+            assert twin.facts == node.facts
+
+    def test_a_derivative_round_trips(self):
+        d = diff(parse("x1^3*sin(x2) - exp(x1*x2)/x2", 2), 1)
+        for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert twin == d
+            assert twin.facts == d.facts
+
+
+def _chain(terms):
+    """x1 + x1*x2 + ... + x1*x2 with ``terms`` terms, built with ``add``:
+    a left-leaning tree, one level deeper per term."""
+    e = _X1
+    for _ in range(terms - 1):
+        e = add(e, Mul(_X1, _X2))
+    return e
+
+
+class TestDepthLimit:
+    def test_a_tree_at_the_limit_works(self):
+        e = _chain(MAX_NODE_DEPTH - 1)
+        assert e.depth == MAX_NODE_DEPTH
+        assert to_string(e).count("+") == MAX_NODE_DEPTH - 2
+        assert diff(e, 0).depth == MAX_NODE_DEPTH - 1
+        value = 1.0 + 2.0 * (MAX_NODE_DEPTH - 2)
+        assert eval_real(e, [1.0, 2.0]) == value
+        A = dual_numbers()
+        # e is x1 times a constant in x2, so at x1 = 1 + eps its derivative
+        # equals its value
+        x = (A.element([1.0, 1.0]), A.from_real(2.0))
+        assert eval_weil(e, x) == A.element([value, value])
+        assert hash(e) == hash(_chain(MAX_NODE_DEPTH - 1))
+        twin = pickle.loads(pickle.dumps(e))
+        assert twin == e
+        assert twin.depth == MAX_NODE_DEPTH
+        assert copy.deepcopy(e) == e
+
+    def test_one_level_more_raises(self):
+        e = _chain(MAX_NODE_DEPTH - 1)
+        for build in (
+            lambda: add(e, _X1),
+            lambda: Sub(_X1, e),
+            lambda: Mul(e, e),
+            lambda: Div(e, _X2),
+            lambda: Neg(e),
+            lambda: Pow(e, 2),
+            lambda: Apply(_SIN, e),
+        ):
+            with pytest.raises(WeilcError, match=f"deeper than {MAX_NODE_DEPTH}") as err:
+                build()
+            # a usage error (exit 2), never a DomainError that a trial redraws
+            assert type(err.value) is WeilcError
+
+    def test_a_long_library_chain_raises(self):
+        # 3000 terms used to raise RecursionError in eval_real, diff,
+        # to_string and hash
+        with pytest.raises(WeilcError, match=f"deeper than {MAX_NODE_DEPTH}"):
+            _chain(3000)
+
+    def test_parse_refuses_before_the_node_limit(self):
+        # chains, signs and calls in any mix: ParseError, never the
+        # constructors' WeilcError
+        wrapped = "sin(-(" * (MAX_DEPTH // 2 - 1) + "x1" + "))" * (MAX_DEPTH // 2 - 1)
+        chain = " + ".join(["x1"] * (MAX_DEPTH - 1))
+        for text in (
+            "sin(-(" * 49 + chain + "))" * 49,
+            chain + " + " + wrapped,
+            wrapped + "^2" * 500,
+            "x1" + "^2" * 1000,
+            " * ".join([wrapped] * 400),
+        ):
+            with pytest.raises(ParseError, match=str(MAX_DEPTH)):
+                parse(text, 1)

@@ -1,10 +1,15 @@
-"""Walks over shared subexpressions, and the tokenizer.
+"""Walks over shared subexpressions, the facts each node holds, and the
+tokenizer.
 
 ``diff``, ``substitute``, ``eval_real``, ``eval_weil`` and ``to_string``
 visit a node that occurs more than once in a DAG only once per call.  The
 ``_ref_*`` functions below are the plain tree recursions they replaced,
 kept as the reference: on every input the walks must give equal trees,
 identical strings, bitwise-equal values and the same first error.
+
+Each node's ``depth``, ``top`` and ``algebra`` replaced a walk over the
+DAG; ``_ref_levels`` and ``_ref_scan`` are that walk, kept as the
+reference for the facts.
 """
 
 import math
@@ -18,7 +23,6 @@ from weilc.algebra import RECIPROCAL, render_element, taylor_lift
 from weilc.errors import AlgebraMismatch, DimensionMismatch, DomainError, ParseError
 from weilc.expr import (
     _CHAIN,
-    _levels,
     _TOKEN,
     FUNCTIONS,
     AFunction,
@@ -44,8 +48,8 @@ from weilc.expr import (
     eval_weil,
     mul,
     neg,
+    parse,
     power,
-    scan,
     sub,
     substitute,
     to_string,
@@ -53,6 +57,45 @@ from weilc.expr import (
 from weilc.sampling import random_expr, random_expr_with_consta, random_point, rng_for
 
 # -- the tree recursions, as references ---------------------------------------------
+
+
+def _ref_levels(e):
+    """The distinct nodes of the DAG level by level, root first: a node
+    appears once on each level at which the tree has it, so the level count
+    is the tree's depth."""
+    level = [e]
+    while level:
+        yield level
+        below = {}
+        for node in level:
+            kind = type(node)
+            if kind in (Add, Sub, Mul, Div):
+                below[id(node.left)] = node.left
+                below[id(node.right)] = node.right
+            elif kind is Neg or kind is Apply:
+                below[id(node.arg)] = node.arg
+            elif kind is Pow:
+                below[id(node.base)] = node.base
+        level = list(below.values())
+
+
+def _ref_scan(e):
+    """The algebra of the ConstA leaves (None when there are none) and the
+    largest variable index used (-1 for a closed expression).  Constants
+    over two algebras raise AlgebraMismatch."""
+    found = None
+    top = -1
+    for level in _ref_levels(e):
+        for node in level:
+            kind = type(node)
+            if kind is Var:
+                if node.index > top:
+                    top = node.index
+            elif kind is ConstA and node.value.algebra is not found:
+                if found is not None:
+                    raise AlgebraMismatch("expression mixes constants of two algebras")
+                found = node.value.algebra
+    return found, top
 
 
 def _ref_diff(e, i):
@@ -116,7 +159,7 @@ def _ref_eval_weil(e, point, algebra=None):
         if coords:
             algebra = coords[0].algebra
         else:
-            algebra = scan(e)[0]
+            algebra = _ref_scan(e)[0]
         if algebra is None:
             raise AlgebraMismatch("no algebra can be inferred for evaluation")
     for c in coords:
@@ -319,15 +362,15 @@ class TestSharedDag:
     def test_structure_queries_visit_each_node_once_per_level(self):
         A = dual_numbers()
         e = _doubling_dag(40, Add(Var(1), ConstA(A.generator("eps"))))
-        assert sum(1 for _ in _levels(e)) == 42  # the tree's depth, as parse counts
-        assert scan(e) == (A, 1)
+        assert e.depth == sum(1 for _ in _ref_levels(e)) == 42  # as parse counts
+        assert (e.algebra, e.top) == _ref_scan(e) == (A, 1)
         assert AFunction(e, 2, A).expr is e
         with pytest.raises(DimensionMismatch):
             AFunction(e, 1, A)
         with pytest.raises(AlgebraMismatch):
             AFunction(e, 2, dual_numbers())
         plain = _doubling_dag(40)
-        assert scan(plain) == (None, 0)
+        assert (plain.algebra, plain.top) == _ref_scan(plain) == (None, 0)
 
     def test_printing_a_dag_prints_each_node_once(self):
         e = _doubling_dag(3)
@@ -415,6 +458,52 @@ def test_shared_operands_match_tree_recursions(seed, xs):
         assert new == ref
         assert to_string(new) == _ref_to_string(ref)
         _same(_outcome(eval_real, new, xs), _outcome(_ref_eval_real, ref, xs), float.hex)
+
+
+# -- the facts each node holds, against the walk they replaced -----------------------
+
+
+def _facts(e):
+    return e.depth, e.top, e.algebra
+
+
+def _ref_facts(e):
+    algebra, top = _ref_scan(e)
+    return sum(1 for _ in _ref_levels(e)), top, algebra
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3),
+    wrap=_WRAP,
+    consta=st.booleans(),
+    i=st.integers(0, 2),
+)
+def test_facts_match_the_reference_walk(seed, n, wrap, consta, i):
+    rng, algebra, e, replacements = _build(seed, n, wrap, consta)
+    # a separately built algebra: its constants never mix with ``algebra``'s
+    other = _ALGEBRAS[(seed + 1) % len(_ALGEBRAS)]()
+    foreign = random_expr_with_consta(rng, n, other, depth=2)
+    results = [e, diff(e, i % n), diff(diff(e, i % n), 0), substitute(e, replacements)]
+    results += [parse(to_string(r), n) for r in results if r.algebra is None]
+    for r in results:
+        assert _facts(r) == _ref_facts(r)
+        for kind in (Add, Sub, Mul, Div):
+            mixed = r.algebra is not None and foreign.algebra is not None
+            if mixed:
+                with pytest.raises(AlgebraMismatch, match="two algebras"):
+                    kind(r, foreign)
+            else:
+                built = kind(r, foreign)
+                assert _facts(built) == _ref_facts(built)
+        for built in (Neg(r), Pow(r, 3), Apply(FUNCTIONS["exp"], r)):
+            assert _facts(built) == _ref_facts(built)
+    if e.algebra is not None:
+        # substituting foreign constants into e mixes them with its own
+        if foreign.algebra is not None and e.top >= 0:
+            with pytest.raises(AlgebraMismatch, match="two algebras"):
+                substitute(e, [foreign] * n)
 
 
 # -- tokenizer -------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """The operand rule: every operation on functions, fields and forms refuses
 operands over two algebras (AlgebraMismatch) and operands on two charts
-(DimensionMismatch), whichever class the operands belong to."""
+(DimensionMismatch), whichever class the operands belong to.  So do the
+coefficient rule, when a function, field, form or bivector is built, and
+the point rule, when one is evaluated."""
 
 import operator
 
@@ -10,6 +12,7 @@ from weilc import (
     AFunction,
     APoint,
     CoordForm,
+    PoissonStructure,
     VectorField,
     canonical_structure,
     contract,
@@ -18,6 +21,7 @@ from weilc import (
     jets,
     lie_bracket,
     omega_prolonged,
+    jacobi_check,
     parse,
     prolong_bracket,
     wedge,
@@ -116,3 +120,59 @@ def test_operands_on_one_chart_over_one_algebra(name, left, right, op, algebras)
     # the same operation is defined once the operands agree
     first, _ = algebras
     op(left(first, 2), right(first, 2))
+
+
+# (name, chart dimension, build from one coefficient)
+BUILDERS = [
+    ("function", 1, lambda e: AFunction(e, 1, DUAL)),
+    ("form", 1, lambda e: CoordForm(1, 1, DUAL, {(0,): e})),
+    ("prolonged field", 1, lambda e: AVectorField((e,), DUAL)),
+    ("base field", 1, lambda e: VectorField((e,))),
+    ("bivector", 2, lambda e: PoissonStructure(2, {(0, 1): e})),
+]
+BUILDER_IDS = [case[0] for case in BUILDERS]
+
+
+@pytest.mark.parametrize("name, dim, build", BUILDERS, ids=BUILDER_IDS)
+def test_constructors_refuse_a_coefficient_off_the_chart(name, dim, build):
+    with pytest.raises(DimensionMismatch, match=f"x{dim + 1}"):
+        build(parse(f"x{dim + 1}", dim + 1))
+    build(parse(f"x{dim}", dim))
+
+
+@pytest.mark.parametrize("name, dim, build", BUILDERS, ids=BUILDER_IDS)
+def test_constructors_refuse_foreign_constants(name, dim, build):
+    # JET2 is foreign to the prolonged objects over DUAL, and any algebra
+    # is foreign to the base field and the bivector
+    with pytest.raises(AlgebraMismatch):
+        build(expression(JET2, dim))
+
+
+def test_a_refused_bivector_is_never_trusted():
+    # it used to build, pass jacobi_check and be marked trusted
+    with pytest.raises(DimensionMismatch):
+        jacobi_check(PoissonStructure(2, {(0, 1): parse("x3", 3)}), 5, 1e-9)
+
+
+# (name, chart dimension, evaluate at a point)
+EVALUATIONS = [
+    ("function", 2, lambda p: function(DUAL, 2)(p)),
+    ("form evaluate", 2, lambda p: form(DUAL, 2).evaluate(p)),
+    ("form evaluate, no coefficients", 1, lambda p: CoordForm(1, 1, DUAL).evaluate(p)),
+    ("apply_at", 1, lambda p: field(DUAL, 1).apply_at(parse("x1^2", 1), p)),
+    ("omega_at", 2,
+     lambda p: omega_at(PI, form(DUAL, 2), form(DUAL, 2), p, force=True)),
+]
+
+
+@pytest.mark.parametrize("name, dim, evaluate", EVALUATIONS,
+                         ids=[case[0] for case in EVALUATIONS])
+def test_evaluation_refuses_a_point_off_the_chart(name, dim, evaluate):
+    eps = DUAL.generator("eps")
+    for n in (dim - 1, dim + 1, 3):
+        if n == dim:
+            continue
+        point = APoint(DUAL, tuple(DUAL.from_real(0.5) + eps for _ in range(n)))
+        with pytest.raises(DimensionMismatch, match=f"point has {n} coordinates"):
+            evaluate(point)
+    evaluate(APoint(DUAL, tuple(DUAL.from_real(0.5) + eps for _ in range(dim))))
