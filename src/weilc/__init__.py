@@ -21,7 +21,6 @@ from .algebra import (
     build_algebra,
     dual_numbers,
     jets,
-    pow_primitive,
     render_element,
     taylor_lift,
     trivial_algebra,

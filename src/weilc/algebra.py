@@ -188,6 +188,15 @@ class WeilAlgebra:
     def __repr__(self):
         return f"WeilAlgebra({self.describe()}, dim={self.dim}, height={self.height})"
 
+    # An algebra is an identity handle: a deep copy keeps it, and pickling
+    # keeps its presentation, so one load rebuilds one new algebra (its
+    # kernels from the _compile cache) for every element that refers to it.
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return WeilAlgebra, (self.presentation,)
+
 
 def build_algebra(presentation: AlgebraPresentation) -> WeilAlgebra:
     return WeilAlgebra(presentation)
@@ -331,7 +340,9 @@ class WeilElement:
             x == y for x, y in zip(self.coeffs, other.coeffs)
         )
 
-    __hash__ = None
+    def __hash__(self):
+        # equal elements share the algebra, and float == agrees with hash
+        return hash((id(self.algebra), tuple(self.coeffs)))
 
     def allclose(self, other: "WeilElement", tol: float = 1e-9) -> bool:
         o = self._coerce(other)
@@ -437,28 +448,6 @@ def _tan_derivs(r: float, order: int) -> list[float]:
     return out
 
 
-def _pow_derivs(p: float, r: float, order: int) -> list[float]:
-    p_is_int = float(p).is_integer()
-    if not p_is_int and r <= 0.0:
-        raise DomainError(f"x^{p} needs a positive base, got {r}")
-    if p_is_int and p < 0 and r == 0.0:
-        raise DomainError(f"x^{p} undefined at 0")
-    out = []
-    factor = 1.0
-    for j in range(order + 1):
-        e = p - j
-        if factor == 0.0:
-            out.append(0.0)
-        elif r == 0.0:
-            if e < 0:
-                raise DomainError(f"derivative {j} of x^{p} unbounded at 0")
-            out.append(factor if e == 0 else 0.0)
-        else:
-            out.append(factor * r**e)
-        factor *= p - j
-    return out
-
-
 def _recip_derivs(r: float, order: int) -> list[float]:
     if r == 0.0:
         raise DomainError("reciprocal undefined at 0")
@@ -466,9 +455,17 @@ def _recip_derivs(r: float, order: int) -> list[float]:
 
 
 def _sqrt_derivs(r: float, order: int) -> list[float]:
+    """f^(j)(r) = (1/2)(1/2 - 1)...(1/2 - j + 1) r^(1/2 - j)."""
     if not r >= 0.0 or (r == 0.0 and order >= 1):  # NaN included
         raise DomainError(f"sqrt derivatives undefined at {r}")
-    return _pow_derivs(0.5, r, order) if r > 0.0 else [0.0]
+    if r == 0.0:
+        return [0.0]
+    out = []
+    factor = 1.0
+    for j in range(order + 1):
+        out.append(factor * r ** (0.5 - j))
+        factor *= 0.5 - j
+    return out
 
 
 EXP = PrimitiveFn("exp", _exp_derivs)
@@ -478,12 +475,6 @@ COS = PrimitiveFn("cos", _cos_derivs)
 TAN = PrimitiveFn("tan", _tan_derivs)
 SQRT = PrimitiveFn("sqrt", _sqrt_derivs)
 RECIPROCAL = PrimitiveFn("recip", _recip_derivs)
-
-
-@lru_cache(maxsize=None)
-def pow_primitive(p: float) -> PrimitiveFn:
-    """x ↦ x^p for a real exponent p (positive base unless p is an integer)."""
-    return PrimitiveFn(f"pow[{p!r}]", lambda r, order: _pow_derivs(p, r, order))
 
 
 PRIMITIVES = {fn.name: fn for fn in (EXP, LOG, SIN, COS, TAN, SQRT, RECIPROCAL)}

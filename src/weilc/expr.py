@@ -832,6 +832,10 @@ class AFunction:
     algebra: WeilAlgebra
 
     def __post_init__(self):
+        if self.algebra is None:
+            raise AlgebraMismatch(
+                "a function needs an algebra; a base function is an Expr"
+            )
         # the expression obeys the rule that its operands obey
         scalar_expr(self.expr, self)
 

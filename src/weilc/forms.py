@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .algebra import WeilAlgebra, WeilElement
-from .errors import DegreeError, DimensionMismatch
+from .errors import AlgebraMismatch, DegreeError, DimensionMismatch
 from .expr import (
     AFunction,
     Expr,
@@ -30,7 +30,7 @@ from .expr import (
     same_chart,
     scalar_expr,
 )
-from .prolongation import AVectorField
+from .prolongation import VectorField
 
 Index = tuple[int, ...]
 
@@ -45,6 +45,10 @@ class CoordForm:
     coeffs: Mapping[Index, Expr] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.algebra is None:
+            raise AlgebraMismatch(
+                "a form needs an algebra; a base form lives over trivial_algebra()"
+            )
         on_chart(self.coeffs.values(), self)
         for idx in self.coeffs:
             if len(idx) != self.degree:
@@ -196,7 +200,7 @@ def dform(w: CoordForm) -> CoordForm:
     return CoordForm(w.degree + 1, w.dim, w.algebra, acc.build())
 
 
-def interior(field_: AVectorField, w: CoordForm) -> CoordForm:
+def interior(field_: VectorField, w: CoordForm) -> CoordForm:
     """First-slot contraction; a derivation of degree -1 against wedge."""
     if w.degree == 0:
         raise DegreeError("interior product needs degree >= 1")
@@ -210,14 +214,14 @@ def interior(field_: AVectorField, w: CoordForm) -> CoordForm:
     return CoordForm(w.degree - 1, w.dim, w.algebra, acc.build())
 
 
-def contract(field_: AVectorField, w: CoordForm) -> AFunction:
+def contract(field_: VectorField, w: CoordForm) -> AFunction:
     """Pair a degree-1 form with a field: sum_i D_i * phi_i."""
     if w.degree != 1:
         raise DegreeError("contraction needs a degree-1 form")
     return interior(field_, w).as_afunction()
 
 
-def lie_derivative(field_: AVectorField, w: CoordForm) -> CoordForm:
+def lie_derivative(field_: VectorField, w: CoordForm) -> CoordForm:
     """Cartan's formula i_D d + d i_D; on degree 0 only the first term
     applies and reduces to D acting on the coefficient."""
     first = interior(field_, dform(w))

@@ -48,7 +48,7 @@ from .forms import (
 )
 from .poisson import CheckReport, _a_poisson_trial, _run_trials, canonical_structure
 from .prolongation import (
-    AVectorField,
+    VectorField,
     apply_field,
     lie_bracket,
     prolong_field,
@@ -154,46 +154,52 @@ def poly_coeffs_exact(e: Expr, n: int) -> dict[tuple[int, ...], Fraction]:
     """Expand a polynomial expression exactly over the rationals.
 
     Settles identities such as d(d(omega)) = 0 or bracket antisymmetry
-    without floating error; raises ValueError on non-polynomial nodes.
+    without floating error; raises ValueError on non-polynomial nodes.  A
+    shared subexpression is expanded once per call.
     """
-    zero_expt = tuple([0] * n)
+    return dict(_poly_coeffs(e, n, {}))
+
+
+def _poly_coeffs(e: Expr, n: int, memo: dict) -> dict[tuple[int, ...], Fraction]:
+    # results are memoised by node identity, so none is mutated once built
+    key = id(e)
+    out = memo.get(key)
+    if out is not None:
+        return out
     if isinstance(e, Var):
-        expt = tuple(1 if i == e.index else 0 for i in range(n))
-        return {expt: Fraction(1)}
-    if isinstance(e, ConstR):
-        return {zero_expt: Fraction(e.value)} if e.value else {}
-    if isinstance(e, (Add, Sub)):
-        left = poly_coeffs_exact(e.left, n)
-        right = poly_coeffs_exact(e.right, n)
+        out = {tuple(1 if i == e.index else 0 for i in range(n)): Fraction(1)}
+    elif isinstance(e, ConstR):
+        out = {(0,) * n: Fraction(e.value)} if e.value else {}
+    elif isinstance(e, (Add, Sub)):
+        total = dict(_poly_coeffs(e.left, n, memo))
         sign = 1 if isinstance(e, Add) else -1
-        for expt, c in right.items():
-            left[expt] = left.get(expt, Fraction(0)) + sign * c
-        return {k: v for k, v in left.items() if v}
-    if isinstance(e, Neg):
-        return {k: -v for k, v in poly_coeffs_exact(e.arg, n).items()}
-    if isinstance(e, Mul):
-        left = poly_coeffs_exact(e.left, n)
-        right = poly_coeffs_exact(e.right, n)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in left.items():
-            for eb, cb in right.items():
-                expt = tuple(x + y for x, y in zip(ea, eb))
-                out[expt] = out.get(expt, Fraction(0)) + ca * cb
-        return {k: v for k, v in out.items() if v}
-    if isinstance(e, Pow):
+        for expt, c in _poly_coeffs(e.right, n, memo).items():
+            total[expt] = total.get(expt, Fraction(0)) + sign * c
+        out = {k: v for k, v in total.items() if v}
+    elif isinstance(e, Neg):
+        out = {k: -v for k, v in _poly_coeffs(e.arg, n, memo).items()}
+    elif isinstance(e, Mul):
+        out = _poly_product(_poly_coeffs(e.left, n, memo), _poly_coeffs(e.right, n, memo))
+    elif isinstance(e, Pow):
         if e.exponent < 0:
             raise ValueError("negative power is not polynomial")
-        out = {zero_expt: Fraction(1)}
-        base = poly_coeffs_exact(e.base, n)
+        base = _poly_coeffs(e.base, n, memo)
+        out = {(0,) * n: Fraction(1)}
         for _ in range(e.exponent):
-            nxt: dict[tuple[int, ...], Fraction] = {}
-            for ea, ca in out.items():
-                for eb, cb in base.items():
-                    expt = tuple(x + y for x, y in zip(ea, eb))
-                    nxt[expt] = nxt.get(expt, Fraction(0)) + ca * cb
-            out = nxt
-        return {k: v for k, v in out.items() if v}
-    raise ValueError(f"{type(e).__name__} node is not polynomial")
+            out = _poly_product(out, base)
+    else:
+        raise ValueError(f"{type(e).__name__} node is not polynomial")
+    memo[key] = out
+    return out
+
+
+def _poly_product(left: dict, right: dict) -> dict[tuple[int, ...], Fraction]:
+    out: dict[tuple[int, ...], Fraction] = {}
+    for ea, ca in left.items():
+        for eb, cb in right.items():
+            expt = tuple(x + y for x, y in zip(ea, eb))
+            out[expt] = out.get(expt, Fraction(0)) + ca * cb
+    return {k: v for k, v in out.items() if v}
 
 
 def form_is_zero_exact(w: CoordForm, n: int) -> bool:
@@ -225,7 +231,7 @@ def classical_lie_one_form(
 
 
 def interior_eval(
-    field: AVectorField, w: CoordForm, point
+    field: VectorField, w: CoordForm, point
 ) -> dict[tuple[int, ...], WeilElement]:
     """First-slot contraction assembled from separately evaluated pieces."""
     algebra = field.algebra
@@ -405,7 +411,7 @@ def _suite_cartan(rng, rec):
     )
     # general-derivation laws, with algebra constants in play
     phi = AFunction(sampling.random_expr_with_consta(rng, n, algebra), n, algebra)
-    gen_d = AVectorField(
+    gen_d = VectorField(
         tuple(
             sampling.random_expr_with_consta(rng, n, algebra, depth=2)
             for _ in range(n)

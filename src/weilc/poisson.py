@@ -51,7 +51,7 @@ from .expr import (
     to_string,
 )
 from .forms import CoordForm, contract, delta, lie_derivative
-from .prolongation import AVectorField, VectorField
+from .prolongation import VectorField
 from . import sampling
 
 
@@ -327,18 +327,18 @@ def jacobi_check(
 
 def ad_prolong(
     pi: PoissonStructure, fn: AFunction, force: bool = False
-) -> AVectorField:
+) -> VectorField:
     """The Hamiltonian derivation of fn: applying it to psi gives {fn, psi}."""
     algebra = _operands(pi, force, fn)
-    return AVectorField(_sharp(pi, _gradient(pi, fn.expr)), algebra)
+    return VectorField(_sharp(pi, _gradient(pi, fn.expr)), algebra)
 
 
 def ad_tilde(
     pi: PoissonStructure, x: CoordForm, force: bool = False
-) -> AVectorField:
+) -> VectorField:
     """Extend ad linearly over functions from differentials to all 1-forms."""
     algebra = _operands(pi, force, x)
-    return AVectorField(_sharp(pi, _one_form(pi, x)), algebra)
+    return VectorField(_sharp(pi, _one_form(pi, x)), algebra)
 
 
 def prolong_bracket(

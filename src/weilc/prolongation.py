@@ -1,16 +1,18 @@
 """Points with algebra coordinates, vector fields, and their prolongations.
 
-A point assigns each chart coordinate a Weil element; a base vector field
-acts on functions through symbolic partials.  Prolonging a field keeps its
-component expressions and reinterprets them for Weil evaluation, which is
-the unique algebra-linear derivation extending the base action.  A field's
+A point assigns each chart coordinate a Weil element.  One class,
+``VectorField``, holds base and prolonged fields: a field acts on functions
+through symbolic partials, and its ``algebra`` (None on the base chart)
+says over which algebra its components are evaluated.  Prolonging a field
+keeps its component expressions and sets that algebra, which makes it the
+unique algebra-linear derivation extending the base action.  A field's
 constructor takes its components through ``on_chart``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import Sequence
 
 from .algebra import AlgebraMorphism, WeilAlgebra, WeilElement
 from .errors import AlgebraMismatch, DimensionMismatch
@@ -66,59 +68,12 @@ class APoint:
 
 @dataclass(frozen=True)
 class VectorField:
-    """A base-chart field theta = (theta_1, ..., theta_n), ConstA-free."""
+    """A field D = sum_i D_i d/dx_i on a chart.  A base field's algebra is
+    None and its components hold no algebra constants; a prolonged field's
+    components are read with Weil evaluation over its algebra."""
 
     components: tuple[Expr, ...]
-    # base fields carry no algebra, so ``same_chart`` treats them alike
-    algebra: ClassVar[None] = None
-
-    def __post_init__(self):
-        on_chart(self.components, self)
-
-    @property
-    def dim(self) -> int:
-        return len(self.components)
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        same_chart(self, other)
-        return VectorField(
-            tuple(add(a, b) for a, b in zip(self.components, other.components))
-        )
-
-    def scale(self, f: Expr | float) -> "VectorField":
-        expr = scalar_expr(f, self)
-        return VectorField(tuple(mul(expr, c) for c in self.components))
-
-
-def apply_field(theta: VectorField | AVectorField, f: Expr) -> Expr:
-    """theta(f) = sum_i theta_i * df/dx_i, symbolically; the one action
-    loop, for base and prolonged fields alike."""
-    out = None
-    for i, comp in enumerate(theta.components):
-        term = mul(comp, diff(f, i))
-        out = term if out is None else add(out, term)
-    if out is None:
-        raise DimensionMismatch("vector field has no components")
-    return out
-
-
-def lie_bracket(t1: VectorField, t2: VectorField) -> VectorField:
-    """[t1, t2], componentwise t1(t2_i) - t2(t1_i)."""
-    same_chart(t1, t2)
-    return VectorField(
-        tuple(
-            sub(apply_field(t1, c2), apply_field(t2, c1))
-            for c1, c2 in zip(t1.components, t2.components)
-        )
-    )
-
-
-@dataclass(frozen=True)
-class AVectorField:
-    """An algebra-linear derivation D = sum_i D_i d/dx_i on the Weil chart."""
-
-    components: tuple[Expr, ...]
-    algebra: WeilAlgebra
+    algebra: WeilAlgebra | None = None
 
     def __post_init__(self):
         on_chart(self.components, self)
@@ -128,12 +83,14 @@ class AVectorField:
         return len(self.components)
 
     def apply(self, fn: AFunction | Expr) -> AFunction:
-        """D(fn) as a function; ConstA leaves are annihilated by the partials."""
+        """D(fn) as a function; ConstA leaves are annihilated by the partials.
+        A base field's action is ``apply_field``, an Expr."""
         expr = scalar_expr(fn, self)
         return AFunction(apply_field(self, expr), self.dim, self.algebra)
 
     def apply_at(self, fn: AFunction | Expr, point) -> WeilElement:
-        """Evaluate D(fn) at a point by combining evaluated pieces."""
+        """Evaluate D(fn) at a point by combining evaluated pieces; a base
+        field evaluates over the point's algebra."""
         if not self.components:
             raise DimensionMismatch("vector field has no components")
         expr = scalar_expr(fn, self)
@@ -146,21 +103,50 @@ class AVectorField:
             out = term if out is None else out + term
         return out
 
-    def __add__(self, other: "AVectorField") -> "AVectorField":
-        same_chart(self, other)
-        return AVectorField(
+    def __add__(self, other: "VectorField") -> "VectorField":
+        algebra = same_chart(self, other)
+        return VectorField(
             tuple(add(a, b) for a, b in zip(self.components, other.components)),
-            self.algebra,
+            algebra,
         )
 
-    def scale(self, f: AFunction | Expr | WeilElement | float) -> "AVectorField":
+    def scale(self, f: AFunction | Expr | WeilElement | float) -> "VectorField":
         expr = scalar_expr(f, self)
-        return AVectorField(tuple(mul(expr, c) for c in self.components), self.algebra)
+        return VectorField(tuple(mul(expr, c) for c in self.components), self.algebra)
 
 
-def prolong_field(theta: VectorField, algebra: WeilAlgebra) -> AVectorField:
+# another name for the one field class, for code that imports it
+AVectorField = VectorField
+
+
+def apply_field(theta: VectorField, f: Expr) -> Expr:
+    """theta(f) = sum_i theta_i * df/dx_i, symbolically; the one action
+    loop, for base and prolonged fields alike."""
+    out = None
+    for i, comp in enumerate(theta.components):
+        term = mul(comp, diff(f, i))
+        out = term if out is None else add(out, term)
+    if out is None:
+        raise DimensionMismatch("vector field has no components")
+    return out
+
+
+def lie_bracket(t1: VectorField, t2: VectorField) -> VectorField:
+    """[t1, t2], componentwise t1(t2_i) - t2(t1_i), over the fields' one
+    algebra (None for two base fields)."""
+    algebra = same_chart(t1, t2)
+    return VectorField(
+        tuple(
+            sub(apply_field(t1, c2), apply_field(t2, c1))
+            for c1, c2 in zip(t1.components, t2.components)
+        ),
+        algebra,
+    )
+
+
+def prolong_field(theta: VectorField, algebra: WeilAlgebra) -> VectorField:
     """The prolonged field: same components, Weil evaluation semantics."""
-    return AVectorField(theta.components, algebra)
+    return VectorField(theta.components, algebra)
 
 
 def pushforward_point(morphism: AlgebraMorphism, point: APoint) -> APoint:

@@ -17,13 +17,12 @@ from weilc import (
     build_algebra,
     dual_numbers,
     jets,
-    pow_primitive,
     render_element,
     taylor_lift,
     trivial_algebra,
     validate_morphism,
 )
-from weilc.algebra import _compile, apply_linear, monomial_name
+from weilc.algebra import _compile, _sqrt_derivs, apply_linear, monomial_name
 from weilc.errors import (
     AlgebraMismatch,
     DomainError,
@@ -457,10 +456,23 @@ class TestTaylorLift:
         with pytest.raises(DomainError):
             taylor_lift(PRIMITIVES["recip"], A.generator("eps"))
 
-    def test_polynomial_lift_matches_ring_power(self):
-        A = jets(3)
-        a = A.from_real(2) + A.generator("t")
-        assert taylor_lift(pow_primitive(3.0), a).allclose(a * a * a, 1e-12)
+    def test_sqrt_derivatives_keep_the_general_power_formula(self):
+        # the x^p rule that sqrt used before it was folded, with the branches
+        # for p an integer, r = 0 and a zero factor, none of which p = 0.5
+        # and r > 0 reach, left out
+        def power_rule(p, r, order):
+            out = []
+            factor = 1.0
+            for j in range(order + 1):
+                e = p - j
+                out.append(factor * r**e)
+                factor *= p - j
+            return out
+
+        for r in (1e-6, 0.01, 0.3, 0.5, 1.0, 2.25, 7.0, 1e3, 1e8):
+            for order in range(7):
+                expected = [x.hex() for x in power_rule(0.5, r, order)]
+                assert [x.hex() for x in _sqrt_derivs(r, order)] == expected
 
     def test_sqrt_squares_back(self):
         A = jets(2)

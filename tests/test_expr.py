@@ -366,15 +366,39 @@ class TestNodeContract:
 
     @pytest.mark.parametrize("node", _sample_nodes(), ids=lambda n: type(n).__name__)
     def test_copies_are_equal_with_the_same_facts(self, node):
-        copies = [copy.copy(node)]
+        copies = [copy.copy(node), copy.deepcopy(node)]
         if not isinstance(node, ConstA):
-            # an algebra is an identity handle: deepcopy would build a new
-            # one, and its compiled kernel does not pickle
-            copies += [copy.deepcopy(node), pickle.loads(pickle.dumps(node))]
+            # a loaded ConstA lives over a new algebra (see the pickle test)
+            copies.append(pickle.loads(pickle.dumps(node)))
         for twin in copies:
             assert twin == node
             assert type(twin) is type(node)
             assert twin.facts == node.facts
+
+    def test_a_tree_with_algebra_constants_hashes(self):
+        tree = Mul(ConstA(_EPS), _X1)
+        twin = Mul(ConstA(_EPS.algebra.generator("eps")), _X1)
+        assert tree == twin and hash(tree) == hash(twin)
+        assert len({tree, twin, Mul(ConstA(_EPS.algebra.unit()), _X1)}) == 2
+
+    def test_a_load_rebuilds_one_algebra_for_all_its_constants(self):
+        # an algebra pickles as its presentation: one load builds one new
+        # algebra, with the same kernels, shared by every constant it holds
+        algebra = _EPS.algebra
+        tree = Add(Mul(ConstA(_EPS), _X1), ConstA(algebra.unit()))
+        loads = [pickle.loads(pickle.dumps(tree)) for _ in range(2)]
+        rebuilt = []
+        for twin in loads:
+            (product, unit) = (twin.left, twin.right)
+            new = product.left.value.algebra
+            assert unit.value.algebra is new and twin.algebra is new
+            assert new is not algebra
+            assert new.presentation == algebra.presentation
+            assert new._mul is algebra._mul
+            assert product.left.value.coeffs == _EPS.coeffs
+            assert twin != tree and to_string(twin) == to_string(tree)
+            rebuilt.append(new)
+        assert rebuilt[0] is not rebuilt[1]
 
     def test_a_derivative_round_trips(self):
         d = diff(parse("x1^3*sin(x2) - exp(x1*x2)/x2", 2), 1)

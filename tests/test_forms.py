@@ -24,7 +24,6 @@ from weilc.errors import AlgebraMismatch, DegreeError
 from weilc.expr import ConstA, ConstR, Mul, Var, eval_weil
 from weilc.forms import function_form, zero_form
 from weilc.oracle import form_is_zero_exact
-from weilc.prolongation import AVectorField
 from weilc.sampling import (
     random_one_form,
     random_point,
@@ -162,14 +161,14 @@ def _is_polynomial(e):
 
 class TestInterior:
     def test_coordinate_contractions(self, dual):
-        d1 = AVectorField((ConstR(1.0), ConstR(0.0)), dual)
+        d1 = VectorField((ConstR(1.0), ConstR(0.0)), dual)
         dx1 = CoordForm(1, 2, dual, {(0,): ConstR(1.0)})
         dx12 = CoordForm(2, 2, dual, {(0, 1): ConstR(1.0)})
         assert interior(d1, dx1).coefficient(()) == ConstR(1.0)
         assert interior(d1, dx12).coefficient((1,)) == ConstR(1.0)
 
     def test_degree_error(self, dual):
-        d1 = AVectorField((ConstR(1.0),), dual)
+        d1 = VectorField((ConstR(1.0),), dual)
         with pytest.raises(DegreeError):
             interior(d1, zero_form(0, 1, dual))
 
@@ -190,7 +189,7 @@ class TestInterior:
     def test_derivation_of_degree_minus_one(self, dual):
         rng = rng_for(7)
         n = 3
-        d = AVectorField(tuple(random_polynomial(rng, n) for _ in range(n)), dual)
+        d = VectorField(tuple(random_polynomial(rng, n) for _ in range(n)), dual)
         for _ in range(5):
             x = random_one_form(rng, n, dual, with_consta=True)
             y = random_one_form(rng, n, dual, with_consta=True)
@@ -204,7 +203,7 @@ class TestLieDerivative:
     def test_differential_of_action(self, dual):
         # applying the derivative to a differential gives the differential
         # of the action
-        d1 = AVectorField((ConstR(1.0),), dual)
+        d1 = VectorField((ConstR(1.0),), dual)
         phi = afn("x1^2", 1, dual)
         lhs = lie_derivative(d1, delta(phi))
         assert lhs.coefficient((0,)) == ConstR(2.0)
@@ -223,7 +222,7 @@ class TestLieDerivative:
     def test_scaled_derivation_law(self, dual):
         # phi*D acts through phi and the contraction correction
         phi = afn("x2", 2, dual)
-        d1 = AVectorField((ConstR(1.0), ConstR(0.0)), dual)
+        d1 = VectorField((ConstR(1.0), ConstR(0.0)), dual)
         x = CoordForm(1, 2, dual, {(0,): ConstR(1.0)})
         lhs = lie_derivative(d1.scale(phi), x)
         assert lhs.coefficient((1,)) == ConstR(1.0)
@@ -238,7 +237,7 @@ class TestLieDerivative:
         rng = rng_for(8)
         n = 2
         for _ in range(10):
-            d = AVectorField(
+            d = VectorField(
                 tuple(random_polynomial(rng, n) for _ in range(n)), dual
             )
             w = random_one_form(rng, n, dual, with_consta=True)
@@ -251,7 +250,7 @@ class TestLieDerivative:
             )
 
     def test_degree_zero_uses_contraction_only(self, dual):
-        d1 = AVectorField((Var(0),), dual)
+        d1 = VectorField((Var(0),), dual)
         phi = afn("x1^2", 1, dual)
         out = lie_derivative(d1, function_form(phi))
         xi = APoint(dual, (dual.element([2, 1]),))

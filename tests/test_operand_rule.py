@@ -29,7 +29,6 @@ from weilc import (
 from weilc.errors import AlgebraMismatch, DimensionMismatch
 from weilc.expr import ConstA, Var, mul
 from weilc.poisson import omega_at
-from weilc.prolongation import AVectorField
 
 DUAL = dual_numbers()
 JET2 = jets(2)
@@ -42,8 +41,7 @@ def function(algebra, dim):
 
 def field(algebra, dim):
     """A prolonged field, or a base field when ``algebra`` is None."""
-    comps = tuple(parse("x1", dim) for _ in range(dim))
-    return VectorField(comps) if algebra is None else AVectorField(comps, algebra)
+    return VectorField(tuple(parse("x1", dim) for _ in range(dim)), algebra)
 
 
 def form(algebra, dim):
@@ -78,6 +76,7 @@ CASES = [
     ("interior", field, form, interior, PROLONGED),
     ("contract", field, form, contract, PROLONGED),
     ("lie_bracket", field, field, lie_bracket, BASE),
+    ("prolonged lie_bracket", field, field, lie_bracket, PROLONGED),
     ("prolong_bracket", function, function,
      lambda a, b: prolong_bracket(PI, a, b, force=True), PROLONGED),
     ("omega_prolonged", form, form,
@@ -126,7 +125,7 @@ def test_operands_on_one_chart_over_one_algebra(name, left, right, op, algebras)
 BUILDERS = [
     ("function", 1, lambda e: AFunction(e, 1, DUAL)),
     ("form", 1, lambda e: CoordForm(1, 1, DUAL, {(0,): e})),
-    ("prolonged field", 1, lambda e: AVectorField((e,), DUAL)),
+    ("prolonged field", 1, lambda e: VectorField((e,), DUAL)),
     ("base field", 1, lambda e: VectorField((e,))),
     ("bivector", 2, lambda e: PoissonStructure(2, {(0, 1): e})),
 ]
@@ -146,6 +145,26 @@ def test_constructors_refuse_foreign_constants(name, dim, build):
     # is foreign to the base field and the bivector
     with pytest.raises(AlgebraMismatch):
         build(expression(JET2, dim))
+
+
+# A function or a form always has an algebra: a base function is an Expr,
+# and a base form lives over trivial_algebra().
+
+
+def test_a_function_refuses_no_algebra():
+    with pytest.raises(AlgebraMismatch):
+        AFunction(Var(0), 1, None)
+
+
+def test_a_form_refuses_no_algebra_so_a_base_field_contracts_none():
+    with pytest.raises(AlgebraMismatch):
+        contract(field(None, 1), CoordForm(1, 1, None, {(0,): Var(0)}))
+
+
+def test_a_base_field_applied_is_no_function():
+    # its action is apply_field, an Expr
+    with pytest.raises(AlgebraMismatch):
+        field(None, 1).apply(Var(0))
 
 
 def test_a_refused_bivector_is_never_trusted():

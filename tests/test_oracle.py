@@ -1,5 +1,6 @@
 """Finite-difference oracle, exact polynomial expansion, suite registry."""
 
+import time
 from fractions import Fraction
 
 import mpmath
@@ -8,7 +9,7 @@ import pytest
 
 from weilc import canonical_structure, dual_numbers, run_suite, taylor_coeffs
 from weilc.errors import DomainError, UnknownSuite, WeilcError
-from weilc.expr import parse
+from weilc.expr import Add, Mul, Var, parse
 from weilc.oracle import central_diff_weights, poly_coeffs_exact
 from weilc.poisson import CheckReport
 
@@ -95,6 +96,24 @@ class TestPolyOracle:
             poly_coeffs_exact(parse("sin(x1)", 1), 1)
         with pytest.raises(ValueError):
             poly_coeffs_exact(parse("1/x1", 1), 1)
+
+    def test_a_shared_dag_is_expanded_once_per_node(self):
+        # 41 distinct nodes, 2^40 paths from the root to the leaf
+        e = Var(0)
+        for _ in range(40):
+            e = Add(e, e)
+        start = time.perf_counter()
+        assert poly_coeffs_exact(e, 1) == {(1,): Fraction(2**40)}
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_shared_node_keeps_its_expansion(self):
+        # a sum over a shared node leaves that node's expansion as it was,
+        # and a caller may add into the result
+        e = Mul(Var(0), Var(0))
+        total = poly_coeffs_exact(Add(Add(e, e), e), 1)
+        assert total == {(2,): Fraction(3)}
+        total[(2,)] += 1
+        assert poly_coeffs_exact(e, 1) == {(2,): Fraction(1)}
 
 
 class TestRunSuite:

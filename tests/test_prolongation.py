@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import weilc
 from weilc import (
     AFunction,
     APoint,
@@ -32,7 +33,7 @@ from weilc.expr import (
     to_string,
 )
 from weilc.oracle import poly_coeffs_exact
-from weilc.sampling import random_point, rng_for
+from weilc.sampling import random_expr_with_consta, random_field, random_point, rng_for
 
 
 def dual_point(*coeff_vectors):
@@ -206,6 +207,65 @@ class TestLieBracket:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             lie_bracket(VectorField((Var(0),)), VectorField((Var(0), Var(1))))
+
+
+class TestOneFieldClass:
+    """Base and prolonged fields are one class; a base field's algebra is None."""
+
+    def test_the_prolonged_name_is_the_same_class(self):
+        assert weilc.AVectorField is weilc.VectorField
+        assert prolong_field(VectorField((Var(0),)), jets(2)).algebra is not None
+        assert VectorField((Var(0),)).algebra is None
+
+    def test_base_apply_at_is_the_prolonged_apply_at(self):
+        rng = rng_for(11)
+        A = jets(3)
+        f = parse("sin(x1)*x2 + exp(x2)", 2)
+        for _ in range(10):
+            theta = random_field(rng, 2)
+            xi = random_point(rng, A, 2)
+            base = theta.apply_at(f, xi)
+            prolonged = prolong_field(theta, A).apply_at(f, xi)
+            assert base.algebra is A
+            assert base.coeffs == prolonged.coeffs
+
+    def test_bracket_of_prolonged_fields_is_the_prolonged_bracket(self):
+        rng = rng_for(12)
+        A = jets(2)
+        for _ in range(10):
+            t1, t2 = random_field(rng, 2), random_field(rng, 2)
+            assert lie_bracket(prolong_field(t1, A), prolong_field(t2, A)) == (
+                prolong_field(lie_bracket(t1, t2), A)
+            )
+
+    def test_bracket_with_algebra_constants_is_the_commutator(self):
+        rng = rng_for(13)
+        A = jets(2)
+        f = parse("x1^2*x2 + sin(x2)", 2)
+        for _ in range(10):
+            d1, d2 = (
+                VectorField(
+                    tuple(random_expr_with_consta(rng, 2, A, depth=2) for _ in range(2)),
+                    A,
+                )
+                for _ in range(2)
+            )
+            xi = random_point(rng, A, 2)
+            lhs = lie_bracket(d1, d2).apply_at(f, xi)
+            rhs = d1.apply_at(d2.apply(f), xi) - d2.apply_at(d1.apply(f), xi)
+            assert lhs.allclose(rhs, 1e-12)
+
+    def test_base_apply_is_refused(self):
+        with pytest.raises(AlgebraMismatch):
+            VectorField((Var(0),)).apply(parse("x1^2", 1))
+
+    def test_prolonged_field_with_constants_hashes(self):
+        A = dual_numbers()
+        eps = A.generator("eps")
+        d = VectorField((Mul(ConstA(eps), Var(0)),), A)
+        twin = VectorField((Mul(ConstA(A.generator("eps")), Var(0)),), A)
+        assert d == twin and hash(d) == hash(twin)
+        assert len({d, twin, VectorField((Var(0),), A)}) == 2
 
 
 class TestPushforward:

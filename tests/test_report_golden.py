@@ -1,9 +1,10 @@
 """Check reports stay byte-identical to the committed reports in tests/data.
 
 Each data file is the output of ``weilc check ... --seed 42 --trials 10
---json`` for one case below.  A change that keeps results keeps every
-byte; a change that means to alter numbers regenerates the files with the
-same commands and says which numbers moved and why.
+--json`` for one case below, and each file in tests/data/t100 that of the
+same command with ``--trials 100``.  A change that keeps results keeps
+every byte; a change that means to alter numbers regenerates the files
+with the same commands and says which numbers moved and why.
 """
 
 from pathlib import Path
@@ -31,13 +32,17 @@ CASES = [(suite, EXAMPLE, [suite], 0) for suite in SUITES] + [
 ]
 
 
-@pytest.mark.parametrize(
-    "name, config, args, code", CASES, ids=[case[0] for case in CASES]
-)
-def test_report_matches_golden(tmp_path, capsys, name, config, args, code):
+# (trials, directory of the reports, test id suffix)
+TRIALS = ((10, DATA, ""), (100, DATA / "t100", "-t100"))
+RUNS = [(*case, trials, golden) for trials, golden, _ in TRIALS for case in CASES]
+RUN_IDS = [case[0] + suffix for _, _, suffix in TRIALS for case in CASES]
+
+
+@pytest.mark.parametrize("name, config, args, code, trials, golden", RUNS, ids=RUN_IDS)
+def test_report_matches_golden(tmp_path, capsys, name, config, args, code, trials, golden):
     out = tmp_path / f"{name}.json"
     argv = ["--config", str(config), "check", *args,
-            "--seed", "42", "--trials", "10", "--json", str(out)]
+            "--seed", "42", "--trials", str(trials), "--json", str(out)]
     assert main(argv) == code
     capsys.readouterr()
-    assert out.read_bytes() == (DATA / f"{name}.json").read_bytes()
+    assert out.read_bytes() == (golden / f"{name}.json").read_bytes()
