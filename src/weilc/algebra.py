@@ -28,9 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from numbers import Real
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import (
     AlgebraMismatch,
@@ -39,6 +37,9 @@ from .errors import (
     NotFiniteDimensional,
     NotMorphism,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Monomial = tuple[int, ...]
 
@@ -188,9 +189,12 @@ class WeilAlgebra:
     def __repr__(self):
         return f"WeilAlgebra({self.describe()}, dim={self.dim}, height={self.height})"
 
-    # An algebra is an identity handle: a deep copy keeps it, and pickling
-    # keeps its presentation, so one load rebuilds one new algebra (its
-    # kernels from the _compile cache) for every element that refers to it.
+    # An algebra is an identity handle: a shallow or deep copy keeps it, and
+    # pickling keeps its presentation, so one load rebuilds one new algebra
+    # (its kernels from the _compile cache) for every element that refers to it.
+    def __copy__(self):
+        return self
+
     def __deepcopy__(self, memo):
         return self
 
@@ -515,6 +519,8 @@ def taylor_lift(prim: PrimitiveFn, a: WeilElement) -> WeilElement:
 
 def apply_linear(matrix: np.ndarray, a: WeilElement) -> WeilElement:
     """Apply an R-linear endomorphism of the algebra, coefficientwise."""
+    import numpy as np
+
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape != (a.algebra.dim, a.algebra.dim):
         raise AlgebraMismatch(
@@ -547,6 +553,8 @@ def validate_morphism(
     source: WeilAlgebra, target: WeilAlgebra, matrix
 ) -> AlgebraMorphism:
     """Check unit, multiplicativity on all basis pairs, and augmentation."""
+    import numpy as np
+
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape != (target.dim, source.dim):
         raise NotMorphism(

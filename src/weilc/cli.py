@@ -13,6 +13,7 @@ one of 1-3: ``ConfigError`` to 1, ``DomainError`` to 3, any other to 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -33,6 +34,9 @@ EXIT_DOMAIN = 3
 EXIT_CHECK_FAILED = 4
 
 
+# built on the first call, not at import, and kept: parse_args leaves the
+# parser as it was, so every in-process main call can share it
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weilc",

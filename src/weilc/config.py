@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import yaml
-
 from .algebra import AlgebraPresentation, Monomial, WeilAlgebra, build_algebra
 from .errors import ConfigError, WeilcError
 from .expr import Expr, parse
@@ -73,6 +71,8 @@ def _check_keys(data: dict, what: str, known: tuple[str, ...]):
 
 
 def load_config(path: str) -> ProjectConfig:
+    import yaml  # here, not at module level: only a config load reads YAML
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))

@@ -12,12 +12,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .algebra import WeilElement, apply_linear, trivial_algebra
-from .errors import DomainError, UnknownSuite, WeilcError
+from .errors import DimensionMismatch, DomainError, UnknownSuite, WeilcError
 from .expr import (
     AFunction,
     Add,
@@ -55,6 +53,9 @@ from .prolongation import (
     prolong_map,
 )
 from . import sampling
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # -- finite-difference Taylor coefficients ------------------------------------------
@@ -123,9 +124,10 @@ def taylor_coeffs(f: Callable, r: float, h: int) -> np.ndarray:
     """
     if not 0 <= h <= 6:
         raise DomainError(f"oracle order {h} outside 0..6")
-    # imported here, not at module level: only this oracle uses mpmath, and
-    # it would add about a sixth to the start-up of every weilc command
+    # imported here, not at module level: each would add to the start-up of
+    # every weilc command, and only this oracle uses mpmath
     import mpmath as mp
+    import numpy as np
 
     acc = h + 2 + h % 2
     out = [0.0] * (h + 1)
@@ -154,9 +156,12 @@ def poly_coeffs_exact(e: Expr, n: int) -> dict[tuple[int, ...], Fraction]:
     """Expand a polynomial expression exactly over the rationals.
 
     Settles identities such as d(d(omega)) = 0 or bracket antisymmetry
-    without floating error; raises ValueError on non-polynomial nodes.  A
-    shared subexpression is expanded once per call.
+    without floating error; raises ValueError on non-polynomial nodes and
+    DimensionMismatch on a variable beyond ``n``.  A shared subexpression is
+    expanded once per call.
     """
+    if e.top >= n:
+        raise DimensionMismatch(f"expression uses x{e.top + 1} on a chart of dimension {n}")
     return dict(_poly_coeffs(e, n, {}))
 
 

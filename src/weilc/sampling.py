@@ -9,8 +9,7 @@ chart coordinates uniform in [-1, 1], nilpotent coefficients uniform in
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .algebra import (
     AlgebraPresentation,
@@ -23,6 +22,9 @@ from .errors import WeilcError
 from .expr import Apply, ConstA, ConstR, Expr, Var, add, mul, power, sub
 from .forms import CoordForm
 from .prolongation import APoint, VectorField
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CATALOG: tuple[tuple[str, AlgebraPresentation], ...] = (
     ("dual", AlgebraPresentation(("eps",), ((2,),))),
@@ -54,6 +56,10 @@ def catalog_algebra(name: str) -> WeilAlgebra:
 def rng_for(seed: int) -> np.random.Generator:
     if seed < 0:
         raise WeilcError(f"seed {seed} is negative; seeds are integers >= 0")
+    # imported here, not at module level: only the seeded draws need numpy,
+    # and it would double the start-up of every weilc command
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(seed))
 
 

@@ -1,5 +1,6 @@
 """Algebra construction, ring arithmetic, lifts, and morphisms."""
 
+import copy
 import math
 import random
 from itertools import combinations_with_replacement, product
@@ -94,6 +95,14 @@ class TestBuild:
         for factory in SAMPLE_ALGEBRAS:
             A = factory()
             assert A.basis[0] == tuple([0] * len(A.presentation.generators))
+
+    def test_a_copy_keeps_the_algebra(self):
+        # an algebra is an identity handle: elements of a copy mix with the
+        # original's
+        A = dual_numbers()
+        for twin in (copy.copy(A), copy.deepcopy(A)):
+            assert twin is A
+            assert twin.unit() + A.unit() == A.element([2.0, 0.0])
 
 
 def basis_products(A):

@@ -1,6 +1,7 @@
 """Command-line behavior: rendering, exit codes, reports, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from weilc import cli, errors
+from weilc import cli, errors, sampling
 from weilc.cli import main
 
 CONFIG_2D = """\
@@ -607,13 +608,61 @@ def test_each_error_class_exits_with_its_code(config2, capsys, monkeypatch, cls)
     assert captured.err == f"{prefix}{exc}\n"
 
 
-def test_start_up_leaves_mpmath_unloaded():
-    # only the finite-difference oracle needs mpmath; a fresh interpreter
-    # shows whether importing the package and its CLI loads it
+EXAMPLE = str(Path(__file__).resolve().parents[1] / "docs" / "example_config.yaml")
+
+
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports weilc from src/ and
+    return its stdout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    code = "import sys, weilc, weilc.cli; print('mpmath' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout
+
+
+@pytest.mark.parametrize("module", ["mpmath", "numpy", "yaml"])
+def test_start_up_leaves_module_unloaded(module):
+    # mpmath serves the finite-difference oracle, numpy the seeded draws, the
+    # morphism matrices and the oracle, yaml the config load; importing the
+    # package and its CLI loads none of them
+    code = f"import sys, weilc, weilc.cli; print({module!r} in sys.modules)"
+    assert _fresh_python(code).strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "g", "dual", "--point", "[[1, 1], [0.5, 0]]"],
+        ["algebra-show", "fat"],
+        ["bracket", "canonical2", "q", "energy", "--algebra", "dual",
+         "--point", "[[1, 1], [0.5, 0]]"],
+        ["prolong", "rotation", "g", "--algebra", "jets2",
+         "--point", "[[1, 1, 0], [0.5, 0, 1]]"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_command_without_draws_leaves_numpy_unloaded(argv):
+    # only check draws at random, so only check needs numpy
+    code = (
+        "import sys; from weilc import cli; "
+        f"code = cli.main({['--config', EXAMPLE, *argv]!r}); "
+        "print(code, 'numpy' in sys.modules)"
+    )
+    assert _fresh_python(code).splitlines()[-1] == "0 False"
+
+
+def test_a_nan_residual_never_passes(config2, tmp_path, monkeypatch, capsys):
+    # the antisymmetry sub-check of poisson_full reads residual_zero; a NaN
+    # there must fail the run, with a witness, through the whole CLI path
+    monkeypatch.setattr(sampling, "residual_zero", lambda value: math.nan)
+    path = tmp_path / "report.json"
+    argv = ["--config", config2, "check", "poisson_full", "--pi", "canonical2",
+            "--algebra", "dual", "--trials", "3", "--json", str(path)]
+    assert main(argv) == 4
+    assert capsys.readouterr().out.startswith("[FAIL] poisson_full: trials=3 ")
+    report = json.loads(path.read_text(encoding="utf-8"))
+    assert report["pass"] is False
+    assert report["max_residual"] == math.inf
+    assert [w["inputs"]["check"] for w in report["witnesses"]] == ["antisymmetry"] * 3

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from weilc import canonical_structure, dual_numbers, run_suite, taylor_coeffs
-from weilc.errors import DomainError, UnknownSuite, WeilcError
+from weilc.errors import DimensionMismatch, DomainError, UnknownSuite, WeilcError
 from weilc.expr import Add, Mul, Var, parse
 from weilc.oracle import central_diff_weights, poly_coeffs_exact
 from weilc.poisson import CheckReport
@@ -96,6 +96,16 @@ class TestPolyOracle:
             poly_coeffs_exact(parse("sin(x1)", 1), 1)
         with pytest.raises(ValueError):
             poly_coeffs_exact(parse("1/x1", 1), 1)
+
+    @pytest.mark.parametrize(
+        "e, n, name",
+        [(parse("x1*x3", 3), 2, "x3"), (Var(2), 1, "x3")],
+        ids=["x1*x3-n2", "x3-n1"],
+    )
+    def test_a_variable_beyond_n_is_refused(self, e, n, name):
+        # it must not be read as the constant 1
+        with pytest.raises(DimensionMismatch, match=f"uses {name} on a chart of dimension {n}"):
+            poly_coeffs_exact(e, n)
 
     def test_a_shared_dag_is_expanded_once_per_node(self):
         # 41 distinct nodes, 2^40 paths from the root to the leaf
