@@ -589,13 +589,23 @@ def _eval_real(e: Expr, xs: Sequence[float], memo: dict) -> float:
 
 FUNCTIONS = {name: PRIMITIVES[name] for name in ("exp", "log", "sin", "cos", "tan", "sqrt")}
 
+# one match per token: a number, an identifier, an operator or parenthesis,
+# or any other character, which no rule takes.  Digits are ASCII, as the
+# grammar's are: \d would also take other scripts' digits.
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"\s*((?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+    r"|[A-Za-z_][A-Za-z_0-9]*"
+    r"|[-+*/^()]"
+    r"|\S)"
 )
 
+# a token of one character that no rule takes
+_STRAY = re.compile(r"[^0-9A-Za-z_+\-*/^()]|\.")
+
 _VAR = re.compile(r"x([1-9]\d*)$")
+
+# the binary operators: precedence and node
+_BINARY = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
 
 # deepest nesting (signs and parentheses), and deepest tree, that parse
 # accepts; the printer, the evaluators and diff recurse once per tree level
@@ -605,155 +615,129 @@ MAX_DEPTH = 100
 # recurse thrice per level, within Python's 1000 frames to about 330 levels.
 MAX_NODE_DEPTH = 300
 _TOO_DEEP = f"expression tree deeper than {MAX_NODE_DEPTH} levels"
+_DEEPER = f"expression tree is deeper than {MAX_DEPTH}"
 
 
-class _Parser:
-    def __init__(self, text: str, n: int):
-        self.text = text
-        self.n = n
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        for m in _TOKEN.finditer(text):
-            # finditer skips what no token matches: a gap ends the token run
-            if m.start() != pos:
-                break
-            kind = m.lastgroup
-            self.tokens.append((kind, m.group(kind), m.start(kind)))
-            pos = m.end()
-        stripped = text[pos:].lstrip()
-        if stripped:
-            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-        self.tokens.append(("end", "", len(text)))
-        self.i = 0
-        self.depth = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
-
-    def parse(self) -> Expr:
-        e = self.expression()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {val!r}", pos)
-        return self.shallow(e, 0)
-
-    def shallow(self, e: Expr, pos: int) -> Expr:
-        # checked at the end and at each operator of a chain, so no chain
-        # reaches MAX_NODE_DEPTH; the nesting bound covers signs and calls
-        if e.depth > MAX_DEPTH:
-            raise ParseError(f"expression tree is deeper than {MAX_DEPTH}", pos)
-        return e
-
-    def expression(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                e = self.shallow(Add(e, rhs) if val == "+" else Sub(e, rhs), pos)
-            else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.unary()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                rhs = self.unary()
-                e = self.shallow(Mul(e, rhs) if val == "*" else Div(e, rhs), pos)
-            else:
-                return e
-
-    def nested(self, production) -> Expr:
-        # the parser recurses only here: into a sign's operand or parentheses
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            raise ParseError(f"expression nests deeper than {MAX_DEPTH}", self.peek()[2])
-        e = production()
-        self.depth -= 1
-        return e
-
-    def unary(self) -> Expr:
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            inner = self.nested(self.unary)
-            # fold a sign applied directly to a literal, so that printed
-            # negative constants reparse to themselves
-            if isinstance(inner, ConstR):
-                return ConstR(-inner.value)
-            return Neg(inner)
-        return self.power()
-
-    def power(self) -> Expr:
-        e = self.atom()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val == "^":
-                self.next()
-                e = self.shallow(Pow(e, self.exponent()), pos)
-            else:
-                return e
-
-    def exponent(self) -> int:
-        sign = 1
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            sign = -1
-            kind, val, pos = self.peek()
-        if kind != "num" or not re.fullmatch(r"\d+", val):
-            raise ParseError("expected an integer exponent", pos)
-        self.next()
-        return sign * int(val)
-
-    def atom(self) -> Expr:
-        kind, val, pos = self.next()
-        if kind == "num":
-            return ConstR(float(val))
-        if kind == "ident":
-            m = _VAR.match(val)
-            if m is not None:
-                idx = int(m.group(1))
-                if idx > self.n:
-                    raise UnknownSymbol(
-                        f"variable {val!r} exceeds chart dimension {self.n}", pos
-                    )
-                return Var(idx - 1)
-            nxt_kind, nxt_val, _ = self.peek()
-            if nxt_kind == "op" and nxt_val == "(":
-                if val not in FUNCTIONS:
-                    raise UnknownSymbol(f"unknown function {val!r}", pos)
-                self.next()
-                arg = self.nested(self.expression)
-                self.expect_op(")")
-                return Apply(FUNCTIONS[val], arg)
-            raise UnknownSymbol(f"unknown identifier {val!r}", pos)
-        if kind == "op" and val == "(":
-            e = self.nested(self.expression)
-            self.expect_op(")")
-            return e
-        if kind == "end":
-            raise ParseError("unexpected end of input", pos)
-        raise ParseError(f"unexpected {val!r}", pos)
+def _error(text: str, k: int, message: str, kind=ParseError) -> ParseError:
+    """The error at token k of text (past the last token: at the end of the
+    text).  A stray character anywhere in the text is reported instead, as
+    it would be by a scan of all the tokens before the parse."""
+    position = len(text)
+    for j, m in enumerate(_TOKEN.finditer(text)):
+        token = m.group(1)
+        if _STRAY.fullmatch(token):
+            return ParseError(f"unexpected character {token!r}", m.start())
+        if j == k:
+            position = m.start(1)
+    return kind(message, position)
 
 
 def parse(text: str, n: int) -> Expr:
     """Parse an expression over x1..xn.  Raises ParseError / UnknownSymbol,
-    and ParseError for a tree deeper than MAX_DEPTH (a long sum included)."""
-    return _Parser(text, n).parse()
+    and ParseError for a tree deeper than MAX_DEPTH (a long sum included) and
+    for a literal that is not finite (1e999).
+
+    All the tokens are taken at once; one precedence loop builds the tree,
+    and an error's position is found only when it is raised."""
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # the end of the text
+    at = 0  # index of the next token
+    nest = 0  # signs and parentheses open
+    leaves: dict[str, Expr] = {}  # each literal and variable, built once
+
+    def binary(min_prec: int = 1) -> Expr:
+        # a left-associated chain of the operators that bind at least min_prec
+        nonlocal at
+        e = prefix()
+        while True:
+            op = _BINARY.get(tokens[at])
+            if op is None or op[0] < min_prec:
+                return e
+            k = at
+            at += 1
+            # * and / bind tightest: their right operand is a prefix
+            e = op[1](e, binary(2) if op[0] == 1 else prefix())
+            # checked at each operator of a chain, so no chain reaches
+            # MAX_NODE_DEPTH; the nesting bound covers signs and calls
+            if e.facts[0] > MAX_DEPTH:
+                raise _error(text, k, _DEEPER)
+
+    def prefix() -> Expr:
+        # an operand: a literal, a variable, a parenthesis or a call, each with
+        # its ^ suffixes, or a sign and its operand
+        nonlocal at, nest
+        token = tokens[at]
+        at += 1
+        e = leaves.get(token)
+        if e is None:
+            if token == "-" or token == "(" or token in FUNCTIONS and tokens[at] == "(":
+                # the parser recurses only here: into a sign's operand, a
+                # parenthesis or a call's argument
+                if token in FUNCTIONS:
+                    at += 1
+                nest += 1
+                if nest > MAX_DEPTH:
+                    raise _error(text, at, f"expression nests deeper than {MAX_DEPTH}")
+                if token == "-":
+                    e = prefix()
+                    nest -= 1
+                    # fold a sign applied directly to a literal, so that
+                    # printed negative constants reparse to themselves
+                    return ConstR(-e.value) if isinstance(e, ConstR) else Neg(e)
+                e = binary()
+                nest -= 1
+                if tokens[at] != ")":
+                    raise _error(text, at, "expected ')'")
+                at += 1
+                if token != "(":
+                    e = Apply(FUNCTIONS[token], e)
+            else:
+                e = leaves[token] = leaf(token)
+        while tokens[at] == "^":
+            k = at
+            at += 1
+            sign = 1
+            if tokens[at] == "-":
+                at += 1
+                sign = -1
+            digits = tokens[at]
+            if not (digits.isdigit() and digits.isascii()):
+                raise _error(text, at, "expected an integer exponent")
+            at += 1
+            e = Pow(e, sign * int(digits))
+            if e.facts[0] > MAX_DEPTH:
+                raise _error(text, k, _DEEPER)
+        return e
+
+    def leaf(token: str) -> Expr:
+        # a literal or a variable; anything else here is an error
+        k = at - 1
+        if not token:
+            raise _error(text, k, "unexpected end of input")
+        if token[0] in "0123456789." and token != ".":
+            value = float(token)
+            if not math.isfinite(value):
+                raise _error(text, k, f"number {token!r} is not finite")
+            return ConstR(value)
+        m = _VAR.match(token)
+        if m is not None:
+            idx = int(m.group(1))
+            if idx > n:
+                raise _error(text, k, f"variable {token!r} exceeds chart dimension {n}",
+                             UnknownSymbol)
+            return Var(idx - 1)
+        if token in "+*/^)":
+            raise _error(text, k, f"unexpected {token!r}")
+        if tokens[at] == "(":
+            raise _error(text, k, f"unknown function {token!r}", UnknownSymbol)
+        raise _error(text, k, f"unknown identifier {token!r}", UnknownSymbol)
+
+    e = binary()
+    if tokens[at]:
+        raise _error(text, at, f"unexpected {tokens[at]!r}")
+    if e.facts[0] > MAX_DEPTH:
+        raise ParseError(_DEEPER, 0)
+    return e
 
 
 # -- printing ----------------------------------------------------------------------

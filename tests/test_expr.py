@@ -97,6 +97,45 @@ class TestParse:
         assert parse("2E+2", 1) == ConstR(200.0)
         assert parse(".5", 1) == ConstR(0.5)
 
+    @pytest.mark.parametrize("text, position", [("1e999", 0), ("x1 + 1e999", 5),
+                                                ("-1E400*x1", 1), ("x1^2 - (1e308*1e309)", 14)])
+    def test_a_literal_that_is_not_finite_is_refused(self, text, position):
+        # it would print as inf, which does not parse back
+        with pytest.raises(ParseError, match="is not finite") as err:
+            parse(text, 1)
+        assert err.value.position == position
+        assert parse("1e-999", 1) == ConstR(0.0)  # underflow is finite
+
+    @pytest.mark.parametrize("text, position", [("\u0663 + x1", 0), ("x1^\u0663", 3),
+                                                ("x1 + 1\u0660", 6), ("x1*\u00b2", 3)])
+    def test_digits_are_ascii(self, text, position):
+        # an Arabic-Indic or superscript digit is a stray character, not a digit
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse(text, 1)
+        assert err.value.position == position
+        assert type(err.value) is ParseError
+
+
+# the derivative chains of the symbolic benchmark (perfbench/workloads.py,
+# GROWTH), with fixed constants: each template and its order of variables
+_GROWTH = (
+    ("sin(1.37*x1*x2)/(2.81 + x1^2)", (0, 0, 0, 0, 0)),
+    ("exp(2.05*x1*x2)*cos(x1 + 1.12*x2)", (0, 1, 0, 1, 0)),
+    ("log(1.9 + x1^2*x2)/(2.63 + 2 - x2)", (1, 0, 1, 0, 1)),
+    ("tan(x1/2.4)*sqrt(1.58 + 1 + x2)", (0, 1, 0, 0, 1)),
+)
+
+
+@pytest.mark.parametrize("template, order", _GROWTH, ids=["sin", "exp", "log", "tan"])
+def test_derivative_chains_print_and_parse_back(template, order):
+    # the benchmark's round trips; the 5th derivatives print to 0.5k-32k
+    # characters
+    e = parse(template, 2)
+    for index in (None,) + order:
+        if index is not None:
+            e = diff(e, index)
+        assert parse(to_string(e), 2) == e
+
 
 def _exprs():
     leaves = st.one_of(

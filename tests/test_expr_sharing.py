@@ -10,21 +10,34 @@ identical strings, bitwise-equal values and the same first error.
 Each node's ``depth``, ``top`` and ``algebra`` replaced a walk over the
 DAG; ``_ref_levels`` and ``_ref_scan`` are that walk, kept as the
 reference for the facts.
+
+``parse`` takes all its tokens with one ``findall`` and parses them with one
+precedence loop; ``_ref_tokens`` and ``_ref_parse``, a token scan and a
+recursive descent with one method per grammar rule, are the parser it
+replaced.  On every text both give equal trees or the same first error.
 """
 
 import math
+import re
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weilc import dual_numbers, jets, trivial_algebra
 from weilc.algebra import RECIPROCAL, render_element, taylor_lift
-from weilc.errors import AlgebraMismatch, DimensionMismatch, DomainError, ParseError
+from weilc.errors import (
+    AlgebraMismatch,
+    DimensionMismatch,
+    DomainError,
+    ParseError,
+    UnknownSymbol,
+)
 from weilc.expr import (
     _CHAIN,
     _TOKEN,
     FUNCTIONS,
+    MAX_DEPTH,
     AFunction,
     Add,
     Apply,
@@ -38,7 +51,7 @@ from weilc.expr import (
     Var,
     ONE,
     ZERO,
-    _Parser,
+    _error,
     _point_coords,
     _precedence,
     add,
@@ -287,11 +300,21 @@ def _ref_to_string(e):
     raise TypeError(f"cannot print {type(e).__name__}")
 
 
+# the recursive descent's patterns, with ASCII digits as the grammar has them
+_REF_TOKEN = re.compile(
+    r"\s*(?:(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^()]))"
+)
+
+_REF_VAR = re.compile(r"x([1-9]\d*)$")
+
+
 def _ref_tokens(text):
     tokens = []
     pos = 0
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
+        m = _REF_TOKEN.match(text, pos)
         if m is None or m.end() == pos:
             stripped = text[pos:].lstrip()
             if not stripped:
@@ -304,6 +327,137 @@ def _ref_tokens(text):
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+class _RefParser:
+    def __init__(self, text, n):
+        self.tokens = _ref_tokens(text)
+        self.n = n
+        self.i = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect_op(self, op):
+        kind, val, pos = self.next()
+        if kind != "op" or val != op:
+            raise ParseError(f"expected {op!r}", pos)
+
+    def parse(self):
+        e = self.expression()
+        kind, val, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected {val!r}", pos)
+        return self.shallow(e, 0)
+
+    def shallow(self, e, pos):
+        if e.depth > MAX_DEPTH:
+            raise ParseError(f"expression tree is deeper than {MAX_DEPTH}", pos)
+        return e
+
+    def expression(self):
+        e = self.term()
+        while True:
+            kind, val, pos = self.peek()
+            if kind == "op" and val in "+-":
+                self.next()
+                rhs = self.term()
+                e = self.shallow(Add(e, rhs) if val == "+" else Sub(e, rhs), pos)
+            else:
+                return e
+
+    def term(self):
+        e = self.unary()
+        while True:
+            kind, val, pos = self.peek()
+            if kind == "op" and val in "*/":
+                self.next()
+                rhs = self.unary()
+                e = self.shallow(Mul(e, rhs) if val == "*" else Div(e, rhs), pos)
+            else:
+                return e
+
+    def nested(self, production):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH}", self.peek()[2])
+        e = production()
+        self.depth -= 1
+        return e
+
+    def unary(self):
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "-":
+            self.next()
+            inner = self.nested(self.unary)
+            if isinstance(inner, ConstR):
+                return ConstR(-inner.value)
+            return Neg(inner)
+        return self.power()
+
+    def power(self):
+        e = self.atom()
+        while True:
+            kind, val, pos = self.peek()
+            if kind == "op" and val == "^":
+                self.next()
+                e = self.shallow(Pow(e, self.exponent()), pos)
+            else:
+                return e
+
+    def exponent(self):
+        sign = 1
+        kind, val, pos = self.peek()
+        if kind == "op" and val == "-":
+            self.next()
+            sign = -1
+            kind, val, pos = self.peek()
+        if kind != "num" or not re.fullmatch(r"[0-9]+", val):
+            raise ParseError("expected an integer exponent", pos)
+        self.next()
+        return sign * int(val)
+
+    def atom(self):
+        kind, val, pos = self.next()
+        if kind == "num":
+            if not math.isfinite(float(val)):  # refused, as parse refuses it
+                raise ParseError(f"number {val!r} is not finite", pos)
+            return ConstR(float(val))
+        if kind == "ident":
+            m = _REF_VAR.match(val)
+            if m is not None:
+                idx = int(m.group(1))
+                if idx > self.n:
+                    raise UnknownSymbol(
+                        f"variable {val!r} exceeds chart dimension {self.n}", pos
+                    )
+                return Var(idx - 1)
+            nxt_kind, nxt_val, _ = self.peek()
+            if nxt_kind == "op" and nxt_val == "(":
+                if val not in FUNCTIONS:
+                    raise UnknownSymbol(f"unknown function {val!r}", pos)
+                self.next()
+                arg = self.nested(self.expression)
+                self.expect_op(")")
+                return Apply(FUNCTIONS[val], arg)
+            raise UnknownSymbol(f"unknown identifier {val!r}", pos)
+        if kind == "op" and val == "(":
+            e = self.nested(self.expression)
+            self.expect_op(")")
+            return e
+        if kind == "end":
+            raise ParseError("unexpected end of input", pos)
+        raise ParseError(f"unexpected {val!r}", pos)
+
+
+def _ref_parse(text, n):
+    return _RefParser(text, n).parse()
 
 
 # -- helpers ------------------------------------------------------------------------
@@ -506,9 +660,25 @@ def test_facts_match_the_reference_walk(seed, n, wrap, consta, i):
                 substitute(e, [foreign] * n)
 
 
-# -- tokenizer -------------------------------------------------------------------------
+# -- tokenizer and parser ------------------------------------------------------------
 
-_TEXT_CHARS = list("x1 2.0eE+-*/^()sin_9") + ["\t", "\n", "$", "#", "é", "\x1c", " "]
+_TEXT_CHARS = list("x1 2.0eE+-*/^()sin_9") + ["\t", "\n", "$", "#", "é", "\x1c", " ", "٣"]
+
+
+def _tokens(text):
+    """The tokens parse reads, in the reference's (kind, value, position)
+    form: the kind by the first character, as parse tells them apart, and
+    the position, or the stray character, as parse's errors report them."""
+    tokens = _TOKEN.findall(text)
+    end = _error(text, len(tokens), "end")
+    if str(end) != f"end (at position {len(text)})":
+        raise end
+    kinds = [
+        "num" if t[0] in "0123456789." else "ident" if t[0].isalpha() or t[0] == "_" else "op"
+        for t in tokens
+    ]
+    positions = [_error(text, k, "").position for k in range(len(tokens))]
+    return list(zip(kinds, tokens, positions)) + [("end", "", len(text))]
 
 
 @settings(max_examples=400, deadline=None)
@@ -516,4 +686,69 @@ _TEXT_CHARS = list("x1 2.0eE+-*/^()sin_9") + ["\t", "\n", "$", "#", "é", "\x1c"
 def test_tokenizer_matches_the_scanning_loop(text, trailing):
     text += " " * trailing
     # a ParseError's message ends with its position
-    assert _outcome(lambda t: _Parser(t, 3).tokens, text) == _outcome(_ref_tokens, text)
+    assert _outcome(_tokens, text) == _outcome(_ref_tokens, text)
+
+
+_LEAVES = ["x1", "x2", "x3", "0", "2", "2.5", ".5", "3.", "1e3", "1.5E-2", "12"]
+# one of these put anywhere breaks most texts, each in its own way
+_JUNK = ["x4", "x0", "x01", "y", "foo", "sin", "1e999", "٣", "é", "$", ".", "^", "^-",
+         "^2.5", "^x1", "(", ")", "+", "*", "-", "foo(", "exp(", ""]
+
+
+_OPERATORS = ["+", "-", "*", "/", " + ", " - ", " * ", " / "]
+
+
+def _grammar_texts():
+    def extend(inner):
+        return st.one_of(
+            # a chain of binary operators in any mix
+            st.tuples(inner, st.lists(st.tuples(st.sampled_from(_OPERATORS), inner),
+                                      min_size=1, max_size=4))
+            .map(lambda t: t[0] + "".join(op + s for op, s in t[1])),
+            inner.map(lambda s: "-" + s),
+            inner.map(lambda s: f"({s})"),
+            st.tuples(st.sampled_from(sorted(FUNCTIONS)), inner).map(lambda t: f"{t[0]}({t[1]})"),
+            st.tuples(inner, st.sampled_from(["2", "-1", "0", "-3", "10", "-12"])).map("^".join),
+        )
+
+    return st.recursive(st.sampled_from(_LEAVES), extend, max_leaves=10)
+
+
+def _deep_texts():
+    # nests and chains at, and just past, MAX_DEPTH
+    shapes = [
+        lambda k: "(" * k + "x1" + ")" * k,
+        lambda k: "-" * k + "x1",
+        lambda k: "-" * k + "2",
+        lambda k: "sin(" * k + "x1" + ")" * k,
+        lambda k: "-(" * (k // 2) + "x1" + ")" * (k // 2),
+        lambda k: " + ".join(["x1"] * k),
+        lambda k: "*".join(["x2"] * k),
+        lambda k: "x1" + "^2" * k,
+        lambda k: "x1" + "^-1" * (k - 1),
+        lambda k: "-" * (k - 1) + "x1^2",
+        lambda k: "x1 - " * (k - 1) + "(" * k + "x1" + ")" * k,
+    ]
+    return st.tuples(st.sampled_from(shapes), st.integers(MAX_DEPTH - 2, MAX_DEPTH + 2)).map(
+        lambda t: t[0](t[1]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(_grammar_texts(), _deep_texts()),
+    st.integers(0, 10**6),
+    st.one_of(st.none(), st.sampled_from(_JUNK)),
+)
+@example("x1 + 2", 5, "1e999")  # the two refusals parse added
+@example("x1 + 2", 0, "\u0663")
+@example("x1^2", 3, "\u0663")
+@example(" + ".join(["x1"] * MAX_DEPTH), 0, "x2 * ")
+@example("(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH, 0, "-")
+@example("-2*-x1^-3 - -.5/sin(-(3.))^2", 0, None)
+def test_parser_matches_the_recursive_descent(text, at, junk):
+    if junk is not None:
+        at %= len(text) + 1
+        text = text[:at] + junk + text[at:]
+    # equal trees, or the same class and message (which ends with the position)
+    _same(_outcome(parse, text, 3), _outcome(_ref_parse, text, 3), key=lambda e: e)
+
