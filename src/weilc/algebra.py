@@ -11,14 +11,20 @@ the kernels read and write.  Products and integer powers run one kernel per
 algebra, compiled from its product plan: the (i, j, k) triples with i <= j
 and e_i e_j = e_k, listed once when the algebra is built, in basis order.
 The plan is the algebra's only record of its products.  ``_compile`` turns
-a plan into straight-line code in which each output slot is summed from
-+0.0 in that fixed order, and an off-diagonal triple adds a_i b_j + a_j b_i
-in one step, so a*b and b*a agree bit for bit.  Taylor lifts keep the
-powers of the nilpotent part inside the maximal ideal, through a second
-kernel compiled from the triples with i > 0; the terms it leaves out are
-exact zeros, so the lift equals the full-plan Taylor sum bit for bit
-whenever it is finite, and a lift with a non-finite coefficient raises
-DomainError.
+a plan into straight-line code that unpacks both arguments into locals and
+sums each output slot from +0.0 in that fixed order; an off-diagonal
+triple adds a_i b_j + a_j b_i in one step, so a*b and b*a agree bit for
+bit.  Taylor lifts keep the powers of the nilpotent part inside the
+maximal ideal, through a second kernel compiled from the triples with
+i > 0; the terms it leaves out are exact zeros, so the lift equals the
+full-plan Taylor sum bit for bit whenever it is finite, and a lift with a
+non-finite coefficient raises DomainError.  The derivative polynomials of
+tan are built once per order.
+
+Evaluation runs on coefficient lists: the lift (``_lift``) and the power
+loop (``_power``) take and return lists, and ``expr.eval_weil`` calls them
+and the kernel directly.  A WeilElement is built only at the boundaries:
+the results of ``eval_weil``, ``taylor_lift`` and ``**``.
 """
 
 from __future__ import annotations
@@ -232,15 +238,16 @@ def _compile(
     """Straight-line code for the coefficient list of a*b over a plan.
 
     Slot k is ``0.0 + t1 + t2 + ...`` with its terms in plan order: a_i b_i
-    for a diagonal triple, (a_i b_j + a_j b_i) for an off-diagonal one.  The
-    cache keeps one kernel per plan across rebuilds of the same algebra.
+    for a diagonal triple, (a_i b_j + a_j b_i) for an off-diagonal one, read
+    from locals that a and b are unpacked into first.  The cache keeps one
+    kernel per plan across rebuilds of the same algebra.
     """
     terms: list[list[str]] = [[] for _ in range(dim)]
     for i, j, k in plan:
-        terms[k].append(
-            f"a[{i}]*b[{i}]" if i == j else f"(a[{i}]*b[{j}] + a[{j}]*b[{i}])"
-        )
+        terms[k].append(f"a{i}*b{i}" if i == j else f"(a{i}*b{j} + a{j}*b{i})")
     lines = ["def kernel(a, b):"]
+    for name in "ab":
+        lines.append("    " + "".join(f"{name}{k}, " for k in range(dim)) + f"= {name}")
     for k, slot in enumerate(terms):
         lines.append(f"    s{k} = " + " + ".join(["0.0", *slot[:_CHUNK]]))
         for start in range(_CHUNK, len(slot), _CHUNK):
@@ -328,13 +335,7 @@ class WeilElement:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        if k < 0:
-            return taylor_lift(RECIPROCAL, self) ** (-k)
-        alg = self.algebra
-        out = alg.unit().coeffs
-        for _ in range(k):
-            out = alg._mul(out, self.coeffs)
-        return WeilElement(alg, out)
+        return WeilElement(self.algebra, _power(self.algebra, self.coeffs, k))
 
     def __eq__(self, other):
         if not isinstance(other, WeilElement):
@@ -435,21 +436,24 @@ def _cos_derivs(r: float, order: int) -> list[float]:
     return [cycle[j % 4] for j in range(order + 1)]
 
 
-def _tan_derivs(r: float, order: int) -> list[float]:
-    # d/dx tan = 1 + tan^2, so f^(j) is a polynomial in t = tan(r); the
+@lru_cache(maxsize=None)
+def _tan_polys(order: int) -> tuple[tuple[float, ...], ...]:
+    # d/dx tan = 1 + tan^2, so f^(j) is a polynomial P_j in t = tan(x); the
     # recurrence P_{j+1} = P_j'(t) * (1 + t^2) stays in coefficient space.
-    t = math.tan(r)
-    poly = [0.0, 1.0]  # coefficients of P_0(t) = t
-    out = []
-    for _ in range(order + 1):
-        out.append(sum(c * t**i for i, c in enumerate(poly)))
-        dpoly = [i * c for i, c in enumerate(poly)][1:] or [0.0]
+    polys = [(0.0, 1.0)]  # coefficients of P_0(t) = t
+    for _ in range(order):
+        dpoly = [i * c for i, c in enumerate(polys[-1])][1:] or [0.0]
         nxt = [0.0] * (len(dpoly) + 2)
         for i, c in enumerate(dpoly):
             nxt[i] += c
             nxt[i + 2] += c
-        poly = nxt
-    return out
+        polys.append(tuple(nxt))
+    return tuple(polys)
+
+
+def _tan_derivs(r: float, order: int) -> list[float]:
+    t = math.tan(r)
+    return [sum(c * t**i for i, c in enumerate(poly)) for poly in _tan_polys(order)]
 
 
 def _recip_derivs(r: float, order: int) -> list[float]:
@@ -491,8 +495,13 @@ def taylor_lift(prim: PrimitiveFn, a: WeilElement) -> WeilElement:
     is g(r) by construction.  The powers n^j stay in the maximal ideal, and
     a result with a non-finite coefficient raises DomainError.
     """
-    r = a.real
-    h = a.algebra.height
+    return WeilElement(a.algebra, _lift(prim, a.algebra, a.coeffs))
+
+
+def _lift(prim: PrimitiveFn, algebra: WeilAlgebra, a: list[float]) -> list[float]:
+    """taylor_lift over the coefficient list a of an element of algebra."""
+    r = a[0]
+    h = algebra.height
     try:
         derivs = prim.derivatives(r, h)
     except OverflowError as exc:
@@ -500,13 +509,13 @@ def taylor_lift(prim: PrimitiveFn, a: WeilElement) -> WeilElement:
     except (ValueError, ZeroDivisionError) as exc:
         # sin(inf), or 1/r^(j+1) when r^(j+1) underflows to zero
         raise DomainError(f"{prim.name} derivatives undefined at {r}") from exc
-    n = a.nilpotent_part().coeffs
-    out = [float(derivs[0])] + [0.0] * (a.algebra.dim - 1)
+    n = [0.0, *a[1:]]
+    out = [float(derivs[0])] + [0.0] * (algebra.dim - 1)
     power = n
     factorial = 1.0
     for j in range(1, h + 1):
         if j > 1:
-            power = a.algebra._ideal_mul(power, n)
+            power = algebra._ideal_mul(power, n)
         if not any(power):
             break
         factorial *= j
@@ -514,7 +523,17 @@ def taylor_lift(prim: PrimitiveFn, a: WeilElement) -> WeilElement:
         out = [o + p * scale for o, p in zip(out, power)]
     if not all(map(math.isfinite, out)):
         raise DomainError(f"{prim.name} lift at {r} is not finite")
-    return WeilElement(a.algebra, out)
+    return out
+
+
+def _power(algebra: WeilAlgebra, a: list[float], k: int) -> list[float]:
+    """a^k over coefficient lists: |k| products from the unit, of the lift of 1/a if k < 0."""
+    if k < 0:
+        a, k = _lift(RECIPROCAL, algebra, a), -k
+    out = [1.0] + [0.0] * (algebra.dim - 1)
+    for _ in range(k):
+        out = algebra._mul(out, a)
+    return out
 
 
 def apply_linear(matrix: np.ndarray, a: WeilElement) -> WeilElement:

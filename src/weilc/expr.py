@@ -32,8 +32,9 @@ from .algebra import (
     PrimitiveFn,
     WeilAlgebra,
     WeilElement,
+    _lift,
+    _power,
     render_element,
-    taylor_lift,
 )
 from .errors import (
     AlgebraMismatch,
@@ -464,7 +465,9 @@ def eval_weil(e: Expr, point, algebra: WeilAlgebra | None = None) -> WeilElement
 
     For a ConstA-free expression f this computes the prolongation of f at
     the given point; the recursion realizes the homomorphism laws
-    eval(f+g) = eval(f)+eval(g) and eval(f*g) = eval(f)*eval(g).
+    eval(f+g) = eval(f)+eval(g) and eval(f*g) = eval(f)*eval(g).  It runs on
+    coefficient lists, with the same float operations in the same order as
+    the WeilElement operators, and builds one element for the result.
     """
     coords = _point_coords(point)
     if algebra is None:
@@ -476,14 +479,14 @@ def eval_weil(e: Expr, point, algebra: WeilAlgebra | None = None) -> WeilElement
             raise AlgebraMismatch("point coordinates live over different algebras")
     if e.algebra is not None and e.algebra is not algebra:
         raise AlgebraMismatch("algebra constant does not match the point")
-    value = _eval_weil(e, coords, algebra, {})
+    value = WeilElement(algebra, _eval_weil(e, [c.coeffs for c in coords], algebra, {}))
     # ring arithmetic overflows silently; one check here covers every path
     if not all(map(math.isfinite, value.coeffs)):
         raise DomainError(f"non-finite result {render_element(value)}")
     return value
 
 
-def _eval_weil(e: Expr, coords, algebra: WeilAlgebra, memo: dict) -> WeilElement:
+def _eval_weil(e: Expr, coords, algebra: WeilAlgebra, memo: dict) -> list[float]:
     kind = type(e)
     if kind is Var:
         if e.index >= len(coords):
@@ -492,31 +495,32 @@ def _eval_weil(e: Expr, coords, algebra: WeilAlgebra, memo: dict) -> WeilElement
             )
         return coords[e.index]
     if kind is ConstA:
-        return e.value
+        return e.value.coeffs
     key = id(e)
     value = memo.get(key)
     if value is not None:
         return value
     if kind is ConstR:
-        value = algebra.from_real(e.value)
+        value = [float(e.value)] + [0.0] * (algebra.dim - 1)
     elif kind is Add:
-        value = _eval_weil(e.left, coords, algebra, memo) + _eval_weil(
-            e.right, coords, algebra, memo)
+        value = [x + y for x, y in zip(_eval_weil(e.left, coords, algebra, memo),
+                                       _eval_weil(e.right, coords, algebra, memo))]
     elif kind is Sub:
-        value = _eval_weil(e.left, coords, algebra, memo) - _eval_weil(
-            e.right, coords, algebra, memo)
+        value = [x - y for x, y in zip(_eval_weil(e.left, coords, algebra, memo),
+                                       _eval_weil(e.right, coords, algebra, memo))]
     elif kind is Mul:
-        value = _eval_weil(e.left, coords, algebra, memo) * _eval_weil(
-            e.right, coords, algebra, memo)
+        value = algebra._mul(_eval_weil(e.left, coords, algebra, memo),
+                             _eval_weil(e.right, coords, algebra, memo))
     elif kind is Div:
         denom = _eval_weil(e.right, coords, algebra, memo)
-        value = _eval_weil(e.left, coords, algebra, memo) * taylor_lift(RECIPROCAL, denom)
+        value = algebra._mul(_eval_weil(e.left, coords, algebra, memo),
+                             _lift(RECIPROCAL, algebra, denom))
     elif kind is Neg:
-        value = -_eval_weil(e.arg, coords, algebra, memo)
+        value = [-x for x in _eval_weil(e.arg, coords, algebra, memo)]
     elif kind is Pow:
-        value = _eval_weil(e.base, coords, algebra, memo) ** e.exponent
+        value = _power(algebra, _eval_weil(e.base, coords, algebra, memo), e.exponent)
     elif kind is Apply:
-        value = taylor_lift(e.fn, _eval_weil(e.arg, coords, algebra, memo))
+        value = _lift(e.fn, algebra, _eval_weil(e.arg, coords, algebra, memo))
     else:
         raise TypeError(f"cannot evaluate {kind.__name__}")
     memo[key] = value
@@ -611,6 +615,9 @@ _BINARY = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
 # accepts; the printer, the evaluators and diff recurse once per tree level
 MAX_DEPTH = 100
 
+# largest exponent, either sign, that parse accepts: x^k costs k products
+MAX_EXPONENT = 10_000
+
 # deepest tree any constructor builds (else WeilcError): == and deepcopy
 # recurse thrice per level, within Python's 1000 frames to about 330 levels.
 MAX_NODE_DEPTH = 300
@@ -635,7 +642,8 @@ def _error(text: str, k: int, message: str, kind=ParseError) -> ParseError:
 def parse(text: str, n: int) -> Expr:
     """Parse an expression over x1..xn.  Raises ParseError / UnknownSymbol,
     and ParseError for a tree deeper than MAX_DEPTH (a long sum included) and
-    for a literal that is not finite (1e999).
+    for a literal that is not finite (1e999) and for an exponent above
+    MAX_EXPONENT.
 
     All the tokens are taken at once; one precedence loop builds the tree,
     and an error's position is found only when it is raised."""
@@ -703,6 +711,10 @@ def parse(text: str, n: int) -> Expr:
             digits = tokens[at]
             if not (digits.isdigit() and digits.isascii()):
                 raise _error(text, at, "expected an integer exponent")
+            # counted before int(), which refuses more than 4300 digits
+            digits = digits.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise _error(text, at, f"exponent exceeds {MAX_EXPONENT}")
             at += 1
             e = Pow(e, sign * int(digits))
             if e.facts[0] > MAX_DEPTH:

@@ -23,7 +23,14 @@ from weilc import (
     trivial_algebra,
     validate_morphism,
 )
-from weilc.algebra import _compile, _sqrt_derivs, apply_linear, monomial_name
+from weilc.algebra import (
+    _CHUNK,
+    _compile,
+    _sqrt_derivs,
+    _tan_derivs,
+    apply_linear,
+    monomial_name,
+)
 from weilc.errors import (
     AlgebraMismatch,
     DomainError,
@@ -379,18 +386,36 @@ class TestCompiledKernels:
     """The generated kernels against loops written here, and lifts whose
     powers stay in the maximal ideal against the full-plan Taylor sum."""
 
-    def test_long_slot_compiles_and_matches_the_plan_loop(self):
-        # 5000 terms in one slot, far past the `+` chain CPython compiles
-        rng = random.Random(3)
-        dim = 60
-        pairs = [sorted((rng.randrange(dim), rng.randrange(dim))) for _ in range(5000)]
-        plan = tuple((i, j, 7) for i, j in pairs) + ((0, 0, 0), (2, 5, 1), (1, 1, 1))
+    @staticmethod
+    def assert_plan_loop(rng, plan, dim):
         a = [rng.uniform(-1e3, 1e3) for _ in range(dim)]
         b = [rng.uniform(-1e3, 1e3) for _ in range(dim)]
         expected = [0.0] * dim
         for i, j, k in plan:
             expected[k] += a[i] * b[i] if i == j else a[i] * b[j] + a[j] * b[i]
         assert_bitwise(_compile(plan, dim)(a, b), expected)
+
+    def test_long_slot_compiles_and_matches_the_plan_loop(self):
+        # 5000 terms in one slot, far past the `+` chain CPython compiles
+        rng = random.Random(3)
+        dim = 60
+        pairs = [sorted((rng.randrange(dim), rng.randrange(dim))) for _ in range(5000)]
+        plan = tuple((i, j, 7) for i, j in pairs) + ((0, 0, 0), (2, 5, 1), (1, 1, 1))
+        self.assert_plan_loop(rng, plan, dim)
+
+    @pytest.mark.parametrize("terms", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    def test_slots_at_the_chunk_length_match_the_plan_loop(self, terms):
+        # the first statement of a slot, and the continuation lines after it
+        rng = random.Random(terms)
+        pairs = [sorted((rng.randrange(40), rng.randrange(40))) for _ in range(terms)]
+        self.assert_plan_loop(rng, tuple((i, j, 3) for i, j in pairs) + ((0, 1, 1),), 40)
+
+    @given(COEFFS, COEFFS)
+    def test_trivial_algebra_kernel_is_the_real_product(self, x, y):
+        # dim 1: the kernel unpacks one-element lists
+        A = trivial_algebra()
+        assert_bitwise(A._mul([x], [y]), reference_product(A, [x], [y]))
+        assert_bitwise(A._ideal_mul([x], [y]), [0.0])
 
     def test_rebuilt_algebra_reuses_its_kernels(self):
         assert jets(4)._mul is jets(4)._mul
@@ -505,6 +530,25 @@ class TestTaylorLift:
             assert np.all(
                 np.abs(lifted.coeffs - oracle) <= 1e-6 * (1 + np.abs(oracle))
             )
+
+    @given(st.one_of(st.floats(-1.6, 1.6), st.sampled_from([0.0, -0.0])))
+    def test_tan_derivatives_keep_the_recurrence_bit_for_bit(self, r):
+        # the polynomials P_j are built once per order; their values at
+        # tan(r) are summed as the recurrence below sums them on every call
+        t = math.tan(r)
+        poly = [0.0, 1.0]
+        expected = []
+        for _ in range(13):
+            expected.append(sum(c * t**i for i, c in enumerate(poly)))
+            dpoly = [i * c for i, c in enumerate(poly)][1:] or [0.0]
+            nxt = [0.0] * (len(dpoly) + 2)
+            for i, c in enumerate(dpoly):
+                nxt[i] += c
+                nxt[i + 2] += c
+            poly = nxt
+        for order in range(13):
+            actual = _tan_derivs(r, order)
+            assert [x.hex() for x in actual] == [x.hex() for x in expected[: order + 1]]
 
     def test_tan_consistency(self):
         # tan = sin/cos through independent code paths

@@ -309,6 +309,19 @@ class TestConfigHandling:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "text", ["x1^" + "9" * 5000, "x1^999999999999", "x1^-10001"],
+        ids=["past_int_digits", "hours_of_products", "negative"],
+    )
+    def test_huge_exponent_in_config(self, tmp_path, capsys, text):
+        # refused when the config loads, before any command multiplies
+        path = tmp_path / "huge.yaml"
+        path.write_text(f"chart_dim: 1\nexpressions:\n  f: '{text}'\n", encoding="utf-8")
+        assert main(["--config", str(path), "eval", "f", "dual", "--point", "[[1, 1]]"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: expression 'f'")
+        assert "exponent exceeds 10000" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             (

@@ -28,6 +28,7 @@ from weilc.expr import (
     Div,
     FUNCTIONS,
     MAX_DEPTH,
+    MAX_EXPONENT,
     MAX_NODE_DEPTH,
     Mul,
     Neg,
@@ -91,6 +92,17 @@ class TestParse:
         assert isinstance(parse("-" * (MAX_DEPTH - 1) + "x1", 1), Neg)
         deep = parse(" + ".join(["x1"] * MAX_DEPTH), 1)
         assert to_string(deep) == " + ".join(["x1"] * MAX_DEPTH)
+
+    @pytest.mark.parametrize("text, position", [("x1^" + "9" * 5000, 3), ("x1^10001", 3),
+                                                ("x1^-10001", 4), ("2 + x1^00010001", 7)])
+    def test_an_exponent_above_the_bound_is_refused(self, text, position):
+        # x^k costs k products, and int() refuses more than 4300 digits
+        with pytest.raises(ParseError, match=f"exponent exceeds {MAX_EXPONENT}") as err:
+            parse(text, 1)
+        assert type(err.value) is ParseError
+        assert err.value.position == position
+        assert parse("x1^10000", 1) == Pow(Var(0), MAX_EXPONENT)
+        assert parse("x1^-010000", 1) == Pow(Var(0), -MAX_EXPONENT)
 
     def test_scientific_literals(self):
         assert parse("1.5e-3", 1) == ConstR(0.0015)

@@ -38,6 +38,7 @@ from weilc.expr import (
     _TOKEN,
     FUNCTIONS,
     MAX_DEPTH,
+    MAX_EXPONENT,
     AFunction,
     Add,
     Apply,
@@ -67,7 +68,14 @@ from weilc.expr import (
     substitute,
     to_string,
 )
-from weilc.sampling import random_expr, random_expr_with_consta, random_point, rng_for
+from weilc.sampling import (
+    CATALOG,
+    catalog_algebra,
+    random_expr,
+    random_expr_with_consta,
+    random_point,
+    rng_for,
+)
 
 # -- the tree recursions, as references ---------------------------------------------
 
@@ -420,6 +428,8 @@ class _RefParser:
             kind, val, pos = self.peek()
         if kind != "num" or not re.fullmatch(r"[0-9]+", val):
             raise ParseError("expected an integer exponent", pos)
+        if len(val.lstrip("0")) > len(str(MAX_EXPONENT)) or int(val) > MAX_EXPONENT:
+            raise ParseError(f"exponent exceeds {MAX_EXPONENT}", pos)
         self.next()
         return sign * int(val)
 
@@ -601,6 +611,48 @@ def test_walks_match_tree_recursions(seed, n, wrap, consta, order, xs, short):
               _element_bits)
 
 
+# eval_weil walks coefficient lists: every catalog algebra, the highest order
+# the kernels are tested at, and R itself, against the WeilElement operators
+_LIST_WALK_ALGEBRAS = tuple(catalog_algebra(name) for name, _ in CATALOG) + (
+    jets(10), trivial_algebra())
+_SHAPE = st.sampled_from(["plain", "negative_pow", "zero_denominator", "nilpotent_denominator"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    algebra=st.sampled_from(_LIST_WALK_ALGEBRAS),
+    shape=_SHAPE,
+    order=st.lists(st.integers(0, 1), max_size=2),
+    xs=st.lists(_COORD, min_size=2, max_size=2),
+)
+def test_list_walk_matches_the_element_recursion(seed, algebra, shape, order, xs):
+    rng = rng_for(seed)
+    e = random_expr_with_consta(rng, 2, algebra, depth=3)
+    other = random_expr(rng, 2, depth=2)
+    if shape == "negative_pow":
+        e = Pow(e, -int(rng.integers(1, 4)))
+    elif shape == "zero_denominator":  # the lift of 1/0 raises
+        e = Div(e, Sub(other, other))
+    elif shape == "nilpotent_denominator":
+        nil = [0.0] + [float(c) for c in rng.uniform(-0.5, 0.5, algebra.dim - 1)]
+        e = Div(other, ConstA(algebra.element(nil)))
+    coords = tuple(c + x for c, x in zip(random_point(rng, algebra, 2).coords, xs))
+    for i in order:
+        e = diff(e, i)
+    _same(_outcome(eval_weil, e, coords), _outcome(_ref_eval_weil, e, coords),
+          _element_bits)
+
+
+def test_a_real_constant_evaluates_to_floats():
+    # ConstR keeps what it is given; the walk's list holds floats all the same
+    for algebra in (trivial_algebra(), jets(2)):
+        value = eval_weil(ConstR(1), (), algebra)
+        assert type(value.coeffs) is list
+        assert [type(c) for c in value.coeffs] == [float] * algebra.dim
+        assert value == algebra.unit()
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), xs=st.lists(_COORD, min_size=2, max_size=2))
 def test_shared_operands_match_tree_recursions(seed, xs):
@@ -745,6 +797,9 @@ def _deep_texts():
 @example(" + ".join(["x1"] * MAX_DEPTH), 0, "x2 * ")
 @example("(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH, 0, "-")
 @example("-2*-x1^-3 - -.5/sin(-(3.))^2", 0, None)
+@example("x1^010000 - x1^-10000", 0, None)  # the exponent bound, and past it
+@example("x1^10001", 0, None)
+@example("x1^-10001", 0, None)
 def test_parser_matches_the_recursive_descent(text, at, junk):
     if junk is not None:
         at %= len(text) + 1
