@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product
 from numbers import Real
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -212,8 +212,9 @@ def build_algebra(presentation: AlgebraPresentation) -> WeilAlgebra:
     return WeilAlgebra(presentation)
 
 
+@cache
 def trivial_algebra() -> WeilAlgebra:
-    """The base field R as a height-0 algebra (the augmentation target)."""
+    """The base field R as one shared height-0 algebra (the augmentation target)."""
     return build_algebra(AlgebraPresentation((), ()))
 
 

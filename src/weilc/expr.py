@@ -204,6 +204,8 @@ class Pow(Expr):
     exponent: int
 
     def __init__(self, base: Expr, exponent: int):
+        if type(exponent) is not int:
+            raise WeilcError(f"exponent {exponent!r} is not an integer")
         depth, top, algebra = base.facts
         if depth >= MAX_NODE_DEPTH:
             raise WeilcError(_TOO_DEEP)
@@ -341,7 +343,7 @@ def chart_point(point, owner) -> tuple[WeilElement, ...]:
 
 def same_chart(*objs) -> WeilAlgebra | None:
     """The pair rule of every operation on functions, fields and forms: the
-    operands share one algebra (None for base fields) and one chart
+    operands share one algebra (None for base objects) and one chart
     dimension.  Returns the shared algebra."""
     first = objs[0]
     for other in objs[1:]:
@@ -733,11 +735,12 @@ def parse(text: str, n: int) -> Expr:
             return ConstR(value)
         m = _VAR.match(token)
         if m is not None:
-            idx = int(m.group(1))
-            if idx > n:
+            digits = m.group(1)
+            # counted before int(), which refuses more than 4300 digits
+            if len(digits) > len(str(n)) or int(digits) > n:
                 raise _error(text, k, f"variable {token!r} exceeds chart dimension {n}",
                              UnknownSymbol)
-            return Var(idx - 1)
+            return Var(int(digits) - 1)
         if token in "+*/^)":
             raise _error(text, k, f"unexpected {token!r}")
         if tokens[at] == "(":
@@ -821,17 +824,14 @@ def _to_string(e: Expr, memo: dict) -> str:
 
 @dataclass(frozen=True, repr=False)
 class AFunction:
-    """An expression together with its chart dimension and value algebra."""
+    """An expression with its chart dimension and value algebra; a base
+    function's algebra is None and it evaluates over its point's algebra."""
 
     expr: Expr
     dim: int
-    algebra: WeilAlgebra
+    algebra: WeilAlgebra | None
 
     def __post_init__(self):
-        if self.algebra is None:
-            raise AlgebraMismatch(
-                "a function needs an algebra; a base function is an Expr"
-            )
         # the expression obeys the rule that its operands obey
         scalar_expr(self.expr, self)
 
@@ -870,7 +870,8 @@ class AFunction:
         return AFunction(neg(self.expr), self.dim, self.algebra)
 
     def __repr__(self):
-        return f"AFunction({to_string(self.expr)} over {self.algebra.describe()})"
+        over = "" if self.algebra is None else f" over {self.algebra.describe()}"
+        return f"AFunction({to_string(self.expr)}{over})"
 
 
 def scalar_expr(value, owner) -> Expr:

@@ -5,7 +5,8 @@ A degree-p form is stored as a map from strictly increasing index tuples
 the single key ().  The coordinate normal form is faithful here because
 the differential is fixed by the Leibniz rule together with its values on
 the coordinate functions.  The constructor takes the coefficients through
-``on_chart``.
+``on_chart``.  A base form's algebra is None, as a base field's is: it
+holds no algebra constants and evaluates over its point's algebra.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .algebra import WeilAlgebra, WeilElement
-from .errors import AlgebraMismatch, DegreeError, DimensionMismatch
+from .errors import DegreeError, DimensionMismatch
 from .expr import (
     AFunction,
     Expr,
@@ -41,14 +42,10 @@ class CoordForm:
 
     degree: int
     dim: int
-    algebra: WeilAlgebra
+    algebra: WeilAlgebra | None
     coeffs: Mapping[Index, Expr] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.algebra is None:
-            raise AlgebraMismatch(
-                "a form needs an algebra; a base form lives over trivial_algebra()"
-            )
         on_chart(self.coeffs.values(), self)
         for idx in self.coeffs:
             if len(idx) != self.degree:
@@ -133,7 +130,7 @@ class _Accumulator:
         return {idx: total for idx, total in self.totals.items() if total != ZERO}
 
 
-def zero_form(degree: int, dim: int, algebra: WeilAlgebra) -> CoordForm:
+def zero_form(degree: int, dim: int, algebra: WeilAlgebra | None) -> CoordForm:
     return CoordForm(degree, dim, algebra, {})
 
 

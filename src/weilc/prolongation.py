@@ -6,7 +6,9 @@ through symbolic partials, and its ``algebra`` (None on the base chart)
 says over which algebra its components are evaluated.  Prolonging a field
 keeps its component expressions and sets that algebra, which makes it the
 unique algebra-linear derivation extending the base action.  A field's
-constructor takes its components through ``on_chart``.
+constructor takes its components through ``on_chart``.  Functions, forms
+and bivectors keep the same convention: a base one has algebra None and
+evaluates over the algebra of its point.
 """
 
 from __future__ import annotations
@@ -83,14 +85,13 @@ class VectorField:
         return len(self.components)
 
     def apply(self, fn: AFunction | Expr) -> AFunction:
-        """D(fn) as a function; ConstA leaves are annihilated by the partials.
-        A base field's action is ``apply_field``, an Expr."""
+        """D(fn) as a function over the field's algebra (a base function for
+        a base field); ConstA leaves are annihilated by the partials."""
         expr = scalar_expr(fn, self)
         return AFunction(apply_field(self, expr), self.dim, self.algebra)
 
     def apply_at(self, fn: AFunction | Expr, point) -> WeilElement:
-        """Evaluate D(fn) at a point by combining evaluated pieces; a base
-        field evaluates over the point's algebra."""
+        """Evaluate D(fn) at a point by combining evaluated pieces."""
         if not self.components:
             raise DimensionMismatch("vector field has no components")
         expr = scalar_expr(fn, self)

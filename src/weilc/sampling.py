@@ -137,7 +137,7 @@ def random_expr_with_consta(
 def random_one_form(
     rng: np.random.Generator,
     n: int,
-    algebra: WeilAlgebra,
+    algebra: WeilAlgebra | None,
     with_consta: bool = False,
 ) -> CoordForm:
     coeffs = {}
@@ -175,7 +175,9 @@ def residual_forms(a: CoordForm, b: CoordForm, point) -> float:
     """Largest coefficientwise residual of two forms at a point."""
     ea, eb = a.evaluate(point), b.evaluate(point)
     worst = 0.0
-    zero = a.algebra.zero()
     for idx in set(ea) | set(eb):
-        worst = max(worst, residual(ea.get(idx, zero), eb.get(idx, zero)))
+        if idx in ea and idx in eb:
+            worst = max(worst, residual(ea[idx], eb[idx]))
+        else:  # a coefficient only one form has, against zero
+            worst = max(worst, residual_zero(ea.get(idx) or eb[idx]))
     return worst

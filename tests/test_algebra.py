@@ -98,6 +98,14 @@ class TestBuild:
         assert R.height == 0
         assert R.maximal_ideal_basis == ()
 
+    def test_trivial_algebra_is_one_shared_algebra(self):
+        # it is the augmentation target, so augmentations built apart mix
+        assert trivial_algebra() is trivial_algebra()
+        A = dual_numbers()
+        a, b = A.element([3, 6]), A.element([-1, 2])
+        total = augmentation_morphism(A)(a) + augmentation_morphism(A)(b)
+        assert total.algebra is trivial_algebra() and total.coeffs == [2.0]
+
     def test_unit_is_first_basis_element(self):
         for factory in SAMPLE_ALGEBRAS:
             A = factory()

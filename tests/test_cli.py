@@ -308,6 +308,16 @@ class TestConfigHandling:
         assert err.startswith("config error: expression 'f'")
         assert "Traceback" not in err
 
+    def test_a_variable_of_many_digits_in_config(self, tmp_path, capsys):
+        # more digits than int() converts: still a variable beyond the chart
+        path = tmp_path / "wide.yaml"
+        text = "x1 + x" + "1" * 5000
+        path.write_text(f"chart_dim: 2\nexpressions:\n  f: '{text}'\n", encoding="utf-8")
+        assert main(["--config", str(path), "algebra-show", "dual"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: expression 'f'")
+        assert "exceeds chart dimension 2" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "text", ["x1^" + "9" * 5000, "x1^999999999999", "x1^-10001"],
         ids=["past_int_digits", "hours_of_products", "negative"],

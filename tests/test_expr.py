@@ -41,6 +41,7 @@ from weilc.expr import (
     eval_real,
     eval_weil,
     parse,
+    power,
     prolong_function,
     substitute,
     to_string,
@@ -72,6 +73,14 @@ class TestParse:
             parse("x5", 2)
         with pytest.raises(UnknownSymbol):
             parse("foo(x1)", 1)
+
+    @pytest.mark.parametrize("digits", ["1" * 5000, "1" * 3, "10", "3"])
+    def test_a_variable_above_the_chart_is_unknown_at_any_length(self, digits):
+        # int() refuses more than 4300 digits, so the length is counted first
+        with pytest.raises(UnknownSymbol, match="exceeds chart dimension 2") as err:
+            parse("1 + x" + digits, 2)
+        assert err.value.position == 4
+        assert parse("x10", 10) == Var(9)
 
     def test_precedence(self):
         assert parse("-x1^2", 1) == Neg(Pow(Var(0), 2))
@@ -192,6 +201,23 @@ class TestPrinter:
 class TestDiff:
     def test_power_rule(self):
         assert diff(parse("x1^2", 1), 0) == parse("2*x1", 1)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, -1.0, True, np.int64(2)],
+                             ids=["2.5", "2.0", "-1.0", "True", "int64"])
+    def test_a_power_refuses_an_exponent_that_is_no_int(self, k):
+        # x1^2.5 would print as text that parse refuses
+        with pytest.raises(WeilcError, match="is not an integer"):
+            Pow(Var(0), k)
+
+    def test_power_of_a_variable_refuses_a_fraction(self):
+        with pytest.raises(WeilcError, match="exponent 2.5 is not an integer"):
+            power(Var(0), 2.5)
+
+    def test_a_power_takes_an_int_past_the_parse_bound(self):
+        # diff of the lowest power parse accepts goes one below it
+        d = diff(parse(f"x1^-{MAX_EXPONENT}", 1), 0)
+        assert to_string(d) == f"-{MAX_EXPONENT}*x1^-{MAX_EXPONENT + 1}"
+        assert Pow(Var(0), 10**30).exponent == 10**30
 
     def test_chain_rule_shape(self):
         d = diff(parse("sin(x1*x2)", 2), 1)

@@ -442,12 +442,12 @@ class _RefParser:
         if kind == "ident":
             m = _REF_VAR.match(val)
             if m is not None:
-                idx = int(m.group(1))
-                if idx > self.n:
+                digits = m.group(1)
+                if len(digits) > len(str(self.n)) or int(digits) > self.n:
                     raise UnknownSymbol(
                         f"variable {val!r} exceeds chart dimension {self.n}", pos
                     )
-                return Var(idx - 1)
+                return Var(int(digits) - 1)
             nxt_kind, nxt_val, _ = self.peek()
             if nxt_kind == "op" and nxt_val == "(":
                 if val not in FUNCTIONS:
@@ -800,6 +800,7 @@ def _deep_texts():
 @example("x1^010000 - x1^-10000", 0, None)  # the exponent bound, and past it
 @example("x1^10001", 0, None)
 @example("x1^-10001", 0, None)
+@example("x1 + x" + "1" * 5000, 0, None)  # more digits than int() converts
 def test_parser_matches_the_recursive_descent(text, at, junk):
     if junk is not None:
         at %= len(text) + 1

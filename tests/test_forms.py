@@ -17,7 +17,6 @@ from weilc import (
     parse,
     prolong_field,
     prolong_form,
-    trivial_algebra,
     wedge,
 )
 from weilc.errors import AlgebraMismatch, DegreeError
@@ -176,14 +175,13 @@ class TestInterior:
         # contraction of the prolonged field against the prolonged form,
         # evaluated where the base contraction is 2*x1^2
         theta = VectorField((Var(0),))
-        base = trivial_algebra()
-        eta_base = delta(AFunction(parse("x1^2", 1), 1, base))
+        eta_base = delta(AFunction(parse("x1^2", 1), 1, None))
         lhs_field = prolong_field(theta, dual)
         eta = prolong_form(eta_base, dual)
         xi = APoint(dual, (dual.element([2, 1]),))
         lhs = contract(lhs_field, eta)(xi)
         assert lhs == dual.element([8, 8])
-        base_value = contract(prolong_field(theta, base), eta_base).expr
+        base_value = contract(theta, eta_base).expr
         assert eval_weil(base_value, xi) == dual.element([8, 8])
 
     def test_derivation_of_degree_minus_one(self, dual):
@@ -212,8 +210,7 @@ class TestLieDerivative:
 
     def test_prolongation_example(self, dual):
         theta = VectorField((Var(0),))
-        base = trivial_algebra()
-        eta_base = delta(AFunction(Var(0), 1, base))
+        eta_base = delta(AFunction(Var(0), 1, None))
         lhs = lie_derivative(prolong_field(theta, dual), prolong_form(eta_base, dual))
         xi = APoint(dual, (dual.element([2, 1]),))
         values = lhs.evaluate(xi)
@@ -259,9 +256,8 @@ class TestLieDerivative:
 
 class TestProlongForm:
     def test_wedge_of_differentials_prolongs_coefficientwise(self, dual):
-        base = trivial_algebra()
-        f1 = AFunction(parse("x1*x2", 2, ), 2, base)
-        f2 = AFunction(parse("x2^2", 2), 2, base)
+        f1 = AFunction(parse("x1*x2", 2), 2, None)
+        f2 = AFunction(parse("x2^2", 2), 2, None)
         eta = wedge(delta(f1), delta(f2))
         lifted = prolong_form(eta, dual)
         direct = wedge(

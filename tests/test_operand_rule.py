@@ -2,7 +2,8 @@
 operands over two algebras (AlgebraMismatch) and operands on two charts
 (DimensionMismatch), whichever class the operands belong to.  So do the
 coefficient rule, when a function, field, form or bivector is built, and
-the point rule, when one is evaluated."""
+the point rule, when one is evaluated.  A base object of any class has
+algebra None."""
 
 import operator
 
@@ -14,16 +15,19 @@ from weilc import (
     CoordForm,
     PoissonStructure,
     VectorField,
+    apply_field,
     canonical_structure,
     contract,
     dual_numbers,
     interior,
     jets,
     lie_bracket,
+    lie_derivative,
     omega_prolonged,
     jacobi_check,
     parse,
     prolong_bracket,
+    trivial_algebra,
     wedge,
 )
 from weilc.errors import AlgebraMismatch, DimensionMismatch
@@ -69,12 +73,18 @@ CASES = [
     ("function *", function, function, operator.mul, PROLONGED),
     ("field +", field, field, operator.add, PROLONGED),
     ("base field +", field, field, operator.add, BASE),
+    ("base function *", function, function, operator.mul, BASE),
     ("form +", form, form, operator.add, PROLONGED),
+    ("base form +", form, form, operator.add, BASE),
     ("apply", field, function, lambda d, f: d.apply(f), PROLONGED),
     ("apply_at", field, function, at_a_point, PROLONGED),
     ("wedge", form, form, wedge, PROLONGED),
     ("interior", field, form, interior, PROLONGED),
     ("contract", field, form, contract, PROLONGED),
+    ("base contract", field, form, contract, BASE),
+    ("lie_derivative", field, form, lie_derivative, PROLONGED),
+    ("base lie_derivative", field, form, lie_derivative, BASE),
+    ("base apply", field, function, lambda d, f: d.apply(f), BASE),
     ("lie_bracket", field, field, lie_bracket, BASE),
     ("prolonged lie_bracket", field, field, lie_bracket, PROLONGED),
     ("prolong_bracket", function, function,
@@ -124,7 +134,9 @@ def test_operands_on_one_chart_over_one_algebra(name, left, right, op, algebras)
 # (name, chart dimension, build from one coefficient)
 BUILDERS = [
     ("function", 1, lambda e: AFunction(e, 1, DUAL)),
+    ("base function", 1, lambda e: AFunction(e, 1, None)),
     ("form", 1, lambda e: CoordForm(1, 1, DUAL, {(0,): e})),
+    ("base form", 1, lambda e: CoordForm(1, 1, None, {(0,): e})),
     ("prolonged field", 1, lambda e: VectorField((e,), DUAL)),
     ("base field", 1, lambda e: VectorField((e,))),
     ("bivector", 2, lambda e: PoissonStructure(2, {(0, 1): e})),
@@ -142,29 +154,37 @@ def test_constructors_refuse_a_coefficient_off_the_chart(name, dim, build):
 @pytest.mark.parametrize("name, dim, build", BUILDERS, ids=BUILDER_IDS)
 def test_constructors_refuse_foreign_constants(name, dim, build):
     # JET2 is foreign to the prolonged objects over DUAL, and any algebra
-    # is foreign to the base field and the bivector
+    # is foreign to the base objects
     with pytest.raises(AlgebraMismatch):
         build(expression(JET2, dim))
 
 
-# A function or a form always has an algebra: a base function is an Expr,
-# and a base form lives over trivial_algebra().
+# A base function and a base form have algebra None, as a base field does,
+# and a base field acts on them with no prolongation.
 
 
-def test_a_function_refuses_no_algebra():
+def test_a_base_function_evaluates_over_its_point():
+    fn = AFunction(Var(0), 1, None)
+    assert repr(fn) == "AFunction(x1)"
+    point = APoint.from_reals(DUAL, [0.5])
+    assert fn(point).algebra is DUAL and fn(point).coeffs == [0.5, 0.0]
+
+
+def test_a_base_field_contracts_a_base_form():
+    pairing = contract(field(None, 1), CoordForm(1, 1, None, {(0,): Var(0)}))
+    assert pairing.algebra is None and pairing.expr == mul(Var(0), Var(0))
+
+
+def test_a_base_field_applied_is_a_base_function():
+    applied = field(None, 1).apply(Var(0))
+    assert applied.algebra is None
+    assert applied.expr == apply_field(field(None, 1), Var(0))
+
+
+def test_a_form_over_the_trivial_algebra_is_no_base_form():
+    # R is an algebra like any other: its forms are prolonged ones
     with pytest.raises(AlgebraMismatch):
-        AFunction(Var(0), 1, None)
-
-
-def test_a_form_refuses_no_algebra_so_a_base_field_contracts_none():
-    with pytest.raises(AlgebraMismatch):
-        contract(field(None, 1), CoordForm(1, 1, None, {(0,): Var(0)}))
-
-
-def test_a_base_field_applied_is_no_function():
-    # its action is apply_field, an Expr
-    with pytest.raises(AlgebraMismatch):
-        field(None, 1).apply(Var(0))
+        lie_derivative(field(None, 2), form(trivial_algebra(), 2))
 
 
 def test_a_refused_bivector_is_never_trusted():

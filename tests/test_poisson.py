@@ -540,6 +540,14 @@ class TestRecorder:
             warnings.simplefilter("error")
             assert residual_forms(form, form, None) == math.inf
 
+    def test_residual_forms_measures_a_lone_coefficient_against_zero(self):
+        # base forms, evaluated over the point's algebra
+        point = APoint.from_reals(dual_numbers(), [0.5])
+        w = CoordForm(1, 1, None, {(0,): ConstR(1.0)})
+        empty = CoordForm(1, 1, None)
+        assert residual_forms(w, empty, point) == residual_forms(empty, w, point) == 0.5
+        assert residual_forms(empty, empty, point) == 0.0
+
 
 class TestHamiltonianFieldSo3:
     def test_rotation_generator(self):

@@ -255,9 +255,13 @@ class TestOneFieldClass:
             rhs = d1.apply_at(d2.apply(f), xi) - d2.apply_at(d1.apply(f), xi)
             assert lhs.allclose(rhs, 1e-12)
 
-    def test_base_apply_is_refused(self):
-        with pytest.raises(AlgebraMismatch):
-            VectorField((Var(0),)).apply(parse("x1^2", 1))
+    def test_base_apply_is_a_base_function(self):
+        theta = VectorField((Var(0),))
+        f = parse("x1^2", 1)
+        applied = theta.apply(f)
+        assert applied.algebra is None and applied.expr == apply_field(theta, f)
+        A, xi = dual_point([3, 1])
+        assert applied(xi).coeffs == prolong_field(theta, A).apply(f)(xi).coeffs == [18, 12]
 
     def test_prolonged_field_with_constants_hashes(self):
         A = dual_numbers()
