@@ -37,7 +37,6 @@ from .errors import (
     NotMorphism,
     ParseError,
     UnknownSuite,
-    UntrustedStructure,
     UnknownSymbol,
     WeilcError,
 )

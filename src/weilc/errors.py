@@ -49,9 +49,5 @@ class UnknownSuite(WeilcError):
     """Requested check suite is not registered."""
 
 
-class UntrustedStructure(WeilcError):
-    """A prolonged Poisson operation was asked for before the Jacobi check passed."""
-
-
 class ConfigError(WeilcError):
     """Project configuration file is missing, malformed, or inconsistent."""

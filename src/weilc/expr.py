@@ -626,6 +626,17 @@ MAX_NODE_DEPTH = 300
 _TOO_DEEP = f"expression tree deeper than {MAX_NODE_DEPTH} levels"
 _DEEPER = f"expression tree is deeper than {MAX_DEPTH}"
 
+# longest token that an error message quotes whole
+MAX_QUOTED = 40
+
+
+def _quoted(token: str) -> str:
+    """A refused token as its error message shows it: whole, or its first
+    MAX_QUOTED characters and its length."""
+    if len(token) <= MAX_QUOTED:
+        return repr(token)
+    return f"{token[:MAX_QUOTED]!r}... ({len(token)} characters)"
+
 
 def _error(text: str, k: int, message: str, kind=ParseError) -> ParseError:
     """The error at token k of text (past the last token: at the end of the
@@ -731,25 +742,26 @@ def parse(text: str, n: int) -> Expr:
         if token[0] in "0123456789." and token != ".":
             value = float(token)
             if not math.isfinite(value):
-                raise _error(text, k, f"number {token!r} is not finite")
+                raise _error(text, k, f"number {_quoted(token)} is not finite")
             return ConstR(value)
         m = _VAR.match(token)
         if m is not None:
             digits = m.group(1)
             # counted before int(), which refuses more than 4300 digits
             if len(digits) > len(str(n)) or int(digits) > n:
-                raise _error(text, k, f"variable {token!r} exceeds chart dimension {n}",
+                raise _error(text, k,
+                             f"variable {_quoted(token)} exceeds chart dimension {n}",
                              UnknownSymbol)
             return Var(int(digits) - 1)
         if token in "+*/^)":
             raise _error(text, k, f"unexpected {token!r}")
         if tokens[at] == "(":
-            raise _error(text, k, f"unknown function {token!r}", UnknownSymbol)
-        raise _error(text, k, f"unknown identifier {token!r}", UnknownSymbol)
+            raise _error(text, k, f"unknown function {_quoted(token)}", UnknownSymbol)
+        raise _error(text, k, f"unknown identifier {_quoted(token)}", UnknownSymbol)
 
     e = binary()
     if tokens[at]:
-        raise _error(text, at, f"unexpected {tokens[at]!r}")
+        raise _error(text, at, f"unexpected {_quoted(tokens[at])}")
     if e.facts[0] > MAX_DEPTH:
         raise ParseError(_DEEPER, 0)
     return e

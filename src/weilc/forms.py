@@ -65,11 +65,6 @@ class CoordForm:
             idx: eval_weil(c, coords, self.algebra) for idx, c in self.coeffs.items()
         }
 
-    def as_afunction(self) -> AFunction:
-        if self.degree != 0:
-            raise DegreeError("only a degree-0 form is a function")
-        return AFunction(self.coefficient(()), self.dim, self.algebra)
-
     def __add__(self, other: "CoordForm") -> "CoordForm":
         same_chart(self, other)
         if other.degree != self.degree:
@@ -215,7 +210,7 @@ def contract(field_: VectorField, w: CoordForm) -> AFunction:
     """Pair a degree-1 form with a field: sum_i D_i * phi_i."""
     if w.degree != 1:
         raise DegreeError("contraction needs a degree-1 form")
-    return interior(field_, w).as_afunction()
+    return AFunction(interior(field_, w).coefficient(()), w.dim, w.algebra)
 
 
 def lie_derivative(field_: VectorField, w: CoordForm) -> CoordForm:

@@ -31,6 +31,7 @@ from .expr import (
     diff,
     eval_weil,
     mul,
+    same_chart,
     substitute,
     to_string,
 )
@@ -239,7 +240,7 @@ def interior_eval(
     field: VectorField, w: CoordForm, point
 ) -> dict[tuple[int, ...], WeilElement]:
     """First-slot contraction assembled from separately evaluated pieces."""
-    algebra = field.algebra
+    algebra = same_chart(field, w)
     comp_values = [eval_weil(c, point, algebra) for c in field.components]
     zero = eval_weil(ZERO, point, algebra)
     out: dict[tuple[int, ...], WeilElement] = {}

@@ -2,16 +2,17 @@
 
 The structure is a skew bivector with expression entries; the base bracket
 is {f, g} = sum_(i<j) pi_ij (d_i f d_j g - d_j f d_i g).  Prolonged
-operations reuse the same entries with Weil evaluation semantics, and are
-gated on the Jacobi check of the coordinate triples ("trusted") because the
-bracket laws on the prolonged side presuppose the base Lie structure.
+operations reuse the same entries with Weil evaluation semantics.  They
+accept any bivector, Poisson or not: the suites prolong non-Poisson ones to
+test that the paper's condition is necessary, and ``jacobi_check`` only
+reports.
 
 Every bracket and prolonged operation comes from two contractions with
 the bivector: ``_pair`` (both brackets and the 2-form) and ``_sharp`` (ad
 and ad~).  ``omega_at`` is a separate numeric route for the checks.  All
 of them, ``omega_at`` included, take their operands through one rule,
-``_operands``.  It owns what only the bivector decides (trust, degree 1,
-pi's chart) and leaves one shared algebra and chart to ``same_chart``.
+``_operands``.  It owns what only the bivector decides (degree 1, pi's
+chart) and leaves one shared algebra and chart to ``same_chart``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .errors import (
     DegreeError,
     DimensionMismatch,
     DomainError,
-    UntrustedStructure,
     WeilcError,
 )
 from .expr import (
@@ -198,7 +198,6 @@ class PoissonStructure:
             if e != ZERO:
                 cleaned[(i, j)] = e
         self.entries = cleaned
-        self.trusted = False
 
     def describe(self) -> str:
         pairs = ", ".join(
@@ -222,17 +221,10 @@ def so3_structure() -> PoissonStructure:
     )
 
 
-def _operands(
-    pi: PoissonStructure, force: bool, *operands: AFunction | CoordForm
-) -> WeilAlgebra | None:
-    """The operand rule of every prolonged operation: pi is trusted (or
-    ``force``), forms have degree 1, each operand lives on pi's chart, and
-    the operands share one chart and algebra (``same_chart``), which is
-    returned."""
-    if not (pi.trusted or force):
-        raise UntrustedStructure(
-            "run jacobi_check first (or pass force=True) before prolonging"
-        )
+def _operands(pi: PoissonStructure, *operands: AFunction | CoordForm) -> WeilAlgebra | None:
+    """The operand rule of every prolonged operation: forms have degree 1,
+    each operand lives on pi's chart, and the operands share one chart and
+    algebra (``same_chart``), which is returned."""
     for op in operands:
         if isinstance(op, CoordForm) and op.degree != 1:
             raise DegreeError(f"a degree-{op.degree} form where a 1-form belongs")
@@ -292,8 +284,8 @@ def hamiltonian_field(pi: PoissonStructure, f: Expr) -> VectorField:
 def jacobi_check(
     pi: PoissonStructure, trials: int, tol: float, seed: int = 0
 ) -> CheckReport:
-    """Jacobi identity check on the coordinate triples; marks the structure
-    trusted on pass (never after zero trials).
+    """Jacobi identity check on the coordinate triples; it only reports and
+    leaves ``pi`` as it was.
 
     The Jacobiator is a trivector, the Schouten bracket [pi, pi], so it
     vanishes exactly when it does on every triple x_i, x_j, x_k with
@@ -317,57 +309,45 @@ def jacobi_check(
             rec.inputs = {**names, "point": shown}
             rec.check("jacobi", abs(eval_real(jacobiator, point)))
 
-    report = _run_trials("jacobi", seed, trials, tol, trial)
-    pi.trusted = report.passed and report.trials > 0
-    return report
+    return _run_trials("jacobi", seed, trials, tol, trial)
 
 
 # -- prolonged operations -------------------------------------------------------------
 
 
-def ad_prolong(
-    pi: PoissonStructure, fn: AFunction, force: bool = False
-) -> VectorField:
+def ad_prolong(pi: PoissonStructure, fn: AFunction) -> VectorField:
     """The Hamiltonian derivation of fn: applying it to psi gives {fn, psi}."""
-    algebra = _operands(pi, force, fn)
+    algebra = _operands(pi, fn)
     return VectorField(_sharp(pi, _gradient(pi, fn.expr)), algebra)
 
 
-def ad_tilde(
-    pi: PoissonStructure, x: CoordForm, force: bool = False
-) -> VectorField:
+def ad_tilde(pi: PoissonStructure, x: CoordForm) -> VectorField:
     """Extend ad linearly over functions from differentials to all 1-forms."""
-    algebra = _operands(pi, force, x)
+    algebra = _operands(pi, x)
     return VectorField(_sharp(pi, _one_form(pi, x)), algebra)
 
 
-def prolong_bracket(
-    pi: PoissonStructure, phi: AFunction, psi: AFunction, force: bool = False
-) -> AFunction:
+def prolong_bracket(pi: PoissonStructure, phi: AFunction, psi: AFunction) -> AFunction:
     """The bracket on the Weil chart; on prolonged functions it reduces to
     the prolonged base bracket."""
-    algebra = _operands(pi, force, phi, psi)
+    algebra = _operands(pi, phi, psi)
     out = _pair(pi, _gradient(pi, phi.expr), _gradient(pi, psi.expr))
     return AFunction(out, pi.dim, algebra)
 
 
-def omega_prolonged(
-    pi: PoissonStructure, x: CoordForm, y: CoordForm, force: bool = False
-) -> AFunction:
+def omega_prolonged(pi: PoissonStructure, x: CoordForm, y: CoordForm) -> AFunction:
     """The prolonged 2-form on a pair of 1-forms: -sum X_i Y_j pi_ij.
 
     The sign convention makes -omega(delta phi, delta psi) the bracket.
     """
-    algebra = _operands(pi, force, x, y)
+    algebra = _operands(pi, x, y)
     out = _pair(pi, _one_form(pi, x), _one_form(pi, y))
     return AFunction(neg(out), pi.dim, algebra)
 
 
-def omega_at(
-    pi: PoissonStructure, x: CoordForm, y: CoordForm, point, force: bool = False
-) -> WeilElement:
+def omega_at(pi: PoissonStructure, x: CoordForm, y: CoordForm, point) -> WeilElement:
     """Evaluate the 2-form pairing by ring-combining evaluated pieces."""
-    algebra = _operands(pi, force, x, y)
+    algebra = _operands(pi, x, y)
     coords = chart_point(point, pi)
     out = eval_weil(ZERO, coords, algebra)
     for (i, j), p in sorted(pi.entries.items()):
@@ -394,7 +374,7 @@ def verify_a_poisson(
     Poisson structure: bracket laws plus the 2-form identities.
 
     Runs every sub-check once per trial; witnesses carry the sub-check
-    name.  Does not require trust (this is the verifier).
+    name.
     """
     return _run_trials(
         "poisson_full", seed, trials, tol, partial(_a_poisson_trial, pi=pi, algebra=algebra)
@@ -409,7 +389,7 @@ def _a_poisson_trial(rng, rec: _Recorder, pi: PoissonStructure, algebra: WeilAlg
         return AFunction(expr, n, algebra)
 
     def br(a: AFunction, b: AFunction) -> AFunction:
-        return prolong_bracket(pi, a, b, force=True)
+        return prolong_bracket(pi, a, b)
 
     point = sampling.random_point(rng, algebra, n)
     phi = fn(sampling.random_expr_with_consta(rng, n, algebra))
@@ -446,15 +426,15 @@ def _a_poisson_trial(rng, rec: _Recorder, pi: PoissonStructure, algebra: WeilAlg
     third = br(chi, br(phi, psi))(point)
     rec.check("jacobi", sampling.residual(first, -third))
     # pairing against the 2-form: ad_tilde(X) phi = -omega(X, delta phi)
-    lhs = ad_tilde(pi, x_form, force=True).apply_at(phi, point)
-    rhs = -omega_at(pi, x_form, delta(phi), point, force=True)
+    lhs = ad_tilde(pi, x_form).apply_at(phi, point)
+    rhs = -omega_at(pi, x_form, delta(phi), point)
     rec.check("pairing_function", sampling.residual(lhs, rhs))
     # double extension: contracting Y against ad_tilde(X) = -omega(X, Y)
-    lhs = contract(ad_tilde(pi, x_form, force=True), y_form)(point)
-    rhs = -omega_at(pi, x_form, y_form, point, force=True)
+    lhs = contract(ad_tilde(pi, x_form), y_form)(point)
+    rhs = -omega_at(pi, x_form, y_form, point)
     rec.check("pairing_form", sampling.residual(lhs, rhs))
     # the differential intertwines bracket and Lie derivative
-    lie = lie_derivative(ad_prolong(pi, phi, force=True), delta(psi))
+    lie = lie_derivative(ad_prolong(pi, phi), delta(psi))
     rec.check(
         "differential_of_bracket",
         sampling.residual_forms(lie, delta(br(phi, psi)), point),
@@ -465,8 +445,8 @@ def _a_poisson_trial(rng, rec: _Recorder, pi: PoissonStructure, algebra: WeilAlg
     rec.check(
         "two_form_prolongation",
         sampling.residual(
-            omega_at(pi, fx, fy, point, force=True),
-            omega_prolonged(pi, fx, fy, force=True)(point),
+            omega_at(pi, fx, fy, point),
+            omega_prolonged(pi, fx, fy)(point),
         ),
     )
     # augmentation compatibility: the bracket covers the base bracket

@@ -150,7 +150,6 @@ def test_criterion_6_bracket_prolongation_equality():
     algebras = {name: catalog_algebra(name) for name in ("dual", "jet2", "plane")}
     worst = 0.0
     for pi_name, pi in structures.items():
-        pi.trusted = True
         n = pi.dim
         for alg_name, algebra in algebras.items():
             rng = rng_for(SEED)
@@ -176,7 +175,6 @@ def test_criterion_6_bracket_prolongation_equality():
 
 def test_criterion_7_two_form_identities():
     pi = canonical_structure(1)
-    pi.trusted = True
     algebra = catalog_algebra("jet2")
     rng = rng_for(SEED)
     n = pi.dim

@@ -87,15 +87,15 @@ def test_the_base_two_form_at_a_point_is_the_prolonged_one(name, seed):
     pi = PoissonStructure(
         n, {pair: random_polynomial(rng, n, 2) for pair in combinations(range(n), 2)}
     )
-    value = omega_at(pi, x, y, point, force=True)
+    value = omega_at(pi, x, y, point)
     assert value.algebra is A
     # pieces combined in the ring against the symbolic pairing: two routes
-    symbolic = omega_prolonged(pi, x, y, force=True)
+    symbolic = omega_prolonged(pi, x, y)
     assert symbolic.algebra is None
     assert residual(value, symbolic(point)) <= 1e-12
     px, py = prolong_form(x, A), prolong_form(y, A)
-    assert bits(value) == bits(omega_at(pi, px, py, point, force=True))
+    assert bits(value) == bits(omega_at(pi, px, py, point))
     # the field of a base form is a base field, as a Hamiltonian field is
-    field = ad_tilde(pi, x, force=True)
+    field = ad_tilde(pi, x)
     assert field.algebra is None and hamiltonian_field(pi, f).algebra is None
-    assert ad_tilde(pi, px, force=True) == prolong_field(field, A)
+    assert ad_tilde(pi, px) == prolong_field(field, A)

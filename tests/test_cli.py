@@ -318,6 +318,16 @@ class TestConfigHandling:
         assert err.startswith("config error: expression 'f'")
         assert "exceeds chart dimension 2" in err and "Traceback" not in err
 
+    def test_a_long_unknown_identifier_in_config(self, tmp_path, capsys):
+        # refused at exit 1 with a short error line, not the token echoed whole
+        path = tmp_path / "long.yaml"
+        text = "x1 + " + "a" * 5000
+        path.write_text(f"chart_dim: 2\nexpressions:\n  f: '{text}'\n", encoding="utf-8")
+        assert main(["--config", str(path), "algebra-show", "dual"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: expression 'f'")
+        assert "unknown identifier" in err and len(err) < 300
+
     @pytest.mark.parametrize(
         "text", ["x1^" + "9" * 5000, "x1^999999999999", "x1^-10001"],
         ids=["past_int_digits", "hours_of_products", "negative"],
@@ -603,14 +613,13 @@ EXIT_CODES = {
             errors.ParseError,
             errors.UnknownSymbol,
             errors.UnknownSuite,
-            errors.UntrustedStructure,
         )
     },
 }
 
 
 def test_exit_code_table_covers_every_error_class():
-    assert len(EXIT_CODES) == 12
+    assert len(EXIT_CODES) == 11
     assert set(_weilc_error_classes()) == set(EXIT_CODES)
 
 

@@ -82,6 +82,23 @@ class TestParse:
         assert err.value.position == 4
         assert parse("x10", 10) == Var(9)
 
+    @pytest.mark.parametrize(
+        "text, kind, start, length",
+        [("x1 + " + "a" * 5000, UnknownSymbol, "unknown identifier 'aaa", 5000),
+         ("x1 + " + "f" * 5000 + "(x1)", UnknownSymbol, "unknown function 'fff", 5000),
+         ("x" + "1" * 5000, UnknownSymbol, "variable 'x11", 5001),
+         ("1" * 5000 + "e999", ParseError, "number '111", 5004),
+         ("x1 " + "b" * 5000, ParseError, "unexpected 'bbb", 5000)],
+        ids=["identifier", "function", "variable", "number", "trailing"],
+    )
+    def test_a_long_refused_token_is_quoted_in_part(self, text, kind, start, length):
+        # a bounded prefix and the token's length, not the whole token
+        with pytest.raises(kind) as err:
+            parse(text, 2)
+        message = str(err.value)
+        assert message.startswith(start) and f"... ({length} characters)" in message
+        assert len(message) < 200
+
     def test_precedence(self):
         assert parse("-x1^2", 1) == Neg(Pow(Var(0), 2))
         assert parse("2*-3", 1) == Mul(ConstR(2.0), ConstR(-3.0))

@@ -318,6 +318,11 @@ _REF_TOKEN = re.compile(
 _REF_VAR = re.compile(r"x([1-9]\d*)$")
 
 
+def _ref_quoted(val):
+    # a token of more than 40 characters is cut to 40, and its length given
+    return repr(val) if len(val) <= 40 else f"{val[:40]!r}... ({len(val)} characters)"
+
+
 def _ref_tokens(text):
     tokens = []
     pos = 0
@@ -361,7 +366,7 @@ class _RefParser:
         e = self.expression()
         kind, val, pos = self.peek()
         if kind != "end":
-            raise ParseError(f"unexpected {val!r}", pos)
+            raise ParseError(f"unexpected {_ref_quoted(val)}", pos)
         return self.shallow(e, 0)
 
     def shallow(self, e, pos):
@@ -437,7 +442,7 @@ class _RefParser:
         kind, val, pos = self.next()
         if kind == "num":
             if not math.isfinite(float(val)):  # refused, as parse refuses it
-                raise ParseError(f"number {val!r} is not finite", pos)
+                raise ParseError(f"number {_ref_quoted(val)} is not finite", pos)
             return ConstR(float(val))
         if kind == "ident":
             m = _REF_VAR.match(val)
@@ -445,18 +450,18 @@ class _RefParser:
                 digits = m.group(1)
                 if len(digits) > len(str(self.n)) or int(digits) > self.n:
                     raise UnknownSymbol(
-                        f"variable {val!r} exceeds chart dimension {self.n}", pos
+                        f"variable {_ref_quoted(val)} exceeds chart dimension {self.n}", pos
                     )
                 return Var(int(digits) - 1)
             nxt_kind, nxt_val, _ = self.peek()
             if nxt_kind == "op" and nxt_val == "(":
                 if val not in FUNCTIONS:
-                    raise UnknownSymbol(f"unknown function {val!r}", pos)
+                    raise UnknownSymbol(f"unknown function {_ref_quoted(val)}", pos)
                 self.next()
                 arg = self.nested(self.expression)
                 self.expect_op(")")
                 return Apply(FUNCTIONS[val], arg)
-            raise UnknownSymbol(f"unknown identifier {val!r}", pos)
+            raise UnknownSymbol(f"unknown identifier {_ref_quoted(val)}", pos)
         if kind == "op" and val == "(":
             e = self.nested(self.expression)
             self.expect_op(")")
@@ -801,6 +806,8 @@ def _deep_texts():
 @example("x1^10001", 0, None)
 @example("x1^-10001", 0, None)
 @example("x1 + x" + "1" * 5000, 0, None)  # more digits than int() converts
+@example("x1 + " + "a" * 41, 0, None)  # a refused token past the quoted length
+@example("x1 " + "1" * 40, 0, None)
 def test_parser_matches_the_recursive_descent(text, at, junk):
     if junk is not None:
         at %= len(text) + 1

@@ -32,6 +32,7 @@ from weilc import (
 )
 from weilc.errors import AlgebraMismatch, DimensionMismatch
 from weilc.expr import ConstA, Var, mul
+from weilc.oracle import interior_eval
 from weilc.poisson import omega_at
 
 DUAL = dual_numbers()
@@ -63,6 +64,11 @@ def at_a_point(d, fn):
     return d.apply_at(fn, APoint.from_reals(d.algebra, [0.5] * d.dim))
 
 
+def interior_at_a_point(d, w):
+    # a base form is evaluated at a point over dual
+    return interior_eval(d, w, APoint.from_reals(w.algebra or DUAL, [0.5] * d.dim))
+
+
 PROLONGED = (DUAL, JET2)
 BASE = (None, DUAL)  # a base operand against a prolonged one
 
@@ -80,6 +86,8 @@ CASES = [
     ("apply_at", field, function, at_a_point, PROLONGED),
     ("wedge", form, form, wedge, PROLONGED),
     ("interior", field, form, interior, PROLONGED),
+    ("interior_eval", field, form, interior_at_a_point, PROLONGED),
+    ("base interior_eval", field, form, interior_at_a_point, BASE),
     ("contract", field, form, contract, PROLONGED),
     ("base contract", field, form, contract, BASE),
     ("lie_derivative", field, form, lie_derivative, PROLONGED),
@@ -88,12 +96,12 @@ CASES = [
     ("lie_bracket", field, field, lie_bracket, BASE),
     ("prolonged lie_bracket", field, field, lie_bracket, PROLONGED),
     ("prolong_bracket", function, function,
-     lambda a, b: prolong_bracket(PI, a, b, force=True), PROLONGED),
+     lambda a, b: prolong_bracket(PI, a, b), PROLONGED),
     ("omega_prolonged", form, form,
-     lambda x, y: omega_prolonged(PI, x, y, force=True), PROLONGED),
+     lambda x, y: omega_prolonged(PI, x, y), PROLONGED),
     ("omega_at", form, form,
-     lambda x, y: omega_at(PI, x, y, APoint.from_reals(x.algebra, [0.5, 0.5]),
-                           force=True), PROLONGED),
+     lambda x, y: omega_at(PI, x, y, APoint.from_reals(x.algebra, [0.5, 0.5])),
+     PROLONGED),
     ("field scale by function", field, function, lambda d, f: d.scale(f), PROLONGED),
     ("form scale by function", form, function, lambda w, f: w.scale(f), PROLONGED),
     ("field scale by expression", field, expression, lambda d, e: d.scale(e), PROLONGED),
@@ -187,8 +195,8 @@ def test_a_form_over_the_trivial_algebra_is_no_base_form():
         lie_derivative(field(None, 2), form(trivial_algebra(), 2))
 
 
-def test_a_refused_bivector_is_never_trusted():
-    # it used to build, pass jacobi_check and be marked trusted
+def test_an_off_chart_bivector_raises_dimension_mismatch():
+    # an entry in x3 has no place on a 2-dimensional chart
     with pytest.raises(DimensionMismatch):
         jacobi_check(PoissonStructure(2, {(0, 1): parse("x3", 3)}), 5, 1e-9)
 
@@ -200,7 +208,7 @@ EVALUATIONS = [
     ("form evaluate, no coefficients", 1, lambda p: CoordForm(1, 1, DUAL).evaluate(p)),
     ("apply_at", 1, lambda p: field(DUAL, 1).apply_at(parse("x1^2", 1), p)),
     ("omega_at", 2,
-     lambda p: omega_at(PI, form(DUAL, 2), form(DUAL, 2), p, force=True)),
+     lambda p: omega_at(PI, form(DUAL, 2), form(DUAL, 2), p)),
 ]
 
 

@@ -32,7 +32,6 @@ from weilc.errors import (
     DegreeError,
     DimensionMismatch,
     DomainError,
-    UntrustedStructure,
 )
 from weilc.expr import (
     ConstA,
@@ -73,14 +72,9 @@ def perturbed_so3():
     )
 
 
-def trusted(pi):
-    pi.trusted = True
-    return pi
-
-
 @pytest.fixture
 def canonical():
-    return trusted(canonical_structure(1))
+    return canonical_structure(1)
 
 
 @pytest.fixture
@@ -128,13 +122,11 @@ class TestJacobiCheck:
         report = jacobi_check(pi, trials=40, tol=1e-9, seed=2)
         assert report.passed
         assert report.max_residual <= 1e-12
-        assert pi.trusted
 
     def test_so3_passes(self):
         pi = so3_structure()
         report = jacobi_check(pi, trials=60, tol=1e-9, seed=2)
         assert report.passed
-        assert pi.trusted
 
     def test_so3_coordinate_jacobiator_vanishes_symbolically(self):
         pi = so3_structure()
@@ -156,7 +148,6 @@ class TestJacobiCheck:
         assert not report.passed
         assert report.max_residual > 1e-3
         assert report.witnesses
-        assert not pi.trusted
 
     def test_perturbed_jacobiator_closed_form(self):
         # on the coordinate triple the defect is exactly 0.2 * x1 * x2
@@ -183,14 +174,13 @@ class TestJacobiCheck:
     def test_two_dimensional_chart_has_no_triples(self):
         pi = PoissonStructure(2, {(0, 1): parse("1 + x1^2*x2", 2)})
         report = jacobi_check(pi, trials=5, tol=1e-9, seed=2)
-        assert report.passed and report.max_residual == 0.0 and pi.trusted
+        assert report.passed and report.max_residual == 0.0
 
     def test_zero_trials_is_vacuous_with_warning(self):
         pi = canonical_structure(1)
         report = jacobi_check(pi, trials=0, tol=1e-9, seed=0)
         assert report.passed and report.trials == 0
         assert report.warning is not None
-        assert not pi.trusted
 
 
 class TestHamiltonianField:
@@ -232,15 +222,6 @@ class TestHamiltonianField:
 
 
 class TestProlongedOperations:
-    def test_trust_gate(self, dual):
-        pi = canonical_structure(1)
-        q = AFunction(Var(0), 2, dual)
-        with pytest.raises(UntrustedStructure):
-            ad_prolong(pi, q)
-        ad_prolong(pi, q, force=True)
-        jacobi_check(pi, trials=10, tol=1e-9, seed=0)
-        ad_prolong(pi, q)
-
     def test_ad_prolong_canonical(self, canonical, dual):
         q = AFunction(Var(0), 2, dual)
         p = AFunction(Var(1), 2, dual)
@@ -290,7 +271,7 @@ class TestProlongBracket:
         assert value(xi) == eps
 
     def test_so3_third_coordinate(self, dual):
-        pi = trusted(so3_structure())
+        pi = so3_structure()
         x1 = AFunction(Var(0), 3, dual)
         x2 = AFunction(Var(1), 3, dual)
         xi = APoint(
@@ -376,7 +357,7 @@ class TestOperandRule:
     @pytest.mark.parametrize("evaluate", [False, True], ids=["omega_prolonged", "omega_at"])
     def test_form_off_the_chart_rejected(self, dual, evaluate):
         # a form on R^2 against a bivector on R^3
-        pi = trusted(so3_structure())
+        pi = so3_structure()
         x = CoordForm(1, 2, dual, {(0,): ConstR(1.0)})
         y = CoordForm(1, 3, dual, {(1,): ConstR(1.0)})
         with pytest.raises(DimensionMismatch, match="2-dimensional chart, bivector on 3"):
@@ -395,11 +376,6 @@ class TestOperandRule:
             point = APoint.from_reals(algebra, [0.5] * pi.dim)
             return omega_at(pi, x, y, point)
         return omega_prolonged(pi, x, y)
-
-    def test_omega_at_untrusted(self, dual):
-        x = CoordForm(1, 2, dual, {(0,): ConstR(1.0)})
-        with pytest.raises(UntrustedStructure):
-            omega_at(canonical_structure(1), x, x, APoint.from_reals(dual, [0.5, 0.5]))
 
 
 class TestVerifyAPoisson:
@@ -604,7 +580,7 @@ class TestContractionTrees:
 
     @pytest.mark.parametrize("name", sorted(STRUCTURES))
     def test_trees_match_the_loops(self, name):
-        pi = trusted(STRUCTURES[name]())
+        pi = STRUCTURES[name]()
         n = pi.dim
         rng = rng_for(31)
         for algebra in (dual_numbers(), jets(2)):
@@ -677,3 +653,28 @@ class TestPaperCondition:
         assert base.passed == (name != "shifted3")
         assert full.passed == base.passed
         assert all(w.inputs["check"] == "jacobi" for w in full.witnesses)
+
+
+@pytest.mark.parametrize("name", ["so3", "shifted3"])
+def test_prolonged_operations_need_no_prior_check(name):
+    # the suites prolong the non-Poisson shifted3 to test that the paper's
+    # condition is necessary, so no operation waits for a Jacobi check, and
+    # the check only reports
+    import weilc
+
+    algebra = dual_numbers()
+    pi = STRUCTURES[name]()
+    phi = AFunction(Var(0), 3, algebra)
+    psi = AFunction(parse("x2*x3", 3), 3, algebra)
+    x = CoordForm(1, 3, algebra, {(0,): ConstR(1.0), (2,): Var(1)})
+    point = APoint.from_reals(algebra, [0.3, -0.4, 0.5])
+    assert len(ad_prolong(pi, phi).components) == 3
+    assert len(ad_tilde(pi, x).components) == 3
+    assert prolong_bracket(pi, phi, psi)(point).algebra is algebra
+    assert omega_prolonged(pi, x, delta(psi))(point).algebra is algebra
+    assert omega_at(pi, x, delta(psi), point).algebra is algebra
+    before = dict(vars(pi))
+    report = jacobi_check(pi, trials=3, tol=1e-9, seed=42)
+    assert report.passed == (name == "so3")
+    assert vars(pi) == before
+    assert not hasattr(weilc, "UntrustedStructure")
