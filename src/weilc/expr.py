@@ -7,8 +7,10 @@ the same trees to the algebra-valued function class the rest of the
 package works with.
 
 Trees share subtrees: ``diff`` reuses the operands of a product or a
-quotient, so its results are DAGs.  Each walk (``diff``, ``substitute``,
-``eval_real``, ``eval_weil``, ``to_string``) visits a shared subexpression
+quotient, so its results are DAGs.  ``diff`` keeps each node's partials on
+the node, for the node's lifetime, so no subtree is differentiated twice,
+in one call or across calls.  The other walks (``substitute``,
+``eval_real``, ``eval_weil``, ``to_string``) visit a shared subexpression
 once per call: a memo keyed by node identity, and dropped when the call
 returns, holds each node's first result.  The visiting order is that of
 the tree walk, so results and the first error raised are the same.
@@ -54,7 +56,7 @@ class Expr:
     (-1 for none) and the algebra of the ConstA leaves (None for none).
     Constants over two algebras raise AlgebraMismatch."""
 
-    __slots__ = ("facts",)
+    __slots__ = ("facts", "_partials")
     depth = property(lambda self: self.facts[0])
     top = property(lambda self: self.facts[1])
     algebra = property(lambda self: self.facts[2])
@@ -230,8 +232,9 @@ class Apply(Expr):
 
 
 # frozen nodes refuse assignment, so constructors write through the slots
-_set_facts, _set_index, _set_left, _set_right = (
-    Expr.facts.__set__, Var.index.__set__, _Binary.left.__set__, _Binary.right.__set__)
+_set_facts, _set_partials, _set_index, _set_left, _set_right = (
+    Expr.facts.__set__, Expr._partials.__set__, Var.index.__set__, _Binary.left.__set__,
+    _Binary.right.__set__)
 _set_arg, _set_base, _set_exponent, _set_fn, _set_apply_arg = (
     Neg.arg.__set__, Pow.base.__set__, Pow.exponent.__set__, Apply.fn.__set__,
     Apply.arg.__set__)
@@ -370,43 +373,57 @@ _CHAIN = {
 
 
 def diff(e: Expr, i: int) -> Expr:
-    """Partial derivative with respect to x_(i+1); ConstA leaves are constants."""
-    return _diff(e, i, {})
+    """Partial derivative with respect to x_(i+1); ConstA leaves are constants.
+    A negative i raises DimensionMismatch."""
+    if i < 0:
+        raise DimensionMismatch(f"derivative index {i} is negative")
+    return _diff(e, i)
 
 
-def _diff(e: Expr, i: int, memo: dict) -> Expr:
+def _diff(e: Expr, i: int) -> Expr:
+    """The partial of e by x_(i+1), kept in e's ``_partials`` for e's
+    lifetime.  A repeat call, from any caller or from a recursion into a
+    shared subtree, returns the same object.  The cache relies on _diff
+    being pure: a test that patches ``_CHAIN`` must build fresh trees."""
     kind = type(e)
     if kind is Var:
         return ONE if e.index == i else ZERO
     if kind is ConstR or kind is ConstA:
         return ZERO
-    key = id(e)
-    d = memo.get(key)
-    if d is not None:
-        return d
+    # an unset slot raises AttributeError; getattr's default costs less than
+    # a try on the first visit and little more on the later ones
+    partials = getattr(e, "_partials", None)
+    if partials is None:
+        # written here, never in a constructor: most nodes are never differentiated
+        partials = {}
+        _set_partials(e, partials)
+    else:
+        d = partials.get(i)
+        if d is not None:
+            return d
     if kind is Add:
-        d = add(_diff(e.left, i, memo), _diff(e.right, i, memo))
+        d = add(_diff(e.left, i), _diff(e.right, i))
     elif kind is Sub:
-        d = sub(_diff(e.left, i, memo), _diff(e.right, i, memo))
+        d = sub(_diff(e.left, i), _diff(e.right, i))
     elif kind is Neg:
-        d = neg(_diff(e.arg, i, memo))
+        d = neg(_diff(e.arg, i))
     elif kind is Mul:
-        d = add(mul(_diff(e.left, i, memo), e.right), mul(e.left, _diff(e.right, i, memo)))
+        d = add(mul(_diff(e.left, i), e.right), mul(e.left, _diff(e.right, i)))
     elif kind is Div:
         d = div(
-            sub(mul(_diff(e.left, i, memo), e.right), mul(e.left, _diff(e.right, i, memo))),
+            sub(mul(_diff(e.left, i), e.right), mul(e.left, _diff(e.right, i))),
             power(e.right, 2),
         )
     elif kind is Pow:
         d = mul(
             mul(ConstR(float(e.exponent)), power(e.base, e.exponent - 1)),
-            _diff(e.base, i, memo),
+            _diff(e.base, i),
         )
     elif kind is Apply:
-        d = mul(_CHAIN[e.fn.name](e.arg), _diff(e.arg, i, memo))
+        d = mul(_CHAIN[e.fn.name](e.arg), _diff(e.arg, i))
     else:
         raise TypeError(f"cannot differentiate {kind.__name__}")
-    memo[key] = d
+    partials[i] = d
     return d
 
 
@@ -486,6 +503,38 @@ def eval_weil(e: Expr, point, algebra: WeilAlgebra | None = None) -> WeilElement
     if not all(map(math.isfinite, value.coeffs)):
         raise DomainError(f"non-finite result {render_element(value)}")
     return value
+
+
+def eval_weil_each(exprs: Iterable[Expr], point,
+                   algebra: WeilAlgebra | None = None) -> list[WeilElement]:
+    """eval_weil of each of ``exprs`` in turn, at one point, through one
+    memo: a subtree they share, as the coefficients of a form share many, is
+    evaluated once.  Each expression is checked, evaluated and its value
+    checked before the next, so the values and the first error raised are
+    those of eval_weil."""
+    coords = _point_coords(point)
+    lists = [c.coeffs for c in coords]
+    values = []
+    memo: dict = {}
+    memo_algebra = algebra
+    for e in exprs:
+        over = algebra
+        if over is None:
+            over = coords[0].algebra if coords else e.algebra
+            if over is None:
+                raise AlgebraMismatch("no algebra can be inferred for evaluation")
+            if over is not memo_algebra:  # a memo holds lists of one algebra
+                memo, memo_algebra = {}, over
+        for c in coords:
+            if c.algebra is not over:
+                raise AlgebraMismatch("point coordinates live over different algebras")
+        if e.algebra is not None and e.algebra is not over:
+            raise AlgebraMismatch("algebra constant does not match the point")
+        value = WeilElement(over, _eval_weil(e, lists, over, memo))
+        if not all(map(math.isfinite, value.coeffs)):
+            raise DomainError(f"non-finite result {render_element(value)}")
+        values.append(value)
+    return values
 
 
 def _eval_weil(e: Expr, coords, algebra: WeilAlgebra, memo: dict) -> list[float]:
@@ -851,6 +900,10 @@ class AFunction:
         return eval_weil(self.expr, chart_point(point, self), self.algebra)
 
     def partial(self, i: int) -> "AFunction":
+        if not 0 <= i < self.dim:
+            raise DimensionMismatch(
+                f"derivative index {i} off a chart of dimension {self.dim}"
+            )
         return AFunction(diff(self.expr, i), self.dim, self.algebra)
 
     def _combine(self, other, op) -> "AFunction":

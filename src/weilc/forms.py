@@ -23,7 +23,7 @@ from .expr import (
     add,
     chart_point,
     diff,
-    eval_weil,
+    eval_weil_each,
     mul,
     neg,
     on_chart,
@@ -61,9 +61,8 @@ class CoordForm:
     def evaluate(self, point) -> dict[Index, WeilElement]:
         """All coefficients at a point, absent tuples evaluating to zero."""
         coords = chart_point(point, self)
-        return {
-            idx: eval_weil(c, coords, self.algebra) for idx, c in self.coeffs.items()
-        }
+        values = eval_weil_each(self.coeffs.values(), coords, self.algebra)
+        return dict(zip(self.coeffs, values))
 
     def __add__(self, other: "CoordForm") -> "CoordForm":
         same_chart(self, other)

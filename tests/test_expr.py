@@ -240,6 +240,16 @@ class TestDiff:
         d = diff(parse("sin(x1*x2)", 2), 1)
         assert d == Mul(Apply(FUNCTIONS["cos"], Mul(Var(0), Var(1))), Var(0))
 
+    @pytest.mark.parametrize("i", [-1, -2, -10**30])
+    def test_a_negative_index_is_refused(self, i):
+        # refused, not read as a variable no expression has
+        with pytest.raises(DimensionMismatch, match=f"derivative index {i} is negative"):
+            diff(parse("x1*x2", 2), i)
+
+    def test_an_index_past_the_expression_is_a_zero_partial(self):
+        # diff knows no chart: x3 may be a coordinate the expression lacks
+        assert diff(parse("x1*x2", 2), 2) == ZERO
+
     def test_algebra_constants_are_annihilated(self):
         eps = dual_numbers().generator("eps")
         assert diff(ConstA(eps), 0) == ZERO
@@ -370,6 +380,14 @@ class TestAFunction:
         xi = APoint(A, (A.element([3, 1]),))
         assert fn(xi) == A.element([9, 6])
         assert fn.partial(0)(xi) == A.element([6, 2])
+
+    @pytest.mark.parametrize("i", [5, 2, -1, -2])
+    def test_partial_refuses_an_index_off_the_chart(self, i):
+        fn = AFunction(parse("x1*x2", 2), 2, dual_numbers())
+        with pytest.raises(DimensionMismatch,
+                           match=f"derivative index {i} off a chart of dimension 2"):
+            fn.partial(i)
+        assert fn.partial(1).expr == Var(0)
 
     def test_algebra_guard(self):
         A, B = dual_numbers(), jets(2)

@@ -1,11 +1,15 @@
-"""Walks over shared subexpressions, the facts each node holds, and the
-tokenizer.
+"""Walks over shared subexpressions, the partials each node keeps, the
+facts each node holds, and the tokenizer.
 
 ``diff``, ``substitute``, ``eval_real``, ``eval_weil`` and ``to_string``
 visit a node that occurs more than once in a DAG only once per call.  The
 ``_ref_*`` functions below are the plain tree recursions they replaced,
 kept as the reference: on every input the walks must give equal trees,
 identical strings, bitwise-equal values and the same first error.
+
+``diff`` keeps each node's partials on the node, so a node is
+differentiated by one index once in its lifetime: a repeat call returns
+the same tree, and a warm cache gives the trees a cold one gives.
 
 Each node's ``depth``, ``top`` and ``algebra`` replaced a walk over the
 DAG; ``_ref_levels`` and ``_ref_scan`` are that walk, kept as the
@@ -17,14 +21,17 @@ recursive descent with one method per grammar rule, are the parser it
 replaced.  On every text both give equal trees or the same first error.
 """
 
+import copy
 import math
+import pickle
 import re
 import struct
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from weilc import dual_numbers, jets, trivial_algebra
+import weilc.expr
+from weilc import dual_numbers, jets, so3_structure, trivial_algebra
 from weilc.algebra import RECIPROCAL, render_element, taylor_lift
 from weilc.errors import (
     AlgebraMismatch,
@@ -52,6 +59,7 @@ from weilc.expr import (
     Var,
     ONE,
     ZERO,
+    _diff,
     _error,
     _point_coords,
     _precedence,
@@ -60,6 +68,7 @@ from weilc.expr import (
     div,
     eval_real,
     eval_weil,
+    eval_weil_each,
     mul,
     neg,
     parse,
@@ -68,6 +77,8 @@ from weilc.expr import (
     substitute,
     to_string,
 )
+from weilc.oracle import run_suite
+from weilc.poisson import _gradient, verify_a_poisson
 from weilc.sampling import (
     CATALOG,
     catalog_algebra,
@@ -554,6 +565,105 @@ class TestSharedDag:
         assert d.left.left is d.right.right
 
 
+# -- the partials each node keeps ------------------------------------------------------
+
+_GROWTH = "x1^3*sin(x2) - exp(x1*x2)/x2 + sqrt(x1 + 2)*log(x2 + 3)"
+
+
+class TestPartialsOnTheNode:
+    def test_a_repeat_diff_returns_the_same_tree(self):
+        e = parse(_GROWTH, 2)
+        for i in (0, 1, 0, 1):
+            assert diff(e, i) is diff(e, i)
+        assert diff(diff(e, 0), 1) is diff(diff(e, 0), 1)
+        # equal trees built apart keep their partials apart, equal all the same
+        twin = parse(_GROWTH, 2)
+        assert diff(twin, 0) is not diff(e, 0) and diff(twin, 0) == diff(e, 0)
+
+    def test_a_second_gradient_computes_no_derivative(self, monkeypatch):
+        pi = so3_structure()
+        A = jets(2)
+        phi = AFunction(mul(parse(_GROWTH + " + x3^2", 3), ConstA(A.generator("t"))), 3, A)
+        first = _gradient(pi, phi.expr)
+        entries = []
+
+        def counting(e, i):
+            entries.append((e, i))
+            return _diff(e, i)
+
+        monkeypatch.setattr(weilc.expr, "_diff", counting)
+        second = _gradient(pi, phi.expr)
+        # one entry per coordinate, each served from the node: no recursion
+        assert [(e is phi.expr, i) for e, i in entries] == [(True, 0), (True, 1), (True, 2)]
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_a_filled_cache_stays_out_of_copies(self):
+        e = parse(_GROWTH, 2)
+        d0, d1 = diff(e, 0), diff(e, 1)
+        for twin in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert twin == e and hash(twin) == hash(e)
+            assert not hasattr(twin, "_partials")
+            assert to_string(diff(twin, 0)) == to_string(d0)
+            assert to_string(diff(twin, 1)) == to_string(d1)
+            assert diff(twin, 0) is not d0
+        # the cache changes neither equality nor hash
+        fresh = parse(_GROWTH, 2)
+        assert fresh == e and hash(fresh) == hash(e)
+
+
+def _computed_partials(monkeypatch):
+    """Wrap _diff so that it records each (node, index) whose partial it
+    computes, rather than reads from the node.  The nodes are held, so their
+    ids stay valid."""
+    computed = []
+
+    def recording(e, i):
+        partials = getattr(e, "_partials", None)
+        if type(e) not in (Var, ConstR, ConstA) and (partials is None or i not in partials):
+            computed.append((e, i))
+        return _diff(e, i)
+
+    monkeypatch.setattr(weilc.expr, "_diff", recording)
+    return computed
+
+
+def test_no_partial_is_computed_twice(monkeypatch):
+    # a poisson_full run, so3 over jet2, and a cartan run: the suites that
+    # differentiate the same functions again and again
+    counts = []
+    for _ in range(2):
+        computed = _computed_partials(monkeypatch)
+        verify_a_poisson(so3_structure(), jets(2), 3, 1e-9, seed=42)
+        run_suite("cartan", 42, 3, 1e-9)
+        pairs = {(id(e), i) for e, i in computed}
+        assert len(pairs) == len(computed) > 0
+        counts.append(len(computed))
+        monkeypatch.undo()
+    # fresh trees each run: the same work, counted deterministically
+    assert counts[0] == counts[1]
+
+
+def test_eval_weil_each_matches_eval_weil():
+    # the expressions share a subtree: each value is eval_weil's, bit for bit
+    A = jets(2)
+    shared = parse(_GROWTH, 2)
+    exprs = [shared, mul(shared, Var(0)), add(shared, ConstA(A.generator("t")))]
+    point = (A.element([0.5, 1.0, 0.25]), A.element([1.5, -1.0, 0.5]))
+    each = eval_weil_each(exprs, point)
+    assert [_element_bits(v) for v in each] == [
+        _element_bits(eval_weil(e, point)) for e in exprs]
+    # the first error raised is that of the first expression that raises
+    bad = [shared, div(ONE, sub(Var(0), Var(0))), Var(5)]
+    with pytest.raises(DomainError):
+        eval_weil_each(bad, point)
+    assert eval_weil_each([], point) == []
+    # with no coordinates, each expression's constants fix its algebra, and
+    # the shared ONE evaluates over each
+    consts = [add(ONE, ConstA(dual_numbers().unit())), add(ONE, ConstA(A.generator("t")))]
+    assert [_element_bits(v) for v in eval_weil_each(consts, ())] == [
+        _element_bits(eval_weil(e, ())) for e in consts]
+
+
 # -- walks against the tree recursions ----------------------------------------------
 
 # real coordinates: ordinary values, zeros, and values that overflow exp or powers
@@ -592,14 +702,21 @@ def _build(seed, n, wrap, consta):
     order=st.lists(st.integers(0, 2), min_size=1, max_size=3),
     xs=st.lists(_COORD, min_size=3, max_size=3),
     short=st.booleans(),
+    warm=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 2)), max_size=6),
 )
-def test_walks_match_tree_recursions(seed, n, wrap, consta, order, xs, short):
+def test_walks_match_tree_recursions(seed, n, wrap, consta, order, xs, short, warm):
     rng, algebra, e, replacements = _build(seed, n, wrap, consta)
     xs = xs[:n]
     if short:
         # too few components for the highest variable: DimensionMismatch
         replacements = replacements[:-1]
     coords = tuple(c + x for c, x in zip(random_point(rng, algebra, n).coords, xs))
+
+    # differentiate random subtrees first, in random index order: a warm
+    # cache must give the trees and strings a cold one gives
+    nodes = [node for level in _ref_levels(e) for node in level]
+    for k, i in warm:
+        diff(nodes[k % len(nodes)], i % n)
 
     new_chain, ref_chain = [e], [e]
     for i in order:
