@@ -488,49 +488,35 @@ def eval_weil(e: Expr, point, algebra: WeilAlgebra | None = None) -> WeilElement
     coefficient lists, with the same float operations in the same order as
     the WeilElement operators, and builds one element for the result.
     """
-    coords = _point_coords(point)
-    if algebra is None:
-        algebra = coords[0].algebra if coords else e.algebra
-        if algebra is None:
-            raise AlgebraMismatch("no algebra can be inferred for evaluation")
-    for c in coords:
-        if c.algebra is not algebra:
-            raise AlgebraMismatch("point coordinates live over different algebras")
-    if e.algebra is not None and e.algebra is not algebra:
-        raise AlgebraMismatch("algebra constant does not match the point")
-    value = WeilElement(algebra, _eval_weil(e, [c.coeffs for c in coords], algebra, {}))
-    # ring arithmetic overflows silently; one check here covers every path
-    if not all(map(math.isfinite, value.coeffs)):
-        raise DomainError(f"non-finite result {render_element(value)}")
-    return value
+    return eval_weil_each((e,), point, algebra)[0]
 
 
 def eval_weil_each(exprs: Iterable[Expr], point,
                    algebra: WeilAlgebra | None = None) -> list[WeilElement]:
-    """eval_weil of each of ``exprs`` in turn, at one point, through one
-    memo: a subtree they share, as the coefficients of a form share many, is
-    evaluated once.  Each expression is checked, evaluated and its value
-    checked before the next, so the values and the first error raised are
-    those of eval_weil."""
+    """eval_weil of each of ``exprs`` in turn, at one point and over one
+    algebra, through one memo: a subtree they share, as the coefficients of
+    a form share many, is evaluated once.  The algebra is ``algebra``, else
+    the point's, else that of the first expression's constants.  Each
+    expression is checked, evaluated and its value checked before the next,
+    so the values and the first error raised are those of evaluating each
+    expression alone over that algebra."""
+    exprs = tuple(exprs)  # the memo is keyed by id: hold every node for the call
     coords = _point_coords(point)
     lists = [c.coeffs for c in coords]
-    values = []
     memo: dict = {}
-    memo_algebra = algebra
+    values = []
     for e in exprs:
-        over = algebra
-        if over is None:
-            over = coords[0].algebra if coords else e.algebra
-            if over is None:
+        if algebra is None:
+            algebra = coords[0].algebra if coords else e.algebra
+            if algebra is None:
                 raise AlgebraMismatch("no algebra can be inferred for evaluation")
-            if over is not memo_algebra:  # a memo holds lists of one algebra
-                memo, memo_algebra = {}, over
         for c in coords:
-            if c.algebra is not over:
+            if c.algebra is not algebra:
                 raise AlgebraMismatch("point coordinates live over different algebras")
-        if e.algebra is not None and e.algebra is not over:
+        if e.algebra is not None and e.algebra is not algebra:
             raise AlgebraMismatch("algebra constant does not match the point")
-        value = WeilElement(over, _eval_weil(e, lists, over, memo))
+        value = WeilElement(algebra, _eval_weil(e, lists, algebra, memo))
+        # ring arithmetic overflows silently; one check here covers every path
         if not all(map(math.isfinite, value.coeffs)):
             raise DomainError(f"non-finite result {render_element(value)}")
         values.append(value)

@@ -657,11 +657,24 @@ def test_eval_weil_each_matches_eval_weil():
     with pytest.raises(DomainError):
         eval_weil_each(bad, point)
     assert eval_weil_each([], point) == []
-    # with no coordinates, each expression's constants fix its algebra, and
-    # the shared ONE evaluates over each
-    consts = [add(ONE, ConstA(dual_numbers().unit())), add(ONE, ConstA(A.generator("t")))]
-    assert [_element_bits(v) for v in eval_weil_each(consts, ())] == [
-        _element_bits(eval_weil(e, ())) for e in consts]
+    # with no coordinates, the first expression's constants fix the algebra
+    # of all: a constant over another is refused, not read from the memo
+    consts = [add(ONE, ConstA(A.generator("t"))), add(ONE, ConstA(dual_numbers().unit()))]
+    assert _element_bits(eval_weil_each(consts[:1], ())[0]) == _element_bits(
+        eval_weil(consts[0], ()))
+    with pytest.raises(AlgebraMismatch, match="algebra constant does not match the point"):
+        eval_weil_each(consts, ())
+
+
+def test_eval_weil_each_holds_trees_from_a_generator():
+    # trees parsed one at a time and dropped by the caller: the memo is keyed
+    # by id, so a freed tree's ids must not be handed to a later tree's nodes
+    A = jets(2)
+    point = (A.element([0.5, 1.0, 0.25]), A.element([1.5, -1.0, 0.5]))
+    texts = [f"x1^{k}*sin(x2) + exp(x2/{k + 1}) - x1*x2^{k}" for k in range(1, 9)]
+    each = eval_weil_each((parse(t, 2) for t in texts), point)
+    assert [_element_bits(v) for v in each] == [
+        _element_bits(eval_weil(parse(t, 2), point)) for t in texts]
 
 
 # -- walks against the tree recursions ----------------------------------------------
