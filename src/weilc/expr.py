@@ -9,11 +9,14 @@ package works with.
 Trees share subtrees: ``diff`` reuses the operands of a product or a
 quotient, so its results are DAGs.  ``diff`` keeps each node's partials on
 the node, for the node's lifetime, so no subtree is differentiated twice,
-in one call or across calls.  The other walks (``substitute``,
-``eval_real``, ``eval_weil``, ``to_string``) visit a shared subexpression
-once per call: a memo keyed by node identity, and dropped when the call
-returns, holds each node's first result.  The visiting order is that of
-the tree walk, so results and the first error raised are the same.
+in one call or across calls.  ``eval_weil`` keeps each node's value on the
+node with the point it was computed at, for as long as that point is the
+node's last one, so no subtree is evaluated twice at one point, in one
+call or across calls.  The other walks (``substitute``, ``eval_real``,
+``to_string``) visit a shared subexpression once per call: a memo keyed by
+node identity, and dropped when the call returns, holds each node's first
+result.  The visiting order is that of the tree walk, so results and the
+first error raised are the same.
 
 Each operand rule of the package is stated here once, and reads the facts
 each node holds (see ``Expr``) instead of walking a tree: ``on_chart``, the
@@ -56,7 +59,7 @@ class Expr:
     (-1 for none) and the algebra of the ConstA leaves (None for none).
     Constants over two algebras raise AlgebraMismatch."""
 
-    __slots__ = ("facts", "_partials")
+    __slots__ = ("facts", "_partials", "_value")
     depth = property(lambda self: self.facts[0])
     top = property(lambda self: self.facts[1])
     algebra = property(lambda self: self.facts[2])
@@ -232,12 +235,15 @@ class Apply(Expr):
 
 
 # frozen nodes refuse assignment, so constructors write through the slots
-_set_facts, _set_partials, _set_index, _set_left, _set_right = (
-    Expr.facts.__set__, Expr._partials.__set__, Var.index.__set__, _Binary.left.__set__,
-    _Binary.right.__set__)
+_set_facts, _set_partials, _set_value, _set_index, _set_left, _set_right = (
+    Expr.facts.__set__, Expr._partials.__set__, Expr._value.__set__, Var.index.__set__,
+    _Binary.left.__set__, _Binary.right.__set__)
 _set_arg, _set_base, _set_exponent, _set_fn, _set_apply_arg = (
     Neg.arg.__set__, Pow.base.__set__, Pow.exponent.__set__, Apply.fn.__set__,
     Apply.arg.__set__)
+
+# what _eval_weil reads from a node that keeps no value: no key matches it
+_NO_VALUE = (None, None)
 
 ZERO = ConstR(0.0)
 ONE = ConstR(1.0)
@@ -333,15 +339,17 @@ def on_chart(exprs: Iterable[Expr], owner):
             )
 
 
-def chart_point(point, owner) -> tuple[WeilElement, ...]:
-    """The point rule: the coordinates of ``point``, which has one for each
-    chart coordinate of ``owner`` (a function, field, form or bivector)."""
+def chart_point(point, owner):
+    """The point rule: ``point`` has one coordinate for each chart
+    coordinate of ``owner`` (a function, field, form or bivector).  Returns
+    the point to evaluate at: an APoint itself, which keys the values its
+    nodes keep, or bare coordinates as a tuple."""
     coords = _point_coords(point)
     if len(coords) != owner.dim:
         raise DimensionMismatch(
             f"point has {len(coords)} coordinates, chart has {owner.dim}"
         )
-    return coords
+    return point if hasattr(point, "coords") else coords
 
 
 def same_chart(*objs) -> WeilAlgebra | None:
@@ -480,7 +488,8 @@ def _point_coords(point) -> tuple[WeilElement, ...]:
 
 
 def eval_weil(e: Expr, point, algebra: WeilAlgebra | None = None) -> WeilElement:
-    """Evaluate over a tuple of Weil elements (one per chart coordinate).
+    """Evaluate at a point: an APoint, or a tuple of Weil elements (one per
+    chart coordinate).
 
     For a ConstA-free expression f this computes the prolongation of f at
     the given point; the recursion realizes the homomorphism laws
@@ -494,28 +503,40 @@ def eval_weil(e: Expr, point, algebra: WeilAlgebra | None = None) -> WeilElement
 def eval_weil_each(exprs: Iterable[Expr], point,
                    algebra: WeilAlgebra | None = None) -> list[WeilElement]:
     """eval_weil of each of ``exprs`` in turn, at one point and over one
-    algebra, through one memo: a subtree they share, as the coefficients of
-    a form share many, is evaluated once.  The algebra is ``algebra``, else
-    the point's, else that of the first expression's constants.  Each
-    expression is checked, evaluated and its value checked before the next,
-    so the values and the first error raised are those of evaluating each
-    expression alone over that algebra."""
-    exprs = tuple(exprs)  # the memo is keyed by id: hold every node for the call
-    coords = _point_coords(point)
-    lists = [c.coeffs for c in coords]
-    memo: dict = {}
+    algebra.  The algebra is ``algebra``, else the point's (an APoint's own,
+    or its first coordinate's), else that of the first expression's
+    constants.  Each node keeps its value with the point it was computed
+    at, so a subtree that the expressions share, as the coefficients of a
+    form share many, or that an earlier call evaluated at the same APoint,
+    is evaluated once.  Bare coordinates share values within the call only.
+    A value may share its coefficient list with the node that keeps it, as
+    a variable's shares the point's: elements are not changed in place.
+    Each expression is checked, evaluated and its value checked before the
+    next, so the values and the first error raised are those of evaluating
+    each expression alone over that algebra."""
+    coords = getattr(point, "coords", None)
+    if coords is not None:
+        # an APoint is immutable and its coordinates lie over its algebra:
+        # it keys the values its nodes keep, and it alone carries the algebra
+        lists = [c.coeffs for c in coords]
+        key, carriers = point, (point,)
+    else:
+        coords = tuple(point)
+        lists = [c.coeffs for c in coords]
+        # a key made for this call, held by the nodes it keys
+        key, carriers = lists, coords
     values = []
     for e in exprs:
         if algebra is None:
-            algebra = coords[0].algebra if coords else e.algebra
+            algebra = carriers[0].algebra if carriers else e.algebra
             if algebra is None:
                 raise AlgebraMismatch("no algebra can be inferred for evaluation")
-        for c in coords:
+        for c in carriers:
             if c.algebra is not algebra:
                 raise AlgebraMismatch("point coordinates live over different algebras")
         if e.algebra is not None and e.algebra is not algebra:
             raise AlgebraMismatch("algebra constant does not match the point")
-        value = WeilElement(algebra, _eval_weil(e, lists, algebra, memo))
+        value = WeilElement(algebra, _eval_weil(e, lists, algebra, key))
         # ring arithmetic overflows silently; one check here covers every path
         if not all(map(math.isfinite, value.coeffs)):
             raise DomainError(f"non-finite result {render_element(value)}")
@@ -523,7 +544,11 @@ def eval_weil_each(exprs: Iterable[Expr], point,
     return values
 
 
-def _eval_weil(e: Expr, coords, algebra: WeilAlgebra, memo: dict) -> list[float]:
+def _eval_weil(e: Expr, coords, algebra: WeilAlgebra, key) -> list[float]:
+    """The coefficients of e at the point that ``key`` stands for, kept with
+    the key in e's ``_value`` until e is evaluated at another point.  The
+    node holds its key, so no other point can take the key's identity.  The
+    cache relies on _eval_weil being pure; a raised error is not kept."""
     kind = type(e)
     if kind is Var:
         if e.index >= len(coords):
@@ -533,34 +558,34 @@ def _eval_weil(e: Expr, coords, algebra: WeilAlgebra, memo: dict) -> list[float]
         return coords[e.index]
     if kind is ConstA:
         return e.value.coeffs
-    key = id(e)
-    value = memo.get(key)
-    if value is not None:
-        return value
+    kept = getattr(e, "_value", _NO_VALUE)
+    if kept[0] is key:
+        return kept[1]
     if kind is ConstR:
         value = [float(e.value)] + [0.0] * (algebra.dim - 1)
     elif kind is Add:
-        value = [x + y for x, y in zip(_eval_weil(e.left, coords, algebra, memo),
-                                       _eval_weil(e.right, coords, algebra, memo))]
+        value = [x + y for x, y in zip(_eval_weil(e.left, coords, algebra, key),
+                                       _eval_weil(e.right, coords, algebra, key))]
     elif kind is Sub:
-        value = [x - y for x, y in zip(_eval_weil(e.left, coords, algebra, memo),
-                                       _eval_weil(e.right, coords, algebra, memo))]
+        value = [x - y for x, y in zip(_eval_weil(e.left, coords, algebra, key),
+                                       _eval_weil(e.right, coords, algebra, key))]
     elif kind is Mul:
-        value = algebra._mul(_eval_weil(e.left, coords, algebra, memo),
-                             _eval_weil(e.right, coords, algebra, memo))
+        value = algebra._mul(_eval_weil(e.left, coords, algebra, key),
+                             _eval_weil(e.right, coords, algebra, key))
     elif kind is Div:
-        denom = _eval_weil(e.right, coords, algebra, memo)
-        value = algebra._mul(_eval_weil(e.left, coords, algebra, memo),
+        denom = _eval_weil(e.right, coords, algebra, key)
+        value = algebra._mul(_eval_weil(e.left, coords, algebra, key),
                              _lift(RECIPROCAL, algebra, denom))
     elif kind is Neg:
-        value = [-x for x in _eval_weil(e.arg, coords, algebra, memo)]
+        value = [-x for x in _eval_weil(e.arg, coords, algebra, key)]
     elif kind is Pow:
-        value = _power(algebra, _eval_weil(e.base, coords, algebra, memo), e.exponent)
+        value = _power(algebra, _eval_weil(e.base, coords, algebra, key), e.exponent)
     elif kind is Apply:
-        value = _lift(e.fn, algebra, _eval_weil(e.arg, coords, algebra, memo))
+        value = _lift(e.fn, algebra, _eval_weil(e.arg, coords, algebra, key))
     else:
         raise TypeError(f"cannot evaluate {kind.__name__}")
-    memo[key] = value
+    # written here, never in a constructor, as ``_partials`` is
+    _set_value(e, (key, value))
     return value
 
 

@@ -60,8 +60,8 @@ class CoordForm:
 
     def evaluate(self, point) -> dict[Index, WeilElement]:
         """All coefficients at a point, absent tuples evaluating to zero."""
-        coords = chart_point(point, self)
-        values = eval_weil_each(self.coeffs.values(), coords, self.algebra)
+        point = chart_point(point, self)
+        values = eval_weil_each(self.coeffs.values(), point, self.algebra)
         return dict(zip(self.coeffs, values))
 
     def __add__(self, other: "CoordForm") -> "CoordForm":

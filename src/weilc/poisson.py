@@ -348,14 +348,14 @@ def omega_prolonged(pi: PoissonStructure, x: CoordForm, y: CoordForm) -> AFuncti
 def omega_at(pi: PoissonStructure, x: CoordForm, y: CoordForm, point) -> WeilElement:
     """Evaluate the 2-form pairing by ring-combining evaluated pieces."""
     algebra = _operands(pi, x, y)
-    coords = chart_point(point, pi)
-    out = eval_weil(ZERO, coords, algebra)
+    point = chart_point(point, pi)
+    out = eval_weil(ZERO, point, algebra)
     for (i, j), p in sorted(pi.entries.items()):
-        pv = eval_weil(p, coords, algebra)
-        xi = eval_weil(x.coefficient((i,)), coords, algebra)
-        xj = eval_weil(x.coefficient((j,)), coords, algebra)
-        yi = eval_weil(y.coefficient((i,)), coords, algebra)
-        yj = eval_weil(y.coefficient((j,)), coords, algebra)
+        pv = eval_weil(p, point, algebra)
+        xi = eval_weil(x.coefficient((i,)), point, algebra)
+        xj = eval_weil(x.coefficient((j,)), point, algebra)
+        yi = eval_weil(y.coefficient((i,)), point, algebra)
+        yj = eval_weil(y.coefficient((j,)), point, algebra)
         out = out + pv * (xi * yj - xj * yi)
     return -out
 

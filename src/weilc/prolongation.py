@@ -46,10 +46,6 @@ class APoint:
             if c.algebra is not self.algebra:
                 raise AlgebraMismatch("coordinates live over different algebras")
 
-    @classmethod
-    def from_reals(cls, algebra: WeilAlgebra, xs: Sequence[float]) -> "APoint":
-        return cls(algebra, tuple(algebra.from_real(x) for x in xs))
-
     @property
     def dim(self) -> int:
         return len(self.coords)
@@ -95,11 +91,11 @@ class VectorField:
         if not self.components:
             raise DimensionMismatch("vector field has no components")
         expr = scalar_expr(fn, self)
-        coords = chart_point(point, self)
+        point = chart_point(point, self)
         out = None
         for i, comp in enumerate(self.components):
-            term = eval_weil(comp, coords, self.algebra) * eval_weil(
-                diff(expr, i), coords, self.algebra
+            term = eval_weil(comp, point, self.algebra) * eval_weil(
+                diff(expr, i), point, self.algebra
             )
             out = term if out is None else out + term
         return out

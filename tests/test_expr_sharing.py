@@ -10,6 +10,9 @@ identical strings, bitwise-equal values and the same first error.
 ``diff`` keeps each node's partials on the node, so a node is
 differentiated by one index once in its lifetime: a repeat call returns
 the same tree, and a warm cache gives the trees a cold one gives.
+``eval_weil`` keeps each node's value with the APoint it was computed at,
+so a node is evaluated once at one point for as long as that point is its
+last: a value read from the node is the value a fresh tree computes.
 
 Each node's ``depth``, ``top`` and ``algebra`` replaced a walk over the
 DAG; ``_ref_levels`` and ``_ref_scan`` are that walk, kept as the
@@ -31,7 +34,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import weilc.expr
-from weilc import dual_numbers, jets, so3_structure, trivial_algebra
+from weilc import APoint, dual_numbers, jets, so3_structure, trivial_algebra
 from weilc.algebra import RECIPROCAL, render_element, taylor_lift
 from weilc.errors import (
     AlgebraMismatch,
@@ -61,6 +64,7 @@ from weilc.expr import (
     ZERO,
     _diff,
     _error,
+    _eval_weil,
     _point_coords,
     _precedence,
     add,
@@ -77,6 +81,7 @@ from weilc.expr import (
     substitute,
     to_string,
 )
+from weilc.forms import CoordForm
 from weilc.oracle import run_suite
 from weilc.poisson import _gradient, verify_a_poisson
 from weilc.sampling import (
@@ -667,14 +672,138 @@ def test_eval_weil_each_matches_eval_weil():
 
 
 def test_eval_weil_each_holds_trees_from_a_generator():
-    # trees parsed one at a time and dropped by the caller: the memo is keyed
-    # by id, so a freed tree's ids must not be handed to a later tree's nodes
+    # trees parsed one at a time and dropped by the caller: a freed tree's
+    # nodes take their values with them, and a later tree's nodes, which may
+    # be given the freed ids, compute their own
     A = jets(2)
     point = (A.element([0.5, 1.0, 0.25]), A.element([1.5, -1.0, 0.5]))
     texts = [f"x1^{k}*sin(x2) + exp(x2/{k + 1}) - x1*x2^{k}" for k in range(1, 9)]
     each = eval_weil_each((parse(t, 2) for t in texts), point)
     assert [_element_bits(v) for v in each] == [
         _element_bits(eval_weil(parse(t, 2), point)) for t in texts]
+
+
+# -- the value each node keeps with its point ------------------------------------------
+
+
+def _jet2_point(*vectors):
+    A = jets(2)
+    return APoint(A, tuple(A.element(v) for v in vectors))
+
+
+def _computed_values(monkeypatch):
+    """Wrap _eval_weil so that it records each (node, coordinate lists,
+    algebra) whose value it computes: a value is read when the list returned
+    is the one the node kept before the call.  A point's coordinate lists
+    are the same objects whether a caller hands on the APoint or its
+    coordinates, so a caller that drops the point shows as a repeat.  The
+    nodes and lists are held, so their ids stay valid."""
+    computed = []
+
+    def recording(e, coords, algebra, key):
+        kept = getattr(e, "_value", None)
+        value = _eval_weil(e, coords, algebra, key)
+        if type(e) not in (Var, ConstA) and (kept is None or value is not kept[1]):
+            computed.append((e, coords, algebra))
+        return value
+
+    monkeypatch.setattr(weilc.expr, "_eval_weil", recording)
+    return computed
+
+
+def _nodes(e):
+    """The distinct nodes of e's DAG that keep a value: all but the leaves
+    that return one at once."""
+    return {id(node): node for level in _ref_levels(e) for node in level
+            if type(node) not in (Var, ConstA)}
+
+
+class TestValueOnTheNode:
+    def test_values_follow_the_point(self):
+        # P, a twin Q with bit-equal coordinates, R over another algebra, P
+        # again: every value is that of a tree that was never evaluated
+        e = parse(_GROWTH, 2)
+        tree = diff(add(e, mul(e, diff(e, 0))), 1)
+        p = _jet2_point([0.5, 1.0, 0.25], [1.5, -1.0, 0.5])
+        q = _jet2_point([0.5, 1.0, 0.25], [1.5, -1.0, 0.5])
+        D = dual_numbers()
+        r = APoint(D, (D.element([0.5, 1.0]), D.element([1.5, -1.0])))
+        for point in (p, q, r, p):
+            fresh = copy.deepcopy(tree)
+            assert _element_bits(eval_weil(tree, point)) == _element_bits(
+                eval_weil(fresh, point))
+
+    def test_a_repeat_at_one_point_computes_nothing(self, monkeypatch):
+        e = parse(_GROWTH, 2)
+        tree = add(diff(e, 0), mul(e, diff(e, 1)))
+        p = _jet2_point([0.5, 1.0, 0.25], [1.5, -1.0, 0.5])
+        first = eval_weil(tree, p)
+        computed = _computed_values(monkeypatch)
+        again = eval_weil(tree, p)
+        assert computed == []
+        assert _element_bits(again) == _element_bits(first)
+        # bare coordinates share values within a call only
+        eval_weil(tree, p.coords)
+        assert len(computed) == len(_nodes(tree))
+
+    def test_the_shared_constants_take_each_algebra_in_turn(self):
+        D, A = dual_numbers(), jets(2)
+        for point, algebra, dim in ((APoint(D, (D.unit(),)), None, 2),
+                                    (APoint(A, (A.unit(),)), None, 3),
+                                    (APoint(D, ()), None, 2), ((), A, 3)):
+            assert len(eval_weil(ZERO, point, algebra).coeffs) == dim
+            assert len(eval_weil(ONE, point, algebra).coeffs) == dim
+
+    def test_bare_coordinates_may_be_any_iterable(self):
+        # chart_point hands on a tuple of them, so an iterator is read once
+        e = parse(_GROWTH, 2)
+        p = _jet2_point([0.5, 1.0, 0.25], [1.5, -1.0, 0.5])
+        f = AFunction(e, 2, None)
+        form = CoordForm(1, 2, None, {(0,): e, (1,): diff(e, 0)})
+        assert f(iter(p.coords)) == f(p)
+        assert form.evaluate(iter(p.coords)) == form.evaluate(p)
+
+    def test_a_point_with_no_coordinates_keeps_its_algebra(self):
+        D, A = dual_numbers(), jets(2)
+        e = ConstA(A.element([1, 2, 3]))
+        with pytest.raises(AlgebraMismatch, match="algebra constant does not match"):
+            eval_weil(e, APoint(D, ()))
+        with pytest.raises(AlgebraMismatch, match="live over different algebras"):
+            AFunction(e, 0, A)(APoint(D, ()))
+        with pytest.raises(AlgebraMismatch, match="live over different algebras"):
+            eval_weil(ONE, APoint(D, ()), A)
+        assert eval_weil(e, APoint(A, ())) == eval_weil(e, ()) == A.element([1, 2, 3])
+
+    def test_a_kept_value_stays_out_of_copies(self, monkeypatch):
+        e = parse(_GROWTH, 2)
+        tree = add(diff(e, 0), mul(e, diff(e, 1)))
+        p = _jet2_point([0.5, 1.0, 0.25], [1.5, -1.0, 0.5])
+        value = eval_weil(tree, p)
+        for twin in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+            assert twin == tree and hash(twin) == hash(tree)
+            assert not hasattr(twin, "_value")
+            computed = _computed_values(monkeypatch)
+            assert _element_bits(eval_weil(twin, p)) == _element_bits(value)
+            # the copy's first evaluation computes every one of its nodes
+            assert {id(node) for node, _, _ in computed} == set(_nodes(twin))
+            assert len(computed) == len(_nodes(twin))
+            monkeypatch.undo()
+
+
+def test_no_value_is_computed_twice_at_a_point(monkeypatch):
+    # a poisson_full run, so3 over jet2, and a cartan run: the suites that
+    # evaluate the same subtrees again and again at one trial's point
+    counts = []
+    for _ in range(2):
+        computed = _computed_values(monkeypatch)
+        verify_a_poisson(so3_structure(), jets(2), 3, 1e-9, seed=42)
+        run_suite("cartan", 42, 3, 1e-9)
+        pairs = {(id(e), id(algebra), *map(id, coords)) for e, coords, algebra in computed}
+        assert len(pairs) == len(computed) > 0
+        counts.append(len(computed))
+        monkeypatch.undo()
+    # fresh trees each run: the same work, counted deterministically
+    assert counts[0] == counts[1]
 
 
 # -- walks against the tree recursions ----------------------------------------------

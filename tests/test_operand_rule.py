@@ -40,6 +40,10 @@ JET2 = jets(2)
 PI = canonical_structure(1)  # on R^2
 
 
+def real_point(algebra, xs):
+    return APoint(algebra, tuple(algebra.from_real(x) for x in xs))
+
+
 def function(algebra, dim):
     return AFunction(parse("x1^2", dim), dim, algebra)
 
@@ -61,12 +65,12 @@ def expression(algebra, dim):
 
 
 def at_a_point(d, fn):
-    return d.apply_at(fn, APoint.from_reals(d.algebra, [0.5] * d.dim))
+    return d.apply_at(fn, real_point(d.algebra, [0.5] * d.dim))
 
 
 def interior_at_a_point(d, w):
     # a base form is evaluated at a point over dual
-    return interior_eval(d, w, APoint.from_reals(w.algebra or DUAL, [0.5] * d.dim))
+    return interior_eval(d, w, real_point(w.algebra or DUAL, [0.5] * d.dim))
 
 
 PROLONGED = (DUAL, JET2)
@@ -100,7 +104,7 @@ CASES = [
     ("omega_prolonged", form, form,
      lambda x, y: omega_prolonged(PI, x, y), PROLONGED),
     ("omega_at", form, form,
-     lambda x, y: omega_at(PI, x, y, APoint.from_reals(x.algebra, [0.5, 0.5])),
+     lambda x, y: omega_at(PI, x, y, real_point(x.algebra, [0.5, 0.5])),
      PROLONGED),
     ("field scale by function", field, function, lambda d, f: d.scale(f), PROLONGED),
     ("form scale by function", form, function, lambda w, f: w.scale(f), PROLONGED),
@@ -174,7 +178,7 @@ def test_constructors_refuse_foreign_constants(name, dim, build):
 def test_a_base_function_evaluates_over_its_point():
     fn = AFunction(Var(0), 1, None)
     assert repr(fn) == "AFunction(x1)"
-    point = APoint.from_reals(DUAL, [0.5])
+    point = real_point(DUAL, [0.5])
     assert fn(point).algebra is DUAL and fn(point).coeffs == [0.5, 0.0]
 
 

@@ -61,6 +61,10 @@ from weilc.sampling import (
 )
 
 
+def real_point(algebra, xs):
+    return APoint(algebra, tuple(algebra.from_real(x) for x in xs))
+
+
 def perturbed_so3():
     return PoissonStructure(
         3,
@@ -373,7 +377,7 @@ class TestOperandRule:
     @staticmethod
     def _pair(pi, x, y, algebra, evaluate):
         if evaluate:
-            point = APoint.from_reals(algebra, [0.5] * pi.dim)
+            point = real_point(algebra, [0.5] * pi.dim)
             return omega_at(pi, x, y, point)
         return omega_prolonged(pi, x, y)
 
@@ -518,7 +522,7 @@ class TestRecorder:
 
     def test_residual_forms_measures_a_lone_coefficient_against_zero(self):
         # base forms, evaluated over the point's algebra
-        point = APoint.from_reals(dual_numbers(), [0.5])
+        point = real_point(dual_numbers(), [0.5])
         w = CoordForm(1, 1, None, {(0,): ConstR(1.0)})
         empty = CoordForm(1, 1, None)
         assert residual_forms(w, empty, point) == residual_forms(empty, w, point) == 0.5
@@ -667,7 +671,7 @@ def test_prolonged_operations_need_no_prior_check(name):
     phi = AFunction(Var(0), 3, algebra)
     psi = AFunction(parse("x2*x3", 3), 3, algebra)
     x = CoordForm(1, 3, algebra, {(0,): ConstR(1.0), (2,): Var(1)})
-    point = APoint.from_reals(algebra, [0.3, -0.4, 0.5])
+    point = real_point(algebra, [0.3, -0.4, 0.5])
     assert len(ad_prolong(pi, phi).components) == 3
     assert len(ad_tilde(pi, x).components) == 3
     assert prolong_bracket(pi, phi, psi)(point).algebra is algebra
