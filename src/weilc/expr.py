@@ -12,11 +12,13 @@ the node, for the node's lifetime, so no subtree is differentiated twice,
 in one call or across calls.  ``eval_weil`` keeps each node's value on the
 node with the point it was computed at, for as long as that point is the
 node's last one, so no subtree is evaluated twice at one point, in one
-call or across calls.  The other walks (``substitute``, ``eval_real``,
-``to_string``) visit a shared subexpression once per call: a memo keyed by
-node identity, and dropped when the call returns, holds each node's first
-result.  The visiting order is that of the tree walk, so results and the
-first error raised are the same.
+call or across calls.  That point is an ``APoint``, the one point type of
+Weil evaluation: bare coordinates become one where they come in, at
+``chart_point`` or ``eval_weil``.  The other walks (``substitute``,
+``eval_real``, ``to_string``) visit a shared subexpression once per call: a
+memo keyed by node identity, and dropped when the call returns, holds each
+node's first result.  The visiting order is that of the tree walk, so
+results and the first error raised are the same.
 
 Each operand rule of the package is stated here once, and reads the facts
 each node holds (see ``Expr``) instead of walking a tree: ``on_chart``, the
@@ -339,17 +341,63 @@ def on_chart(exprs: Iterable[Expr], owner):
             )
 
 
-def chart_point(point, owner):
+@dataclass(frozen=True)
+class APoint:
+    """A chart point with Weil-element coordinates: the one point type of
+    Weil evaluation.  It is immutable and its coordinates lie over its
+    algebra, so it keys the values its nodes keep."""
+
+    algebra: WeilAlgebra
+    coords: tuple[WeilElement, ...]
+
+    def __post_init__(self):
+        if self.algebra is None:
+            raise AlgebraMismatch("no algebra can be inferred for evaluation")
+        for c in self.coords:
+            if c.algebra is not self.algebra:
+                raise AlgebraMismatch("point coordinates live over different algebras")
+
+    @property
+    def dim(self) -> int:
+        return len(self.coords)
+
+    def base_point(self) -> tuple[float, ...]:
+        """Augmentation of every coordinate: the underlying chart point."""
+        return tuple(c.real for c in self.coords)
+
+    def __iter__(self):
+        return iter(self.coords)
+
+    def __len__(self):
+        return len(self.coords)
+
+    def __getitem__(self, i):
+        return self.coords[i]
+
+
+def _as_point(point, algebra: WeilAlgebra | None) -> APoint:
+    """``point`` itself if it is an APoint, else its coordinates, any
+    iterable, as one: over the first coordinate's algebra, or over
+    ``algebra`` when there are none.  Its algebra is checked where it is
+    evaluated, as an APoint's is."""
+    if isinstance(point, APoint):
+        return point
+    coords = tuple(point)
+    return APoint(coords[0].algebra if coords else algebra, coords)
+
+
+def chart_point(point, owner) -> APoint:
     """The point rule: ``point`` has one coordinate for each chart
     coordinate of ``owner`` (a function, field, form or bivector).  Returns
-    the point to evaluate at: an APoint itself, which keys the values its
-    nodes keep, or bare coordinates as a tuple."""
-    coords = _point_coords(point)
-    if len(coords) != owner.dim:
+    the APoint to evaluate at: the point itself, or bare coordinates made
+    into one (over the owner's algebra when there are none)."""
+    if not isinstance(point, APoint):
+        point = tuple(point)
+    if len(point) != owner.dim:
         raise DimensionMismatch(
-            f"point has {len(coords)} coordinates, chart has {owner.dim}"
+            f"point has {len(point)} coordinates, chart has {owner.dim}"
         )
-    return point if hasattr(point, "coords") else coords
+    return _as_point(point, owner.algebra)
 
 
 def same_chart(*objs) -> WeilAlgebra | None:
@@ -482,73 +530,43 @@ def _substitute(e: Expr, replacements: Sequence[Expr], memo: dict) -> Expr:
 # -- evaluation --------------------------------------------------------------------
 
 
-def _point_coords(point) -> tuple[WeilElement, ...]:
-    coords = getattr(point, "coords", point)
-    return tuple(coords)
-
-
 def eval_weil(e: Expr, point, algebra: WeilAlgebra | None = None) -> WeilElement:
-    """Evaluate at a point: an APoint, or a tuple of Weil elements (one per
-    chart coordinate).
+    """Evaluate at a point: an APoint, or its coordinates (Weil elements,
+    one per chart coordinate), which become a new APoint on each call.
 
     For a ConstA-free expression f this computes the prolongation of f at
     the given point; the recursion realizes the homomorphism laws
     eval(f+g) = eval(f)+eval(g) and eval(f*g) = eval(f)*eval(g).  It runs on
     coefficient lists, with the same float operations in the same order as
     the WeilElement operators, and builds one element for the result.
+
+    The algebra is ``algebra``, else the point's, else that of the
+    expression's constants.  Each node keeps its value with the APoint it
+    was computed at, so no subtree is evaluated twice at one APoint.  A
+    value may share its coefficient list with the node that keeps it, as a
+    variable's shares the point's: elements are not changed in place.
     """
-    return eval_weil_each((e,), point, algebra)[0]
-
-
-def eval_weil_each(exprs: Iterable[Expr], point,
-                   algebra: WeilAlgebra | None = None) -> list[WeilElement]:
-    """eval_weil of each of ``exprs`` in turn, at one point and over one
-    algebra.  The algebra is ``algebra``, else the point's (an APoint's own,
-    or its first coordinate's), else that of the first expression's
-    constants.  Each node keeps its value with the point it was computed
-    at, so a subtree that the expressions share, as the coefficients of a
-    form share many, or that an earlier call evaluated at the same APoint,
-    is evaluated once.  Bare coordinates share values within the call only.
-    A value may share its coefficient list with the node that keeps it, as
-    a variable's shares the point's: elements are not changed in place.
-    Each expression is checked, evaluated and its value checked before the
-    next, so the values and the first error raised are those of evaluating
-    each expression alone over that algebra."""
-    coords = getattr(point, "coords", None)
-    if coords is not None:
-        # an APoint is immutable and its coordinates lie over its algebra:
-        # it keys the values its nodes keep, and it alone carries the algebra
-        lists = [c.coeffs for c in coords]
-        key, carriers = point, (point,)
-    else:
-        coords = tuple(point)
-        lists = [c.coeffs for c in coords]
-        # a key made for this call, held by the nodes it keys
-        key, carriers = lists, coords
-    values = []
-    for e in exprs:
-        if algebra is None:
-            algebra = carriers[0].algebra if carriers else e.algebra
-            if algebra is None:
-                raise AlgebraMismatch("no algebra can be inferred for evaluation")
-        for c in carriers:
-            if c.algebra is not algebra:
-                raise AlgebraMismatch("point coordinates live over different algebras")
-        if e.algebra is not None and e.algebra is not algebra:
-            raise AlgebraMismatch("algebra constant does not match the point")
-        value = WeilElement(algebra, _eval_weil(e, lists, algebra, key))
-        # ring arithmetic overflows silently; one check here covers every path
-        if not all(map(math.isfinite, value.coeffs)):
-            raise DomainError(f"non-finite result {render_element(value)}")
-        values.append(value)
-    return values
+    point = _as_point(point, e.algebra if algebra is None else algebra)
+    if algebra is None:
+        algebra = point.algebra
+    elif point.algebra is not algebra:
+        raise AlgebraMismatch("point coordinates live over different algebras")
+    if e.algebra is not None and e.algebra is not algebra:
+        raise AlgebraMismatch("algebra constant does not match the point")
+    lists = [c.coeffs for c in point.coords]
+    value = WeilElement(algebra, _eval_weil(e, lists, algebra, point))
+    # ring arithmetic overflows silently; one check here covers every path
+    if not all(map(math.isfinite, value.coeffs)):
+        raise DomainError(f"non-finite result {render_element(value)}")
+    return value
 
 
 def _eval_weil(e: Expr, coords, algebra: WeilAlgebra, key) -> list[float]:
-    """The coefficients of e at the point that ``key`` stands for, kept with
-    the key in e's ``_value`` until e is evaluated at another point.  The
-    node holds its key, so no other point can take the key's identity.  The
-    cache relies on _eval_weil being pure; a raised error is not kept."""
+    """The coefficients of e at the APoint ``key``, whose coefficient lists
+    are ``coords``, kept with the key in e's ``_value`` until e is evaluated
+    at another point.  The node holds its key, so no other point can take
+    the key's identity.  The cache relies on _eval_weil being pure; a raised
+    error is not kept."""
     kind = type(e)
     if kind is Var:
         if e.index >= len(coords):

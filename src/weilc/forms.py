@@ -23,7 +23,7 @@ from .expr import (
     add,
     chart_point,
     diff,
-    eval_weil_each,
+    eval_weil,
     mul,
     neg,
     on_chart,
@@ -59,10 +59,11 @@ class CoordForm:
         return self.coeffs.get(tuple(idx), ZERO)
 
     def evaluate(self, point) -> dict[Index, WeilElement]:
-        """All coefficients at a point, absent tuples evaluating to zero."""
+        """All coefficients at a point, absent tuples evaluating to zero.  They
+        are evaluated at one APoint, so they share the values of common
+        subtrees."""
         point = chart_point(point, self)
-        values = eval_weil_each(self.coeffs.values(), point, self.algebra)
-        return dict(zip(self.coeffs, values))
+        return {idx: eval_weil(c, point, self.algebra) for idx, c in self.coeffs.items()}
 
     def __add__(self, other: "CoordForm") -> "CoordForm":
         same_chart(self, other)

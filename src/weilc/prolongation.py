@@ -1,6 +1,8 @@
-"""Points with algebra coordinates, vector fields, and their prolongations.
+"""Vector fields and their prolongations, and maps of points.
 
-A point assigns each chart coordinate a Weil element.  One class,
+A point assigns each chart coordinate a Weil element; its class,
+``APoint``, lives in ``expr`` beside the point rule and is imported here
+(``prolong_map`` and ``pushforward_point`` build points).  One class,
 ``VectorField``, holds base and prolonged fields: a field acts on functions
 through symbolic partials, and its ``algebra`` (None on the base chart)
 says over which algebra its components are evaluated.  Prolonging a field
@@ -20,6 +22,7 @@ from .algebra import AlgebraMorphism, WeilAlgebra, WeilElement
 from .errors import AlgebraMismatch, DimensionMismatch
 from .expr import (
     AFunction,
+    APoint,
     Expr,
     add,
     chart_point,
@@ -32,36 +35,6 @@ from .expr import (
     scalar_expr,
     sub,
 )
-
-
-@dataclass(frozen=True)
-class APoint:
-    """A chart point with Weil-element coordinates."""
-
-    algebra: WeilAlgebra
-    coords: tuple[WeilElement, ...]
-
-    def __post_init__(self):
-        for c in self.coords:
-            if c.algebra is not self.algebra:
-                raise AlgebraMismatch("coordinates live over different algebras")
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def base_point(self) -> tuple[float, ...]:
-        """Augmentation of every coordinate: the underlying chart point."""
-        return tuple(c.real for c in self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __len__(self):
-        return len(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
 
 
 @dataclass(frozen=True)

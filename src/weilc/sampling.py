@@ -9,6 +9,7 @@ chart coordinates uniform in [-1, 1], nilpotent coefficients uniform in
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import TYPE_CHECKING
 
 from .algebra import (
@@ -43,14 +44,10 @@ CATALOG: tuple[tuple[str, AlgebraPresentation], ...] = (
     ),
 )
 
-_BUILT: dict[str, WeilAlgebra] = {}
 
-
+@cache
 def catalog_algebra(name: str) -> WeilAlgebra:
-    if name not in _BUILT:
-        pres = dict(CATALOG)[name]
-        _BUILT[name] = build_algebra(pres)
-    return _BUILT[name]
+    return build_algebra(dict(CATALOG)[name])
 
 
 def rng_for(seed: int) -> np.random.Generator:

@@ -34,6 +34,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import weilc.expr
+import weilc.prolongation
 from weilc import APoint, dual_numbers, jets, so3_structure, trivial_algebra
 from weilc.algebra import RECIPROCAL, render_element, taylor_lift
 from weilc.errors import (
@@ -65,14 +66,12 @@ from weilc.expr import (
     _diff,
     _error,
     _eval_weil,
-    _point_coords,
     _precedence,
     add,
     diff,
     div,
     eval_real,
     eval_weil,
-    eval_weil_each,
     mul,
     neg,
     parse,
@@ -82,7 +81,7 @@ from weilc.expr import (
     to_string,
 )
 from weilc.forms import CoordForm
-from weilc.oracle import run_suite
+from weilc.oracle import SUITES, run_suite
 from weilc.poisson import _gradient, verify_a_poisson
 from weilc.sampling import (
     CATALOG,
@@ -191,7 +190,7 @@ def _ref_substitute(e, replacements):
 
 
 def _ref_eval_weil(e, point, algebra=None):
-    coords = _point_coords(point)
+    coords = tuple(getattr(point, "coords", point))
     if algebra is None:
         if coords:
             algebra = coords[0].algebra
@@ -648,41 +647,6 @@ def test_no_partial_is_computed_twice(monkeypatch):
     assert counts[0] == counts[1]
 
 
-def test_eval_weil_each_matches_eval_weil():
-    # the expressions share a subtree: each value is eval_weil's, bit for bit
-    A = jets(2)
-    shared = parse(_GROWTH, 2)
-    exprs = [shared, mul(shared, Var(0)), add(shared, ConstA(A.generator("t")))]
-    point = (A.element([0.5, 1.0, 0.25]), A.element([1.5, -1.0, 0.5]))
-    each = eval_weil_each(exprs, point)
-    assert [_element_bits(v) for v in each] == [
-        _element_bits(eval_weil(e, point)) for e in exprs]
-    # the first error raised is that of the first expression that raises
-    bad = [shared, div(ONE, sub(Var(0), Var(0))), Var(5)]
-    with pytest.raises(DomainError):
-        eval_weil_each(bad, point)
-    assert eval_weil_each([], point) == []
-    # with no coordinates, the first expression's constants fix the algebra
-    # of all: a constant over another is refused, not read from the memo
-    consts = [add(ONE, ConstA(A.generator("t"))), add(ONE, ConstA(dual_numbers().unit()))]
-    assert _element_bits(eval_weil_each(consts[:1], ())[0]) == _element_bits(
-        eval_weil(consts[0], ()))
-    with pytest.raises(AlgebraMismatch, match="algebra constant does not match the point"):
-        eval_weil_each(consts, ())
-
-
-def test_eval_weil_each_holds_trees_from_a_generator():
-    # trees parsed one at a time and dropped by the caller: a freed tree's
-    # nodes take their values with them, and a later tree's nodes, which may
-    # be given the freed ids, compute their own
-    A = jets(2)
-    point = (A.element([0.5, 1.0, 0.25]), A.element([1.5, -1.0, 0.5]))
-    texts = [f"x1^{k}*sin(x2) + exp(x2/{k + 1}) - x1*x2^{k}" for k in range(1, 9)]
-    each = eval_weil_each((parse(t, 2) for t in texts), point)
-    assert [_element_bits(v) for v in each] == [
-        _element_bits(eval_weil(parse(t, 2), point)) for t in texts]
-
-
 # -- the value each node keeps with its point ------------------------------------------
 
 
@@ -774,6 +738,15 @@ class TestValueOnTheNode:
             eval_weil(ONE, APoint(D, ()), A)
         assert eval_weil(e, APoint(A, ())) == eval_weil(e, ()) == A.element([1, 2, 3])
 
+    def test_a_point_needs_an_algebra(self):
+        with pytest.raises(AlgebraMismatch, match="no algebra can be inferred"):
+            APoint(None, ())
+        with pytest.raises(AlgebraMismatch, match="no algebra can be inferred"):
+            AFunction(ONE, 0, None)(())
+
+    def test_there_is_one_point_class(self):
+        assert weilc.APoint is weilc.prolongation.APoint is weilc.expr.APoint
+
     def test_a_kept_value_stays_out_of_copies(self, monkeypatch):
         e = parse(_GROWTH, 2)
         tree = add(diff(e, 0), mul(e, diff(e, 1)))
@@ -790,18 +763,57 @@ class TestValueOnTheNode:
             monkeypatch.undo()
 
 
+def test_form_evaluate_matches_eval_weil(monkeypatch):
+    # the coefficients share a subtree: each value is eval_weil's on a fresh
+    # copy of the coefficient, bit for bit
+    p = _jet2_point([0.5, 1.0, 0.25], [1.5, -1.0, 0.5], [-0.5, 0.25, 1.0])
+    A = p.algebra
+    shared = parse(_GROWTH, 2)
+    t = ConstA(A.generator("t"))
+    form = CoordForm(1, 3, A, {(0,): shared, (1,): mul(shared, Var(0)),
+                               (2,): add(shared, mul(t, Var(2)))})
+    values = form.evaluate(p)
+    assert list(values) == list(form.coeffs)
+    assert {idx: _element_bits(v) for idx, v in values.items()} == {
+        idx: _element_bits(eval_weil(copy.deepcopy(c), p, A))
+        for idx, c in form.coeffs.items()}
+    # the first error raised is that of the first coefficient that raises
+    zero_div, bad_log = div(ONE, sub(Var(0), Var(0))), parse("log(x1 - x1 - 1)", 3)
+    bad = CoordForm(1, 3, A, {(0,): shared, (1,): zero_div, (2,): bad_log})
+    first = _outcome(eval_weil, zero_div, p, A)
+    assert first[0] == "error"
+    assert _outcome(bad.evaluate, p) == first
+    assert _outcome(bad.evaluate, p.coords) == first
+    # at bare coordinates, each shared node is computed once per call
+    nodes = {}
+    for c in form.coeffs.values():
+        nodes.update(_nodes(c))
+    for _ in range(2):
+        computed = _computed_values(monkeypatch)
+        assert form.evaluate(p.coords) == values
+        assert len(computed) == len(nodes)
+        assert {id(node) for node, _, _ in computed} == set(nodes)
+        monkeypatch.undo()
+
+
 def test_no_value_is_computed_twice_at_a_point(monkeypatch):
-    # a poisson_full run, so3 over jet2, and a cartan run: the suites that
+    # every registered suite, poisson_full with so3 over jet2: the suites
     # evaluate the same subtrees again and again at one trial's point
     counts = []
     for _ in range(2):
-        computed = _computed_values(monkeypatch)
-        verify_a_poisson(so3_structure(), jets(2), 3, 1e-9, seed=42)
-        run_suite("cartan", 42, 3, 1e-9)
-        pairs = {(id(e), id(algebra), *map(id, coords)) for e, coords, algebra in computed}
-        assert len(pairs) == len(computed) > 0
-        counts.append(len(computed))
-        monkeypatch.undo()
+        run = {}
+        for suite in SUITES:
+            computed = _computed_values(monkeypatch)
+            if suite == "poisson_full":
+                run_suite(suite, 42, 3, 1e-9, pi=so3_structure(), algebra=jets(2))
+            else:
+                run_suite(suite, 42, 3, 1e-9)
+            pairs = {(id(e), id(algebra), *map(id, coords))
+                     for e, coords, algebra in computed}
+            assert len(pairs) == len(computed) > 0, suite
+            run[suite] = len(computed)
+            monkeypatch.undo()
+        counts.append(run)
     # fresh trees each run: the same work, counted deterministically
     assert counts[0] == counts[1]
 

@@ -213,6 +213,7 @@ EVALUATIONS = [
     ("apply_at", 1, lambda p: field(DUAL, 1).apply_at(parse("x1^2", 1), p)),
     ("omega_at", 2,
      lambda p: omega_at(PI, form(DUAL, 2), form(DUAL, 2), p)),
+    ("interior_eval", 2, lambda p: interior_eval(field(DUAL, 2), form(DUAL, 2), p)),
 ]
 
 
