@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import product
 from numbers import Real
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     AlgebraMismatch,
@@ -43,9 +43,6 @@ from .errors import (
     NotFiniteDimensional,
     NotMorphism,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Monomial = tuple[int, ...]
 
@@ -537,16 +534,44 @@ def _power(algebra: WeilAlgebra, a: list[float], k: int) -> list[float]:
     return out
 
 
-def apply_linear(matrix: np.ndarray, a: WeilElement) -> WeilElement:
-    """Apply an R-linear endomorphism of the algebra, coefficientwise."""
-    import numpy as np
+Matrix = tuple[tuple[float, ...], ...]
 
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (a.algebra.dim, a.algebra.dim):
+
+def _rows(matrix) -> tuple[Matrix, str]:
+    """A matrix as a tuple of float rows, with its shape as text: "(rows,
+    columns)", the columns read 'ragged' when the rows differ in length, and
+    "()" when the matrix is not a sequence of sequences of real numbers (a
+    string row is not one)."""
+    try:
+        rows = tuple(tuple(row) for row in matrix)
+    except TypeError:
+        return (), "()"
+    if not all(isinstance(x, Real) for row in rows for x in row):
+        return (), "()"
+    widths = {len(row) for row in rows} or {0}
+    shape = f"({len(rows)}, {widths.pop() if len(widths) == 1 else 'ragged'})"
+    return tuple(tuple(map(float, row)) for row in rows), shape
+
+
+def _matvec(matrix: Matrix, v: Sequence[float]) -> list[float]:
+    """matrix @ v, each entry summed left to right from 0.0."""
+    out = []
+    for row in matrix:
+        total = 0.0
+        for m, x in zip(row, v):
+            total += m * x
+        out.append(total)
+    return out
+
+
+def apply_linear(matrix, a: WeilElement) -> WeilElement:
+    """Apply an R-linear endomorphism of the algebra, coefficientwise."""
+    rows, shape = _rows(matrix)
+    if shape != str((a.algebra.dim, a.algebra.dim)):
         raise AlgebraMismatch(
-            f"endomorphism matrix {matrix.shape} does not fit dim {a.algebra.dim}"
+            f"endomorphism matrix {shape} does not fit dim {a.algebra.dim}"
         )
-    return WeilElement(a.algebra, (matrix @ a.coeffs).tolist())
+    return WeilElement(a.algebra, _matvec(rows, a.coeffs))
 
 
 # -- algebra morphisms ----------------------------------------------------------
@@ -554,39 +579,40 @@ def apply_linear(matrix: np.ndarray, a: WeilElement) -> WeilElement:
 
 @dataclass(frozen=True)
 class AlgebraMorphism:
-    """A validated algebra map, stored as a dim(B) x dim(A) matrix."""
+    """A validated algebra map, stored as a dim(B) x dim(A) matrix of float rows."""
 
     source: WeilAlgebra
     target: WeilAlgebra
-    matrix: np.ndarray
+    matrix: Matrix
 
     def apply(self, a: WeilElement) -> WeilElement:
         if a.algebra is not self.source:
             raise AlgebraMismatch("element does not live over the morphism source")
-        return WeilElement(self.target, (self.matrix @ a.coeffs).tolist())
+        return WeilElement(self.target, _matvec(self.matrix, a.coeffs))
 
     def __call__(self, a: WeilElement) -> WeilElement:
         return self.apply(a)
+
+
+def _close(xs: Sequence[float], ys: Sequence[float]) -> bool:
+    """Entrywise within MORPHISM_TOL; a NaN on either side is no match."""
+    return all(abs(x - y) <= MORPHISM_TOL for x, y in zip(xs, ys))
 
 
 def validate_morphism(
     source: WeilAlgebra, target: WeilAlgebra, matrix
 ) -> AlgebraMorphism:
     """Check unit, multiplicativity on all basis pairs, and augmentation."""
-    import numpy as np
-
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (target.dim, source.dim):
-        raise NotMorphism(
-            f"matrix shape {matrix.shape}, expected {(target.dim, source.dim)}"
-        )
-    if not np.isfinite(matrix).all():
+    rows, shape = _rows(matrix)
+    if shape != str((target.dim, source.dim)):
+        raise NotMorphism(f"matrix shape {shape}, expected {(target.dim, source.dim)}")
+    if not all(math.isfinite(x) for row in rows for x in row):
         raise NotMorphism("matrix has a non-finite entry")
-    if np.max(np.abs(matrix[:, 0] - target.unit().coeffs)) > MORPHISM_TOL:
+    if not _close([row[0] for row in rows], target.unit().coeffs):
         raise NotMorphism("unit is not mapped to the unit")
-    if np.max(np.abs(matrix[0] - source.unit().coeffs)) > MORPHISM_TOL:
+    if not _close(rows[0], source.unit().coeffs):
         raise NotMorphism("map does not commute with the augmentations")
-    images = [WeilElement(target, matrix[:, i].tolist()) for i in range(source.dim)]
+    images = [WeilElement(target, [row[i] for row in rows]) for i in range(source.dim)]
     products = {(i, j): k for i, j, k in source.product_plan}
     # the kernel is symmetric, so the pairs with i <= j cover every pair
     for i in range(source.dim):
@@ -594,15 +620,12 @@ def validate_morphism(
             k = products.get((i, j))
             lhs = images[i] * images[j]
             rhs = images[k].coeffs if k is not None else target.zero().coeffs
-            # not <=: a product that overflows to NaN is no match either
-            if not np.max(np.abs(np.subtract(lhs.coeffs, rhs))) <= MORPHISM_TOL:
+            if not _close(lhs.coeffs, rhs):
                 raise NotMorphism(
                     f"not multiplicative on basis pair "
                     f"({source.basis_names()[i]}, {source.basis_names()[j]})"
                 )
-    matrix = matrix.copy()
-    matrix.setflags(write=False)
-    return AlgebraMorphism(source, target, matrix)
+    return AlgebraMorphism(source, target, rows)
 
 
 def augmentation_morphism(source: WeilAlgebra) -> AlgebraMorphism:

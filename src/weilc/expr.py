@@ -351,6 +351,9 @@ class APoint:
     coords: tuple[WeilElement, ...]
 
     def __post_init__(self):
+        for c in self.coords:
+            if not isinstance(c, WeilElement):
+                raise AlgebraMismatch(f"point coordinate {c!r} is not a Weil element")
         if self.algebra is None:
             raise AlgebraMismatch("no algebra can be inferred for evaluation")
         for c in self.coords:
@@ -383,7 +386,9 @@ def _as_point(point, algebra: WeilAlgebra | None) -> APoint:
     if isinstance(point, APoint):
         return point
     coords = tuple(point)
-    return APoint(coords[0].algebra if coords else algebra, coords)
+    if coords and isinstance(coords[0], WeilElement):
+        algebra = coords[0].algebra
+    return APoint(algebra, coords)
 
 
 def chart_point(point, owner) -> APoint:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from .algebra import WeilElement, apply_linear
 from .errors import DimensionMismatch, DomainError, UnknownSuite, WeilcError
@@ -55,9 +55,6 @@ from .prolongation import (
     prolong_map,
 )
 from . import sampling
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 # -- finite-difference Taylor coefficients ------------------------------------------
@@ -113,7 +110,7 @@ def _probe(f: Callable, x):
     return value
 
 
-def taylor_coeffs(f: Callable, r: float, h: int) -> np.ndarray:
+def taylor_coeffs(f: Callable, r: float, h: int) -> list[float]:
     """Taylor coefficients f, f'/1!, ..., f^(h)/h! at r by central differences.
 
     The truncation error is O(STEP^accuracy) per coefficient, with the
@@ -126,10 +123,9 @@ def taylor_coeffs(f: Callable, r: float, h: int) -> np.ndarray:
     """
     if not 0 <= h <= 6:
         raise DomainError(f"oracle order {h} outside 0..6")
-    # imported here, not at module level: each would add to the start-up of
-    # every weilc command, and only this oracle uses mpmath
+    # imported here, not at module level: only this oracle uses mpmath, a test
+    # dependency, and it would add to the start-up of every weilc command
     import mpmath as mp
-    import numpy as np
 
     acc = h + 2 + h % 2
     out = [0.0] * (h + 1)
@@ -148,7 +144,7 @@ def taylor_coeffs(f: Callable, r: float, h: int) -> np.ndarray:
                 if w != 0:
                     total += mp.mpf(w.numerator) * values[k] / w.denominator
             out[j] = float(total / scale**j / math.factorial(j))
-    return np.array(out)
+    return out
 
 
 # -- exact polynomial expansion ------------------------------------------------------
@@ -264,10 +260,10 @@ def _suite_hom_laws(rng, rec):
     """Evaluation is a ring homomorphism, and composition evaluates through
     images of points."""
     algebra = sampling.random_algebra(rng)
-    n = int(rng.integers(1, 4))
+    n = rng.integers(1, 4)
     f = sampling.random_expr(rng, n)
     g = sampling.random_expr(rng, n)
-    lam = float(rng.uniform(-2.0, 2.0))
+    lam = rng.uniform(-2.0, 2.0)
     point = sampling.random_point(rng, algebra, n)
     rec.inputs = {"f": to_string(f), "g": to_string(g), "algebra": algebra.describe()}
     fv = eval_weil(f, point)
@@ -289,7 +285,7 @@ def _suite_field_prolong(rng, rec):
     """Prolonged fields: the defining equation, derivation law, additivity,
     the module law, and the linear-endomorphism law."""
     algebra = sampling.random_algebra(rng)
-    n = int(rng.integers(1, 4))
+    n = rng.integers(1, 4)
     theta = sampling.random_field(rng, n)
     eta = sampling.random_field(rng, n)
     f = sampling.random_expr(rng, n)
@@ -345,7 +341,7 @@ def _suite_field_prolong(rng, rec):
 def _suite_bracket_prolong(rng, rec):
     """Prolongation commutes with the field bracket."""
     algebra = sampling.random_algebra(rng)
-    n = int(rng.integers(1, 4))
+    n = rng.integers(1, 4)
     theta1 = sampling.random_field(rng, n)
     theta2 = sampling.random_field(rng, n)
     f = sampling.random_expr(rng, n)
@@ -367,7 +363,7 @@ def _suite_cartan(rng, rec):
     """Interior product, Lie derivative, and exterior derivative identities,
     each checked once per trial."""
     algebra = sampling.random_algebra(rng)
-    n = int(rng.integers(2, 4))
+    n = rng.integers(2, 4)
     theta = sampling.random_field(rng, n)
     point = sampling.random_point(rng, algebra, n)
     d_a = prolong_field(theta, algebra)

@@ -1,17 +1,18 @@
 """Seeded random inputs for the check suites.
 
-All randomness flows through numpy's PCG64 so that every report is a pure
-function of (suite, seed, trials).  Sampling ranges follow one convention:
-chart coordinates uniform in [-1, 1], nilpotent coefficients uniform in
-[-0.5, 0.5].
+All randomness flows through ``_pcg64.PCG64``, a pure-Python replica of
+numpy's ``Generator(PCG64(seed))`` that matches it draw for draw, so that
+every report is a pure function of (suite, seed, trials).  Sampling ranges
+follow one convention: chart coordinates uniform in [-1, 1], nilpotent
+coefficients uniform in [-0.5, 0.5].
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache
-from typing import TYPE_CHECKING
 
+from ._pcg64 import PCG64
 from .algebra import (
     AlgebraPresentation,
     PRIMITIVES,
@@ -23,9 +24,6 @@ from .errors import WeilcError
 from .expr import Apply, ConstA, ConstR, Expr, Var, add, mul, power, sub
 from .forms import CoordForm
 from .prolongation import APoint, VectorField
-
-if TYPE_CHECKING:
-    import numpy as np
 
 CATALOG: tuple[tuple[str, AlgebraPresentation], ...] = (
     ("dual", AlgebraPresentation(("eps",), ((2,),))),
@@ -50,51 +48,47 @@ def catalog_algebra(name: str) -> WeilAlgebra:
     return build_algebra(dict(CATALOG)[name])
 
 
-def rng_for(seed: int) -> np.random.Generator:
+def rng_for(seed: int) -> PCG64:
     if seed < 0:
         raise WeilcError(f"seed {seed} is negative; seeds are integers >= 0")
-    # imported here, not at module level: only the seeded draws need numpy,
-    # and it would double the start-up of every weilc command
-    import numpy as np
-
-    return np.random.Generator(np.random.PCG64(seed))
+    return PCG64(seed)
 
 
 MAX_HEIGHT = 3  # of the algebras the suites draw
 MAX_EXTRA_TERMS = 3  # a random polynomial adds 1 to this many monomials to its first
 
 
-def random_algebra(rng: np.random.Generator) -> WeilAlgebra:
+def random_algebra(rng: PCG64) -> WeilAlgebra:
     names = [name for name, _ in CATALOG if catalog_algebra(name).height <= MAX_HEIGHT]
     return catalog_algebra(names[rng.integers(len(names))])
 
 
-def random_element(rng: np.random.Generator, algebra: WeilAlgebra) -> WeilElement:
+def random_element(rng: PCG64, algebra: WeilAlgebra) -> WeilElement:
     coeffs = rng.uniform(-0.5, 0.5, algebra.dim)
     coeffs[0] = rng.uniform(-1.0, 1.0)
     return algebra.element(coeffs)
 
 
-def random_point(rng: np.random.Generator, algebra: WeilAlgebra, n: int) -> APoint:
+def random_point(rng: PCG64, algebra: WeilAlgebra, n: int) -> APoint:
     return APoint(algebra, tuple(random_element(rng, algebra) for _ in range(n)))
 
 
-def random_monomial(rng: np.random.Generator, n: int, max_degree: int = 3) -> Expr:
-    degree = int(rng.integers(0, max_degree + 1))
+def random_monomial(rng: PCG64, n: int, max_degree: int = 3) -> Expr:
+    degree = rng.integers(0, max_degree + 1)
     out: Expr = ConstR(round(rng.uniform(-1.0, 1.0), 3))
     for _ in range(degree):
-        out = mul(out, Var(int(rng.integers(n))))
+        out = mul(out, Var(rng.integers(n)))
     return out
 
 
-def random_polynomial(rng: np.random.Generator, n: int, max_degree: int = 3) -> Expr:
+def random_polynomial(rng: PCG64, n: int, max_degree: int = 3) -> Expr:
     out = random_monomial(rng, n, max_degree)
-    for _ in range(int(rng.integers(1, MAX_EXTRA_TERMS + 1))):
+    for _ in range(rng.integers(1, MAX_EXTRA_TERMS + 1)):
         out = add(out, random_monomial(rng, n, max_degree))
     return out
 
 
-def random_field(rng: np.random.Generator, n: int) -> VectorField:
+def random_field(rng: PCG64, n: int) -> VectorField:
     """A base field with quadratic polynomial components."""
     return VectorField(tuple(random_polynomial(rng, n, max_degree=2) for _ in range(n)))
 
@@ -102,12 +96,12 @@ def random_field(rng: np.random.Generator, n: int) -> VectorField:
 _SAFE_FUNCTIONS = ("exp", "sin", "cos")
 
 
-def random_expr(rng: np.random.Generator, n: int, depth: int = 4) -> Expr:
+def random_expr(rng: PCG64, n: int, depth: int = 4) -> Expr:
     """A depth-bounded polynomial/elementary expression over exp, sin and cos;
     exp of nested powers can overflow on [-1,1]^n (DomainError)."""
     if depth <= 0:
         if rng.random() < 0.6:
-            return Var(int(rng.integers(n)))
+            return Var(rng.integers(n))
         return ConstR(round(rng.uniform(-1.0, 1.0), 3))
     roll = rng.random()
     if roll < 0.25:
@@ -119,11 +113,11 @@ def random_expr(rng: np.random.Generator, n: int, depth: int = 4) -> Expr:
     if roll < 0.85:
         name = _SAFE_FUNCTIONS[rng.integers(len(_SAFE_FUNCTIONS))]
         return Apply(PRIMITIVES[name], random_expr(rng, n, depth - 1))
-    return power(random_expr(rng, n, depth - 1), int(rng.integers(2, 4)))
+    return power(random_expr(rng, n, depth - 1), rng.integers(2, 4))
 
 
 def random_expr_with_consta(
-    rng: np.random.Generator, n: int, algebra: WeilAlgebra, depth: int = 3
+    rng: PCG64, n: int, algebra: WeilAlgebra, depth: int = 3
 ) -> Expr:
     """Like random_expr but mixing in algebra constants (A-linear combos)."""
     base = random_expr(rng, n, depth)
@@ -132,7 +126,7 @@ def random_expr_with_consta(
 
 
 def random_one_form(
-    rng: np.random.Generator,
+    rng: PCG64,
     n: int,
     algebra: WeilAlgebra | None,
     with_consta: bool = False,

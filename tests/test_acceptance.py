@@ -84,7 +84,7 @@ def test_criterion_2_taylor_lift_oracle_agreement():
             algebra = jets(h)
             point = APoint(algebra, (algebra.from_real(r) + algebra.generator("t"),))
             value = eval_weil(Apply(PRIMITIVES[name], Var(0)), point)
-            oracle = taylor_coeffs(handle, r, h)
+            oracle = np.array(taylor_coeffs(handle, r, h))
             gap = float(
                 np.max(np.abs(value.coeffs - oracle) / (1.0 + np.abs(oracle)))
             )

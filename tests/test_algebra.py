@@ -1,8 +1,11 @@
 """Algebra construction, ring arithmetic, lifts, and morphisms."""
 
 import copy
+import functools
 import math
+import operator
 import random
+import re
 from itertools import combinations_with_replacement, product
 
 import mpmath
@@ -25,7 +28,9 @@ from weilc import (
 )
 from weilc.algebra import (
     _CHUNK,
+    _close,
     _compile,
+    _matvec,
     _sqrt_derivs,
     _tan_derivs,
     apply_linear,
@@ -487,7 +492,7 @@ class TestTaylorLift:
         A = dual_numbers()
         a = A.from_real(1) + A.generator("eps")
         lifted = taylor_lift(PRIMITIVES["exp"], a)
-        oracle = taylor_coeffs(mpmath.exp, 1.0, 1)
+        oracle = np.array(taylor_coeffs(mpmath.exp, 1.0, 1))
         assert np.all(np.abs(lifted.coeffs - oracle) <= 1e-9 * (1 + np.abs(oracle)))
         assert abs(lifted.coeffs[0] - 2.718281828459045) <= 1e-9
 
@@ -534,7 +539,7 @@ class TestTaylorLift:
             r = float(rng.uniform(low, 2.0))
             A = jets(h)
             lifted = taylor_lift(PRIMITIVES[name], A.from_real(r) + A.generator("t"))
-            oracle = taylor_coeffs(fn, r, h)
+            oracle = np.array(taylor_coeffs(fn, r, h))
             assert np.all(
                 np.abs(lifted.coeffs - oracle) <= 1e-6 * (1 + np.abs(oracle))
             )
@@ -623,6 +628,53 @@ class TestMorphisms:
         A = dual_numbers()
         with pytest.raises(AlgebraMismatch):
             apply_linear(np.eye(3), A.unit())
+
+    @pytest.mark.parametrize(
+        "matrix, shape",
+        [([[1.0, 0.0], [0.0]], "(2, ragged)"), ([[1.0], [0.0, 1.0]], "(2, ragged)"),
+         ([[1, 0, 0], [0, 1, 0]], "(2, 3)"), ([[1.0, 0.0]], "(1, 2)"), ([], "(0, 0)"),
+         ([1.0, 0.0], "()"), (2.0, "()"), (["10", "01"], "()"),
+         ([[1.0, 0.0], [0.0, "1"]], "()"), ([[1.0, 0.0], [0.0, None]], "()")],
+        ids=["ragged-short", "ragged-long", "wide", "one-row", "empty", "flat", "scalar",
+             "string-rows", "string-entry", "none-entry"],
+    )
+    def test_a_matrix_of_the_wrong_shape_is_refused(self, matrix, shape):
+        A, shape = dual_numbers(), re.escape(shape)
+        with pytest.raises(NotMorphism, match=fr"^matrix shape {shape}, expected \(2, 2\)$"):
+            validate_morphism(A, A, matrix)
+        with pytest.raises(AlgebraMismatch, match=fr"^endomorphism matrix {shape} does not fit dim 2$"):
+            apply_linear(matrix, A.unit())
+
+    def test_the_matrix_is_kept_as_float_rows(self):
+        matrix = np.array([[1, 0, 0], [0, 1, 0]])
+        morphism = validate_morphism(jets(2, "x"), dual_numbers(), matrix)
+        assert morphism.matrix == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+        assert all(type(x) is float for row in morphism.matrix for x in row)
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_a_nan_at_any_position_is_no_match(self, slot):
+        # max() over the differences would skip a NaN after the first entry
+        lhs = [0.0, 0.0, 0.0]
+        lhs[slot] = math.nan
+        assert not _close(lhs, [0.0, 0.0, 0.0])
+        assert not _close([0.0, 0.0, 0.0], lhs)
+        assert _close([0.0, 1e-13, -1e-12], [0.0, 0.0, 0.0])
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_matvec_sums_left_to_right_from_zero(self, rows, cols, data):
+        entry = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e-300, 1e300]))
+        matrix = tuple(tuple(data.draw(st.lists(entry, min_size=cols, max_size=cols)))
+                       for _ in range(rows))
+        v = data.draw(st.lists(entry, min_size=cols, max_size=cols))
+        expected = [functools.reduce(operator.add, map(operator.mul, row, v), 0.0)
+                    for row in matrix]
+        assert [x.hex() for x in _matvec(matrix, v)] == [x.hex() for x in expected]
+
+    def test_matvec_is_not_a_fused_or_exact_sum(self):
+        # left to right: 1 + 1e-16 rounds back to 1, and 1 - 1 leaves 0; an
+        # exact sum would give 1e-16, and -0.0 * 1 added to 0.0 is +0.0
+        assert _matvec(((1.0, 1e-16, -1.0),), [1.0, 1.0, 1.0]) == [0.0]
+        assert math.copysign(1.0, _matvec(((-0.0,),), [1.0])[0]) == 1.0
 
 
 class TestRendering:

@@ -656,11 +656,23 @@ def _fresh_python(code: str) -> str:
 
 @pytest.mark.parametrize("module", ["mpmath", "numpy", "yaml"])
 def test_start_up_leaves_module_unloaded(module):
-    # mpmath serves the finite-difference oracle, numpy the seeded draws, the
-    # morphism matrices and the oracle, yaml the config load; importing the
-    # package and its CLI loads none of them
+    # mpmath serves the finite-difference oracle, numpy only the tests, yaml
+    # the config load; importing the package and its CLI loads none of them
     code = f"import sys, weilc, weilc.cli; print({module!r} in sys.modules)"
     assert _fresh_python(code).strip() == "False"
+
+
+def test_every_module_imports_with_numpy_and_mpmath_blocked():
+    # numpy and mpmath are test dependencies; a None entry in sys.modules
+    # makes any import of them fail
+    code = (
+        "import sys, importlib, pkgutil; sys.modules['numpy'] = sys.modules['mpmath'] = None; "
+        "import weilc; "
+        "print(sorted(m.name for m in pkgutil.iter_modules(weilc.__path__) "
+        "if importlib.import_module('weilc.' + m.name)))"
+    )
+    names = _fresh_python(code).strip()
+    assert "'_pcg64'" in names and "'sampling'" in names and "'oracle'" in names
 
 
 @pytest.mark.parametrize(
@@ -672,17 +684,44 @@ def test_start_up_leaves_module_unloaded(module):
          "--point", "[[1, 1], [0.5, 0]]"],
         ["prolong", "rotation", "g", "--algebra", "jets2",
          "--point", "[[1, 1, 0], [0.5, 0, 1]]"],
+        ["check", "field_prolong", "--trials", "2"],
     ],
     ids=lambda argv: argv[0],
 )
 def test_a_command_without_draws_leaves_numpy_unloaded(argv):
-    # only check draws at random, so only check needs numpy
+    # no command loads numpy or mpmath: check draws from the pure-Python PCG64
     code = (
         "import sys; from weilc import cli; "
         f"code = cli.main({['--config', EXAMPLE, *argv]!r}); "
-        "print(code, 'numpy' in sys.modules)"
+        "print(code, 'numpy' in sys.modules, 'mpmath' in sys.modules)"
     )
-    assert _fresh_python(code).splitlines()[-1] == "0 False"
+    assert _fresh_python(code).splitlines()[-1] == "0 False False"
+
+
+GOLDEN = Path(__file__).resolve().parent / "data"
+CHART3 = str(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "chart3.yaml")
+BLOCKED_RUNS = [(suite, EXAMPLE, [suite], 0) for suite in
+                ("hom_laws", "field_prolong", "bracket_prolong", "cartan", "poisson_full")] + [
+    (f"poisson_full_{pi}_jet2", CHART3, ["poisson_full", "--pi", pi, "--algebra", "jet2"], code)
+    for pi, code in (("so3", 0), ("shifted3", 4))
+]
+
+
+@pytest.mark.parametrize("name, config, args, exit_code", BLOCKED_RUNS,
+                         ids=[run[0] for run in BLOCKED_RUNS])
+def test_check_runs_with_numpy_and_mpmath_blocked(tmp_path, name, config, args, exit_code):
+    # a None entry in sys.modules makes any import of the module fail, so the
+    # report, byte for byte the golden one, comes from weilc alone; shifted3
+    # is not Poisson and fails
+    out = tmp_path / f"{name}.json"
+    argv = ["--config", config, "check", *args, "--seed", "42", "--trials", "10",
+            "--json", str(out)]
+    code = (
+        "import sys; sys.modules['numpy'] = sys.modules['mpmath'] = None; "
+        f"from weilc import cli; print(cli.main({argv!r}))"
+    )
+    assert _fresh_python(code).splitlines()[-1] == str(exit_code)
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def test_a_nan_residual_never_passes(config2, tmp_path, monkeypatch, capsys):

@@ -303,7 +303,7 @@ class TestEvalWeil:
         A = jets(2)
         xi = APoint(A, (A.from_real(0.7) + A.generator("t"),))
         value = eval_weil(parse("sin(x1)", 1), xi)
-        oracle = taylor_coeffs(mpmath.sin, 0.7, 2)
+        oracle = np.array(taylor_coeffs(mpmath.sin, 0.7, 2))
         assert np.all(np.abs(value.coeffs - oracle) <= 1e-9 * (1 + np.abs(oracle)))
         closed = np.array([math.sin(0.7), math.cos(0.7), -math.sin(0.7) / 2])
         assert np.all(np.abs(value.coeffs - closed) <= 1e-9)
@@ -313,6 +313,18 @@ class TestEvalWeil:
         xi = APoint(B, (B.unit(),))
         with pytest.raises(AlgebraMismatch):
             eval_weil(Mul(ConstA(A.generator("eps")), Var(0)), xi)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: APoint(dual_numbers(), (0.5,)),
+         lambda: APoint(dual_numbers(), (dual_numbers().unit(), 0.5)),
+         lambda: eval_weil(Var(0), (0.5,)),
+         lambda: eval_weil(Var(0), (0.5,), dual_numbers())],
+        ids=["apoint", "apoint-second", "eval_weil", "eval_weil-with-algebra"],
+    )
+    def test_a_coordinate_that_is_not_a_weil_element_is_refused(self, make):
+        with pytest.raises(AlgebraMismatch, match="point coordinate 0.5 is not a Weil element"):
+            make()
 
     def test_division_needs_invertible_denominator(self):
         A = dual_numbers()

@@ -38,11 +38,11 @@ class TestWeights:
 
 class TestTaylorCoeffs:
     def test_exp_at_zero(self):
-        coeffs = taylor_coeffs(mpmath.exp, 0.0, 2)
+        coeffs = np.array(taylor_coeffs(mpmath.exp, 0.0, 2))
         assert np.all(np.abs(coeffs - [1.0, 1.0, 0.5]) <= 1e-6)
 
     def test_cubic_polynomial(self):
-        coeffs = taylor_coeffs(lambda x: x**3, 1.0, 3)
+        coeffs = np.array(taylor_coeffs(lambda x: x**3, 1.0, 3))
         assert np.all(np.abs(coeffs - [1.0, 3.0, 3.0, 1.0]) <= 1e-6)
 
     def test_polynomial_self_consistency(self):
@@ -52,7 +52,7 @@ class TestTaylorCoeffs:
             c = rng.uniform(-2, 2, 5)
             f = lambda x: c[0] + c[1] * x + c[2] * x**2 + c[3] * x**3 + c[4] * x**4
             r = float(rng.uniform(-1, 1))
-            coeffs = taylor_coeffs(f, r, 4)
+            coeffs = np.array(taylor_coeffs(f, r, 4))
             expected = [
                 f(r),
                 c[1] + 2 * c[2] * r + 3 * c[3] * r**2 + 4 * c[4] * r**3,

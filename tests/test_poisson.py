@@ -186,6 +186,15 @@ class TestJacobiCheck:
         assert report.passed and report.trials == 0
         assert report.warning is not None
 
+    def test_witness_point_prints_plain_floats(self):
+        # shifted3, {x1,x2} = 1, {x2,x3} = x2: the coordinate Jacobiator is 1
+        pi = PoissonStructure(3, {(0, 1): parse("1", 3), (1, 2): parse("x2", 3)})
+        report = jacobi_check(pi, trials=2, tol=1e-9, seed=42)
+        assert [w.inputs["point"] for w in report.witnesses] == [
+            "[0.547912, -0.122243, 0.717196]",
+            "[0.394736, -0.811645, 0.951245]",
+        ]
+
 
 class TestHamiltonianField:
     def test_coordinate_function(self, canonical):
