@@ -14,12 +14,15 @@ The plan is the algebra's only record of its products.  ``_compile`` turns
 a plan into straight-line code that unpacks both arguments into locals and
 sums each output slot from +0.0 in that fixed order; an off-diagonal
 triple adds a_i b_j + a_j b_i in one step, so a*b and b*a agree bit for
-bit.  Taylor lifts keep the powers of the nilpotent part inside the
-maximal ideal, through a second kernel compiled from the triples with
-i > 0; the terms it leaves out are exact zeros, so the lift equals the
-full-plan Taylor sum bit for bit whenever it is finite, and a lift with a
-non-finite coefficient raises DomainError.  The derivative polynomials of
-tan are built once per order.
+bit.  A Taylor lift runs the algebra's second kernel, ``_compile_lift``'s,
+which holds the whole power loop: it takes each power of the nilpotent
+part from the triples with i > 0, so the powers stay in the maximal
+ideal, and adds each to the sum with its Taylor coefficient.  The loop is
+not unrolled, so the kernel does not grow with the height.  The terms it
+leaves out are exact zeros, so the lift equals the full-plan Taylor sum
+bit for bit whenever it is finite, and a lift with a non-finite
+coefficient raises DomainError.  The derivative polynomials of tan are
+built once per order.
 
 Evaluation runs on coefficient lists: the lift (``_lift``) and the power
 loop (``_power``) take and return lists, and ``expr.eval_weil`` calls them
@@ -143,8 +146,8 @@ class WeilAlgebra:
         self.product_plan: tuple[tuple[int, int, int], ...] = tuple(plan)
         self._index = index
         self._mul = _compile(self.product_plan, self.dim)
-        # products of two elements of the maximal ideal, for Taylor lifts
-        self._ideal_mul = _compile(
+        # the powers of a Taylor lift stay in the maximal ideal
+        self._lift_sum = _compile_lift(
             tuple(t for t in self.product_plan if t[0] > 0), self.dim
         )
 
@@ -229,32 +232,90 @@ def jets(order: int, name: str = "t") -> WeilAlgebra:
 _CHUNK = 256
 
 
+def _slot_sums(
+    plan: tuple[tuple[int, int, int], ...], dim: int, a: str, b: str, out: str, indent: str
+) -> list[str]:
+    """Statements that set out0 .. out<dim-1> to the slots of a*b over a plan.
+
+    Slot k is ``0.0 + t1 + t2 + ...`` with its terms in plan order: a_i b_i
+    for a diagonal triple, (a_i b_j + a_j b_i) for an off-diagonal one, read
+    from the locals a0, b0, ...; a slot longer than _CHUNK terms continues in
+    further statements.
+    """
+    terms: list[list[str]] = [[] for _ in range(dim)]
+    for i, j, k in plan:
+        terms[k].append(f"{a}{i}*{b}{i}" if i == j else f"({a}{i}*{b}{j} + {a}{j}*{b}{i})")
+    lines = []
+    for k, slot in enumerate(terms):
+        lines.append(f"{indent}{out}{k} = " + " + ".join(["0.0", *slot[:_CHUNK]]))
+        for start in range(_CHUNK, len(slot), _CHUNK):
+            chunk = slot[start : start + _CHUNK]
+            lines.append(f"{indent}{out}{k} = " + " + ".join([f"{out}{k}", *chunk]))
+    return lines
+
+
+def _build(name: str, lines: list[str]) -> Callable:
+    """The function ``name`` that the generated source lines define."""
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace[name]
+
+
+def _names(prefix: str, dim: int) -> str:
+    """The tuple text 'prefix0, prefix1, ..., ' of dim locals."""
+    return "".join(f"{prefix}{k}, " for k in range(dim))
+
+
 @lru_cache(maxsize=None)
 def _compile(
     plan: tuple[tuple[int, int, int], ...], dim: int
 ) -> Callable[[list[float], list[float]], list[float]]:
     """Straight-line code for the coefficient list of a*b over a plan.
 
-    Slot k is ``0.0 + t1 + t2 + ...`` with its terms in plan order: a_i b_i
-    for a diagonal triple, (a_i b_j + a_j b_i) for an off-diagonal one, read
-    from locals that a and b are unpacked into first.  The cache keeps one
-    kernel per plan across rebuilds of the same algebra.
+    The kernel unpacks a and b into locals and sums each slot as
+    ``_slot_sums`` writes it.  The cache keeps one kernel per plan across
+    rebuilds of the same algebra.
     """
-    terms: list[list[str]] = [[] for _ in range(dim)]
-    for i, j, k in plan:
-        terms[k].append(f"a{i}*b{i}" if i == j else f"(a{i}*b{j} + a{j}*b{i})")
     lines = ["def kernel(a, b):"]
-    for name in "ab":
-        lines.append("    " + "".join(f"{name}{k}, " for k in range(dim)) + f"= {name}")
-    for k, slot in enumerate(terms):
-        lines.append(f"    s{k} = " + " + ".join(["0.0", *slot[:_CHUNK]]))
-        for start in range(_CHUNK, len(slot), _CHUNK):
-            chunk = slot[start : start + _CHUNK]
-            lines.append(f"    s{k} = " + " + ".join([f"s{k}", *chunk]))
-    lines.append("    return [" + ", ".join(f"s{k}" for k in range(dim)) + "]")
-    namespace: dict = {}
-    exec("\n".join(lines), namespace)
-    return namespace["kernel"]
+    lines += [f"    {_names(name, dim)}= {name}" for name in "ab"]
+    lines += _slot_sums(plan, dim, "a", "b", "s", "    ")
+    lines.append("    return [" + _names("s", dim) + "]")
+    return _build("kernel", lines)
+
+
+@lru_cache(maxsize=None)
+def _compile_lift(
+    ideal_plan: tuple[tuple[int, int, int], ...], dim: int
+) -> Callable[[list[float], list, int], list[float]]:
+    """Straight-line code for the Taylor sum of a lift, its power loop inside.
+
+    ``lift(a, derivs, h)`` returns sum_j derivs[j] n^j / j! for j <= h, with
+    n the element a with slot 0 set to +0.0.  Each pass of the loop takes
+    the next power p = p*n over ``ideal_plan`` (the products of two
+    elements of the maximal ideal) as ``_slot_sums`` writes it, stops when
+    every slot of p is zero, and adds p * derivs[j]/j! to every slot of the
+    sum.  The loop is not unrolled, so the code does not grow with the
+    height.  The cache keeps one kernel per plan.
+    """
+    lines = [
+        "def lift(a, derivs, h):",
+        f"    {_names('n', dim)}= a",
+        "    n0 = 0.0",
+        f"    {_names('p', dim)}= {_names('n', dim)}",
+        f"    {_names('o', dim)}= float(derivs[0]), " + "0.0, " * (dim - 1),
+        "    f = 1.0",
+        "    for j in range(1, h + 1):",
+        "        if j > 1:",
+        *_slot_sums(ideal_plan, dim, "p", "n", "q", "            "),
+        f"            {_names('p', dim)}= {_names('q', dim)}",
+        "        if not (" + " or ".join(f"p{k}" for k in range(dim)) + "):",
+        "            break",
+        "        f *= j",
+        "        s = derivs[j] / f",
+        *(f"        o{k} = o{k} + p{k}*s" for k in range(dim)),
+        "    return [" + _names("o", dim) + "]",
+    ]
+    return _build("lift", lines)
 
 
 class WeilElement:
@@ -269,9 +330,6 @@ class WeilElement:
     @property
     def real(self) -> float:
         return self.coeffs[0]
-
-    def nilpotent_part(self) -> "WeilElement":
-        return WeilElement(self.algebra, [0.0, *self.coeffs[1:]])
 
     def _coerce(self, other) -> "WeilElement | None":
         if isinstance(other, WeilElement):
@@ -346,10 +404,6 @@ class WeilElement:
     def __hash__(self):
         # equal elements share the algebra, and float == agrees with hash
         return hash((id(self.algebra), tuple(self.coeffs)))
-
-    def allclose(self, other: "WeilElement", tol: float = 1e-9) -> bool:
-        o = self._coerce(other)
-        return all(abs(x - y) <= tol for x, y in zip(self.coeffs, o.coeffs))
 
     def __repr__(self):
         return render_element(self)
@@ -507,18 +561,7 @@ def _lift(prim: PrimitiveFn, algebra: WeilAlgebra, a: list[float]) -> list[float
     except (ValueError, ZeroDivisionError) as exc:
         # sin(inf), or 1/r^(j+1) when r^(j+1) underflows to zero
         raise DomainError(f"{prim.name} derivatives undefined at {r}") from exc
-    n = [0.0, *a[1:]]
-    out = [float(derivs[0])] + [0.0] * (algebra.dim - 1)
-    power = n
-    factorial = 1.0
-    for j in range(1, h + 1):
-        if j > 1:
-            power = algebra._ideal_mul(power, n)
-        if not any(power):
-            break
-        factorial *= j
-        scale = derivs[j] / factorial
-        out = [o + p * scale for o, p in zip(out, power)]
+    out = algebra._lift_sum(a, derivs, h)
     if not all(map(math.isfinite, out)):
         raise DomainError(f"{prim.name} lift at {r} is not finite")
     return out

@@ -125,7 +125,13 @@ def taylor_coeffs(f: Callable, r: float, h: int) -> list[float]:
         raise DomainError(f"oracle order {h} outside 0..6")
     # imported here, not at module level: only this oracle uses mpmath, a test
     # dependency, and it would add to the start-up of every weilc command
-    import mpmath as mp
+    try:
+        import mpmath as mp
+    except ImportError as exc:
+        raise WeilcError(
+            "taylor_coeffs needs mpmath, from weilc's test extra: "
+            "pip install 'weilc[test]'"
+        ) from exc
 
     acc = h + 2 + h % 2
     out = [0.0] * (h + 1)

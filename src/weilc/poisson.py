@@ -24,7 +24,7 @@ from functools import partial
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
-from .algebra import WeilAlgebra, WeilElement, augmentation
+from .algebra import WeilAlgebra, WeilElement, augmentation, monomial_name
 from .errors import (
     DegreeError,
     DimensionMismatch,
@@ -148,6 +148,11 @@ class _Recorder:
         )
 
 
+def _require_tol(tol: float):
+    if not tol >= 0:
+        raise WeilcError(f"tolerance {tol} is negative or NaN; use 0 or more")
+
+
 def _run_trials(
     suite: str, seed: int, trials: int, tol: float, trial: Callable[..., None]
 ) -> CheckReport:
@@ -159,8 +164,7 @@ def _run_trials(
     before the error stays.  After more than ``trials`` redraws the error
     propagates.  A negative or NaN ``tol`` is a usage error.
     """
-    if not tol >= 0:
-        raise WeilcError(f"tolerance {tol} is negative or NaN; use 0 or more")
+    _require_tol(tol)
     rng = sampling.rng_for(seed)
     if trials < 1:
         return CheckReport(suite, seed, 0, tol, 0.0, True,
@@ -289,9 +293,17 @@ def jacobi_check(
 
     The Jacobiator is a trivector, the Schouten bracket [pi, pi], so it
     vanishes exactly when it does on every triple x_i, x_j, x_k with
-    i < j < k.  Those C(n, 3) Jacobiators are built once, and each trial
-    evaluates all of them at one uniform point of [-1,1]^n.
+    i < j < k.  Those C(n, 3) Jacobiators are built once.  When every one
+    expands as a polynomial (``oracle.poly_coeffs_exact``), the verdict is
+    exact: a non-zero coefficient fails whatever ``tol`` is,
+    ``max_residual`` is the largest |coefficient|, and each failing triple
+    is a witness with its largest monomial.  Otherwise each trial evaluates
+    all of them at one uniform point of [-1,1]^n.  Fewer than one trial is
+    a vacuous pass either way, as for every check.
     """
+    # imported here: oracle imports this module
+    from .oracle import poly_coeffs_exact
+
     jacobiators = []
     for triple in combinations(range(pi.dim), 3):
         f, g, h = (Var(i) for i in triple)
@@ -309,7 +321,32 @@ def jacobi_check(
             rec.inputs = {**names, "point": shown}
             rec.check("jacobi", abs(eval_real(jacobiator, point)))
 
-    return _run_trials("jacobi", seed, trials, tol, trial)
+    try:
+        expansions = [poly_coeffs_exact(j, pi.dim) for j, _ in jacobiators]
+    except (ValueError, OverflowError):  # not a polynomial, or an inf or NaN constant
+        expansions = None
+    if expansions is None or trials < 1:
+        return _run_trials("jacobi", seed, trials, tol, trial)
+    _require_tol(tol)
+    variables = [to_string(Var(i)) for i in range(pi.dim)]
+    worst = 0.0
+    witnesses = []
+    for coeffs, (_, names) in zip(expansions, jacobiators):
+        if not coeffs:
+            continue
+        monomial, c = max(coeffs.items(), key=lambda item: abs(item[1]))
+        try:
+            residual = float(abs(c))
+        except OverflowError:
+            residual = math.inf
+        worst = max(worst, residual)
+        if len(witnesses) < MAX_WITNESSES:
+            inputs = {"check": "jacobi", **names,
+                      "monomial": monomial_name(monomial, variables)}
+            witnesses.append(Witness(inputs, residual))
+    # a coefficient below the smallest float still fails
+    passed = not any(expansions)
+    return CheckReport("jacobi", seed, trials, tol, worst, passed, tuple(witnesses))
 
 
 # -- prolonged operations -------------------------------------------------------------

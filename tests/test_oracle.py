@@ -1,5 +1,7 @@
 """Finite-difference oracle, exact polynomial expansion, suite registry."""
 
+import math
+import sys
 import time
 from fractions import Fraction
 
@@ -71,6 +73,11 @@ class TestTaylorCoeffs:
     def test_reciprocal_near_zero(self):
         with pytest.raises(DomainError):
             taylor_coeffs(lambda x: 1 / x, 0.0, 1)
+
+    def test_without_mpmath_names_the_test_extra(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "mpmath", None)
+        with pytest.raises(WeilcError, match=r"weilc\[test\]"):
+            taylor_coeffs(math.exp, 0.0, 2)
 
     def test_order_limit(self):
         for h in (7, -1):

@@ -61,6 +61,13 @@ from weilc.sampling import (
 )
 
 
+def allclose(a, b, tol):
+    """Same algebra, and every coefficient within tol; a NaN matches nothing."""
+    return a.algebra is b.algebra and all(
+        abs(x - y) <= tol for x, y in zip(a.coeffs, b.coeffs)
+    )
+
+
 def real_point(algebra, xs):
     return APoint(algebra, tuple(algebra.from_real(x) for x in xs))
 
@@ -168,9 +175,20 @@ class TestJacobiCheck:
         coeffs = poly_coeffs_exact(jac, 3)
         assert coeffs == {(1, 1, 0): Fraction(0.2)}
 
-    def test_witnesses_are_coordinate_triples(self):
-        report = jacobi_check(perturbed_so3(), trials=5, tol=1e-9, seed=2)
-        assert len(report.witnesses) == 5
+    @pytest.mark.parametrize("perturbation, count", [("x1^2", 1), ("exp(x1)", 5)])
+    def test_witnesses_are_coordinate_triples(self, perturbation, count):
+        # exact for a polynomial bivector: one witness per failing triple;
+        # sampled otherwise: one per trial
+        pi = PoissonStructure(
+            3,
+            {
+                (0, 1): parse(f"x3 + 0.1*{perturbation}", 3),
+                (1, 2): parse("x1", 3),
+                (0, 2): parse("-x2", 3),
+            },
+        )
+        report = jacobi_check(pi, trials=5, tol=1e-9, seed=2)
+        assert len(report.witnesses) == count
         assert {(w.inputs["f"], w.inputs["g"], w.inputs["h"]) for w in report.witnesses} == {
             ("x1", "x2", "x3")
         }
@@ -187,13 +205,62 @@ class TestJacobiCheck:
         assert report.warning is not None
 
     def test_witness_point_prints_plain_floats(self):
-        # shifted3, {x1,x2} = 1, {x2,x3} = x2: the coordinate Jacobiator is 1
-        pi = PoissonStructure(3, {(0, 1): parse("1", 3), (1, 2): parse("x2", 3)})
+        # {x1,x2} = 1, {x2,x3} = exp(x2): the coordinate Jacobiator exp(x2) is
+        # not a polynomial, so the check samples it
+        pi = PoissonStructure(3, {(0, 1): parse("1", 3), (1, 2): parse("exp(x2)", 3)})
         report = jacobi_check(pi, trials=2, tol=1e-9, seed=42)
         assert [w.inputs["point"] for w in report.witnesses] == [
             "[0.547912, -0.122243, 0.717196]",
             "[0.394736, -0.811645, 0.951245]",
         ]
+
+    @pytest.mark.parametrize(
+        "name, residual",
+        [("tiny", 1e-12), ("shifted3", 1.0), ("so3", 0.0), ("canonical", 0.0),
+         ("quadratic", 0.0)],
+    )
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1.0])
+    def test_polynomial_bivectors_are_decided_exactly(self, name, residual, tol):
+        # tiny's coordinate Jacobiator is the constant 1e-12: no tolerance
+        # passes it, where sampling passed it at 1e-9
+        pi = {
+            "tiny": lambda: PoissonStructure(
+                3, {(0, 1): parse("1", 3), (1, 2): parse("1e-12*x2", 3)}
+            ),
+            "shifted3": STRUCTURES["shifted3"],
+            "so3": so3_structure,
+            "canonical": lambda: canonical_structure(2),
+            "quadratic": lambda: PoissonStructure(3, {(0, 1): parse("1 + x3^2", 3)}),
+        }[name]()
+        report = jacobi_check(pi, trials=100, tol=tol, seed=42)
+        assert report.passed == (residual == 0.0)
+        assert report.max_residual == residual
+        assert set(report.to_dict()) == {
+            "suite", "seed", "trials", "max_residual", "pass", "witnesses"
+        }
+        if residual:
+            (witness,) = report.witnesses
+            assert witness.inputs == {
+                "check": "jacobi", "f": "x1", "g": "x2", "h": "x3", "monomial": "1"
+            }
+            assert witness.residual == residual
+
+    @pytest.mark.parametrize("scale, residual", [("1e200", math.inf), ("1e-200", 0.0)])
+    def test_exact_coefficients_beyond_the_float_range_fail(self, scale, residual):
+        # the Jacobiator is 0.2 * scale^2 * x1*x2 exactly, above or below
+        # every float
+        pi = PoissonStructure(
+            3,
+            {
+                (0, 1): parse(f"{scale}*x3 + {scale}*x1^2", 3),
+                (1, 2): parse(f"{scale}*x1", 3),
+                (0, 2): parse(f"-{scale}*x2", 3),
+            },
+        )
+        report = jacobi_check(pi, trials=5, tol=1e-9, seed=2)
+        assert not report.passed
+        assert report.max_residual == residual
+        assert report.witnesses[0].inputs["monomial"] == "x1*x2"
 
 
 class TestHamiltonianField:
@@ -250,9 +317,9 @@ class TestProlongedOperations:
         via_ad = ad_prolong(canonical, AFunction(f, 2, dual))
         via_base = prolong_field(hamiltonian_field(canonical, f), dual)
         probe = AFunction(Var(0), 2, dual)
-        assert via_ad.apply_at(probe, xi).allclose(via_base.apply_at(probe, xi), 1e-12)
+        assert allclose(via_ad.apply_at(probe, xi), via_base.apply_at(probe, xi), 1e-12)
         # frozen: {p^2/2, q} = -p evaluated at p = 2 + eps
-        assert via_ad.apply_at(probe, xi).allclose(dual.element([-2, -1]), 1e-12)
+        assert allclose(via_ad.apply_at(probe, xi), dual.element([-2, -1]), 1e-12)
 
     def test_ad_is_derivation(self, canonical, dual):
         rng = rng_for(6)
@@ -266,7 +333,7 @@ class TestProlongedOperations:
             rhs = field.apply_at(psi1, xi) * psi2(xi) + psi1(xi) * field.apply_at(
                 psi2, xi
             )
-            assert lhs.allclose(rhs, 1e-9)
+            assert allclose(lhs, rhs, 1e-9)
 
 
 class TestProlongBracket:
@@ -302,7 +369,7 @@ class TestProlongBracket:
                 canonical, AFunction(f, 2, dual), AFunction(g, 2, dual)
             )(xi)
             base = eval_weil(bracket(canonical, f, g), xi)
-            assert lifted.allclose(base, 1e-9)
+            assert allclose(lifted, base, 1e-9)
 
     def test_mismatched_algebras(self, canonical, dual):
         other = jets(2)
@@ -342,7 +409,7 @@ class TestOmega:
             xi = random_point(rng, dual, 2)
             via_form = -omega_prolonged(canonical, delta(phi), delta(psi))(xi)
             via_bracket = prolong_bracket(canonical, phi, psi)(xi)
-            assert via_form.allclose(via_bracket, 1e-12)
+            assert allclose(via_form, via_bracket, 1e-12)
 
     def test_ad_tilde_consistency(self, canonical, dual):
         phi = AFunction(parse("x1*x2", 2), 2, dual)
@@ -352,8 +419,8 @@ class TestOmega:
         probe = AFunction(parse("x1^2 + x2", 2), 2, dual)
         for _ in range(5):
             xi = random_point(rng, dual, 2)
-            assert field_a.apply_at(probe, xi).allclose(
-                field_b.apply_at(probe, xi), 1e-12
+            assert allclose(
+                field_a.apply_at(probe, xi), field_b.apply_at(probe, xi), 1e-12
             )
 
 
