@@ -165,6 +165,8 @@ def load_config(path: str) -> ProjectConfig:
             raise ConfigError(f"suites settings: {key} must be {kind}, got {value!r}")
     if seed < 0:
         raise ConfigError(f"suites settings: seed {seed} is negative")
+    if trials < 0:
+        raise ConfigError(f"suites settings: trials {trials} is negative")
     if not tol >= 0:
         raise ConfigError(f"suites settings: tol {tol} is negative or NaN")
     cfg.suites = SuiteSettings(seed, trials, float(tol))

@@ -18,7 +18,9 @@ Weil evaluation: bare coordinates become one where they come in, at
 ``eval_real``, ``to_string``) visit a shared subexpression once per call: a
 memo keyed by node identity, and dropped when the call returns, holds each
 node's first result.  The visiting order is that of the tree walk, so
-results and the first error raised are the same.
+results and the first error raised are the same.  ``parse`` keeps a per-call
+memo too, keyed by the tokens of each parenthesized group or call argument:
+a repeated group is one node, so a printed DAG parses back as a DAG.
 
 Each operand rule of the package is stated here once, and reads the facts
 each node holds (see ``Expr``) instead of walking a tree: ``on_chart``, the
@@ -31,6 +33,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, fields
+from itertools import accumulate, repeat
 from typing import Iterable, Sequence
 
 from .algebra import (
@@ -693,6 +696,9 @@ _STRAY = re.compile(r"[^0-9A-Za-z_+\-*/^()]|\.")
 
 _VAR = re.compile(r"x([1-9]\d*)$")
 
+# what a token adds to the parentheses open
+_PAREN = {"(": 1, ")": -1}
+
 # the binary operators: precedence and node
 _BINARY = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
 
@@ -742,12 +748,22 @@ def parse(text: str, n: int) -> Expr:
     MAX_EXPONENT.
 
     All the tokens are taken at once; one precedence loop builds the tree,
-    and an error's position is found only when it is raised."""
+    and an error's position is found only when it is raised.  A group, the
+    text inside a parenthesis or a call, is parsed once per token text: a
+    later group with the same tokens is the same node, so a printed DAG
+    parses back as a DAG."""
     tokens = _TOKEN.findall(text)
     tokens.append("")  # the end of the text
+    # parentheses open after each token: a group's ")" is the first token
+    # after its "(" at which one fewer is open
+    opened = list(accumulate(map(_PAREN.get, tokens, repeat(0))))
     at = 0  # index of the next token
     nest = 0  # signs and parentheses open
+    peak = 0  # the deepest nest reached in the group being parsed
     leaves: dict[str, Expr] = {}  # each literal and variable, built once
+    # each group's tokens, joined by spaces (which no token holds): its node
+    # and the nesting within it
+    groups: dict[str | None, tuple[Expr, int]] = {}
 
     def binary(min_prec: int = 1) -> Expr:
         # a left-associated chain of the operators that bind at least min_prec
@@ -769,7 +785,7 @@ def parse(text: str, n: int) -> Expr:
     def prefix() -> Expr:
         # an operand: a literal, a variable, a parenthesis or a call, each with
         # its ^ suffixes, or a sign and its operand
-        nonlocal at, nest
+        nonlocal at, nest, peak
         token = tokens[at]
         at += 1
         e = leaves.get(token)
@@ -783,16 +799,36 @@ def parse(text: str, n: int) -> Expr:
                 if nest > MAX_DEPTH:
                     raise _error(text, at, f"expression nests deeper than {MAX_DEPTH}")
                 if token == "-":
+                    if nest > peak:
+                        peak = nest
                     e = prefix()
                     nest -= 1
                     # fold a sign applied directly to a literal, so that
                     # printed negative constants reparse to themselves
                     return ConstR(-e.value) if isinstance(e, ConstR) else Neg(e)
-                e = binary()
+                try:
+                    end = opened.index(opened[at - 1] - 1, at)
+                    key = " ".join(tokens[at:end])
+                except ValueError:  # never closed, so its parse raises
+                    key = None
+                group = groups.get(key)
+                outer = peak
+                # a seen group is reused where it nests within the bound;
+                # past it, it is parsed again, to raise where it would
+                if group is not None and nest + group[1] <= MAX_DEPTH:
+                    e, inner = group
+                    at = end + 1
+                    peak = nest + inner
+                else:
+                    peak = nest
+                    e = binary()
+                    if tokens[at] != ")":
+                        raise _error(text, at, "expected ')'")
+                    at += 1
+                    groups[key] = e, peak - nest
+                if outer > peak:
+                    peak = outer
                 nest -= 1
-                if tokens[at] != ")":
-                    raise _error(text, at, "expected ')'")
-                at += 1
                 if token != "(":
                     e = Apply(FUNCTIONS[token], e)
             else:
@@ -842,7 +878,12 @@ def parse(text: str, n: int) -> Expr:
             raise _error(text, k, f"unknown function {_quoted(token)}", UnknownSymbol)
         raise _error(text, k, f"unknown identifier {_quoted(token)}", UnknownSymbol)
 
-    e = binary()
+    try:
+        e = binary()
+    finally:
+        # the closures refer to themselves and to each other; unlinked, they
+        # and the memos go when the call returns, not at a cycle collection
+        binary = prefix = None
     if tokens[at]:
         raise _error(text, at, f"unexpected {_quoted(tokens[at])}")
     if e.facts[0] > MAX_DEPTH:

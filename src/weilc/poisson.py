@@ -157,14 +157,17 @@ def _run_trials(
     suite: str, seed: int, trials: int, tol: float, trial: Callable[..., None]
 ) -> CheckReport:
     """Run ``trial(rng, rec)`` ``trials`` times on one generator seeded by
-    ``seed``; fewer than one trial gives a vacuous pass with a warning.
+    ``seed``; zero trials give a vacuous pass with a warning.
 
     A trial that raises ``DomainError`` (a random expression left its
     domain) is drawn again from the same generator; what it recorded
     before the error stays.  After more than ``trials`` redraws the error
-    propagates.  A negative or NaN ``tol`` is a usage error.
+    propagates.  A negative or NaN ``tol``, or a negative ``trials``, is a
+    usage error.
     """
     _require_tol(tol)
+    if trials < 0:
+        raise WeilcError(f"trial count {trials} is negative; use 0 or more")
     rng = sampling.rng_for(seed)
     if trials < 1:
         return CheckReport(suite, seed, 0, tol, 0.0, True,
@@ -298,8 +301,8 @@ def jacobi_check(
     exact: a non-zero coefficient fails whatever ``tol`` is,
     ``max_residual`` is the largest |coefficient|, and each failing triple
     is a witness with its largest monomial.  Otherwise each trial evaluates
-    all of them at one uniform point of [-1,1]^n.  Fewer than one trial is
-    a vacuous pass either way, as for every check.
+    all of them at one uniform point of [-1,1]^n.  As for every check, zero
+    trials are a vacuous pass either way and a negative count is refused.
     """
     # imported here: oracle imports this module
     from .oracle import poly_coeffs_exact

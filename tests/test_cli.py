@@ -508,6 +508,28 @@ class TestSeedsAndRedraws:
         assert captured.err == "config error: suites settings: seed -1 is negative\n"
         assert captured.out == ""
 
+    def test_negative_trials_flag(self, config2, capsys):
+        # refused like a negative seed, where it once passed as zero trials
+        code = main(["--config", config2, "check", "hom_laws", "--trials", "-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: trial count -1 is negative; use 0 or more\n"
+        assert captured.out == ""
+
+    def test_zero_trials_flag_is_a_vacuous_pass(self, config2, capsys):
+        assert main(["--config", config2, "check", "hom_laws", "--trials", "0"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("[PASS] hom_laws: trials=0 ")
+        assert "warning: no trials were run; the pass is vacuous" in out
+
+    def test_negative_trials_in_config(self, tmp_path, capsys):
+        path = tmp_path / "project.yaml"
+        path.write_text("chart_dim: 2\nsuites: {trials: -1}\n", encoding="utf-8")
+        assert main(["--config", str(path), "check", "hom_laws"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: suites settings: trials -1 is negative\n"
+        assert captured.out == ""
+
     def test_domain_error_trial_is_redrawn(self, tmp_path, capsys):
         # this seed draws an exp that overflows at the image point of the
         # composition sub-check; the trial is drawn again

@@ -21,7 +21,8 @@ reference for the facts.
 ``parse`` takes all its tokens with one ``findall`` and parses them with one
 precedence loop; ``_ref_tokens`` and ``_ref_parse``, a token scan and a
 recursive descent with one method per grammar rule, are the parser it
-replaced.  On every text both give equal trees or the same first error.
+replaced.  On every text both give equal trees or the same first error,
+also where ``parse`` reuses a repeated group, which it parses once per call.
 """
 
 import copy
@@ -1057,13 +1058,33 @@ def _deep_texts():
         lambda k: "-" * (k - 1) + "x1^2",
         lambda k: "x1 - " * (k - 1) + "(" * k + "x1" + ")" * k,
     ]
-    return st.tuples(st.sampled_from(shapes), st.integers(MAX_DEPTH - 2, MAX_DEPTH + 2)).map(
-        lambda t: t[0](t[1]))
+    total = st.integers(MAX_DEPTH - 2, MAX_DEPTH + 2)
+    return st.one_of(
+        st.tuples(st.sampled_from(shapes), total).map(lambda t: t[0](t[1])),
+        st.builds(_regrouped, total, st.integers(1, MAX_DEPTH - 2), st.integers(0, MAX_DEPTH),
+                  st.sampled_from(["(", "sin("]), st.sampled_from(["(", "sin("]),
+                  st.sampled_from(["(", "sin(", "-"])),
+    )
+
+
+def _regrouped(total, d, signs, first, second, wrapper):
+    """A group of internal nesting d at nest 1, then the same group, opened
+    as a parenthesis or a call, under total - d wrappers: parse reuses it
+    only while it nests within MAX_DEPTH."""
+    signs = min(signs, d - 1)
+    inner = "-" * signs + "(" * (d - 1 - signs) + "x1" + ")" * (d - 1 - signs) + ")"
+    k = total - d
+    return f"{first}{inner} * {wrapper * k}{second}{inner}{')' * k * (wrapper != '-')}"
+
+
+def _repeated_texts():
+    # a drawn text repeated as a parenthesis and as a call argument
+    return _grammar_texts().map(lambda g: f"({g})*sin({g}) - ({g})^2")
 
 
 @settings(max_examples=500, deadline=None)
 @given(
-    st.one_of(_grammar_texts(), _deep_texts()),
+    st.one_of(_grammar_texts(), _repeated_texts(), _deep_texts()),
     st.integers(0, 10**6),
     st.one_of(st.none(), st.sampled_from(_JUNK)),
 )
@@ -1079,6 +1100,9 @@ def _deep_texts():
 @example("x1 + x" + "1" * 5000, 0, None)  # more digits than int() converts
 @example("x1 + " + "a" * 41, 0, None)  # a refused token past the quoted length
 @example("x1 " + "1" * 40, 0, None)
+@example("(12)*(1 2)", 0, None)  # tokens, not characters, tell groups apart
+@example(_regrouped(MAX_DEPTH + 1, 50, 0, "(", "(", "("), 0, None)  # a reuse past the bound
+@example(_regrouped(MAX_DEPTH, 50, 20, "(", "sin(", "-"), 0, None)  # one within it
 def test_parser_matches_the_recursive_descent(text, at, junk):
     if junk is not None:
         at %= len(text) + 1
@@ -1086,3 +1110,78 @@ def test_parser_matches_the_recursive_descent(text, at, junk):
     # equal trees, or the same class and message (which ends with the position)
     _same(_outcome(parse, text, 3), _outcome(_ref_parse, text, 3), key=lambda e: e)
 
+
+
+# -- groups shared by the parser -----------------------------------------------------
+
+# the growth templates of the symbolic benchmark at a=1.7, b=2.3, and the
+# indices of their first five derivatives
+_PRINTED = [
+    ("sin(1.7*x1*x2)/(2.3 + x1^2)", (0, 0, 0, 0, 0)),
+    ("exp(1.7*x1*x2)*cos(x1 + 2.3*x2)", (0, 1, 0, 1, 0)),
+    ("log(2.3 + x1^2*x2)/(1.7 + 2 - x2)", (1, 0, 1, 0, 1)),
+    ("tan(x1/2.3)*sqrt(1.7 + 1 + x2)", (0, 1, 0, 0, 1)),
+]
+
+
+def _printed_derivative(template, order):
+    e = parse(template, 2)
+    for i in order:
+        e = diff(e, i)
+    return e, to_string(e)
+
+
+def _distinct(e):
+    return {id(node): node for level in _ref_levels(e) for node in level}
+
+
+class TestSharedGroups:
+    """``parse`` parses the tokens of each parenthesized group or call
+    argument once per call, so a repeated group is one node."""
+
+    def test_a_call_argument_and_a_parenthesis_are_one_node(self):
+        e = parse("sin(x1 + x2)*(x1 + x2)", 2)
+        assert e.left.arg is e.right
+
+    def test_tokens_not_characters_are_compared(self):
+        e = parse("(x1+x2)*(x1 + x2)", 2)
+        assert e.left is e.right
+
+    def test_the_memo_lives_for_one_call(self):
+        first, second = parse("(x1 + x2)", 2), parse("(x1 + x2)", 2)
+        assert first == second and first is not second
+
+    @pytest.mark.parametrize("template, order", _PRINTED)
+    def test_a_printed_derivative_parses_back_as_a_dag(self, template, order):
+        e, text = _printed_derivative(template, order)
+        parsed = parse(text, 2)
+        # 7,307, 893, 3,511 and 99 distinct nodes without the sharing
+        assert len(_distinct(parsed)) <= 2 * len(_distinct(e))
+        ref = _ref_parse(text, 2)
+        assert parsed == ref
+        assert to_string(parsed) == to_string(ref) == text
+        for i in (0, 1):
+            assert diff(parsed, i) == diff(ref, i)
+        for xs in ([0.3, -0.7], [-0.45, 0.2], [0.9, 0.55]):
+            _same(_outcome(eval_real, parsed, xs), _outcome(eval_real, ref, xs),
+                  key=lambda v: struct.pack("d", v))
+
+    def test_parse_builds_each_binary_node_once(self, monkeypatch):
+        # the printed 5th derivative of the first template: 29,827
+        # characters, of which a parse without the sharing built 5,946
+        # binary nodes
+        _, text = _printed_derivative(*_PRINTED[0])
+        built = []
+        init = weilc.expr._Binary.__init__
+
+        def counting(self, left, right):
+            built.append(self)
+            init(self, left, right)
+
+        monkeypatch.setattr(weilc.expr._Binary, "__init__", counting)
+        parsed = parse(text, 2)
+        assert len(text) == 29_827
+        assert len(built) == 288
+        binary = {id(node) for node in _distinct(parsed).values()
+                  if isinstance(node, weilc.expr._Binary)}
+        assert binary == {id(node) for node in built}

@@ -157,6 +157,10 @@ class TestRunSuite:
         assert report.warning is not None
         assert "warning" in report.to_dict()
 
+    def test_negative_trials_raise(self):
+        with pytest.raises(WeilcError, match="trial count -1 is negative"):
+            run_suite("hom_laws", seed=0, trials=-1, tol=1e-9)
+
     def test_negative_seed_raises(self):
         with pytest.raises(WeilcError, match="seed -1 is negative"):
             run_suite("hom_laws", seed=-1, trials=1, tol=1e-9)

@@ -32,6 +32,7 @@ from weilc.errors import (
     DegreeError,
     DimensionMismatch,
     DomainError,
+    WeilcError,
 )
 from weilc.expr import (
     ConstA,
@@ -203,6 +204,13 @@ class TestJacobiCheck:
         report = jacobi_check(pi, trials=0, tol=1e-9, seed=0)
         assert report.passed and report.trials == 0
         assert report.warning is not None
+
+    @pytest.mark.parametrize("entry", ["1", "exp(x2)"])
+    def test_a_negative_trial_count_is_refused(self, entry):
+        # on either route: the exact expansion, or sampling
+        pi = PoissonStructure(3, {(0, 1): parse("1", 3), (1, 2): parse(entry, 3)})
+        with pytest.raises(WeilcError, match="trial count -2 is negative"):
+            jacobi_check(pi, trials=-2, tol=1e-9, seed=0)
 
     def test_witness_point_prints_plain_floats(self):
         # {x1,x2} = 1, {x2,x3} = exp(x2): the coordinate Jacobiator exp(x2) is
@@ -528,10 +536,15 @@ class TestRunTrials:
             "[PASS] x: trials=2 seed=1 max_residual=0.000e+00 tol=1.0e-09"
         )
 
-    @pytest.mark.parametrize("trials", [0, -3])
-    def test_fewer_than_one_trial_is_vacuous(self, trials):
-        report = _run_trials("x", 1, trials, 1e-9, None)
+    def test_zero_trials_are_vacuous(self):
+        report = _run_trials("x", 1, 0, 1e-9, None)
         assert report.passed and report.trials == 0 and report.warning
+
+    @pytest.mark.parametrize("trials", [-1, -3])
+    def test_a_negative_trial_count_is_refused(self, trials):
+        # refused, where it once ran as zero trials and passed
+        with pytest.raises(WeilcError, match=f"trial count {trials} is negative"):
+            _run_trials("x", 1, trials, 1e-9, None)
 
 
 class TestRecorder:
