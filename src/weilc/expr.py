@@ -18,9 +18,14 @@ Weil evaluation: bare coordinates become one where they come in, at
 ``eval_real``, ``to_string``) visit a shared subexpression once per call: a
 memo keyed by node identity, and dropped when the call returns, holds each
 node's first result.  The visiting order is that of the tree walk, so
-results and the first error raised are the same.  ``parse`` keeps a per-call
-memo too, keyed by the tokens of each parenthesized group or call argument:
-a repeated group is one node, so a printed DAG parses back as a DAG.
+results and the first error raised are the same.  ``==`` and ``hash`` keep
+one too, keyed by the pair of nodes compared (in a tree deeper than
+``_SHALLOW``) or the node hashed.  The parser, ``parse`` in
+``weilc.grammar``, keeps per-call memos of each parenthesized group or call
+argument, keyed by its text and by its tokens: a repeated group is one
+node, and a repeat of a text already read is skipped without being
+tokenized, so a printed DAG parses back as a DAG at a cost that grows with
+its distinct text.
 
 Each operand rule of the package is stated here once, and reads the facts
 each node holds (see ``Expr``) instead of walking a tree: ``on_chart``, the
@@ -31,9 +36,7 @@ points; ``same_chart``; ``require_base``; and ``scalar_expr``, its scalars.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, fields
-from itertools import accumulate, repeat
 from typing import Iterable, Sequence
 
 from .algebra import (
@@ -50,8 +53,6 @@ from .errors import (
     AlgebraMismatch,
     DimensionMismatch,
     DomainError,
-    ParseError,
-    UnknownSymbol,
     WeilcError,
 )
 
@@ -123,8 +124,20 @@ class Expr:
         # rebuilt through the constructor: frozen slots refuse a restored state
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
+    # structural, each a walk that meets a shared pair of nodes, or a shared
+    # node, once per call; the node classes generate neither
+    def __eq__(self, other):
+        if not isinstance(other, Expr):
+            return NotImplemented
+        if self is other:
+            return True
+        return _equal(self, other, set() if self.facts[0] > _SHALLOW else None)
 
-@dataclass(frozen=True, init=False, repr=False)
+    def __hash__(self):
+        return _hash(self, {})
+
+
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class Var(Expr):
     __slots__ = ("index",)
     index: int
@@ -134,14 +147,14 @@ class Var(Expr):
         _set_facts(self, (1, index, None))
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class ConstR(Expr):
     __slots__ = ("value",)
     facts = (1, -1, None)
     value: float
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class ConstA(Expr):
     __slots__ = ("value",)
     value: WeilElement
@@ -150,7 +163,7 @@ class ConstA(Expr):
         _set_facts(self, (1, -1, self.value.algebra))
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class _Binary(Expr):
     __slots__ = ("left", "right")
     left: Expr
@@ -173,28 +186,28 @@ class _Binary(Expr):
         _set_facts(self, (depth + 1, top if top > right_top else right_top, algebra))
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class Add(_Binary):
     __slots__ = ()
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class Sub(_Binary):
     __slots__ = ()
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class Mul(_Binary):
     __slots__ = ()
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class Div(_Binary):
     __slots__ = ()
 
 
 # the one-operand nodes also set their facts inline
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class Neg(Expr):
     __slots__ = ("arg",)
     arg: Expr
@@ -207,7 +220,7 @@ class Neg(Expr):
         _set_facts(self, (depth + 1, top, algebra))
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class Pow(Expr):
     __slots__ = ("base", "exponent")
     base: Expr
@@ -224,7 +237,7 @@ class Pow(Expr):
         _set_facts(self, (depth + 1, top, algebra))
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class Apply(Expr):
     __slots__ = ("fn", "arg")
     fn: PrimitiveFn
@@ -246,6 +259,84 @@ _set_facts, _set_partials, _set_value, _set_index, _set_left, _set_right = (
 _set_arg, _set_base, _set_exponent, _set_fn, _set_apply_arg = (
     Neg.arg.__set__, Pow.base.__set__, Pow.exponent.__set__, Apply.fn.__set__,
     Apply.arg.__set__)
+
+
+def _equal(a: Expr, b: Expr, seen: set) -> bool:
+    """Whether two distinct nodes are equal: the same node classes,
+    exponents and primitives, and leaves of equal value, throughout.  A
+    value equals itself, as in a tuple compare, so a NaN constant equals
+    itself.  ``seen`` holds the id pairs of the binary nodes met in the
+    call: each is an equal pair, or the call's answer is False.  It is None
+    for a tree no deeper than _SHALLOW, which the walk then visits whole.
+    The walk recurses into left operands and loops down the rest."""
+    while True:
+        kind = type(a)
+        if kind is not type(b):
+            return False
+        if kind is Mul or kind is Add or kind is Sub or kind is Div:
+            if seen is not None:
+                key = (id(a), id(b))
+                if key in seen:
+                    return True
+                seen.add(key)
+            left = a.left
+            other = b.left
+            if left is not other and not _equal(left, other, seen):
+                return False
+            a = a.right
+            b = b.right
+        elif kind is Var:
+            return a.index == b.index
+        elif kind is ConstR or kind is ConstA:
+            return a.value is b.value or a.value == b.value
+        elif kind is Pow:
+            if a.exponent != b.exponent:
+                return False
+            a = a.base
+            b = b.base
+        elif kind is Apply:
+            if a.fn is not b.fn and a.fn != b.fn:
+                return False
+            a = a.arg
+            b = b.arg
+        elif kind is Neg:
+            a = a.arg
+            b = b.arg
+        else:
+            raise TypeError(f"cannot compare {kind.__name__}")
+        if a is b:
+            return True
+
+
+def _hash(e: Expr, memo: dict) -> int:
+    """The hash of e, from its class and the fields ``_equal`` compares;
+    ``memo`` holds the hash of each node already met in the call."""
+    kind = type(e)
+    if kind is Var:
+        return hash((kind, e.index))
+    if kind is ConstR or kind is ConstA:
+        return hash((kind, e.value))
+    key = id(e)
+    h = memo.get(key)
+    if h is None:
+        if kind is Mul or kind is Add or kind is Sub or kind is Div:
+            h = hash((kind, _hash(e.left, memo), _hash(e.right, memo)))
+        elif kind is Pow:
+            h = hash((kind, _hash(e.base, memo), e.exponent))
+        elif kind is Apply:
+            h = hash((kind, e.fn, _hash(e.arg, memo)))
+        elif kind is Neg:
+            h = hash((kind, _hash(e.arg, memo)))
+        else:
+            raise TypeError(f"cannot hash {kind.__name__}")
+        memo[key] = h
+    return h
+
+
+# a tree at most this deep is compared without a memo: a walk of it meets at
+# most 2^9 pairs of binary nodes, and on the small trees a memo costs more
+# than it saves
+_SHALLOW = 10
 
 # what _eval_weil reads from a node that keeps no value: no key matches it
 _NO_VALUE = (None, None)
@@ -677,218 +768,13 @@ def _eval_real(e: Expr, xs: Sequence[float], memo: dict) -> float:
     return value
 
 
-# -- parsing -----------------------------------------------------------------------
+# -- limits --------------------------------------------------------------------------
 
-FUNCTIONS = {name: PRIMITIVES[name] for name in ("exp", "log", "sin", "cos", "tan", "sqrt")}
-
-# one match per token: a number, an identifier, an operator or parenthesis,
-# or any other character, which no rule takes.  Digits are ASCII, as the
-# grammar's are: \d would also take other scripts' digits.
-_TOKEN = re.compile(
-    r"\s*((?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-    r"|[A-Za-z_][A-Za-z_0-9]*"
-    r"|[-+*/^()]"
-    r"|\S)"
-)
-
-# a token of one character that no rule takes
-_STRAY = re.compile(r"[^0-9A-Za-z_+\-*/^()]|\.")
-
-_VAR = re.compile(r"x([1-9]\d*)$")
-
-# what a token adds to the parentheses open
-_PAREN = {"(": 1, ")": -1}
-
-# the binary operators: precedence and node
-_BINARY = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
-
-# deepest nesting (signs and parentheses), and deepest tree, that parse
-# accepts; the printer, the evaluators and diff recurse once per tree level
-MAX_DEPTH = 100
-
-# largest exponent, either sign, that parse accepts: x^k costs k products
-MAX_EXPONENT = 10_000
-
-# deepest tree any constructor builds (else WeilcError): == and deepcopy
-# recurse thrice per level, within Python's 1000 frames to about 330 levels.
+# deepest tree any constructor builds (else WeilcError): deepcopy recurses
+# thrice per level, pickle and the printer twice, == and hash at most once,
+# within Python's 1000 frames to about 330 levels.
 MAX_NODE_DEPTH = 300
 _TOO_DEEP = f"expression tree deeper than {MAX_NODE_DEPTH} levels"
-_DEEPER = f"expression tree is deeper than {MAX_DEPTH}"
-
-# longest token that an error message quotes whole
-MAX_QUOTED = 40
-
-
-def _quoted(token: str) -> str:
-    """A refused token as its error message shows it: whole, or its first
-    MAX_QUOTED characters and its length."""
-    if len(token) <= MAX_QUOTED:
-        return repr(token)
-    return f"{token[:MAX_QUOTED]!r}... ({len(token)} characters)"
-
-
-def _error(text: str, k: int, message: str, kind=ParseError) -> ParseError:
-    """The error at token k of text (past the last token: at the end of the
-    text).  A stray character anywhere in the text is reported instead, as
-    it would be by a scan of all the tokens before the parse."""
-    position = len(text)
-    for j, m in enumerate(_TOKEN.finditer(text)):
-        token = m.group(1)
-        if _STRAY.fullmatch(token):
-            return ParseError(f"unexpected character {token!r}", m.start())
-        if j == k:
-            position = m.start(1)
-    return kind(message, position)
-
-
-def parse(text: str, n: int) -> Expr:
-    """Parse an expression over x1..xn.  Raises ParseError / UnknownSymbol,
-    and ParseError for a tree deeper than MAX_DEPTH (a long sum included) and
-    for a literal that is not finite (1e999) and for an exponent above
-    MAX_EXPONENT.
-
-    All the tokens are taken at once; one precedence loop builds the tree,
-    and an error's position is found only when it is raised.  A group, the
-    text inside a parenthesis or a call, is parsed once per token text: a
-    later group with the same tokens is the same node, so a printed DAG
-    parses back as a DAG."""
-    tokens = _TOKEN.findall(text)
-    tokens.append("")  # the end of the text
-    # parentheses open after each token: a group's ")" is the first token
-    # after its "(" at which one fewer is open
-    opened = list(accumulate(map(_PAREN.get, tokens, repeat(0))))
-    at = 0  # index of the next token
-    nest = 0  # signs and parentheses open
-    peak = 0  # the deepest nest reached in the group being parsed
-    leaves: dict[str, Expr] = {}  # each literal and variable, built once
-    # each group's tokens, joined by spaces (which no token holds): its node
-    # and the nesting within it
-    groups: dict[str | None, tuple[Expr, int]] = {}
-
-    def binary(min_prec: int = 1) -> Expr:
-        # a left-associated chain of the operators that bind at least min_prec
-        nonlocal at
-        e = prefix()
-        while True:
-            op = _BINARY.get(tokens[at])
-            if op is None or op[0] < min_prec:
-                return e
-            k = at
-            at += 1
-            # * and / bind tightest: their right operand is a prefix
-            e = op[1](e, binary(2) if op[0] == 1 else prefix())
-            # checked at each operator of a chain, so no chain reaches
-            # MAX_NODE_DEPTH; the nesting bound covers signs and calls
-            if e.facts[0] > MAX_DEPTH:
-                raise _error(text, k, _DEEPER)
-
-    def prefix() -> Expr:
-        # an operand: a literal, a variable, a parenthesis or a call, each with
-        # its ^ suffixes, or a sign and its operand
-        nonlocal at, nest, peak
-        token = tokens[at]
-        at += 1
-        e = leaves.get(token)
-        if e is None:
-            if token == "-" or token == "(" or token in FUNCTIONS and tokens[at] == "(":
-                # the parser recurses only here: into a sign's operand, a
-                # parenthesis or a call's argument
-                if token in FUNCTIONS:
-                    at += 1
-                nest += 1
-                if nest > MAX_DEPTH:
-                    raise _error(text, at, f"expression nests deeper than {MAX_DEPTH}")
-                if token == "-":
-                    if nest > peak:
-                        peak = nest
-                    e = prefix()
-                    nest -= 1
-                    # fold a sign applied directly to a literal, so that
-                    # printed negative constants reparse to themselves
-                    return ConstR(-e.value) if isinstance(e, ConstR) else Neg(e)
-                try:
-                    end = opened.index(opened[at - 1] - 1, at)
-                    key = " ".join(tokens[at:end])
-                except ValueError:  # never closed, so its parse raises
-                    key = None
-                group = groups.get(key)
-                outer = peak
-                # a seen group is reused where it nests within the bound;
-                # past it, it is parsed again, to raise where it would
-                if group is not None and nest + group[1] <= MAX_DEPTH:
-                    e, inner = group
-                    at = end + 1
-                    peak = nest + inner
-                else:
-                    peak = nest
-                    e = binary()
-                    if tokens[at] != ")":
-                        raise _error(text, at, "expected ')'")
-                    at += 1
-                    groups[key] = e, peak - nest
-                if outer > peak:
-                    peak = outer
-                nest -= 1
-                if token != "(":
-                    e = Apply(FUNCTIONS[token], e)
-            else:
-                e = leaves[token] = leaf(token)
-        while tokens[at] == "^":
-            k = at
-            at += 1
-            sign = 1
-            if tokens[at] == "-":
-                at += 1
-                sign = -1
-            digits = tokens[at]
-            if not (digits.isdigit() and digits.isascii()):
-                raise _error(text, at, "expected an integer exponent")
-            # counted before int(), which refuses more than 4300 digits
-            digits = digits.lstrip("0") or "0"
-            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-                raise _error(text, at, f"exponent exceeds {MAX_EXPONENT}")
-            at += 1
-            e = Pow(e, sign * int(digits))
-            if e.facts[0] > MAX_DEPTH:
-                raise _error(text, k, _DEEPER)
-        return e
-
-    def leaf(token: str) -> Expr:
-        # a literal or a variable; anything else here is an error
-        k = at - 1
-        if not token:
-            raise _error(text, k, "unexpected end of input")
-        if token[0] in "0123456789." and token != ".":
-            value = float(token)
-            if not math.isfinite(value):
-                raise _error(text, k, f"number {_quoted(token)} is not finite")
-            return ConstR(value)
-        m = _VAR.match(token)
-        if m is not None:
-            digits = m.group(1)
-            # counted before int(), which refuses more than 4300 digits
-            if len(digits) > len(str(n)) or int(digits) > n:
-                raise _error(text, k,
-                             f"variable {_quoted(token)} exceeds chart dimension {n}",
-                             UnknownSymbol)
-            return Var(int(digits) - 1)
-        if token in "+*/^)":
-            raise _error(text, k, f"unexpected {token!r}")
-        if tokens[at] == "(":
-            raise _error(text, k, f"unknown function {_quoted(token)}", UnknownSymbol)
-        raise _error(text, k, f"unknown identifier {_quoted(token)}", UnknownSymbol)
-
-    try:
-        e = binary()
-    finally:
-        # the closures refer to themselves and to each other; unlinked, they
-        # and the memos go when the call returns, not at a cycle collection
-        binary = prefix = None
-    if tokens[at]:
-        raise _error(text, at, f"unexpected {_quoted(tokens[at])}")
-    if e.facts[0] > MAX_DEPTH:
-        raise ParseError(_DEEPER, 0)
-    return e
 
 
 # -- printing ----------------------------------------------------------------------
@@ -1037,3 +923,7 @@ def prolong_function(f: Expr, dim: int, algebra: WeilAlgebra) -> AFunction:
     """Reinterpret a base-chart function for Weil evaluation (f to f^A)."""
     require_base((f,), "a prolonged function")
     return AFunction(f, dim, algebra)
+
+
+# the parser builds the nodes above, so its module is imported once they exist
+from .grammar import parse  # noqa: E402

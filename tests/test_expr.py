@@ -26,9 +26,6 @@ from weilc.expr import (
     ConstA,
     ConstR,
     Div,
-    FUNCTIONS,
-    MAX_DEPTH,
-    MAX_EXPONENT,
     MAX_NODE_DEPTH,
     Mul,
     Neg,
@@ -46,6 +43,7 @@ from weilc.expr import (
     substitute,
     to_string,
 )
+from weilc.grammar import FUNCTIONS, MAX_DEPTH, MAX_EXPONENT
 from weilc.oracle import taylor_coeffs
 from weilc.prolongation import APoint
 

@@ -18,15 +18,20 @@ Each node's ``depth``, ``top`` and ``algebra`` replaced a walk over the
 DAG; ``_ref_levels`` and ``_ref_scan`` are that walk, kept as the
 reference for the facts.
 
-``parse`` takes all its tokens with one ``findall`` and parses them with one
-precedence loop; ``_ref_tokens`` and ``_ref_parse``, a token scan and a
+``parse`` tokenizes its text one scan at a time and parses the tokens with
+one precedence loop; ``_ref_tokens`` and ``_ref_parse``, a token scan and a
 recursive descent with one method per grammar rule, are the parser it
 replaced.  On every text both give equal trees or the same first error,
-also where ``parse`` reuses a repeated group, which it parses once per call.
+also where ``parse`` reuses a repeated group, which it parses once per call
+and skips unread where its text repeats.
+
+``==`` and ``hash`` walk a DAG with a per-call memo; ``_ref_equal`` and
+``_ref_hash`` are the plain recursions they must agree with.
 """
 
 import copy
 import math
+import operator
 import pickle
 import re
 import struct
@@ -35,6 +40,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import weilc.expr
+import weilc.grammar
 import weilc.prolongation
 from weilc import APoint, dual_numbers, jets, so3_structure, trivial_algebra
 from weilc.algebra import RECIPROCAL, render_element, taylor_lift
@@ -47,10 +53,6 @@ from weilc.errors import (
 )
 from weilc.expr import (
     _CHAIN,
-    _TOKEN,
-    FUNCTIONS,
-    MAX_DEPTH,
-    MAX_EXPONENT,
     AFunction,
     Add,
     Apply,
@@ -65,7 +67,6 @@ from weilc.expr import (
     ONE,
     ZERO,
     _diff,
-    _error,
     _eval_weil,
     _precedence,
     add,
@@ -82,6 +83,7 @@ from weilc.expr import (
     to_string,
 )
 from weilc.forms import CoordForm
+from weilc.grammar import FUNCTIONS, MAX_DEPTH, MAX_EXPONENT, _error, _fail, _tokenize
 from weilc.oracle import SUITES, run_suite
 from weilc.poisson import _gradient, verify_a_poisson
 from weilc.sampling import (
@@ -570,6 +572,211 @@ class TestSharedDag:
         assert d.left.left is d.right.right
 
 
+# -- equality and hash ------------------------------------------------------------------
+
+
+def _ref_equal(a, b):
+    """The compare the node classes once generated: the same class, and each
+    field equal, a value being equal to itself as in a tuple compare."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Var):
+        return a.index == b.index
+    if isinstance(a, (ConstR, ConstA)):
+        return a.value is b.value or a.value == b.value
+    if isinstance(a, Neg):
+        return a.arg is b.arg or _ref_equal(a.arg, b.arg)
+    if isinstance(a, Pow):
+        return (a.base is b.base or _ref_equal(a.base, b.base)) and a.exponent == b.exponent
+    if isinstance(a, Apply):
+        return (a.fn is b.fn or a.fn == b.fn) and (a.arg is b.arg or _ref_equal(a.arg, b.arg))
+    return all(x is y or _ref_equal(x, y) for x, y in ((a.left, b.left), (a.right, b.right)))
+
+
+def _ref_hash(e):
+    """The hash of the class and the fields, by a plain recursion."""
+    kind = type(e)
+    if kind is Var:
+        return hash((kind, e.index))
+    if kind in (ConstR, ConstA):
+        return hash((kind, e.value))
+    if kind is Neg:
+        return hash((kind, _ref_hash(e.arg)))
+    if kind is Pow:
+        return hash((kind, _ref_hash(e.base), e.exponent))
+    if kind is Apply:
+        return hash((kind, e.fn, _ref_hash(e.arg)))
+    return hash((kind, _ref_hash(e.left), _ref_hash(e.right)))
+
+
+class _OverBudget(Exception):
+    pass
+
+
+def _counted(monkeypatch, name, budget):
+    """Count the calls of weilc.expr's ``name``, which recurses through its
+    module name, and stop the call past ``budget`` of them."""
+    real = getattr(weilc.expr, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        if len(calls) > budget:
+            raise _OverBudget
+        return real(*args)
+
+    monkeypatch.setattr(weilc.expr, name, counting)
+    return calls
+
+
+def _within_budget(fn, *args):
+    """fn(*args), or None where it ran past its budget.  The trees here have
+    2^40 leaves, so the tests assert on what this returns, never on a tree,
+    which a failure report would print in full."""
+    try:
+        return fn(*args)
+    except _OverBudget:
+        return None
+
+
+class TestEqualityAndHash:
+    """``==`` and ``hash`` walk a DAG once per call: two equal DAGs built
+    apart compare in one visit per pair of binary nodes, and hash in one
+    per node and edge."""
+
+    def test_two_builds_of_a_doubling_dag_compare_once_per_pair(self, monkeypatch):
+        a, b = _doubling_dag(40), _doubling_dag(40)
+        changed = Mul(_doubling_dag(39), _doubling_dag(39, Var(1)))
+        calls = _counted(monkeypatch, "_equal", 2**9)
+        # one call per level: each right operand is the left one again
+        assert _within_budget(operator.eq, a, b) is True
+        assert len(calls) == 40
+        for x, y in ((a, changed), (changed, b)):
+            del calls[:]
+            assert _within_budget(operator.ne, x, y) is True
+            assert len(calls) <= 2 * 40
+        # a tree of depth 10 or less is walked whole, with no memo: one call
+        # for the root and one per left operand that is a Mul in the tree
+        del calls[:]
+        assert _within_budget(operator.eq, _doubling_dag(9), _doubling_dag(9)) is True
+        assert len(calls) == 2**8
+
+    def test_two_builds_of_a_doubling_dag_hash_once_per_node(self, monkeypatch):
+        a, b = _doubling_dag(40), _doubling_dag(40)
+        calls = _counted(monkeypatch, "_hash", 2 * (2 * 40 + 1))
+        first = _within_budget(hash, a)
+        # a call per node, and one more per level for the repeated operand
+        assert first is not None and len(calls) == 2 * 40 + 1
+        assert _within_budget(hash, b) == first
+
+    def test_an_expression_never_equals_another_type(self):
+        assert (Var(0) == 0) is False and Var(0) != "x1" and ConstR(2.0) != 2.0
+
+
+# one NaN object, in every tree grown from a recipe that names it
+_NAN = float("nan")
+_LEAF_RECIPES = st.sampled_from(
+    [("var", 0), ("var", 1), ("r", 0.0), ("r", -0.0), ("r", 2.5), ("r", _NAN), ("nan",), ("a",)])
+
+
+def _recipes():
+    """Nested tuples naming a tree: grown twice, they give equal trees that
+    share no node."""
+    def extend(inner):
+        return st.one_of(
+            st.tuples(st.sampled_from(["add", "sub", "mul", "div"]), inner, inner),
+            st.tuples(st.just("neg"), inner),
+            st.tuples(st.just("pow"), inner, st.sampled_from([2, 3, -1])),
+            st.tuples(st.just("apply"), st.sampled_from(["sin", "cos", "exp"]), inner),
+        )
+
+    return st.recursive(_LEAF_RECIPES, extend, max_leaves=8)
+
+
+_BINARY_NODES = {"add": Add, "sub": Sub, "mul": Mul, "div": Div}
+
+
+def _grow(recipe, algebra):
+    """A new tree from a recipe, its algebra constants over ``algebra``; a
+    ("nan",) leaf is a NaN of its own."""
+    kind = recipe[0]
+    if kind == "var":
+        return Var(recipe[1])
+    if kind == "r":
+        return ConstR(recipe[1])
+    if kind == "nan":
+        return ConstR(float("nan"))
+    if kind == "a":
+        return ConstA(algebra.generator("eps"))
+    if kind == "neg":
+        return Neg(_grow(recipe[1], algebra))
+    if kind == "pow":
+        return Pow(_grow(recipe[1], algebra), recipe[2])
+    if kind == "apply":
+        return Apply(FUNCTIONS[recipe[1]], _grow(recipe[2], algebra))
+    return _BINARY_NODES[kind](_grow(recipe[1], algebra), _grow(recipe[2], algebra))
+
+
+def _changed(recipe, k, leaf):
+    """The recipe with its k-th node in preorder changed: a leaf replaced by
+    ``leaf``, an operator, exponent or primitive by another.  Returns the
+    recipe and what is left of k."""
+    kind = recipe[0]
+    if k == 0:
+        if kind in _BINARY_NODES:
+            return ("sub" if kind == "add" else "add",) + recipe[1:], -1
+        if kind == "pow":
+            return ("pow", recipe[1], recipe[2] + 1), -1
+        if kind == "apply":
+            return ("apply", "cos" if recipe[1] == "sin" else "sin", recipe[2]), -1
+        if kind == "neg":
+            return recipe[1], -1
+        return leaf, -1
+    k -= 1
+    parts = list(recipe)
+    for j, part in enumerate(parts):
+        if isinstance(part, tuple) and k >= 0:
+            parts[j], k = _changed(part, k, leaf)
+    return tuple(parts), k
+
+
+@st.composite
+def _recipe_pairs(draw):
+    first = draw(_recipes())
+    how = draw(st.sampled_from(["same", "changed", "other"]))
+    if how == "same":
+        return first, first
+    if how == "other":
+        return first, draw(_recipes())
+    return first, _changed(first, draw(st.integers(0, 20)), draw(_LEAF_RECIPES))[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_recipe_pairs(), two_algebras=st.booleans(),
+       order=st.lists(st.integers(0, 1), max_size=2))
+@example(pair=(("r", _NAN), ("r", _NAN)), two_algebras=False, order=[])  # one NaN: equal
+@example(pair=(("nan",), ("nan",)), two_algebras=False, order=[])  # two NaNs: unequal
+@example(pair=(("mul", ("r", 0.0), ("var", 0)), ("mul", ("r", -0.0), ("var", 0))),
+         two_algebras=False, order=[])
+@example(pair=(("a",), ("a",)), two_algebras=True, order=[])
+@example(pair=(("apply", "sin", ("var", 0)), ("apply", "cos", ("var", 0))),
+         two_algebras=False, order=[0])
+@example(pair=(("add", ("var", 0), ("var", 1)), ("sub", ("var", 0), ("var", 1))),
+         two_algebras=False, order=[])
+def test_equality_and_hash_match_the_plain_recursion(pair, two_algebras, order):
+    A = dual_numbers()
+    B = dual_numbers() if two_algebras else A
+    a, b = _grow(pair[0], A), _grow(pair[1], B)
+    for i in order:
+        # diff results are DAGs: a product's operands appear in both terms
+        a, b = diff(a, i), diff(b, i)
+    same = a is b or _ref_equal(a, b)
+    assert (a == b) is same and (a != b) is not same
+    assert hash(a) == _ref_hash(a) and hash(b) == _ref_hash(b)
+    if same:
+        assert hash(a) == hash(b)
+
+
 # -- the partials each node keeps ------------------------------------------------------
 
 _GROWTH = "x1^3*sin(x2) - exp(x1*x2)/x2 + sqrt(x1 + 2)*log(x2 + 3)"
@@ -998,15 +1205,15 @@ def _tokens(text):
     """The tokens parse reads, in the reference's (kind, value, position)
     form: the kind by the first character, as parse tells them apart, and
     the position, or the stray character, as parse's errors report them."""
-    tokens = _TOKEN.findall(text)
-    end = _error(text, len(tokens), "end")
+    tokens = _tokenize(text)
+    end = _error(text, len(text), "end")
     if str(end) != f"end (at position {len(text)})":
         raise end
     kinds = [
         "num" if t[0] in "0123456789." else "ident" if t[0].isalpha() or t[0] == "_" else "op"
         for t in tokens
     ]
-    positions = [_error(text, k, "").position for k in range(len(tokens))]
+    positions = [_fail(text, tokens, k, "").position for k in range(len(tokens))]
     return list(zip(kinds, tokens, positions)) + [("end", "", len(text))]
 
 
@@ -1103,6 +1310,12 @@ def _repeated_texts():
 @example("(12)*(1 2)", 0, None)  # tokens, not characters, tell groups apart
 @example(_regrouped(MAX_DEPTH + 1, 50, 0, "(", "(", "("), 0, None)  # a reuse past the bound
 @example(_regrouped(MAX_DEPTH, 50, 20, "(", "sin(", "-"), 0, None)  # one within it
+@example("(x1 + x2)*(x1 + x2 + x3)", 0, None)  # a read text that begins a longer group
+@example("(x1 + (x2))*(x1 + (x2) + x3)", 0, None)
+@example("(x1)*sin(x1", 0, None)  # a repeat never closed
+@example("(x1)*(x1", 0, None)
+@example("sin(x1 + (x2))*(x1 + (x2))", 0, None)  # a repeat at the end of the text
+@example("((x1))*(((x1)) - ((x1)))", 0, None)
 def test_parser_matches_the_recursive_descent(text, at, junk):
     if junk is not None:
         at %= len(text) + 1
@@ -1147,6 +1360,16 @@ class TestSharedGroups:
         e = parse("(x1+x2)*(x1 + x2)", 2)
         assert e.left is e.right
 
+    def test_nested_whitespace_variants_share(self):
+        # the inner groups are one node, so the outer ones have one token key
+        e = parse("((x1+x2)*x3)*((x1 + x2) * x3)", 3)
+        assert e.left is e.right
+        # the inner group read in the first factor, skipped in the second
+        e = parse("((x1+x2)*x3)*((x1+x2) * x3)", 3)
+        assert e.left is e.right
+        e = parse("(x1)*((x1)+x2)*((x1) + x2)", 2)
+        assert e.left.right is e.right
+
     def test_the_memo_lives_for_one_call(self):
         first, second = parse("(x1 + x2)", 2), parse("(x1 + x2)", 2)
         assert first == second and first is not second
@@ -1185,3 +1408,18 @@ class TestSharedGroups:
         binary = {id(node) for node in _distinct(parsed).values()
                   if isinstance(node, weilc.expr._Binary)}
         assert binary == {id(node) for node in built}
+
+    def test_a_repeated_group_is_skipped_untokenized(self, monkeypatch):
+        # of the 29,827 characters of the printed 5th derivative, those of
+        # each repeat of a group already read are not tokenized
+        _, text = _printed_derivative(*_PRINTED[0])
+        scanned = []
+        tokenize = weilc.grammar._tokenize
+
+        def counting(text, start, end):
+            scanned.append(end - start)
+            return tokenize(text, start, end)
+
+        monkeypatch.setattr(weilc.grammar, "_tokenize", counting)
+        parse(text, 2)
+        assert sum(scanned) < len(text) / 10
