@@ -19,13 +19,11 @@ Weil evaluation: bare coordinates become one where they come in, at
 memo keyed by node identity, and dropped when the call returns, holds each
 node's first result.  The visiting order is that of the tree walk, so
 results and the first error raised are the same.  ``==`` and ``hash`` keep
-one too, keyed by the pair of nodes compared (in a tree deeper than
-``_SHALLOW``) or the node hashed.  The parser, ``parse`` in
-``weilc.grammar``, keeps per-call memos of each parenthesized group or call
-argument, keyed by its text and by its tokens: a repeated group is one
-node, and a repeat of a text already read is skipped without being
-tokenized, so a printed DAG parses back as a DAG at a cost that grows with
-its distinct text.
+one too, keyed by the pair of nodes compared or the node hashed.  ``parse``
+keeps per-call memos of each parenthesized group or call argument, keyed by
+its text and by its tokens: a repeated group is one node, and a repeat of a
+text already read is skipped without being tokenized, so a printed DAG
+parses back as a DAG at a cost that grows with its distinct text.
 
 Each operand rule of the package is stated here once, and reads the facts
 each node holds (see ``Expr``) instead of walking a tree: ``on_chart``, the
@@ -36,6 +34,7 @@ points; ``same_chart``; ``require_base``; and ``scalar_expr``, its scalars.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
@@ -53,6 +52,8 @@ from .errors import (
     AlgebraMismatch,
     DimensionMismatch,
     DomainError,
+    ParseError,
+    UnknownSymbol,
     WeilcError,
 )
 
@@ -131,7 +132,7 @@ class Expr:
             return NotImplemented
         if self is other:
             return True
-        return _equal(self, other, set() if self.facts[0] > _SHALLOW else None)
+        return _equal(self, other, set())
 
     def __hash__(self):
         return _hash(self, {})
@@ -266,19 +267,17 @@ def _equal(a: Expr, b: Expr, seen: set) -> bool:
     exponents and primitives, and leaves of equal value, throughout.  A
     value equals itself, as in a tuple compare, so a NaN constant equals
     itself.  ``seen`` holds the id pairs of the binary nodes met in the
-    call: each is an equal pair, or the call's answer is False.  It is None
-    for a tree no deeper than _SHALLOW, which the walk then visits whole.
-    The walk recurses into left operands and loops down the rest."""
+    call: each is an equal pair, or the call's answer is False.  The walk
+    recurses into left operands and loops down the rest."""
     while True:
         kind = type(a)
         if kind is not type(b):
             return False
         if kind is Mul or kind is Add or kind is Sub or kind is Div:
-            if seen is not None:
-                key = (id(a), id(b))
-                if key in seen:
-                    return True
-                seen.add(key)
+            key = (id(a), id(b))
+            if key in seen:
+                return True
+            seen.add(key)
             left = a.left
             other = b.left
             if left is not other and not _equal(left, other, seen):
@@ -332,11 +331,6 @@ def _hash(e: Expr, memo: dict) -> int:
         memo[key] = h
     return h
 
-
-# a tree at most this deep is compared without a memo: a walk of it meets at
-# most 2^9 pairs of binary nodes, and on the small trees a memo costs more
-# than it saves
-_SHALLOW = 10
 
 # what _eval_weil reads from a node that keeps no value: no key matches it
 _NO_VALUE = (None, None)
@@ -768,13 +762,303 @@ def _eval_real(e: Expr, xs: Sequence[float], memo: dict) -> float:
     return value
 
 
-# -- limits --------------------------------------------------------------------------
+# -- parsing -----------------------------------------------------------------------
+
+FUNCTIONS = {name: PRIMITIVES[name] for name in ("exp", "log", "sin", "cos", "tan", "sqrt")}
+
+# one token: an operator or parenthesis, an identifier, a number, or any
+# other character, which no rule takes.  The first characters tell them
+# apart, operators first as the most frequent.  Digits are ASCII, as the
+# grammar's are: \d would also take other scripts' digits.
+_ONE_TOKEN = (r"[-+*/^()]"
+              r"|[A-Za-z_][A-Za-z_0-9]*"
+              r"|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+              r"|\S")
+
+# a token and the space before it, where positions are wanted
+_TOKEN = re.compile(rf"\s*({_ONE_TOKEN})")
+
+# the tokens of a span of text: the search steps over the spaces
+_tokenize = re.compile(_ONE_TOKEN).findall
+
+# a token of one character that no rule takes
+_STRAY = re.compile(r"[^0-9A-Za-z_+\-*/^()]|\.")
+
+_VAR = re.compile(r"x([1-9]\d*)$")
+
+# a parenthesis: _fail counts them to step over a group read whole
+_PARENS = re.compile(r"[()]")
+
+# the most characters of a group's text that key the texts parse has read
+_HEAD = 32
+
+# the binary operators: precedence and node
+_BINARY = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
+
+# deepest nesting (signs and parentheses), and deepest tree, that parse
+# accepts; the printer, the evaluators and diff recurse once per tree level
+MAX_DEPTH = 100
+
+# largest exponent, either sign, that parse accepts: x^k costs k products
+MAX_EXPONENT = 10_000
 
 # deepest tree any constructor builds (else WeilcError): deepcopy recurses
 # thrice per level, pickle and the printer twice, == and hash at most once,
 # within Python's 1000 frames to about 330 levels.
 MAX_NODE_DEPTH = 300
 _TOO_DEEP = f"expression tree deeper than {MAX_NODE_DEPTH} levels"
+
+_DEEPER = f"expression tree is deeper than {MAX_DEPTH}"
+
+# longest token that an error message quotes whole
+MAX_QUOTED = 40
+
+
+def _quoted(token: str) -> str:
+    """A refused token as its error message shows it: whole, or its first
+    MAX_QUOTED characters and its length."""
+    if len(token) <= MAX_QUOTED:
+        return repr(token)
+    return f"{token[:MAX_QUOTED]!r}... ({len(token)} characters)"
+
+
+def _error(text: str, position: int, message: str, kind=ParseError) -> ParseError:
+    """The error at a text position.  A stray character anywhere in the text
+    is reported instead, as it would be by a scan of all the tokens before
+    the parse."""
+    for m in _TOKEN.finditer(text):
+        token = m.group(1)
+        if _STRAY.fullmatch(token):
+            return ParseError(f"unexpected character {token!r}", m.start())
+    return kind(message, position)
+
+
+def _fail(text: str, tokens: list, k: int, message: str, kind=ParseError) -> ParseError:
+    """The error at token k of parse's token list (past the text: at its
+    end), in which a number stands for a group, ``(`` to ``)``.  Its
+    position is found by reading the text again from its start."""
+    pos = 0
+    for token in tokens[:k]:
+        pos = _TOKEN.match(text, pos).end()
+        if type(token) is int:
+            depth = 1
+            for m in _PARENS.finditer(text, pos):
+                depth += 1 if m.group() == "(" else -1
+                if not depth:
+                    break
+            pos = m.end()
+    m = _TOKEN.match(text, pos)
+    return _error(text, len(text) if m is None else m.start(1), message, kind)
+
+
+def parse(text: str, n: int) -> Expr:
+    """Parse an expression over x1..xn.  Raises ParseError / UnknownSymbol,
+    and ParseError for a tree deeper than MAX_DEPTH (a long sum included) and
+    for a literal that is not finite (1e999) and for an exponent above
+    MAX_EXPONENT.
+
+    One precedence loop builds the tree.  The text is tokenized one scan at
+    a time, each up to the next "(", and an error's position is found only
+    when it is raised.  A group, the text inside a parenthesis or a call,
+    is parsed once per text and once per token sequence: a later group with
+    the same text is the same node and is skipped unread, and one with the
+    same tokens is the same node.  So a printed DAG parses back as a DAG,
+    at the cost of its distinct groups."""
+    size = len(text)
+    # the tokens scanned, "" at the end of the text; a group skipped, or
+    # read inside another group, is one entry from "(" to ")", its number
+    pos = text.find("(") + 1  # text position past the "(" that ends the scan
+    tokens: list = _tokenize(text, 0, pos or size)
+    if not pos:
+        tokens.append("")
+    # the next ")" to read (size if none), found at each "("; past a ")"
+    # read, its position, until the next "("
+    closing = -1
+    at = 0  # index of the next token
+    nest = 0  # signs and parentheses open
+    peak = 0  # the deepest nest reached in the group being parsed
+    leaves: dict[str, Expr] = {}  # each literal and variable, built once
+    # each group's tokens, inner groups as their numbers: its node, the
+    # nesting within it, and its number
+    groups: dict[tuple, tuple[Expr, int, int]] = {}
+    # each group's first _HEAD characters, cut at its first ")": the texts
+    # of the groups read that begin so, each through its ")", and entries
+    texts: dict[str, list[tuple[str, tuple[Expr, int, int]]]] = {}
+    # the text of each group read that has no inner group: its entry
+    bodies: dict[str, tuple[Expr, int, int]] = {}
+
+    def binary(min_prec: int = 1) -> Expr:
+        # a left-associated chain of the operators that bind at least min_prec
+        nonlocal at
+        e = prefix()
+        while True:
+            op = _BINARY.get(tokens[at])
+            if op is None or op[0] < min_prec:
+                return e
+            k = at
+            at += 1
+            # * and / bind tightest: their right operand is a prefix
+            e = op[1](e, binary(2) if op[0] == 1 else prefix())
+            # checked at each operator of a chain, so no chain reaches
+            # MAX_NODE_DEPTH; the nesting bound covers signs and calls
+            if e.facts[0] > MAX_DEPTH:
+                raise _fail(text, tokens, k, _DEEPER)
+
+    def prefix() -> Expr:
+        # an operand: a literal, a variable, a parenthesis or a call, each with
+        # its ^ suffixes, or a sign and its operand
+        nonlocal at, nest, peak, pos, closing, tokens
+        token = tokens[at]
+        at += 1
+        e = leaves.get(token)
+        if e is None:
+            if token == "-" or token == "(" or token in FUNCTIONS and tokens[at] == "(":
+                # the parser recurses only here: into a sign's operand, a
+                # parenthesis or a call's argument
+                if token in FUNCTIONS:
+                    at += 1
+                nest += 1
+                if nest > MAX_DEPTH:
+                    raise _fail(text, tokens, at, f"expression nests deeper than {MAX_DEPTH}")
+                if token == "-":
+                    if nest > peak:
+                        peak = nest
+                    e = prefix()
+                    nest -= 1
+                    # fold a sign applied directly to a literal, so that
+                    # printed negative constants reparse to themselves
+                    return ConstR(-e.value) if isinstance(e, ConstR) else Neg(e)
+                # the "(" ends the scan: the group's text starts at pos, and
+                # ends at the next ")" unless a "(" comes first
+                start = pos
+                pos = text.find("(", start) + 1
+                if closing < start:
+                    closing = text.find(")", start) % (size + 1)
+                entry = bucket = None
+                if 0 < pos <= closing:
+                    # an inner group: the head keys the texts read that this
+                    # group may repeat
+                    end = start + _HEAD
+                    head = text[start:end if end < closing else closing]
+                    bucket = texts.get(head)
+                    if bucket is None:
+                        bucket = texts[head] = []
+                    for stored, entry in bucket:
+                        # a stored text is balanced, so its ")" closes this group
+                        if text.startswith(stored, start):
+                            break
+                    else:
+                        entry = None
+                elif closing < size:
+                    head = text[start:closing]
+                    entry = bodies.get(head)
+                # else it is never closed, and its parse raises
+                outer = peak
+                # a seen group is reused where it nests within the bound;
+                # past it, it is parsed again, to raise where it would
+                if entry is not None and nest + entry[1] <= MAX_DEPTH:
+                    # skipped unread: its "(" becomes its number
+                    e, inner, number = entry
+                    tokens[-1] = number
+                    peak = nest + inner
+                    if bucket is None:
+                        start = closing + 1  # and the next "(" is still at pos
+                    else:
+                        start += len(stored)
+                        pos = text.find("(", start) + 1
+                        closing = start - 1
+                else:
+                    entry = None
+                tokens += _tokenize(text, start, pos or size)
+                if not pos:
+                    tokens.append("")
+                if entry is None:
+                    mark = at
+                    peak = nest
+                    e = binary()
+                    if tokens[at] != ")":
+                        raise _fail(text, tokens, at, "expected ')'")
+                    # the tokens of a group read before give its node
+                    entry = groups.setdefault(tuple(tokens[mark:at]),
+                                              (e, peak - nest, len(groups)))
+                    e = entry[0]
+                    if bucket is None:
+                        bodies[head] = entry
+                    else:
+                        # its last inner group's ")" was read: its own is next
+                        closing = text.find(")", closing + 1)
+                        bucket.append((text[start:closing + 1], entry))
+                    if nest > 1:
+                        # in an outer group's tokens, "(" to ")" becomes
+                        # this group's number
+                        del tokens[mark:at + 1]
+                        tokens[mark - 1] = entry[2]
+                        at = mark
+                    else:
+                        at += 1
+                if outer > peak:
+                    peak = outer
+                nest -= 1
+                if token != "(":
+                    e = Apply(FUNCTIONS[token], e)
+            else:
+                e = leaves[token] = leaf(token)
+        while tokens[at] == "^":
+            k = at
+            at += 1
+            sign = 1
+            if tokens[at] == "-":
+                at += 1
+                sign = -1
+            digits = tokens[at]
+            if not (digits.isdigit() and digits.isascii()):
+                raise _fail(text, tokens, at, "expected an integer exponent")
+            # counted before int(), which refuses more than 4300 digits
+            digits = digits.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise _fail(text, tokens, at, f"exponent exceeds {MAX_EXPONENT}")
+            at += 1
+            e = Pow(e, sign * int(digits))
+            if e.facts[0] > MAX_DEPTH:
+                raise _fail(text, tokens, k, _DEEPER)
+        return e
+
+    def leaf(token: str) -> Expr:
+        # a literal or a variable; anything else here is an error
+        k = at - 1
+        if not token:
+            raise _fail(text, tokens, k, "unexpected end of input")
+        if token[0] in "0123456789." and token != ".":
+            value = float(token)
+            if not math.isfinite(value):
+                raise _fail(text, tokens, k, f"number {_quoted(token)} is not finite")
+            return ConstR(value)
+        m = _VAR.match(token)
+        if m is not None:
+            digits = m.group(1)
+            # counted before int(), which refuses more than 4300 digits
+            if len(digits) > len(str(n)) or int(digits) > n:
+                raise _fail(text, tokens, k,
+                            f"variable {_quoted(token)} exceeds chart dimension {n}",
+                            UnknownSymbol)
+            return Var(int(digits) - 1)
+        if token in "+*/^)":
+            raise _fail(text, tokens, k, f"unexpected {token!r}")
+        if tokens[at] == "(":
+            raise _fail(text, tokens, k, f"unknown function {_quoted(token)}", UnknownSymbol)
+        raise _fail(text, tokens, k, f"unknown identifier {_quoted(token)}", UnknownSymbol)
+
+    try:
+        e = binary()
+    finally:
+        # the closures refer to themselves and to each other; unlinked, they
+        # and the memos go when the call returns, not at a cycle collection
+        binary = prefix = None
+    if tokens[at]:
+        raise _fail(text, tokens, at, f"unexpected {_quoted(tokens[at])}")
+    if e.facts[0] > MAX_DEPTH:
+        raise ParseError(_DEEPER, 0)
+    return e
 
 
 # -- printing ----------------------------------------------------------------------
@@ -924,6 +1208,3 @@ def prolong_function(f: Expr, dim: int, algebra: WeilAlgebra) -> AFunction:
     require_base((f,), "a prolonged function")
     return AFunction(f, dim, algebra)
 
-
-# the parser builds the nodes above, so its module is imported once they exist
-from .grammar import parse  # noqa: E402

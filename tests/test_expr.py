@@ -26,6 +26,9 @@ from weilc.expr import (
     ConstA,
     ConstR,
     Div,
+    FUNCTIONS,
+    MAX_DEPTH,
+    MAX_EXPONENT,
     MAX_NODE_DEPTH,
     Mul,
     Neg,
@@ -43,7 +46,6 @@ from weilc.expr import (
     substitute,
     to_string,
 )
-from weilc.grammar import FUNCTIONS, MAX_DEPTH, MAX_EXPONENT
 from weilc.oracle import taylor_coeffs
 from weilc.prolongation import APoint
 
