@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ProjectConfig:
-    path = args.config or os.environ.get("WEILC_CONFIG")
+    path = args.config if args.config is not None else os.environ.get("WEILC_CONFIG")
     if not path:
         raise ConfigError("no config given (use --config or WEILC_CONFIG)")
     return load_config(path)
@@ -124,7 +124,7 @@ def _parse_point(text: str, algebra, n: int) -> APoint:
 
 
 def _write_json(path: str | None, text: str):
-    if path:
+    if path is not None:
         try:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -217,8 +217,12 @@ def _cmd_check(cfg: ProjectConfig, args) -> int:
     seed = args.seed if args.seed is not None else cfg.suites.seed
     trials = args.trials if args.trials is not None else cfg.suites.trials
     tol = args.tol if args.tol is not None else cfg.suites.tol
-    pi = _resolve(cfg.bivectors, args.pi, "bivector") if args.pi else None
-    algebra = _resolve(cfg.algebras, args.algebra, "algebra") if args.algebra else None
+    pi, algebra = args.pi, args.algebra
+    # names are looked up only for the suite that takes them: run_suite
+    # refuses a pi or algebra given to another suite before reading it
+    if args.suite == "poisson_full":
+        pi = pi if pi is None else _resolve(cfg.bivectors, pi, "bivector")
+        algebra = algebra if algebra is None else _resolve(cfg.algebras, algebra, "algebra")
     report = run_suite(args.suite, seed, trials, tol, pi=pi, algebra=algebra)
     print(report.summary())
     for w in report.witnesses:

@@ -21,9 +21,9 @@ node's first result.  The visiting order is that of the tree walk, so
 results and the first error raised are the same.  ``==`` and ``hash`` keep
 one too, keyed by the pair of nodes compared or the node hashed.  ``parse``
 keeps per-call memos of each parenthesized group or call argument, keyed by
-its text and by its tokens: a repeated group is one node, and a repeat of a
-text already read is skipped without being tokenized, so a printed DAG
-parses back as a DAG at a cost that grows with its distinct text.
+its text: a repeat of a text already read is the same node, skipped without
+being tokenized, so a printed DAG parses back as a DAG at a cost that grows
+with its distinct text.
 
 Each operand rule of the package is stated here once, and reads the facts
 each node holds (see ``Expr``) instead of walking a tree: ``on_chart``, the
@@ -786,9 +786,6 @@ _STRAY = re.compile(r"[^0-9A-Za-z_+\-*/^()]|\.")
 
 _VAR = re.compile(r"x([1-9]\d*)$")
 
-# a parenthesis: _fail counts them to step over a group read whole
-_PARENS = re.compile(r"[()]")
-
 # the most characters of a group's text that key the texts parse has read
 _HEAD = 32
 
@@ -835,18 +832,12 @@ def _error(text: str, position: int, message: str, kind=ParseError) -> ParseErro
 
 def _fail(text: str, tokens: list, k: int, message: str, kind=ParseError) -> ParseError:
     """The error at token k of parse's token list (past the text: at its
-    end), in which a number stands for a group, ``(`` to ``)``.  Its
-    position is found by reading the text again from its start."""
+    end), in which a number stands for a group skipped unread, ``(`` to
+    ``)``: the text position past its ``)``.  Its position is found by
+    reading the text again from its start."""
     pos = 0
     for token in tokens[:k]:
-        pos = _TOKEN.match(text, pos).end()
-        if type(token) is int:
-            depth = 1
-            for m in _PARENS.finditer(text, pos):
-                depth += 1 if m.group() == "(" else -1
-                if not depth:
-                    break
-            pos = m.end()
+        pos = token if type(token) is int else _TOKEN.match(text, pos).end()
     m = _TOKEN.match(text, pos)
     return _error(text, len(text) if m is None else m.start(1), message, kind)
 
@@ -860,13 +851,13 @@ def parse(text: str, n: int) -> Expr:
     One precedence loop builds the tree.  The text is tokenized one scan at
     a time, each up to the next "(", and an error's position is found only
     when it is raised.  A group, the text inside a parenthesis or a call,
-    is parsed once per text and once per token sequence: a later group with
-    the same text is the same node and is skipped unread, and one with the
-    same tokens is the same node.  So a printed DAG parses back as a DAG,
-    at the cost of its distinct groups."""
+    is parsed once per text: a later group with the same text is the same
+    node and is skipped unread, and one that differs only in its spaces is
+    an equal node.  So a printed DAG parses back as a DAG, at the cost of
+    its distinct groups."""
     size = len(text)
-    # the tokens scanned, "" at the end of the text; a group skipped, or
-    # read inside another group, is one entry from "(" to ")", its number
+    # the tokens scanned, "" at the end of the text; a group skipped is one
+    # entry from "(" to ")", the text position past its ")"
     pos = text.find("(") + 1  # text position past the "(" that ends the scan
     tokens: list = _tokenize(text, 0, pos or size)
     if not pos:
@@ -878,14 +869,12 @@ def parse(text: str, n: int) -> Expr:
     nest = 0  # signs and parentheses open
     peak = 0  # the deepest nest reached in the group being parsed
     leaves: dict[str, Expr] = {}  # each literal and variable, built once
-    # each group's tokens, inner groups as their numbers: its node, the
-    # nesting within it, and its number
-    groups: dict[tuple, tuple[Expr, int, int]] = {}
     # each group's first _HEAD characters, cut at its first ")": the texts
-    # of the groups read that begin so, each through its ")", and entries
-    texts: dict[str, list[tuple[str, tuple[Expr, int, int]]]] = {}
+    # of the groups read that begin so, each through its ")", and entries:
+    # a group's node and the nesting within it
+    texts: dict[str, list[tuple[str, tuple[Expr, int]]]] = {}
     # the text of each group read that has no inner group: its entry
-    bodies: dict[str, tuple[Expr, int, int]] = {}
+    bodies: dict[str, tuple[Expr, int]] = {}
 
     def binary(min_prec: int = 1) -> Expr:
         # a left-associated chain of the operators that bind at least min_prec
@@ -957,9 +946,8 @@ def parse(text: str, n: int) -> Expr:
                 # a seen group is reused where it nests within the bound;
                 # past it, it is parsed again, to raise where it would
                 if entry is not None and nest + entry[1] <= MAX_DEPTH:
-                    # skipped unread: its "(" becomes its number
-                    e, inner, number = entry
-                    tokens[-1] = number
+                    # skipped unread: its "(" becomes the position past its ")"
+                    e, inner = entry
                     peak = nest + inner
                     if bucket is None:
                         start = closing + 1  # and the next "(" is still at pos
@@ -967,35 +955,25 @@ def parse(text: str, n: int) -> Expr:
                         start += len(stored)
                         pos = text.find("(", start) + 1
                         closing = start - 1
+                    tokens[-1] = start
                 else:
                     entry = None
                 tokens += _tokenize(text, start, pos or size)
                 if not pos:
                     tokens.append("")
                 if entry is None:
-                    mark = at
                     peak = nest
                     e = binary()
                     if tokens[at] != ")":
                         raise _fail(text, tokens, at, "expected ')'")
-                    # the tokens of a group read before give its node
-                    entry = groups.setdefault(tuple(tokens[mark:at]),
-                                              (e, peak - nest, len(groups)))
-                    e = entry[0]
+                    at += 1
+                    entry = e, peak - nest
                     if bucket is None:
                         bodies[head] = entry
                     else:
                         # its last inner group's ")" was read: its own is next
                         closing = text.find(")", closing + 1)
                         bucket.append((text[start:closing + 1], entry))
-                    if nest > 1:
-                        # in an outer group's tokens, "(" to ")" becomes
-                        # this group's number
-                        del tokens[mark:at + 1]
-                        tokens[mark - 1] = entry[2]
-                        at = mark
-                    else:
-                        at += 1
                 if outer > peak:
                     peak = outer
                 nest -= 1

@@ -331,6 +331,7 @@ def jacobi_check(
     if expansions is None or trials < 1:
         return _run_trials("jacobi", seed, trials, tol, trial)
     _require_tol(tol)
+    sampling.rng_for(seed)  # refuses a negative seed, as the sampled path does
     variables = [to_string(Var(i)) for i in range(pi.dim)]
     worst = 0.0
     witnesses = []

@@ -403,6 +403,13 @@ class TestConfigHandling:
         assert main(["algebra-show", "dual"]) == 0
         assert "dim=2" in capsys.readouterr().out
 
+    def test_empty_config_flag_is_not_the_env_fallback(self, config2, capsys, monkeypatch):
+        monkeypatch.setenv("WEILC_CONFIG", config2)
+        assert main(["--config", "", "algebra-show", "dual"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: no config given (use --config or WEILC_CONFIG)\n"
+        assert captured.out == ""
+
 
 class TestArgumentEdges:
     def test_bracket_algebra_without_point(self, config2, capsys):
@@ -447,7 +454,9 @@ class TestArgumentEdges:
         assert not path.exists()
 
     @pytest.mark.parametrize(
-        "extra", [["--pi", "canonical2"], ["--algebra", "dual"]], ids=["pi", "algebra"]
+        "extra",
+        [["--pi", "canonical2"], ["--algebra", "dual"], ["--pi", ""], ["--algebra", ""]],
+        ids=["pi", "algebra", "empty-pi", "empty-algebra"],
     )
     def test_pi_or_algebra_on_another_suite(self, config2, capsys, extra):
         code = main(["--config", config2, "check", "hom_laws", "--trials", "1", *extra])
@@ -456,6 +465,18 @@ class TestArgumentEdges:
         assert captured.err == (
             "error: suite 'hom_laws' takes no pi or algebra; only poisson_full does\n"
         )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "extra, name", [(["--pi", ""], "bivector ''"), (["--algebra", ""], "algebra ''")],
+        ids=["pi", "algebra"],
+    )
+    def test_empty_name_on_poisson_full(self, config2, capsys, extra, name):
+        # an empty name is looked up and refused, not taken for the default
+        code = main(["--config", config2, "check", "poisson_full", "--trials", "1", *extra])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: unknown {name} (")
         assert captured.out == ""
 
     def test_malformed_point_json(self, config2, capsys):
@@ -486,6 +507,19 @@ class TestArgumentEdges:
         assert main(["--config", config2, *argv, "--json", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write --json {path}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["algebra-show", "dual"], ["eval", "f", "dual", "--point", "[[3,1],[0,0]]"],
+         ["check", "hom_laws", "--trials", "1"]],
+        ids=["algebra-show", "eval", "check"],
+    )
+    def test_empty_json_path(self, config2, capsys, argv):
+        # refused as a path that cannot be written, not dropped
+        assert main(["--config", config2, *argv, "--json", ""]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write --json ")
         assert "Traceback" not in err
 
 

@@ -1306,7 +1306,7 @@ def _repeated_texts():
 @example("x1 + x" + "1" * 5000, 0, None)  # more digits than int() converts
 @example("x1 + " + "a" * 41, 0, None)  # a refused token past the quoted length
 @example("x1 " + "1" * 40, 0, None)
-@example("(12)*(1 2)", 0, None)  # tokens, not characters, tell groups apart
+@example("(12)*(1 2)", 0, None)  # groups are told apart by their texts
 @example(_regrouped(MAX_DEPTH + 1, 50, 0, "(", "(", "("), 0, None)  # a reuse past the bound
 @example(_regrouped(MAX_DEPTH, 50, 20, "(", "sin(", "-"), 0, None)  # one within it
 @example("(x1 + x2)*(x1 + x2 + x3)", 0, None)  # a read text that begins a longer group
@@ -1315,6 +1315,9 @@ def _repeated_texts():
 @example("(x1)*(x1", 0, None)
 @example("sin(x1 + (x2))*(x1 + (x2))", 0, None)  # a repeat at the end of the text
 @example("((x1))*(((x1)) - ((x1)))", 0, None)
+@example("(x1 + x2)*(x1 + x2) + y", 0, None)  # an error just after a skipped group
+@example("sin((x1))*((x1)) ^ x", 0, None)
+@example("(x1)*(x1)*(x1))", 0, None)
 def test_parser_matches_the_recursive_descent(text, at, junk):
     if junk is not None:
         at %= len(text) + 1
@@ -1348,7 +1351,7 @@ def _distinct(e):
 
 
 class TestSharedGroups:
-    """``parse`` parses the tokens of each parenthesized group or call
+    """``parse`` parses the text of each parenthesized group or call
     argument once per call, so a repeated group is one node."""
 
     def test_a_call_argument_and_a_parenthesis_are_one_node(self):
@@ -1356,18 +1359,18 @@ class TestSharedGroups:
         assert e.left.arg is e.right
 
     def test_tokens_not_characters_are_compared(self):
+        # groups that differ only in their spaces parse to equal trees
         e = parse("(x1+x2)*(x1 + x2)", 2)
-        assert e.left is e.right
+        assert e.left == e.right
 
-    def test_nested_whitespace_variants_share(self):
-        # the inner groups are one node, so the outer ones have one token key
+    def test_nested_whitespace_variants_are_equal(self):
         e = parse("((x1+x2)*x3)*((x1 + x2) * x3)", 3)
-        assert e.left is e.right
+        assert e.left == e.right
         # the inner group read in the first factor, skipped in the second
         e = parse("((x1+x2)*x3)*((x1+x2) * x3)", 3)
-        assert e.left is e.right
+        assert e.left == e.right
         e = parse("(x1)*((x1)+x2)*((x1) + x2)", 2)
-        assert e.left.right is e.right
+        assert e.left.right == e.right
 
     def test_the_memo_lives_for_one_call(self):
         first, second = parse("(x1 + x2)", 2), parse("(x1 + x2)", 2)

@@ -212,6 +212,14 @@ class TestJacobiCheck:
         with pytest.raises(WeilcError, match="trial count -2 is negative"):
             jacobi_check(pi, trials=-2, tol=1e-9, seed=0)
 
+    @pytest.mark.parametrize("entry", ["1", "exp(x2)"])
+    def test_a_negative_seed_is_refused(self, entry):
+        # on either route: the exact expansion, which draws nothing, or sampling
+        pi = PoissonStructure(3, {(0, 1): parse("1", 3), (1, 2): parse(entry, 3)})
+        with pytest.raises(WeilcError) as exc:
+            jacobi_check(pi, trials=10, tol=1e-9, seed=-5)
+        assert str(exc.value) == "seed -5 is negative; seeds are integers >= 0"
+
     def test_witness_point_prints_plain_floats(self):
         # {x1,x2} = 1, {x2,x3} = exp(x2): the coordinate Jacobiator exp(x2) is
         # not a polynomial, so the check samples it
