@@ -339,55 +339,68 @@ ZERO = ConstR(0.0)
 ONE = ConstR(1.0)
 
 
-def _is_const(e: Expr, v: float) -> bool:
-    return isinstance(e, ConstR) and e.value == v
+def is_zero(e: Expr) -> bool:
+    """Whether ``e == ZERO``, by class and value: a real constant equal to
+    0.0 (so -0.0 too, and never NaN or an algebra constant)."""
+    return type(e) is ConstR and e.value == 0.0
 
 
 # -- folding constructors (constant folding and 0/1 identities only) ------------
+# Each tests an operand's class once; ``ConstR`` has no subclasses.
 
 
 def add(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, ConstR) and isinstance(b, ConstR):
-        return ConstR(a.value + b.value)
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
+    if type(a) is ConstR:
+        if type(b) is ConstR:
+            return ConstR(a.value + b.value)
+        if a.value == 0.0:
+            return b
+    elif type(b) is ConstR and b.value == 0.0:
         return a
     return Add(a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, ConstR) and isinstance(b, ConstR):
-        return ConstR(a.value - b.value)
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a, 0.0):
-        return neg(b)
+    if type(b) is ConstR:
+        if type(a) is ConstR:
+            return ConstR(a.value - b.value)
+        if b.value == 0.0:
+            return a
+    elif type(a) is ConstR and a.value == 0.0:
+        return Neg(b)
     return Sub(a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, ConstR) and isinstance(b, ConstR):
-        return ConstR(a.value * b.value)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return ZERO
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
+    if type(a) is ConstR:
+        if type(b) is ConstR:
+            return ConstR(a.value * b.value)
+        v = a.value
+        if v == 0.0:
+            return ZERO
+        if v == 1.0:
+            return b
+    elif type(b) is ConstR:
+        v = b.value
+        if v == 0.0:
+            return ZERO
+        if v == 1.0:
+            return a
     return Mul(a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, ConstR) and isinstance(b, ConstR) and b.value != 0.0:
-        return ConstR(a.value / b.value)
-    if _is_const(b, 1.0):
-        return a
+    if type(b) is ConstR:
+        v = b.value
+        if v != 0.0 and type(a) is ConstR:
+            return ConstR(a.value / v)
+        if v == 1.0:
+            return a
     return Div(a, b)
 
 
 def neg(a: Expr) -> Expr:
-    if isinstance(a, ConstR):
+    if type(a) is ConstR:
         return ConstR(-a.value)
     return Neg(a)
 
@@ -397,7 +410,7 @@ def power(base: Expr, k: int) -> Expr:
         return ONE
     if k == 1:
         return base
-    if isinstance(base, ConstR) and (base.value != 0.0 or k > 0):
+    if type(base) is ConstR and (base.value != 0.0 or k > 0):
         try:
             return ConstR(base.value**k)
         except OverflowError:

@@ -24,6 +24,7 @@ from .expr import (
     chart_point,
     diff,
     eval_weil,
+    is_zero,
     mul,
     neg,
     on_chart,
@@ -47,13 +48,24 @@ class CoordForm:
 
     def __post_init__(self):
         on_chart(self.coeffs.values(), self)
+        degree, dim = self.degree, self.dim
+        if degree < 0:
+            raise DegreeError(f"form degree {degree} is negative")
         for idx in self.coeffs:
-            if len(idx) != self.degree:
-                raise DegreeError(f"index tuple {idx} in a degree-{self.degree} form")
-            if any(not 0 <= i < self.dim for i in idx):
+            if len(idx) == degree:
+                prev = -1
+                for i in idx:
+                    if not prev < i < dim:
+                        break
+                    prev = i
+                else:
+                    continue
+            # a bad tuple: its error, the first of these checks it fails
+            if len(idx) != degree:
+                raise DegreeError(f"index tuple {idx} in a degree-{degree} form")
+            if any(not 0 <= i < dim for i in idx):
                 raise DimensionMismatch(f"index tuple {idx} off the chart")
-            if any(a >= b for a, b in zip(idx, idx[1:])):
-                raise DegreeError(f"index tuple {idx} is not strictly increasing")
+            raise DegreeError(f"index tuple {idx} is not strictly increasing")
 
     def coefficient(self, idx: Index) -> Expr:
         return self.coeffs.get(tuple(idx), ZERO)
@@ -115,14 +127,14 @@ class _Accumulator:
         self.totals: dict[Index, Expr] = {}
 
     def put(self, idx: Index, expr: Expr, sign: int = 1):
-        if expr == ZERO:
+        if is_zero(expr):
             return
         signed = expr if sign > 0 else neg(expr)
         total = self.totals.get(idx)
         self.totals[idx] = signed if total is None else add(total, signed)
 
     def build(self) -> dict[Index, Expr]:
-        return {idx: total for idx, total in self.totals.items() if total != ZERO}
+        return {idx: total for idx, total in self.totals.items() if not is_zero(total)}
 
 
 def zero_form(degree: int, dim: int, algebra: WeilAlgebra | None) -> CoordForm:
@@ -131,7 +143,7 @@ def zero_form(degree: int, dim: int, algebra: WeilAlgebra | None) -> CoordForm:
 
 def function_form(fn: AFunction) -> CoordForm:
     """Wrap a function as a degree-0 form."""
-    coeffs = {} if fn.expr == ZERO else {(): fn.expr}
+    coeffs = {} if is_zero(fn.expr) else {(): fn.expr}
     return CoordForm(0, fn.dim, fn.algebra, coeffs)
 
 
@@ -184,7 +196,7 @@ def dform(w: CoordForm) -> CoordForm:
             if i in idx:
                 continue
             dc = diff(c, i)
-            if dc == ZERO:
+            if is_zero(dc):
                 continue
             pos = sum(1 for j in idx if j < i)
             inserted = idx[:pos] + (i,) + idx[pos:]

@@ -42,6 +42,7 @@ from .expr import (
     diff,
     eval_real,
     eval_weil,
+    is_zero,
     mul,
     neg,
     on_chart,
@@ -111,14 +112,20 @@ MAX_WITNESSES = 10
 
 
 class _Recorder:
-    """Accumulates residuals and failure witnesses for one run."""
+    """Accumulates residuals and failure witnesses for one run.
+
+    ``inputs`` is the current trial's zero-argument callable that renders
+    its inputs as a dict of strings.  It is rendered for witnesses only: at
+    most once per trial, when a failing sub-check is kept as a witness, so a
+    passing run renders nothing."""
 
     def __init__(self, tol: float):
         self.tol = tol
         self.max_residual = 0.0
         self.witnesses: list[Witness] = []
-        # the current trial's inputs, which ``check`` witnesses carry
-        self.inputs: dict[str, str] = {}
+        self.inputs: Callable[[], dict[str, str]] = dict
+        # the inputs callable last rendered, and its rendering
+        self._shown: tuple = (None, None)
         self.redrawn = 0
 
     def _passes(self, value: float) -> bool:
@@ -133,7 +140,9 @@ class _Recorder:
             value = math.inf
         self.max_residual = max(self.max_residual, value)
         if not self._passes(value) and len(self.witnesses) < MAX_WITNESSES:
-            self.witnesses.append(Witness({"check": name, **self.inputs}, float(value)))
+            if self._shown[0] is not self.inputs:
+                self._shown = (self.inputs, self.inputs())
+            self.witnesses.append(Witness({"check": name, **self._shown[1]}, float(value)))
 
     def report(self, suite: str, seed: int, trials: int) -> CheckReport:
         return CheckReport(
@@ -202,7 +211,7 @@ class PoissonStructure:
                 raise DimensionMismatch(
                     f"bivector entry ({i}, {j}) is not an upper-triangle pair"
                 )
-            if e != ZERO:
+            if not is_zero(e):
                 cleaned[(i, j)] = e
         self.entries = cleaned
 
@@ -314,14 +323,16 @@ def jacobi_check(
             add(bracket(pi, f, bracket(pi, g, h)), bracket(pi, g, bracket(pi, h, f))),
             bracket(pi, h, bracket(pi, f, g)),
         )
-        names = {"f": to_string(f), "g": to_string(g), "h": to_string(h)}
-        jacobiators.append((jacobiator, names))
+        jacobiators.append((jacobiator, (f, g, h)))
+
+    def names(triple) -> dict[str, str]:
+        return {key: to_string(x) for key, x in zip("fgh", triple)}
 
     def trial(rng, rec: _Recorder):
         point = rng.uniform(-1.0, 1.0, pi.dim)
-        shown = str([round(x, 6) for x in point])
-        for jacobiator, names in jacobiators:
-            rec.inputs = {**names, "point": shown}
+        for jacobiator, triple in jacobiators:
+            rec.inputs = lambda triple=triple: {
+                **names(triple), "point": str([round(x, 6) for x in point])}
             rec.check("jacobi", abs(eval_real(jacobiator, point)))
 
     try:
@@ -332,10 +343,9 @@ def jacobi_check(
         return _run_trials("jacobi", seed, trials, tol, trial)
     _require_tol(tol)
     sampling.rng_for(seed)  # refuses a negative seed, as the sampled path does
-    variables = [to_string(Var(i)) for i in range(pi.dim)]
     worst = 0.0
     witnesses = []
-    for coeffs, (_, names) in zip(expansions, jacobiators):
+    for coeffs, (_, triple) in zip(expansions, jacobiators):
         if not coeffs:
             continue
         monomial, c = max(coeffs.items(), key=lambda item: abs(item[1]))
@@ -345,7 +355,8 @@ def jacobi_check(
             residual = math.inf
         worst = max(worst, residual)
         if len(witnesses) < MAX_WITNESSES:
-            inputs = {"check": "jacobi", **names,
+            variables = [to_string(Var(i)) for i in range(pi.dim)]
+            inputs = {"check": "jacobi", **names(triple),
                       "monomial": monomial_name(monomial, variables)}
             witnesses.append(Witness(inputs, residual))
     # a coefficient below the smallest float still fails
@@ -439,32 +450,35 @@ def _a_poisson_trial(rng, rec: _Recorder, pi: PoissonStructure, algebra: WeilAlg
     scalar = sampling.random_element(rng, algebra)
     x_form = sampling.random_one_form(rng, n, algebra, with_consta=True)
     y_form = sampling.random_one_form(rng, n, algebra, with_consta=True)
-    rec.inputs = {
+    rec.inputs = lambda: {
         "phi": to_string(phi.expr),
         "psi": to_string(psi.expr),
         "pi": pi.describe(),
         "algebra": algebra.describe(),
         "point": str([round(c.real, 6) for c in point]),
     }
+    # built once each, and shared only within one side or across sub-checks
+    phi_psi = br(phi, psi)
+    phi_chi = br(phi, chi)
     # antisymmetry
     rec.check(
         "antisymmetry",
-        sampling.residual_zero((br(phi, psi) + br(psi, phi))(point)),
+        sampling.residual_zero((phi_psi + br(psi, phi))(point)),
     )
     # bilinearity over the algebra
     lhs = br(scalar * phi + psi, chi)(point)
-    rhs = scalar * br(phi, chi)(point) + br(psi, chi)(point)
+    rhs = scalar * phi_chi(point) + br(psi, chi)(point)
     rec.check("bilinearity", sampling.residual(lhs, rhs))
     # Leibniz in the second slot
     psi_v = eval_weil(psi.expr, point, algebra)
     chi_v = eval_weil(chi.expr, point, algebra)
     lhs = br(phi, psi * chi)(point)
-    rhs = br(phi, psi)(point) * chi_v + psi_v * br(phi, chi)(point)
+    rhs = phi_psi(point) * chi_v + psi_v * phi_chi(point)
     rec.check("leibniz", sampling.residual(lhs, rhs))
     # Jacobi, scaled by its terms like the other sub-checks: the first two
     # against minus the third
     first = br(phi, br(psi, chi))(point) + br(psi, br(chi, phi))(point)
-    third = br(chi, br(phi, psi))(point)
+    third = br(chi, phi_psi)(point)
     rec.check("jacobi", sampling.residual(first, -third))
     # pairing against the 2-form: ad_tilde(X) phi = -omega(X, delta phi)
     lhs = ad_tilde(pi, x_form).apply_at(phi, point)
@@ -478,7 +492,7 @@ def _a_poisson_trial(rng, rec: _Recorder, pi: PoissonStructure, algebra: WeilAlg
     lie = lie_derivative(ad_prolong(pi, phi), delta(psi))
     rec.check(
         "differential_of_bracket",
-        sampling.residual_forms(lie, delta(br(phi, psi)), point),
+        sampling.residual_forms(lie, delta(phi_psi), point),
     )
     # prolongation equality of the 2-form on base one-forms
     fx = sampling.random_one_form(rng, n, None)

@@ -20,8 +20,8 @@ from .algebra import (
     WeilElement,
     build_algebra,
 )
-from .errors import WeilcError
-from .expr import Apply, ConstA, ConstR, Expr, Var, add, mul, power, sub
+from .errors import AlgebraMismatch, DegreeError, WeilcError
+from .expr import Apply, ConstA, ConstR, Expr, Var, add, mul, power, same_chart, sub
 from .forms import CoordForm
 from .prolongation import APoint, VectorField
 
@@ -150,7 +150,10 @@ def random_one_form(
 def residual(lhs: WeilElement, rhs: WeilElement) -> float:
     """Sup-norm difference, normalized to the larger operand scale; inf when
     either operand has a non-finite coefficient (tested on its own, since
-    Python's max skips NaN)."""
+    Python's max skips NaN).  Elements of two algebras raise
+    AlgebraMismatch."""
+    if lhs.algebra is not rhs.algebra:
+        raise AlgebraMismatch("residual of elements over different algebras")
     both = lhs.coeffs + rhs.coeffs
     if not all(map(math.isfinite, both)):
         return math.inf
@@ -163,7 +166,12 @@ def residual_zero(value: WeilElement) -> float:
 
 
 def residual_forms(a: CoordForm, b: CoordForm, point) -> float:
-    """Largest coefficientwise residual of two forms at a point."""
+    """Largest coefficientwise residual of two forms at a point.  Forms of
+    two degrees raise DegreeError, and forms on two charts (``same_chart``)
+    AlgebraMismatch or DimensionMismatch."""
+    same_chart(a, b)
+    if a.degree != b.degree:
+        raise DegreeError(f"residual of a degree-{a.degree} and a degree-{b.degree} form")
     ea, eb = a.evaluate(point), b.evaluate(point)
     worst = 0.0
     for idx in set(ea) | set(eb):

@@ -38,11 +38,15 @@ from weilc.expr import (
     ZERO,
     add,
     diff,
+    div,
     eval_real,
     eval_weil,
+    is_zero,
+    mul,
     parse,
     power,
     prolong_function,
+    sub,
     substitute,
     to_string,
 )
@@ -599,3 +603,86 @@ class TestDepthLimit:
         ):
             with pytest.raises(ParseError, match=str(MAX_DEPTH)):
                 parse(text, 1)
+
+
+# -- folding rules -------------------------------------------------------------
+# The folding constructors as first written, with isinstance tests: the
+# reference the class-tested constructors must agree with.
+
+
+def _ref_is_const(e, v):
+    return isinstance(e, ConstR) and e.value == v
+
+
+def _ref_add(a, b):
+    if isinstance(a, ConstR) and isinstance(b, ConstR):
+        return ConstR(a.value + b.value)
+    if _ref_is_const(a, 0.0):
+        return b
+    if _ref_is_const(b, 0.0):
+        return a
+    return Add(a, b)
+
+
+def _ref_sub(a, b):
+    if isinstance(a, ConstR) and isinstance(b, ConstR):
+        return ConstR(a.value - b.value)
+    if _ref_is_const(b, 0.0):
+        return a
+    if _ref_is_const(a, 0.0):
+        return Neg(b)
+    return Sub(a, b)
+
+
+def _ref_mul(a, b):
+    if isinstance(a, ConstR) and isinstance(b, ConstR):
+        return ConstR(a.value * b.value)
+    if _ref_is_const(a, 0.0) or _ref_is_const(b, 0.0):
+        return ZERO
+    if _ref_is_const(a, 1.0):
+        return b
+    if _ref_is_const(b, 1.0):
+        return a
+    return Mul(a, b)
+
+
+def _ref_div(a, b):
+    if isinstance(a, ConstR) and isinstance(b, ConstR) and b.value != 0.0:
+        return ConstR(a.value / b.value)
+    if _ref_is_const(b, 1.0):
+        return a
+    return Div(a, b)
+
+
+_OPERANDS = st.one_of(
+    st.sampled_from([
+        ZERO, ConstR(0.0), ConstR(-0.0), ConstR(1.0), ConstR(math.nan), ConstR(-1.0),
+        ConstR(math.inf), _X1, Mul(_X1, _X2), ConstA(_EPS), ConstA(_EPS.algebra.zero()),
+    ]),
+    st.floats().map(ConstR),
+)
+
+
+def _same(x, y):
+    """Equal trees, with constants told apart by repr: -0.0 from 0.0, and
+    any NaN equal to any NaN."""
+    if type(x) is ConstR and type(y) is ConstR:
+        return repr(x.value) == repr(y.value)
+    return x == y
+
+
+class TestFolding:
+    @given(_OPERANDS, _OPERANDS)
+    def test_constructors_match_the_reference_rules(self, a, b):
+        for new, ref in ((add, _ref_add), (sub, _ref_sub), (mul, _ref_mul), (div, _ref_div)):
+            got, want = new(a, b), ref(a, b)
+            assert type(got) is type(want)
+            assert _same(got, want), (new.__name__, a, b)
+            # an operand or ZERO comes back as that very object
+            for kept in (a, b, ZERO):
+                if want is kept:
+                    assert got is kept, (new.__name__, a, b)
+
+    @given(_OPERANDS)
+    def test_the_zero_test_agrees_with_equality(self, e):
+        assert is_zero(e) == (e == ZERO)

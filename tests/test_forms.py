@@ -1,6 +1,7 @@
 """Coordinate forms: differential, wedge, contraction, Lie derivative."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from weilc import (
     AFunction,
@@ -19,7 +20,7 @@ from weilc import (
     prolong_form,
     wedge,
 )
-from weilc.errors import AlgebraMismatch, DegreeError
+from weilc.errors import AlgebraMismatch, DegreeError, DimensionMismatch, WeilcError
 from weilc.expr import ConstA, ConstR, Mul, Var, eval_weil
 from weilc.forms import function_form, zero_form
 from weilc.oracle import form_is_zero_exact
@@ -39,6 +40,69 @@ def dual():
 
 def afn(text, n, algebra):
     return AFunction(parse(text, n), n, algebra)
+
+
+def _ref_index_error(idx, degree, dim):
+    """The index-tuple checks as first written, each over the whole tuple,
+    in the order their errors take precedence; None for a good tuple."""
+    if len(idx) != degree:
+        return DegreeError(f"index tuple {idx} in a degree-{degree} form")
+    if any(not 0 <= i < dim for i in idx):
+        return DimensionMismatch(f"index tuple {idx} off the chart")
+    if any(a >= b for a, b in zip(idx, idx[1:])):
+        return DegreeError(f"index tuple {idx} is not strictly increasing")
+    return None
+
+
+class TestValidation:
+    """A bad index tuple gets the class and message of the first check it
+    fails: its length, then the chart, then strict order."""
+
+    @pytest.mark.parametrize(
+        "degree, idx, kind, message",
+        [
+            (2, (0,), DegreeError, "index tuple (0,) in a degree-2 form"),
+            (2, (0, 1, 2), DegreeError, "index tuple (0, 1, 2) in a degree-2 form"),
+            (2, (-1, 1), DimensionMismatch, "index tuple (-1, 1) off the chart"),
+            (2, (0, 3), DimensionMismatch, "index tuple (0, 3) off the chart"),
+            (2, (1, 1), DegreeError, "index tuple (1, 1) is not strictly increasing"),
+            (2, (2, 0), DegreeError, "index tuple (2, 0) is not strictly increasing"),
+            # off the chart and out of order: the chart check comes first
+            (3, (1, 0, 5), DimensionMismatch, "index tuple (1, 0, 5) off the chart"),
+        ],
+    )
+    def test_bad_index_tuple(self, degree, idx, kind, message):
+        good = tuple(range(degree))
+        with pytest.raises(WeilcError) as info:
+            CoordForm(degree, 3, None, {good: Var(0), idx: Var(1)})
+        assert type(info.value) is kind
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("coeffs", [{}, {(): Var(0)}])
+    def test_a_negative_degree_is_refused(self, coeffs):
+        with pytest.raises(DegreeError, match="form degree -1 is negative"):
+            CoordForm(-1, 2, None, coeffs)
+
+    def test_a_degree_above_the_chart_is_legal(self, dual):
+        top = CoordForm(2, 2, dual, {(0, 1): Var(0)})
+        above = dform(top)
+        assert above.degree == 3 and above.coeffs == {}
+        assert CoordForm(5, 2, None).degree == 5
+
+    @given(
+        st.integers(0, 3),
+        st.integers(0, 4),
+        st.lists(st.integers(-2, 5), max_size=4).map(tuple),
+    )
+    def test_index_checks_match_the_reference(self, degree, dim, idx):
+        want = _ref_index_error(idx, degree, dim)
+        if want is None:
+            assert CoordForm(degree, dim, None, {idx: ConstR(1.0)}).coeffs == {idx: ConstR(1.0)}
+        else:
+            with pytest.raises(WeilcError) as info:
+                CoordForm(degree, dim, None, {idx: ConstR(1.0)})
+            assert type(info.value) is type(want)
+            assert str(info.value) == str(want)
 
 
 class TestDelta:

@@ -1,19 +1,24 @@
 """Finite-difference oracle, exact polynomial expansion, suite registry."""
 
+import json
 import math
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
-from weilc import canonical_structure, dual_numbers, run_suite, taylor_coeffs
+import weilc.expr
+from weilc import canonical_structure, dual_numbers, jacobi_check, run_suite, taylor_coeffs
+from weilc.algebra import WeilAlgebra
+from weilc.config import load_config
 from weilc.errors import DimensionMismatch, DomainError, UnknownSuite, WeilcError
 from weilc.expr import Add, Mul, Var, parse
 from weilc.oracle import central_diff_weights, poly_coeffs_exact
-from weilc.poisson import CheckReport
+from weilc.poisson import CheckReport, PoissonStructure
 
 
 class TestWeights:
@@ -189,3 +194,67 @@ class TestPoissonSuiteDefaults:
         report = run_suite("poisson_full", seed=6, trials=15, tol=1e-9)
         assert report.passed
         assert report.suite == "poisson_full"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def renders(monkeypatch):
+    """Counts of ``to_string`` calls, through every weilc module that holds
+    it, and of algebra ``describe`` calls: the text a witness carries."""
+    counts = {"to_string": 0, "describe": 0}
+    to_string, describe = weilc.expr.to_string, WeilAlgebra.describe
+
+    def counted_to_string(e):
+        counts["to_string"] += 1
+        return to_string(e)
+
+    def counted_describe(self):
+        counts["describe"] += 1
+        return describe(self)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("weilc") and getattr(module, "to_string", None) is to_string:
+            monkeypatch.setattr(module, "to_string", counted_to_string)
+    monkeypatch.setattr(WeilAlgebra, "describe", counted_describe)
+    return counts
+
+
+class TestWitnessText:
+    """A trial's inputs are rendered only for a witness: a passing run
+    prints no expression, and a failing trial renders its inputs once."""
+
+    @pytest.mark.parametrize(
+        "suite", ["hom_laws", "field_prolong", "bracket_prolong", "cartan", "poisson_full"]
+    )
+    def test_a_passing_suite_renders_nothing(self, renders, suite):
+        report = run_suite(suite, seed=42, trials=5, tol=1e-9)
+        assert report.passed
+        assert renders == {"to_string": 0, "describe": 0}
+
+    def test_a_passing_sampled_jacobi_check_renders_nothing(self, renders):
+        # exp(x1) times so3 is Poisson, as f*so3 is for every f on R^3; its
+        # Jacobiators are not polynomials, so the check samples them
+        f = parse("exp(x1)", 3)
+        so3 = {(0, 1): Var(2), (1, 2): Var(0), (0, 2): -Var(1)}
+        pi = PoissonStructure(3, {k: f * e for k, e in so3.items()})
+        with pytest.raises(ValueError):
+            poly_coeffs_exact(pi.entries[(0, 1)], 3)
+        report = jacobi_check(pi, trials=5, tol=1e-9, seed=42)
+        assert report.passed and report.trials == 5
+        assert renders == {"to_string": 0, "describe": 0}
+
+    def test_a_failing_trial_renders_its_inputs_once(self, renders):
+        cfg = load_config(str(ROOT / "perfbench" / "configs" / "chart3.yaml"))
+        report = run_suite("poisson_full", seed=42, trials=10, tol=cfg.suites.tol,
+                           pi=cfg.bivectors["shifted3"], algebra=cfg.algebras["dual"])
+        trials = {tuple(sorted((k, v) for k, v in w.inputs.items() if k != "check"))
+                  for w in report.witnesses}
+        assert not report.passed and len(trials) > 1
+        assert renders["describe"] == len(trials)
+        # phi, psi and the two entries of shifted3
+        assert renders["to_string"] == 4 * len(trials)
+        golden = json.loads((ROOT / "tests" / "data" / "poisson_full_shifted3_dual.json")
+                            .read_text(encoding="utf-8"))
+        assert report.to_dict()["witnesses"] == golden["witnesses"]

@@ -47,7 +47,7 @@ from weilc.expr import (
     sub,
 )
 from weilc.oracle import poly_coeffs_exact
-from weilc.poisson import PoissonStructure, _Recorder, _run_trials, omega_at
+from weilc.poisson import MAX_WITNESSES, PoissonStructure, _Recorder, _run_trials, omega_at
 from weilc.sampling import (
     catalog_algebra,
     random_expr,
@@ -583,6 +583,35 @@ class TestRecorder:
         report = rec.report("x", 1, 1)
         assert report.passed and not report.witnesses
 
+    def test_inputs_are_rendered_once_per_trial_and_only_for_a_witness(self):
+        rendered = []
+
+        def inputs(trial):
+            def render():
+                rendered.append(trial)
+                return {"trial": str(trial)}
+            return render
+
+        rec = _Recorder(1e-9)
+        rec.inputs = inputs(0)
+        rec.check("a", 0.0)  # a pass renders nothing
+        assert rendered == []
+        rec.inputs = inputs(1)
+        rec.check("a", 1.0)
+        rec.check("b", 0.0)
+        rec.check("c", 2.0)
+        assert rendered == [1]
+        rec.inputs = inputs(2)
+        for k in range(MAX_WITNESSES):
+            rec.check(f"d{k}", 1.0)
+        rec.inputs = inputs(3)
+        rec.check("e", 1.0)  # no witness is kept, so nothing is rendered
+        assert rendered == [1, 2]
+        report = rec.report("x", 1, 4)
+        assert [w.inputs for w in report.witnesses[:3]] == [
+            {"check": "a", "trial": "1"}, {"check": "c", "trial": "1"},
+            {"check": "d0", "trial": "2"}]
+
     def test_residual_of_inf_elements_fails(self):
         A = dual_numbers()
         big = A.element([math.inf, 1.0])
@@ -611,11 +640,39 @@ class TestRecorder:
         A = dual_numbers()
         big = A.element([math.inf, 1.0])
         form = SimpleNamespace(
-            algebra=A, evaluate=lambda point: {(0,): A.unit(), (1,): big}
+            algebra=A, dim=2, degree=1,
+            evaluate=lambda point: {(0,): A.unit(), (1,): big},
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert residual_forms(form, form, None) == math.inf
+
+    def test_residual_refuses_elements_of_two_algebras(self):
+        # zip would read the dual number against the first two coefficients
+        # of the jet, and miss the 99: a silent pass
+        dual, jet2 = catalog_algebra("dual"), catalog_algebra("jet2")
+        with pytest.raises(AlgebraMismatch, match="different algebras"):
+            residual(dual.element([1.0, 0.0]), jet2.element([1.0, 0.0, 99.0]))
+
+    def test_residual_forms_refuses_two_degrees(self):
+        # two zero forms of different degree compared as equal before
+        point = real_point(catalog_algebra("dual"), [0.5, 0.5])
+        for one, two in ((CoordForm(1, 2, None), CoordForm(2, 2, None)),
+                         (CoordForm(1, 2, None, {(0,): Var(0)}),
+                          CoordForm(2, 2, None, {(0, 1): Var(0)}))):
+            with pytest.raises(DegreeError, match="degree-1 and a degree-2"):
+                residual_forms(one, two, point)
+
+    def test_residual_forms_refuses_two_charts(self):
+        dual, jet2 = catalog_algebra("dual"), catalog_algebra("jet2")
+        point = real_point(dual, [0.5])
+        w = CoordForm(1, 1, dual, {(0,): ConstR(1.0)})
+        for other in (CoordForm(1, 1, None, {(0,): ConstR(1.0)}),
+                      CoordForm(1, 1, jet2, {(0,): ConstR(1.0)})):
+            with pytest.raises(AlgebraMismatch):
+                residual_forms(w, other, point)
+        with pytest.raises(DimensionMismatch):
+            residual_forms(w, CoordForm(1, 2, dual, {(0,): ConstR(1.0)}), point)
 
     def test_residual_forms_measures_a_lone_coefficient_against_zero(self):
         # base forms, evaluated over the point's algebra
