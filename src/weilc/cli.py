@@ -106,6 +106,8 @@ def _parse_point(text: str, algebra, n: int) -> APoint:
         raw = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise WeilcError(f"--point is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise WeilcError("--point nests its lists too deeply") from None
     if not isinstance(raw, list) or len(raw) != n:
         raise WeilcError(f"--point needs {n} coordinate vectors, got {raw!r}")
     coords = []

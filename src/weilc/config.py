@@ -10,6 +10,7 @@ unseen.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from .algebra import AlgebraPresentation, Monomial, WeilAlgebra, build_algebra
@@ -40,12 +41,12 @@ def parse_relation(text: str, generators: tuple[str, ...]) -> Monomial:
     exponents = [0] * len(generators)
     for factor in str(text).split("*"):
         factor = factor.strip()
-        name, _, power = factor.partition("^")
+        name, sep, power = factor.partition("^")
         name = name.strip()
         if name not in generators:
             raise ConfigError(f"relation {text!r} uses unknown generator {name!r}")
         try:
-            k = int(power) if power else 1
+            k = int(power) if sep else 1
         except ValueError:
             raise ConfigError(f"bad exponent in relation {text!r}") from None
         if k < 1:
@@ -78,8 +79,17 @@ def load_config(path: str) -> ProjectConfig:
             data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    # ValueError: an integer longer than Python's limit on int digits
+    except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
+    # repr, str and parse recurse into a value nested thousands deep
+    try:
+        return _read_config(data)
+    except RecursionError:
+        raise ConfigError(f"config {path} nests a value too deeply") from None
+
+
+def _read_config(data) -> ProjectConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     _check_keys(data, "config root", ("chart_dim", "algebras", "expressions",
@@ -169,5 +179,7 @@ def load_config(path: str) -> ProjectConfig:
         raise ConfigError(f"suites settings: trials {trials} is negative")
     if not tol >= 0:
         raise ConfigError(f"suites settings: tol {tol} is negative or NaN")
+    if tol > sys.float_info.max:  # inf, 1.0e400, or an int too large for a float
+        raise ConfigError(f"suites settings: tol {tol} is not finite")
     cfg.suites = SuiteSettings(seed, trials, float(tol))
     return cfg

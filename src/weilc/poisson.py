@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -160,6 +161,8 @@ class _Recorder:
 def _require_tol(tol: float):
     if not tol >= 0:
         raise WeilcError(f"tolerance {tol} is negative or NaN; use 0 or more")
+    if tol > sys.float_info.max:
+        raise WeilcError(f"tolerance {tol} is not finite; it would pass every finite residual")
 
 
 def _run_trials(
@@ -171,7 +174,7 @@ def _run_trials(
     A trial that raises ``DomainError`` (a random expression left its
     domain) is drawn again from the same generator; what it recorded
     before the error stays.  After more than ``trials`` redraws the error
-    propagates.  A negative or NaN ``tol``, or a negative ``trials``, is a
+    propagates.  A negative, NaN or infinite ``tol``, or a negative ``trials``, is a
     usage error.
     """
     _require_tol(tol)

@@ -1,8 +1,9 @@
 """Seeded random inputs for the check suites.
 
-All randomness flows through ``_pcg64.PCG64``, a pure-Python replica of
-numpy's ``Generator(PCG64(seed))`` that matches it draw for draw, so that
-every report is a pure function of (suite, seed, trials).  Sampling ranges
+All randomness flows through ``Draws``, a ``random.Random`` seeded by
+``rng_for``, so that every report is a pure function of (suite, seed,
+trials).  Each draw is built on ``random()`` alone, the one method whose
+sequence Python keeps for a given seed across versions.  Sampling ranges
 follow one convention: chart coordinates uniform in [-1, 1], nilpotent
 coefficients uniform in [-0.5, 0.5].
 """
@@ -10,9 +11,9 @@ coefficients uniform in [-0.5, 0.5].
 from __future__ import annotations
 
 import math
+import random
 from functools import cache
 
-from ._pcg64 import PCG64
 from .algebra import (
     AlgebraPresentation,
     PRIMITIVES,
@@ -48,32 +49,56 @@ def catalog_algebra(name: str) -> WeilAlgebra:
     return build_algebra(dict(CATALOG)[name])
 
 
-def rng_for(seed: int) -> PCG64:
+class Draws(random.Random):
+    """Seeded ``uniform`` and ``integers`` draws, each from ``random()``."""
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        """A float in [low, high); with a size n, a list of n; with a size
+        (rows, cols), rows lists of cols."""
+        span, draw = high - low, self.random
+        if size is None:
+            return low + span * draw()
+        if isinstance(size, int):
+            return [low + span * draw() for _ in range(size)]
+        rows, cols = size
+        return [[low + span * draw() for _ in range(cols)] for _ in range(rows)]
+
+    def integers(self, low: int, high: int | None = None) -> int:
+        """An int in [low, high), or in [0, low) without high; the bias of
+        truncating ``random() * span`` is at most span * 2**-53."""
+        if high is None:
+            low, high = 0, low
+        if high <= low:
+            raise ValueError(f"integers range [{low}, {high}) is empty")
+        return low + int(self.random() * (high - low))
+
+
+def rng_for(seed: int) -> Draws:
     if seed < 0:
         raise WeilcError(f"seed {seed} is negative; seeds are integers >= 0")
-    return PCG64(seed)
+    return Draws(seed)
 
 
 MAX_HEIGHT = 3  # of the algebras the suites draw
 MAX_EXTRA_TERMS = 3  # a random polynomial adds 1 to this many monomials to its first
 
 
-def random_algebra(rng: PCG64) -> WeilAlgebra:
+def random_algebra(rng: Draws) -> WeilAlgebra:
     names = [name for name, _ in CATALOG if catalog_algebra(name).height <= MAX_HEIGHT]
     return catalog_algebra(names[rng.integers(len(names))])
 
 
-def random_element(rng: PCG64, algebra: WeilAlgebra) -> WeilElement:
+def random_element(rng: Draws, algebra: WeilAlgebra) -> WeilElement:
     coeffs = rng.uniform(-0.5, 0.5, algebra.dim)
     coeffs[0] = rng.uniform(-1.0, 1.0)
     return algebra.element(coeffs)
 
 
-def random_point(rng: PCG64, algebra: WeilAlgebra, n: int) -> APoint:
+def random_point(rng: Draws, algebra: WeilAlgebra, n: int) -> APoint:
     return APoint(algebra, tuple(random_element(rng, algebra) for _ in range(n)))
 
 
-def random_monomial(rng: PCG64, n: int, max_degree: int = 3) -> Expr:
+def random_monomial(rng: Draws, n: int, max_degree: int = 3) -> Expr:
     degree = rng.integers(0, max_degree + 1)
     out: Expr = ConstR(round(rng.uniform(-1.0, 1.0), 3))
     for _ in range(degree):
@@ -81,14 +106,14 @@ def random_monomial(rng: PCG64, n: int, max_degree: int = 3) -> Expr:
     return out
 
 
-def random_polynomial(rng: PCG64, n: int, max_degree: int = 3) -> Expr:
+def random_polynomial(rng: Draws, n: int, max_degree: int = 3) -> Expr:
     out = random_monomial(rng, n, max_degree)
     for _ in range(rng.integers(1, MAX_EXTRA_TERMS + 1)):
         out = add(out, random_monomial(rng, n, max_degree))
     return out
 
 
-def random_field(rng: PCG64, n: int) -> VectorField:
+def random_field(rng: Draws, n: int) -> VectorField:
     """A base field with quadratic polynomial components."""
     return VectorField(tuple(random_polynomial(rng, n, max_degree=2) for _ in range(n)))
 
@@ -96,7 +121,7 @@ def random_field(rng: PCG64, n: int) -> VectorField:
 _SAFE_FUNCTIONS = ("exp", "sin", "cos")
 
 
-def random_expr(rng: PCG64, n: int, depth: int = 4) -> Expr:
+def random_expr(rng: Draws, n: int, depth: int = 4) -> Expr:
     """A depth-bounded polynomial/elementary expression over exp, sin and cos;
     exp of nested powers can overflow on [-1,1]^n (DomainError)."""
     if depth <= 0:
@@ -117,7 +142,7 @@ def random_expr(rng: PCG64, n: int, depth: int = 4) -> Expr:
 
 
 def random_expr_with_consta(
-    rng: PCG64, n: int, algebra: WeilAlgebra, depth: int = 3
+    rng: Draws, n: int, algebra: WeilAlgebra, depth: int = 3
 ) -> Expr:
     """Like random_expr but mixing in algebra constants (A-linear combos)."""
     base = random_expr(rng, n, depth)
@@ -126,7 +151,7 @@ def random_expr_with_consta(
 
 
 def random_one_form(
-    rng: PCG64,
+    rng: Draws,
     n: int,
     algebra: WeilAlgebra | None,
     with_consta: bool = False,

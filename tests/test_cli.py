@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from weilc import cli, errors, sampling
+from weilc import cli, errors, poisson, sampling
 from weilc.cli import main
+from weilc.config import parse_relation
 
 CONFIG_2D = """\
 chart_dim: 2
@@ -398,6 +399,41 @@ class TestConfigHandling:
         assert captured.err == f"config error: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "text",
+        ["chart_dim: " + "[" * 3000 + "1" + "]" * 3000,
+         "chart_dim: 1\nalgebras:\n  dual: {generators: [eps], relations: ["
+         + "[" * 3000 + "eps" + "]" * 3000 + "]}"],
+        ids=["chart_dim", "relation"],
+    )
+    def test_deeply_nested_value_in_config(self, tmp_path, capsys, text):
+        # repr and str of a value nested 3,000 deep exceed the recursion limit
+        path = tmp_path / "deep.yaml"
+        path.write_text(text + "\n", encoding="utf-8")
+        assert main(["--config", str(path), "algebra-show", "dual"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: config {path} nests a value too deeply\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("relation", ["eps^", "eps ^ "])
+    def test_empty_exponent_in_config(self, tmp_path, capsys, relation):
+        # once read as eps^1, the relation of another algebra
+        path = tmp_path / "project.yaml"
+        path.write_text(f"chart_dim: 1\nalgebras:\n  dual: {{generators: [eps], "
+                        f"relations: ['{relation}']}}\n", encoding="utf-8")
+        assert main(["--config", str(path), "algebra-show", "dual"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: algebra 'dual': bad exponent in relation {relation!r}\n"
+        )
+        assert captured.out == ""
+
+    def test_an_exponent_needs_digits_after_the_caret(self):
+        assert parse_relation("x", ("x",)) == (1,)
+        assert parse_relation("x^2*y", ("x", "y")) == (2, 1)
+        with pytest.raises(errors.ConfigError, match="bad exponent in relation 'x\\^'"):
+            parse_relation("x^", ("x",))
+
     def test_env_fallback(self, config2, capsys, monkeypatch):
         monkeypatch.setenv("WEILC_CONFIG", config2)
         assert main(["algebra-show", "dual"]) == 0
@@ -477,6 +513,15 @@ class TestArgumentEdges:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: unknown {name} (")
+        assert captured.out == ""
+
+    def test_deeply_nested_point(self, config2, capsys):
+        # json.loads raises RecursionError past about 1,000 levels
+        point = "[" * 5000 + "]" * 5000
+        code = main(["--config", config2, "eval", "f", "dual", "--point", point])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --point nests its lists too deeply\n"
         assert captured.out == ""
 
     def test_malformed_point_json(self, config2, capsys):
@@ -565,10 +610,10 @@ class TestSeedsAndRedraws:
         assert captured.out == ""
 
     def test_domain_error_trial_is_redrawn(self, tmp_path, capsys):
-        # this seed draws an exp that overflows at the image point of the
-        # composition sub-check; the trial is drawn again
+        # this seed draws an exp that overflows (at 886.7) in the composition
+        # sub-check; the trial is drawn again
         out = tmp_path / "r.json"
-        argv = ["--config", CHART2, "check", "hom_laws", "--seed", "895108364",
+        argv = ["--config", CHART2, "check", "hom_laws", "--seed", "4942",
                 "--trials", "3", "--json", str(out)]
         assert main(argv) == 0
         summary = capsys.readouterr().out.splitlines()[0]
@@ -578,13 +623,30 @@ class TestSeedsAndRedraws:
         assert set(report) == {"suite", "seed", "trials", "max_residual", "pass", "witnesses"}
         assert report["pass"] and report["trials"] == 3
 
-    def test_jacobi_residual_is_scaled_by_its_terms(self, capsys):
-        # psi holds exp(exp(exp(x2))), about 8e5 at the point; unscaled, the
-        # Jacobiator's float cancellation read 5.96e-08 and failed
+    def test_jacobi_residual_is_scaled_by_its_terms(self, capsys, monkeypatch):
+        # phi holds exp(exp(x1)^3), about 5e4 at the point, and the Jacobi
+        # terms reach 1.4e8; unscaled, their float cancellation reads 2.98e-08
+        # and would fail at tol 1e-9
+        pairs, gaps = [], []
+        residual, check = sampling.residual, poisson._Recorder.check
+
+        def spy_residual(lhs, rhs):
+            pairs.append((lhs, rhs))
+            return residual(lhs, rhs)
+
+        def spy_check(rec, name, value):
+            if name == "jacobi":
+                lhs, rhs = pairs[-1]
+                gaps.append(max(abs(x - y) for x, y in zip(lhs.coeffs, rhs.coeffs)))
+            check(rec, name, value)
+
+        monkeypatch.setattr(sampling, "residual", spy_residual)
+        monkeypatch.setattr(poisson._Recorder, "check", spy_check)
         argv = ["--config", CHART2, "check", "poisson_full", "--pi", "canonical2",
-                "--algebra", "dual", "--seed", "1027864161", "--trials", "3"]
+                "--algebra", "dual", "--seed", "9707", "--trials", "3"]
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("[PASS] poisson_full: trials=3 ")
+        assert len(gaps) == 3 and max(gaps) > 1e-9
 
 
 class TestSuiteSettings:
@@ -599,17 +661,31 @@ class TestSuiteSettings:
         )
         assert captured.out == ""
 
-    @pytest.mark.parametrize("tol, shown", [("0", "0.0e+00"), ("inf", "inf")])
-    def test_zero_and_inf_tol_flags_stay_valid(self, config2, capsys, tol, shown):
-        code = main(["--config", config2, "check", "hom_laws", "--trials", "2", "--tol", tol])
+    def test_zero_tol_flag_stays_valid(self, config2, capsys):
+        code = main(["--config", config2, "check", "hom_laws", "--trials", "2", "--tol", "0"])
         assert code == 0
-        assert f" tol={shown}" in capsys.readouterr().out
+        assert " tol=0.0e+00" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["inf", "1e400"])
+    def test_non_finite_tol_flag_is_refused(self, config2, capsys, tol):
+        # an infinite tolerance passes every finite residual, so such a check
+        # could only pass; 1e400 reads as inf
+        code = main(["--config", config2, "check", "hom_laws", "--trials", "2", "--tol", tol])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: tolerance inf is not finite; it would pass every finite residual\n"
+        )
+        assert captured.out == ""
 
     def test_bad_tol_in_library_call(self):
         from weilc.oracle import run_suite
 
         with pytest.raises(errors.WeilcError, match="negative or NaN"):
             run_suite("hom_laws", 42, 2, -1e-9)
+        for tol in (math.inf, 10**400):
+            with pytest.raises(errors.WeilcError, match="is not finite"):
+                run_suite("hom_laws", 42, 2, tol)
 
     @pytest.mark.parametrize(
         "settings, message",
@@ -622,6 +698,8 @@ class TestSuiteSettings:
             ("{tol: 1e-9}", "tol must be a number, got '1e-9'"),
             ("{tol: -1}", "tol -1 is negative or NaN"),
             ("{tol: .nan}", "tol nan is negative or NaN"),
+            ("{tol: .inf}", "tol inf is not finite"),
+            ("{tol: 1.0e+400}", "tol inf is not finite"),
         ],
     )
     def test_bad_settings_in_config(self, tmp_path, capsys, settings, message):
@@ -632,14 +710,33 @@ class TestSuiteSettings:
         assert captured.err == f"config error: suites settings: {message}\n"
         assert captured.out == ""
 
-    def test_integer_and_inf_settings_in_config(self, tmp_path, capsys):
+    def test_integer_settings_in_config(self, tmp_path, capsys):
         path = tmp_path / "project.yaml"
-        path.write_text("chart_dim: 2\nsuites: {seed: 3, trials: 2, tol: .inf}\n",
+        path.write_text("chart_dim: 2\nsuites: {seed: 3, trials: 2, tol: 1}\n",
                         encoding="utf-8")
         assert main(["--config", str(path), "check", "hom_laws"]) == 0
-        assert capsys.readouterr().out.startswith(
-            "[PASS] hom_laws: trials=2 seed=3 max_residual="
-        )
+        out = capsys.readouterr().out
+        assert out.startswith("[PASS] hom_laws: trials=2 seed=3 max_residual=")
+        assert " tol=1.0e+00" in out
+
+    def test_a_tol_too_large_for_a_float_in_config(self, tmp_path, capsys):
+        # a YAML int that float() cannot convert, once an OverflowError
+        path = tmp_path / "project.yaml"
+        path.write_text("chart_dim: 2\nsuites: {tol: 1" + "0" * 400 + "}\n", encoding="utf-8")
+        assert main(["--config", str(path), "check", "hom_laws"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: suites settings: tol 1000")
+        assert captured.err.endswith("0 is not finite\n") and captured.out == ""
+
+    def test_a_setting_past_the_int_digit_limit_in_config(self, tmp_path, capsys):
+        # YAML's int() refuses more than 4,300 digits with a ValueError
+        path = tmp_path / "project.yaml"
+        path.write_text("chart_dim: 2\nsuites: {seed: 1" + "0" * 5000 + "}\n",
+                        encoding="utf-8")
+        assert main(["--config", str(path), "check", "hom_laws"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: config {path} is not valid YAML: ")
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 def _weilc_error_classes():
@@ -728,7 +825,7 @@ def test_every_module_imports_with_numpy_and_mpmath_blocked():
         "if importlib.import_module('weilc.' + m.name)))"
     )
     names = _fresh_python(code).strip()
-    assert "'_pcg64'" in names and "'sampling'" in names and "'oracle'" in names
+    assert "'sampling'" in names and "'oracle'" in names
 
 
 @pytest.mark.parametrize(
@@ -745,7 +842,7 @@ def test_every_module_imports_with_numpy_and_mpmath_blocked():
     ids=lambda argv: argv[0],
 )
 def test_a_command_without_draws_leaves_numpy_unloaded(argv):
-    # no command loads numpy or mpmath: check draws from the pure-Python PCG64
+    # no command loads numpy or mpmath: check draws from the stdlib generator
     code = (
         "import sys; from weilc import cli; "
         f"code = cli.main({['--config', EXAMPLE, *argv]!r}); "

@@ -179,8 +179,9 @@ class TestRunSuite:
         assert third.to_json() == fourth.to_json()
 
     def test_different_seeds_differ(self):
-        a = run_suite("hom_laws", seed=1, trials=30, tol=1e-9)
-        b = run_suite("hom_laws", seed=2, trials=30, tol=1e-9)
+        # cartan's residual moves with every draw; hom_laws' is almost always 0.0
+        a = run_suite("cartan", seed=1, trials=30, tol=1e-9)
+        b = run_suite("cartan", seed=2, trials=30, tol=1e-9)
         assert a.max_residual != b.max_residual
 
     def test_report_shape(self):

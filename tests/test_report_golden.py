@@ -3,9 +3,12 @@
 Each data file is the output of ``weilc check ... --seed 42 --trials 10
 --json`` for one case below, and each file in tests/data/t100 that of the
 same command with ``--trials 100``.  A change that keeps results keeps
-every byte; a change that means to alter numbers regenerates the files
-with the same commands and says which numbers moved and why.
+every byte; a change that means to alter numbers regenerates every file
+with ``PYTHONPATH=src python tests/test_report_golden.py`` and says which
+numbers moved and why.
 """
+
+import sys
 
 from pathlib import Path
 
@@ -38,11 +41,24 @@ RUNS = [(*case, trials, golden) for trials, golden, _ in TRIALS for case in CASE
 RUN_IDS = [case[0] + suffix for _, _, suffix in TRIALS for case in CASES]
 
 
+def _argv(config, args, trials, out) -> list[str]:
+    return ["--config", str(config), "check", *args,
+            "--seed", "42", "--trials", str(trials), "--json", str(out)]
+
+
 @pytest.mark.parametrize("name, config, args, code, trials, golden", RUNS, ids=RUN_IDS)
 def test_report_matches_golden(tmp_path, capsys, name, config, args, code, trials, golden):
     out = tmp_path / f"{name}.json"
-    argv = ["--config", str(config), "check", *args,
-            "--seed", "42", "--trials", str(trials), "--json", str(out)]
-    assert main(argv) == code
+    assert main(_argv(config, args, trials, out)) == code
     capsys.readouterr()
     assert out.read_bytes() == (golden / f"{name}.json").read_bytes()
+
+
+if __name__ == "__main__":
+    # rewrite every report in RUNS; a run whose exit code is not its case's
+    # is named and makes the exit code 1
+    wrong = [name for name, config, args, code, trials, golden in RUNS
+             if main(_argv(config, args, trials, golden / f"{name}.json")) != code]
+    print(f"wrote {len(RUNS)} reports; wrong exit code: {', '.join(wrong) or 'none'}",
+          file=sys.stderr)
+    sys.exit(1 if wrong else 0)
