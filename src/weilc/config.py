@@ -79,7 +79,8 @@ def load_config(path: str) -> ProjectConfig:
             data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    # ValueError: an integer longer than Python's limit on int digits
+    # ValueError: an integer longer than Python's limit on int digits, or
+    # (UnicodeDecodeError) a file that is not UTF-8
     except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     # repr, str and parse recurse into a value nested thousands deep

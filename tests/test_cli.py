@@ -738,6 +738,15 @@ class TestSuiteSettings:
         assert captured.err.startswith(f"config error: config {path} is not valid YAML: ")
         assert "Traceback" not in captured.err and captured.out == ""
 
+    def test_a_config_that_is_not_utf8(self, tmp_path, capsys):
+        # reading it raises UnicodeDecodeError, a ValueError
+        path = tmp_path / "project.yaml"
+        path.write_bytes(b"chart_dim: 2\n# caf\xe9\n")
+        assert main(["--config", str(path), "check", "hom_laws"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: config {path} is not valid YAML: ")
+        assert "can't decode byte 0xe9" in captured.err and captured.out == ""
+
 
 def _weilc_error_classes():
     """Every WeilcError subclass the errors module defines."""

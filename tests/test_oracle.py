@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import weilc.expr
+import weilc.sampling
 from weilc import canonical_structure, dual_numbers, jacobi_check, run_suite, taylor_coeffs
 from weilc.algebra import WeilAlgebra
 from weilc.config import load_config
@@ -183,6 +184,22 @@ class TestRunSuite:
         a = run_suite("cartan", seed=1, trials=30, tol=1e-9)
         b = run_suite("cartan", seed=2, trials=30, tol=1e-9)
         assert a.max_residual != b.max_residual
+
+    def test_bracket_with_terms_past_the_tolerance_in_one_ulp_passes(self, monkeypatch):
+        # at this seed f = cos(exp(x1 + x1)^3) and the two second-order
+        # terms reach about 3.9e8, so one rounding of either exceeds tol;
+        # their difference once read as residual 5.96e-08 and failed
+        sizes = []
+        residual = weilc.sampling.residual
+
+        def spy(lhs, rhs):
+            sizes.append(max(map(abs, rhs.coeffs)))
+            return residual(lhs, rhs)
+
+        monkeypatch.setattr(weilc.sampling, "residual", spy)
+        report = run_suite("bracket_prolong", seed=1206193907, trials=3, tol=1e-9)
+        assert max(sizes) * 2.0**-52 > report.tol
+        assert report.passed, report.summary()
 
     def test_report_shape(self):
         report = run_suite("bracket_prolong", seed=5, trials=10, tol=1e-9)
