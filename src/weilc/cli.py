@@ -247,7 +247,12 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    # argparse reads "--flag=--" as an empty list, not as a value
+    for dest, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error(f"argument --{dest}: expected one argument")
     try:
         return _COMMANDS[args.command](_load(args), args)
     except ConfigError as exc:

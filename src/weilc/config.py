@@ -71,23 +71,37 @@ def _check_keys(data: dict, what: str, known: tuple[str, ...]):
             )
 
 
+# libyaml's C loader recurses on the C stack and crashes on a value nested
+# about 30,000 deep.  A text with more of the characters that can open a
+# nested collection than this is loaded by the pure-Python loader, which
+# raises RecursionError instead.
+MAX_C_OPENERS = 1000
+
+
 def load_config(path: str) -> ProjectConfig:
+    # the pure-Python loader recurses into a value nested a few hundred deep,
+    # and repr, str and parse into one nested thousands deep
+    try:
+        return _read_config(_load_yaml(path))
+    except RecursionError:
+        raise ConfigError(f"config {path} nests a value too deeply") from None
+
+
+def _load_yaml(path: str):
     import yaml  # here, not at module level: only a config load reads YAML
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+            deep = sum(map(fh.read().count, "[{-?")) > MAX_C_OPENERS
+            fh.seek(0)  # the loader reads the file, so its errors name it
+            loader = yaml.SafeLoader if deep else getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+            return yaml.load(fh, Loader=loader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     # ValueError: an integer longer than Python's limit on int digits, or
     # (UnicodeDecodeError) a file that is not UTF-8
     except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
-    # repr, str and parse recurse into a value nested thousands deep
-    try:
-        return _read_config(data)
-    except RecursionError:
-        raise ConfigError(f"config {path} nests a value too deeply") from None
 
 
 def _read_config(data) -> ProjectConfig:

@@ -415,6 +415,24 @@ class TestConfigHandling:
         assert captured.err == f"config error: config {path} nests a value too deeply\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "text",
+        ["chart_dim: " + "[" * 30000 + "1" + "]" * 30000, "chart_dim:\n" + "- " * 30000 + "1"],
+        ids=["flow", "block"],
+    )
+    def test_a_config_nested_past_libyaml_is_refused(self, tmp_path, text):
+        # libyaml's C loader died with SIGSEGV here; in a fresh interpreter
+        # such a crash fails the test instead of ending pytest
+        path = tmp_path / "deep.yaml"
+        path.write_text(text + "\n", encoding="utf-8")
+        code = (
+            "import contextlib, io; from weilc.cli import main; err = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            f"    code = main(['--config', {str(path)!r}, 'algebra-show', 'dual'])\n"
+            "print(code, err.getvalue(), end='')"
+        )
+        assert _fresh_python(code) == f"1 config error: config {path} nests a value too deeply\n"
+
     @pytest.mark.parametrize("relation", ["eps^", "eps ^ "])
     def test_empty_exponent_in_config(self, tmp_path, capsys, relation):
         # once read as eps^1, the relation of another algebra
@@ -488,6 +506,19 @@ class TestArgumentEdges:
         assert captured.out == ""
         assert "usage: weilc" in captured.err
         assert not path.exists()
+
+    @pytest.mark.parametrize("flag", ["config", "pi", "algebra", "seed", "trials", "tol",
+                                      "json"])
+    def test_a_flag_set_to_the_option_end_marker(self, config2, capsys, flag):
+        # argparse reads "--flag=--" as an empty list, which ended in a TypeError
+        argv = ["--config", config2, "check", "poisson_full", "--trials", "1"]
+        argv = ["--config=--", *argv[2:]] if flag == "config" else [*argv, f"--{flag}=--"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument --{flag}: expected one argument\n")
 
     @pytest.mark.parametrize(
         "extra",
@@ -627,20 +658,14 @@ class TestSeedsAndRedraws:
         # phi holds exp(exp(x1)^3), about 5e4 at the point, and the Jacobi
         # terms reach 1.4e8; unscaled, their float cancellation reads 2.98e-08
         # and would fail at tol 1e-9
-        pairs, gaps = [], []
-        residual, check = sampling.residual, poisson._Recorder.check
+        gaps = []
+        check = poisson._Recorder.check
 
-        def spy_residual(lhs, rhs):
-            pairs.append((lhs, rhs))
-            return residual(lhs, rhs)
-
-        def spy_check(rec, name, value):
+        def spy_check(rec, name, lhs, rhs=None, point=None):
             if name == "jacobi":
-                lhs, rhs = pairs[-1]
                 gaps.append(max(abs(x - y) for x, y in zip(lhs.coeffs, rhs.coeffs)))
-            check(rec, name, value)
+            check(rec, name, lhs, rhs, point)
 
-        monkeypatch.setattr(sampling, "residual", spy_residual)
         monkeypatch.setattr(poisson._Recorder, "check", spy_check)
         argv = ["--config", CHART2, "check", "poisson_full", "--pi", "canonical2",
                 "--algebra", "dual", "--seed", "9707", "--trials", "3"]

@@ -46,11 +46,14 @@ from weilc.expr import (
     neg,
     sub,
 )
+from weilc import sampling
+from weilc.forms import dform, wedge
 from weilc.oracle import poly_coeffs_exact
 from weilc.poisson import MAX_WITNESSES, PoissonStructure, _Recorder, _run_trials, omega_at
 from weilc.sampling import (
     catalog_algebra,
     random_expr,
+    random_element,
     random_expr_with_consta,
     random_one_form,
     random_polynomial,
@@ -556,8 +559,22 @@ class TestRunTrials:
             _run_trials("x", 1, trials, 1e-9, None)
 
 
+def recorded(lhs, rhs=None, point=None):
+    """The report of one recorder that checked one pair of sides."""
+    rec = _Recorder(1e-9)
+    rec.check("c", lhs, rhs, point)
+    return rec.report("x", 1, 1)
+
+
+def old_gap(up, down):
+    """The augmentation sub-check's gap as it was written out by hand."""
+    return abs(up - down) / (1.0 + max(abs(up), abs(down)))
+
+
 class TestRecorder:
-    """A non-finite residual is a failure with a witness, never a pass."""
+    """A non-finite residual is a failure with a witness, never a pass, and
+    ``check`` computes each kind of side's residual bit for bit as the call
+    sites did before they handed it their sides."""
 
     def test_nan_residual_fails(self):
         rec = _Recorder(1e-9)
@@ -650,30 +667,34 @@ class TestRecorder:
 
     def test_residual_refuses_elements_of_two_algebras(self):
         # zip would read the dual number against the first two coefficients
-        # of the jet, and miss the 99: a silent pass
+        # of the jet, and miss the 99: a silent pass; the recorder refuses
+        # the same sides
         dual, jet2 = catalog_algebra("dual"), catalog_algebra("jet2")
-        with pytest.raises(AlgebraMismatch, match="different algebras"):
-            residual(dual.element([1.0, 0.0]), jet2.element([1.0, 0.0, 99.0]))
+        for compare in (residual, recorded):
+            with pytest.raises(AlgebraMismatch, match="different algebras"):
+                compare(dual.element([1.0, 0.0]), jet2.element([1.0, 0.0, 99.0]))
 
     def test_residual_forms_refuses_two_degrees(self):
         # two zero forms of different degree compared as equal before
         point = real_point(catalog_algebra("dual"), [0.5, 0.5])
-        for one, two in ((CoordForm(1, 2, None), CoordForm(2, 2, None)),
-                         (CoordForm(1, 2, None, {(0,): Var(0)}),
-                          CoordForm(2, 2, None, {(0, 1): Var(0)}))):
-            with pytest.raises(DegreeError, match="degree-1 and a degree-2"):
-                residual_forms(one, two, point)
+        for compare in (residual_forms, recorded):
+            for one, two in ((CoordForm(1, 2, None), CoordForm(2, 2, None)),
+                             (CoordForm(1, 2, None, {(0,): Var(0)}),
+                              CoordForm(2, 2, None, {(0, 1): Var(0)}))):
+                with pytest.raises(DegreeError, match="degree-1 and a degree-2"):
+                    compare(one, two, point)
 
     def test_residual_forms_refuses_two_charts(self):
         dual, jet2 = catalog_algebra("dual"), catalog_algebra("jet2")
         point = real_point(dual, [0.5])
         w = CoordForm(1, 1, dual, {(0,): ConstR(1.0)})
-        for other in (CoordForm(1, 1, None, {(0,): ConstR(1.0)}),
-                      CoordForm(1, 1, jet2, {(0,): ConstR(1.0)})):
-            with pytest.raises(AlgebraMismatch):
-                residual_forms(w, other, point)
-        with pytest.raises(DimensionMismatch):
-            residual_forms(w, CoordForm(1, 2, dual, {(0,): ConstR(1.0)}), point)
+        for compare in (residual_forms, recorded):
+            for other in (CoordForm(1, 1, None, {(0,): ConstR(1.0)}),
+                          CoordForm(1, 1, jet2, {(0,): ConstR(1.0)})):
+                with pytest.raises(AlgebraMismatch):
+                    compare(w, other, point)
+            with pytest.raises(DimensionMismatch):
+                compare(w, CoordForm(1, 2, dual, {(0,): ConstR(1.0)}), point)
 
     def test_residual_forms_measures_a_lone_coefficient_against_zero(self):
         # base forms, evaluated over the point's algebra
@@ -682,6 +703,89 @@ class TestRecorder:
         empty = CoordForm(1, 1, None)
         assert residual_forms(w, empty, point) == residual_forms(empty, w, point) == 0.5
         assert residual_forms(empty, empty, point) == 0.0
+
+    def test_element_pairs(self):
+        rng = rng_for(7)
+        for name in ("dual", "jet3", "plane", "corner3"):
+            algebra = catalog_algebra(name)
+            for _ in range(10):
+                a, b = random_element(rng, algebra), random_element(rng, algebra)
+                assert recorded(a, b).max_residual == residual(a, b)
+                assert recorded(a).max_residual == residual_zero(a)
+                assert recorded(a, a).max_residual == 0.0
+
+    def test_form_pairs_at_a_point(self):
+        rng = rng_for(8)
+        for name in ("dual", "jet2", "corner3"):
+            algebra = catalog_algebra(name)
+            point = random_point(rng, algebra, 3)
+            for _ in range(5):
+                x = random_one_form(rng, 3, algebra, with_consta=True)
+                y = random_one_form(rng, 3, algebra, with_consta=True)
+                assert recorded(x, y, point).max_residual == residual_forms(x, y, point)
+                two = dform(x)
+                assert recorded(two, wedge(x, y), point).max_residual == residual_forms(
+                    two, wedge(x, y), point)
+
+    def test_a_form_against_zero_is_the_old_dd_zero_max(self):
+        rng = rng_for(9)
+        for name in ("dual", "jet2", "corner3"):
+            algebra = catalog_algebra(name)
+            point = random_point(rng, algebra, 3)
+            for _ in range(5):
+                w0 = CoordForm(0, 3, algebra, {(): random_expr(rng, 3, depth=3)})
+                x = random_one_form(rng, 3, algebra, with_consta=True)
+                for form in (dform(dform(w0)), x, dform(x), CoordForm(2, 3, algebra)):
+                    old = max([residual_zero(v) for v in form.evaluate(point).values()],
+                              default=0.0)
+                    assert recorded(form, None, point).max_residual == old
+
+    def test_float_pairs_are_the_old_augmentation_gap(self):
+        rng = rng_for(10)
+        pairs = [(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)) for _ in range(50)]
+        pairs += [(0.0, 0.0), (1.0, 1.0), (1e308, -1e308), (-3, 2.5), (1e-300, 0.0)]
+        for up, down in pairs:
+            report = recorded(up, down)
+            assert report.max_residual == old_gap(up, down)
+
+    @pytest.mark.parametrize("up, down", [
+        (math.inf, 1.0), (1.0, -math.inf), (math.inf, math.inf),
+        (-math.inf, math.inf), (math.nan, 0.0), (0.0, math.nan)])
+    def test_non_finite_float_sides_fail_with_a_witness(self, up, down):
+        # the old gap read NaN or inf here, which the recorder made inf
+        assert not math.isfinite(old_gap(up, down))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = recorded(up, down)
+        assert not report.passed
+        assert report.max_residual == math.inf
+        assert [w.residual for w in report.witnesses] == [math.inf]
+
+    def test_a_bare_float_is_the_residual(self):
+        for value in (0.0, 3e-10, 0.5, 1e300):
+            assert recorded(value).max_residual == value
+
+    def test_each_side_kind_goes_through_the_sampling_module(self, monkeypatch):
+        # perfbench's tracer and the tests patch these names on the module
+        calls = []
+        for name in ("residual", "residual_zero", "residual_forms"):
+            real = getattr(sampling, name)
+            monkeypatch.setattr(sampling, name, lambda *args, name=name, real=real: (
+                calls.append(name), real(*args))[1])
+        dual = catalog_algebra("dual")
+        point = real_point(dual, [0.5])
+        one = CoordForm(1, 1, dual, {(0,): ConstR(1.0)})
+        for sides, first in (((dual.unit(), dual.zero()), "residual"),
+                             ((dual.unit(),), "residual_zero"),
+                             ((one, one, point), "residual_forms"),
+                             ((one, None, point), "residual_forms"),
+                             ((1.0, 2.0), "residual")):
+            calls.clear()
+            recorded(*sides)
+            assert calls[0] == first
+        calls.clear()
+        recorded(0.5)
+        assert calls == []
 
 
 class TestHamiltonianFieldSo3:
