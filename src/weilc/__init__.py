@@ -76,7 +76,6 @@ from .poisson import (
     jacobi_check,
     omega_prolonged,
     prolong_bracket,
-    so3_structure,
     verify_a_poisson,
 )
 from .prolongation import (

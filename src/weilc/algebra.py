@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import product
 from numbers import Real
 from typing import Callable, Sequence
 
@@ -45,6 +44,7 @@ from .errors import (
     EmptyRelation,
     NotFiniteDimensional,
     NotMorphism,
+    WeilcError,
 )
 
 Monomial = tuple[int, ...]
@@ -106,6 +106,35 @@ def _divides(d: Monomial, m: Monomial) -> bool:
     return all(a <= b for a, b in zip(d, m))
 
 
+# the largest basis a built algebra may have.  Its product plan and kernels
+# grow with dim^2: jets(499), of this dimension and the largest plan, builds
+# in about 1.4 s with a peak of about 210 MB, and dimension 1,000 took 7.5 s
+# and 800 MB.
+MAX_ALGEBRA_DIM = 500
+
+
+def _standard_monomials(presentation: AlgebraPresentation) -> list[Monomial]:
+    """The monomials no relation divides, by a walk up the staircase from 1.
+
+    Each is reached once, by one more of its last generator from a standard
+    monomial, and a step onto a relation's multiple is pruned.  More than
+    ``MAX_ALGEBRA_DIM`` of them raise WeilcError."""
+    k = len(presentation.generators)
+    found = [(0,) * k]
+    for m in found:  # the list grows as the walk goes
+        last = max((i for i, e in enumerate(m) if e), default=0)
+        for i in range(last, k):
+            step = m[:i] + (m[i] + 1,) + m[i + 1:]
+            if not any(_divides(rel, step) for rel in presentation.relations):
+                if len(found) == MAX_ALGEBRA_DIM:
+                    raise WeilcError(
+                        f"the algebra {presentation.describe()} has more than "
+                        f"{MAX_ALGEBRA_DIM} basis monomials (MAX_ALGEBRA_DIM)"
+                    )
+                found.append(step)
+    return found
+
+
 class WeilAlgebra:
     """A built algebra: basis, product plan, height, augmentation.
 
@@ -116,15 +145,7 @@ class WeilAlgebra:
 
     def __init__(self, presentation: AlgebraPresentation):
         self.presentation = presentation
-        k = len(presentation.generators)
-
-        # Pure-power relations bound the exponent box to search.
-        bounds = [min(_pure_powers(presentation.relations, i)) for i in range(k)]
-        candidates = [
-            m
-            for m in product(*(range(b) for b in bounds))
-            if not any(_divides(rel, m) for rel in presentation.relations)
-        ]
+        candidates = _standard_monomials(presentation)
         candidates.sort(key=lambda m: (sum(m), tuple(-e for e in m)))
         self.basis: tuple[Monomial, ...] = tuple(candidates)
         self.dim = len(self.basis)

@@ -10,13 +10,12 @@ unseen.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 from .algebra import AlgebraPresentation, Monomial, WeilAlgebra, build_algebra
 from .errors import ConfigError, WeilcError
 from .expr import Expr, parse
-from .poisson import PoissonStructure
+from .poisson import PoissonStructure, check_settings
 from .prolongation import VectorField
 
 
@@ -45,10 +44,13 @@ def parse_relation(text: str, generators: tuple[str, ...]) -> Monomial:
         name = name.strip()
         if name not in generators:
             raise ConfigError(f"relation {text!r} uses unknown generator {name!r}")
+        digits = power.strip() if sep else "1"
+        # ASCII digits, as in the expression grammar: int() alone would also
+        # read x^1_0, x^+2 and the digits of other scripts
         try:
-            k = int(power) if sep else 1
-        except ValueError:
-            raise ConfigError(f"bad exponent in relation {text!r}") from None
+            k = int(digits) if digits.isascii() and digits.isdigit() else 0
+        except ValueError:  # more digits than int() converts
+            k = 0
         if k < 1:
             raise ConfigError(f"bad exponent in relation {text!r}")
         exponents[generators.index(name)] += k
@@ -188,13 +190,9 @@ def _read_config(data) -> ProjectConfig:
         if isinstance(value, bool) or not isinstance(value, kinds):
             kind = "an integer" if kinds is int else "a number"
             raise ConfigError(f"suites settings: {key} must be {kind}, got {value!r}")
-    if seed < 0:
-        raise ConfigError(f"suites settings: seed {seed} is negative")
-    if trials < 0:
-        raise ConfigError(f"suites settings: trials {trials} is negative")
-    if not tol >= 0:
-        raise ConfigError(f"suites settings: tol {tol} is negative or NaN")
-    if tol > sys.float_info.max:  # inf, 1.0e400, or an int too large for a float
-        raise ConfigError(f"suites settings: tol {tol} is not finite")
+    try:
+        check_settings(seed, trials, tol)
+    except WeilcError as exc:
+        raise ConfigError(f"suites settings: {exc}") from exc
     cfg.suites = SuiteSettings(seed, trials, float(tol))
     return cfg

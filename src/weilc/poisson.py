@@ -21,6 +21,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
@@ -113,11 +114,13 @@ MAX_WITNESSES = 10
 
 
 class _Recorder:
-    """Accumulates residuals and failure witnesses for one run.
+    """Accumulates residuals and failure witnesses for one run, and makes its
+    verdict: the one place a ``CheckReport`` is built.
 
     Every sub-check hands ``check`` its two sides, and the recorder computes
     the residual, through the residual functions of ``sampling``: no suite
-    computes one of its own.
+    computes one of its own.  Any failing sub-check sets ``failed``, and the
+    report passes when none did.
 
     ``inputs`` is the current trial's zero-argument callable that renders
     its inputs as a dict of strings.  It is rendered for witnesses only: at
@@ -127,15 +130,12 @@ class _Recorder:
     def __init__(self, tol: float):
         self.tol = tol
         self.max_residual = 0.0
+        self.failed = False
         self.witnesses: list[Witness] = []
         self.inputs: Callable[[], dict[str, str]] = dict
         # the inputs callable last rendered, and its rendering
         self._shown: tuple = (None, None)
         self.redrawn = 0
-
-    def _passes(self, value: float) -> bool:
-        # a non-finite residual fails whatever the tolerance
-        return value <= self.tol and value < math.inf
 
     def check(self, name: str, lhs, rhs=None, point=None):
         """Record the residual of the current trial's sub-check ``name``; a
@@ -143,7 +143,11 @@ class _Recorder:
 
         The sides are two ``WeilElement``s, two ``CoordForm``s compared at
         ``point``, or two floats, read as elements of the trivial algebra.
-        A missing ``rhs`` is zero.  A bare float ``lhs`` is the residual."""
+        A missing ``rhs`` is zero.  A bare float ``lhs`` is the residual.  A
+        bare ``Fraction`` is an exact residual: it fails whenever it is not
+        zero, whatever ``tol`` is, and reads as a float, inf past the float
+        range."""
+        exact = False
         if isinstance(lhs, CoordForm):
             if rhs is None:
                 rhs = zero_form(lhs.degree, lhs.dim, lhs.algebra)
@@ -153,56 +157,66 @@ class _Recorder:
         elif rhs is not None:
             real = trivial_algebra()
             value = sampling.residual(real.from_real(lhs), real.from_real(rhs))
+        elif isinstance(lhs, Fraction):
+            exact = True
+            try:
+                value = float(abs(lhs))
+            except OverflowError:
+                value = math.inf
         else:
             value = lhs
         # max() skips NaN, so a non-finite residual counts as inf
         if not math.isfinite(value):
             value = math.inf
         self.max_residual = max(self.max_residual, value)
-        if not self._passes(value) and len(self.witnesses) < MAX_WITNESSES:
+        # a non-finite residual fails whatever the tolerance
+        failed = lhs != 0 if exact else not (value <= self.tol and value < math.inf)
+        self.failed |= failed
+        if failed and len(self.witnesses) < MAX_WITNESSES:
             if self._shown[0] is not self.inputs:
                 self._shown = (self.inputs, self.inputs())
             self.witnesses.append(Witness({"check": name, **self._shown[1]}, float(value)))
 
     def report(self, suite: str, seed: int, trials: int) -> CheckReport:
+        """The verdict; zero trials are a vacuous pass, with a warning."""
         return CheckReport(
             suite=suite,
             seed=seed,
             trials=trials,
             tol=self.tol,
             max_residual=float(self.max_residual),
-            passed=self._passes(self.max_residual),
+            passed=not self.failed,
             witnesses=tuple(self.witnesses),
+            warning=None if trials else "no trials were run; the pass is vacuous",
             redrawn=self.redrawn,
         )
 
 
-def _require_tol(tol: float):
+def check_settings(seed: int, trials: int, tol: float) -> sampling.Draws:
+    """The one rule for a check's settings: a finite ``tol`` of 0 or more,
+    0 or more ``trials`` and a seed ``rng_for`` takes, whose generator is
+    returned.  Anything else is a usage error."""
     if not tol >= 0:
         raise WeilcError(f"tolerance {tol} is negative or NaN; use 0 or more")
     if tol > sys.float_info.max:
         raise WeilcError(f"tolerance {tol} is not finite; it would pass every finite residual")
+    if trials < 0:
+        raise WeilcError(f"trial count {trials} is negative; use 0 or more")
+    return sampling.rng_for(seed)
 
 
 def _run_trials(
     suite: str, seed: int, trials: int, tol: float, trial: Callable[..., None]
 ) -> CheckReport:
     """Run ``trial(rng, rec)`` ``trials`` times on one generator seeded by
-    ``seed``; zero trials give a vacuous pass with a warning.
+    ``seed``, under ``check_settings``.
 
     A trial that raises ``DomainError`` (a random expression left its
     domain) is drawn again from the same generator; what it recorded
     before the error stays.  After more than ``trials`` redraws the error
-    propagates.  A negative, NaN or infinite ``tol``, or a negative ``trials``, is a
-    usage error.
+    propagates.
     """
-    _require_tol(tol)
-    if trials < 0:
-        raise WeilcError(f"trial count {trials} is negative; use 0 or more")
-    rng = sampling.rng_for(seed)
-    if trials < 1:
-        return CheckReport(suite, seed, 0, tol, 0.0, True,
-                           warning="no trials were run; the pass is vacuous")
+    rng = check_settings(seed, trials, tol)
     rec = _Recorder(tol)
     for _ in range(trials):
         while True:
@@ -250,13 +264,6 @@ def canonical_structure(pairs: int) -> PoissonStructure:
     """The constant symplectic bivector on R^(2*pairs): {q_k, p_k} = 1."""
     entries = {(2 * k, 2 * k + 1): ONE for k in range(pairs)}
     return PoissonStructure(2 * pairs, entries)
-
-
-def so3_structure() -> PoissonStructure:
-    """The Lie-Poisson bivector with {x1,x2}=x3, {x2,x3}=x1, {x3,x1}=x2."""
-    return PoissonStructure(
-        3, {(0, 1): Var(2), (1, 2): Var(0), (0, 2): neg(Var(1))}
-    )
 
 
 def _operands(pi: PoissonStructure, *operands: AFunction | CoordForm) -> WeilAlgebra | None:
@@ -327,17 +334,18 @@ def jacobi_check(
 
     The Jacobiator is a trivector, the Schouten bracket [pi, pi], so it
     vanishes exactly when it does on every triple x_i, x_j, x_k with
-    i < j < k.  Those C(n, 3) Jacobiators are built once.  When every one
-    expands as a polynomial (``oracle.poly_coeffs_exact``), the verdict is
-    exact: a non-zero coefficient fails whatever ``tol`` is,
-    ``max_residual`` is the largest |coefficient|, and each failing triple
-    is a witness with its largest monomial.  Otherwise each trial evaluates
-    all of them at one uniform point of [-1,1]^n.  As for every check, zero
-    trials are a vacuous pass either way and a negative count is refused.
+    i < j < k.  Those C(n, 3) Jacobiators are built once, after the
+    settings pass ``check_settings``.  When every one expands as a
+    polynomial (``oracle.poly_coeffs_exact``), the verdict is exact: each
+    failing triple's largest coefficient goes to the recorder as an exact
+    residual, with its monomial.  Otherwise each trial evaluates all of them
+    at one uniform point of [-1,1]^n.  Zero trials are a vacuous pass either
+    way.
     """
     # imported here: oracle imports this module
     from .oracle import poly_coeffs_exact
 
+    check_settings(seed, trials, tol)
     jacobiators = []
     for triple in combinations(range(pi.dim), 3):
         f, g, h = (Var(i) for i in triple)
@@ -363,27 +371,15 @@ def jacobi_check(
         expansions = None
     if expansions is None or trials < 1:
         return _run_trials("jacobi", seed, trials, tol, trial)
-    _require_tol(tol)
-    sampling.rng_for(seed)  # refuses a negative seed, as the sampled path does
-    worst = 0.0
-    witnesses = []
+    rec = _Recorder(tol)
+    variables = [to_string(Var(i)) for i in range(pi.dim)]
     for coeffs, (_, triple) in zip(expansions, jacobiators):
-        if not coeffs:
-            continue
-        monomial, c = max(coeffs.items(), key=lambda item: abs(item[1]))
-        try:
-            residual = float(abs(c))
-        except OverflowError:
-            residual = math.inf
-        worst = max(worst, residual)
-        if len(witnesses) < MAX_WITNESSES:
-            variables = [to_string(Var(i)) for i in range(pi.dim)]
-            inputs = {"check": "jacobi", **names(triple),
-                      "monomial": monomial_name(monomial, variables)}
-            witnesses.append(Witness(inputs, residual))
-    # a coefficient below the smallest float still fails
-    passed = not any(expansions)
-    return CheckReport("jacobi", seed, trials, tol, worst, passed, tuple(witnesses))
+        if coeffs:
+            monomial, c = max(coeffs.items(), key=lambda item: abs(item[1]))
+            rec.inputs = lambda triple=triple, monomial=monomial: {
+                **names(triple), "monomial": monomial_name(monomial, variables)}
+            rec.check("jacobi", c)
+    return rec.report("jacobi", seed, trials)
 
 
 # -- prolonged operations -------------------------------------------------------------

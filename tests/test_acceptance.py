@@ -26,7 +26,6 @@ from weilc import (
     prolong_bracket,
     prolong_field,
     run_suite,
-    so3_structure,
     taylor_coeffs,
     verify_a_poisson,
 )
@@ -47,6 +46,8 @@ from weilc.sampling import (
     residual_forms,
     rng_for,
 )
+
+from structures import so3_structure
 
 SEED = 42
 TOL = 1e-9

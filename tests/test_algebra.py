@@ -27,11 +27,13 @@ from weilc import (
     validate_morphism,
 )
 from weilc.algebra import (
+    MAX_ALGEBRA_DIM,
     _CHUNK,
     _close,
     _compile,
     _matvec,
     _sqrt_derivs,
+    _standard_monomials,
     _tan_derivs,
     apply_linear,
     monomial_name,
@@ -42,6 +44,7 @@ from weilc.errors import (
     EmptyRelation,
     NotFiniteDimensional,
     NotMorphism,
+    WeilcError,
 )
 from weilc.expr import eval_weil, parse
 from weilc.oracle import taylor_coeffs
@@ -75,6 +78,28 @@ def nilpotent_part(a):
     return a.algebra.element([0.0, *a.coeffs[1:]])
 
 
+def box_basis(presentation):
+    """The standard monomials in basis order, the box way: every monomial
+    in the box the pure-power relations bound that no relation divides."""
+    rels, k = presentation.relations, len(presentation.generators)
+    bounds = [min(r[i] for r in rels if r[i] == sum(r)) for i in range(k)]
+    found = [m for m in product(*(range(b) for b in bounds))
+             if not any(all(r <= e for r, e in zip(rel, m)) for rel in rels)]
+    return tuple(sorted(found, key=lambda m: (sum(m), tuple(-e for e in m))))
+
+
+@st.composite
+def presentations(draw):
+    """Up to three generators, each with a pure power, and a few mixed
+    relations."""
+    k = draw(st.integers(0, 3))
+    pure = [tuple(draw(st.integers(1, 5)) if j == i else 0 for j in range(k))
+            for i in range(k)]
+    mixed = draw(st.lists(st.tuples(*[st.integers(0, 4)] * k), max_size=4)) if k else []
+    relations = pure + [m for m in mixed if sum(m)]
+    return AlgebraPresentation(tuple("abc"[:k]), tuple(relations))
+
+
 class TestBuild:
     def test_dual_numbers(self):
         A = dual_numbers()
@@ -100,6 +125,34 @@ class TestBuild:
             )
         }
         assert set(build_algebra(pres).basis) == expected
+
+    @pytest.mark.parametrize(
+        "presentation",
+        [p for _, p in CATALOG] + [jets(10).presentation, trivial_algebra().presentation],
+        ids=[name for name, _ in CATALOG] + ["jets10", "trivial"],
+    )
+    def test_the_staircase_walk_is_the_box_enumeration(self, presentation):
+        assert build_algebra(presentation).basis == box_basis(presentation)
+
+    @given(presentations())
+    def test_the_walk_finds_each_standard_monomial_once(self, presentation):
+        assert sorted(_standard_monomials(presentation)) == sorted(box_basis(presentation))
+
+    @pytest.mark.parametrize("presentation", [
+        AlgebraPresentation(("x", "y"), ((1000, 0), (0, 1000), (1, 1))),
+        AlgebraPresentation(("x", "y"), ((60, 0), (0, 60))),
+        AlgebraPresentation(("t",), ((10**12,),)),
+    ], ids=["hook_1999", "square_3600", "jets_huge"])
+    def test_an_algebra_past_the_bound_is_refused(self, presentation):
+        # the walk stops at the bound, where the box held up to 10^12 monomials
+        with pytest.raises(WeilcError, match=f"more than {MAX_ALGEBRA_DIM} basis monomials"):
+            build_algebra(presentation)
+
+    def test_an_algebra_of_the_bound_builds(self, monkeypatch):
+        monkeypatch.setattr("weilc.algebra.MAX_ALGEBRA_DIM", 10)
+        assert jets(9).dim == 10
+        with pytest.raises(WeilcError, match="R\\[t\\]/\\(t\\^11\\) has more than 10 "):
+            jets(10)
 
     def test_not_finite_dimensional(self):
         with pytest.raises(NotFiniteDimensional):

@@ -8,8 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from weilc import cli, errors, poisson, sampling
+from weilc.algebra import MAX_ALGEBRA_DIM
 from weilc.cli import main
 from weilc.config import parse_relation
 
@@ -433,9 +435,10 @@ class TestConfigHandling:
         )
         assert _fresh_python(code) == f"1 config error: config {path} nests a value too deeply\n"
 
-    @pytest.mark.parametrize("relation", ["eps^", "eps ^ "])
+    @pytest.mark.parametrize("relation", ["eps^", "eps ^ ", "eps^1_0", "eps^+2", "eps^١٠"])
     def test_empty_exponent_in_config(self, tmp_path, capsys, relation):
-        # once read as eps^1, the relation of another algebra
+        # once read as eps^1, eps^10, eps^2 and eps^10, the relations of other
+        # algebras: an exponent is ASCII digits, as in the expression grammar
         path = tmp_path / "project.yaml"
         path.write_text(f"chart_dim: 1\nalgebras:\n  dual: {{generators: [eps], "
                         f"relations: ['{relation}']}}\n", encoding="utf-8")
@@ -443,6 +446,19 @@ class TestConfigHandling:
         captured = capsys.readouterr()
         assert captured.err == (
             f"config error: algebra 'dual': bad exponent in relation {relation!r}\n"
+        )
+        assert captured.out == ""
+
+    def test_an_algebra_past_the_size_bound_in_config(self, tmp_path, capsys):
+        # jets(1000) takes about 7 s and 800 MB to build; the walk stops at the bound
+        path = tmp_path / "project.yaml"
+        path.write_text("chart_dim: 1\nalgebras:\n  big: {generators: [t], "
+                        "relations: ['t^1001']}\n", encoding="utf-8")
+        assert main(["--config", str(path), "algebra-show", "big"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "config error: algebra 'big': the algebra R[t]/(t^1001) has more than "
+            f"{MAX_ALGEBRA_DIM} basis monomials (MAX_ALGEBRA_DIM)\n"
         )
         assert captured.out == ""
 
@@ -615,7 +631,9 @@ class TestSeedsAndRedraws:
         path.write_text(CONFIG_2D.replace("seed: 42", "seed: -1"), encoding="utf-8")
         assert main(["--config", str(path), "check", "hom_laws", "--trials", "2"]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "config error: suites settings: seed -1 is negative\n"
+        assert captured.err == (
+            "config error: suites settings: seed -1 is negative; seeds are integers >= 0\n"
+        )
         assert captured.out == ""
 
     def test_negative_trials_flag(self, config2, capsys):
@@ -637,7 +655,9 @@ class TestSeedsAndRedraws:
         path.write_text("chart_dim: 2\nsuites: {trials: -1}\n", encoding="utf-8")
         assert main(["--config", str(path), "check", "hom_laws"]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "config error: suites settings: trials -1 is negative\n"
+        assert captured.err == (
+            "config error: suites settings: trial count -1 is negative; use 0 or more\n"
+        )
         assert captured.out == ""
 
     def test_domain_error_trial_is_redrawn(self, tmp_path, capsys):
@@ -672,6 +692,9 @@ class TestSeedsAndRedraws:
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("[PASS] poisson_full: trials=3 ")
         assert len(gaps) == 3 and max(gaps) > 1e-9
+
+
+EVERY_PASS = "it would pass every finite residual"
 
 
 class TestSuiteSettings:
@@ -721,10 +744,15 @@ class TestSuiteSettings:
             ("{seed: '7'}", "seed must be an integer, got '7'"),
             ("{tol: yes}", "tol must be a number, got True"),
             ("{tol: 1e-9}", "tol must be a number, got '1e-9'"),
-            ("{tol: -1}", "tol -1 is negative or NaN"),
-            ("{tol: .nan}", "tol nan is negative or NaN"),
-            ("{tol: .inf}", "tol inf is not finite"),
-            ("{tol: 1.0e+400}", "tol inf is not finite"),
+            # the range rows keep the ids that name each case
+            pytest.param("{tol: -1}", "tolerance -1 is negative or NaN; use 0 or more",
+                         id="{tol: -1}-tol -1 is negative or NaN"),
+            pytest.param("{tol: .nan}", "tolerance nan is negative or NaN; use 0 or more",
+                         id="{tol: .nan}-tol nan is negative or NaN"),
+            pytest.param("{tol: .inf}", "tolerance inf is not finite; " + EVERY_PASS,
+                         id="{tol: .inf}-tol inf is not finite"),
+            pytest.param("{tol: 1.0e+400}", "tolerance inf is not finite; " + EVERY_PASS,
+                         id="{tol: 1.0e+400}-tol inf is not finite"),
         ],
     )
     def test_bad_settings_in_config(self, tmp_path, capsys, settings, message):
@@ -750,8 +778,42 @@ class TestSuiteSettings:
         path.write_text("chart_dim: 2\nsuites: {tol: 1" + "0" * 400 + "}\n", encoding="utf-8")
         assert main(["--config", str(path), "check", "hom_laws"]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("config error: suites settings: tol 1000")
-        assert captured.err.endswith("0 is not finite\n") and captured.out == ""
+        assert captured.err.startswith("config error: suites settings: tolerance 1000")
+        assert captured.err.endswith(f"0 is not finite; {EVERY_PASS}\n")
+        assert captured.out == ""
+
+    # each bad setting as a --flag and as YAML; both read the same value
+    BAD = [("seed", "-1", "-1"), ("trials", "-1", "-1"), ("trials", "-1000", "-1000"),
+           ("tol", "-1", "-1"), ("tol", "-inf", "-.inf"), ("tol", "nan", ".nan"),
+           ("tol", "inf", ".inf"), ("tol", "1e400", "1.0e+400")]
+
+    @staticmethod
+    def library_message(key, value):
+        settings = {"seed": 42, "trials": 2, "tol": 1e-9, key: value}
+        with pytest.raises(errors.WeilcError) as exc:
+            poisson.check_settings(**settings)
+        return str(exc.value)
+
+    @pytest.mark.parametrize("key, flag, yaml_text", BAD)
+    def test_one_settings_rule_for_flags_and_config(
+        self, config2, tmp_path, capsys, key, flag, yaml_text
+    ):
+        # a flag is a usage error (exit 2) with the library's message; the
+        # same value in a config is a config error (exit 1) with that message
+        # under "suites settings: "
+        value = (int if key != "tol" else float)(flag)
+        assert main(["--config", config2, "check", "hom_laws", "--trials", "2",
+                     f"--{key}={flag}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {self.library_message(key, value)}\n"
+        assert captured.out == ""
+        path = tmp_path / "project.yaml"
+        path.write_text(f"chart_dim: 2\nsuites: {{{key}: {yaml_text}}}\n", encoding="utf-8")
+        assert main(["--config", str(path), "check", "hom_laws"]) == 1
+        captured = capsys.readouterr()
+        message = self.library_message(key, yaml.safe_load(yaml_text))
+        assert captured.err == f"config error: suites settings: {message}\n"
+        assert captured.out == ""
 
     def test_a_setting_past_the_int_digit_limit_in_config(self, tmp_path, capsys):
         # YAML's int() refuses more than 4,300 digits with a ValueError

@@ -1,20 +1,26 @@
-"""Generated command lines end in a documented exit code, never a traceback.
+"""Generated command lines and configs end in a documented exit code, never
+a traceback.
 
-Each example draws an argv over the five commands, the names defined in
+Each argv example draws an argv over the five commands, the names defined in
 docs/example_config.yaml (and some that are not), flag values such as empty
 texts, NaN and infinite tolerances, negative seeds and trial counts, and
-``--point`` texts nested up to 10,000 lists deep.  ``main`` must return one
-of the exit codes 0-4, or argparse must exit with 2 on a usage error.
-``check`` always gets ``--trials`` of at most 2, so no example runs the
-config's 100 trials.
+``--point`` texts nested up to 10,000 lists deep.  Each config example draws
+a YAML config with nested mappings and lists where values belong, unknown
+keys, large relation exponents and ``chart_dim`` values, bad ``suites``
+settings and relation exponents that are not ASCII digits, and runs one
+command on it.  ``main`` must return one of the exit codes 0-4, or argparse
+must exit with 2 on a usage error.  ``check`` always gets ``--trials`` of at
+most 2, so no example runs a config's trials.
 """
 
 import contextlib
 import io
+import math
 from datetime import timedelta
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from weilc.cli import main
@@ -111,14 +117,113 @@ def argvs(draw, json_paths):
     return argv
 
 
+def exit_code(argv) -> int:
+    """The exit code of one command line, its output dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv  # argparse's usage error
+            return exc.code
+
+
 @settings(max_examples=400, deadline=timedelta(seconds=5))
 @given(data=st.data())
 def test_every_argv_ends_in_a_documented_exit_code(json_paths, data):
     argv = data.draw(argvs(json_paths), label="argv")
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            assert exc.code == 2, argv
-            return
-    assert code in range(5), argv
+    assert exit_code(argv) in range(5), argv
+
+
+# -- generated configs ------------------------------------------------------------
+
+
+# any YAML value, nested a few levels: it goes where a well-formed one belongs
+VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+              st.sampled_from([10**30, -(10**400), "x1", "eps^2", ""]), st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8,
+)
+UNKNOWN_KEYS = st.sampled_from(["suite", "seeds", "generator", "relation", "", "Chart_dim"])
+# every large exponent is past MAX_ALGEBRA_DIM, or past the digits int()
+# converts; the others are not ASCII digits
+BAD_EXPONENTS = st.sampled_from([
+    "1001", "1000000", "1" + "0" * 12, "9" * 5000,
+    "", " ", "0", "-1", "1_0", "+2", "\u0661\u0660", "\u00b2", " 2", "2.0", "x"])
+BAD_SETTINGS = {
+    "seed": st.sampled_from([-1, 1.5, "7", True, 10**40, None]),
+    "trials": st.sampled_from([0, -1, 2.9, True, 10**9, None]),
+    "tol": st.sampled_from([0, 1, -1, -1e-9, math.nan, math.inf, -math.inf, 10**400, "1e-9",
+                            True, None]),
+}
+CONFIG_ALGEBRAS = ["dual", "fat"]
+FAULTS = ["nested", "unknown_key", "chart_dim", "exponent", "settings", "expression"]
+
+
+@st.composite
+def configs(draw):
+    """A well-formed config with up to three faults: a nested or other YAML
+    value in place of one, an unknown key, a bad or large ``chart_dim``, a
+    bad or large relation exponent, a bad ``suites`` setting, or an
+    expression the grammar refuses."""
+    algebras = {}
+    for name in draw(st.lists(st.sampled_from(CONFIG_ALGEBRAS), min_size=1, unique=True)):
+        generators = draw(st.lists(st.sampled_from(["t", "a", "b"]), min_size=1,
+                                   max_size=3, unique=True))
+        # at most 4^3 = 64 basis monomials
+        relations = [f"{g}^{draw(st.integers(1, 4))}" for g in generators]
+        mixed = st.lists(st.sampled_from(generators), min_size=2, max_size=3).map("*".join)
+        relations += draw(st.lists(mixed, max_size=2))
+        algebras[name] = {"generators": generators, "relations": relations}
+    config = {
+        "chart_dim": draw(st.integers(2, 3)),
+        "algebras": algebras,
+        "expressions": {"f": "x1^2"},
+        "bivectors": {"b": {"1,2": "1"}},
+        "suites": {"seed": 42, "trials": 2, "tol": 1e-9},
+    }
+    # the faults change these in place, also once a fault has put another
+    # value where one of them was
+    algebra = algebras[draw(st.sampled_from(sorted(algebras)))]
+    relations, suites = algebra["relations"], config["suites"]
+    expressions, entry = config["expressions"], config["bivectors"]["b"]
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=3)):
+        if fault == "nested":
+            target = draw(st.sampled_from([config, algebra, suites, entry]))
+            target[draw(st.sampled_from(sorted(target)))] = draw(VALUES)
+        elif fault == "unknown_key":
+            target = draw(st.sampled_from([config, algebra, suites]))
+            target[draw(UNKNOWN_KEYS)] = draw(VALUES)
+        elif fault == "chart_dim":
+            config["chart_dim"] = draw(st.sampled_from([0, -1, 10**6, 10**30, 2.0, True,
+                                                        "2", None]))
+        elif fault == "exponent":
+            # in place of the first generator's pure power
+            generator = relations[0].partition("^")[0]
+            relations[0] = f"{generator}^{draw(BAD_EXPONENTS)}"
+        elif fault == "settings":
+            key = draw(st.sampled_from(sorted(BAD_SETTINGS)))
+            suites[key] = draw(BAD_SETTINGS[key])
+        else:
+            expressions["f"] = draw(st.sampled_from(
+                ["x9", "x1^" + "9" * 5000, "x1^1_0", "sin(", "1/x1"]))
+    return yaml.safe_dump(config, allow_unicode=True)
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz_config") / "project.yaml"
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=2))
+@given(data=st.data())
+def test_every_config_ends_in_a_documented_exit_code(config_path, data):
+    config_path.write_text(data.draw(configs(), label="config"), encoding="utf-8")
+    name = data.draw(st.sampled_from(CONFIG_ALGEBRAS), label="algebra")
+    argv = ["--config", str(config_path)] + data.draw(st.sampled_from([
+        ["algebra-show", name],
+        ["eval", "f", name, "--point", "[[0.5, 0.1]]"],
+        ["check", "hom_laws", "--trials=1"],
+    ]), label="command")
+    assert exit_code(argv) in range(5), argv

@@ -41,7 +41,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import weilc.expr
 import weilc.prolongation
-from weilc import APoint, dual_numbers, jets, so3_structure, trivial_algebra
+from weilc import APoint, dual_numbers, jets, trivial_algebra
 from weilc.algebra import RECIPROCAL, render_element, taylor_lift
 from weilc.errors import (
     AlgebraMismatch,
@@ -98,6 +98,8 @@ from weilc.sampling import (
     random_point,
     rng_for,
 )
+
+from structures import so3_structure
 
 # -- the tree recursions, as references ---------------------------------------------
 

@@ -24,7 +24,6 @@ from weilc import (
     parse,
     prolong_bracket,
     prolong_field,
-    so3_structure,
     verify_a_poisson,
 )
 from weilc.errors import (
@@ -46,7 +45,7 @@ from weilc.expr import (
     neg,
     sub,
 )
-from weilc import sampling
+from weilc import oracle, poisson, sampling
 from weilc.forms import dform, wedge
 from weilc.oracle import poly_coeffs_exact
 from weilc.poisson import MAX_WITNESSES, PoissonStructure, _Recorder, _run_trials, omega_at
@@ -63,6 +62,8 @@ from weilc.sampling import (
     residual_zero,
     rng_for,
 )
+
+from structures import so3_structure
 
 
 def allclose(a, b, tol):
@@ -222,6 +223,18 @@ class TestJacobiCheck:
         with pytest.raises(WeilcError) as exc:
             jacobi_check(pi, trials=10, tol=1e-9, seed=-5)
         assert str(exc.value) == "seed -5 is negative; seeds are integers >= 0"
+
+    @pytest.mark.parametrize("entry", ["1", "exp(x2)"])
+    @pytest.mark.parametrize("settings", [
+        {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf}, {"trials": -1}, {"seed": -1}])
+    def test_refused_settings_build_no_jacobiator(self, monkeypatch, entry, settings):
+        calls = []
+        for module, name in ((poisson, "bracket"), (oracle, "poly_coeffs_exact")):
+            monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+        pi = PoissonStructure(3, {(0, 1): parse("1", 3), (1, 2): parse(entry, 3)})
+        with pytest.raises(WeilcError):
+            jacobi_check(pi, **{"trials": 10, "tol": 1e-9, "seed": 0, **settings})
+        assert calls == []
 
     def test_witness_point_prints_plain_floats(self):
         # {x1,x2} = 1, {x2,x3} = exp(x2): the coordinate Jacobiator exp(x2) is
@@ -786,6 +799,31 @@ class TestRecorder:
         calls.clear()
         recorded(0.5)
         assert calls == []
+
+    def test_an_exact_zero_passes(self):
+        report = recorded(Fraction(0))
+        assert report.passed and report.max_residual == 0.0 and not report.witnesses
+
+    @pytest.mark.parametrize("tol", [1e-9, 1.0])
+    def test_an_exact_residual_fails_within_any_tol(self, tol):
+        rec = _Recorder(tol)
+        rec.check("exact", Fraction(1, 10**12))
+        report = rec.report("x", 1, 1)
+        assert not report.passed
+        assert report.max_residual == 1e-12
+        assert [w.residual for w in report.witnesses] == [1e-12]
+
+    def test_an_exact_residual_below_every_float_fails_with_a_witness(self):
+        report = recorded(Fraction(1, 10**400))
+        assert not report.passed
+        assert report.max_residual == 0.0
+        assert [(w.inputs["check"], w.residual) for w in report.witnesses] == [("c", 0.0)]
+
+    def test_an_exact_residual_past_the_float_range_reads_inf(self):
+        report = recorded(Fraction(-(10**400)))
+        assert not report.passed
+        assert report.max_residual == math.inf
+        assert [w.residual for w in report.witnesses] == [math.inf]
 
 
 class TestHamiltonianFieldSo3:
