@@ -150,9 +150,6 @@ class WeilAlgebra:
         self.basis: tuple[Monomial, ...] = tuple(candidates)
         self.dim = len(self.basis)
         self.height = max(sum(m) for m in self.basis)
-        self.maximal_ideal_basis = tuple(
-            i for i, m in enumerate(self.basis) if sum(m) > 0
-        )
         index = {m: i for i, m in enumerate(self.basis)}
 
         # The product plan lists the non-zero products e_i e_j = e_k with

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .algebra import AlgebraPresentation, Monomial, WeilAlgebra, build_algebra
 from .errors import ConfigError, WeilcError
 from .expr import Expr, parse
-from .poisson import PoissonStructure, check_settings
+from .poisson import MAX_CHART_DIM, PoissonStructure, check_settings
 from .prolongation import VectorField
 
 
@@ -116,6 +116,8 @@ def _read_config(data) -> ProjectConfig:
     # YAML reads yes and true as bools, and a bool is an int to Python
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ConfigError(f"chart_dim must be a positive integer, got {n!r}")
+    if n > MAX_CHART_DIM:
+        raise ConfigError(f"chart_dim {n} is more than {MAX_CHART_DIM} (MAX_CHART_DIM)")
     cfg = ProjectConfig(chart_dim=n)
 
     for name, entry in _expect_mapping(data.get("algebras"), "algebras").items():

@@ -346,13 +346,17 @@ def is_zero(e: Expr) -> bool:
 
 
 # -- folding constructors (constant folding and 0/1 identities only) ------------
-# Each tests an operand's class once; ``ConstR`` has no subclasses.
+# Each tests an operand's class once; ``ConstR`` has no subclasses.  Two
+# constants fold only to a finite one: an inf or NaN is not in the grammar,
+# so ``to_string`` could not print it back, and the node it would replace
+# evaluates to the same value.
 
 
 def add(a: Expr, b: Expr) -> Expr:
     if type(a) is ConstR:
         if type(b) is ConstR:
-            return ConstR(a.value + b.value)
+            v = a.value + b.value
+            return ConstR(v) if math.isfinite(v) else Add(a, b)
         if a.value == 0.0:
             return b
     elif type(b) is ConstR and b.value == 0.0:
@@ -363,7 +367,8 @@ def add(a: Expr, b: Expr) -> Expr:
 def sub(a: Expr, b: Expr) -> Expr:
     if type(b) is ConstR:
         if type(a) is ConstR:
-            return ConstR(a.value - b.value)
+            v = a.value - b.value
+            return ConstR(v) if math.isfinite(v) else Sub(a, b)
         if b.value == 0.0:
             return a
     elif type(a) is ConstR and a.value == 0.0:
@@ -374,7 +379,8 @@ def sub(a: Expr, b: Expr) -> Expr:
 def mul(a: Expr, b: Expr) -> Expr:
     if type(a) is ConstR:
         if type(b) is ConstR:
-            return ConstR(a.value * b.value)
+            v = a.value * b.value
+            return ConstR(v) if math.isfinite(v) else Mul(a, b)
         v = a.value
         if v == 0.0:
             return ZERO
@@ -393,7 +399,8 @@ def div(a: Expr, b: Expr) -> Expr:
     if type(b) is ConstR:
         v = b.value
         if v != 0.0 and type(a) is ConstR:
-            return ConstR(a.value / v)
+            q = a.value / v
+            return ConstR(q) if math.isfinite(q) else Div(a, b)
         if v == 1.0:
             return a
     return Div(a, b)

@@ -143,28 +143,25 @@ class _Recorder:
 
         The sides are two ``WeilElement``s, two ``CoordForm``s compared at
         ``point``, or two floats, read as elements of the trivial algebra.
-        A missing ``rhs`` is zero.  A bare float ``lhs`` is the residual.  A
-        bare ``Fraction`` is an exact residual: it fails whenever it is not
-        zero, whatever ``tol`` is, and reads as a float, inf past the float
-        range."""
-        exact = False
+        A missing ``rhs`` is zero.  A bare ``Fraction`` is an exact residual:
+        it fails whenever it is not zero, whatever ``tol`` is, and reads as a
+        float, inf past the float range."""
+        exact = isinstance(lhs, Fraction)
         if isinstance(lhs, CoordForm):
             if rhs is None:
                 rhs = zero_form(lhs.degree, lhs.dim, lhs.algebra)
             value = sampling.residual_forms(lhs, rhs, point)
         elif isinstance(lhs, WeilElement):
             value = sampling.residual_zero(lhs) if rhs is None else sampling.residual(lhs, rhs)
-        elif rhs is not None:
-            real = trivial_algebra()
-            value = sampling.residual(real.from_real(lhs), real.from_real(rhs))
-        elif isinstance(lhs, Fraction):
-            exact = True
+        elif exact:
             try:
                 value = float(abs(lhs))
             except OverflowError:
                 value = math.inf
         else:
-            value = lhs
+            real = trivial_algebra()
+            rhs = 0.0 if rhs is None else rhs
+            value = sampling.residual(real.from_real(lhs), real.from_real(rhs))
         # max() skips NaN, so a non-finite residual counts as inf
         if not math.isfinite(value):
             value = math.inf
@@ -233,12 +230,28 @@ def _run_trials(
 # -- the structure -----------------------------------------------------------------
 
 
+# the largest chart a bivector or config may have.  Each poisson_full trial
+# draws points, forms and gradients over every chart variable: `weilc check
+# poisson_full --trials 1` on {x1,x2} = 1 over the dual numbers took 0.5-0.8 s
+# at this dimension, 1.7 s at 4,000 and 11 s at 12,800 (2-vCPU Xeon VM,
+# Python 3.11).
+MAX_CHART_DIM = 2000
+
+
 class PoissonStructure:
-    """Skew bivector, upper triangle stored, entries ConstA-free."""
+    """Skew bivector, upper triangle stored, entries ConstA-free.  ``entries``
+    holds the non-zero ones in (i, j) order, the order every contraction
+    sums them in.  A chart of more than ``MAX_CHART_DIM`` variables raises
+    WeilcError."""
 
     algebra = None  # on the base chart, so ``on_chart`` refuses constants
 
     def __init__(self, dim: int, entries: Mapping[tuple[int, int], Expr]):
+        if dim > MAX_CHART_DIM:
+            raise WeilcError(
+                f"a bivector on {dim} variables; the chart has at most "
+                f"{MAX_CHART_DIM} (MAX_CHART_DIM)"
+            )
         self.dim = dim
         on_chart(entries.values(), self)
         cleaned: dict[tuple[int, int], Expr] = {}
@@ -249,11 +262,11 @@ class PoissonStructure:
                 )
             if not is_zero(e):
                 cleaned[(i, j)] = e
-        self.entries = cleaned
+        self.entries = dict(sorted(cleaned.items()))
 
     def describe(self) -> str:
         pairs = ", ".join(
-            f"pi[{i + 1},{j + 1}]={to_string(e)}" for (i, j), e in sorted(self.entries.items())
+            f"pi[{i + 1},{j + 1}]={to_string(e)}" for (i, j), e in self.entries.items()
         )
         return f"PoissonStructure(dim={self.dim}, {pairs or '0'})"
 
@@ -286,7 +299,7 @@ def _operands(pi: PoissonStructure, *operands: AFunction | CoordForm) -> WeilAlg
 def _pair(pi: PoissonStructure, a: Sequence[Expr], b: Sequence[Expr]) -> Expr:
     """sum_(i<j) pi_ij (a_i b_j - a_j b_i) over per-index expressions."""
     out: Expr = ZERO
-    for (i, j), p in sorted(pi.entries.items()):
+    for (i, j), p in pi.entries.items():
         out = add(out, mul(p, sub(mul(a[i], b[j]), mul(a[j], b[i]))))
     return out
 
@@ -294,7 +307,7 @@ def _pair(pi: PoissonStructure, a: Sequence[Expr], b: Sequence[Expr]) -> Expr:
 def _sharp(pi: PoissonStructure, a: Sequence[Expr]) -> tuple[Expr, ...]:
     """The components sum_i pi_ij a_i of the field that pi makes of a."""
     comps: list[Expr] = [ZERO] * pi.dim
-    for (i, j), p in sorted(pi.entries.items()):
+    for (i, j), p in pi.entries.items():
         comps[j] = add(comps[j], mul(p, a[i]))
         comps[i] = sub(comps[i], mul(p, a[j]))
     return tuple(comps)
@@ -339,8 +352,9 @@ def jacobi_check(
     polynomial (``oracle.poly_coeffs_exact``), the verdict is exact: each
     failing triple's largest coefficient goes to the recorder as an exact
     residual, with its monomial.  Otherwise each trial evaluates all of them
-    at one uniform point of [-1,1]^n.  Zero trials are a vacuous pass either
-    way.
+    at one uniform point of [-1,1]^n, and the recorder scales each by its
+    terms, as ``poisson_full``'s ``jacobi`` sub-check: the first two
+    against minus the third.  Zero trials are a vacuous pass either way.
     """
     # imported here: oracle imports this module
     from .oracle import poly_coeffs_exact
@@ -349,31 +363,29 @@ def jacobi_check(
     jacobiators = []
     for triple in combinations(range(pi.dim), 3):
         f, g, h = (Var(i) for i in triple)
-        jacobiator = add(
-            add(bracket(pi, f, bracket(pi, g, h)), bracket(pi, g, bracket(pi, h, f))),
-            bracket(pi, h, bracket(pi, f, g)),
-        )
-        jacobiators.append((jacobiator, (f, g, h)))
+        first = add(bracket(pi, f, bracket(pi, g, h)), bracket(pi, g, bracket(pi, h, f)))
+        jacobiators.append((first, bracket(pi, h, bracket(pi, f, g)), (f, g, h)))
 
     def names(triple) -> dict[str, str]:
         return {key: to_string(x) for key, x in zip("fgh", triple)}
 
     def trial(rng, rec: _Recorder):
         point = rng.uniform(-1.0, 1.0, pi.dim)
-        for jacobiator, triple in jacobiators:
+        for first, third, triple in jacobiators:
             rec.inputs = lambda triple=triple: {
                 **names(triple), "point": str([round(x, 6) for x in point])}
-            rec.check("jacobi", abs(eval_real(jacobiator, point)))
+            rec.check("jacobi", eval_real(first, point), -eval_real(third, point))
 
     try:
-        expansions = [poly_coeffs_exact(j, pi.dim) for j, _ in jacobiators]
+        expansions = [poly_coeffs_exact(add(first, third), pi.dim)
+                      for first, third, _ in jacobiators]
     except (ValueError, OverflowError):  # not a polynomial, or an inf or NaN constant
         expansions = None
     if expansions is None or trials < 1:
         return _run_trials("jacobi", seed, trials, tol, trial)
     rec = _Recorder(tol)
     variables = [to_string(Var(i)) for i in range(pi.dim)]
-    for coeffs, (_, triple) in zip(expansions, jacobiators):
+    for coeffs, (_, _, triple) in zip(expansions, jacobiators):
         if coeffs:
             monomial, c = max(coeffs.items(), key=lambda item: abs(item[1]))
             rec.inputs = lambda triple=triple, monomial=monomial: {
@@ -420,7 +432,7 @@ def omega_at(pi: PoissonStructure, x: CoordForm, y: CoordForm, point) -> WeilEle
     algebra = _operands(pi, x, y)
     point = chart_point(point, pi)
     out = eval_weil(ZERO, point, algebra)
-    for (i, j), p in sorted(pi.entries.items()):
+    for (i, j), p in pi.entries.items():
         pv = eval_weil(p, point, algebra)
         xi = eval_weil(x.coefficient((i,)), point, algebra)
         xj = eval_weil(x.coefficient((j,)), point, algebra)

@@ -12,6 +12,7 @@ import yaml
 
 from weilc import cli, errors, poisson, sampling
 from weilc.algebra import MAX_ALGEBRA_DIM
+from weilc.poisson import MAX_CHART_DIM
 from weilc.cli import main
 from weilc.config import parse_relation
 
@@ -459,6 +460,23 @@ class TestConfigHandling:
         assert captured.err == (
             "config error: algebra 'big': the algebra R[t]/(t^1001) has more than "
             f"{MAX_ALGEBRA_DIM} basis monomials (MAX_ALGEBRA_DIM)\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [["algebra-show", "dual"],
+                                         ["check", "poisson_full", "--pi", "b", "--trials=1"]])
+    def test_a_chart_past_the_size_bound_in_config(self, tmp_path, capsys, command):
+        # poisson_full draws over every chart variable: at 100,000 one trial
+        # ran past 120 s
+        path = tmp_path / "project.yaml"
+        path.write_text(f"chart_dim: {MAX_CHART_DIM + 1}\nalgebras:\n  dual: "
+                        "{generators: [eps], relations: ['eps^2']}\n"
+                        "bivectors:\n  b: {'1,2': '1'}\n", encoding="utf-8")
+        assert main(["--config", str(path)] + command) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: chart_dim {MAX_CHART_DIM + 1} is more than {MAX_CHART_DIM} "
+            "(MAX_CHART_DIM)\n"
         )
         assert captured.out == ""
 

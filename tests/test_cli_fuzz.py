@@ -225,5 +225,6 @@ def test_every_config_ends_in_a_documented_exit_code(config_path, data):
         ["algebra-show", name],
         ["eval", "f", name, "--point", "[[0.5, 0.1]]"],
         ["check", "hom_laws", "--trials=1"],
+        ["check", "poisson_full", "--pi", "b", "--trials=1"],
     ]), label="command")
     assert exit_code(argv) in range(5), argv

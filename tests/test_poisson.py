@@ -48,7 +48,8 @@ from weilc.expr import (
 from weilc import oracle, poisson, sampling
 from weilc.forms import dform, wedge
 from weilc.oracle import poly_coeffs_exact
-from weilc.poisson import MAX_WITNESSES, PoissonStructure, _Recorder, _run_trials, omega_at
+from weilc.poisson import (
+    MAX_CHART_DIM, MAX_WITNESSES, PoissonStructure, _Recorder, _run_trials, omega_at)
 from weilc.sampling import (
     catalog_algebra,
     random_expr,
@@ -96,6 +97,13 @@ def canonical():
 @pytest.fixture
 def dual():
     return dual_numbers()
+
+
+def test_a_chart_past_the_size_bound_is_refused():
+    one = parse("1", 2)
+    assert PoissonStructure(MAX_CHART_DIM, {(0, 1): one}).dim == MAX_CHART_DIM
+    with pytest.raises(WeilcError, match=f"at most {MAX_CHART_DIM} \\(MAX_CHART_DIM\\)"):
+        PoissonStructure(MAX_CHART_DIM + 1, {(0, 1): one})
 
 
 class TestBracket:
@@ -293,6 +301,40 @@ class TestJacobiCheck:
         assert not report.passed
         assert report.max_residual == residual
         assert report.witnesses[0].inputs["monomial"] == "x1*x2"
+
+    @pytest.mark.parametrize("scale, perturbation, passed", [
+        ("1", "", True), ("1e6", "", True), ("1", " + x1^2", False),
+        ("1e6", " + x1^2", False)])
+    def test_sampled_jacobiators_are_scaled_by_their_terms(self, scale, perturbation, passed):
+        # f*so3 is Poisson for every f; at 1e6 its terms near 1e12 cancel to
+        # rounding, which read 6.1e-5 as a raw |J|.  The x1^2 perturbation
+        # is not Poisson at either scale.
+        pi = PoissonStructure(3, {
+            (0, 1): parse(f"{scale}*sin(x1)*x3", 3),
+            (1, 2): parse(f"{scale}*sin(x1)*x1", 3),
+            (0, 2): parse(f"-{scale}*sin(x1)*x2{perturbation}", 3),
+        })
+        report = jacobi_check(pi, trials=100, tol=1e-9, seed=42)
+        assert report.passed == passed
+        assert (report.max_residual <= 1e-15) == passed
+        assert bool(report.witnesses) != passed
+
+    def test_the_sampled_path_hands_the_recorder_two_sides(self, monkeypatch):
+        # every sampled residual is computed from two sides: no lone float
+        sides = []
+        real = _Recorder.check
+
+        def spy(self, name, lhs, rhs=None, point=None):
+            sides.append((lhs, rhs))
+            return real(self, name, lhs, rhs, point)
+
+        monkeypatch.setattr(_Recorder, "check", spy)
+        for entry in ("sin(x1)*x3", "exp(x2) + x3"):
+            pi = PoissonStructure(
+                3, {(0, 1): parse(entry, 3), (1, 2): parse("x1", 3), (0, 2): parse("-x2", 3)})
+            jacobi_check(pi, trials=5, tol=1e-9, seed=42)
+        assert len(sides) == 10
+        assert all(isinstance(s, float) for pair in sides for s in pair)
 
 
 class TestHamiltonianField:
@@ -774,9 +816,12 @@ class TestRecorder:
         assert report.max_residual == math.inf
         assert [w.residual for w in report.witnesses] == [math.inf]
 
-    def test_a_bare_float_is_the_residual(self):
-        for value in (0.0, 3e-10, 0.5, 1e300):
-            assert recorded(value).max_residual == value
+    def test_a_lone_float_is_compared_with_zero(self):
+        # a missing rhs is zero, as for elements and forms
+        assert recorded(0.5).max_residual == 0.5 / 1.5
+        assert recorded(-0.5).max_residual == 0.5 / 1.5
+        report = recorded(0.0)
+        assert report.passed and report.max_residual == 0.0 and not report.witnesses
 
     def test_each_side_kind_goes_through_the_sampling_module(self, monkeypatch):
         # perfbench's tracer and the tests patch these names on the module
@@ -792,13 +837,11 @@ class TestRecorder:
                              ((dual.unit(),), "residual_zero"),
                              ((one, one, point), "residual_forms"),
                              ((one, None, point), "residual_forms"),
-                             ((1.0, 2.0), "residual")):
+                             ((1.0, 2.0), "residual"),
+                             ((0.5,), "residual")):
             calls.clear()
             recorded(*sides)
             assert calls[0] == first
-        calls.clear()
-        recorded(0.5)
-        assert calls == []
 
     def test_an_exact_zero_passes(self):
         report = recorded(Fraction(0))
