@@ -33,7 +33,6 @@ the results of ``eval_weil``, ``taylor_lift`` and ``**``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from numbers import Real
 from typing import Callable, Sequence
@@ -45,11 +44,15 @@ from .errors import (
     NotFiniteDimensional,
     NotMorphism,
     WeilcError,
+    refuse_assignment,
 )
 
 Monomial = tuple[int, ...]
 
 MORPHISM_TOL = 1e-12  # entrywise, in every check of validate_morphism
+
+# the immutable records write their fields through object's own setattr
+_write = object.__setattr__
 
 
 def _pure_powers(relations: Sequence[Monomial], i: int) -> list[int]:
@@ -61,29 +64,41 @@ def _pure_powers(relations: Sequence[Monomial], i: int) -> list[int]:
     ]
 
 
-@dataclass(frozen=True)
 class AlgebraPresentation:
     """Generators plus monomial relations, each relation an exponent vector."""
 
-    generators: tuple[str, ...]
-    relations: tuple[Monomial, ...]
+    __setattr__ = __delattr__ = refuse_assignment
 
-    def __post_init__(self):
-        k = len(self.generators)
-        if len(set(self.generators)) != k:
-            raise ValueError(f"duplicate generator names in {self.generators}")
-        for rel in self.relations:
+    def __init__(self, generators: tuple[str, ...], relations: tuple[Monomial, ...]):
+        _write(self, "generators", generators)
+        _write(self, "relations", relations)
+        k = len(generators)
+        if len(set(generators)) != k:
+            raise ValueError(f"duplicate generator names in {generators}")
+        for rel in relations:
             if len(rel) != k:
                 raise ValueError(f"relation {rel} has arity {len(rel)}, expected {k}")
             if any(e < 0 for e in rel):
                 raise ValueError(f"relation {rel} has a negative exponent")
             if sum(rel) == 0:
                 raise EmptyRelation("a degree-0 relation would kill the unit")
-        for i, name in enumerate(self.generators):
-            if not _pure_powers(self.relations, i):
+        for i, name in enumerate(generators):
+            if not _pure_powers(relations, i):
                 raise NotFiniteDimensional(
                     f"generator {name!r} has no pure-power relation"
                 )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.generators, self.relations) == (other.generators, other.relations)
+
+    def __hash__(self):
+        return hash((self.generators, self.relations))
+
+    def __repr__(self):
+        return (f"AlgebraPresentation(generators={self.generators!r}, "
+                f"relations={self.relations!r})")
 
     def describe(self) -> str:
         if not self.generators:
@@ -457,7 +472,6 @@ def render_element(a: WeilElement, sig: int = 12) -> str:
 # -- elementary functions lifted through nilpotents -----------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class PrimitiveFn:
     """An elementary function with a derivative-sequence rule.
 
@@ -467,8 +481,11 @@ class PrimitiveFn:
     of the name.
     """
 
-    name: str
-    derivatives: Callable[[float, int], list[float]]
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, name: str, derivatives: Callable[[float, int], list[float]]):
+        _write(self, "name", name)
+        _write(self, "derivatives", derivatives)
 
     def __eq__(self, other):
         return isinstance(other, PrimitiveFn) and other.name == self.name
@@ -638,13 +655,15 @@ def apply_linear(matrix, a: WeilElement) -> WeilElement:
 # -- algebra morphisms ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class AlgebraMorphism:
     """A validated algebra map, stored as a dim(B) x dim(A) matrix of float rows."""
 
-    source: WeilAlgebra
-    target: WeilAlgebra
-    matrix: Matrix
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, source: WeilAlgebra, target: WeilAlgebra, matrix: Matrix):
+        _write(self, "source", source)
+        _write(self, "target", target)
+        _write(self, "matrix", matrix)
 
     def apply(self, a: WeilElement) -> WeilElement:
         if a.algebra is not self.source:
@@ -653,6 +672,19 @@ class AlgebraMorphism:
 
     def __call__(self, a: WeilElement) -> WeilElement:
         return self.apply(a)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.target, self.matrix) == (
+            other.source, other.target, other.matrix)
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.matrix))
+
+    def __repr__(self):
+        return (f"AlgebraMorphism(source={self.source!r}, target={self.target!r}, "
+                f"matrix={self.matrix!r})")
 
 
 def _close(xs: Sequence[float], ys: Sequence[float]) -> bool:

@@ -10,8 +10,6 @@ unseen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .algebra import AlgebraPresentation, Monomial, WeilAlgebra, build_algebra
 from .errors import ConfigError, WeilcError
 from .expr import Expr, parse
@@ -19,21 +17,49 @@ from .poisson import MAX_CHART_DIM, PoissonStructure, check_settings
 from .prolongation import VectorField
 
 
-@dataclass
 class SuiteSettings:
-    seed: int = 42
-    trials: int = 100
-    tol: float = 1e-9
+    def __init__(self, seed: int = 42, trials: int = 100, tol: float = 1e-9):
+        self.seed = seed
+        self.trials = trials
+        self.tol = tol
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return f"SuiteSettings(seed={self.seed!r}, trials={self.trials!r}, tol={self.tol!r})"
 
 
-@dataclass
 class ProjectConfig:
-    chart_dim: int
-    algebras: dict[str, WeilAlgebra] = field(default_factory=dict)
-    expressions: dict[str, Expr] = field(default_factory=dict)
-    vector_fields: dict[str, VectorField] = field(default_factory=dict)
-    bivectors: dict[str, PoissonStructure] = field(default_factory=dict)
-    suites: SuiteSettings = field(default_factory=SuiteSettings)
+    """What a config file names; each mapping left out starts empty."""
+
+    def __init__(
+        self,
+        chart_dim: int,
+        algebras: dict[str, WeilAlgebra] | None = None,
+        expressions: dict[str, Expr] | None = None,
+        vector_fields: dict[str, VectorField] | None = None,
+        bivectors: dict[str, PoissonStructure] | None = None,
+        suites: SuiteSettings | None = None,
+    ):
+        self.chart_dim = chart_dim
+        self.algebras = {} if algebras is None else algebras
+        self.expressions = {} if expressions is None else expressions
+        self.vector_fields = {} if vector_fields is None else vector_fields
+        self.bivectors = {} if bivectors is None else bivectors
+        self.suites = SuiteSettings() if suites is None else suites
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return (f"ProjectConfig(chart_dim={self.chart_dim!r}, algebras={self.algebras!r}, "
+                f"expressions={self.expressions!r}, vector_fields={self.vector_fields!r}, "
+                f"bivectors={self.bivectors!r}, suites={self.suites!r})")
 
 
 def parse_relation(text: str, generators: tuple[str, ...]) -> Monomial:

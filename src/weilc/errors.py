@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the refusal that its
+immutable classes raise on assignment."""
+
 
 
 class WeilcError(Exception):
@@ -51,3 +53,10 @@ class UnknownSuite(WeilcError):
 
 class ConfigError(WeilcError):
     """Project configuration file is missing, malformed, or inconsistent."""
+
+
+def refuse_assignment(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of the immutable classes, which
+    write each field once, in the constructor, through ``object.__setattr__``
+    or a slot's descriptor."""
+    raise AttributeError(f"cannot assign to or delete field {name!r} of {type(self).__name__}")

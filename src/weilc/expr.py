@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from .algebra import (
@@ -55,6 +54,7 @@ from .errors import (
     ParseError,
     UnknownSymbol,
     WeilcError,
+    refuse_assignment,
 )
 
 
@@ -64,9 +64,16 @@ class Expr:
     Each node keeps ``facts``, the ``(depth, top, algebra)`` of its tree, set
     once when it is built: the number of levels, the largest variable index
     (-1 for none) and the algebra of the ConstA leaves (None for none).
-    Constants over two algebras raise AlgebraMismatch."""
+    Constants over two algebras raise AlgebraMismatch.
+
+    Nodes are immutable: assignment and deletion raise AttributeError, so
+    each constructor writes its fields and facts through the slots'
+    descriptors, as ``_diff`` and ``_eval_weil`` write the partials and the
+    value a node keeps.  Each class lists its fields in ``__match_args__``,
+    the arguments ``__reduce__`` rebuilds it from."""
 
     __slots__ = ("facts", "_partials", "_value")
+    __setattr__ = __delattr__ = refuse_assignment
     depth = property(lambda self: self.facts[0])
     top = property(lambda self: self.facts[1])
     algebra = property(lambda self: self.facts[2])
@@ -122,11 +129,11 @@ class Expr:
         return to_string(self)
 
     def __reduce__(self):
-        # rebuilt through the constructor: frozen slots refuse a restored state
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        # rebuilt through the constructor: the slots refuse a restored state
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     # structural, each a walk that meets a shared pair of nodes, or a shared
-    # node, once per call; the node classes generate neither
+    # node, once per call
     def __eq__(self, other):
         if not isinstance(other, Expr):
             return NotImplemented
@@ -138,37 +145,36 @@ class Expr:
         return _hash(self, {})
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False)
 class Var(Expr):
     __slots__ = ("index",)
-    index: int
+    __match_args__ = ("index",)
 
     def __init__(self, index: int):
         _set_index(self, index)
         _set_facts(self, (1, index, None))
 
 
-@dataclass(frozen=True, repr=False, eq=False)
 class ConstR(Expr):
     __slots__ = ("value",)
+    __match_args__ = ("value",)
     facts = (1, -1, None)
-    value: float
+
+    def __init__(self, value: float):
+        _set_real(self, value)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
 class ConstA(Expr):
     __slots__ = ("value",)
-    value: WeilElement
+    __match_args__ = ("value",)
 
-    def __post_init__(self):
-        _set_facts(self, (1, -1, self.value.algebra))
+    def __init__(self, value: WeilElement):
+        _set_element(self, value)
+        _set_facts(self, (1, -1, value.algebra))
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False)
 class _Binary(Expr):
     __slots__ = ("left", "right")
-    left: Expr
-    right: Expr
+    __match_args__ = ("left", "right")
 
     def __init__(self, left: Expr, right: Expr):
         # the facts inline, with no call: every arithmetic step builds one
@@ -187,31 +193,26 @@ class _Binary(Expr):
         _set_facts(self, (depth + 1, top if top > right_top else right_top, algebra))
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False)
 class Add(_Binary):
     __slots__ = ()
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False)
 class Sub(_Binary):
     __slots__ = ()
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False)
 class Mul(_Binary):
     __slots__ = ()
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False)
 class Div(_Binary):
     __slots__ = ()
 
 
 # the one-operand nodes also set their facts inline
-@dataclass(frozen=True, init=False, repr=False, eq=False)
 class Neg(Expr):
     __slots__ = ("arg",)
-    arg: Expr
+    __match_args__ = ("arg",)
 
     def __init__(self, arg: Expr):
         depth, top, algebra = arg.facts
@@ -221,11 +222,9 @@ class Neg(Expr):
         _set_facts(self, (depth + 1, top, algebra))
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False)
 class Pow(Expr):
     __slots__ = ("base", "exponent")
-    base: Expr
-    exponent: int
+    __match_args__ = ("base", "exponent")
 
     def __init__(self, base: Expr, exponent: int):
         if type(exponent) is not int:
@@ -238,11 +237,9 @@ class Pow(Expr):
         _set_facts(self, (depth + 1, top, algebra))
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False)
 class Apply(Expr):
     __slots__ = ("fn", "arg")
-    fn: PrimitiveFn
-    arg: Expr
+    __match_args__ = ("fn", "arg")
 
     def __init__(self, fn: PrimitiveFn, arg: Expr):
         depth, top, algebra = arg.facts
@@ -253,10 +250,11 @@ class Apply(Expr):
         _set_facts(self, (depth + 1, top, algebra))
 
 
-# frozen nodes refuse assignment, so constructors write through the slots
+# nodes refuse assignment, so constructors write through the slots
 _set_facts, _set_partials, _set_value, _set_index, _set_left, _set_right = (
     Expr.facts.__set__, Expr._partials.__set__, Expr._value.__set__, Var.index.__set__,
     _Binary.left.__set__, _Binary.right.__set__)
+_set_real, _set_element = ConstR.value.__set__, ConstA.value.__set__
 _set_arg, _set_base, _set_exponent, _set_fn, _set_apply_arg = (
     Neg.arg.__set__, Pow.base.__set__, Pow.exponent.__set__, Apply.fn.__set__,
     Apply.arg.__set__)
@@ -449,24 +447,39 @@ def on_chart(exprs: Iterable[Expr], owner):
             )
 
 
-@dataclass(frozen=True)
+# the immutable records write their fields through object's own setattr
+_write = object.__setattr__
+
+
 class APoint:
     """A chart point with Weil-element coordinates: the one point type of
     Weil evaluation.  It is immutable and its coordinates lie over its
     algebra, so it keys the values its nodes keep."""
 
-    algebra: WeilAlgebra
-    coords: tuple[WeilElement, ...]
+    __setattr__ = __delattr__ = refuse_assignment
 
-    def __post_init__(self):
-        for c in self.coords:
+    def __init__(self, algebra: WeilAlgebra, coords: tuple[WeilElement, ...]):
+        _write(self, "algebra", algebra)
+        _write(self, "coords", coords)
+        for c in coords:
             if not isinstance(c, WeilElement):
                 raise AlgebraMismatch(f"point coordinate {c!r} is not a Weil element")
-        if self.algebra is None:
+        if algebra is None:
             raise AlgebraMismatch("no algebra can be inferred for evaluation")
-        for c in self.coords:
-            if c.algebra is not self.algebra:
+        for c in coords:
+            if c.algebra is not algebra:
                 raise AlgebraMismatch("point coordinates live over different algebras")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.algebra, self.coords) == (other.algebra, other.coords)
+
+    def __hash__(self):
+        return hash((self.algebra, self.coords))
+
+    def __repr__(self):
+        return f"APoint(algebra={self.algebra!r}, coords={self.coords!r})"
 
     @property
     def dim(self) -> int:
@@ -579,10 +592,15 @@ def _diff(e: Expr, i: int) -> Expr:
     elif kind is Mul:
         d = add(mul(_diff(e.left, i), e.right), mul(e.left, _diff(e.right, i)))
     elif kind is Div:
-        d = div(
-            sub(mul(_diff(e.left, i), e.right), mul(e.left, _diff(e.right, i))),
-            power(e.right, 2),
-        )
+        right = e.right
+        if type(right) is ConstR:
+            # u/c: the quotient rule would square c, which can underflow to 0
+            d = div(_diff(e.left, i), right)
+        else:
+            d = div(
+                sub(mul(_diff(e.left, i), right), mul(e.left, _diff(right, i))),
+                power(right, 2),
+            )
     elif kind is Pow:
         d = mul(
             mul(ConstR(float(e.exponent)), power(e.base, e.exponent - 1)),
@@ -1126,18 +1144,26 @@ def _to_string(e: Expr, memo: dict) -> str:
 # -- algebra-valued functions -------------------------------------------------------
 
 
-@dataclass(frozen=True, repr=False)
 class AFunction:
     """An expression with its chart dimension and value algebra; a base
     function's algebra is None and it evaluates over its point's algebra."""
 
-    expr: Expr
-    dim: int
-    algebra: WeilAlgebra | None
+    __setattr__ = __delattr__ = refuse_assignment
 
-    def __post_init__(self):
+    def __init__(self, expr: Expr, dim: int, algebra: WeilAlgebra | None):
+        _write(self, "expr", expr)
+        _write(self, "dim", dim)
+        _write(self, "algebra", algebra)
         # the expression obeys the rule that its operands obey
-        scalar_expr(self.expr, self)
+        scalar_expr(expr, self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.expr, self.dim, self.algebra) == (other.expr, other.dim, other.algebra)
+
+    def __hash__(self):
+        return hash((self.expr, self.dim, self.algebra))
 
     def __call__(self, point) -> WeilElement:
         return eval_weil(self.expr, chart_point(point, self), self.algebra)

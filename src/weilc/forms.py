@@ -11,11 +11,10 @@ holds no algebra constants and evaluates over its point's algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from .algebra import WeilAlgebra, WeilElement
-from .errors import DegreeError, DimensionMismatch
+from .errors import DegreeError, DimensionMismatch, refuse_assignment
 from .expr import (
     AFunction,
     Expr,
@@ -36,22 +35,34 @@ from .prolongation import VectorField
 
 Index = tuple[int, ...]
 
+# the immutable records write their fields through object's own setattr
+_write = object.__setattr__
 
-@dataclass(frozen=True)
+
 class CoordForm:
-    """Sum of phi_I dx_I over strictly increasing index tuples I."""
+    """Sum of phi_I dx_I over strictly increasing index tuples I.  Forms are
+    equal when their degree, chart, algebra and coefficient maps are; a form
+    does not hash."""
 
-    degree: int
-    dim: int
-    algebra: WeilAlgebra | None
-    coeffs: Mapping[Index, Expr] = field(default_factory=dict)
+    __setattr__ = __delattr__ = refuse_assignment
 
-    def __post_init__(self):
-        on_chart(self.coeffs.values(), self)
-        degree, dim = self.degree, self.dim
+    def __init__(
+        self,
+        degree: int,
+        dim: int,
+        algebra: WeilAlgebra | None,
+        coeffs: Mapping[Index, Expr] | None = None,
+    ):
+        if coeffs is None:
+            coeffs = {}
+        _write(self, "degree", degree)
+        _write(self, "dim", dim)
+        _write(self, "algebra", algebra)
+        _write(self, "coeffs", coeffs)
+        on_chart(coeffs.values(), self)
         if degree < 0:
             raise DegreeError(f"form degree {degree} is negative")
-        for idx in self.coeffs:
+        for idx in coeffs:
             if len(idx) == degree:
                 prev = -1
                 for i in idx:
@@ -66,6 +77,12 @@ class CoordForm:
             if any(not 0 <= i < dim for i in idx):
                 raise DimensionMismatch(f"index tuple {idx} off the chart")
             raise DegreeError(f"index tuple {idx} is not strictly increasing")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.degree, self.dim, self.algebra, self.coeffs) == (
+            other.degree, other.dim, other.algebra, other.coeffs)
 
     def coefficient(self, idx: Index) -> Expr:
         return self.coeffs.get(tuple(idx), ZERO)

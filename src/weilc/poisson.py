@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -32,6 +31,7 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     WeilcError,
+    refuse_assignment,
 )
 from .expr import (
     AFunction,
@@ -61,27 +61,71 @@ from . import sampling
 # -- check reports ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+# the immutable records write their fields through object's own setattr
+_write = object.__setattr__
+
+
 class Witness:
-    inputs: dict[str, str]
-    residual: float
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, inputs: dict[str, str], residual: float):
+        _write(self, "inputs", inputs)
+        _write(self, "residual", residual)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.inputs, self.residual) == (other.inputs, other.residual)
+
+    def __repr__(self):
+        return f"Witness(inputs={self.inputs!r}, residual={self.residual!r})"
 
 
-@dataclass(frozen=True)
 class CheckReport:
     """Outcome of a randomized verification run; pass means the worst
     residual stayed within tolerance.  ``redrawn`` counts the trials drawn
     again after a domain error; it is shown in the summary, not the JSON."""
 
-    suite: str
-    seed: int
-    trials: int
-    tol: float
-    max_residual: float
-    passed: bool
-    witnesses: tuple[Witness, ...] = ()
-    warning: str | None = None
-    redrawn: int = 0
+    __setattr__ = __delattr__ = refuse_assignment
+    __match_args__ = ("suite", "seed", "trials", "tol", "max_residual", "passed",
+                      "witnesses", "warning", "redrawn")
+
+    def __init__(
+        self,
+        suite: str,
+        seed: int,
+        trials: int,
+        tol: float,
+        max_residual: float,
+        passed: bool,
+        witnesses: tuple[Witness, ...] = (),
+        warning: str | None = None,
+        redrawn: int = 0,
+    ):
+        _write(self, "suite", suite)
+        _write(self, "seed", seed)
+        _write(self, "trials", trials)
+        _write(self, "tol", tol)
+        _write(self, "max_residual", max_residual)
+        _write(self, "passed", passed)
+        _write(self, "witnesses", witnesses)
+        _write(self, "warning", warning)
+        _write(self, "redrawn", redrawn)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"CheckReport({fields})"
 
     def to_dict(self) -> dict:
         out = {

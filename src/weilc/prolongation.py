@@ -15,11 +15,10 @@ evaluates over the algebra of its point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import AlgebraMorphism, WeilAlgebra, WeilElement
-from .errors import AlgebraMismatch, DimensionMismatch
+from .errors import AlgebraMismatch, DimensionMismatch, refuse_assignment
 from .expr import (
     AFunction,
     APoint,
@@ -37,17 +36,32 @@ from .expr import (
 )
 
 
-@dataclass(frozen=True)
+# the immutable records write their fields through object's own setattr
+_write = object.__setattr__
+
+
 class VectorField:
     """A field D = sum_i D_i d/dx_i on a chart.  A base field's algebra is
     None and its components hold no algebra constants; a prolonged field's
     components are read with Weil evaluation over its algebra."""
 
-    components: tuple[Expr, ...]
-    algebra: WeilAlgebra | None = None
+    __setattr__ = __delattr__ = refuse_assignment
 
-    def __post_init__(self):
-        on_chart(self.components, self)
+    def __init__(self, components: tuple[Expr, ...], algebra: WeilAlgebra | None = None):
+        _write(self, "components", components)
+        _write(self, "algebra", algebra)
+        on_chart(components, self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.components, self.algebra) == (other.components, other.algebra)
+
+    def __hash__(self):
+        return hash((self.components, self.algebra))
+
+    def __repr__(self):
+        return f"VectorField(components={self.components!r}, algebra={self.algebra!r})"
 
     @property
     def dim(self) -> int:

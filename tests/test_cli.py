@@ -921,10 +921,12 @@ def _fresh_python(code: str) -> str:
     return out.stdout
 
 
-@pytest.mark.parametrize("module", ["mpmath", "numpy", "yaml"])
+@pytest.mark.parametrize("module", ["mpmath", "numpy", "yaml", "dataclasses", "inspect"])
 def test_start_up_leaves_module_unloaded(module):
     # mpmath serves the finite-difference oracle, numpy only the tests, yaml
-    # the config load; importing the package and its CLI loads none of them
+    # the config load; the records and nodes are plain classes, so neither
+    # dataclasses nor the inspect it imports is loaded; importing the
+    # package and its CLI loads none of them
     code = f"import sys, weilc, weilc.cli; print({module!r} in sys.modules)"
     assert _fresh_python(code).strip() == "False"
 

@@ -157,6 +157,8 @@ def _ref_diff(e, i):
     if isinstance(e, Mul):
         return add(mul(_ref_diff(e.left, i), e.right), mul(e.left, _ref_diff(e.right, i)))
     if isinstance(e, Div):
+        if isinstance(e.right, ConstR):
+            return div(_ref_diff(e.left, i), e.right)
         return div(
             sub(mul(_ref_diff(e.left, i), e.right), mul(e.left, _ref_diff(e.right, i))),
             power(e.right, 2),
