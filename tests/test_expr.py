@@ -276,6 +276,7 @@ class TestDiff:
             ("x1/-3", 0, "-0.3333333333333333", -1 / 3),
             ("x1/0", 0, "1/0", None),
         ],
+        ids=["tiny", "energy", "sin", "negative", "zero"],
     )
     def test_a_quotient_by_a_real_constant_divides_the_partial(self, text, i, printed, value):
         d = diff(parse(text, 2), i)
