@@ -5,6 +5,10 @@ points with algebra coordinates (Taylor-mode lifting through nilpotents),
 and work with the prolonged vector fields, Kähler forms, and Poisson
 brackets that live on the enlarged chart.  Randomized check suites verify
 the algebraic identities the calculus is built on.
+
+The suites (``oracle``) and their random draws (``sampling``) load on first
+use: ``run_suite``, ``taylor_coeffs`` and the two submodules resolve through
+the module ``__getattr__`` below, so importing the package loads neither.
 """
 
 __version__ = "0.1.0"
@@ -63,7 +67,6 @@ from .forms import (
     wedge,
     zero_form,
 )
-from .oracle import run_suite, taylor_coeffs
 from .poisson import (
     CheckReport,
     PoissonStructure,
@@ -88,3 +91,24 @@ from .prolongation import (
     prolong_map,
     pushforward_point,
 )
+
+
+# name -> the submodule that defines it, imported on the first access
+_ON_FIRST_USE = {"oracle": "oracle", "sampling": "sampling",
+                 "run_suite": "oracle", "taylor_coeffs": "oracle"}
+
+
+def __getattr__(name: str):
+    module = _ON_FIRST_USE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    # the import binds the submodule on the package: later reads of
+    # ``oracle`` and ``sampling`` find it there and skip this function
+    loaded = importlib.import_module(f"{__name__}.{module}")
+    return loaded if name == module else getattr(loaded, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ON_FIRST_USE})

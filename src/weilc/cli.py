@@ -22,7 +22,6 @@ from .algebra import render_element
 from .config import ProjectConfig, load_config
 from .errors import ConfigError, DomainError, WeilcError
 from .expr import eval_weil, to_string
-from .oracle import run_suite
 from .poisson import bracket
 from .prolongation import APoint, apply_field
 from . import __version__
@@ -216,6 +215,9 @@ def _cmd_prolong(cfg: ProjectConfig, args) -> int:
 
 
 def _cmd_check(cfg: ProjectConfig, args) -> int:
+    # the suites load here, on the first check, not with the CLI
+    from .oracle import run_suite
+
     seed = args.seed if args.seed is not None else cfg.suites.seed
     trials = args.trials if args.trials is not None else cfg.suites.trials
     tol = args.tol if args.tol is not None else cfg.suites.tol

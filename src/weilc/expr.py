@@ -593,12 +593,14 @@ def _diff(e: Expr, i: int) -> Expr:
         d = add(mul(_diff(e.left, i), e.right), mul(e.left, _diff(e.right, i)))
     elif kind is Div:
         right = e.right
-        if type(right) is ConstR:
-            # u/c: the quotient rule would square c, which can underflow to 0
+        dright = _diff(right, i)
+        if is_zero(dright):
+            # u/v with v free of x_(i+1): the quotient rule would square v,
+            # which can underflow to 0
             d = div(_diff(e.left, i), right)
         else:
             d = div(
-                sub(mul(_diff(e.left, i), right), mul(e.left, _diff(right, i))),
+                sub(mul(_diff(e.left, i), right), mul(e.left, dright)),
                 power(right, 2),
             )
     elif kind is Pow:

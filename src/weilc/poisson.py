@@ -20,9 +20,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from fractions import Fraction
 from functools import partial
-from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
 from .algebra import WeilAlgebra, WeilElement, augmentation, monomial_name, trivial_algebra
@@ -35,6 +33,7 @@ from .errors import (
 )
 from .expr import (
     AFunction,
+    ConstR,
     Expr,
     ONE,
     Var,
@@ -55,7 +54,6 @@ from .expr import (
 )
 from .forms import CoordForm, contract, delta, lie_derivative, zero_form
 from .prolongation import VectorField
-from . import sampling
 
 
 # -- check reports ----------------------------------------------------------------
@@ -190,22 +188,31 @@ class _Recorder:
         A missing ``rhs`` is zero.  A bare ``Fraction`` is an exact residual:
         it fails whenever it is not zero, whatever ``tol`` is, and reads as a
         float, inf past the float range."""
-        exact = isinstance(lhs, Fraction)
+        from . import sampling
+
+        exact = False
         if isinstance(lhs, CoordForm):
             if rhs is None:
                 rhs = zero_form(lhs.degree, lhs.dim, lhs.algebra)
             value = sampling.residual_forms(lhs, rhs, point)
         elif isinstance(lhs, WeilElement):
             value = sampling.residual_zero(lhs) if rhs is None else sampling.residual(lhs, rhs)
-        elif exact:
-            try:
-                value = float(abs(lhs))
-            except OverflowError:
-                value = math.inf
         else:
-            real = trivial_algebra()
-            rhs = 0.0 if rhs is None else rhs
-            value = sampling.residual(real.from_real(lhs), real.from_real(rhs))
+            # the float types are tested first, so only an exact residual,
+            # whose expansion loaded fractions already, imports it here
+            if not isinstance(lhs, (float, int)):
+                from fractions import Fraction
+
+                exact = isinstance(lhs, Fraction)
+            if exact:
+                try:
+                    value = float(abs(lhs))
+                except OverflowError:
+                    value = math.inf
+            else:
+                real = trivial_algebra()
+                rhs = 0.0 if rhs is None else rhs
+                value = sampling.residual(real.from_real(lhs), real.from_real(rhs))
         # max() skips NaN, so a non-finite residual counts as inf
         if not math.isfinite(value):
             value = math.inf
@@ -233,17 +240,19 @@ class _Recorder:
         )
 
 
-def check_settings(seed: int, trials: int, tol: float) -> sampling.Draws:
+def check_settings(seed: int, trials: int, tol: float) -> None:
     """The one rule for a check's settings: a finite ``tol`` of 0 or more,
-    0 or more ``trials`` and a seed ``rng_for`` takes, whose generator is
-    returned.  Anything else is a usage error."""
+    0 or more ``trials`` and a seed of 0 or more.  Anything else is a usage
+    error.  A config load runs it too, so it reads no draws: the seed rule is
+    ``sampling.rng_for``'s, repeated here with its message."""
     if not tol >= 0:
         raise WeilcError(f"tolerance {tol} is negative or NaN; use 0 or more")
     if tol > sys.float_info.max:
         raise WeilcError(f"tolerance {tol} is not finite; it would pass every finite residual")
     if trials < 0:
         raise WeilcError(f"trial count {trials} is negative; use 0 or more")
-    return sampling.rng_for(seed)
+    if seed < 0:
+        raise WeilcError(f"seed {seed} is negative; seeds are integers >= 0")
 
 
 def _run_trials(
@@ -257,7 +266,10 @@ def _run_trials(
     before the error stays.  After more than ``trials`` redraws the error
     propagates.
     """
-    rng = check_settings(seed, trials, tol)
+    from . import sampling
+
+    check_settings(seed, trials, tol)
+    rng = sampling.rng_for(seed)
     rec = _Recorder(tol)
     for _ in range(trials):
         while True:
@@ -391,8 +403,12 @@ def jacobi_check(
 
     The Jacobiator is a trivector, the Schouten bracket [pi, pi], so it
     vanishes exactly when it does on every triple x_i, x_j, x_k with
-    i < j < k.  Those C(n, 3) Jacobiators are built once, after the
-    settings pass ``check_settings``.  When every one expands as a
+    i < j < k.  On a triple it is sum_l (pi_il d_l pi_jk + pi_jl d_l pi_ki
+    + pi_kl d_l pi_ij), identically zero when pi_ij, pi_jk and pi_ik are
+    finite real constants (an absent entry is 0).  So only the triples
+    through an entry that is not are built, once, after the settings pass
+    ``check_settings``; a skipped triple would record 0, so the report is
+    the same as over all C(n, 3).  When every one expands as a
     polynomial (``oracle.poly_coeffs_exact``), the verdict is exact: each
     failing triple's largest coefficient goes to the recorder as an exact
     residual, with its monomial.  Otherwise each trial evaluates all of them
@@ -400,12 +416,17 @@ def jacobi_check(
     terms, as ``poisson_full``'s ``jacobi`` sub-check: the first two
     against minus the third.  Zero trials are a vacuous pass either way.
     """
-    # imported here: oracle imports this module
+    # the suites load on first use, and oracle imports this module
     from .oracle import poly_coeffs_exact
 
     check_settings(seed, trials, tol)
+    varying = [pair for pair, p in pi.entries.items()
+               if type(p) is not ConstR or not math.isfinite(p.value)]
+    # sorted, as combinations(range(n), 3) orders them
+    triples = sorted({tuple(sorted((*pair, k)))
+                      for pair in varying for k in range(pi.dim) if k not in pair})
     jacobiators = []
-    for triple in combinations(range(pi.dim), 3):
+    for triple in triples:
         f, g, h = (Var(i) for i in triple)
         first = add(bracket(pi, f, bracket(pi, g, h)), bracket(pi, g, bracket(pi, h, f)))
         jacobiators.append((first, bracket(pi, h, bracket(pi, f, g)), (f, g, h)))
@@ -509,6 +530,8 @@ def verify_a_poisson(
 
 def _a_poisson_trial(rng, rec: _Recorder, pi: PoissonStructure, algebra: WeilAlgebra):
     """One trial of ``verify_a_poisson``, the ``poisson_full`` suite."""
+    from . import sampling
+
     n = pi.dim
 
     def fn(expr: Expr) -> AFunction:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import weilc
 from weilc import cli, errors, poisson, sampling
 from weilc.algebra import MAX_ALGEBRA_DIM
 from weilc.poisson import MAX_CHART_DIM
@@ -921,12 +922,14 @@ def _fresh_python(code: str) -> str:
     return out.stdout
 
 
-@pytest.mark.parametrize("module", ["mpmath", "numpy", "yaml", "dataclasses", "inspect"])
+@pytest.mark.parametrize("module", ["mpmath", "numpy", "yaml", "dataclasses", "inspect",
+                                    "weilc.oracle", "weilc.sampling", "fractions", "decimal"])
 def test_start_up_leaves_module_unloaded(module):
     # mpmath serves the finite-difference oracle, numpy only the tests, yaml
     # the config load; the records and nodes are plain classes, so neither
-    # dataclasses nor the inspect it imports is loaded; importing the
-    # package and its CLI loads none of them
+    # dataclasses nor the inspect it imports is loaded; the suites, their
+    # draws and the exact arithmetic (fractions, which imports decimal) load
+    # on the first check; importing the package and its CLI loads none of them
     code = f"import sys, weilc, weilc.cli; print({module!r} in sys.modules)"
     assert _fresh_python(code).strip() == "False"
 
@@ -942,6 +945,37 @@ def test_every_module_imports_with_numpy_and_mpmath_blocked():
     )
     names = _fresh_python(code).strip()
     assert "'sampling'" in names and "'oracle'" in names
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["eval", "g", "dual", "--point", "[[1, 1], [0.5, 0]]"], "False False"),
+    (["algebra-show", "fat"], "False False"),
+    (["check", "hom_laws", "--trials", "1"], "True True"),
+], ids=["eval", "algebra-show", "check"])
+def test_the_suites_load_on_the_first_check(argv, loaded):
+    code = (
+        "import sys; from weilc import cli; "
+        f"code = cli.main({['--config', EXAMPLE, *argv]!r}); "
+        "print(code, 'weilc.oracle' in sys.modules, 'weilc.sampling' in sys.modules)"
+    )
+    assert _fresh_python(code).splitlines()[-1] == f"0 {loaded}"
+
+
+def test_the_names_loaded_on_first_use_resolve():
+    code = (
+        "import weilc; names = {'run_suite', 'taylor_coeffs', 'oracle', 'sampling'}; "
+        "print(names <= set(dir(weilc))); "
+        "print(weilc.run_suite is weilc.oracle.run_suite, "
+        "weilc.taylor_coeffs is weilc.oracle.taylor_coeffs, "
+        "sorted(weilc.oracle.SUITES), callable(weilc.sampling.rng_for))"
+    )
+    assert _fresh_python(code).splitlines() == [
+        "True",
+        "True True ['bracket_prolong', 'cartan', 'field_prolong', 'hom_laws', "
+        "'poisson_full'] True",
+    ]
+    with pytest.raises(AttributeError, match="module 'weilc' has no attribute 'suites'"):
+        weilc.suites
 
 
 @pytest.mark.parametrize(

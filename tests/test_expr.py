@@ -287,6 +287,39 @@ class TestDiff:
         else:
             assert eval_real(d, (0.5, 0.5)) == value
 
+    @pytest.mark.parametrize(
+        "text,printed,value",
+        [
+            # the quotient rule squared 1e-170*x2, to 0 at x2 = 1
+            ("x1/(1e-170*x2)", "1/(1e-170*x2)", 1e170),
+            ("x1/x2", "1/x2", 1.0),
+            ("sin(x1)/(x2 + 4)", "cos(x1)/(x2 + 4)", math.cos(1.0) / 5),
+            # the denominator's partial is not zero: the quotient rule
+            ("x1/(x1 + x2)", "(x1 + x2 - x1)/(x1 + x2)^2", 0.25),
+        ],
+        ids=["tiny", "bare", "shifted", "quotient_rule"],
+    )
+    def test_a_denominator_free_of_the_variable_divides_the_partial(self, text, printed, value):
+        d = diff(parse(text, 2), 0)
+        assert to_string(d) == printed
+        assert eval_real(d, (1.0, 1.0)) == value
+
+    def test_a_tiny_algebra_constant_denominator_keeps_a_finite_partial(self):
+        A = dual_numbers()
+        one = APoint(A, (A.from_real(1.0),))
+        # the quotient rule squared the dual constant 1e-150, whose square's
+        # reciprocal is not liftable
+        c = ConstA(A.element([1e-150, 0.0]))
+        d = diff(Div(Var(0), c), 0)
+        assert to_string(d) == "1/[1e-150]"
+        assert eval_weil(d, one).coeffs == [1e150, 0.0]
+        # at 1e-170 the derivative no longer squares c, but 1/c itself is
+        # not liftable over the dual numbers: -1/c^2 overflows
+        d = diff(Div(Var(0), ConstA(A.element([1e-170, 0.0]))), 0)
+        assert to_string(d) == "1/[1e-170]"
+        with pytest.raises(DomainError, match="recip derivatives undefined at 1e-170"):
+            eval_weil(d, one)
+
     def test_algebra_constants_are_annihilated(self):
         eps = dual_numbers().generator("eps")
         assert diff(ConstA(eps), 0) == ZERO

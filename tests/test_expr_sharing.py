@@ -79,6 +79,7 @@ from weilc.expr import (
     div,
     eval_real,
     eval_weil,
+    is_zero,
     mul,
     neg,
     parse,
@@ -157,10 +158,11 @@ def _ref_diff(e, i):
     if isinstance(e, Mul):
         return add(mul(_ref_diff(e.left, i), e.right), mul(e.left, _ref_diff(e.right, i)))
     if isinstance(e, Div):
-        if isinstance(e.right, ConstR):
+        d_right = _ref_diff(e.right, i)
+        if is_zero(d_right):
             return div(_ref_diff(e.left, i), e.right)
         return div(
-            sub(mul(_ref_diff(e.left, i), e.right), mul(e.left, _ref_diff(e.right, i))),
+            sub(mul(_ref_diff(e.left, i), e.right), mul(e.left, d_right)),
             power(e.right, 2),
         )
     if isinstance(e, Pow):

@@ -1,6 +1,7 @@
 """Base Poisson structure, prolonged bracket, 2-form, and the verifier."""
 
 import math
+import time
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
@@ -335,6 +336,60 @@ class TestJacobiCheck:
             jacobi_check(pi, trials=5, tol=1e-9, seed=42)
         assert len(sides) == 10
         assert all(isinstance(s, float) for pair in sides for s in pair)
+
+    def test_a_constant_bivector_on_a_large_chart_is_quick(self):
+        # every triple's entries are constant, so no Jacobiator is built;
+        # building all C(40, 3) of them took 1.3 s
+        pi = PoissonStructure(40, {(0, 1): parse("1", 40)})
+        start = time.perf_counter()
+        report = jacobi_check(pi, trials=1, tol=1e-9, seed=1)
+        assert time.perf_counter() - start < 0.1
+        assert report.passed and report.max_residual == 0.0 and not report.witnesses
+
+    @staticmethod
+    def _brackets(monkeypatch, pi):
+        """The (f, g) of every bracket that jacobi_check makes on pi."""
+        calls = []
+        real = poisson.bracket
+
+        def spy(pi, f, g):
+            calls.append((f, g))
+            return real(pi, f, g)
+
+        monkeypatch.setattr(poisson, "bracket", spy)
+        jacobi_check(pi, trials=2, tol=1e-9, seed=3)
+        return calls
+
+    def test_so3_builds_its_one_triple(self, monkeypatch):
+        # each triple makes six brackets
+        assert len(self._brackets(monkeypatch, so3_structure())) == 6
+
+    def test_one_varying_entry_builds_the_triples_through_it(self, monkeypatch):
+        # the constant entries and the absent ones are skipped
+        pi = PoissonStructure(6, {(0, 1): parse("x1*x3", 6), (2, 3): parse("2", 6),
+                                  (4, 5): parse("1", 6)})
+        calls = self._brackets(monkeypatch, pi)
+        assert len(calls) == 6 * 4
+        # a triple's three inner brackets, each between two coordinates, come
+        # in the order {g,h}, {h,f}, {f,g}; no outer one has a coordinate as g
+        inner = [{f.index, g.index} for f, g in calls if type(g) is Var]
+        built = [tuple(sorted(inner[k] | inner[k + 1])) for k in range(0, len(inner), 3)]
+        assert built == [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5)]
+
+    @pytest.mark.parametrize("varying", ["x1*x3", "exp(x2)*x3"], ids=["exact", "sampled"])
+    def test_skipping_the_constant_triples_leaves_the_report(self, varying):
+        # x1 - x1 + c is the constant c written as an entry that is not a
+        # constant, so every triple through it is built and records 0
+        def structure(one, two):
+            return PoissonStructure(5, {
+                (0, 1): parse(varying + " + 0.1*x1^2", 5), (1, 2): parse("x1", 5),
+                (2, 3): parse(one, 5), (3, 4): parse(two, 5)})
+
+        skipped = jacobi_check(structure("2", "1"), trials=20, tol=1e-9, seed=5)
+        built = jacobi_check(structure("x1 - x1 + 2", "x1 - x1 + 1"), trials=20, tol=1e-9,
+                             seed=5)
+        assert not skipped.passed
+        assert skipped.to_json() == built.to_json()
 
 
 class TestHamiltonianField:
