@@ -43,16 +43,15 @@ from .errors import (
     EmptyRelation,
     NotFiniteDimensional,
     NotMorphism,
+    Record,
     WeilcError,
     refuse_assignment,
+    write_field,
 )
 
 Monomial = tuple[int, ...]
 
 MORPHISM_TOL = 1e-12  # entrywise, in every check of validate_morphism
-
-# the immutable records write their fields through object's own setattr
-_write = object.__setattr__
 
 
 def _pure_powers(relations: Sequence[Monomial], i: int) -> list[int]:
@@ -64,14 +63,15 @@ def _pure_powers(relations: Sequence[Monomial], i: int) -> list[int]:
     ]
 
 
-class AlgebraPresentation:
+class AlgebraPresentation(Record):
     """Generators plus monomial relations, each relation an exponent vector."""
 
     __setattr__ = __delattr__ = refuse_assignment
+    __match_args__ = ("generators", "relations")
 
     def __init__(self, generators: tuple[str, ...], relations: tuple[Monomial, ...]):
-        _write(self, "generators", generators)
-        _write(self, "relations", relations)
+        write_field(self, "generators", generators)
+        write_field(self, "relations", relations)
         k = len(generators)
         if len(set(generators)) != k:
             raise ValueError(f"duplicate generator names in {generators}")
@@ -87,18 +87,6 @@ class AlgebraPresentation:
                 raise NotFiniteDimensional(
                     f"generator {name!r} has no pure-power relation"
                 )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.generators, self.relations) == (other.generators, other.relations)
-
-    def __hash__(self):
-        return hash((self.generators, self.relations))
-
-    def __repr__(self):
-        return (f"AlgebraPresentation(generators={self.generators!r}, "
-                f"relations={self.relations!r})")
 
     def describe(self) -> str:
         if not self.generators:
@@ -484,8 +472,8 @@ class PrimitiveFn:
     __setattr__ = __delattr__ = refuse_assignment
 
     def __init__(self, name: str, derivatives: Callable[[float, int], list[float]]):
-        _write(self, "name", name)
-        _write(self, "derivatives", derivatives)
+        write_field(self, "name", name)
+        write_field(self, "derivatives", derivatives)
 
     def __eq__(self, other):
         return isinstance(other, PrimitiveFn) and other.name == self.name
@@ -594,8 +582,14 @@ def _lift(prim: PrimitiveFn, algebra: WeilAlgebra, a: list[float]) -> list[float
     except OverflowError as exc:
         raise DomainError(f"{prim.name} overflows at {r}") from exc
     except (ValueError, ZeroDivisionError) as exc:
-        # sin(inf), or 1/r^(j+1) when r^(j+1) underflows to zero
-        raise DomainError(f"{prim.name} derivatives undefined at {r}") from exc
+        # sin(inf), or 1/r^(j+1) when r^(j+1) underflows to zero; a real
+        # element multiplies no derivative, so f(r) alone is its lift
+        try:
+            if any(a[1:]):
+                raise
+            derivs = prim.derivatives(r, 0) + [0.0] * h
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"{prim.name} derivatives undefined at {r}") from exc
     out = algebra._lift_sum(a, derivs, h)
     if not all(map(math.isfinite, out)):
         raise DomainError(f"{prim.name} lift at {r} is not finite")
@@ -655,15 +649,16 @@ def apply_linear(matrix, a: WeilElement) -> WeilElement:
 # -- algebra morphisms ----------------------------------------------------------
 
 
-class AlgebraMorphism:
+class AlgebraMorphism(Record):
     """A validated algebra map, stored as a dim(B) x dim(A) matrix of float rows."""
 
     __setattr__ = __delattr__ = refuse_assignment
+    __match_args__ = ("source", "target", "matrix")
 
     def __init__(self, source: WeilAlgebra, target: WeilAlgebra, matrix: Matrix):
-        _write(self, "source", source)
-        _write(self, "target", target)
-        _write(self, "matrix", matrix)
+        write_field(self, "source", source)
+        write_field(self, "target", target)
+        write_field(self, "matrix", matrix)
 
     def apply(self, a: WeilElement) -> WeilElement:
         if a.algebra is not self.source:
@@ -672,19 +667,6 @@ class AlgebraMorphism:
 
     def __call__(self, a: WeilElement) -> WeilElement:
         return self.apply(a)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.source, self.target, self.matrix) == (
-            other.source, other.target, other.matrix)
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.matrix))
-
-    def __repr__(self):
-        return (f"AlgebraMorphism(source={self.source!r}, target={self.target!r}, "
-                f"matrix={self.matrix!r})")
 
 
 def _close(xs: Sequence[float], ys: Sequence[float]) -> bool:

@@ -11,29 +11,28 @@ unseen.
 from __future__ import annotations
 
 from .algebra import AlgebraPresentation, Monomial, WeilAlgebra, build_algebra
-from .errors import ConfigError, WeilcError
+from .errors import ConfigError, Record, WeilcError
 from .expr import Expr, parse
 from .poisson import MAX_CHART_DIM, PoissonStructure, check_settings
 from .prolongation import VectorField
 
 
-class SuiteSettings:
+class SuiteSettings(Record):
+    __match_args__ = ("seed", "trials", "tol")
+    __hash__ = None
+
     def __init__(self, seed: int = 42, trials: int = 100, tol: float = 1e-9):
         self.seed = seed
         self.trials = trials
         self.tol = tol
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
 
-    def __repr__(self):
-        return f"SuiteSettings(seed={self.seed!r}, trials={self.trials!r}, tol={self.tol!r})"
-
-
-class ProjectConfig:
+class ProjectConfig(Record):
     """What a config file names; each mapping left out starts empty."""
+
+    __match_args__ = ("chart_dim", "algebras", "expressions", "vector_fields", "bivectors",
+                      "suites")
+    __hash__ = None
 
     def __init__(
         self,
@@ -50,16 +49,6 @@ class ProjectConfig:
         self.vector_fields = {} if vector_fields is None else vector_fields
         self.bivectors = {} if bivectors is None else bivectors
         self.suites = SuiteSettings() if suites is None else suites
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self):
-        return (f"ProjectConfig(chart_dim={self.chart_dim!r}, algebras={self.algebras!r}, "
-                f"expressions={self.expressions!r}, vector_fields={self.vector_fields!r}, "
-                f"bivectors={self.bivectors!r}, suites={self.suites!r})")
 
 
 def parse_relation(text: str, generators: tuple[str, ...]) -> Monomial:

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the refusal that its
-immutable classes raise on assignment."""
+"""Exception types shared across the package, the base class of its
+records, and the refusal that its immutable classes raise on assignment."""
 
 
 
@@ -60,3 +60,34 @@ def refuse_assignment(self, name, *value):
     write each field once, in the constructor, through ``object.__setattr__``
     or a slot's descriptor."""
     raise AttributeError(f"cannot assign to or delete field {name!r} of {type(self).__name__}")
+
+
+# the immutable records write each field once through object's own setattr
+write_field = object.__setattr__
+
+
+class Record:
+    """A record compares, hashes and prints by its fields: the attributes
+    that its class names in ``__match_args__``, which lists the parameters of
+    its ``__init__`` in order.  Two records are equal only when their classes
+    are the same and their fields are equal.
+
+    Set ``__hash__ = None`` on a record that may change after it is built:
+    one with a mutable field (a dict of inputs, coefficients or named
+    entries) or one whose attributes take assignment.  Its hash then raises
+    ``TypeError: unhashable type``."""
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"

@@ -52,9 +52,11 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     ParseError,
+    Record,
     UnknownSymbol,
     WeilcError,
     refuse_assignment,
+    write_field,
 )
 
 
@@ -447,20 +449,17 @@ def on_chart(exprs: Iterable[Expr], owner):
             )
 
 
-# the immutable records write their fields through object's own setattr
-_write = object.__setattr__
-
-
-class APoint:
+class APoint(Record):
     """A chart point with Weil-element coordinates: the one point type of
     Weil evaluation.  It is immutable and its coordinates lie over its
     algebra, so it keys the values its nodes keep."""
 
     __setattr__ = __delattr__ = refuse_assignment
+    __match_args__ = ("algebra", "coords")
 
     def __init__(self, algebra: WeilAlgebra, coords: tuple[WeilElement, ...]):
-        _write(self, "algebra", algebra)
-        _write(self, "coords", coords)
+        write_field(self, "algebra", algebra)
+        write_field(self, "coords", coords)
         for c in coords:
             if not isinstance(c, WeilElement):
                 raise AlgebraMismatch(f"point coordinate {c!r} is not a Weil element")
@@ -469,17 +468,6 @@ class APoint:
         for c in coords:
             if c.algebra is not algebra:
                 raise AlgebraMismatch("point coordinates live over different algebras")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.algebra, self.coords) == (other.algebra, other.coords)
-
-    def __hash__(self):
-        return hash((self.algebra, self.coords))
-
-    def __repr__(self):
-        return f"APoint(algebra={self.algebra!r}, coords={self.coords!r})"
 
     @property
     def dim(self) -> int:
@@ -1146,26 +1134,19 @@ def _to_string(e: Expr, memo: dict) -> str:
 # -- algebra-valued functions -------------------------------------------------------
 
 
-class AFunction:
+class AFunction(Record):
     """An expression with its chart dimension and value algebra; a base
     function's algebra is None and it evaluates over its point's algebra."""
 
     __setattr__ = __delattr__ = refuse_assignment
+    __match_args__ = ("expr", "dim", "algebra")
 
     def __init__(self, expr: Expr, dim: int, algebra: WeilAlgebra | None):
-        _write(self, "expr", expr)
-        _write(self, "dim", dim)
-        _write(self, "algebra", algebra)
+        write_field(self, "expr", expr)
+        write_field(self, "dim", dim)
+        write_field(self, "algebra", algebra)
         # the expression obeys the rule that its operands obey
         scalar_expr(expr, self)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.expr, self.dim, self.algebra) == (other.expr, other.dim, other.algebra)
-
-    def __hash__(self):
-        return hash((self.expr, self.dim, self.algebra))
 
     def __call__(self, point) -> WeilElement:
         return eval_weil(self.expr, chart_point(point, self), self.algebra)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .algebra import WeilAlgebra, WeilElement
-from .errors import DegreeError, DimensionMismatch, refuse_assignment
+from .errors import DegreeError, DimensionMismatch, Record, refuse_assignment, write_field
 from .expr import (
     AFunction,
     Expr,
@@ -35,16 +35,15 @@ from .prolongation import VectorField
 
 Index = tuple[int, ...]
 
-# the immutable records write their fields through object's own setattr
-_write = object.__setattr__
 
-
-class CoordForm:
+class CoordForm(Record):
     """Sum of phi_I dx_I over strictly increasing index tuples I.  Forms are
     equal when their degree, chart, algebra and coefficient maps are; a form
     does not hash."""
 
     __setattr__ = __delattr__ = refuse_assignment
+    __match_args__ = ("degree", "dim", "algebra", "coeffs")
+    __hash__ = None
 
     def __init__(
         self,
@@ -55,10 +54,10 @@ class CoordForm:
     ):
         if coeffs is None:
             coeffs = {}
-        _write(self, "degree", degree)
-        _write(self, "dim", dim)
-        _write(self, "algebra", algebra)
-        _write(self, "coeffs", coeffs)
+        write_field(self, "degree", degree)
+        write_field(self, "dim", dim)
+        write_field(self, "algebra", algebra)
+        write_field(self, "coeffs", coeffs)
         on_chart(coeffs.values(), self)
         if degree < 0:
             raise DegreeError(f"form degree {degree} is negative")
@@ -77,12 +76,6 @@ class CoordForm:
             if any(not 0 <= i < dim for i in idx):
                 raise DimensionMismatch(f"index tuple {idx} off the chart")
             raise DegreeError(f"index tuple {idx} is not strictly increasing")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.degree, self.dim, self.algebra, self.coeffs) == (
-            other.degree, other.dim, other.algebra, other.coeffs)
 
     def coefficient(self, idx: Index) -> Expr:
         return self.coeffs.get(tuple(idx), ZERO)

@@ -28,8 +28,10 @@ from .errors import (
     DegreeError,
     DimensionMismatch,
     DomainError,
+    Record,
     WeilcError,
     refuse_assignment,
+    write_field,
 )
 from .expr import (
     AFunction,
@@ -59,27 +61,17 @@ from .prolongation import VectorField
 # -- check reports ----------------------------------------------------------------
 
 
-# the immutable records write their fields through object's own setattr
-_write = object.__setattr__
-
-
-class Witness:
+class Witness(Record):
     __setattr__ = __delattr__ = refuse_assignment
+    __match_args__ = ("inputs", "residual")
+    __hash__ = None
 
     def __init__(self, inputs: dict[str, str], residual: float):
-        _write(self, "inputs", inputs)
-        _write(self, "residual", residual)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.inputs, self.residual) == (other.inputs, other.residual)
-
-    def __repr__(self):
-        return f"Witness(inputs={self.inputs!r}, residual={self.residual!r})"
+        write_field(self, "inputs", inputs)
+        write_field(self, "residual", residual)
 
 
-class CheckReport:
+class CheckReport(Record):
     """Outcome of a randomized verification run; pass means the worst
     residual stayed within tolerance.  ``redrawn`` counts the trials drawn
     again after a domain error; it is shown in the summary, not the JSON."""
@@ -100,30 +92,15 @@ class CheckReport:
         warning: str | None = None,
         redrawn: int = 0,
     ):
-        _write(self, "suite", suite)
-        _write(self, "seed", seed)
-        _write(self, "trials", trials)
-        _write(self, "tol", tol)
-        _write(self, "max_residual", max_residual)
-        _write(self, "passed", passed)
-        _write(self, "witnesses", witnesses)
-        _write(self, "warning", warning)
-        _write(self, "redrawn", redrawn)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"CheckReport({fields})"
+        write_field(self, "suite", suite)
+        write_field(self, "seed", seed)
+        write_field(self, "trials", trials)
+        write_field(self, "tol", tol)
+        write_field(self, "max_residual", max_residual)
+        write_field(self, "passed", passed)
+        write_field(self, "witnesses", witnesses)
+        write_field(self, "warning", warning)
+        write_field(self, "redrawn", redrawn)
 
     def to_dict(self) -> dict:
         out = {

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .algebra import AlgebraMorphism, WeilAlgebra, WeilElement
-from .errors import AlgebraMismatch, DimensionMismatch, refuse_assignment
+from .errors import AlgebraMismatch, DimensionMismatch, Record, refuse_assignment, write_field
 from .expr import (
     AFunction,
     APoint,
@@ -36,32 +36,18 @@ from .expr import (
 )
 
 
-# the immutable records write their fields through object's own setattr
-_write = object.__setattr__
-
-
-class VectorField:
+class VectorField(Record):
     """A field D = sum_i D_i d/dx_i on a chart.  A base field's algebra is
     None and its components hold no algebra constants; a prolonged field's
     components are read with Weil evaluation over its algebra."""
 
     __setattr__ = __delattr__ = refuse_assignment
+    __match_args__ = ("components", "algebra")
 
     def __init__(self, components: tuple[Expr, ...], algebra: WeilAlgebra | None = None):
-        _write(self, "components", components)
-        _write(self, "algebra", algebra)
+        write_field(self, "components", components)
+        write_field(self, "algebra", algebra)
         on_chart(components, self)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.components, self.algebra) == (other.components, other.algebra)
-
-    def __hash__(self):
-        return hash((self.components, self.algebra))
-
-    def __repr__(self):
-        return f"VectorField(components={self.components!r}, algebra={self.algebra!r})"
 
     @property
     def dim(self) -> int:

@@ -420,8 +420,10 @@ class TestProductKernel:
             lifted = taylor_lift(prim, a)
         except DomainError:
             assume(False)
-        derivs = prim.derivatives(a.real, A.height)
         n = nilpotent_part(a).coeffs
+        # a real element reads f(r) alone, which lifts where a higher
+        # derivative does not (1/r^2 underflows to 0 at r = 1e-170)
+        derivs = prim.derivatives(a.real, A.height if any(n) else 0)
         expected = A.from_real(derivs[0]).coeffs
         power = A.unit().coeffs
         factorial = 1.0
@@ -597,6 +599,27 @@ class TestTaylorLift:
             taylor_lift(PRIMITIVES["log"], A.generator("eps"))
         with pytest.raises(DomainError):
             taylor_lift(PRIMITIVES["recip"], A.generator("eps"))
+
+    @pytest.mark.parametrize("A", [dual_numbers(), jets(3)], ids=["dual", "jets3"])
+    @pytest.mark.parametrize("name, value", [("recip", 1e170), ("log", math.log(1e-170))])
+    def test_a_tiny_real_element_lifts_to_the_function_value(self, A, name, value):
+        # 1/r^2 underflows to 0 at r = 1e-170, but a real element's nilpotent
+        # part is zero, so its lift reads f(r) alone
+        lifted = taylor_lift(PRIMITIVES[name], A.from_real(1e-170))
+        assert lifted.coeffs == [value] + [0.0] * (A.dim - 1)
+
+    @pytest.mark.parametrize("A", [dual_numbers(), jets(3)], ids=["dual", "jets3"])
+    @pytest.mark.parametrize("name, real, nil, message", [
+        ("sqrt", 0.0, 0.0, "sqrt derivatives undefined at 0.0"),
+        ("exp", 1e3, 0.0, "exp overflows at 1000.0"),
+        ("recip", 1e-170, 1.0, "recip derivatives undefined at 1e-170"),
+    ], ids=["sqrt_at_0", "exp_overflow", "recip_with_a_nilpotent_part"])
+    def test_undefined_or_overflowing_lifts_stay_refused(self, A, name, real, nil, message):
+        # sqrt refuses 0 itself, even for a real element; a nilpotent part
+        # multiplies the derivative that 1e-170 leaves undefined
+        a = A.element([real, nil] + [0.0] * (A.dim - 2))
+        with pytest.raises(DomainError, match=re.escape(message)):
+            taylor_lift(PRIMITIVES[name], a)
 
     def test_sqrt_derivatives_keep_the_general_power_formula(self):
         # the x^p rule that sqrt used before it was folded, with the branches

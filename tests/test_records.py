@@ -3,6 +3,7 @@ immutable ones refuse assignment and deletion, and copies, deep copies and
 pickles load equal, except that a pickled algebra loads as a new one."""
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -16,6 +17,7 @@ from weilc.algebra import (
     jets,
 )
 from weilc.config import ProjectConfig, SuiteSettings
+from weilc.errors import Record
 from weilc.expr import AFunction, APoint, parse
 from weilc.forms import CoordForm
 from weilc.poisson import CheckReport, Witness
@@ -118,3 +120,53 @@ def test_copies_load_equal(name):
     assert type(loaded) is type(record) and repr(loaded) == repr(record)
     # an algebra pickles as its presentation and loads as a new algebra
     assert (loaded == record) is loads_equal
+
+
+def test_each_record_lists_its_init_parameters_as_its_fields():
+    # a parameter left out of __match_args__ would make two records that
+    # differ in it compare equal
+    records, todo = set(), [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            records.add(cls)
+            todo.append(cls)
+    assert {cls.__name__ for cls in records} == set(RECORDS) - {"PrimitiveFn"}
+    for cls in records:
+        params = tuple(inspect.signature(cls.__init__).parameters)[1:]
+        assert cls.__match_args__ == params, cls.__name__
+
+
+REPRS = {
+    "AlgebraPresentation": "AlgebraPresentation(generators=('eps',), relations=((2,),))",
+    "PrimitiveFn": "PrimitiveFn(sin)",
+    "AlgebraMorphism": (
+        "AlgebraMorphism(source=WeilAlgebra(R[eps]/(eps^2), dim=2, height=1), "
+        "target=WeilAlgebra(R, dim=1, height=0), matrix=((1.0, 0.0),))"),
+    "APoint": "APoint(algebra=WeilAlgebra(R[eps]/(eps^2), dim=2, height=1), coords=(eps,))",
+    "AFunction": "AFunction(x1)",
+    "SuiteSettings": "SuiteSettings(seed=42, trials=100, tol=1e-09)",
+    "ProjectConfig": (
+        "ProjectConfig(chart_dim=2, algebras={}, expressions={}, vector_fields={}, "
+        "bivectors={}, suites=SuiteSettings(seed=42, trials=100, tol=1e-09))"),
+    "Witness": "Witness(inputs={'f': 'x1'}, residual=0.5)",
+    "CheckReport": (
+        "CheckReport(suite='hom_laws', seed=42, trials=3, tol=1e-09, max_residual=0.0, "
+        "passed=True, witnesses=(), warning=None, redrawn=0)"),
+    "VectorField": "VectorField(components=(x2, -x1), algebra=None)",
+    "CoordForm": "(x2) dx1",
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_print_their_fields(name):
+    build = RECORDS[name][0]
+    assert repr(build(0)) == REPRS[name]
+
+
+def test_a_report_prints_its_witnesses_and_warning():
+    report = CheckReport("hom_laws", 42, 3, 1e-9, 0.5, False, (Witness({"f": "x1"}, 0.5),),
+                         "a warning", 2)
+    assert repr(report) == (
+        "CheckReport(suite='hom_laws', seed=42, trials=3, tol=1e-09, max_residual=0.5, "
+        "passed=False, witnesses=(Witness(inputs={'f': 'x1'}, residual=0.5),), "
+        "warning='a warning', redrawn=2)")
