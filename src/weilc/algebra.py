@@ -73,6 +73,10 @@ class AlgebraPresentation(Record):
         write_field(self, "generators", generators)
         write_field(self, "relations", relations)
         k = len(generators)
+        for name in generators:
+            # elements and relations print the names, where "1" or "" would misread
+            if not (name.isascii() and name.isidentifier()):
+                raise ValueError(f"generator name {name!r} is not an ASCII identifier")
         if len(set(generators)) != k:
             raise ValueError(f"duplicate generator names in {generators}")
         for rel in relations:

@@ -5,10 +5,14 @@ load, so a config is diffable and language-agnostic.  Monomial relations
 use the same syntax as the element rendering: ``eps^2``, ``x*y``.  An
 unknown key at the root, in an algebra entry or under ``suites`` is a
 ``ConfigError``: a misspelt setting would otherwise fall back to its default
-unseen.
+unseen.  So is a key written twice in one mapping, which YAML would
+otherwise settle silently for the later value.
 """
 
 from __future__ import annotations
+
+from collections.abc import Hashable
+from functools import cache
 
 from .algebra import AlgebraPresentation, Monomial, WeilAlgebra, build_algebra
 from .errors import ConfigError, Record, WeilcError
@@ -104,15 +108,43 @@ def load_config(path: str) -> ProjectConfig:
         raise ConfigError(f"config {path} nests a value too deeply") from None
 
 
-def _load_yaml(path: str):
+@cache
+def _loader(pure_python: bool):
+    """PyYAML's pure-Python safe loader, or its C one where there is one,
+    made to refuse a key written twice in one mapping; a ``<<`` merge key is
+    no key.  Each class is built once: a config is loaded per command."""
     import yaml  # here, not at module level: only a config load reads YAML
+
+    base = yaml.SafeLoader if pure_python else getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+    class Loader(base):
+        def construct_mapping(self, node, deep=False):
+            if isinstance(node, yaml.MappingNode):
+                seen = set()
+                for key_node, _ in node.value:
+                    if key_node.tag == "tag:yaml.org,2002:merge":
+                        continue
+                    key = self.construct_object(key_node, deep=deep)
+                    if not isinstance(key, Hashable):
+                        break  # the base class refuses it
+                    if key in seen:
+                        raise yaml.constructor.ConstructorError(
+                            "while constructing a mapping", node.start_mark,
+                            f"found key {key!r} written twice", key_node.start_mark)
+                    seen.add(key)
+            return super().construct_mapping(node, deep)
+
+    return Loader
+
+
+def _load_yaml(path: str):
+    import yaml
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
             deep = sum(map(fh.read().count, "[{-?")) > MAX_C_OPENERS
             fh.seek(0)  # the loader reads the file, so its errors name it
-            loader = yaml.SafeLoader if deep else getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-            return yaml.load(fh, Loader=loader)
+            return yaml.load(fh, Loader=_loader(deep))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     # ValueError: an integer longer than Python's limit on int digits, or
@@ -187,6 +219,9 @@ def _read_config(data) -> ProjectConfig:
                 raise ConfigError(
                     f"bivector {name!r}: entry ({i},{j}) is not upper-triangle in 1..{n}"
                 )
+            # "1,2", "01,2" and "1, 2" are three YAML keys for one entry
+            if (i - 1, j - 1) in parsed:
+                raise ConfigError(f"bivector {name!r}: entry ({i},{j}) is given twice")
             try:
                 parsed[(i - 1, j - 1)] = parse(str(text), n)
             except WeilcError as exc:

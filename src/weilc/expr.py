@@ -406,6 +406,11 @@ def div(a: Expr, b: Expr) -> Expr:
     return Div(a, b)
 
 
+# each binary node's operator as printed, precedence (the printer's and the
+# parser's) and folding constructor
+_INFIX = {Add: (" + ", 1, add), Sub: (" - ", 1, sub), Mul: ("*", 2, mul), Div: ("/", 2, div)}
+
+
 def neg(a: Expr) -> Expr:
     if type(a) is ConstR:
         return ConstR(-a.value)
@@ -624,18 +629,10 @@ def _substitute(e: Expr, replacements: Sequence[Expr], memo: dict) -> Expr:
     out = memo.get(key)
     if out is not None:
         return out
-    if kind is Add:
-        out = add(_substitute(e.left, replacements, memo),
-                  _substitute(e.right, replacements, memo))
-    elif kind is Sub:
-        out = sub(_substitute(e.left, replacements, memo),
-                  _substitute(e.right, replacements, memo))
-    elif kind is Mul:
-        out = mul(_substitute(e.left, replacements, memo),
-                  _substitute(e.right, replacements, memo))
-    elif kind is Div:
-        out = div(_substitute(e.left, replacements, memo),
-                  _substitute(e.right, replacements, memo))
+    op = _INFIX.get(kind)
+    if op is not None:
+        out = op[2](_substitute(e.left, replacements, memo),
+                    _substitute(e.right, replacements, memo))
     elif kind is Neg:
         out = neg(_substitute(e.arg, replacements, memo))
     elif kind is Pow:
@@ -817,8 +814,8 @@ _VAR = re.compile(r"x([1-9]\d*)$")
 # the most characters of a group's text that key the texts parse has read
 _HEAD = 32
 
-# the binary operators: precedence and node
-_BINARY = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
+# the binary operators, by token: precedence and node
+_BINARY = {symbol.strip(): (prec, kind) for kind, (symbol, prec, _) in _INFIX.items()}
 
 # deepest nesting (signs and parentheses), and deepest tree, that parse
 # accepts; the printer, the evaluators and diff recurse once per tree level
@@ -1069,21 +1066,16 @@ def parse(text: str, n: int) -> Expr:
 
 # -- printing ----------------------------------------------------------------------
 
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+_PREC_NEG, _PREC_POW, _PREC_ATOM = 3, 4, 5  # above the binary operators' 1 and 2
 
 
 def _precedence(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(e, Neg):
+    kind = type(e)
+    if kind in _INFIX:
+        return _INFIX[kind][1]
+    if kind is Neg or kind is ConstR and e.value < 0:  # a negative literal prints a sign
         return _PREC_NEG
-    if isinstance(e, ConstR) and e.value < 0:
-        return _PREC_NEG  # prints with a leading sign
-    if isinstance(e, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
+    return _PREC_POW if kind is Pow else _PREC_ATOM
 
 
 def _wrap(e: Expr, minimum: int, memo: dict) -> str:
@@ -1093,8 +1085,9 @@ def _wrap(e: Expr, minimum: int, memo: dict) -> str:
 
 def to_string(e: Expr) -> str:
     """Render in the published grammar; parse(to_string(e)) == e for every
-    tree the parser or diff can produce (signs live on literals, never as a
-    Neg of a literal)."""
+    tree parse returns, and for a derivative of one that stays within
+    MAX_DEPTH levels (signs live on literals, never as a Neg of a literal).
+    A deeper derivative prints, but parse refuses its text."""
     return _to_string(e, {})
 
 
@@ -1109,14 +1102,9 @@ def _to_string(e: Expr, memo: dict) -> str:
     s = memo.get(key)
     if s is not None:
         return s
-    if kind is Add:
-        s = f"{_wrap(e.left, _PREC_ADD, memo)} + {_wrap(e.right, _PREC_ADD + 1, memo)}"
-    elif kind is Sub:
-        s = f"{_wrap(e.left, _PREC_ADD, memo)} - {_wrap(e.right, _PREC_ADD + 1, memo)}"
-    elif kind is Mul:
-        s = f"{_wrap(e.left, _PREC_MUL, memo)}*{_wrap(e.right, _PREC_MUL + 1, memo)}"
-    elif kind is Div:
-        s = f"{_wrap(e.left, _PREC_MUL, memo)}/{_wrap(e.right, _PREC_MUL + 1, memo)}"
+    op = _INFIX.get(kind)
+    if op is not None:
+        s = f"{_wrap(e.left, op[1], memo)}{op[0]}{_wrap(e.right, op[1] + 1, memo)}"
     elif kind is Neg:
         s = f"-{_wrap(e.arg, _PREC_NEG, memo)}"
     elif kind is Pow:

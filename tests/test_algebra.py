@@ -51,6 +51,8 @@ from weilc.oracle import taylor_coeffs
 from weilc.prolongation import APoint
 from weilc.sampling import CATALOG, catalog_algebra, random_element, rng_for
 
+from structures import allclose
+
 
 def two_gen_algebra():
     return build_algebra(AlgebraPresentation(("x", "y"), ((3, 0), (1, 1), (0, 2))))
@@ -64,13 +66,6 @@ SAMPLE_ALGEBRAS = [
     lambda: build_algebra(AlgebraPresentation(("a", "b"), ((2, 0), (0, 2)))),
     trivial_algebra,
 ]
-
-
-def allclose(a, b, tol):
-    """Same algebra, and every coefficient within tol; a NaN matches nothing."""
-    return a.algebra is b.algebra and all(
-        abs(x - y) <= tol for x, y in zip(a.coeffs, b.coeffs)
-    )
 
 
 def nilpotent_part(a):
@@ -161,6 +156,12 @@ class TestBuild:
     def test_empty_relation_rejected(self):
         with pytest.raises(EmptyRelation):
             AlgebraPresentation(("x",), ((0,),))
+
+    @pytest.mark.parametrize("name", ["1", "", "é", "a b", "x-1"])
+    def test_a_generator_name_must_be_an_ascii_identifier(self, name):
+        # a generator named 1 printed the element 3 + 2*g as 3 + 2
+        with pytest.raises(ValueError, match="is not an ASCII identifier"):
+            AlgebraPresentation((name,), ((2,),))
 
     def test_trivial_algebra(self):
         R = trivial_algebra()

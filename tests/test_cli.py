@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import weilc
-from weilc import cli, errors, poisson, sampling
+from weilc import cli, config, errors, poisson, sampling
 from weilc.algebra import MAX_ALGEBRA_DIM
 from weilc.poisson import MAX_CHART_DIM
 from weilc.cli import main
@@ -448,6 +448,66 @@ class TestConfigHandling:
         captured = capsys.readouterr()
         assert captured.err == (
             f"config error: algebra 'dual': bad exponent in relation {relation!r}\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("deep", [False, True], ids=["c_loader", "python_loader"])
+    @pytest.mark.parametrize(
+        "text, key, line",
+        [
+            ("chart_dim: 1\nchart_dim: 2\n", "chart_dim", 2),
+            ("chart_dim: 2\nsuites: {seed: 1, seed: 2}\n", "seed", 2),
+            ("chart_dim: 2\nexpressions:\n  f: x1\n  f: x2\n", "f", 4),
+            ("chart_dim: 2\nbivectors:\n  b:\n    '1,2': x1\n    '1,2': x2\n", "1,2", 5),
+        ],
+        ids=["root", "suites", "expressions", "bivector"],
+    )
+    def test_a_key_written_twice_is_refused(self, tmp_path, capsys, monkeypatch, text, key,
+                                            line, deep):
+        # YAML kept the later value: the suites ran seed 2, and f was x2
+        if deep:  # every text goes to the pure-Python loader
+            monkeypatch.setattr(config, "MAX_C_OPENERS", -1)
+        path = tmp_path / "project.yaml"
+        path.write_text(text, encoding="utf-8")
+        assert main(["--config", str(path), "algebra-show", "dual"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: config {path} is not valid YAML: ")
+        assert f"found key {key!r} written twice\n  in \"{path}\", line {line}," in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("deep", [False, True], ids=["c_loader", "python_loader"])
+    def test_a_merge_key_is_no_repeat(self, tmp_path, capsys, monkeypatch, deep):
+        if deep:
+            monkeypatch.setattr(config, "MAX_C_OPENERS", -1)
+        path = tmp_path / "project.yaml"
+        path.write_text("chart_dim: 1\nalgebras:\n"
+                        "  dual: &d {generators: [eps], relations: [eps^2]}\n"
+                        "  jet: {<<: *d, relations: [eps^3]}\n", encoding="utf-8")
+        assert main(["--config", str(path), "algebra-show", "jet"]) == 0
+        assert capsys.readouterr().out.startswith("jet: R[eps]/(eps^3)\n")
+
+    @pytest.mark.parametrize("key", ["01,2", "1, 2"])
+    def test_a_bivector_entry_given_twice_is_refused(self, tmp_path, capsys, key):
+        # two YAML keys for one entry: the later replaced the earlier, pi[1,2] = x1
+        path = tmp_path / "project.yaml"
+        path.write_text(f"chart_dim: 3\nbivectors:\n  b:\n    '1,2': x3\n    '{key}': x1\n",
+                        encoding="utf-8")
+        assert main(["--config", str(path), "algebra-show", "dual"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: bivector 'b': entry (1,2) is given twice\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("name, relation", [("1", "1^2"), ("", "^2"), ("é", "é^2")])
+    def test_a_generator_name_that_is_no_identifier_in_config(self, tmp_path, capsys, name,
+                                                             relation):
+        # R[1]/(1^2) was built, and eval printed the element 3 + 2*g as 3 + 2
+        path = tmp_path / "project.yaml"
+        path.write_text(f"chart_dim: 1\nalgebras:\n  A: {{generators: ['{name}'], "
+                        f"relations: ['{relation}']}}\n", encoding="utf-8")
+        assert main(["--config", str(path), "algebra-show", "A"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: algebra 'A': generator name {name!r} is not an ASCII identifier\n"
         )
         assert captured.out == ""
 

@@ -52,9 +52,7 @@ from weilc.expr import (
 from weilc.oracle import taylor_coeffs
 from weilc.prolongation import APoint
 
-
-def real_point(algebra, xs):
-    return APoint(algebra, tuple(algebra.from_real(x) for x in xs))
+from structures import real_point
 
 
 class TestParse:
@@ -229,6 +227,18 @@ class TestPrinter:
         # folding two constants to inf printed "inf", which parse refuses
         d = diff(parse(text, 1), 0)
         assert parse(to_string(d), 1) == d
+
+    @pytest.mark.parametrize("calls, parses_back", [(98, True), (99, False)])
+    def test_a_derivative_parses_back_within_the_depth_bound(self, calls, parses_back):
+        # the partial of sin^k(x1) is k + 2 levels deep: the round trip holds
+        # up to MAX_DEPTH levels, and past it parse refuses the printed text
+        d = diff(parse("sin(" * calls + "x1" + ")" * calls, 1), 0)
+        assert d.depth == calls + 2
+        if parses_back:
+            assert parse(to_string(d), 1) == d
+        else:
+            with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH}"):
+                parse(to_string(d), 1)
 
 
 class TestDiff:

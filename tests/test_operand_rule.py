@@ -35,13 +35,11 @@ from weilc.expr import ConstA, Var, mul
 from weilc.oracle import interior_eval
 from weilc.poisson import omega_at
 
+from structures import real_point
+
 DUAL = dual_numbers()
 JET2 = jets(2)
 PI = canonical_structure(1)  # on R^2
-
-
-def real_point(algebra, xs):
-    return APoint(algebra, tuple(algebra.from_real(x) for x in xs))
 
 
 def function(algebra, dim):

@@ -65,18 +65,7 @@ from weilc.sampling import (
     rng_for,
 )
 
-from structures import so3_structure
-
-
-def allclose(a, b, tol):
-    """Same algebra, and every coefficient within tol; a NaN matches nothing."""
-    return a.algebra is b.algebra and all(
-        abs(x - y) <= tol for x, y in zip(a.coeffs, b.coeffs)
-    )
-
-
-def real_point(algebra, xs):
-    return APoint(algebra, tuple(algebra.from_real(x) for x in xs))
+from structures import allclose, real_point, so3_structure
 
 
 def perturbed_so3():

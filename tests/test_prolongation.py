@@ -35,16 +35,7 @@ from weilc.expr import (
 from weilc.oracle import poly_coeffs_exact
 from weilc.sampling import random_expr_with_consta, random_field, random_point, rng_for
 
-
-def allclose(a, b, tol):
-    """Same algebra, and every coefficient within tol; a NaN matches nothing."""
-    return a.algebra is b.algebra and all(
-        abs(x - y) <= tol for x, y in zip(a.coeffs, b.coeffs)
-    )
-
-
-def real_point(algebra, xs):
-    return APoint(algebra, tuple(algebra.from_real(x) for x in xs))
+from structures import allclose, real_point
 
 
 def dual_point(*coeff_vectors):
