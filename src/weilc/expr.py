@@ -20,10 +20,10 @@ memo keyed by node identity, and dropped when the call returns, holds each
 node's first result.  The visiting order is that of the tree walk, so
 results and the first error raised are the same.  ``==`` and ``hash`` keep
 one too, keyed by the pair of nodes compared or the node hashed.  ``parse``
-keeps per-call memos of each parenthesized group or call argument, keyed by
-its text: a repeat of a text already read is the same node, skipped without
-being tokenized, so a printed DAG parses back as a DAG at a cost that grows
-with its distinct text.
+keeps one per-call memo of the parenthesized groups and call arguments it
+has read, keyed by the head of their text: a repeat of a text already read
+is the same node, skipped without being tokenized, so a printed DAG parses
+back as a DAG at a cost that grows with its distinct text.
 
 Each operand rule of the package is stated here once, and reads the facts
 each node holds (see ``Expr``) instead of walking a tree: ``on_chart``, the
@@ -879,7 +879,9 @@ def parse(text: str, n: int) -> Expr:
     is parsed once per text: a later group with the same text is the same
     node and is skipped unread, and one that differs only in its spaces is
     an equal node.  So a printed DAG parses back as a DAG, at the cost of
-    its distinct groups."""
+    its distinct groups.  One memo finds a group's text, whether or not it
+    holds an inner group, by its first _HEAD characters up to its first
+    ")"."""
     size = len(text)
     # the tokens scanned, "" at the end of the text; a group skipped is one
     # entry from "(" to ")", the text position past its ")"
@@ -898,8 +900,6 @@ def parse(text: str, n: int) -> Expr:
     # of the groups read that begin so, each through its ")", and entries:
     # a group's node and the nesting within it
     texts: dict[str, list[tuple[str, tuple[Expr, int]]]] = {}
-    # the text of each group read that has no inner group: its entry
-    bodies: dict[str, tuple[Expr, int]] = {}
 
     def binary(min_prec: int = 1) -> Expr:
         # a left-associated chain of the operators that bind at least min_prec
@@ -948,39 +948,27 @@ def parse(text: str, n: int) -> Expr:
                 pos = text.find("(", start) + 1
                 if closing < start:
                     closing = text.find(")", start) % (size + 1)
-                entry = bucket = None
-                if 0 < pos <= closing:
-                    # an inner group: the head keys the texts read that this
-                    # group may repeat
-                    end = start + _HEAD
-                    head = text[start:end if end < closing else closing]
-                    bucket = texts.get(head)
-                    if bucket is None:
-                        bucket = texts[head] = []
-                    for stored, entry in bucket:
-                        # a stored text is balanced, so its ")" closes this group
-                        if text.startswith(stored, start):
-                            break
-                    else:
-                        entry = None
-                elif closing < size:
-                    head = text[start:closing]
-                    entry = bodies.get(head)
-                # else it is never closed, and its parse raises
+                nested = 0 < pos <= closing  # an inner group comes first
+                end = start + _HEAD
+                head = text[start:end if end < closing else closing]
+                bucket = texts.get(head)
+                if bucket is None:
+                    bucket = texts[head] = []
                 outer = peak
-                # a seen group is reused where it nests within the bound;
-                # past it, it is parsed again, to raise where it would
-                if entry is not None and nest + entry[1] <= MAX_DEPTH:
-                    # skipped unread: its "(" becomes the position past its ")"
-                    e, inner = entry
-                    peak = nest + inner
-                    if bucket is None:
-                        start = closing + 1  # and the next "(" is still at pos
-                    else:
+                for stored, entry in bucket:
+                    # a stored text is balanced, so its ")" closes this group
+                    # (one never closed matches none).  A seen group is reused
+                    # where it nests within the bound; past it, it is read
+                    # again, to raise where it would
+                    if text.startswith(stored, start) and nest + entry[1] <= MAX_DEPTH:
+                        # skipped unread: its "(" becomes the position past its ")"
+                        e, inner = entry
+                        peak = nest + inner
                         start += len(stored)
                         pos = text.find("(", start) + 1
                         closing = start - 1
-                    tokens[-1] = start
+                        tokens[-1] = start
+                        break
                 else:
                     entry = None
                 tokens += _tokenize(text, start, pos or size)
@@ -992,13 +980,11 @@ def parse(text: str, n: int) -> Expr:
                     if tokens[at] != ")":
                         raise _fail(text, tokens, at, "expected ')'")
                     at += 1
-                    entry = e, peak - nest
-                    if bucket is None:
-                        bodies[head] = entry
-                    else:
+                    if nested:
                         # its last inner group's ")" was read: its own is next
                         closing = text.find(")", closing + 1)
-                        bucket.append((text[start:closing + 1], entry))
+                    entry = e, peak - nest
+                    bucket.append((text[start:closing + 1], entry))
                 if outer > peak:
                     peak = outer
                 nest -= 1
