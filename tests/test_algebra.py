@@ -443,8 +443,15 @@ def full_plan_taylor_sum(prim, a):
     full product plan, summed as taylor_lift sums it."""
     A = a.algebra
     n = nilpotent_part(a)
-    # a real element reads f(r) alone, as in test_taylor_lift_is_the_taylor_sum
-    derivs = prim.derivatives(a.real, A.height if any(n.coeffs) else 0)
+    try:
+        derivs = prim.derivatives(a.real, A.height)
+    except (ValueError, ZeroDivisionError):
+        # a real element reads f(r) alone where a higher derivative is
+        # undefined (1/r^2 underflows to 0 at r = 1e-120); sqrt at 0 raises
+        # DomainError, and stays refused
+        if any(n.coeffs):
+            raise
+        derivs = prim.derivatives(a.real, 0)
     out = A.from_real(derivs[0]).coeffs
     power = A.unit()
     factorial = 1.0
