@@ -965,7 +965,8 @@ def parse(text: str, n: int) -> Expr:
                         e, inner = entry
                         peak = nest + inner
                         start += len(stored)
-                        pos = text.find("(", start) + 1
+                        if nested:  # the next "(" was skipped with it
+                            pos = text.find("(", start) + 1
                         closing = start - 1
                         tokens[-1] = start
                         break
