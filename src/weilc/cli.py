@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -120,15 +121,18 @@ def _parse_point(text: str, algebra, n: int) -> APoint:
         # bool, string or null does not
         if not all(type(v) is float for v in vec):
             raise WeilcError(f"--point coordinate x{i} has a non-number in {vec!r}")
+        # JSON reads NaN, Infinity and -Infinity, and 1e400 as inf
+        if not all(map(math.isfinite, vec)):
+            raise WeilcError(f"--point coordinate x{i} has a non-finite number in {vec!r}")
         coords.append(algebra.element(vec))
     return APoint(algebra, tuple(coords))
 
 
-def _write_json(path: str | None, text: str):
+def _write_json(path: str | None, data: dict):
     if path is not None:
         try:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
         except OSError as exc:
             raise WeilcError(f"cannot write --json {path}: {exc.strerror}") from exc
 
@@ -150,17 +154,7 @@ def _cmd_algebra_show(cfg: ProjectConfig, args) -> int:
         print(f"  {row_name.ljust(width)}{''.join(cells)}")
     _write_json(
         args.json,
-        json.dumps(
-            {
-                "name": args.name,
-                "dim": algebra.dim,
-                "height": algebra.height,
-                "basis": names,
-            },
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n",
+        {"name": args.name, "dim": algebra.dim, "height": algebra.height, "basis": names},
     )
     return EXIT_OK
 
@@ -173,17 +167,12 @@ def _cmd_eval(cfg: ProjectConfig, args) -> int:
     print(render_element(value))
     _write_json(
         args.json,
-        json.dumps(
-            {
-                "expression": args.expression,
-                "algebra": args.algebra,
-                "coefficients": value.coeffs,
-                "rendering": render_element(value, sig=17),
-            },
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n",
+        {
+            "expression": args.expression,
+            "algebra": args.algebra,
+            "coefficients": value.coeffs,
+            "rendering": render_element(value, sig=17),
+        },
     )
     return EXIT_OK
 
@@ -235,7 +224,7 @@ def _cmd_check(cfg: ProjectConfig, args) -> int:
             print(f"    {key}: {val}")
     if report.warning:
         print(f"  warning: {report.warning}")
-    _write_json(args.json, report.to_json())
+    _write_json(args.json, report.to_dict())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 

@@ -11,7 +11,6 @@ otherwise settle silently for the later value.
 
 from __future__ import annotations
 
-from collections.abc import Hashable
 from functools import cache
 
 from .algebra import AlgebraPresentation, Monomial, WeilAlgebra, build_algebra
@@ -111,28 +110,42 @@ def load_config(path: str) -> ProjectConfig:
 @cache
 def _loader(pure_python: bool):
     """PyYAML's pure-Python safe loader, or its C one where there is one,
-    made to refuse a key written twice in one mapping; a ``<<`` merge key is
-    no key.  Each class is built once: a config is loaded per command."""
+    made to refuse a key written twice in one mapping of the document as
+    written, a mapping given to a ``<<`` merge key included.  A ``<<`` key is
+    no key, and a key that overrides a merged one is no repeat.  Each class
+    is built once: a config is loaded per command."""
     import yaml  # here, not at module level: only a config load reads YAML
 
     base = yaml.SafeLoader if pure_python else getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
     class Loader(base):
-        def construct_mapping(self, node, deep=False):
-            if isinstance(node, yaml.MappingNode):
-                seen = set()
-                for key_node, _ in node.value:
-                    if key_node.tag == "tag:yaml.org,2002:merge":
-                        continue
-                    key = self.construct_object(key_node, deep=deep)
-                    if not isinstance(key, Hashable):
-                        break  # the base class refuses it
-                    if key in seen:
-                        raise yaml.constructor.ConstructorError(
-                            "while constructing a mapping", node.start_mark,
-                            f"found key {key!r} written twice", key_node.start_mark)
-                    seen.add(key)
-            return super().construct_mapping(node, deep)
+        def construct_document(self, node):
+            # every node once, an alias's too, in the order written and
+            # before any merge rewrites a mapping's pairs in place
+            seen, todo = set(), [node]
+            while todo:
+                item = todo.pop()
+                if id(item) in seen:
+                    continue
+                seen.add(id(item))
+                if isinstance(item, yaml.SequenceNode):
+                    todo += reversed(item.value)
+                elif isinstance(item, yaml.MappingNode):
+                    keys = set()
+                    for key_node, _ in item.value:
+                        # a key that is not a scalar builds no hashable key,
+                        # and the base class refuses it
+                        if (key_node.tag == "tag:yaml.org,2002:merge"
+                                or not isinstance(key_node, yaml.ScalarNode)):
+                            continue
+                        key = self.construct_object(key_node)
+                        if key in keys:
+                            raise yaml.constructor.ConstructorError(
+                                "while constructing a mapping", item.start_mark,
+                                f"found key {key!r} written twice", key_node.start_mark)
+                        keys.add(key)
+                    todo += (n for pair in reversed(item.value) for n in reversed(pair))
+            return super().construct_document(node)
 
     return Loader
 

@@ -459,8 +459,10 @@ class TestConfigHandling:
             ("chart_dim: 2\nsuites: {seed: 1, seed: 2}\n", "seed", 2),
             ("chart_dim: 2\nexpressions:\n  f: x1\n  f: x2\n", "f", 4),
             ("chart_dim: 2\nbivectors:\n  b:\n    '1,2': x1\n    '1,2': x2\n", "1,2", 5),
+            ("chart_dim: 2\nsuites: {<<: {seed: 1, seed: 2}}\n", "seed", 2),
+            ("chart_dim: 2\nsuites: {<<: [{trials: 3, trials: 4}]}\n", "trials", 2),
         ],
-        ids=["root", "suites", "expressions", "bivector"],
+        ids=["root", "suites", "expressions", "bivector", "merged", "merged_list"],
     )
     def test_a_key_written_twice_is_refused(self, tmp_path, capsys, monkeypatch, text, key,
                                             line, deep):
@@ -485,6 +487,18 @@ class TestConfigHandling:
                         "  jet: {<<: *d, relations: [eps^3]}\n", encoding="utf-8")
         assert main(["--config", str(path), "algebra-show", "jet"]) == 0
         assert capsys.readouterr().out.startswith("jet: R[eps]/(eps^3)\n")
+
+    @pytest.mark.parametrize("deep", [False, True], ids=["c_loader", "python_loader"])
+    def test_a_reused_merge_anchor_is_no_repeat(self, tmp_path, monkeypatch, deep):
+        # a merge rewrites m's pairs in place, so its alias showed seed twice
+        if deep:
+            monkeypatch.setattr(config, "MAX_C_OPENERS", -1)
+        path = tmp_path / "project.yaml"
+        path.write_text("chart_dim: 1\nsuites: {<<: &m {<<: {seed: 1}, seed: 2}}\n"
+                        "expressions: *m\n", encoding="utf-8")
+        cfg = config.load_config(str(path))
+        assert cfg.suites.seed == 2
+        assert list(cfg.expressions) == ["seed"]
 
     @pytest.mark.parametrize("key", ["01,2", "1, 2"])
     def test_a_bivector_entry_given_twice_is_refused(self, tmp_path, capsys, key):
@@ -667,6 +681,32 @@ class TestArgumentEdges:
         err = capsys.readouterr().err
         assert err.startswith(f"error: --point coordinate {coordinate} ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "number, shown",
+        [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf")],
+    )
+    def test_non_finite_coefficient(self, config2, capsys, number, shown):
+        # p = x2 reads no x1: the point went through, and eval printed 0
+        point = f"[[{number},0],[0,0]]"
+        assert main(["--config", config2, "eval", "p", "dual", "--point", point]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --point coordinate x1 has a non-finite number in [{shown}, 0.0]\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bracket", "canonical2", "q", "p", "--algebra", "dual"],
+         ["prolong", "shear", "p", "--algebra", "dual"]],
+        ids=["bracket", "prolong"],
+    )
+    def test_non_finite_coefficient_on_every_command(self, config2, capsys, argv):
+        code = main(["--config", config2, *argv, "--point", "[[0,0],[0,NaN]]"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: --point coordinate x2 has a non-finite number in [0.0, nan]\n"
 
     @pytest.mark.parametrize(
         "argv",
