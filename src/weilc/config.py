@@ -6,7 +6,8 @@ use the same syntax as the element rendering: ``eps^2``, ``x*y``.  An
 unknown key at the root, in an algebra entry or under ``suites`` is a
 ``ConfigError``: a misspelt setting would otherwise fall back to its default
 unseen.  So is a key written twice in one mapping, which YAML would
-otherwise settle silently for the later value.
+otherwise settle silently for the later value, and an entry whose name YAML
+reads as no string, which no command line could name.
 """
 
 from __future__ import annotations
@@ -75,20 +76,18 @@ def parse_relation(text: str, generators: tuple[str, ...]) -> Monomial:
     return tuple(exponents)
 
 
-def _expect_mapping(data, what: str) -> dict:
+def _expect_mapping(data, prefix: str) -> dict:
     if data is None:
         return {}
     if not isinstance(data, dict):
-        raise ConfigError(f"{what} must be a mapping, got {type(data).__name__}")
+        raise ConfigError(f"{prefix}must be a mapping, got {type(data).__name__}")
     return data
 
 
-def _check_keys(data: dict, what: str, known: tuple[str, ...]):
+def _check_keys(data: dict, prefix: str, known: tuple[str, ...]):
     for key in data:
         if key not in known:
-            raise ConfigError(
-                f"{what}: unknown key {key!r} (known keys: {', '.join(known)})"
-            )
+            raise ConfigError(f"{prefix}unknown key {key!r} (known keys: {', '.join(known)})")
 
 
 # libyaml's C loader recurses on the C stack and crashes on a value nested
@@ -138,7 +137,10 @@ def _loader(pure_python: bool):
                         if (key_node.tag == "tag:yaml.org,2002:merge"
                                 or not isinstance(key_node, yaml.ScalarNode)):
                             continue
-                        key = self.construct_object(key_node)
+                        # a = key has no constructor until flatten_mapping
+                        # retags it as the string of its text
+                        key = (key_node.value if key_node.tag == "tag:yaml.org,2002:value"
+                               else self.construct_object(key_node))
                         if key in keys:
                             raise yaml.constructor.ConstructorError(
                                 "while constructing a mapping", item.start_mark,
@@ -166,11 +168,59 @@ def _load_yaml(path: str):
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
 
 
+def _read_algebra(entry, n: int) -> WeilAlgebra:
+    entry = _expect_mapping(entry, "")
+    _check_keys(entry, "", ("generators", "relations"))
+    # a string would be taken letter by letter
+    lists = {key: entry.get(key, []) for key in ("generators", "relations")}
+    for key, value in lists.items():
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+    generators = tuple(str(g) for g in lists["generators"])
+    relations = tuple(parse_relation(r, generators) for r in lists["relations"])
+    return build_algebra(AlgebraPresentation(generators, relations))
+
+
+def _read_field(comps, n: int) -> VectorField:
+    if not isinstance(comps, list) or len(comps) != n:
+        raise ConfigError(f"needs {n} component expressions")
+    return VectorField(tuple(parse(str(c), n) for c in comps))
+
+
+def _read_bivector(entries, n: int) -> PoissonStructure:
+    parsed: dict[tuple[int, int], Expr] = {}
+    for key, text in _expect_mapping(entries, "").items():
+        try:
+            i_s, j_s = str(key).split(",")
+            i, j = int(i_s), int(j_s)
+        except ValueError:
+            raise ConfigError(f"key {key!r} is not 'i,j'") from None
+        if not 1 <= i < j <= n:
+            raise ConfigError(f"entry ({i},{j}) is not upper-triangle in 1..{n}")
+        # "1,2", "01,2" and "1, 2" are three YAML keys for one entry
+        if (i - 1, j - 1) in parsed:
+            raise ConfigError(f"entry ({i},{j}) is given twice")
+        try:
+            parsed[(i - 1, j - 1)] = parse(str(text), n)
+        except WeilcError as exc:
+            raise ConfigError(f"entry {key}: {exc}") from exc
+    return PoissonStructure(n, parsed)
+
+
+# each named section of a config, in the order read: the noun of its
+# entries in an error, and the reader of one entry's value
+_SECTIONS = {
+    "algebras": ("algebra", _read_algebra),
+    "expressions": ("expression", lambda text, n: parse(str(text), n)),
+    "vector_fields": ("vector field", _read_field),
+    "bivectors": ("bivector", _read_bivector),
+}
+
+
 def _read_config(data) -> ProjectConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    _check_keys(data, "config root", ("chart_dim", "algebras", "expressions",
-                                      "vector_fields", "bivectors", "suites"))
+    _check_keys(data, "config root: ", ("chart_dim", *_SECTIONS, "suites"))
 
     n = data.get("chart_dim")
     # YAML reads yes and true as bools, and a bool is an int to Python
@@ -180,72 +230,19 @@ def _read_config(data) -> ProjectConfig:
         raise ConfigError(f"chart_dim {n} is more than {MAX_CHART_DIM} (MAX_CHART_DIM)")
     cfg = ProjectConfig(chart_dim=n)
 
-    for name, entry in _expect_mapping(data.get("algebras"), "algebras").items():
-        entry = _expect_mapping(entry, f"algebra {name!r}")
-        _check_keys(entry, f"algebra {name!r}", ("generators", "relations"))
-        # a string would be taken letter by letter
-        lists = {key: entry.get(key, []) for key in ("generators", "relations")}
-        for key, value in lists.items():
-            if not isinstance(value, list):
-                raise ConfigError(f"algebra {name!r}: {key} must be a list, got {value!r}")
-        generators = tuple(str(g) for g in lists["generators"])
-        try:
-            relations = tuple(parse_relation(r, generators) for r in lists["relations"])
-            cfg.algebras[name] = build_algebra(
-                AlgebraPresentation(generators, relations)
-            )
-        except (WeilcError, ValueError) as exc:
-            raise ConfigError(f"algebra {name!r}: {exc}") from exc
-
-    for name, text in _expect_mapping(data.get("expressions"), "expressions").items():
-        try:
-            cfg.expressions[name] = parse(str(text), n)
-        except WeilcError as exc:
-            raise ConfigError(f"expression {name!r}: {exc}") from exc
-
-    for name, comps in _expect_mapping(
-        data.get("vector_fields"), "vector_fields"
-    ).items():
-        if not isinstance(comps, list) or len(comps) != n:
-            raise ConfigError(
-                f"vector field {name!r} needs {n} component expressions"
-            )
-        try:
-            cfg.vector_fields[name] = VectorField(
-                tuple(parse(str(c), n) for c in comps)
-            )
-        except WeilcError as exc:
-            raise ConfigError(f"vector field {name!r}: {exc}") from exc
-
-    for name, entries in _expect_mapping(data.get("bivectors"), "bivectors").items():
-        entries = _expect_mapping(entries, f"bivector {name!r}")
-        parsed: dict[tuple[int, int], Expr] = {}
-        for key, text in entries.items():
+    for section, (noun, read) in _SECTIONS.items():
+        entries = getattr(cfg, section)
+        for name, value in _expect_mapping(data.get(section), f"{section} ").items():
             try:
-                i_s, j_s = str(key).split(",")
-                i, j = int(i_s), int(j_s)
-            except ValueError:
-                raise ConfigError(
-                    f"bivector {name!r}: key {key!r} is not 'i,j'"
-                ) from None
-            if not 1 <= i < j <= n:
-                raise ConfigError(
-                    f"bivector {name!r}: entry ({i},{j}) is not upper-triangle in 1..{n}"
-                )
-            # "1,2", "01,2" and "1, 2" are three YAML keys for one entry
-            if (i - 1, j - 1) in parsed:
-                raise ConfigError(f"bivector {name!r}: entry ({i},{j}) is given twice")
-            try:
-                parsed[(i - 1, j - 1)] = parse(str(text), n)
-            except WeilcError as exc:
-                raise ConfigError(f"bivector {name!r} entry {key}: {exc}") from exc
-        try:
-            cfg.bivectors[name] = PoissonStructure(n, parsed)
-        except WeilcError as exc:
-            raise ConfigError(f"bivector {name!r}: {exc}") from exc
+                # YAML reads 1, true, ~ and 1.5 as no string, which no command names
+                if not isinstance(name, str):
+                    raise ConfigError("a name must be a string (quote it)")
+                entries[name] = read(value, n)
+            except (WeilcError, ValueError) as exc:
+                raise ConfigError(f"{noun} {name!r}: {exc}") from exc
 
-    suites = _expect_mapping(data.get("suites"), "suites")
-    _check_keys(suites, "suites settings", ("seed", "trials", "tol"))
+    suites = _expect_mapping(data.get("suites"), "suites ")
+    _check_keys(suites, "suites settings: ", ("seed", "trials", "tol"))
     seed, trials, tol = (
         suites.get(key, getattr(cfg.suites, key)) for key in ("seed", "trials", "tol")
     )

@@ -461,8 +461,9 @@ class TestConfigHandling:
             ("chart_dim: 2\nbivectors:\n  b:\n    '1,2': x1\n    '1,2': x2\n", "1,2", 5),
             ("chart_dim: 2\nsuites: {<<: {seed: 1, seed: 2}}\n", "seed", 2),
             ("chart_dim: 2\nsuites: {<<: [{trials: 3, trials: 4}]}\n", "trials", 2),
+            ("chart_dim: 2\nexpressions: {=: x1, \"=\": x2}\n", "=", 2),
         ],
-        ids=["root", "suites", "expressions", "bivector", "merged", "merged_list"],
+        ids=["root", "suites", "expressions", "bivector", "merged", "merged_list", "equals"],
     )
     def test_a_key_written_twice_is_refused(self, tmp_path, capsys, monkeypatch, text, key,
                                             line, deep):
@@ -499,6 +500,68 @@ class TestConfigHandling:
         cfg = config.load_config(str(path))
         assert cfg.suites.seed == 2
         assert list(cfg.expressions) == ["seed"]
+
+    @pytest.mark.parametrize("deep", [False, True], ids=["c_loader", "python_loader"])
+    def test_an_equals_key_is_the_string_of_its_text(self, tmp_path, capsys, monkeypatch, deep):
+        # refused as YAML: the duplicate-key check found no constructor for =
+        if deep:
+            monkeypatch.setattr(config, "MAX_C_OPENERS", -1)
+        path = tmp_path / "project.yaml"
+        path.write_text("chart_dim: 1\nalgebras:\n  dual: {generators: [eps], relations: [eps^2]}\n"
+                        "expressions: {=: x1}\n", encoding="utf-8")
+        assert main(["--config", str(path), "eval", "=", "dual", "--point", "[[3, 1]]"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "3 + eps\n"
+        assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ("expressions: {1: x1}", "expression 1"),
+            ("algebras: {true: {generators: [t], relations: [t^2]}}", "algebra True"),
+            ("vector_fields: {~: [x1, x2]}", "vector field None"),
+            ("bivectors: {1.5: {'1,2': '1'}}", "bivector 1.5"),
+        ],
+        ids=["int", "bool", "null", "float"],
+    )
+    def test_a_name_that_is_no_string_is_refused(self, tmp_path, capsys, section, message):
+        # loaded as an int, bool, None or float that no command line names:
+        # a lookup that missed ended in a TypeError traceback
+        path = tmp_path / "project.yaml"
+        path.write_text(f"chart_dim: 2\n{section}\n", encoding="utf-8")
+        assert main(["--config", str(path), "algebra-show", "dual"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}: a name must be a string (quote it)\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ("algebras: {a: [t]}", "algebra 'a': must be a mapping, got list"),
+            ("algebras: {a: {generators: [t], relations: [s^2]}}",
+             "algebra 'a': relation 's^2' uses unknown generator 's'"),
+            ("vector_fields: {v: [x1]}", "vector field 'v': needs 2 component expressions"),
+            ("vector_fields: {v: [x1, 'sin(']}",
+             "vector field 'v': unexpected end of input (at position 4)"),
+            ("bivectors: {b: [x1]}", "bivector 'b': must be a mapping, got list"),
+            ("bivectors: {b: {'1-2': x1}}", "bivector 'b': key '1-2' is not 'i,j'"),
+            ("bivectors: {b: {'2,1': x1}}",
+             "bivector 'b': entry (2,1) is not upper-triangle in 1..2"),
+            ("bivectors: {b: {'1,2': 'x1 +'}}",
+             "bivector 'b': entry 1,2: unexpected end of input (at position 4)"),
+            ("expressions: {f: 'x1 +'}", "expression 'f': unexpected end of input (at position 4)"),
+        ],
+        ids=["algebra_no_mapping", "algebra_unknown_generator", "field_components",
+             "field_parse", "bivector_no_mapping", "bivector_key", "bivector_lower_triangle",
+             "bivector_parse", "expression_parse"],
+    )
+    def test_an_entry_error_reads_noun_name_reason(self, tmp_path, capsys, section, message):
+        path = tmp_path / "project.yaml"
+        path.write_text(f"chart_dim: 2\n{section}\n", encoding="utf-8")
+        assert main(["--config", str(path), "algebra-show", "dual"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("key", ["01,2", "1, 2"])
     def test_a_bivector_entry_given_twice_is_refused(self, tmp_path, capsys, key):

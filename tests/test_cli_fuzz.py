@@ -7,8 +7,8 @@ texts, NaN and infinite tolerances, negative seeds and trial counts, and
 ``--point`` texts nested up to 10,000 lists deep.  Each config example draws
 a YAML config with nested mappings and lists where values belong, unknown
 keys, large relation exponents and ``chart_dim`` values, bad ``suites``
-settings and relation exponents that are not ASCII digits, and runs one
-command on it.  ``main`` must return one of the exit codes 0-4, or argparse
+settings, relation exponents that are not ASCII digits and entry names that
+YAML reads as no string, and runs one command on it.  ``main`` must return one of the exit codes 0-4, or argparse
 must exit with 2 on a usage error.  ``check`` always gets ``--trials`` of at
 most 2, so no example runs a config's trials.
 """
@@ -158,15 +158,16 @@ BAD_SETTINGS = {
                             True, None]),
 }
 CONFIG_ALGEBRAS = ["dual", "fat"]
-FAULTS = ["nested", "unknown_key", "chart_dim", "exponent", "settings", "expression"]
+FAULTS = ["nested", "unknown_key", "chart_dim", "exponent", "settings", "expression", "name"]
 
 
 @st.composite
 def configs(draw):
     """A well-formed config with up to three faults: a nested or other YAML
     value in place of one, an unknown key, a bad or large ``chart_dim``, a
-    bad or large relation exponent, a bad ``suites`` setting, or an
-    expression the grammar refuses."""
+    bad or large relation exponent, a bad ``suites`` setting, an
+    expression the grammar refuses, or an entry whose name YAML reads as no
+    string."""
     algebras = {}
     for name in draw(st.lists(st.sampled_from(CONFIG_ALGEBRAS), min_size=1, unique=True)):
         generators = draw(st.lists(st.sampled_from(["t", "a", "b"]), min_size=1,
@@ -180,6 +181,7 @@ def configs(draw):
         "chart_dim": draw(st.integers(2, 3)),
         "algebras": algebras,
         "expressions": {"f": "x1^2"},
+        "vector_fields": {},
         "bivectors": {"b": {"1,2": "1"}},
         "suites": {"seed": 42, "trials": 2, "tol": 1e-9},
     }
@@ -188,6 +190,7 @@ def configs(draw):
     algebra = algebras[draw(st.sampled_from(sorted(algebras)))]
     relations, suites = algebra["relations"], config["suites"]
     expressions, entry = config["expressions"], config["bivectors"]["b"]
+    sections = [algebras, expressions, config["vector_fields"], config["bivectors"]]
     for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=3)):
         if fault == "nested":
             target = draw(st.sampled_from([config, algebra, suites, entry]))
@@ -205,10 +208,15 @@ def configs(draw):
         elif fault == "settings":
             key = draw(st.sampled_from(sorted(BAD_SETTINGS)))
             suites[key] = draw(BAD_SETTINGS[key])
-        else:
+        elif fault == "expression":
             expressions["f"] = draw(st.sampled_from(
                 ["x9", "x1^" + "9" * 5000, "x1^1_0", "sin(", "1/x1"]))
-    return yaml.safe_dump(config, allow_unicode=True)
+        else:
+            # YAML reads these keys back as an int, a bool, None and a float
+            names = draw(st.sampled_from(sections))
+            names[draw(st.sampled_from([1, True, None, 1.5]))] = draw(VALUES)
+    # safe_dump cannot sort the mixed keys of the name fault
+    return yaml.safe_dump(config, allow_unicode=True, sort_keys=False)
 
 
 @pytest.fixture(scope="module")
