@@ -22,7 +22,7 @@ import sys
 from .algebra import render_element
 from .config import ProjectConfig, load_config
 from .errors import ConfigError, DomainError, WeilcError
-from .expr import eval_weil, to_string
+from .expr import cut_repr, eval_weil, to_string
 from .poisson import bracket
 from .prolongation import APoint, apply_field
 from . import __version__
@@ -109,21 +109,21 @@ def _parse_point(text: str, algebra, n: int) -> APoint:
     except RecursionError:
         raise WeilcError("--point nests its lists too deeply") from None
     if not isinstance(raw, list) or len(raw) != n:
-        raise WeilcError(f"--point needs {n} coordinate vectors, got {raw!r}")
+        raise WeilcError(f"--point needs {n} coordinate vectors, got {cut_repr(raw)}")
     coords = []
     for i, vec in enumerate(raw, 1):
         if not isinstance(vec, list) or len(vec) != algebra.dim:
             raise WeilcError(
                 f"each coordinate needs {algebra.dim} coefficients "
-                f"(basis {algebra.basis_names()}), got {vec!r}"
+                f"(basis {algebra.basis_names()}), got {cut_repr(vec)}"
             )
         # with parse_int=float every JSON number loads as a float, and a
         # bool, string or null does not
         if not all(type(v) is float for v in vec):
-            raise WeilcError(f"--point coordinate x{i} has a non-number in {vec!r}")
+            raise WeilcError(f"--point coordinate x{i} has a non-number in {cut_repr(vec)}")
         # JSON reads NaN, Infinity and -Infinity, and 1e400 as inf
         if not all(map(math.isfinite, vec)):
-            raise WeilcError(f"--point coordinate x{i} has a non-finite number in {vec!r}")
+            raise WeilcError(f"--point coordinate x{i} has a non-finite number in {cut_repr(vec)}")
         coords.append(algebra.element(vec))
     return APoint(algebra, tuple(coords))
 

@@ -6,8 +6,9 @@ use the same syntax as the element rendering: ``eps^2``, ``x*y``.  An
 unknown key at the root, in an algebra entry or under ``suites`` is a
 ``ConfigError``: a misspelt setting would otherwise fall back to its default
 unseen.  So is a key written twice in one mapping, which YAML would
-otherwise settle silently for the later value, and an entry whose name YAML
-reads as no string, which no command line could name.
+otherwise settle silently for the later value, an entry whose name YAML
+reads as no string, which no command line could name, and a generator or
+relation that YAML reads as no string.  One loader reads every file.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import cache
 
 from .algebra import AlgebraPresentation, Monomial, WeilAlgebra, build_algebra
 from .errors import ConfigError, Record, WeilcError
-from .expr import Expr, parse
+from .expr import Expr, cut_repr, parse
 from .poisson import MAX_CHART_DIM, PoissonStructure, check_settings
 from .prolongation import VectorField
 
@@ -57,7 +58,7 @@ class ProjectConfig(Record):
 
 def parse_relation(text: str, generators: tuple[str, ...]) -> Monomial:
     exponents = [0] * len(generators)
-    for factor in str(text).split("*"):
+    for factor in text.split("*"):
         factor = factor.strip()
         name, sep, power = factor.partition("^")
         name = name.strip()
@@ -90,16 +91,9 @@ def _check_keys(data: dict, prefix: str, known: tuple[str, ...]):
             raise ConfigError(f"{prefix}unknown key {key!r} (known keys: {', '.join(known)})")
 
 
-# libyaml's C loader recurses on the C stack and crashes on a value nested
-# about 30,000 deep.  A text with more of the characters that can open a
-# nested collection than this is loaded by the pure-Python loader, which
-# raises RecursionError instead.
-MAX_C_OPENERS = 1000
-
-
 def load_config(path: str) -> ProjectConfig:
-    # the pure-Python loader recurses into a value nested a few hundred deep,
-    # and repr, str and parse into one nested thousands deep
+    # the Python composer recurses per level of a value, and raises
+    # RecursionError at a few hundred
     try:
         return _read_config(_load_yaml(path))
     except RecursionError:
@@ -107,47 +101,50 @@ def load_config(path: str) -> ProjectConfig:
 
 
 @cache
-def _loader(pure_python: bool):
-    """PyYAML's pure-Python safe loader, or its C one where there is one,
-    made to refuse a key written twice in one mapping of the document as
-    written, a mapping given to a ``<<`` merge key included.  A ``<<`` key is
-    no key, and a key that overrides a merged one is no repeat.  Each class
-    is built once: a config is loaded per command."""
+def _loader():
+    """PyYAML's safe loader with libyaml's parser under PyYAML's Python
+    composer, or its pure-Python one where PyYAML has no libyaml, made to
+    refuse a key written twice in one mapping, a mapping given to a ``<<``
+    merge key included.  Each mapping's keys are checked once, as written,
+    when it is composed: before any merge rewrites its pairs, and once per
+    anchor, as an alias is not composed again.  A ``<<`` key is no key, and a
+    key that overrides a merged one is no repeat.  The class is built once: a
+    config is loaded per command."""
     import yaml  # here, not at module level: only a config load reads YAML
+    from yaml.composer import Composer
 
-    base = yaml.SafeLoader if pure_python else getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    try:
+        from yaml.cyaml import CSafeLoader
+    except ImportError:  # PyYAML built without libyaml
+        base = yaml.SafeLoader
+    else:
+        # libyaml's C composer recurses on the C stack and crashed on a
+        # value nested about 30,000 deep; the Python one raises RecursionError
+        class base(Composer, CSafeLoader):
+            def __init__(self, stream):
+                CSafeLoader.__init__(self, stream)
+                Composer.__init__(self)
 
     class Loader(base):
-        def construct_document(self, node):
-            # every node once, an alias's too, in the order written and
-            # before any merge rewrites a mapping's pairs in place
-            seen, todo = set(), [node]
-            while todo:
-                item = todo.pop()
-                if id(item) in seen:
+        def compose_mapping_node(self, anchor):
+            node = super().compose_mapping_node(anchor)
+            keys = set()
+            for key_node, _ in node.value:
+                # a key that is not a scalar builds no hashable key, and the
+                # constructor refuses it
+                if (key_node.tag == "tag:yaml.org,2002:merge"
+                        or not isinstance(key_node, yaml.ScalarNode)):
                     continue
-                seen.add(id(item))
-                if isinstance(item, yaml.SequenceNode):
-                    todo += reversed(item.value)
-                elif isinstance(item, yaml.MappingNode):
-                    keys = set()
-                    for key_node, _ in item.value:
-                        # a key that is not a scalar builds no hashable key,
-                        # and the base class refuses it
-                        if (key_node.tag == "tag:yaml.org,2002:merge"
-                                or not isinstance(key_node, yaml.ScalarNode)):
-                            continue
-                        # a = key has no constructor until flatten_mapping
-                        # retags it as the string of its text
-                        key = (key_node.value if key_node.tag == "tag:yaml.org,2002:value"
-                               else self.construct_object(key_node))
-                        if key in keys:
-                            raise yaml.constructor.ConstructorError(
-                                "while constructing a mapping", item.start_mark,
-                                f"found key {key!r} written twice", key_node.start_mark)
-                        keys.add(key)
-                    todo += (n for pair in reversed(item.value) for n in reversed(pair))
-            return super().construct_document(node)
+                # a = key has no constructor until flatten_mapping retags it
+                # as the string of its text
+                key = (key_node.value if key_node.tag == "tag:yaml.org,2002:value"
+                       else self.construct_object(key_node))
+                if key in keys:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found key {key!r} written twice", key_node.start_mark)
+                keys.add(key)
+            return node
 
     return Loader
 
@@ -156,10 +153,9 @@ def _load_yaml(path: str):
     import yaml
 
     try:
+        # the loader reads the file, so its errors name it
         with open(path, "r", encoding="utf-8") as fh:
-            deep = sum(map(fh.read().count, "[{-?")) > MAX_C_OPENERS
-            fh.seek(0)  # the loader reads the file, so its errors name it
-            return yaml.load(fh, Loader=_loader(deep))
+            return yaml.load(fh, Loader=_loader())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     # ValueError: an integer longer than Python's limit on int digits, or
@@ -171,12 +167,16 @@ def _load_yaml(path: str):
 def _read_algebra(entry, n: int) -> WeilAlgebra:
     entry = _expect_mapping(entry, "")
     _check_keys(entry, "", ("generators", "relations"))
-    # a string would be taken letter by letter
+    # a string would be taken letter by letter, and YAML reads 1, true and ~
+    # as no string
     lists = {key: entry.get(key, []) for key in ("generators", "relations")}
     for key, value in lists.items():
         if not isinstance(value, list):
-            raise ConfigError(f"{key} must be a list, got {value!r}")
-    generators = tuple(str(g) for g in lists["generators"])
+            raise ConfigError(f"{key} must be a list, got {cut_repr(value)}")
+        for item in value:
+            if not isinstance(item, str):
+                raise ConfigError(f"{key[:-1]} {cut_repr(item)} must be a string (quote it)")
+    generators = tuple(lists["generators"])
     relations = tuple(parse_relation(r, generators) for r in lists["relations"])
     return build_algebra(AlgebraPresentation(generators, relations))
 
@@ -225,7 +225,7 @@ def _read_config(data) -> ProjectConfig:
     n = data.get("chart_dim")
     # YAML reads yes and true as bools, and a bool is an int to Python
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ConfigError(f"chart_dim must be a positive integer, got {n!r}")
+        raise ConfigError(f"chart_dim must be a positive integer, got {cut_repr(n)}")
     if n > MAX_CHART_DIM:
         raise ConfigError(f"chart_dim {n} is more than {MAX_CHART_DIM} (MAX_CHART_DIM)")
     cfg = ProjectConfig(chart_dim=n)
@@ -251,7 +251,7 @@ def _read_config(data) -> ProjectConfig:
                               ("tol", tol, (int, float))):
         if isinstance(value, bool) or not isinstance(value, kinds):
             kind = "an integer" if kinds is int else "a number"
-            raise ConfigError(f"suites settings: {key} must be {kind}, got {value!r}")
+            raise ConfigError(f"suites settings: {key} must be {kind}, got {cut_repr(value)}")
     try:
         check_settings(seed, trials, tol)
     except WeilcError as exc:

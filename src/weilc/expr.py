@@ -844,6 +844,15 @@ def _quoted(token: str) -> str:
     return f"{token[:MAX_QUOTED]!r}... ({len(token)} characters)"
 
 
+def cut_repr(value) -> str:
+    """A refused value as an error message shows it: its repr whole, or the
+    first MAX_QUOTED characters of its repr and the length of the whole."""
+    text = repr(value)
+    if len(text) <= MAX_QUOTED:
+        return text
+    return f"{text[:MAX_QUOTED]}... ({len(text)} characters)"
+
+
 def _error(text: str, position: int, message: str, kind=ParseError) -> ParseError:
     """The error at a text position.  A stray character anywhere in the text
     is reported instead, as it would be by a scan of all the tokens before

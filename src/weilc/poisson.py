@@ -17,7 +17,6 @@ chart) and leaves one shared algebra and chart to ``same_chart``.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from functools import partial
@@ -116,9 +115,6 @@ class CheckReport(Record):
         if self.warning is not None:
             out["warning"] = self.warning
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"

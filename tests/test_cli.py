@@ -17,6 +17,9 @@ from weilc.poisson import MAX_CHART_DIM
 from weilc.cli import main
 from weilc.config import parse_relation
 
+# 10,000 zeros, the items of a long value in a config or a --point
+ZEROS = ", ".join(["0"] * 10000)
+
 CONFIG_2D = """\
 chart_dim: 2
 algebras:
@@ -82,6 +85,23 @@ def config3(tmp_path):
     path = tmp_path / "so3.yaml"
     path.write_text(CONFIG_3D, encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture
+def libyaml(request, monkeypatch):
+    """Each config load reads YAML through libyaml's parser, or, with
+    ``yaml.cyaml`` made unimportable, as PyYAML built without libyaml does."""
+    config._loader.cache_clear()
+    if not request.param:
+        monkeypatch.setitem(sys.modules, "yaml.cyaml", None)
+    assert issubclass(config._loader(), yaml.SafeLoader) is not request.param
+    yield
+    config._loader.cache_clear()
+
+
+# both loader classes that PyYAML can give, as the parameter of the fixture above
+both_loaders = pytest.mark.parametrize("libyaml", [True, False], ids=["c_loader", "python_loader"],
+                                       indirect=True)
 
 
 class TestAlgebraShow:
@@ -404,6 +424,54 @@ class TestConfigHandling:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "text, argv, message",
+        [
+            (None, ["eval", "f", "dual", "--point", f"[{ZEROS}]"],
+             "error: --point needs 1 coordinate vectors, got "
+             "[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,... (50000 characters)"),
+            (None, ["eval", "f", "dual", "--point", f"[[{ZEROS}]]"],
+             "error: each coordinate needs 2 coefficients (basis ['1', 'eps']), got "
+             "[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,... (50000 characters)"),
+            (None, ["eval", "f", "dual", "--point", f"[[[{ZEROS}], 1]]"],
+             "error: --point coordinate x1 has a non-number in "
+             "[[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0... (50007 characters)"),
+            # a vector of floats is no longer than the algebra's dimension
+            (None, ["eval", "f", "wide", "--point", f"[[{', '.join(['NaN'] * 100)}]]"],
+             "error: --point coordinate x1 has a non-finite number in "
+             "[nan, nan, nan, nan, nan, nan, nan, nan,... (500 characters)"),
+            (f"chart_dim: [{ZEROS}]\n", ["algebra-show", "dual"],
+             "config error: chart_dim must be a positive integer, got "
+             "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, ... (30000 characters)"),
+            ("chart_dim: 1\nalgebras:\n  dual: {generators: {"
+             + ", ".join(f"g{i}: 0" for i in range(10000)) + "}}\n", ["algebra-show", "dual"],
+             "config error: algebra 'dual': generators must be a list, got "
+             "{'g0': 0, 'g1': 0, 'g2': 0, 'g3': 0, 'g4... (118890 characters)"),
+            (f"chart_dim: 1\nalgebras:\n  dual: {{generators: [[{ZEROS}]]}}\n",
+             ["algebra-show", "dual"],
+             "config error: algebra 'dual': generator "
+             "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, ... (30000 characters) "
+             "must be a string (quote it)"),
+            (f"chart_dim: 1\nsuites: {{seed: [{ZEROS}]}}\n", ["algebra-show", "dual"],
+             "config error: suites settings: seed must be an integer, got "
+             "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, ... (30000 characters)"),
+        ],
+        ids=["point_length", "coefficients", "non_number", "non_finite", "chart_dim",
+             "generators", "generator", "suites"],
+    )
+    def test_a_long_refused_value_is_cut(self, tmp_path, capsys, text, argv, message):
+        # each value was echoed whole: 10,000 items made a line of 30,000
+        # to 119,000 characters
+        path = tmp_path / "project.yaml"
+        path.write_text(text or ("chart_dim: 1\nalgebras:\n"
+                                 "  dual: {generators: [eps], relations: [eps^2]}\n"
+                                 "  wide: {generators: [t], relations: [t^100]}\n"
+                                 "expressions: {f: x1}\n"), encoding="utf-8")
+        assert main(["--config", str(path), *argv]) == (1 if message.startswith("config") else 2)
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "text",
         ["chart_dim: " + "[" * 3000 + "1" + "]" * 3000,
          "chart_dim: 1\nalgebras:\n  dual: {generators: [eps], relations: ["
@@ -414,6 +482,20 @@ class TestConfigHandling:
         # repr and str of a value nested 3,000 deep exceed the recursion limit
         path = tmp_path / "deep.yaml"
         path.write_text(text + "\n", encoding="utf-8")
+        assert main(["--config", str(path), "algebra-show", "dual"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: config {path} nests a value too deeply\n"
+        assert captured.out == ""
+
+    @both_loaders
+    @pytest.mark.parametrize("dashes", [0, 500])
+    def test_a_value_too_deep_to_compose_is_refused_whatever_else_the_file_holds(
+            self, tmp_path, capsys, dashes, libyaml):
+        # 600 levels were echoed whole as a chart_dim of 1,200 characters,
+        # unless 500 more '-' in the file sent it to the pure-Python loader
+        path = tmp_path / "deep.yaml"
+        path.write_text(f"# {'-' * dashes}\nchart_dim: {'[' * 600}1{']' * 600}\n",
+                        encoding="utf-8")
         assert main(["--config", str(path), "algebra-show", "dual"]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"config error: config {path} nests a value too deeply\n"
@@ -451,7 +533,7 @@ class TestConfigHandling:
         )
         assert captured.out == ""
 
-    @pytest.mark.parametrize("deep", [False, True], ids=["c_loader", "python_loader"])
+    @both_loaders
     @pytest.mark.parametrize(
         "text, key, line",
         [
@@ -465,11 +547,8 @@ class TestConfigHandling:
         ],
         ids=["root", "suites", "expressions", "bivector", "merged", "merged_list", "equals"],
     )
-    def test_a_key_written_twice_is_refused(self, tmp_path, capsys, monkeypatch, text, key,
-                                            line, deep):
+    def test_a_key_written_twice_is_refused(self, tmp_path, capsys, text, key, line, libyaml):
         # YAML kept the later value: the suites ran seed 2, and f was x2
-        if deep:  # every text goes to the pure-Python loader
-            monkeypatch.setattr(config, "MAX_C_OPENERS", -1)
         path = tmp_path / "project.yaml"
         path.write_text(text, encoding="utf-8")
         assert main(["--config", str(path), "algebra-show", "dual"]) == 1
@@ -478,10 +557,26 @@ class TestConfigHandling:
         assert f"found key {key!r} written twice\n  in \"{path}\", line {line}," in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("deep", [False, True], ids=["c_loader", "python_loader"])
-    def test_a_merge_key_is_no_repeat(self, tmp_path, capsys, monkeypatch, deep):
-        if deep:
-            monkeypatch.setattr(config, "MAX_C_OPENERS", -1)
+    @both_loaders
+    def test_of_two_repeats_the_one_in_the_mapping_closed_first_is_named(self, tmp_path, capsys,
+                                                                          libyaml):
+        # each mapping's keys are checked as it is composed, and the root
+        # closes after the suites mapping in it
+        path = tmp_path / "project.yaml"
+        path.write_text("chart_dim: 2\nsuites: {seed: 1, seed: 2}\nchart_dim: 3\n",
+                        encoding="utf-8")
+        assert main(["--config", str(path), "algebra-show", "dual"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: config {path} is not valid YAML: while constructing a mapping\n"
+            f"  in \"{path}\", line 2, column 9\n"
+            f"found key 'seed' written twice\n"
+            f"  in \"{path}\", line 2, column 19\n"
+        )
+        assert captured.out == ""
+
+    @both_loaders
+    def test_a_merge_key_is_no_repeat(self, tmp_path, capsys, libyaml):
         path = tmp_path / "project.yaml"
         path.write_text("chart_dim: 1\nalgebras:\n"
                         "  dual: &d {generators: [eps], relations: [eps^2]}\n"
@@ -489,11 +584,9 @@ class TestConfigHandling:
         assert main(["--config", str(path), "algebra-show", "jet"]) == 0
         assert capsys.readouterr().out.startswith("jet: R[eps]/(eps^3)\n")
 
-    @pytest.mark.parametrize("deep", [False, True], ids=["c_loader", "python_loader"])
-    def test_a_reused_merge_anchor_is_no_repeat(self, tmp_path, monkeypatch, deep):
+    @both_loaders
+    def test_a_reused_merge_anchor_is_no_repeat(self, tmp_path, libyaml):
         # a merge rewrites m's pairs in place, so its alias showed seed twice
-        if deep:
-            monkeypatch.setattr(config, "MAX_C_OPENERS", -1)
         path = tmp_path / "project.yaml"
         path.write_text("chart_dim: 1\nsuites: {<<: &m {<<: {seed: 1}, seed: 2}}\n"
                         "expressions: *m\n", encoding="utf-8")
@@ -501,11 +594,9 @@ class TestConfigHandling:
         assert cfg.suites.seed == 2
         assert list(cfg.expressions) == ["seed"]
 
-    @pytest.mark.parametrize("deep", [False, True], ids=["c_loader", "python_loader"])
-    def test_an_equals_key_is_the_string_of_its_text(self, tmp_path, capsys, monkeypatch, deep):
+    @both_loaders
+    def test_an_equals_key_is_the_string_of_its_text(self, tmp_path, capsys, libyaml):
         # refused as YAML: the duplicate-key check found no constructor for =
-        if deep:
-            monkeypatch.setattr(config, "MAX_C_OPENERS", -1)
         path = tmp_path / "project.yaml"
         path.write_text("chart_dim: 1\nalgebras:\n  dual: {generators: [eps], relations: [eps^2]}\n"
                         "expressions: {=: x1}\n", encoding="utf-8")
@@ -532,6 +623,27 @@ class TestConfigHandling:
         assert main(["--config", str(path), "algebra-show", "dual"]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"config error: {message}: a name must be a string (quote it)\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "algebra, message",
+        [
+            ("{generators: [~], relations: []}", "generator None"),
+            ("{generators: [true], relations: [true^2]}", "generator True"),
+            ("{generators: [eps], relations: [1]}", "relation 1"),
+        ],
+        ids=["null_generator", "bool_generator", "int_relation"],
+    )
+    def test_a_generator_or_relation_that_is_no_string_is_refused(self, tmp_path, capsys,
+                                                                  algebra, message):
+        # str() made R[None]/(None^2) and R[True]/(True^2), shown at exit 0
+        path = tmp_path / "project.yaml"
+        path.write_text(f"chart_dim: 1\nalgebras:\n  a: {algebra}\n", encoding="utf-8")
+        assert main(["--config", str(path), "algebra-show", "a"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: algebra 'a': {message} must be a string (quote it)\n"
+        )
         assert captured.out == ""
 
     @pytest.mark.parametrize(
