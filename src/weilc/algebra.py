@@ -45,6 +45,7 @@ from .errors import (
     NotMorphism,
     Record,
     WeilcError,
+    cut_repr,
     refuse_assignment,
     write_field,
 )
@@ -76,9 +77,9 @@ class AlgebraPresentation(Record):
         for name in generators:
             # elements and relations print the names, where "1" or "" would misread
             if not (name.isascii() and name.isidentifier()):
-                raise ValueError(f"generator name {name!r} is not an ASCII identifier")
+                raise ValueError(f"generator name {cut_repr(name)} is not an ASCII identifier")
         if len(set(generators)) != k:
-            raise ValueError(f"duplicate generator names in {generators}")
+            raise ValueError(f"duplicate generator names in {cut_repr(generators)}")
         for rel in relations:
             if len(rel) != k:
                 raise ValueError(f"relation {rel} has arity {len(rel)}, expected {k}")
@@ -89,7 +90,7 @@ class AlgebraPresentation(Record):
         for i, name in enumerate(generators):
             if not _pure_powers(relations, i):
                 raise NotFiniteDimensional(
-                    f"generator {name!r} has no pure-power relation"
+                    f"generator {cut_repr(name)} has no pure-power relation"
                 )
 
     def describe(self) -> str:

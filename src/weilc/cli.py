@@ -21,8 +21,8 @@ import sys
 
 from .algebra import render_element
 from .config import ProjectConfig, load_config
-from .errors import ConfigError, DomainError, WeilcError
-from .expr import cut_repr, eval_weil, to_string
+from .errors import ConfigError, DomainError, WeilcError, cut_repr
+from .expr import eval_weil, to_string
 from .poisson import bracket
 from .prolongation import APoint, apply_field
 from . import __version__

@@ -16,8 +16,8 @@ from __future__ import annotations
 from functools import cache
 
 from .algebra import AlgebraPresentation, Monomial, WeilAlgebra, build_algebra
-from .errors import ConfigError, Record, WeilcError
-from .expr import Expr, cut_repr, parse
+from .errors import ConfigError, Record, WeilcError, cut_repr
+from .expr import Expr, parse
 from .poisson import MAX_CHART_DIM, PoissonStructure, check_settings
 from .prolongation import VectorField
 
@@ -63,7 +63,7 @@ def parse_relation(text: str, generators: tuple[str, ...]) -> Monomial:
         name, sep, power = factor.partition("^")
         name = name.strip()
         if name not in generators:
-            raise ConfigError(f"relation {text!r} uses unknown generator {name!r}")
+            raise ConfigError(f"relation {cut_repr(text)} uses unknown generator {cut_repr(name)}")
         digits = power.strip() if sep else "1"
         # ASCII digits, as in the expression grammar: int() alone would also
         # read x^1_0, x^+2 and the digits of other scripts
@@ -72,7 +72,7 @@ def parse_relation(text: str, generators: tuple[str, ...]) -> Monomial:
         except ValueError:  # more digits than int() converts
             k = 0
         if k < 1:
-            raise ConfigError(f"bad exponent in relation {text!r}")
+            raise ConfigError(f"bad exponent in relation {cut_repr(text)}")
         exponents[generators.index(name)] += k
     return tuple(exponents)
 

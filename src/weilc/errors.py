@@ -65,6 +65,18 @@ def refuse_assignment(self, name, *value):
 # the immutable records write each field once through object's own setattr
 write_field = object.__setattr__
 
+# longest token, or repr, that an error message quotes whole
+MAX_QUOTED = 40
+
+
+def cut_repr(value) -> str:
+    """A refused value as an error message shows it: its repr whole, or the
+    first MAX_QUOTED characters of its repr and the length of the whole."""
+    text = repr(value)
+    if len(text) <= MAX_QUOTED:
+        return text
+    return f"{text[:MAX_QUOTED]}... ({len(text)} characters)"
+
 
 class Record:
     """A record compares, hashes and prints by its fields: the attributes

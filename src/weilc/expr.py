@@ -6,8 +6,8 @@ elements computes the prolonged function.  Allowing ConstA leaves extends
 the same trees to the algebra-valued function class the rest of the
 package works with.
 
-Trees share subtrees: ``diff`` reuses the operands of a product or a
-quotient, so its results are DAGs.  ``diff`` keeps each node's partials on
+Trees share subtrees: ``diff`` reuses operands, quotients and chain
+factors, so its results are DAGs.  ``diff`` keeps each node's partials on
 the node, for the node's lifetime, so no subtree is differentiated twice,
 in one call or across calls.  ``eval_weil`` keeps each node's value on the
 node with the point it was computed at, for as long as that point is the
@@ -51,6 +51,7 @@ from .errors import (
     AlgebraMismatch,
     DimensionMismatch,
     DomainError,
+    MAX_QUOTED,
     ParseError,
     Record,
     UnknownSymbol,
@@ -536,14 +537,15 @@ def same_chart(*objs) -> WeilAlgebra | None:
 
 # -- differentiation --------------------------------------------------------------
 
+# f'(u) for the node e = f(u), reusing e where f' contains f
 _CHAIN = {
-    "exp": lambda u: Apply(PRIMITIVES["exp"], u),
-    "log": lambda u: div(ONE, u),
-    "sin": lambda u: Apply(PRIMITIVES["cos"], u),
-    "cos": lambda u: neg(Apply(PRIMITIVES["sin"], u)),
-    "tan": lambda u: add(ONE, power(Apply(PRIMITIVES["tan"], u), 2)),
-    "sqrt": lambda u: div(ConstR(0.5), Apply(PRIMITIVES["sqrt"], u)),
-    "recip": lambda u: neg(div(ONE, power(u, 2))),
+    "exp": lambda e: e,
+    "log": lambda e: div(ONE, e.arg),
+    "sin": lambda e: Apply(PRIMITIVES["cos"], e.arg),
+    "cos": lambda e: neg(Apply(PRIMITIVES["sin"], e.arg)),
+    "tan": lambda e: add(ONE, power(e, 2)),
+    "sqrt": lambda e: div(ConstR(0.5), e),
+    "recip": lambda e: neg(div(ONE, power(e.arg, 2))),
 }
 
 
@@ -558,8 +560,11 @@ def diff(e: Expr, i: int) -> Expr:
 def _diff(e: Expr, i: int) -> Expr:
     """The partial of e by x_(i+1), kept in e's ``_partials`` for e's
     lifetime.  A repeat call, from any caller or from a recursion into a
-    shared subtree, returns the same object.  The cache relies on _diff
-    being pure: a test that patches ``_CHAIN`` must build fresh trees."""
+    shared subtree, returns the same object.  The factor of the chain rule
+    of a Pow or Apply node, the same for every index, is kept there too,
+    under the key None, so the partials by all indices share one factor
+    node.  The cache relies on _diff being pure: a test that patches
+    ``_CHAIN`` must build fresh trees."""
     kind = type(e)
     if kind is Var:
         return ONE if e.index == i else ZERO
@@ -585,24 +590,16 @@ def _diff(e: Expr, i: int) -> Expr:
     elif kind is Mul:
         d = add(mul(_diff(e.left, i), e.right), mul(e.left, _diff(e.right, i)))
     elif kind is Div:
-        right = e.right
-        dright = _diff(right, i)
-        if is_zero(dright):
-            # u/v with v free of x_(i+1): the quotient rule would square v,
-            # which can underflow to 0
-            d = div(_diff(e.left, i), right)
-        else:
-            d = div(
-                sub(mul(_diff(e.left, i), right), mul(e.left, dright)),
-                power(right, 2),
-            )
-    elif kind is Pow:
-        d = mul(
-            mul(ConstR(float(e.exponent)), power(e.base, e.exponent - 1)),
-            _diff(e.base, i),
-        )
-    elif kind is Apply:
-        d = mul(_CHAIN[e.fn.name](e.arg), _diff(e.arg, i))
+        # (u/v)' = (u' - e*v')/v: folds to u'/v where v' is 0
+        dright = _diff(e.right, i)
+        d = div(sub(_diff(e.left, i), mul(e, dright)), e.right)
+    elif kind is Pow or kind is Apply:
+        factor = partials.get(None)
+        if factor is None:
+            factor = partials[None] = (
+                mul(ConstR(float(e.exponent)), power(e.base, e.exponent - 1))
+                if kind is Pow else _CHAIN[e.fn.name](e))
+        d = mul(factor, _diff(e.base if kind is Pow else e.arg, i))
     else:
         raise TypeError(f"cannot differentiate {kind.__name__}")
     partials[i] = d
@@ -832,9 +829,6 @@ _TOO_DEEP = f"expression tree deeper than {MAX_NODE_DEPTH} levels"
 
 _DEEPER = f"expression tree is deeper than {MAX_DEPTH}"
 
-# longest token that an error message quotes whole
-MAX_QUOTED = 40
-
 
 def _quoted(token: str) -> str:
     """A refused token as its error message shows it: whole, or its first
@@ -842,15 +836,6 @@ def _quoted(token: str) -> str:
     if len(token) <= MAX_QUOTED:
         return repr(token)
     return f"{token[:MAX_QUOTED]!r}... ({len(token)} characters)"
-
-
-def cut_repr(value) -> str:
-    """A refused value as an error message shows it: its repr whole, or the
-    first MAX_QUOTED characters of its repr and the length of the whole."""
-    text = repr(value)
-    if len(text) <= MAX_QUOTED:
-        return text
-    return f"{text[:MAX_QUOTED]}... ({len(text)} characters)"
 
 
 def _error(text: str, position: int, message: str, kind=ParseError) -> ParseError:

@@ -20,6 +20,13 @@ from weilc.config import parse_relation
 # 10,000 zeros, the items of a long value in a config or a --point
 ZEROS = ", ".join(["0"] * 10000)
 
+
+def _one_algebra(generators, relations):
+    """A config with the one algebra A."""
+    return yaml.safe_dump({"chart_dim": 1, "algebras": {
+        "A": {"generators": generators, "relations": relations}}})
+
+
 CONFIG_2D = """\
 chart_dim: 2
 algebras:
@@ -454,13 +461,30 @@ class TestConfigHandling:
             (f"chart_dim: 1\nsuites: {{seed: [{ZEROS}]}}\n", ["algebra-show", "dual"],
              "config error: suites settings: seed must be an integer, got "
              "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, ... (30000 characters)"),
+            (_one_algebra(["1" + "a" * 9999], ["1" + "a" * 9999 + "^2"]), ["algebra-show", "A"],
+             f"config error: algebra 'A': generator name '1{'a' * 38}... (10002 characters) "
+             "is not an ASCII identifier"),
+            (_one_algebra(["a" * 10000] * 2, ["a" * 10000 + "^2"]), ["algebra-show", "A"],
+             "config error: algebra 'A': duplicate generator names in "
+             f"('{'a' * 38}... (20008 characters)"),
+            (_one_algebra(["a" * 10000, "t"], ["t^2"]), ["algebra-show", "A"],
+             f"config error: algebra 'A': generator '{'a' * 39}... (10002 characters) "
+             "has no pure-power relation"),
+            (_one_algebra(["t"], ["z" * 10000 + "^2"]), ["algebra-show", "A"],
+             f"config error: algebra 'A': relation '{'z' * 39}... (10004 characters) "
+             f"uses unknown generator '{'z' * 39}... (10002 characters)"),
+            (_one_algebra(["t"], ["t^" + "x" * 9998]), ["algebra-show", "A"],
+             f"config error: algebra 'A': bad exponent in relation 't^{'x' * 37}... "
+             "(10002 characters)"),
         ],
         ids=["point_length", "coefficients", "non_number", "non_finite", "chart_dim",
-             "generators", "generator", "suites"],
+             "generators", "generator", "suites", "generator_name", "duplicate_names",
+             "no_pure_power", "unknown_generator", "bad_exponent"],
     )
     def test_a_long_refused_value_is_cut(self, tmp_path, capsys, text, argv, message):
         # each value was echoed whole: 10,000 items made a line of 30,000
-        # to 119,000 characters
+        # to 119,000 characters, and a 10,000-character name or relation one
+        # of 10,072
         path = tmp_path / "project.yaml"
         path.write_text(text or ("chart_dim: 1\nalgebras:\n"
                                  "  dual: {generators: [eps], relations: [eps^2]}\n"

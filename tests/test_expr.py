@@ -18,7 +18,9 @@ from weilc.errors import (
     UnknownSymbol,
     WeilcError,
 )
+from weilc.algebra import PRIMITIVES
 from weilc.expr import (
+    _CHAIN,
     AFunction,
     Add,
     Apply,
@@ -241,7 +243,50 @@ class TestPrinter:
                 parse(to_string(d), 1)
 
 
+# an inner function in (0.2, 1.0] on [0.2, 1.0]^2: inside the domain of
+# every primitive, and below tan's pole at pi/2
+_INNER = "0.2 + 0.5*x1*x2 + 0.3*x1^2"
+
+# every rule of diff: each chain-rule row (recip, which the grammar does not
+# name, built by hand), the power rule, and the quotient rule, also where
+# the denominator is free of x2
+_RULES = {
+    **{name: lambda name=name: Apply(PRIMITIVES[name], parse(_INNER, 2)) for name in PRIMITIVES},
+    **{f"power{k}": lambda k=k: power(parse(_INNER, 2), k) for k in (-3, -1, 2, 3, 5)},
+    "quotient": lambda: parse("(1.3*x1 + sin(x2))/(2 + x1*x2)", 2),
+    "quotient_free_denominator": lambda: parse("(x1*x2 + sin(x2))/(2 + x1^2)", 2),
+    "quotient_of_functions": lambda: parse("sqrt(x1 + x2)/log(1 + x1)", 2),
+}
+
+
+def _central(e, xs, i, step=1e-6):
+    up, down = list(xs), list(xs)
+    up[i] += step
+    down[i] -= step
+    return (eval_real(e, up) - eval_real(e, down)) / (2 * step)
+
+
 class TestDiff:
+    def test_every_primitive_has_a_chain_row(self):
+        assert set(_CHAIN) == set(PRIMITIVES)
+
+    @pytest.mark.parametrize("rule", sorted(_RULES))
+    def test_each_rule_matches_central_differences(self, rule):
+        # each first partial against central differences of the expression,
+        # each second partial against those of the first
+        e = _RULES[rule]()
+        rng = np.random.Generator(np.random.PCG64(11))
+        for _ in range(5):
+            xs = rng.uniform(0.2, 1.0, 2)
+            for i in range(2):
+                first = diff(e, i)
+                numeric = _central(e, xs, i)
+                assert abs(numeric - eval_real(first, xs)) <= 1e-6 * (1 + abs(numeric))
+                for j in range(2):
+                    numeric = _central(first, xs, j)
+                    second = eval_real(diff(first, j), xs)
+                    assert abs(numeric - second) <= 1e-6 * (1 + abs(numeric))
+
     def test_power_rule(self):
         assert diff(parse("x1^2", 1), 0) == parse("2*x1", 1)
 
@@ -304,8 +349,9 @@ class TestDiff:
             ("x1/(1e-170*x2)", "1/(1e-170*x2)", 1e170),
             ("x1/x2", "1/x2", 1.0),
             ("sin(x1)/(x2 + 4)", "cos(x1)/(x2 + 4)", math.cos(1.0) / 5),
-            # the denominator's partial is not zero: the quotient rule
-            ("x1/(x1 + x2)", "(x1 + x2 - x1)/(x1 + x2)^2", 0.25),
+            # the denominator's partial is not zero: the quotient rule,
+            # (u' - (u/v)*v')/v, which reuses the quotient and squares nothing
+            ("x1/(x1 + x2)", "(1 - x1/(x1 + x2))/(x1 + x2)", 0.25),
         ],
         ids=["tiny", "bare", "shifted", "quotient_rule"],
     )

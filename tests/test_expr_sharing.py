@@ -42,7 +42,7 @@ from hypothesis import example, given, settings, strategies as st
 import weilc.expr
 import weilc.prolongation
 from weilc import APoint, dual_numbers, jets, trivial_algebra
-from weilc.algebra import RECIPROCAL, render_element, taylor_lift
+from weilc.algebra import PRIMITIVES, RECIPROCAL, render_element, taylor_lift
 from weilc.errors import (
     AlgebraMismatch,
     DimensionMismatch,
@@ -79,7 +79,6 @@ from weilc.expr import (
     div,
     eval_real,
     eval_weil,
-    is_zero,
     mul,
     neg,
     parse,
@@ -159,19 +158,50 @@ def _ref_diff(e, i):
         return add(mul(_ref_diff(e.left, i), e.right), mul(e.left, _ref_diff(e.right, i)))
     if isinstance(e, Div):
         d_right = _ref_diff(e.right, i)
-        if is_zero(d_right):
-            return div(_ref_diff(e.left, i), e.right)
-        return div(
-            sub(mul(_ref_diff(e.left, i), e.right), mul(e.left, d_right)),
-            power(e.right, 2),
-        )
+        return div(sub(_ref_diff(e.left, i), mul(e, d_right)), e.right)
     if isinstance(e, Pow):
         return mul(
             mul(ConstR(float(e.exponent)), power(e.base, e.exponent - 1)),
             _ref_diff(e.base, i),
         )
     if isinstance(e, Apply):
-        return mul(_CHAIN[e.fn.name](e.arg), _ref_diff(e.arg, i))
+        return mul(_CHAIN[e.fn.name](e), _ref_diff(e.arg, i))
+    raise TypeError(f"cannot differentiate {type(e).__name__}")
+
+
+_PLAIN_CHAIN = {
+    "exp": lambda u: Apply(PRIMITIVES["exp"], u),
+    "log": lambda u: div(ONE, u),
+    "sin": lambda u: Apply(PRIMITIVES["cos"], u),
+    "cos": lambda u: neg(Apply(PRIMITIVES["sin"], u)),
+    "tan": lambda u: add(ONE, power(Apply(PRIMITIVES["tan"], u), 2)),
+    "sqrt": lambda u: div(ConstR(0.5), Apply(PRIMITIVES["sqrt"], u)),
+    "recip": lambda u: neg(div(ONE, power(u, 2))),
+}
+
+
+def _plain_diff(e, i):
+    """The rules of ``_ref_diff`` with nothing shared: each partial builds
+    its own chain-rule factor, and the quotient rule squares its
+    denominator, ``(u'v - uv')/v^2``."""
+    if isinstance(e, (Var, ConstR, ConstA)):
+        return _ref_diff(e, i)
+    if isinstance(e, Add):
+        return add(_plain_diff(e.left, i), _plain_diff(e.right, i))
+    if isinstance(e, Sub):
+        return sub(_plain_diff(e.left, i), _plain_diff(e.right, i))
+    if isinstance(e, Neg):
+        return neg(_plain_diff(e.arg, i))
+    if isinstance(e, Mul):
+        return add(mul(_plain_diff(e.left, i), e.right), mul(e.left, _plain_diff(e.right, i)))
+    if isinstance(e, Div):
+        return div(sub(mul(_plain_diff(e.left, i), e.right), mul(e.left, _plain_diff(e.right, i))),
+                   power(e.right, 2))
+    if isinstance(e, Pow):
+        return mul(mul(ConstR(float(e.exponent)), power(e.base, e.exponent - 1)),
+                   _plain_diff(e.base, i))
+    if isinstance(e, Apply):
+        return mul(_PLAIN_CHAIN[e.fn.name](e.arg), _plain_diff(e.arg, i))
     raise TypeError(f"cannot differentiate {type(e).__name__}")
 
 
@@ -827,6 +857,57 @@ class TestPartialsOnTheNode:
         fresh = parse(_GROWTH, 2)
         assert fresh == e and hash(fresh) == hash(e)
 
+    def test_the_partials_of_a_function_share_its_factor(self):
+        e = parse("sin(x1*x2)", 2)
+        d0, d1 = diff(e, 0), diff(e, 1)
+        assert d0.left is d1.left
+        assert d0.left == Apply(FUNCTIONS["cos"], e.arg) and d0.left.arg is e.arg
+        # kept with the partials, under a key that no index uses
+        assert e._partials == {None: d0.left, 0: d0, 1: d1}
+
+    def test_the_power_rule_factor_is_shared(self):
+        e = parse("(x1*x2)^3", 2)
+        d0, d1 = diff(e, 0), diff(e, 1)
+        assert d0.left is d1.left
+        assert d0.left == parse("3*(x1*x2)^2", 2) and d0.left.right.base is e.base
+
+    def test_exp_tan_and_sqrt_reuse_their_node(self):
+        e = parse("exp(x1*x2)", 2)
+        assert diff(e, 0).left is e and diff(e, 1).left is e
+        e = parse("tan(x1*x2)", 2)
+        factor = diff(e, 0).left
+        assert factor == add(ONE, power(e, 2)) and factor.right.base is e
+        e = parse("sqrt(x1*x2)", 2)
+        factor = diff(e, 0).left
+        assert factor == div(ConstR(0.5), e) and factor.right is e
+
+    def test_the_quotient_rule_reuses_the_quotient(self):
+        e = parse("x1/(x1 + x2)", 2)
+        d = diff(e, 0)
+        assert d == parse("(1 - x1/(x1 + x2))/(x1 + x2)", 2)
+        assert d.left.right is e and d.right is e.right
+        # a denominator free of the variable: the partial over the denominator
+        e = parse("sin(x1)/(x2 + 4)", 2)
+        d = diff(e, 0)
+        assert type(d) is Div and d.left is diff(e.left, 0) and d.right is e.right
+
+    def test_a_gradient_lifts_each_factor_once(self, monkeypatch):
+        # the partials by x1 and x2 hold one cos node: one value, one lift
+        e = parse("sin(x1*x2)", 2)
+        d0, d1 = diff(e, 0), diff(e, 1)
+        lifted = []
+        lift = weilc.expr._lift
+
+        def counting(fn, algebra, coeffs):
+            lifted.append(fn.name)
+            return lift(fn, algebra, coeffs)
+
+        monkeypatch.setattr(weilc.expr, "_lift", counting)
+        point = _jet2_point([0.3, 1.0, 0.0], [0.7, 0.0, 1.0])
+        eval_weil(d0, point)
+        eval_weil(d1, point)
+        assert lifted == ["cos"]
+
 
 def _computed_partials(monkeypatch):
     """Wrap _diff so that it records each (node, index) whose partial it
@@ -1155,6 +1236,34 @@ def test_shared_operands_match_tree_recursions(seed, xs):
         _same(_outcome(eval_real, new, xs), _outcome(_ref_eval_real, ref, xs), float.hex)
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    wrap=st.sampled_from(["plain", "exp", "tan", "log", "sqrt", "recip"]),
+    order=st.lists(st.integers(0, 1), min_size=1, max_size=3),
+)
+def test_a_tree_with_no_quotient_has_the_plain_derivatives(seed, wrap, order):
+    # diff shares the factors the plain rules build again: equal trees, and
+    # values equal to the bit
+    rng = rng_for(seed)
+    e = random_expr(rng, 2, depth=3)
+    if wrap != "plain":
+        e = Apply(PRIMITIVES[wrap], e)
+    point = random_point(rng, jets(2) if seed % 2 else trivial_algebra(), 2)
+    xs = list(point.base_point())
+    if wrap in ("log", "sqrt", "recip"):
+        # their first partial holds a quotient, which the next one differentiates
+        order = order[:1]
+    new = plain = e
+    for i in order:
+        new, plain = diff(new, i), _plain_diff(plain, i)
+        assert new == plain
+        assert to_string(new) == _ref_to_string(plain)
+        _same(_outcome(eval_real, new, xs), _outcome(eval_real, plain, xs), float.hex)
+        _same(_outcome(eval_weil, new, point), _outcome(eval_weil, plain, point),
+              _element_bits)
+
+
 # -- the facts each node holds, against the walk they replaced -----------------------
 
 
@@ -1356,6 +1465,24 @@ def _distinct(e):
     return {id(node): node for level in _ref_levels(e) for node in level}
 
 
+@pytest.mark.parametrize(
+    "template, order, bound",
+    [
+        # 456, 635, 706 and 75 distinct nodes when each partial built its own
+        # chain-rule factor and the quotient rule squared its denominator
+        ("sin(1.7*x1*x2)/(2.3 + x1^2)", (0, 0, 0, 0, 0, 0), 169),
+        ("exp(1.7*x1*x2)*cos(x1 + 2.3*x2)", (0, 1, 0, 1, 0, 1), 332),
+        ("log(2.3 + x1^2*x2)/(1.7 + 2 - x2)", (1, 0, 1, 0, 1, 0), 434),
+        ("tan(x1/2.3)*sqrt(1.7 + 1 + x2)", (0, 1, 0, 0, 1, 1), 67),
+    ],
+)
+def test_a_sixth_derivative_stays_shared(template, order, bound):
+    e = parse(template, 2)
+    for i in order:
+        e = diff(e, i)
+    assert len(_distinct(e)) <= bound
+
+
 class TestSharedGroups:
     """``parse`` parses the text of each parenthesized group or call
     argument once per call, so a repeated group is one node."""
@@ -1386,7 +1513,7 @@ class TestSharedGroups:
     def test_a_printed_derivative_parses_back_as_a_dag(self, template, order):
         e, text = _printed_derivative(template, order)
         parsed = parse(text, 2)
-        # 7,307, 893, 3,511 and 99 distinct nodes without the sharing
+        # 17,373, 1,607, 5,046 and 201 distinct nodes without the sharing
         assert len(_distinct(parsed)) <= 2 * len(_distinct(e))
         ref = _ref_parse(text, 2)
         assert parsed == ref
@@ -1398,8 +1525,8 @@ class TestSharedGroups:
                   key=lambda v: struct.pack("d", v))
 
     def test_parse_builds_each_binary_node_once(self, monkeypatch):
-        # the printed 5th derivative of the first template: 29,827
-        # characters, of which a parse without the sharing built 5,946
+        # the printed 5th derivative of the first template: 41,143
+        # characters, of which a parse without the sharing built 7,669
         # binary nodes
         _, text = _printed_derivative(*_PRINTED[0])
         built = []
@@ -1411,14 +1538,14 @@ class TestSharedGroups:
 
         monkeypatch.setattr(weilc.expr._Binary, "__init__", counting)
         parsed = parse(text, 2)
-        assert len(text) == 29_827
-        assert len(built) == 288
+        assert len(text) == 41_143
+        assert len(built) == 125
         binary = {id(node) for node in _distinct(parsed).values()
                   if isinstance(node, weilc.expr._Binary)}
         assert binary == {id(node) for node in built}
 
     def test_a_repeated_group_is_skipped_untokenized(self, monkeypatch):
-        # of the 29,827 characters of the printed 5th derivative, those of
+        # of the 41,143 characters of the printed 5th derivative, those of
         # each repeat of a group already read are not tokenized
         _, text = _printed_derivative(*_PRINTED[0])
         scanned = []
