@@ -9,7 +9,10 @@ identical strings, bitwise-equal values and the same first error.
 
 ``diff`` keeps each node's partials on the node, so a node is
 differentiated by one index once in its lifetime: a repeat call returns
-the same tree, and a warm cache gives the trees a cold one gives.
+the same tree, and a warm cache gives the trees a cold one gives.  It
+builds one chain-rule factor per node and reuses the node where its
+derivative holds it; ``_plain_diff`` builds each anew, and on a tree with
+no quotient the two give equal trees and bit-equal values.
 ``eval_weil`` keeps each node's value with the APoint it was computed at,
 so a node is evaluated once at one point for as long as that point is its
 last: a value read from the node is the value a fresh tree computes.
