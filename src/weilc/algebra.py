@@ -565,7 +565,9 @@ SQRT = PrimitiveFn("sqrt", _sqrt_derivs)
 RECIPROCAL = PrimitiveFn("recip", _recip_derivs)
 
 
-PRIMITIVES = {fn.name: fn for fn in (EXP, LOG, SIN, COS, TAN, SQRT, RECIPROCAL)}
+# the functions of the expression grammar, by name; RECIPROCAL is none of
+# them, and lifts only division and negative powers
+PRIMITIVES = {fn.name: fn for fn in (EXP, LOG, SIN, COS, TAN, SQRT)}
 
 
 def taylor_lift(prim: PrimitiveFn, a: WeilElement) -> WeilElement:

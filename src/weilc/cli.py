@@ -97,7 +97,7 @@ def _load(args) -> ProjectConfig:
 def _resolve(table: dict, name: str, what: str):
     if name not in table:
         known = ", ".join(sorted(table)) or "none defined"
-        raise WeilcError(f"unknown {what} {name!r} ({known})")
+        raise WeilcError(f"unknown {what} {cut_repr(name)} ({known})")
     return table[name]
 
 

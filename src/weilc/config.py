@@ -88,7 +88,8 @@ def _expect_mapping(data, prefix: str) -> dict:
 def _check_keys(data: dict, prefix: str, known: tuple[str, ...]):
     for key in data:
         if key not in known:
-            raise ConfigError(f"{prefix}unknown key {key!r} (known keys: {', '.join(known)})")
+            raise ConfigError(
+                f"{prefix}unknown key {cut_repr(key)} (known keys: {', '.join(known)})")
 
 
 def load_config(path: str) -> ProjectConfig:
@@ -142,7 +143,7 @@ def _loader():
                 if key in keys:
                     raise yaml.constructor.ConstructorError(
                         "while constructing a mapping", node.start_mark,
-                        f"found key {key!r} written twice", key_node.start_mark)
+                        f"found key {cut_repr(key)} written twice", key_node.start_mark)
                 keys.add(key)
             return node
 
@@ -194,7 +195,7 @@ def _read_bivector(entries, n: int) -> PoissonStructure:
             i_s, j_s = str(key).split(",")
             i, j = int(i_s), int(j_s)
         except ValueError:
-            raise ConfigError(f"key {key!r} is not 'i,j'") from None
+            raise ConfigError(f"key {cut_repr(key)} is not 'i,j'") from None
         if not 1 <= i < j <= n:
             raise ConfigError(f"entry ({i},{j}) is not upper-triangle in 1..{n}")
         # "1,2", "01,2" and "1, 2" are three YAML keys for one entry
@@ -239,7 +240,7 @@ def _read_config(data) -> ProjectConfig:
                     raise ConfigError("a name must be a string (quote it)")
                 entries[name] = read(value, n)
             except (WeilcError, ValueError) as exc:
-                raise ConfigError(f"{noun} {name!r}: {exc}") from exc
+                raise ConfigError(f"{noun} {cut_repr(name)}: {exc}") from exc
 
     suites = _expect_mapping(data.get("suites"), "suites ")
     _check_keys(suites, "suites settings: ", ("seed", "trials", "tol"))

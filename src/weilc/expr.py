@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import re
+from functools import reduce
 from typing import Iterable, Sequence
 
 from .algebra import (
@@ -51,11 +52,11 @@ from .errors import (
     AlgebraMismatch,
     DimensionMismatch,
     DomainError,
-    MAX_QUOTED,
     ParseError,
     Record,
     UnknownSymbol,
     WeilcError,
+    cut_repr,
     refuse_assignment,
     write_field,
 )
@@ -245,6 +246,9 @@ class Apply(Expr):
     __match_args__ = ("fn", "arg")
 
     def __init__(self, fn: PrimitiveFn, arg: Expr):
+        # by name, not identity: a pickled or copied tree rebuilds its own fn
+        if fn.name not in PRIMITIVES:
+            raise WeilcError(f"function {cut_repr(fn.name)} is not in the grammar")
         depth, top, algebra = arg.facts
         if depth >= MAX_NODE_DEPTH:
             raise WeilcError(_TOO_DEEP)
@@ -431,6 +435,20 @@ def power(base: Expr, k: int) -> Expr:
     return Pow(base, k)
 
 
+def add_all(terms: Iterable[Expr]) -> Expr:
+    """The sum of terms, zero terms dropped (ZERO for none), the one sum
+    builder of the library.  Up to three terms are added left to right,
+    ``add(add(a, b), c)``; more are added in pairs, level by level, until
+    three or fewer are left, so n terms add about log2 n levels, not n."""
+    terms = [t for t in terms if type(t) is not ConstR or t.value != 0.0]
+    while len(terms) > 3:
+        pairs = list(map(add, terms[::2], terms[1::2]))
+        if len(terms) & 1:
+            pairs.append(terms[-1])
+        terms = pairs
+    return reduce(add, terms) if terms else ZERO
+
+
 # -- operand rules -----------------------------------------------------------
 
 
@@ -545,7 +563,6 @@ _CHAIN = {
     "cos": lambda e: neg(Apply(PRIMITIVES["sin"], e.arg)),
     "tan": lambda e: add(ONE, power(e, 2)),
     "sqrt": lambda e: div(ConstR(0.5), e),
-    "recip": lambda e: neg(div(ONE, power(e.arg, 2))),
 }
 
 
@@ -590,9 +607,11 @@ def _diff(e: Expr, i: int) -> Expr:
     elif kind is Mul:
         d = add(mul(_diff(e.left, i), e.right), mul(e.left, _diff(e.right, i)))
     elif kind is Div:
-        # (u/v)' = (u' - e*v')/v: folds to u'/v where v' is 0
+        # (u/v)' = (u' - e*v')/v: folds to u'/v where v' is 0, and to ZERO
+        # where the numerator folds to 0, as div does not fold 0/v
         dright = _diff(e.right, i)
-        d = div(sub(_diff(e.left, i), mul(e, dright)), e.right)
+        d = sub(_diff(e.left, i), mul(e, dright))
+        d = ZERO if is_zero(d) else div(d, e.right)
     elif kind is Pow or kind is Apply:
         factor = partials.get(None)
         if factor is None:
@@ -786,8 +805,6 @@ def _eval_real(e: Expr, xs: Sequence[float], memo: dict) -> float:
 
 # -- parsing -----------------------------------------------------------------------
 
-FUNCTIONS = {name: PRIMITIVES[name] for name in ("exp", "log", "sin", "cos", "tan", "sqrt")}
-
 # one token: an operator or parenthesis, an identifier, a number, or any
 # other character, which no rule takes.  The first characters tell them
 # apart, operators first as the most frequent.  Digits are ASCII, as the
@@ -828,14 +845,6 @@ MAX_NODE_DEPTH = 300
 _TOO_DEEP = f"expression tree deeper than {MAX_NODE_DEPTH} levels"
 
 _DEEPER = f"expression tree is deeper than {MAX_DEPTH}"
-
-
-def _quoted(token: str) -> str:
-    """A refused token as its error message shows it: whole, or its first
-    MAX_QUOTED characters and its length."""
-    if len(token) <= MAX_QUOTED:
-        return repr(token)
-    return f"{token[:MAX_QUOTED]!r}... ({len(token)} characters)"
 
 
 def _error(text: str, position: int, message: str, kind=ParseError) -> ParseError:
@@ -920,10 +929,10 @@ def parse(text: str, n: int) -> Expr:
         at += 1
         e = leaves.get(token)
         if e is None:
-            if token == "-" or token == "(" or token in FUNCTIONS and tokens[at] == "(":
+            if token == "-" or token == "(" or token in PRIMITIVES and tokens[at] == "(":
                 # the parser recurses only here: into a sign's operand, a
                 # parenthesis or a call's argument
-                if token in FUNCTIONS:
+                if token in PRIMITIVES:
                     at += 1
                 nest += 1
                 if nest > MAX_DEPTH:
@@ -984,7 +993,7 @@ def parse(text: str, n: int) -> Expr:
                     peak = outer
                 nest -= 1
                 if token != "(":
-                    e = Apply(FUNCTIONS[token], e)
+                    e = Apply(PRIMITIVES[token], e)
             else:
                 e = leaves[token] = leaf(token)
         while tokens[at] == "^":
@@ -1015,7 +1024,7 @@ def parse(text: str, n: int) -> Expr:
         if token[0] in "0123456789." and token != ".":
             value = float(token)
             if not math.isfinite(value):
-                raise _fail(text, tokens, k, f"number {_quoted(token)} is not finite")
+                raise _fail(text, tokens, k, f"number {cut_repr(token)} is not finite")
             return ConstR(value)
         m = _VAR.match(token)
         if m is not None:
@@ -1023,14 +1032,14 @@ def parse(text: str, n: int) -> Expr:
             # counted before int(), which refuses more than 4300 digits
             if len(digits) > len(str(n)) or int(digits) > n:
                 raise _fail(text, tokens, k,
-                            f"variable {_quoted(token)} exceeds chart dimension {n}",
+                            f"variable {cut_repr(token)} exceeds chart dimension {n}",
                             UnknownSymbol)
             return Var(int(digits) - 1)
         if token in "+*/^)":
             raise _fail(text, tokens, k, f"unexpected {token!r}")
         if tokens[at] == "(":
-            raise _fail(text, tokens, k, f"unknown function {_quoted(token)}", UnknownSymbol)
-        raise _fail(text, tokens, k, f"unknown identifier {_quoted(token)}", UnknownSymbol)
+            raise _fail(text, tokens, k, f"unknown function {cut_repr(token)}", UnknownSymbol)
+        raise _fail(text, tokens, k, f"unknown identifier {cut_repr(token)}", UnknownSymbol)
 
     try:
         e = binary()
@@ -1039,7 +1048,7 @@ def parse(text: str, n: int) -> Expr:
         # and the memos go when the call returns, not at a cycle collection
         binary = prefix = None
     if tokens[at]:
-        raise _fail(text, tokens, at, f"unexpected {_quoted(tokens[at])}")
+        raise _fail(text, tokens, at, f"unexpected {cut_repr(tokens[at])}")
     if e.facts[0] > MAX_DEPTH:
         raise ParseError(_DEEPER, 0)
     return e

@@ -19,7 +19,7 @@ from .expr import (
     AFunction,
     Expr,
     ZERO,
-    add,
+    add_all,
     chart_point,
     diff,
     eval_weil,
@@ -91,12 +91,9 @@ class CoordForm(Record):
         same_chart(self, other)
         if other.degree != self.degree:
             raise DegreeError("cannot add forms of different degree")
-        acc = _Accumulator()
-        for idx, c in self.coeffs.items():
-            acc.put(idx, c)
-        for idx, c in other.coeffs.items():
-            acc.put(idx, c)
-        return CoordForm(self.degree, self.dim, self.algebra, acc.build())
+        terms = [(idx, c, 1) for coeffs in (self.coeffs, other.coeffs)
+                 for idx, c in coeffs.items()]
+        return CoordForm(self.degree, self.dim, self.algebra, _sum_by_index(terms))
 
     def __neg__(self) -> "CoordForm":
         return CoordForm(
@@ -129,22 +126,16 @@ class CoordForm(Record):
         return " + ".join(parts)
 
 
-class _Accumulator:
-    """Coefficient accumulation: signed terms summed per index in the order
-    they come, zero terms and zero totals dropped."""
-
-    def __init__(self):
-        self.totals: dict[Index, Expr] = {}
-
-    def put(self, idx: Index, expr: Expr, sign: int = 1):
-        if is_zero(expr):
-            return
-        signed = expr if sign > 0 else neg(expr)
-        total = self.totals.get(idx)
-        self.totals[idx] = signed if total is None else add(total, signed)
-
-    def build(self) -> dict[Index, Expr]:
-        return {idx: total for idx, total in self.totals.items() if not is_zero(total)}
+def _sum_by_index(terms: list[tuple[Index, Expr, int]]) -> dict[Index, Expr]:
+    """The coefficients of signed terms ``(index, expr, sign)``: each index's
+    terms summed by ``add_all`` in the order they come, zero terms and zero
+    totals dropped.  Each index keeps the place of its first non-zero term."""
+    groups: dict[Index, list[Expr]] = {}
+    for idx, expr, sign in terms:
+        if not is_zero(expr):
+            groups.setdefault(idx, []).append(expr if sign > 0 else neg(expr))
+    totals = {idx: add_all(group) for idx, group in groups.items()}
+    return {idx: total for idx, total in totals.items() if not is_zero(total)}
 
 
 def zero_form(degree: int, dim: int, algebra: WeilAlgebra | None) -> CoordForm:
@@ -163,10 +154,8 @@ def delta(fn: AFunction) -> CoordForm:
     Algebra-linear because constants die under the partials, and Leibniz
     by the product rule.
     """
-    acc = _Accumulator()
-    for i in range(fn.dim):
-        acc.put((i,), diff(fn.expr, i))
-    return CoordForm(1, fn.dim, fn.algebra, acc.build())
+    terms = [((i,), diff(fn.expr, i), 1) for i in range(fn.dim)]
+    return CoordForm(1, fn.dim, fn.algebra, _sum_by_index(terms))
 
 
 def _merge_indices(left: Index, right: Index) -> tuple[int, Index] | None:
@@ -187,31 +176,27 @@ def _merge_indices(left: Index, right: Index) -> tuple[int, Index] | None:
 def wedge(a: CoordForm, b: CoordForm) -> CoordForm:
     """Exterior product; graded commutative and associative."""
     same_chart(a, b)
-    acc = _Accumulator()
+    terms = []
     for ia, ca in a.coeffs.items():
         for ib, cb in b.coeffs.items():
             merged = _merge_indices(ia, ib)
             if merged is None:
                 continue
             sign, idx = merged
-            acc.put(idx, mul(ca, cb), sign)
-    return CoordForm(a.degree + b.degree, a.dim, a.algebra, acc.build())
+            terms.append((idx, mul(ca, cb), sign))
+    return CoordForm(a.degree + b.degree, a.dim, a.algebra, _sum_by_index(terms))
 
 
 def dform(w: CoordForm) -> CoordForm:
     """Degree +1 derivation: d(phi dx_I) = sum_i (dphi/dx_i) dx_i ^ dx_I."""
-    acc = _Accumulator()
+    terms = []
     for idx, c in w.coeffs.items():
         for i in range(w.dim):
             if i in idx:
                 continue
-            dc = diff(c, i)
-            if is_zero(dc):
-                continue
             pos = sum(1 for j in idx if j < i)
-            inserted = idx[:pos] + (i,) + idx[pos:]
-            acc.put(inserted, dc, (-1) ** pos)
-    return CoordForm(w.degree + 1, w.dim, w.algebra, acc.build())
+            terms.append((idx[:pos] + (i,) + idx[pos:], diff(c, i), (-1) ** pos))
+    return CoordForm(w.degree + 1, w.dim, w.algebra, _sum_by_index(terms))
 
 
 def interior(field_: VectorField, w: CoordForm) -> CoordForm:
@@ -220,12 +205,9 @@ def interior(field_: VectorField, w: CoordForm) -> CoordForm:
         raise DegreeError("interior product needs degree >= 1")
     same_chart(field_, w)
     comps = field_.components
-    acc = _Accumulator()
-    for idx, c in w.coeffs.items():
-        for k, i in enumerate(idx):
-            rest = idx[:k] + idx[k + 1 :]
-            acc.put(rest, mul(comps[i], c), (-1) ** k)
-    return CoordForm(w.degree - 1, w.dim, w.algebra, acc.build())
+    terms = [(idx[:k] + idx[k + 1 :], mul(comps[i], c), (-1) ** k)
+             for idx, c in w.coeffs.items() for k, i in enumerate(idx)]
+    return CoordForm(w.degree - 1, w.dim, w.algebra, _sum_by_index(terms))
 
 
 def contract(field_: VectorField, w: CoordForm) -> AFunction:

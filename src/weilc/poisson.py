@@ -40,6 +40,7 @@ from .expr import (
     Var,
     ZERO,
     add,
+    add_all,
     chart_point,
     diff,
     eval_real,
@@ -327,19 +328,20 @@ def _operands(pi: PoissonStructure, *operands: AFunction | CoordForm) -> WeilAlg
 
 def _pair(pi: PoissonStructure, a: Sequence[Expr], b: Sequence[Expr]) -> Expr:
     """sum_(i<j) pi_ij (a_i b_j - a_j b_i) over per-index expressions."""
-    out: Expr = ZERO
-    for (i, j), p in pi.entries.items():
-        out = add(out, mul(p, sub(mul(a[i], b[j]), mul(a[j], b[i]))))
-    return out
+    return add_all(mul(p, sub(mul(a[i], b[j]), mul(a[j], b[i])))
+                   for (i, j), p in pi.entries.items())
 
 
 def _sharp(pi: PoissonStructure, a: Sequence[Expr]) -> tuple[Expr, ...]:
-    """The components sum_i pi_ij a_i of the field that pi makes of a."""
-    comps: list[Expr] = [ZERO] * pi.dim
+    """The components sum_i pi_ik a_i of the field that pi makes of a:
+    component k sums pi_ik a_i over the entries (i, k), less pi_kj a_j over
+    the entries (k, j)."""
+    plus: list[list[Expr]] = [[] for _ in range(pi.dim)]
+    minus: list[list[Expr]] = [[] for _ in range(pi.dim)]
     for (i, j), p in pi.entries.items():
-        comps[j] = add(comps[j], mul(p, a[i]))
-        comps[i] = sub(comps[i], mul(p, a[j]))
-    return tuple(comps)
+        plus[j].append(mul(p, a[i]))
+        minus[i].append(mul(p, a[j]))
+    return tuple(sub(add_all(pk), add_all(mk)) for pk, mk in zip(plus, minus))
 
 
 def _gradient(pi: PoissonStructure, f: Expr) -> list[Expr]:

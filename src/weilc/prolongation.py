@@ -24,6 +24,7 @@ from .expr import (
     APoint,
     Expr,
     add,
+    add_all,
     chart_point,
     diff,
     eval_weil,
@@ -90,15 +91,11 @@ AVectorField = VectorField
 
 
 def apply_field(theta: VectorField, f: Expr) -> Expr:
-    """theta(f) = sum_i theta_i * df/dx_i, symbolically; the one action
-    loop, for base and prolonged fields alike."""
-    out = None
-    for i, comp in enumerate(theta.components):
-        term = mul(comp, diff(f, i))
-        out = term if out is None else add(out, term)
-    if out is None:
+    """theta(f) = sum_i theta_i * df/dx_i, symbolically; the one action,
+    for base and prolonged fields alike."""
+    if not theta.components:
         raise DimensionMismatch("vector field has no components")
-    return out
+    return add_all(mul(comp, diff(f, i)) for i, comp in enumerate(theta.components))
 
 
 def lie_bracket(t1: VectorField, t2: VectorField) -> VectorField:

@@ -28,6 +28,7 @@ from weilc import (
 )
 from weilc.algebra import (
     MAX_ALGEBRA_DIM,
+    RECIPROCAL,
     _CHUNK,
     _close,
     _compile,
@@ -52,6 +53,10 @@ from weilc.prolongation import APoint
 from weilc.sampling import CATALOG, catalog_algebra, random_element, rng_for
 
 from structures import allclose
+
+# every lifted function: the grammar's six, and the reciprocal that lifts
+# division and negative powers
+LIFTED = {**PRIMITIVES, RECIPROCAL.name: RECIPROCAL}
 
 
 def two_gen_algebra():
@@ -308,7 +313,7 @@ class TestElementFormat:
             a + b, a + 1, 1 + a, a - b, a - 1, 1 - a, -a,
             a * b, a * 2, 2 * a, a * 0.5, a * np.float64(0.5), a / b, a / 2,
             a / np.float64(2), a + np.float64(1), a**3, a**-2,
-            taylor_lift(PRIMITIVES["exp"], a),
+            taylor_lift(LIFTED["exp"], a),
             apply_linear(np.eye(3), a),
             validate_morphism(A, dual_numbers(), [[1, 0, 0], [0, 1, 0]]).apply(a),
             augmentation_morphism(A).apply(a),
@@ -409,14 +414,14 @@ class TestProductKernel:
 
     @given(
         st.sampled_from(KERNEL_ALGEBRAS),
-        st.sampled_from(sorted(PRIMITIVES)),
+        st.sampled_from(sorted(LIFTED)),
         st.data(),
     )
     def test_taylor_lift_is_the_taylor_sum(self, A, name, data):
         # g(a) = sum_j g^(j)(r) n^j / j!, with n^j by reference products
         nil = data.draw(st.lists(COEFFS, min_size=A.dim - 1, max_size=A.dim - 1))
         a = A.element([data.draw(st.floats(-3, 3))] + nil)
-        prim = PRIMITIVES[name]
+        prim = LIFTED[name]
         try:
             lifted = taylor_lift(prim, a)
         except DomainError:
@@ -505,12 +510,12 @@ class TestCompiledKernels:
         A = trivial_algebra()
         assert_bitwise(A._mul([x], [y]), reference_product(A, [x], [y]))
 
-    @given(st.sampled_from(sorted(PRIMITIVES)), st.floats(-3, 3))
+    @given(st.sampled_from(sorted(LIFTED)), st.floats(-3, 3))
     @example("recip", 2.225073858507203e-309)
     def test_trivial_algebra_lift_is_the_function_value(self, name, r):
         # height 0: the kernel's power loop never runs; a value that is not
         # finite (1/r at a subnormal r) makes the lift raise
-        prim = PRIMITIVES[name]
+        prim = LIFTED[name]
         try:
             value = prim.derivatives(r, 0)
         except DomainError:
@@ -528,28 +533,28 @@ class TestCompiledKernels:
 
     def test_lift_adds_the_zero_real_slot_of_each_power(self):
         # sin(-0.0) = -0.0, and -0.0 + 0.0*cos(-0.0) is +0.0
-        lifted = taylor_lift(PRIMITIVES["sin"], dual_numbers().element([-0.0, 0.5]))
+        lifted = taylor_lift(LIFTED["sin"], dual_numbers().element([-0.0, 0.5]))
         assert_bitwise(lifted.coeffs, [0.0, 0.5])
 
     def test_lift_stops_before_the_first_zero_power(self):
         # n^2 = 0, so the -inf third derivative of 1/r at 1e-77 is never
         # read, and the lift is about [1e77, 0, 0, -1e-146]
-        derivs = PRIMITIVES["recip"].derivatives(1e-77, 3)
+        derivs = RECIPROCAL.derivatives(1e-77, 3)
         assert derivs[3] == -math.inf
         a = jets(3).element([1e-77, 0.0, 0.0, 1e-300])
         expected = [derivs[0], 0.0, 0.0, 0.0 + 1e-300 * derivs[1]]
-        assert_bitwise(taylor_lift(PRIMITIVES["recip"], a).coeffs, expected)
+        assert_bitwise(taylor_lift(RECIPROCAL, a).coeffs, expected)
 
     @pytest.mark.parametrize("bad", [1e200, float("inf"), float("-inf")])
     @pytest.mark.parametrize("name", ["exp", "sin", "recip"])
     def test_non_finite_lift_is_a_domain_error(self, name, bad):
         A = jets(10)
         with pytest.raises(DomainError):
-            taylor_lift(PRIMITIVES[name], A.element([0.5, bad] + [0.0] * (A.dim - 2)))
+            taylor_lift(LIFTED[name], A.element([0.5, bad] + [0.0] * (A.dim - 2)))
 
     @given(
         st.sampled_from([catalog_algebra("mixed"), jets(10)]),
-        st.sampled_from(sorted(PRIMITIVES)),
+        st.sampled_from(sorted(LIFTED)),
         st.data(),
     )
     def test_lift_is_the_full_plan_taylor_sum(self, A, name, data):
@@ -557,7 +562,7 @@ class TestCompiledKernels:
             st.lists(FINITE_COEFFS, min_size=A.dim - 1, max_size=A.dim - 1)
         )
         a = A.element([data.draw(st.floats(-3, 3))] + nil)
-        prim = PRIMITIVES[name]
+        prim = LIFTED[name]
         try:
             lifted = taylor_lift(prim, a)
         except DomainError:
@@ -592,12 +597,12 @@ class TestTaylorLift:
     def test_exp_at_zero(self):
         A = dual_numbers()
         a = A.generator("eps")
-        assert allclose(taylor_lift(PRIMITIVES["exp"], a), A.element([1, 1]), 1e-15)
+        assert allclose(taylor_lift(LIFTED["exp"], a), A.element([1, 1]), 1e-15)
 
     def test_exp_at_one_against_oracle(self):
         A = dual_numbers()
         a = A.from_real(1) + A.generator("eps")
-        lifted = taylor_lift(PRIMITIVES["exp"], a)
+        lifted = taylor_lift(LIFTED["exp"], a)
         oracle = np.array(taylor_coeffs(mpmath.exp, 1.0, 1))
         assert np.all(np.abs(lifted.coeffs - oracle) <= 1e-9 * (1 + np.abs(oracle)))
         assert abs(lifted.coeffs[0] - 2.718281828459045) <= 1e-9
@@ -605,16 +610,16 @@ class TestTaylorLift:
     def test_log_domain_error(self):
         A = dual_numbers()
         with pytest.raises(DomainError):
-            taylor_lift(PRIMITIVES["log"], A.generator("eps"))
+            taylor_lift(LIFTED["log"], A.generator("eps"))
         with pytest.raises(DomainError):
-            taylor_lift(PRIMITIVES["recip"], A.generator("eps"))
+            taylor_lift(RECIPROCAL, A.generator("eps"))
 
     @pytest.mark.parametrize("A", [dual_numbers(), jets(3)], ids=["dual", "jets3"])
     @pytest.mark.parametrize("name, value", [("recip", 1e170), ("log", math.log(1e-170))])
     def test_a_tiny_real_element_lifts_to_the_function_value(self, A, name, value):
         # 1/r^2 underflows to 0 at r = 1e-170, but a real element's nilpotent
         # part is zero, so its lift reads f(r) alone
-        lifted = taylor_lift(PRIMITIVES[name], A.from_real(1e-170))
+        lifted = taylor_lift(LIFTED[name], A.from_real(1e-170))
         assert lifted.coeffs == [value] + [0.0] * (A.dim - 1)
 
     @pytest.mark.parametrize("A", [dual_numbers(), jets(3)], ids=["dual", "jets3"])
@@ -628,7 +633,7 @@ class TestTaylorLift:
         # multiplies the derivative that 1e-170 leaves undefined
         a = A.element([real, nil] + [0.0] * (A.dim - 2))
         with pytest.raises(DomainError, match=re.escape(message)):
-            taylor_lift(PRIMITIVES[name], a)
+            taylor_lift(LIFTED[name], a)
 
     def test_sqrt_derivatives_keep_the_general_power_formula(self):
         # the x^p rule that sqrt used before it was folded, with the branches
@@ -651,7 +656,7 @@ class TestTaylorLift:
     def test_sqrt_squares_back(self):
         A = jets(2)
         a = A.from_real(2.25) + A.generator("t")
-        root = taylor_lift(PRIMITIVES["sqrt"], a)
+        root = taylor_lift(LIFTED["sqrt"], a)
         assert allclose(root * root, a, 1e-12)
 
     @pytest.mark.parametrize("name,fn,low", [
@@ -665,7 +670,7 @@ class TestTaylorLift:
             h = int(rng.integers(1, 5))
             r = float(rng.uniform(low, 2.0))
             A = jets(h)
-            lifted = taylor_lift(PRIMITIVES[name], A.from_real(r) + A.generator("t"))
+            lifted = taylor_lift(LIFTED[name], A.from_real(r) + A.generator("t"))
             oracle = np.array(taylor_coeffs(fn, r, h))
             assert np.all(
                 np.abs(lifted.coeffs - oracle) <= 1e-6 * (1 + np.abs(oracle))
@@ -694,9 +699,9 @@ class TestTaylorLift:
         # tan = sin/cos through independent code paths
         A = jets(3)
         a = A.from_real(0.4) + A.generator("t")
-        direct = taylor_lift(PRIMITIVES["tan"], a)
-        quotient = taylor_lift(PRIMITIVES["sin"], a) / taylor_lift(
-            PRIMITIVES["cos"], a
+        direct = taylor_lift(LIFTED["tan"], a)
+        quotient = taylor_lift(LIFTED["sin"], a) / taylor_lift(
+            LIFTED["cos"], a
         )
         assert allclose(direct, quotient, 1e-12)
 
@@ -841,29 +846,29 @@ class TestFunctionalIdentities:
             self._random_elements(A, 15, 21), self._random_elements(A, 15, 22)
         )
         for a, b in pairs:
-            lhs = taylor_lift(PRIMITIVES["exp"], a + b)
-            rhs = taylor_lift(PRIMITIVES["exp"], a) * taylor_lift(
-                PRIMITIVES["exp"], b
+            lhs = taylor_lift(LIFTED["exp"], a + b)
+            rhs = taylor_lift(LIFTED["exp"], a) * taylor_lift(
+                LIFTED["exp"], b
             )
             assert allclose(lhs, rhs, 1e-9)
 
     def test_log_inverts_exp(self):
         A = jets(4)
         for a in self._random_elements(A, 15, 23):
-            log_exp = taylor_lift(PRIMITIVES["log"], taylor_lift(PRIMITIVES["exp"], a))
+            log_exp = taylor_lift(LIFTED["log"], taylor_lift(LIFTED["exp"], a))
             assert allclose(log_exp, a, 1e-9)
 
     def test_pythagorean_identity(self):
         A = jets(4)
         for a in self._random_elements(A, 15, 24):
-            s = taylor_lift(PRIMITIVES["sin"], a)
-            c = taylor_lift(PRIMITIVES["cos"], a)
+            s = taylor_lift(LIFTED["sin"], a)
+            c = taylor_lift(LIFTED["cos"], a)
             assert allclose(s * s + c * c, A.unit(), 1e-9)
 
     def test_overflow_becomes_domain_error(self):
         A = dual_numbers()
         with pytest.raises(DomainError):
-            taylor_lift(PRIMITIVES["exp"], A.from_real(1e4))
+            taylor_lift(LIFTED["exp"], A.from_real(1e4))
 
     @pytest.mark.parametrize("name,r", [
         ("recip", 1e-200),  # r^2 underflows to zero
@@ -873,4 +878,4 @@ class TestFunctionalIdentities:
     def test_undefined_derivatives_become_domain_error(self, name, r):
         A = dual_numbers()
         with pytest.raises(DomainError):
-            taylor_lift(PRIMITIVES[name], A.from_real(r) + A.generator("eps"))
+            taylor_lift(LIFTED[name], A.from_real(r) + A.generator("eps"))

@@ -16,6 +16,9 @@ from weilc.algebra import MAX_ALGEBRA_DIM
 from weilc.poisson import MAX_CHART_DIM
 from weilc.cli import main
 from weilc.config import parse_relation
+from weilc.expr import to_string
+
+from structures import perturbed_so10, so_n
 
 # 10,000 zeros, the items of a long value in a config or a --point
 ZEROS = ", ".join(["0"] * 10000)
@@ -263,6 +266,24 @@ class TestCheck:
         assert "[FAIL]" in out
         assert "check: jacobi" in out
 
+    @pytest.mark.parametrize("name, code", [("so10", 0), ("so10_perturbed", 4)])
+    def test_poisson_full_on_a_wide_chart(self, tmp_path, capsys, name, code):
+        # so(10)*: 45 coordinates and 360 entries, which each bracket used to
+        # sum one tree level a term, past MAX_NODE_DEPTH: the run exited 2
+        bivectors = {"so10": so_n(10), "so10_perturbed": perturbed_so10()}
+        path = tmp_path / "so10.yaml"
+        path.write_text(yaml.safe_dump({
+            "chart_dim": 45,
+            "algebras": {"jet2": {"generators": ["t"], "relations": ["t^3"]}},
+            "bivectors": {key: {f"{i + 1},{j + 1}": to_string(e)
+                                for (i, j), e in pi.entries.items()}
+                          for key, pi in bivectors.items()},
+        }), encoding="utf-8")
+        argv = ["--config", str(path), "check", "poisson_full", "--pi", name,
+                "--algebra", "jet2", "--trials", "3", "--seed", "42"]
+        assert main(argv) == code
+        assert ("[PASS]" if code == 0 else "[FAIL]") in capsys.readouterr().out
+
     def test_unknown_suite(self, config2, capsys):
         assert main(["--config", config2, "check", "nosuch"]) == 2
 
@@ -476,15 +497,34 @@ class TestConfigHandling:
             (_one_algebra(["t"], ["t^" + "x" * 9998]), ["algebra-show", "A"],
              f"config error: algebra 'A': bad exponent in relation 't^{'x' * 37}... "
              "(10002 characters)"),
+            # a plain key is refused past 1,024 characters, an explicit one (?) is not
+            (f"chart_dim: 1\n? {'k' * 10000}\n: 1\n", ["algebra-show", "dual"],
+             f"config error: config root: unknown key '{'k' * 39}... (10002 characters) "
+             "(known keys: chart_dim, algebras, expressions, vector_fields, bivectors, suites)"),
+            (f"? {'k' * 10000}\n: 1\n? {'k' * 10000}\n: 2\n", ["algebra-show", "dual"],
+             "config error: config PATH is not valid YAML: while constructing a mapping\n"
+             '  in "PATH", line 1, column 1\n'
+             f"found key '{'k' * 39}... (10002 characters) written twice\n"
+             '  in "PATH", line 3, column 3'),
+            (f"chart_dim: 1\nbivectors:\n  b:\n    ? {'k' * 10000}\n    : x1\n",
+             ["algebra-show", "dual"],
+             f"config error: bivector 'b': key '{'k' * 39}... (10002 characters) is not 'i,j'"),
+            (f"chart_dim: 1\nexpressions:\n  ? {'n' * 10000}\n  : 'x1 +'\n",
+             ["algebra-show", "dual"],
+             f"config error: expression '{'n' * 39}... (10002 characters): "
+             "unexpected end of input (at position 4)"),
+            (None, ["eval", "n" * 10000, "dual", "--point", "[[1, 0]]"],
+             f"error: unknown expression '{'n' * 39}... (10002 characters) (f)"),
         ],
         ids=["point_length", "coefficients", "non_number", "non_finite", "chart_dim",
              "generators", "generator", "suites", "generator_name", "duplicate_names",
-             "no_pure_power", "unknown_generator", "bad_exponent"],
+             "no_pure_power", "unknown_generator", "bad_exponent", "unknown_key",
+             "repeated_key", "bivector_key", "entry_name", "unknown_name"],
     )
     def test_a_long_refused_value_is_cut(self, tmp_path, capsys, text, argv, message):
         # each value was echoed whole: 10,000 items made a line of 30,000
-        # to 119,000 characters, and a 10,000-character name or relation one
-        # of 10,072
+        # to 119,000 characters, and a 10,000-character name, key or
+        # relation one of 10,069 to 10,123
         path = tmp_path / "project.yaml"
         path.write_text(text or ("chart_dim: 1\nalgebras:\n"
                                  "  dual: {generators: [eps], relations: [eps^2]}\n"
@@ -492,7 +532,7 @@ class TestConfigHandling:
                                  "expressions: {f: x1}\n"), encoding="utf-8")
         assert main(["--config", str(path), *argv]) == (1 if message.startswith("config") else 2)
         captured = capsys.readouterr()
-        assert captured.err == message + "\n"
+        assert captured.err == message.replace("PATH", str(path)) + "\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize(

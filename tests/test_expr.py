@@ -18,7 +18,7 @@ from weilc.errors import (
     UnknownSymbol,
     WeilcError,
 )
-from weilc.algebra import PRIMITIVES
+from weilc.algebra import PRIMITIVES, RECIPROCAL, PrimitiveFn
 from weilc.expr import (
     _CHAIN,
     AFunction,
@@ -27,7 +27,6 @@ from weilc.expr import (
     ConstA,
     ConstR,
     Div,
-    FUNCTIONS,
     MAX_DEPTH,
     MAX_EXPONENT,
     MAX_NODE_DEPTH,
@@ -38,6 +37,7 @@ from weilc.expr import (
     Var,
     ZERO,
     add,
+    add_all,
     diff,
     div,
     eval_real,
@@ -60,7 +60,7 @@ from structures import real_point
 class TestParse:
     def test_basic_shapes(self):
         assert parse("x1^2 + sin(x2)", 2) == Add(
-            Pow(Var(0), 2), Apply(FUNCTIONS["sin"], Var(1))
+            Pow(Var(0), 2), Apply(PRIMITIVES["sin"], Var(1))
         )
         assert parse("x1*(x2+3)", 2) == Mul(Var(0), Add(Var(1), ConstR(3.0)))
 
@@ -91,15 +91,16 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "text, kind, start, length",
-        [("x1 + " + "a" * 5000, UnknownSymbol, "unknown identifier 'aaa", 5000),
-         ("x1 + " + "f" * 5000 + "(x1)", UnknownSymbol, "unknown function 'fff", 5000),
-         ("x" + "1" * 5000, UnknownSymbol, "variable 'x11", 5001),
-         ("1" * 5000 + "e999", ParseError, "number '111", 5004),
-         ("x1 " + "b" * 5000, ParseError, "unexpected 'bbb", 5000)],
+        [("x1 + " + "a" * 5000, UnknownSymbol, "unknown identifier 'aaa", 5002),
+         ("x1 + " + "f" * 5000 + "(x1)", UnknownSymbol, "unknown function 'fff", 5002),
+         ("x" + "1" * 5000, UnknownSymbol, "variable 'x11", 5003),
+         ("1" * 5000 + "e999", ParseError, "number '111", 5006),
+         ("x1 " + "b" * 5000, ParseError, "unexpected 'bbb", 5002)],
         ids=["identifier", "function", "variable", "number", "trailing"],
     )
     def test_a_long_refused_token_is_quoted_in_part(self, text, kind, start, length):
-        # a bounded prefix and the token's length, not the whole token
+        # a bounded prefix of the token's repr and the repr's length, as
+        # every refused text is cut (errors.cut_repr)
         with pytest.raises(kind) as err:
             parse(text, 2)
         message = str(err.value)
@@ -198,8 +199,8 @@ def _exprs():
             children.filter(lambda e: not isinstance(e, ConstR)).map(Neg),
             st.tuples(children, st.integers(-4, 5)).map(lambda t: Pow(*t)),
             st.tuples(
-                st.sampled_from(sorted(FUNCTIONS)), children
-            ).map(lambda t: Apply(FUNCTIONS[t[0]], t[1])),
+                st.sampled_from(sorted(PRIMITIVES)), children
+            ).map(lambda t: Apply(PRIMITIVES[t[0]], t[1])),
         )
 
     return st.recursive(leaves, extend, max_leaves=16)
@@ -247,9 +248,8 @@ class TestPrinter:
 # every primitive, and below tan's pole at pi/2
 _INNER = "0.2 + 0.5*x1*x2 + 0.3*x1^2"
 
-# every rule of diff: each chain-rule row (recip, which the grammar does not
-# name, built by hand), the power rule, and the quotient rule, also where
-# the denominator is free of x2
+# every rule of diff: each chain-rule row, the power rule, and the quotient
+# rule, also where the denominator is free of x2
 _RULES = {
     **{name: lambda name=name: Apply(PRIMITIVES[name], parse(_INNER, 2)) for name in PRIMITIVES},
     **{f"power{k}": lambda k=k: power(parse(_INNER, 2), k) for k in (-3, -1, 2, 3, 5)},
@@ -290,6 +290,11 @@ class TestDiff:
     def test_power_rule(self):
         assert diff(parse("x1^2", 1), 0) == parse("2*x1", 1)
 
+    def test_a_quotient_partial_that_folds_to_zero_is_zero(self):
+        # div does not fold 0/v, as v may be 0 at a point; it stayed 0/sqrt(3 + x2)
+        assert diff(parse("0.5/sqrt(3 + x2)", 2), 0) is ZERO
+        assert diff(parse("x2/(1 + x2)", 2), 0) is ZERO
+
     @pytest.mark.parametrize("k", [2.5, 2.0, -1.0, True, np.int64(2)],
                              ids=["2.5", "2.0", "-1.0", "True", "int64"])
     def test_a_power_refuses_an_exponent_that_is_no_int(self, k):
@@ -309,7 +314,7 @@ class TestDiff:
 
     def test_chain_rule_shape(self):
         d = diff(parse("sin(x1*x2)", 2), 1)
-        assert d == Mul(Apply(FUNCTIONS["cos"], Mul(Var(0), Var(1))), Var(0))
+        assert d == Mul(Apply(PRIMITIVES["cos"], Mul(Var(0), Var(1))), Var(0))
 
     @pytest.mark.parametrize("i", [-1, -2, -10**30])
     def test_a_negative_index_is_refused(self, i):
@@ -503,7 +508,7 @@ class TestSubstitute:
         g = parse("x1^2 + 1", 1)
         h = parse("sin(x1)", 1)
         composed = substitute(g, [h])
-        assert composed == Add(Pow(Apply(FUNCTIONS["sin"], Var(0)), 2), ConstR(1.0))
+        assert composed == Add(Pow(Apply(PRIMITIVES["sin"], Var(0)), 2), ConstR(1.0))
 
     def test_arity_check(self):
         with pytest.raises(DimensionMismatch):
@@ -551,7 +556,7 @@ class TestAFunction:
 
 _X1, _X2 = Var(0), Var(1)
 _EPS = dual_numbers().generator("eps")
-_SIN, _COS = FUNCTIONS["sin"], FUNCTIONS["cos"]
+_SIN, _COS = PRIMITIVES["sin"], PRIMITIVES["cos"]
 _BINARY = (Add, Sub, Mul, Div)
 
 
@@ -649,6 +654,17 @@ class TestNodeContract:
             rebuilt.append(new)
         assert rebuilt[0] is not rebuilt[1]
 
+    def test_apply_refuses_a_function_the_grammar_lacks(self):
+        # the reciprocal lifts / and negative powers only: an Apply of it
+        # would print as text that parse refuses
+        with pytest.raises(WeilcError, match="function 'recip' is not in the grammar"):
+            Apply(RECIPROCAL, _X1)
+        with pytest.raises(UnknownSymbol, match="unknown function 'recip'"):
+            parse("recip(x1)", 1)
+        # by name, as a pickled or copied tree rebuilds its own function
+        twin = Apply(PrimitiveFn("sin", _SIN.derivatives), _X1)
+        assert twin == Apply(_SIN, _X1) and twin.fn is not _SIN
+
     def test_a_derivative_round_trips(self):
         d = diff(parse("x1^3*sin(x2) - exp(x1*x2)/x2", 2), 1)
         for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
@@ -663,6 +679,39 @@ def _chain(terms):
     for _ in range(terms - 1):
         e = add(e, Mul(_X1, _X2))
     return e
+
+
+class TestAddAll:
+    """``add_all``, the one sum builder of the library: the left chain up to
+    three terms, pairs past three."""
+
+    @given(st.lists(_exprs(), max_size=3))
+    def test_up_to_three_terms_is_the_chain_of_the_loops_it_replaced(self, terms):
+        chain = ZERO
+        for t in terms:
+            chain = add(chain, t)
+        assert add_all(terms) == chain
+
+    def test_zero_terms_are_dropped(self):
+        a, b, c = _X1, Mul(_X1, _X2), Apply(_SIN, _X2)
+        assert add_all([]) is ZERO
+        assert add_all([ZERO, ConstR(-0.0)]) is ZERO
+        assert add_all([ZERO, a]) is a
+        assert add_all([a, ZERO, b, ConstR(-0.0), c]) == Add(Add(a, b), c)
+        assert add_all([a, b, ZERO, c, _X2, ZERO]) == add_all([a, b, c, _X2])
+
+    def test_more_than_three_terms_are_added_in_pairs(self):
+        a, b, c, d, e = (Var(k) for k in range(5))
+        assert add_all([a, b, c, d]) == Add(Add(a, b), Add(c, d))
+        assert add_all([a, b, c, d, e]) == Add(Add(Add(a, b), Add(c, d)), e)
+
+    def test_n_leaves_are_about_log2_n_levels_deep(self):
+        for n in [*range(1, 140), 299, 300, 301, 1024, 1025, 2000]:
+            e = add_all([Var(k) for k in range(n)])
+            # (n - 1).bit_length() is ceil(log2 n)
+            assert e.depth <= (n - 1).bit_length() + 1, n
+            assert e.top == n - 1
+        assert eval_real(e, list(range(n))) == n * (n - 1) // 2
 
 
 class TestDepthLimit:

@@ -21,7 +21,7 @@ from weilc import (
     wedge,
 )
 from weilc.errors import AlgebraMismatch, DegreeError, DimensionMismatch, WeilcError
-from weilc.expr import ConstA, ConstR, Mul, Var, eval_weil
+from weilc.expr import ConstA, ConstR, Mul, Pow, Var, add_all, eval_real, eval_weil
 from weilc.forms import function_form, zero_form
 from weilc.oracle import form_is_zero_exact
 from weilc.sampling import (
@@ -259,6 +259,18 @@ class TestInterior:
             lhs = interior(d, wedge(x, y))
             rhs = y.scale(contract(d, x)) - x.scale(contract(d, y))
             assert residual_forms(lhs, rhs, xi) <= 1e-12
+
+
+    def test_a_contraction_on_400_coordinates(self):
+        # i_theta df for the Euler field and f = x1^2 + ... + x400^2 is 2f:
+        # 400 terms at one index, summed in pairs
+        n = 400
+        theta = VectorField(tuple(Var(k) for k in range(n)))
+        f = add_all(Pow(Var(k), 2) for k in range(n))
+        pairing = contract(theta, delta(AFunction(f, n, None))).expr
+        assert pairing.depth <= 12
+        xs = [0.25 * (k % 7) for k in range(n)]
+        assert eval_real(pairing, xs) == 2 * eval_real(f, xs)
 
 
 class TestLieDerivative:

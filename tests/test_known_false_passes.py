@@ -11,6 +11,9 @@ failing.
   ``CATALOG`` algebra but jet4 (ROADMAP item 1).
 - shifted3 is not Poisson, yet ``poisson_full`` passes it at 3 trials on
   three seeds, where its three random functions miss a coordinate (item 1).
+- so(10)* with 0.001*x6*x8 added to {x1, x2} is not Poisson, yet
+  ``poisson_full`` passes it over dual at seed 42 and 3 trials: on a wide
+  chart the random functions' Jacobiator rarely meets the defect (item 1).
 - A wrong derivative rule changes no suite's verdict: every sub-check
   builds both of its sides with the same rules (items 4 and 23).  The
   ``_CHAIN`` rows are patched in the table, and the power and quotient
@@ -37,11 +40,11 @@ from weilc.expr import (
     power,
     sub,
 )
-from weilc.oracle import run_suite
-from weilc.poisson import PoissonStructure, verify_a_poisson
+from weilc.oracle import poly_coeffs_exact, run_suite
+from weilc.poisson import PoissonStructure, bracket, verify_a_poisson
 from weilc.sampling import CATALOG, catalog_algebra
 
-from structures import so3_structure
+from structures import perturbed_so10, so3_structure
 
 TOL = 1e-9
 
@@ -77,12 +80,29 @@ def test_poisson_full_fails_shifted3_at_3_trials(seed, name):
     assert not report.passed, report.max_residual
 
 
+def test_the_perturbed_so10_is_not_poisson():
+    # its Jacobiator on x1, x2, x3, exactly, as jacobi_check expands it;
+    # jacobi_check over all 14,190 triples FAILs it at 0.001 too, in about
+    # a minute
+    pi = perturbed_so10()
+    x1, x2, x3 = (parse(f"x{k}", pi.dim) for k in (1, 2, 3))
+    first = add(bracket(pi, x1, bracket(pi, x2, x3)), bracket(pi, x2, bracket(pi, x3, x1)))
+    jacobiator = add(first, bracket(pi, x3, bracket(pi, x1, x2)))
+    coefficients = poly_coeffs_exact(jacobiator, pi.dim)
+    assert max(abs(c) for c in coefficients.values()) == 0.001
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_ITEM_1)
+def test_poisson_full_fails_a_perturbed_so10_over_dual():
+    report = verify_a_poisson(perturbed_so10(), catalog_algebra("dual"), 3, TOL, seed=42)
+    assert not report.passed, report.max_residual
+
+
 # -- wrong derivative rules ---------------------------------------------------------------
 
 _CHAIN_MUTANTS = {
     "cos_plus_sin": ("cos", lambda e: Apply(PRIMITIVES["sin"], e.arg)),
     "tan_one_minus": ("tan", lambda e: sub(ONE, power(e, 2))),
-    "recip_sign": ("recip", lambda e: div(ONE, power(e.arg, 2))),
 }
 
 
@@ -129,8 +149,6 @@ def _patch(monkeypatch, mutant):
 _PROBES = {
     "cos_plus_sin": (lambda: parse("cos(x1*x2)", 2), "-sin(x1*x2)*x2"),
     "tan_one_minus": (lambda: parse("tan(x1*x2)", 2), "(1 + tan(x1*x2)^2)*x2"),
-    # recip is no function of the grammar: built by hand
-    "recip_sign": (lambda: Apply(PRIMITIVES["recip"], parse("x1*x2", 2)), "-x2/(x1*x2)^2"),
     "power_plus": (lambda: parse("(x1*x2)^3", 2), "3*(x1*x2)^2*x2"),
     "power_up": (lambda: parse("(x1*x2)^3", 2), "3*(x1*x2)^2*x2"),
     "quotient_plus": (lambda: parse("x1/(x1 + x2)", 2), "x2/(x1 + x2)^2"),

@@ -66,7 +66,7 @@ from weilc.sampling import (
     rng_for,
 )
 
-from structures import allclose, real_point, so3_structure
+from structures import allclose, perturbed_so10, real_point, so3_structure, so_n
 
 
 def perturbed_so3():
@@ -948,11 +948,13 @@ def _loop_omega(pi, x, y):
 
 
 def _loop_sharp(pi, coefficient):
-    comps = [ConstR(0.0)] * pi.dim
+    # component k: its pi_ik terms summed, less its pi_kj terms summed
+    plus = [ConstR(0.0)] * pi.dim
+    minus = [ConstR(0.0)] * pi.dim
     for (i, j), p in sorted(pi.entries.items()):
-        comps[j] = add(comps[j], mul(p, coefficient(i)))
-        comps[i] = sub(comps[i], mul(p, coefficient(j)))
-    return tuple(comps)
+        plus[j] = add(plus[j], mul(p, coefficient(i)))
+        minus[i] = add(minus[i], mul(p, coefficient(j)))
+    return tuple(map(sub, plus, minus))
 
 
 STRUCTURES = {
@@ -1027,6 +1029,40 @@ class TestHamiltonianFieldOnSharp:
         f = add(Var(0), ConstA(dual.generator("eps")))
         with pytest.raises(AlgebraMismatch):
             hamiltonian_field(so3_structure(), f)
+
+
+class TestWideCharts:
+    """The Lie-Poisson bivector of so(10)*: 45 coordinates and 360 entries.
+    Each sum of entry terms is built in pairs (``expr.add_all``), a few
+    levels deep; one level a term, it passed MAX_NODE_DEPTH (300)."""
+
+    def test_so_n_is_the_lie_poisson_bivector(self):
+        pi = so_n(10)
+        assert (pi.dim, len(pi.entries)) == (45, 360)
+        # {L_12, L_13} = -L_23, and so(3)* on (L_12, L_13, L_23)
+        assert pi.entries[0, 1] == neg(Var(9))
+        assert so_n(3).entries == {(0, 1): neg(Var(2)), (0, 2): Var(1), (1, 2): neg(Var(0))}
+        assert jacobi_check(so_n(4), trials=3, tol=1e-9, seed=42).passed
+
+    def test_the_quadratic_casimir_brackets_to_zero(self):
+        # C = sum of the squares of the generators commutes with every
+        # function; the bracket with a quadratic g sums all 360 entries
+        pi = so_n(10)
+        casimir = parse(" + ".join(f"x{k}^2" for k in range(1, 46)), 45)
+        g = parse(" + ".join(f"{k}*x{k}*x{k % 45 + 1}" for k in range(1, 46)), 45)
+        result = bracket(pi, casimir, g)
+        assert result.depth < 30
+        assert not poly_coeffs_exact(result, 45)
+
+    @pytest.mark.parametrize("algebra", ["dual", "jet2"])
+    def test_so10_passes_poisson_full(self, algebra):
+        report = verify_a_poisson(so_n(10), catalog_algebra(algebra), 3, 1e-9, seed=42)
+        assert report.passed, report.max_residual
+
+    def test_a_perturbed_so10_fails_poisson_full_over_jet2(self):
+        report = verify_a_poisson(perturbed_so10(), catalog_algebra("jet2"), 3, 1e-9, seed=42)
+        assert not report.passed
+        assert report.max_residual > 1e-4
 
 
 class TestPaperCondition:

@@ -25,8 +25,10 @@ from weilc.expr import (
     ConstA,
     ConstR,
     Mul,
+    Pow,
     Var,
     ZERO,
+    add_all,
     eval_real,
     eval_weil,
     substitute,
@@ -69,6 +71,17 @@ class TestApplyField:
         eps = dual_numbers().generator("eps")
         with pytest.raises(AlgebraMismatch):
             VectorField((ConstA(eps),))
+
+    def test_a_field_on_400_coordinates(self):
+        # the Euler field on f = x1^2 + ... + x400^2 gives 2f: 400 terms,
+        # summed one tree level each they passed MAX_NODE_DEPTH (300)
+        n = 400
+        theta = VectorField(tuple(Var(k) for k in range(n)))
+        f = add_all(Pow(Var(k), 2) for k in range(n))
+        action = apply_field(theta, f)
+        assert action.depth <= 12
+        xs = [0.25 * (k % 7) for k in range(n)]
+        assert eval_real(action, xs) == 2 * eval_real(f, xs)
 
 
 class TestProlongField:
