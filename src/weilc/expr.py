@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import re
-from functools import reduce
 from typing import Iterable, Sequence
 
 from .algebra import (
@@ -436,17 +435,16 @@ def power(base: Expr, k: int) -> Expr:
 
 
 def add_all(terms: Iterable[Expr]) -> Expr:
-    """The sum of terms, zero terms dropped (ZERO for none), the one sum
-    builder of the library.  Up to three terms are added left to right,
-    ``add(add(a, b), c)``; more are added in pairs, level by level, until
-    three or fewer are left, so n terms add about log2 n levels, not n."""
+    """The sum of terms, the one sum builder of the library: zero terms
+    dropped (ZERO for none), the rest added in pairs, level by level.  So n
+    terms add about log2 n levels, and up to three are ``add(add(a, b), c)``."""
     terms = [t for t in terms if type(t) is not ConstR or t.value != 0.0]
-    while len(terms) > 3:
+    while len(terms) > 1:
         pairs = list(map(add, terms[::2], terms[1::2]))
         if len(terms) & 1:
             pairs.append(terms[-1])
         terms = pairs
-    return reduce(add, terms) if terms else ZERO
+    return terms[0] if terms else ZERO
 
 
 # -- operand rules -----------------------------------------------------------

@@ -682,8 +682,8 @@ def _chain(terms):
 
 
 class TestAddAll:
-    """``add_all``, the one sum builder of the library: the left chain up to
-    three terms, pairs past three."""
+    """``add_all``, the one sum builder of the library: terms added in pairs,
+    level by level, which up to three terms is the left chain."""
 
     @given(st.lists(_exprs(), max_size=3))
     def test_up_to_three_terms_is_the_chain_of_the_loops_it_replaced(self, terms):
@@ -700,7 +700,7 @@ class TestAddAll:
         assert add_all([a, ZERO, b, ConstR(-0.0), c]) == Add(Add(a, b), c)
         assert add_all([a, b, ZERO, c, _X2, ZERO]) == add_all([a, b, c, _X2])
 
-    def test_more_than_three_terms_are_added_in_pairs(self):
+    def test_terms_are_added_in_pairs(self):
         a, b, c, d, e = (Var(k) for k in range(5))
         assert add_all([a, b, c, d]) == Add(Add(a, b), Add(c, d))
         assert add_all([a, b, c, d, e]) == Add(Add(Add(a, b), Add(c, d)), e)
