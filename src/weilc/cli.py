@@ -34,6 +34,14 @@ EXIT_DOMAIN = 3
 EXIT_CHECK_FAILED = 4
 
 
+class _CheckHelp(argparse.HelpFormatter):
+    # a flag's help names the suites that take it; the table loads only for help
+    def _get_help_string(self, action):
+        from .oracle import SUITES
+        takers = ", ".join(s for s, (_, takes) in SUITES.items() if action.dest in takes)
+        return f"{action.help} (taken by {takers})" if takers else action.help
+
+
 # built on the first call, not at import, and kept: parse_args leaves the
 # parser as it was, so every in-process main call can share it
 @functools.cache
@@ -76,10 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True)
     p.add_argument("--point", required=True)
 
-    p = sub.add_parser("check", help="run a registered check suite")
+    p = sub.add_parser("check", help="run a registered check suite", formatter_class=_CheckHelp)
     p.add_argument("suite")
-    p.add_argument("--pi", help="bivector name (poisson_full only)")
-    p.add_argument("--algebra", help="algebra name (poisson_full only)")
+    p.add_argument("--pi", help="bivector name")
+    p.add_argument("--algebra", help="algebra name")
     p.add_argument("--seed", type=int, help="override the configured suite seed")
     p.add_argument("--trials", type=int, help="override the configured trials")
     p.add_argument("--tol", type=float, help="override the configured tolerance")
@@ -96,7 +104,7 @@ def _load(args) -> ProjectConfig:
 
 def _resolve(table: dict, name: str, what: str):
     if name not in table:
-        known = ", ".join(sorted(table)) or "none defined"
+        known = ", ".join(map(cut_repr, sorted(table))) or "none defined"
         raise WeilcError(f"unknown {what} {cut_repr(name)} ({known})")
     return table[name]
 
@@ -205,18 +213,19 @@ def _cmd_prolong(cfg: ProjectConfig, args) -> int:
 
 def _cmd_check(cfg: ProjectConfig, args) -> int:
     # the suites load here, on the first check, not with the CLI
-    from .oracle import run_suite
+    from .oracle import SUITES, run_suite
 
     seed = args.seed if args.seed is not None else cfg.suites.seed
     trials = args.trials if args.trials is not None else cfg.suites.trials
     tol = args.tol if args.tol is not None else cfg.suites.tol
-    pi, algebra = args.pi, args.algebra
-    # names are looked up only for the suite that takes them: run_suite
-    # refuses a pi or algebra given to another suite before reading it
-    if args.suite == "poisson_full":
-        pi = pi if pi is None else _resolve(cfg.bivectors, pi, "bivector")
-        algebra = algebra if algebra is None else _resolve(cfg.algebras, algebra, "algebra")
-    report = run_suite(args.suite, seed, trials, tol, pi=pi, algebra=algebra)
+    # only a name the suite takes is looked up; run_suite refuses any other
+    inputs = {"pi": args.pi, "algebra": args.algebra}
+    tables = {"pi": (cfg.bivectors, "bivector"), "algebra": (cfg.algebras, "algebra")}
+    for name in SUITES[args.suite][1] if args.suite in SUITES else ():
+        if inputs[name] is not None:
+            table, what = tables[name]
+            inputs[name] = _resolve(table, inputs[name], what)
+    report = run_suite(args.suite, seed, trials, tol, **inputs)
     print(report.summary())
     for w in report.witnesses:
         print(f"  witness residual={w.residual:.3e}")

@@ -204,7 +204,7 @@ def _read_bivector(entries, n: int) -> PoissonStructure:
         try:
             parsed[(i - 1, j - 1)] = parse(str(text), n)
         except WeilcError as exc:
-            raise ConfigError(f"entry {key}: {exc}") from exc
+            raise ConfigError(f"entry ({i},{j}): {exc}") from exc
     return PoissonStructure(n, parsed)
 
 

@@ -47,7 +47,7 @@ from .forms import (
     prolong_form,
     wedge,
 )
-from .poisson import CheckReport, _a_poisson_trial, _run_trials, canonical_structure
+from .poisson import CheckReport, _run_trials, canonical_structure, jacobi_check, verify_a_poisson
 from .prolongation import (
     VectorField,
     apply_field,
@@ -454,15 +454,18 @@ def _suite_cartan(rng, rec):
     rec.check("interior_derivation", lhs_w, rhs_w, point)
 
 
-# each suite is the body of one trial, called as suite(rng, rec); poisson_full
-# also takes pi= and algebra=
+# each suite's report runner, called with seed=, trials= and tol=, and the
+# inputs it takes besides, by name; DEFAULTS builds each input left out
 SUITES = {
-    "hom_laws": _suite_hom_laws,
-    "field_prolong": _suite_field_prolong,
-    "bracket_prolong": _suite_bracket_prolong,
-    "cartan": _suite_cartan,
-    "poisson_full": _a_poisson_trial,
+    "hom_laws": (partial(_run_trials, "hom_laws", trial=_suite_hom_laws), ()),
+    "field_prolong": (partial(_run_trials, "field_prolong", trial=_suite_field_prolong), ()),
+    "bracket_prolong": (partial(_run_trials, "bracket_prolong", trial=_suite_bracket_prolong), ()),
+    "cartan": (partial(_run_trials, "cartan", trial=_suite_cartan), ()),
+    "poisson_full": (verify_a_poisson, ("pi", "algebra")),
+    "jacobi": (jacobi_check, ("pi",)),
 }
+DEFAULTS = {"pi": lambda: canonical_structure(1),
+            "algebra": lambda: sampling.catalog_algebra("dual")}
 
 
 def run_suite(
@@ -475,21 +478,21 @@ def run_suite(
 ) -> CheckReport:
     """Run a registered suite; deterministic given (suite, seed, trials).
 
-    Only ``poisson_full`` takes ``pi`` and ``algebra``; they default to
-    the canonical bivector on R^2 over the dual numbers.  Giving either to
-    another suite is a usage error.
+    ``pi`` and ``algebra`` go only to a suite that takes them (``SUITES``),
+    and default to the canonical bivector on R^2 and the dual numbers
+    (``DEFAULTS``).  Giving either to another suite is a usage error.
     """
     if suite_id not in SUITES:
         raise UnknownSuite(
             f"{suite_id!r} is not one of {sorted(SUITES)}"
         )
-    trial = SUITES[suite_id]
-    if suite_id == "poisson_full":
-        pi = pi if pi is not None else canonical_structure(1)
-        algebra = algebra if algebra is not None else sampling.catalog_algebra("dual")
-        trial = partial(trial, pi=pi, algebra=algebra)
-    elif pi is not None or algebra is not None:
-        raise WeilcError(
-            f"suite {suite_id!r} takes no pi or algebra; only poisson_full does"
-        )
-    return _run_trials(suite_id, seed, trials, tol, trial)
+    runner, takes = SUITES[suite_id]
+    inputs = {}
+    for name, value in (("pi", pi), ("algebra", algebra)):
+        if name in takes:
+            inputs[name] = DEFAULTS[name]() if value is None else value
+        elif value is not None:
+            raise WeilcError(
+                f"suite {suite_id!r} takes no {name}; it takes {', '.join(takes) or 'none'}"
+            )
+    return runner(seed=seed, trials=trials, tol=tol, **inputs)

@@ -199,8 +199,10 @@ class _Recorder:
                 self._shown = (self.inputs, self.inputs())
             self.witnesses.append(Witness({"check": name, **self._shown[1]}, float(value)))
 
-    def report(self, suite: str, seed: int, trials: int) -> CheckReport:
-        """The verdict; zero trials are a vacuous pass, with a warning."""
+    def report(self, suite: str, seed: int, trials: int,
+               warning: str | None = None) -> CheckReport:
+        """The verdict, with ``warning``; zero trials are a vacuous pass, with
+        a warning of their own."""
         return CheckReport(
             suite=suite,
             seed=seed,
@@ -209,7 +211,7 @@ class _Recorder:
             max_residual=float(self.max_residual),
             passed=not self.failed,
             witnesses=tuple(self.witnesses),
-            warning=None if trials else "no trials were run; the pass is vacuous",
+            warning=warning if trials else "no trials were run; the pass is vacuous",
             redrawn=self.redrawn,
         )
 
@@ -383,8 +385,10 @@ def jacobi_check(
     finite real constants (an absent entry is 0).  So only the triples
     through an entry that is not are built, once, after the settings pass
     ``check_settings``; a skipped triple would record 0, so the report is
-    the same as over all C(n, 3).  When every one expands as a
-    polynomial (``oracle.poly_coeffs_exact``), the verdict is exact: each
+    the same as over all C(n, 3).  A chart of fewer than 3 coordinates has
+    no triple, and every bivector on it is Poisson: its report passes with
+    a warning.  When every triple built expands as a polynomial
+    (``oracle.poly_coeffs_exact``), the verdict is exact: each
     failing triple's largest coefficient goes to the recorder as an exact
     residual, with its monomial.  Otherwise each trial evaluates all of them
     at one uniform point of [-1,1]^n, and the recorder scales each by its
@@ -431,7 +435,9 @@ def jacobi_check(
             rec.inputs = lambda triple=triple, monomial=monomial: {
                 **names(triple), "monomial": monomial_name(monomial, variables)}
             rec.check("jacobi", c)
-    return rec.report("jacobi", seed, trials)
+    warning = None if pi.dim >= 3 else (
+        f"no coordinate triple on a chart of dimension {pi.dim}; every bivector on it is Poisson")
+    return rec.report("jacobi", seed, trials, warning)
 
 
 # -- prolonged operations -------------------------------------------------------------

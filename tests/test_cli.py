@@ -1,5 +1,6 @@
 """Command-line behavior: rendering, exit codes, reports, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -16,9 +17,27 @@ from weilc.algebra import MAX_ALGEBRA_DIM
 from weilc.poisson import MAX_CHART_DIM
 from weilc.cli import main
 from weilc.config import parse_relation
+from weilc.oracle import DEFAULTS, SUITES
 from weilc.expr import to_string
 
 from structures import perturbed_so10, so_n
+
+
+def _inputs_not_taken():
+    """(suite, input, name) for each input that a suite does not take in
+    SUITES, given a name that CONFIG_2D defines and an empty name; the ids
+    of hom_laws' rows name no suite."""
+    known = {"pi": "canonical2", "algebra": "dual"}
+    params = []
+    for suite, (_, takes) in SUITES.items():
+        for empty in (False, True):
+            for name in DEFAULTS:
+                if name not in takes:
+                    words = [suite] * (suite != "hom_laws") + ["empty"] * empty + [name]
+                    params.append(pytest.param(suite, name, "" if empty else known[name],
+                                               id="-".join(words)))
+    return params
+
 
 # 10,000 zeros, the items of a long value in a config or a --point
 ZEROS = ", ".join(["0"] * 10000)
@@ -514,12 +533,22 @@ class TestConfigHandling:
              f"config error: expression '{'n' * 39}... (10002 characters): "
              "unexpected end of input (at position 4)"),
             (None, ["eval", "n" * 10000, "dual", "--point", "[[1, 0]]"],
-             f"error: unknown expression '{'n' * 39}... (10002 characters) (f)"),
+             f"error: unknown expression '{'n' * 39}... (10002 characters) ('f')"),
+            # the names known are listed with the unknown one, each cut
+            (f"chart_dim: 1\nalgebras: {{dual: {{generators: [eps], relations: [eps^2]}}}}\n"
+             f"expressions:\n  ? {'n' * 10000}\n  : x1\n  g: x1\n",
+             ["eval", "f", "dual", "--point", "[[1, 0]]"],
+             f"error: unknown expression 'f' ('g', '{'n' * 39}... (10002 characters))"),
+            # the entry is named by its pair, not by its key
+            (f"chart_dim: 2\nbivectors:\n  b:\n    ? {'0' * 4000}1,2\n    : 'x1 +'\n",
+             ["algebra-show", "dual"],
+             "config error: bivector 'b': entry (1,2): unexpected end of input (at position 4)"),
         ],
         ids=["point_length", "coefficients", "non_number", "non_finite", "chart_dim",
              "generators", "generator", "suites", "generator_name", "duplicate_names",
              "no_pure_power", "unknown_generator", "bad_exponent", "unknown_key",
-             "repeated_key", "bivector_key", "entry_name", "unknown_name"],
+             "repeated_key", "bivector_key", "entry_name", "unknown_name", "known_names",
+             "bivector_entry_key"],
     )
     def test_a_long_refused_value_is_cut(self, tmp_path, capsys, text, argv, message):
         # each value was echoed whole: 10,000 items made a line of 30,000
@@ -724,7 +753,7 @@ class TestConfigHandling:
             ("bivectors: {b: {'2,1': x1}}",
              "bivector 'b': entry (2,1) is not upper-triangle in 1..2"),
             ("bivectors: {b: {'1,2': 'x1 +'}}",
-             "bivector 'b': entry 1,2: unexpected end of input (at position 4)"),
+             "bivector 'b': entry (1,2): unexpected end of input (at position 4)"),
             ("expressions: {f: 'x1 +'}", "expression 'f': unexpected end of input (at position 4)"),
         ],
         ids=["algebra_no_mapping", "algebra_unknown_generator", "field_components",
@@ -868,18 +897,14 @@ class TestArgumentEdges:
         assert captured.out == ""
         assert captured.err.endswith(f"error: argument --{flag}: expected one argument\n")
 
-    @pytest.mark.parametrize(
-        "extra",
-        [["--pi", "canonical2"], ["--algebra", "dual"], ["--pi", ""], ["--algebra", ""]],
-        ids=["pi", "algebra", "empty-pi", "empty-algebra"],
-    )
-    def test_pi_or_algebra_on_another_suite(self, config2, capsys, extra):
-        code = main(["--config", config2, "check", "hom_laws", "--trials", "1", *extra])
+    @pytest.mark.parametrize("suite, name, value", _inputs_not_taken())
+    def test_pi_or_algebra_on_another_suite(self, config2, capsys, suite, name, value):
+        # a name is refused, not looked up, for an input the suite does not take
+        code = main(["--config", config2, "check", suite, "--trials", "1", f"--{name}", value])
         assert code == 2
         captured = capsys.readouterr()
-        assert captured.err == (
-            "error: suite 'hom_laws' takes no pi or algebra; only poisson_full does\n"
-        )
+        takes = ", ".join(SUITES[suite][1]) or "none"
+        assert captured.err == f"error: suite '{suite}' takes no {name}; it takes {takes}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize(
@@ -1310,7 +1335,7 @@ def test_the_names_loaded_on_first_use_resolve():
     )
     assert _fresh_python(code).splitlines() == [
         "True",
-        "True True ['bracket_prolong', 'cartan', 'field_prolong', 'hom_laws', "
+        "True True ['bracket_prolong', 'cartan', 'field_prolong', 'hom_laws', 'jacobi', "
         "'poisson_full'] True",
     ]
     with pytest.raises(AttributeError, match="module 'weilc' has no attribute 'suites'"):
@@ -1379,3 +1404,37 @@ def test_a_nan_residual_never_passes(config2, tmp_path, monkeypatch, capsys):
     assert report["pass"] is False
     assert report["max_residual"] == math.inf
     assert [w["inputs"]["check"] for w in report["witnesses"]] == ["antisymmetry"] * 3
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    # shifted3 is not Poisson: its Jacobiator on x1, x2, x3 is the constant 1
+    (["jacobi", "--pi", "shifted3"], 4, ""),
+    (["jacobi", "--algebra", "dual"], 2, "error: suite 'jacobi' takes no algebra; it takes pi\n"),
+    (["hom_laws", "--pi", "so3"], 2, "error: suite 'hom_laws' takes no pi; it takes none\n"),
+], ids=["jacobi-shifted3", "jacobi-algebra", "hom_laws-pi"])
+def test_the_suite_table_refuses_and_fails(capsys, argv, code, err):
+    assert main(["--config", CHART3, "check", *argv, "--trials", "2"]) == code
+    assert capsys.readouterr().err == err
+
+
+def _check_parser() -> argparse.ArgumentParser:
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["check"]
+
+
+def test_every_suite_input_is_a_check_flag_with_a_default():
+    # an input that a suite takes must be one that the command line can
+    # give, and one that run_suite can fill in when it is left out
+    flags = {opt for action in _check_parser()._actions for opt in action.option_strings}
+    for suite, (_, takes) in SUITES.items():
+        for name in takes:
+            assert f"--{name}" in flags, (suite, name)
+            assert name in DEFAULTS, (suite, name)
+
+
+def test_the_check_help_names_the_suites_that_take_each_input():
+    text = _check_parser().format_help()
+    for name in DEFAULTS:
+        takers = ", ".join(suite for suite, (_, takes) in SUITES.items() if name in takes)
+        assert f"(taken by {takers})" in " ".join(text.split()), name

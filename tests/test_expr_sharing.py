@@ -1094,12 +1094,14 @@ def test_form_evaluate_matches_eval_weil(monkeypatch):
 
 
 def test_no_value_is_computed_twice_at_a_point(monkeypatch):
-    # every registered suite, poisson_full with so3 over jet2: the suites
-    # evaluate the same subtrees again and again at one trial's point
+    # every registered suite that evaluates over an algebra, poisson_full
+    # with so3 over jet2: the suites evaluate the same subtrees again and
+    # again at one trial's point.  jacobi evaluates with eval_real only, and
+    # its exact path evaluates nothing
     counts = []
     for _ in range(2):
         run = {}
-        for suite in SUITES:
+        for suite in (suite for suite in SUITES if suite != "jacobi"):
             computed = _computed_values(monkeypatch)
             if suite == "poisson_full":
                 run_suite(suite, 42, 3, 1e-9, pi=so3_structure(), algebra=jets(2))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -18,7 +19,7 @@ from weilc.algebra import WeilAlgebra
 from weilc.config import load_config
 from weilc.errors import DimensionMismatch, DomainError, UnknownSuite, WeilcError
 from weilc.expr import Add, Mul, Var, parse
-from weilc.oracle import central_diff_weights, poly_coeffs_exact
+from weilc.oracle import DEFAULTS, SUITES, central_diff_weights, poly_coeffs_exact
 from weilc.poisson import CheckReport, PoissonStructure
 
 
@@ -149,12 +150,18 @@ class TestRunSuite:
         with pytest.raises(UnknownSuite):
             run_suite("nosuch", seed=0, trials=1, tol=1e-9)
 
-    @pytest.mark.parametrize("suite", ["hom_laws", "field_prolong", "bracket_prolong", "cartan"])
+    @pytest.mark.parametrize(
+        "suite", [suite for suite, (_, takes) in SUITES.items() if set(DEFAULTS) - set(takes)])
     def test_pi_and_algebra_only_for_poisson_full(self, suite):
-        with pytest.raises(WeilcError, match=f"suite '{suite}' takes no pi or algebra"):
-            run_suite(suite, seed=0, trials=1, tol=1e-9, pi=canonical_structure(1))
-        with pytest.raises(WeilcError, match=f"suite '{suite}' takes no pi or algebra"):
-            run_suite(suite, seed=0, trials=1, tol=1e-9, algebra=dual_numbers())
+        # each input that a suite does not take in SUITES is refused, by one
+        # rule that names the inputs it does take
+        takes = SUITES[suite][1]
+        given = {"pi": canonical_structure(1), "algebra": dual_numbers()}
+        for name in DEFAULTS:
+            if name not in takes:
+                message = f"suite '{suite}' takes no {name}; it takes {', '.join(takes) or 'none'}"
+                with pytest.raises(WeilcError, match=f"^{re.escape(message)}$"):
+                    run_suite(suite, seed=0, trials=1, tol=1e-9, **{name: given[name]})
 
     def test_zero_trials_vacuous(self):
         report = run_suite("hom_laws", seed=0, trials=0, tol=1e-9)
@@ -214,6 +221,13 @@ class TestPoissonSuiteDefaults:
         report = run_suite("poisson_full", seed=6, trials=15, tol=1e-9)
         assert report.passed
         assert report.suite == "poisson_full"
+
+    def test_jacobi_defaults_to_canonical(self):
+        # the canonical bivector lives on R^2, which has no triple to check
+        report = run_suite("jacobi", seed=6, trials=15, tol=1e-9)
+        assert report == jacobi_check(canonical_structure(1), trials=15, tol=1e-9, seed=6)
+        assert report.passed
+        assert report.warning.startswith("no coordinate triple on a chart of dimension 2;")
 
 
 ROOT = Path(__file__).resolve().parent.parent
