@@ -55,7 +55,7 @@ from .expr import (
     to_string,
 )
 from .forms import CoordForm, contract, delta, lie_derivative, zero_form
-from .prolongation import VectorField
+from .prolongation import VectorField, apply_field
 
 
 # -- check reports ----------------------------------------------------------------
@@ -352,6 +352,7 @@ def _gradient(pi: PoissonStructure, f: Expr) -> list[Expr]:
 
 def _base_gradient(pi: PoissonStructure, f: Expr) -> list[Expr]:
     require_base((f,), "a function in the base bracket")
+    on_chart((f,), pi)
     return _gradient(pi, f)
 
 
@@ -404,36 +405,36 @@ def jacobi_check(
     # sorted, as combinations(range(n), 3) orders them
     triples = sorted({tuple(sorted((*pair, k)))
                       for pair in varying for k in range(pi.dim) if k not in pair})
-    jacobiators = []
-    for triple in triples:
-        f, g, h = (Var(i) for i in triple)
-        first = add(bracket(pi, f, bracket(pi, g, h)), bracket(pi, g, bracket(pi, h, f)))
-        jacobiators.append((first, bracket(pi, h, bracket(pi, f, g)), (f, g, h)))
+    # {x_i, .}, once per coordinate: component l is pi_il, so it maps pi_jk to {x_i,{x_j,x_k}}
+    fields = {i: hamiltonian_field(pi, Var(i)) for i in set().union(*triples)}
 
-    def names(triple) -> dict[str, str]:
-        return {key: to_string(x) for key, x in zip("fgh", triple)}
+    def cyclic(i: int, j: int, k: int) -> Expr:
+        return apply_field(fields[i], fields[j].components[k])
+
+    jacobiators = [(add(cyclic(i, j, k), cyclic(j, k, i)), cyclic(k, i, j),
+                    lambda t=(i, j, k): {key: to_string(Var(c)) for key, c in zip("fgh", t)})
+                   for i, j, k in triples]
 
     def trial(rng, rec: _Recorder):
         point = rng.uniform(-1.0, 1.0, pi.dim)
-        for first, third, triple in jacobiators:
-            rec.inputs = lambda triple=triple: {
-                **names(triple), "point": str([round(x, 6) for x in point])}
+        for first, third, names in jacobiators:
+            rec.inputs = lambda names=names: {
+                **names(), "point": str([round(x, 6) for x in point])}
             rec.check("jacobi", eval_real(first, point), -eval_real(third, point))
 
     try:
-        expansions = [poly_coeffs_exact(add(first, third), pi.dim)
-                      for first, third, _ in jacobiators]
+        expansions = [poly_coeffs_exact(add(a, b), pi.dim) for a, b, _ in jacobiators]
     except (ValueError, OverflowError):  # not a polynomial, or an inf or NaN constant
         expansions = None
     if expansions is None or trials < 1:
         return _run_trials("jacobi", seed, trials, tol, trial)
     rec = _Recorder(tol)
     variables = [to_string(Var(i)) for i in range(pi.dim)]
-    for coeffs, (_, _, triple) in zip(expansions, jacobiators):
+    for coeffs, (_, _, names) in zip(expansions, jacobiators):
         if coeffs:
             monomial, c = max(coeffs.items(), key=lambda item: abs(item[1]))
-            rec.inputs = lambda triple=triple, monomial=monomial: {
-                **names(triple), "monomial": monomial_name(monomial, variables)}
+            rec.inputs = lambda names=names, monomial=monomial: {
+                **names(), "monomial": monomial_name(monomial, variables)}
             rec.check("jacobi", c)
     warning = None if pi.dim >= 3 else (
         f"no coordinate triple on a chart of dimension {pi.dim}; every bivector on it is Poisson")

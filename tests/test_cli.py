@@ -285,10 +285,8 @@ class TestCheck:
         assert "[FAIL]" in out
         assert "check: jacobi" in out
 
-    @pytest.mark.parametrize("name, code", [("so10", 0), ("so10_perturbed", 4)])
-    def test_poisson_full_on_a_wide_chart(self, tmp_path, capsys, name, code):
-        # so(10)*: 45 coordinates and 360 entries, which each bracket used to
-        # sum one tree level a term, past MAX_NODE_DEPTH: the run exited 2
+    @pytest.fixture
+    def so10_config(self, tmp_path):
         bivectors = {"so10": so_n(10), "so10_perturbed": perturbed_so10()}
         path = tmp_path / "so10.yaml"
         path.write_text(yaml.safe_dump({
@@ -298,10 +296,23 @@ class TestCheck:
                                 for (i, j), e in pi.entries.items()}
                           for key, pi in bivectors.items()},
         }), encoding="utf-8")
-        argv = ["--config", str(path), "check", "poisson_full", "--pi", name,
+        return str(path)
+
+    @pytest.mark.parametrize("name, code", [("so10", 0), ("so10_perturbed", 4)])
+    def test_poisson_full_on_a_wide_chart(self, so10_config, capsys, name, code):
+        # so(10)*: 45 coordinates and 360 entries, which each bracket used to
+        # sum one tree level a term, past MAX_NODE_DEPTH: the run exited 2
+        argv = ["--config", so10_config, "check", "poisson_full", "--pi", name,
                 "--algebra", "jet2", "--trials", "3", "--seed", "42"]
         assert main(argv) == code
         assert ("[PASS]" if code == 0 else "[FAIL]") in capsys.readouterr().out
+
+    def test_jacobi_on_a_wide_chart(self, so10_config, capsys):
+        # all 14,190 coordinate triples, exactly
+        argv = ["--config", so10_config, "check", "jacobi", "--pi", "so10_perturbed"]
+        assert main(argv) == 4
+        out = capsys.readouterr().out
+        assert "[FAIL] jacobi" in out and "monomial: x8*x27" in out
 
     def test_unknown_suite(self, config2, capsys):
         assert main(["--config", config2, "check", "nosuch"]) == 2

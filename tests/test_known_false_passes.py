@@ -14,6 +14,10 @@ failing.
 - so(10)* with 0.001*x6*x8 added to {x1, x2} is not Poisson, yet
   ``poisson_full`` passes it over dual at seed 42 and 3 trials: on a wide
   chart the random functions' Jacobiator rarely meets the defect (item 1).
+- Nambu bivectors on R^3 (``bivectors.nambu``) with 1e-12 times a
+  polynomial added to one entry are not Poisson, as ``jacobi_check``
+  decides exactly, yet ``poisson_full`` passes them at 3 trials: the
+  Jacobiator, near 1e-12, is below its tolerance (item 1).
 - A wrong derivative rule changes no suite's verdict: every sub-check
   builds both of its sides with the same rules (items 4 and 23).  The
   ``_CHAIN`` rows are patched in the table, and the power and quotient
@@ -22,6 +26,7 @@ failing.
 """
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 import weilc.expr
 from weilc.algebra import PRIMITIVES
@@ -40,11 +45,12 @@ from weilc.expr import (
     power,
     sub,
 )
-from weilc.oracle import poly_coeffs_exact, run_suite
-from weilc.poisson import PoissonStructure, bracket, verify_a_poisson
+from weilc.oracle import run_suite
+from weilc.poisson import PoissonStructure, jacobi_check, verify_a_poisson
 from weilc.sampling import CATALOG, catalog_algebra
 
-from structures import perturbed_so10, so3_structure
+from bivectors import nambu_bivectors, perturbed
+from structures import perturbed_so10, so3_structure, so_n
 
 TOL = 1e-9
 
@@ -81,21 +87,37 @@ def test_poisson_full_fails_shifted3_at_3_trials(seed, name):
 
 
 def test_the_perturbed_so10_is_not_poisson():
-    # its Jacobiator on x1, x2, x3, exactly, as jacobi_check expands it;
-    # jacobi_check over all 14,190 triples FAILs it at 0.001 too, in about
-    # a minute
-    pi = perturbed_so10()
-    x1, x2, x3 = (parse(f"x{k}", pi.dim) for k in (1, 2, 3))
-    first = add(bracket(pi, x1, bracket(pi, x2, x3)), bracket(pi, x2, bracket(pi, x3, x1)))
-    jacobiator = add(first, bracket(pi, x3, bracket(pi, x1, x2)))
-    coefficients = poly_coeffs_exact(jacobiator, pi.dim)
-    assert max(abs(c) for c in coefficients.values()) == 0.001
+    # exactly, over all 14,190 coordinate triples
+    report = jacobi_check(perturbed_so10(), trials=1, tol=1e-9, seed=42)
+    assert not report.passed and report.max_residual == 0.001
+    assert report.witnesses[0].inputs == {
+        "check": "jacobi", "f": "x1", "g": "x2", "h": "x3", "monomial": "x8*x27"}
+
+
+def test_so10_is_poisson():
+    report = jacobi_check(so_n(10), trials=1, tol=0.0, seed=42)
+    assert report.passed and report.max_residual == 0.0
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=_ITEM_1)
 def test_poisson_full_fails_a_perturbed_so10_over_dual():
     report = verify_a_poisson(perturbed_so10(), catalog_algebra("dual"), 3, TOL, seed=42)
     assert not report.passed, report.max_residual
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_ITEM_1)
+# a failing draw is not shrunk: the xfail needs only the failure
+@settings(max_examples=25, deadline=None, derandomize=True, database=None,
+          phases=[Phase.generate])
+@given(nambu_bivectors(), st.sampled_from([(0, 1), (0, 2), (1, 2)]),
+       st.integers(0, 2**32 - 1), st.sampled_from([name for name, _ in CATALOG]))
+def test_poisson_full_fails_a_near_poisson_nambu_draw(pi, pair, seed, name):
+    # labelled by the exact verdict: 1e-12 times a polynomial added to one
+    # entry leaves a Jacobiator of about 1e-12, below poisson_full's TOL
+    pi = perturbed(pi, pair, seed, 1e-12)
+    if not jacobi_check(pi, trials=1, tol=0.0, seed=0).passed:
+        report = verify_a_poisson(pi, catalog_algebra(name), 3, TOL, seed=seed)
+        assert not report.passed, report.max_residual
 
 
 # -- wrong derivative rules ---------------------------------------------------------------

@@ -5,9 +5,12 @@ import math
 import time
 import warnings
 from fractions import Fraction
+from functools import partial
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weilc import (
     AFunction,
@@ -39,6 +42,7 @@ from weilc.expr import (
     ConstA,
     ConstR,
     Var,
+    ZERO,
     add,
     diff,
     eval_real,
@@ -129,6 +133,47 @@ class TestBracket:
     def test_consta_rejected(self, canonical, dual):
         with pytest.raises(AlgebraMismatch):
             bracket(canonical, ConstA(dual.unit()), Var(0))
+
+    def test_a_function_off_the_chart_is_refused(self, dual):
+        # x4 was read as a constant: {x4*x1, x2} came out x3*x4
+        so3 = so3_structure()
+        off = "expression uses x4 on a chart of dimension 3"
+        for f, g in [(parse("x4*x1", 4), parse("x2", 4)), (Var(0), Var(3))]:
+            with pytest.raises(DimensionMismatch, match=off):
+                bracket(so3, f, g)
+        with pytest.raises(DimensionMismatch, match=off):
+            hamiltonian_field(so3, Var(3))
+        # an algebra constant meets the base rule first, with its message
+        with pytest.raises(AlgebraMismatch, match="base bracket must be ConstA-free"):
+            bracket(so3, ConstA(dual.unit()), Var(0))
+
+
+def _built_terms(pi):
+    """What jacobi_check builds on pi: the coordinate of each field it makes,
+    in order, and each triple (i, j, k) with its cyclic terms {x_i,{x_j,x_k}},
+    {x_j,{x_k,x_i}} and {x_k,{x_i,x_j}}, read off its three apply_field
+    calls."""
+    made, applied, coordinate = [], [], {}
+    field, apply = poisson.hamiltonian_field, poisson.apply_field
+
+    def field_spy(pi, f):
+        out = field(pi, f)
+        made.append(f.index)
+        coordinate[id(out)] = f.index
+        return out
+
+    def apply_spy(theta, f):
+        out = apply(theta, f)
+        applied.append((coordinate[id(theta)], out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poisson, "hamiltonian_field", field_spy)
+        patch.setattr(poisson, "apply_field", apply_spy)
+        jacobi_check(pi, trials=2, tol=1e-9, seed=3)
+    assert len(applied) % 3 == 0
+    groups = [applied[k:k + 3] for k in range(0, len(applied), 3)]
+    return made, [tuple(zip(*group)) for group in groups]
 
 
 class TestJacobiCheck:
@@ -228,7 +273,8 @@ class TestJacobiCheck:
         {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf}, {"trials": -1}, {"seed": -1}])
     def test_refused_settings_build_no_jacobiator(self, monkeypatch, entry, settings):
         calls = []
-        for module, name in ((poisson, "bracket"), (oracle, "poly_coeffs_exact")):
+        for module, name in ((poisson, "hamiltonian_field"), (poisson, "apply_field"),
+                             (oracle, "poly_coeffs_exact")):
             monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
         pi = PoissonStructure(3, {(0, 1): parse("1", 3), (1, 2): parse(entry, 3)})
         with pytest.raises(WeilcError):
@@ -336,35 +382,51 @@ class TestJacobiCheck:
         assert time.perf_counter() - start < 0.1
         assert report.passed and report.max_residual == 0.0 and not report.witnesses
 
-    @staticmethod
-    def _brackets(monkeypatch, pi):
-        """The (f, g) of every bracket that jacobi_check makes on pi."""
-        calls = []
-        real = poisson.bracket
+    def test_so3_builds_its_one_triple(self):
+        # one field per coordinate, and three cyclic terms
+        made, built = _built_terms(so3_structure())
+        assert sorted(made) == [0, 1, 2]
+        ((triple, terms),) = built
+        assert triple == (0, 1, 2) and len(terms) == 3
 
-        def spy(pi, f, g):
-            calls.append((f, g))
-            return real(pi, f, g)
-
-        monkeypatch.setattr(poisson, "bracket", spy)
-        jacobi_check(pi, trials=2, tol=1e-9, seed=3)
-        return calls
-
-    def test_so3_builds_its_one_triple(self, monkeypatch):
-        # each triple makes six brackets
-        assert len(self._brackets(monkeypatch, so3_structure())) == 6
-
-    def test_one_varying_entry_builds_the_triples_through_it(self, monkeypatch):
+    def test_one_varying_entry_builds_the_triples_through_it(self):
         # the constant entries and the absent ones are skipped
         pi = PoissonStructure(6, {(0, 1): parse("x1*x3", 6), (2, 3): parse("2", 6),
                                   (4, 5): parse("1", 6)})
-        calls = self._brackets(monkeypatch, pi)
-        assert len(calls) == 6 * 4
-        # a triple's three inner brackets, each between two coordinates, come
-        # in the order {g,h}, {h,f}, {f,g}; no outer one has a coordinate as g
-        inner = [{f.index, g.index} for f, g in calls if type(g) is Var]
-        built = [tuple(sorted(inner[k] | inner[k + 1])) for k in range(0, len(inner), 3)]
-        assert built == [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5)]
+        made, built = _built_terms(pi)
+        assert sorted(made) == list(range(6))
+        assert [triple for triple, _ in built] == [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5)]
+        # and a bivector of constant entries, none
+        assert _built_terms(PoissonStructure(6, {(2, 3): parse("2", 6)})) == ([], [])
+
+    def test_the_wide_chart_is_quick(self):
+        # all 14,190 triples of the perturbed so(10)*, in CPU time, so a
+        # stalled machine does not fail it: 1.2 s on a 2-vCPU Xeon VM, where
+        # six nested brackets per triple took 28 s
+        start = time.process_time()
+        report = jacobi_check(perturbed_so10(), trials=1, tol=1e-9, seed=42)
+        assert time.process_time() - start < 10
+        assert not report.passed
+
+    def test_dropping_a_cyclic_term_fails_the_nambu_bivector(self, monkeypatch):
+        # x1*so3: its cyclic terms on (x1, x2, x3) are 0, -x1*x2*x3 and
+        # x1*x2*x3, where so3's are all 0, so only it shows the drop
+        nambu = PoissonStructure(3, {(0, 1): parse("x1*x3", 3), (1, 2): parse("x1^2", 3),
+                                     (0, 2): parse("-x1*x2", 3)})
+        _, ((_, terms),) = _built_terms(nambu)
+        assert [poly_coeffs_exact(t, 3) for t in terms] == [
+            {}, {(1, 1, 1): Fraction(-1)}, {(1, 1, 1): Fraction(1)}]
+        assert jacobi_check(nambu, trials=5, tol=0.0, seed=1).passed
+        calls = []
+        real = poisson.apply_field
+
+        def every_third_dropped(theta, f):
+            calls.append(f)
+            return ZERO if len(calls) % 3 == 0 else real(theta, f)
+
+        monkeypatch.setattr(poisson, "apply_field", every_third_dropped)
+        assert not jacobi_check(nambu, trials=5, tol=0.0, seed=1).passed
+        assert jacobi_check(so3_structure(), trials=5, tol=0.0, seed=1).passed
 
     @pytest.mark.parametrize("varying", ["x1*x3", "exp(x2)*x3"], ids=["exact", "sampled"])
     def test_skipping_the_constant_triples_leaves_the_report(self, varying):
@@ -1029,6 +1091,47 @@ class TestHamiltonianFieldOnSharp:
         f = add(Var(0), ConstA(dual.generator("eps")))
         with pytest.raises(AlgebraMismatch):
             hamiltonian_field(so3_structure(), f)
+
+
+def _nested(pi, i, j, k):
+    """{x_i,{x_j,x_k}} from two base brackets: the second route."""
+    return bracket(pi, Var(i), bracket(pi, Var(j), Var(k)))
+
+
+def _assert_terms_match_the_nested_route(pi, seed):
+    rng = rng_for(seed)
+    points = [rng.uniform(-1.0, 1.0, pi.dim) for _ in range(3)]
+    _, built = _built_terms(pi)
+    for (i, j, k), terms in built:
+        nested = (_nested(pi, i, j, k), _nested(pi, j, k, i), _nested(pi, k, i, j))
+        for term, second in zip(terms, nested):
+            assert poly_coeffs_exact(term, pi.dim) == poly_coeffs_exact(second, pi.dim)
+            for xs in points:
+                assert eval_real(term, xs).hex() == eval_real(second, xs).hex()
+
+
+class TestJacobiatorSecondRoute:
+    """Each cyclic term jacobi_check builds, a coordinate field applied to an
+    entry, expands as the nested brackets do and evaluates to the same bits."""
+
+    BIVECTORS = {
+        **STRUCTURES,
+        "tiny": lambda: PoissonStructure(
+            3, {(0, 1): parse("1", 3), (1, 2): parse("1e-12*x2", 3)}),
+        **{f"so{n}": partial(so_n, n) for n in (4, 5, 6)},
+    }
+
+    @pytest.mark.parametrize("name", sorted(BIVECTORS))
+    def test_named_bivectors(self, name):
+        _assert_terms_match_the_nested_route(self.BIVECTORS[name](), seed=11)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(3, 5), st.integers(0, 2**32 - 1))
+    def test_drawn_polynomial_bivectors(self, n, seed):
+        rng = rng_for(seed)
+        pi = PoissonStructure(
+            n, {pair: random_polynomial(rng, n, 2) for pair in combinations(range(n), 2)})
+        _assert_terms_match_the_nested_route(pi, seed)
 
 
 class TestWideCharts:
