@@ -133,7 +133,7 @@ def _parse_point(text: str, algebra, n: int) -> APoint:
         if not all(map(math.isfinite, vec)):
             raise WeilcError(f"--point coordinate x{i} has a non-finite number in {cut_repr(vec)}")
         coords.append(algebra.element(vec))
-    return APoint(algebra, tuple(coords))
+    return APoint(algebra, coords)
 
 
 def _write_json(path: str | None, data: dict):

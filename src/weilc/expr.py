@@ -1,10 +1,10 @@
 """Expression trees for smooth functions on a chart, and their evaluation.
 
 An expression over variables x1..xn denotes an element of C^inf(M) when it
-contains no algebra-valued constants; evaluating it on a tuple of Weil
-elements computes the prolonged function.  Allowing ConstA leaves extends
-the same trees to the algebra-valued function class the rest of the
-package works with.
+contains no algebra-valued constants; evaluating it at an ``APoint``, a
+point with Weil-element coordinates, computes the prolonged function.
+Allowing ConstA leaves extends the same trees to the algebra-valued
+function class the rest of the package works with.
 
 Trees share subtrees: ``diff`` reuses operands, quotients and chain
 factors, so its results are DAGs.  ``diff`` keeps each node's partials on
@@ -13,13 +13,13 @@ in one call or across calls.  ``eval_weil`` keeps each node's value on the
 node with the point it was computed at, for as long as that point is the
 node's last one, so no subtree is evaluated twice at one point, in one
 call or across calls.  That point is an ``APoint``, the one point type of
-Weil evaluation: bare coordinates become one where they come in, at
-``chart_point`` or ``eval_weil``.  The other walks (``substitute``,
-``eval_real``, ``to_string``) visit a shared subexpression once per call: a
-memo keyed by node identity, and dropped when the call returns, holds each
-node's first result.  The visiting order is that of the tree walk, so
-results and the first error raised are the same.  ``==`` and ``hash`` keep
-one too, keyed by the pair of nodes compared or the node hashed.  ``parse``
+evaluation: ``chart_point`` and ``eval_weil`` refuse anything else with
+TypeError.  The other walks (``substitute``, ``eval_real``, ``to_string``)
+visit a shared subexpression once per call: a memo keyed by node identity,
+and dropped when the call returns, holds each node's first result.  The
+visiting order is that of the tree walk, so results and the first error
+raised are the same.  ``==`` and ``hash`` keep one too, keyed by the pair
+of nodes compared or the node hashed.  ``parse``
 keeps one per-call memo of the parenthesized groups and call arguments it
 has read, keyed by the head of their text: a repeat of a text already read
 is the same node, skipped without being tokenized, so a printed DAG parses
@@ -473,20 +473,21 @@ def on_chart(exprs: Iterable[Expr], owner):
 
 class APoint(Record):
     """A chart point with Weil-element coordinates: the one point type of
-    Weil evaluation.  It is immutable and its coordinates lie over its
-    algebra, so it keys the values its nodes keep."""
+    evaluation.  Its coordinates are copied into a tuple and lie over its
+    algebra, so it is immutable and keys the values its nodes keep."""
 
     __setattr__ = __delattr__ = refuse_assignment
     __match_args__ = ("algebra", "coords")
 
-    def __init__(self, algebra: WeilAlgebra, coords: tuple[WeilElement, ...]):
+    def __init__(self, algebra: WeilAlgebra, coords: Iterable[WeilElement]):
+        coords = tuple(coords)
         write_field(self, "algebra", algebra)
         write_field(self, "coords", coords)
         for c in coords:
             if not isinstance(c, WeilElement):
                 raise AlgebraMismatch(f"point coordinate {c!r} is not a Weil element")
         if algebra is None:
-            raise AlgebraMismatch("no algebra can be inferred for evaluation")
+            raise AlgebraMismatch("a point needs an algebra")
         for c in coords:
             if c.algebra is not algebra:
                 raise AlgebraMismatch("point coordinates live over different algebras")
@@ -499,41 +500,21 @@ class APoint(Record):
         """Augmentation of every coordinate: the underlying chart point."""
         return tuple(c.real for c in self.coords)
 
-    def __iter__(self):
-        return iter(self.coords)
 
-    def __len__(self):
-        return len(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
-
-def _as_point(point, algebra: WeilAlgebra | None) -> APoint:
-    """``point`` itself if it is an APoint, else its coordinates, any
-    iterable, as one: over the first coordinate's algebra, or over
-    ``algebra`` when there are none.  Its algebra is checked where it is
-    evaluated, as an APoint's is."""
-    if isinstance(point, APoint):
-        return point
-    coords = tuple(point)
-    if coords and isinstance(coords[0], WeilElement):
-        algebra = coords[0].algebra
-    return APoint(algebra, coords)
-
-
-def chart_point(point, owner) -> APoint:
-    """The point rule: ``point`` has one coordinate for each chart
-    coordinate of ``owner`` (a function, field, form or bivector).  Returns
-    the APoint to evaluate at: the point itself, or bare coordinates made
-    into one (over the owner's algebra when there are none)."""
+def chart_point(point: APoint, owner) -> APoint:
+    """The point rule: ``point`` is an APoint with one coordinate for each
+    chart coordinate of ``owner`` (a function, field, form or bivector),
+    over the owner's algebra unless the owner is a base object.  Returns
+    the point; any other type raises TypeError."""
     if not isinstance(point, APoint):
-        point = tuple(point)
-    if len(point) != owner.dim:
+        raise TypeError(f"{type(point).__name__} is not an APoint")
+    if point.dim != owner.dim:
         raise DimensionMismatch(
-            f"point has {len(point)} coordinates, chart has {owner.dim}"
+            f"point has {point.dim} coordinates, chart has {owner.dim}"
         )
-    return _as_point(point, owner.algebra)
+    if owner.algebra is not None and point.algebra is not owner.algebra:
+        raise AlgebraMismatch("point coordinates live over different algebras")
+    return point
 
 
 def same_chart(*objs) -> WeilAlgebra | None:
@@ -662,9 +643,9 @@ def _substitute(e: Expr, replacements: Sequence[Expr], memo: dict) -> Expr:
 # -- evaluation --------------------------------------------------------------------
 
 
-def eval_weil(e: Expr, point, algebra: WeilAlgebra | None = None) -> WeilElement:
-    """Evaluate at a point: an APoint, or its coordinates (Weil elements,
-    one per chart coordinate), which become a new APoint on each call.
+def eval_weil(e: Expr, point: APoint) -> WeilElement:
+    """Evaluate at an APoint, over its algebra; any other type raises
+    TypeError.
 
     For a ConstA-free expression f this computes the prolongation of f at
     the given point; the recursion realizes the homomorphism laws
@@ -672,17 +653,14 @@ def eval_weil(e: Expr, point, algebra: WeilAlgebra | None = None) -> WeilElement
     coefficient lists, with the same float operations in the same order as
     the WeilElement operators, and builds one element for the result.
 
-    The algebra is ``algebra``, else the point's, else that of the
-    expression's constants.  Each node keeps its value with the APoint it
-    was computed at, so no subtree is evaluated twice at one APoint.  A
-    value may share its coefficient list with the node that keeps it, as a
-    variable's shares the point's: elements are not changed in place.
+    Each node keeps its value with the APoint it was computed at, so no
+    subtree is evaluated twice at one APoint.  A value may share its
+    coefficient list with the node that keeps it, as a variable's shares
+    the point's: elements are not changed in place.
     """
-    point = _as_point(point, e.algebra if algebra is None else algebra)
-    if algebra is None:
-        algebra = point.algebra
-    elif point.algebra is not algebra:
-        raise AlgebraMismatch("point coordinates live over different algebras")
+    if not isinstance(point, APoint):
+        raise TypeError(f"{type(point).__name__} is not an APoint")
+    algebra = point.algebra
     if e.algebra is not None and e.algebra is not algebra:
         raise AlgebraMismatch("algebra constant does not match the point")
     lists = [c.coeffs for c in point.coords]
@@ -1125,7 +1103,7 @@ class AFunction(Record):
         scalar_expr(expr, self)
 
     def __call__(self, point) -> WeilElement:
-        return eval_weil(self.expr, chart_point(point, self), self.algebra)
+        return eval_weil(self.expr, chart_point(point, self))
 
     def partial(self, i: int) -> "AFunction":
         if not 0 <= i < self.dim:

@@ -85,7 +85,7 @@ class CoordForm(Record):
         are evaluated at one APoint, so they share the values of common
         subtrees."""
         point = chart_point(point, self)
-        return {idx: eval_weil(c, point, self.algebra) for idx, c in self.coeffs.items()}
+        return {idx: eval_weil(c, point) for idx, c in self.coeffs.items()}
 
     def __add__(self, other: "CoordForm") -> "CoordForm":
         same_chart(self, other)

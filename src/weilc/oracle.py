@@ -15,7 +15,7 @@ from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 from .algebra import WeilElement, apply_linear
-from .errors import DimensionMismatch, DomainError, UnknownSuite, WeilcError
+from .errors import DegreeError, DimensionMismatch, DomainError, UnknownSuite, WeilcError
 from .expr import (
     AFunction,
     Add,
@@ -243,14 +243,17 @@ def classical_lie_one_form(
 def interior_eval(
     field: VectorField, w: CoordForm, point
 ) -> dict[tuple[int, ...], WeilElement]:
-    """First-slot contraction assembled from separately evaluated pieces."""
-    algebra = same_chart(field, w)
+    """First-slot contraction assembled from separately evaluated pieces;
+    a 0-form is refused, as ``interior`` refuses it."""
+    if w.degree == 0:
+        raise DegreeError("interior product needs degree >= 1")
+    same_chart(field, w)
     point = chart_point(point, w)
-    comp_values = [eval_weil(c, point, algebra) for c in field.components]
-    zero = eval_weil(ZERO, point, algebra)
+    comp_values = [eval_weil(c, point) for c in field.components]
+    zero = eval_weil(ZERO, point)
     out: dict[tuple[int, ...], WeilElement] = {}
     for idx, c in w.coeffs.items():
-        value = eval_weil(c, point, algebra)
+        value = eval_weil(c, point)
         for k, i in enumerate(idx):
             rest = idx[:k] + idx[k + 1 :]
             term = comp_values[i] * value
@@ -386,7 +389,7 @@ def _suite_cartan(rng, rec):
     rec.check(
         "interior_prolongation",
         lhs_map.get((), zero),
-        eval_weil(base_interior, point, algebra),
+        eval_weil(base_interior, point),
     )
     # degree-2 contraction formula on a decomposable wedge
     x1f = sampling.random_one_form(rng, n, algebra, with_consta=True)

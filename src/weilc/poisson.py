@@ -476,15 +476,15 @@ def omega_prolonged(pi: PoissonStructure, x: CoordForm, y: CoordForm) -> AFuncti
 
 def omega_at(pi: PoissonStructure, x: CoordForm, y: CoordForm, point) -> WeilElement:
     """Evaluate the 2-form pairing by ring-combining evaluated pieces."""
-    algebra = _operands(pi, x, y)
-    point = chart_point(point, pi)
-    out = eval_weil(ZERO, point, algebra)
+    _operands(pi, x, y)
+    point = chart_point(point, x)
+    out = eval_weil(ZERO, point)
     for (i, j), p in pi.entries.items():
-        pv = eval_weil(p, point, algebra)
-        xi = eval_weil(x.coefficient((i,)), point, algebra)
-        xj = eval_weil(x.coefficient((j,)), point, algebra)
-        yi = eval_weil(y.coefficient((i,)), point, algebra)
-        yj = eval_weil(y.coefficient((j,)), point, algebra)
+        pv = eval_weil(p, point)
+        xi = eval_weil(x.coefficient((i,)), point)
+        xj = eval_weil(x.coefficient((j,)), point)
+        yi = eval_weil(y.coefficient((i,)), point)
+        yj = eval_weil(y.coefficient((j,)), point)
         out = out + pv * (xi * yj - xj * yi)
     return -out
 
@@ -534,7 +534,7 @@ def _a_poisson_trial(rng, rec: _Recorder, pi: PoissonStructure, algebra: WeilAlg
         "psi": to_string(psi.expr),
         "pi": pi.describe(),
         "algebra": algebra.describe(),
-        "point": str([round(c.real, 6) for c in point]),
+        "point": str([round(c.real, 6) for c in point.coords]),
     }
     # built once each, and shared only within one side or across sub-checks
     phi_psi = br(phi, psi)
@@ -546,8 +546,8 @@ def _a_poisson_trial(rng, rec: _Recorder, pi: PoissonStructure, algebra: WeilAlg
     rhs = scalar * phi_chi(point) + br(psi, chi)(point)
     rec.check("bilinearity", lhs, rhs)
     # Leibniz in the second slot
-    psi_v = eval_weil(psi.expr, point, algebra)
-    chi_v = eval_weil(chi.expr, point, algebra)
+    psi_v = eval_weil(psi.expr, point)
+    chi_v = eval_weil(chi.expr, point)
     lhs = br(phi, psi * chi)(point)
     rhs = phi_psi(point) * chi_v + psi_v * phi_chi(point)
     rec.check("leibniz", lhs, rhs)

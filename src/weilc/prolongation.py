@@ -68,9 +68,7 @@ class VectorField(Record):
         point = chart_point(point, self)
         out = None
         for i, comp in enumerate(self.components):
-            term = eval_weil(comp, point, self.algebra) * eval_weil(
-                diff(expr, i), point, self.algebra
-            )
+            term = eval_weil(comp, point) * eval_weil(diff(expr, i), point)
             out = term if out is None else out + term
         return out
 
@@ -121,16 +119,15 @@ def pushforward_point(morphism: AlgebraMorphism, point: APoint) -> APoint:
     this lands on the base point."""
     if point.algebra is not morphism.source:
         raise AlgebraMismatch("point does not live over the morphism source")
-    return APoint(morphism.target, tuple(morphism.apply(c) for c in point.coords))
+    return APoint(morphism.target, map(morphism.apply, point.coords))
 
 
 def prolong_map(h: Sequence[Expr], point: APoint) -> APoint:
     """Evaluate a smooth map componentwise: coordinate i of the image is
     h_i at the point, so composing with any g matches evaluating g on the
     image."""
+    if not isinstance(point, APoint):
+        raise TypeError(f"{type(point).__name__} is not an APoint")
     comps = tuple(h)
     require_base(comps, "a map's components")
-    return APoint(
-        point.algebra,
-        tuple(eval_weil(c, point, point.algebra) for c in comps),
-    )
+    return APoint(point.algebra, [eval_weil(c, point) for c in comps])

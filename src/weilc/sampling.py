@@ -95,7 +95,7 @@ def random_element(rng: Draws, algebra: WeilAlgebra) -> WeilElement:
 
 
 def random_point(rng: Draws, algebra: WeilAlgebra, n: int) -> APoint:
-    return APoint(algebra, tuple(random_element(rng, algebra) for _ in range(n)))
+    return APoint(algebra, (random_element(rng, algebra) for _ in range(n)))
 
 
 def random_monomial(rng: Draws, n: int, max_degree: int = 3) -> Expr:

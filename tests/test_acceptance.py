@@ -199,7 +199,7 @@ def test_criterion_7_two_form_identities():
             worst,
             residual(
                 omega_at(pi, bx, by, point),
-                eval_weil(omega_prolonged(pi, bx, by).expr, point, algebra),
+                eval_weil(omega_prolonged(pi, bx, by).expr, point),
             ),
         )
         # pairing identities

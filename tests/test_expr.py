@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weilc import dual_numbers, jets, trivial_algebra
+from weilc import CoordForm, VectorField, dual_numbers, jets, trivial_algebra
 from weilc.errors import (
     AlgebraMismatch,
     DimensionMismatch,
@@ -32,6 +32,7 @@ from weilc.expr import (
     MAX_NODE_DEPTH,
     Mul,
     Neg,
+    ONE,
     Pow,
     Sub,
     Var,
@@ -51,8 +52,9 @@ from weilc.expr import (
     substitute,
     to_string,
 )
-from weilc.oracle import taylor_coeffs
-from weilc.prolongation import APoint
+from weilc.oracle import interior_eval, taylor_coeffs
+from weilc.poisson import PoissonStructure, omega_at
+from weilc.prolongation import APoint, prolong_map
 
 from structures import real_point
 
@@ -444,9 +446,9 @@ class TestEvalWeil:
         "make",
         [lambda: APoint(dual_numbers(), (0.5,)),
          lambda: APoint(dual_numbers(), (dual_numbers().unit(), 0.5)),
-         lambda: eval_weil(Var(0), (0.5,)),
-         lambda: eval_weil(Var(0), (0.5,), dual_numbers())],
-        ids=["apoint", "apoint-second", "eval_weil", "eval_weil-with-algebra"],
+         lambda: APoint(dual_numbers(), [0.5]),
+         lambda: APoint(dual_numbers(), iter([0.5]))],
+        ids=["apoint", "apoint-second", "apoint-list", "apoint-iterator"],
     )
     def test_a_coordinate_that_is_not_a_weil_element_is_refused(self, make):
         with pytest.raises(AlgebraMismatch, match="point coordinate 0.5 is not a Weil element"):
@@ -469,6 +471,69 @@ class TestEvalWeil:
         xi = APoint(A, (A.element([1e200, 1.0]),))
         with pytest.raises(DomainError, match="non-finite"):
             eval_weil(parse("x1^2", 1), xi)
+
+
+# -- the point rule: every evaluation takes an APoint ----------------------------------
+
+_D = dual_numbers()
+_E = parse("x1*x2 + sin(x1)", 2)
+_FORM = CoordForm(1, 2, _D, {(0,): _E, (1,): Var(0)})
+_FIELD = VectorField((Var(1), Var(0)), _D)
+_PI = PoissonStructure(2, {(0, 1): ONE})
+# each evaluation entry point, as a call at one point
+_ENTRY_POINTS = {
+    "eval_weil": lambda p: eval_weil(_E, p),
+    "prolong_map": lambda p: prolong_map((_E, Var(0)), p),
+    "empty_prolong_map": lambda p: prolong_map((), p),
+    "afunction": lambda p: AFunction(_E, 2, _D)(p),
+    "form_evaluate": lambda p: _FORM.evaluate(p),
+    # with no coefficient to evaluate, the owner's algebra is checked at the point
+    "empty_form_evaluate": lambda p: CoordForm(1, 2, _D, {}).evaluate(p),
+    "apply_at": lambda p: _FIELD.apply_at(_E, p),
+    "omega_at": lambda p: omega_at(_PI, _FORM, _FORM, p),
+    "interior_eval": lambda p: interior_eval(_FIELD, _FORM, p),
+}
+# those whose owner has an algebra of its own
+_OWNED = [name for name in _ENTRY_POINTS if name not in ("eval_weil", "prolong_map",
+                                                          "empty_prolong_map")]
+_BARE = {"tuple": tuple, "list": list, "iterator": iter}
+
+
+class TestPointRule:
+    @pytest.mark.parametrize("bare", _BARE)
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
+    def test_bare_coordinates_are_refused(self, entry, bare):
+        coords = (_D.element([1.0, 1.0]), _D.element([2.0, 0.0]))
+        _ENTRY_POINTS[entry](APoint(_D, coords))
+        with pytest.raises(TypeError, match=f"{bare} is not an APoint"):
+            _ENTRY_POINTS[entry](_BARE[bare](coords))
+
+    @pytest.mark.parametrize("entry", _OWNED)
+    def test_an_owner_refuses_a_point_over_another_algebra(self, entry):
+        A = jets(2)
+        with pytest.raises(AlgebraMismatch, match="live over different algebras"):
+            _ENTRY_POINTS[entry](APoint(A, (A.unit(), A.unit())))
+
+    def test_a_point_copies_its_coordinates(self):
+        # the point holds a copy: a later change to the list leaves the point,
+        # its hash and the values its nodes keep alone
+        coords = [_D.from_real(1.0), _D.from_real(2.0)]
+        p = APoint(_D, coords)
+        before = eval_weil(_E, p)
+        coords[0] = _D.from_real(5.0)
+        assert p.coords == (_D.from_real(1.0), _D.from_real(2.0))
+        assert eval_weil(_E, p) == eval_weil(copy.deepcopy(_E), p) == before
+        assert eval_weil(_E, APoint(_D, coords)).real == pytest.approx(10.0 + math.sin(5.0))
+        assert hash(p) == hash(APoint(_D, list(p.coords)))
+        q = APoint(_D, iter(p.coords))
+        assert q == p and q.dim == 2
+        # a tuple is kept as it is
+        assert APoint(_D, p.coords).coords is p.coords
+
+    def test_an_apoint_is_no_coordinate_sequence(self):
+        p = APoint(_D, (_D.unit(),))
+        for name in ("__iter__", "__len__", "__getitem__"):
+            assert not hasattr(p, name)
 
 
 class TestEvalReal:
@@ -725,7 +790,7 @@ class TestDepthLimit:
         A = dual_numbers()
         # e is x1 times a constant in x2, so at x1 = 1 + eps its derivative
         # equals its value
-        x = (A.element([1.0, 1.0]), A.from_real(2.0))
+        x = APoint(A, (A.element([1.0, 1.0]), A.from_real(2.0)))
         assert eval_weil(e, x) == A.element([value, value])
         assert hash(e) == hash(_chain(MAX_NODE_DEPTH - 1))
         twin = pickle.loads(pickle.dumps(e))

@@ -234,19 +234,8 @@ def _ref_substitute(e, replacements):
     raise TypeError(f"cannot substitute into {type(e).__name__}")
 
 
-def _ref_eval_weil(e, point, algebra=None):
-    coords = tuple(getattr(point, "coords", point))
-    if algebra is None:
-        if coords:
-            algebra = coords[0].algebra
-        else:
-            algebra = _ref_scan(e)[0]
-        if algebra is None:
-            raise AlgebraMismatch("no algebra can be inferred for evaluation")
-    for c in coords:
-        if c.algebra is not algebra:
-            raise AlgebraMismatch("point coordinates live over different algebras")
-    value = _ref_eval_weil_rec(e, coords, algebra)
+def _ref_eval_weil(e, point):
+    value = _ref_eval_weil_rec(e, point.coords, point.algebra)
     if not all(map(math.isfinite, value.coeffs)):
         raise DomainError(f"non-finite result {render_element(value)}")
     return value
@@ -586,7 +575,7 @@ class TestSharedDag:
         assert eval_real(substitute(e, [Neg(Var(0))]), [1.0]) == 1.0
         A = dual_numbers()
         eps = A.generator("eps")
-        value = eval_weil(e, (A.unit() + eps,))
+        value = eval_weil(e, APoint(A, (A.unit() + eps,)))
         assert value == A.element([1.0, 2.0**40])
 
     def test_structure_queries_visit_each_node_once_per_level(self):
@@ -955,10 +944,9 @@ def _jet2_point(*vectors):
 def _computed_values(monkeypatch):
     """Wrap _eval_weil so that it records each (node, coordinate lists,
     algebra) whose value it computes: a value is read when the list returned
-    is the one the node kept before the call.  A point's coordinate lists
-    are the same objects whether a caller hands on the APoint or its
-    coordinates, so a caller that drops the point shows as a repeat.  The
-    nodes and lists are held, so their ids stay valid."""
+    is the one the node kept before the call.  A twin APoint holds the same
+    coordinate lists, so a caller that builds a new point shows as a
+    repeat.  The nodes and lists are held, so their ids stay valid."""
     computed = []
 
     def recording(e, coords, algebra, key):
@@ -1003,26 +991,16 @@ class TestValueOnTheNode:
         again = eval_weil(tree, p)
         assert computed == []
         assert _element_bits(again) == _element_bits(first)
-        # bare coordinates share values within a call only
-        eval_weil(tree, p.coords)
+        # a twin point at the same coordinates shares no value with p
+        eval_weil(tree, APoint(p.algebra, p.coords))
         assert len(computed) == len(_nodes(tree))
 
     def test_the_shared_constants_take_each_algebra_in_turn(self):
         D, A = dual_numbers(), jets(2)
-        for point, algebra, dim in ((APoint(D, (D.unit(),)), None, 2),
-                                    (APoint(A, (A.unit(),)), None, 3),
-                                    (APoint(D, ()), None, 2), ((), A, 3)):
-            assert len(eval_weil(ZERO, point, algebra).coeffs) == dim
-            assert len(eval_weil(ONE, point, algebra).coeffs) == dim
-
-    def test_bare_coordinates_may_be_any_iterable(self):
-        # chart_point hands on a tuple of them, so an iterator is read once
-        e = parse(_GROWTH, 2)
-        p = _jet2_point([0.5, 1.0, 0.25], [1.5, -1.0, 0.5])
-        f = AFunction(e, 2, None)
-        form = CoordForm(1, 2, None, {(0,): e, (1,): diff(e, 0)})
-        assert f(iter(p.coords)) == f(p)
-        assert form.evaluate(iter(p.coords)) == form.evaluate(p)
+        for point, dim in ((APoint(D, (D.unit(),)), 2), (APoint(A, (A.unit(),)), 3),
+                           (APoint(D, ()), 2), (APoint(A, ()), 3)):
+            assert len(eval_weil(ZERO, point).coeffs) == dim
+            assert len(eval_weil(ONE, point).coeffs) == dim
 
     def test_a_point_with_no_coordinates_keeps_its_algebra(self):
         D, A = dual_numbers(), jets(2)
@@ -1031,15 +1009,13 @@ class TestValueOnTheNode:
             eval_weil(e, APoint(D, ()))
         with pytest.raises(AlgebraMismatch, match="live over different algebras"):
             AFunction(e, 0, A)(APoint(D, ()))
-        with pytest.raises(AlgebraMismatch, match="live over different algebras"):
-            eval_weil(ONE, APoint(D, ()), A)
-        assert eval_weil(e, APoint(A, ())) == eval_weil(e, ()) == A.element([1, 2, 3])
+        assert eval_weil(e, APoint(A, ())) == A.element([1, 2, 3])
 
     def test_a_point_needs_an_algebra(self):
-        with pytest.raises(AlgebraMismatch, match="no algebra can be inferred"):
+        with pytest.raises(AlgebraMismatch, match="a point needs an algebra"):
             APoint(None, ())
-        with pytest.raises(AlgebraMismatch, match="no algebra can be inferred"):
-            AFunction(ONE, 0, None)(())
+        with pytest.raises(AlgebraMismatch, match="a point needs an algebra"):
+            APoint(None, (dual_numbers().unit(),))
 
     def test_there_is_one_point_class(self):
         assert weilc.APoint is weilc.prolongation.APoint is weilc.expr.APoint
@@ -1072,22 +1048,22 @@ def test_form_evaluate_matches_eval_weil(monkeypatch):
     values = form.evaluate(p)
     assert list(values) == list(form.coeffs)
     assert {idx: _element_bits(v) for idx, v in values.items()} == {
-        idx: _element_bits(eval_weil(copy.deepcopy(c), p, A))
+        idx: _element_bits(eval_weil(copy.deepcopy(c), p))
         for idx, c in form.coeffs.items()}
     # the first error raised is that of the first coefficient that raises
     zero_div, bad_log = div(ONE, sub(Var(0), Var(0))), parse("log(x1 - x1 - 1)", 3)
     bad = CoordForm(1, 3, A, {(0,): shared, (1,): zero_div, (2,): bad_log})
-    first = _outcome(eval_weil, zero_div, p, A)
+    first = _outcome(eval_weil, zero_div, p)
     assert first[0] == "error"
     assert _outcome(bad.evaluate, p) == first
-    assert _outcome(bad.evaluate, p.coords) == first
-    # at bare coordinates, each shared node is computed once per call
+    assert _outcome(bad.evaluate, APoint(A, p.coords)) == first
+    # at a new point, each shared node is computed once per call
     nodes = {}
     for c in form.coeffs.values():
         nodes.update(_nodes(c))
     for _ in range(2):
         computed = _computed_values(monkeypatch)
-        assert form.evaluate(p.coords) == values
+        assert form.evaluate(APoint(A, p.coords)) == values
         assert len(computed) == len(nodes)
         assert {id(node) for node, _, _ in computed} == set(nodes)
         monkeypatch.undo()
@@ -1163,7 +1139,7 @@ def test_walks_match_tree_recursions(seed, n, wrap, consta, order, xs, short, wa
     if short:
         # too few components for the highest variable: DimensionMismatch
         replacements = replacements[:-1]
-    coords = tuple(c + x for c, x in zip(random_point(rng, algebra, n).coords, xs))
+    point = APoint(algebra, (c + x for c, x in zip(random_point(rng, algebra, n).coords, xs)))
 
     # differentiate random subtrees first, in random index order: a warm
     # cache must give the trees and strings a cold one gives
@@ -1182,7 +1158,7 @@ def test_walks_match_tree_recursions(seed, n, wrap, consta, order, xs, short, wa
         _same(_outcome(substitute, new, replacements),
               _outcome(_ref_substitute, ref, replacements), _tree)
         _same(_outcome(eval_real, new, xs), _outcome(_ref_eval_real, ref, xs), float.hex)
-        _same(_outcome(eval_weil, new, coords), _outcome(_ref_eval_weil, ref, coords),
+        _same(_outcome(eval_weil, new, point), _outcome(_ref_eval_weil, ref, point),
               _element_bits)
 
 
@@ -1212,17 +1188,17 @@ def test_list_walk_matches_the_element_recursion(seed, algebra, shape, order, xs
     elif shape == "nilpotent_denominator":
         nil = [0.0] + [float(c) for c in rng.uniform(-0.5, 0.5, algebra.dim - 1)]
         e = Div(other, ConstA(algebra.element(nil)))
-    coords = tuple(c + x for c, x in zip(random_point(rng, algebra, 2).coords, xs))
+    point = APoint(algebra, (c + x for c, x in zip(random_point(rng, algebra, 2).coords, xs)))
     for i in order:
         e = diff(e, i)
-    _same(_outcome(eval_weil, e, coords), _outcome(_ref_eval_weil, e, coords),
+    _same(_outcome(eval_weil, e, point), _outcome(_ref_eval_weil, e, point),
           _element_bits)
 
 
 def test_a_real_constant_evaluates_to_floats():
     # ConstR keeps what it is given; the walk's list holds floats all the same
     for algebra in (trivial_algebra(), jets(2)):
-        value = eval_weil(ConstR(1), (), algebra)
+        value = eval_weil(ConstR(1), APoint(algebra, ()))
         assert type(value.coeffs) is list
         assert [type(c) for c in value.coeffs] == [float] * algebra.dim
         assert value == algebra.unit()

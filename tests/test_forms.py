@@ -23,7 +23,7 @@ from weilc import (
 from weilc.errors import AlgebraMismatch, DegreeError, DimensionMismatch, WeilcError
 from weilc.expr import ConstA, ConstR, Mul, Pow, Var, add_all, eval_real, eval_weil
 from weilc.forms import function_form, zero_form
-from weilc.oracle import form_is_zero_exact
+from weilc.oracle import form_is_zero_exact, interior_eval
 from weilc.sampling import (
     random_one_form,
     random_point,
@@ -231,9 +231,14 @@ class TestInterior:
         assert interior(d1, dx12).coefficient((1,)) == ConstR(1.0)
 
     def test_degree_error(self, dual):
+        # the evaluated contraction, a second route, refuses what interior refuses
         d1 = VectorField((ConstR(1.0),), dual)
-        with pytest.raises(DegreeError):
-            interior(d1, zero_form(0, 1, dual))
+        point = APoint(dual, (dual.unit(),))
+        for w in (zero_form(0, 1, dual), CoordForm(0, 1, dual, {(): Var(0)})):
+            with pytest.raises(DegreeError, match="interior product needs degree >= 1"):
+                interior(d1, w)
+            with pytest.raises(DegreeError, match="interior product needs degree >= 1"):
+                interior_eval(d1, w, point)
 
     def test_prolongation_identity_example(self, dual):
         # contraction of the prolonged field against the prolonged form,

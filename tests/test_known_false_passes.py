@@ -18,6 +18,11 @@ failing.
   polynomial added to one entry are not Poisson, as ``jacobi_check``
   decides exactly, yet ``poisson_full`` passes them at 3 trials: the
   Jacobiator, near 1e-12, is below its tolerance (item 1).
+- so(3)* scaled by 1/4 with 1e-12*x1^2 added to {x1, x3} is not Poisson,
+  as ``jacobi_check`` decides exactly when the scale is written ``0.25*``,
+  yet ``jacobi_check`` passes it when the scale is written ``/4``: the
+  exact path refuses a quotient, and the sampled Jacobiator is below its
+  tolerance (item 16).
 - A wrong derivative rule changes no suite's verdict: every sub-check
   builds both of its sides with the same rules (items 4 and 23).  The
   ``_CHAIN`` rows are patched in the table, and the power and quotient
@@ -97,6 +102,26 @@ def test_the_perturbed_so10_is_not_poisson():
 def test_so10_is_poisson():
     report = jacobi_check(so_n(10), trials=1, tol=0.0, seed=42)
     assert report.passed and report.max_residual == 0.0
+
+
+def _quartered_so3(scale):
+    # {x1,x2} = x3/4, {x2,x3} = x1/4, {x1,x3} = -x2/4 + 1e-12*x1^2, with each
+    # quarter written as ``scale`` gives it
+    return PoissonStructure(3, {(0, 1): parse(scale("x3"), 3), (1, 2): parse(scale("x1"), 3),
+                                (0, 2): parse(f"-{scale('x2')} + 1e-12*x1^2", 3)})
+
+
+def test_the_perturbed_quartered_so3_is_not_poisson():
+    report = jacobi_check(_quartered_so3(lambda x: f"0.25*{x}"), trials=100, tol=TOL, seed=42)
+    assert not report.passed and report.max_residual == 5e-13
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 16: the exact Jacobi path refuses a quotient, and "
+                          "the sampled one misses a 1e-12 Jacobiator")
+def test_jacobi_check_fails_it_with_the_quarters_written_as_quotients():
+    report = jacobi_check(_quartered_so3(lambda x: f"{x}/4"), trials=100, tol=TOL, seed=42)
+    assert not report.passed, report.max_residual
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=_ITEM_1)
